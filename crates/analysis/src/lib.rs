@@ -1,12 +1,12 @@
 //! AST-level determinism analyzer for the MIND workspace.
 //!
-//! Replaces the substring lint wall (`crates/audit/src/bin/lint.rs`) with
-//! a token-tree semantic pass: every workspace `.rs` file is lexed into a
-//! delimiter-matched token stream with exact `#[cfg(test)]` scoping, and a
-//! rule engine runs over it. String literals and comments can neither
-//! produce false hits nor hide real ones, and rules can see structure the
-//! old scanner could not (method receivers, paths, match arms, constant
-//! expressions).
+//! The workspace's static lint wall — the source-pattern rules clippy
+//! cannot express — as a token-tree semantic pass: every workspace `.rs`
+//! file is lexed into a delimiter-matched token stream with exact
+//! `#[cfg(test)]` scoping, and a rule engine runs over it. String literals
+//! and comments can neither produce false hits nor hide real ones, and
+//! rules can see structure a substring scan cannot (method receivers,
+//! paths, match arms, constant expressions).
 //!
 //! The crate registry (`crates.io`) is unreachable from this workspace, so
 //! `syn` is not available; `lex`/`stream` are a purpose-built stand-in

@@ -1,8 +1,6 @@
-//! The legacy substring rules, re-expressed as token patterns: method
-//! calls, `::` paths, and bare identifiers instead of raw substrings.
-//! Strings and comments can no longer produce hits, and multi-line call
-//! chains can no longer hide them. The eight ported rules are joined by
-//! `storealloc`, born token-level alongside the bitmap store backend.
+//! The needle rules as token patterns: method calls, `::` paths, and
+//! bare identifiers instead of raw substrings, so strings and comments
+//! cannot produce hits and multi-line call chains cannot hide them.
 
 use super::{is_ident, is_punct, method_call_at, path_at, FileRule, Meta};
 use crate::lex::Delim;
@@ -183,8 +181,7 @@ static WORLDRNG: Meta = Meta {
     exempt_prefixes: &[],
 };
 
-/// The eight ported legacy rules, plus `storealloc` (added with the
-/// bitmap store backend; mirrored into the legacy wall for parity).
+/// The nine needle rules.
 pub fn rules() -> Vec<Box<dyn FileRule>> {
     vec![
         Box::new(PatternRule {

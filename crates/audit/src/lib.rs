@@ -20,11 +20,9 @@
 //! so that every higher layer (overlay, core, netsim) can be audited without
 //! a dependency cycle.
 //!
-//! The companion `lint` binary (`cargo run -p mind-audit --bin lint`) is the
-//! static half of the wall: it scans the workspace sources for forbidden
-//! patterns (`unwrap()`/`expect()` outside tests, unseeded RNGs, wall-clock
-//! reads in simulator-driven code, `std::sync` locks where `parking_lot` is
-//! mandated) and exits non-zero with `file:line` diagnostics.
+//! This is the dynamic half of the wall; the static half — forbidden source
+//! patterns, reported as `file:line` diagnostics — is `mind-analysis`
+//! (`cargo run -p mind-analysis --bin analyze -- .`).
 
 pub mod auditor;
 pub mod snapshot;

@@ -41,7 +41,12 @@ mod query_track;
 mod reliability;
 mod rollover;
 pub mod trigger;
-pub mod wire_len;
+
+/// Exact wire-size accounting and the catalog digest: two sinks on the one
+/// wire encoder ([`mind_types::wire`]).
+pub mod wire_len {
+    pub use mind_types::wire::{fnv1a_digest, serialized_len};
+}
 
 pub use cluster::{ClusterConfig, MindCluster};
 pub use messages::{CarriedFilter, MindPayload, Replication};

@@ -273,7 +273,7 @@ pub enum MindPayload {
     CatalogDigest {
         /// FNV-1a digest of the sender's catalog (indices, versions,
         /// triggers) over the codec byte layout
-        /// ([`crate::wire_len::fnv1a_digest`]).
+        /// ([`mind_types::wire::Fnv1a`]).
         digest: u64,
     },
     /// Direct reply to a [`MindPayload::CatalogRequest`] (or to a
@@ -352,13 +352,10 @@ impl WireSize for MindPayload {
     ///
     /// The insert plane (the per-record hot path, where batching amortizes
     /// framing) is O(1)-per-record arithmetic over the shared header
-    /// helpers above; every other variant is counted by the
-    /// [`crate::wire_len`] mirror of the codec. Both routes are pinned
-    /// against the real encoder, for every variant, by `mind-net`'s
-    /// `wire_size_is_exact_for_every_payload_kind` test — this used to be
-    /// a wall of per-variant estimates (`Insert` charged a flat `64 +`),
-    /// which skewed the simulator's bandwidth model against exactly the
-    /// messages the ingest path cares about.
+    /// helpers above, pinned against the encoder for every variant by
+    /// `mind-net`'s `wire_size_is_exact_for_every_payload_kind` test; every
+    /// other variant is counted by the encoder itself
+    /// ([`mind_types::wire::serialized_len`]), so it cannot drift.
     fn wire_size(&self) -> usize {
         match self {
             MindPayload::Insert { index, record, .. } => {
@@ -373,7 +370,7 @@ impl WireSize for MindPayload {
             MindPayload::ReplicaBatch { index, records, .. } => {
                 replica_header_size(index) + records_size(records)
             }
-            other => crate::wire_len::serialized_len(other),
+            other => mind_types::wire::serialized_len(other),
         }
     }
 }

@@ -329,7 +329,7 @@ impl MindNode {
     /// The uncached digest walk — also usable through shared references
     /// (test inspection of a running world).
     pub fn compute_catalog_digest(&self) -> u64 {
-        let mut dig = crate::wire_len::Digest::new();
+        let mut dig = mind_types::wire::Fnv1a::default();
         dig.absorb(&(self.indexes.len() as u32));
         for (tag, st) in &self.indexes {
             dig.absorb(tag);
@@ -926,12 +926,6 @@ impl MindNode {
                 responder,
                 records,
             } => {
-                if std::env::var_os("MIND_TRACE").is_some() && !records.is_empty() {
-                    eprintln!(
-                        "[resp] q{query_id} v{version} code={code} from {responder}: {} records",
-                        records.len()
-                    );
-                }
                 if let Some(t) = self.queries.get_mut(&query_id) {
                     // Arriving off the wire: wrap into shared handles once.
                     t.on_response(

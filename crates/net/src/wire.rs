@@ -1,58 +1,14 @@
-//! A compact, non-self-describing binary format for serde types.
-//!
-//! Layout rules (all integers little-endian):
-//!
-//! * fixed-width primitives as-is; `bool` as one byte,
-//! * `str` / `bytes`: `u32` length + raw bytes,
-//! * `Option`: 1-byte tag (0 = None, 1 = Some),
-//! * sequences and maps: `u32` length + elements,
-//! * structs and tuples: fields in declaration order, no framing,
-//! * enums: `u32` variant index + variant content.
-//!
-//! Both ends must agree on the Rust types (like bincode); the frame layer
-//! guarantees message boundaries.
+//! The decoding half of the wire codec, and the validator of everything a
+//! socket hands us. The layout and its one encoder are
+//! [`mind_types::wire`]; [`to_bytes`] and [`WireError`] are re-exported
+//! from there.
 
-use bytes::{Buf, BufMut};
+use bytes::Buf;
 use serde::de::{
     DeserializeOwned, EnumAccess, IntoDeserializer, MapAccess, SeqAccess, VariantAccess, Visitor,
 };
-use serde::ser::{
-    SerializeMap, SerializeSeq, SerializeStruct, SerializeStructVariant, SerializeTuple,
-    SerializeTupleStruct, SerializeTupleVariant,
-};
-use serde::Serialize;
-use std::fmt;
 
-/// Encoding/decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError(pub String);
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "wire error: {}", self.0)
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl serde::ser::Error for WireError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        WireError(msg.to_string())
-    }
-}
-
-impl serde::de::Error for WireError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        WireError(msg.to_string())
-    }
-}
-
-/// Serializes `v` into a fresh buffer.
-pub fn to_bytes<T: Serialize>(v: &T) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::with_capacity(128);
-    v.serialize(&mut Ser { out: &mut out })?;
-    Ok(out)
-}
+pub use mind_types::wire::{to_bytes, WireError};
 
 /// Deserializes a value of type `T` from `buf` (must consume it exactly).
 pub fn from_bytes<T: DeserializeOwned>(buf: &[u8]) -> Result<T, WireError> {
@@ -151,232 +107,6 @@ pub fn fuzz_wire_decode(data: &[u8]) {
         );
     }
 }
-
-// ---------------------------------------------------------------- encoder
-
-struct Ser<'a> {
-    out: &'a mut Vec<u8>,
-}
-
-impl<'a, 'b> serde::Serializer for &'b mut Ser<'a> {
-    type Ok = ();
-    type Error = WireError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, v: bool) -> Result<(), WireError> {
-        self.out.put_u8(v as u8);
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), WireError> {
-        self.out.put_i8(v);
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), WireError> {
-        self.out.put_i16_le(v);
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), WireError> {
-        self.out.put_i32_le(v);
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), WireError> {
-        self.out.put_i64_le(v);
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), WireError> {
-        self.out.put_u8(v);
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), WireError> {
-        self.out.put_u16_le(v);
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), WireError> {
-        self.out.put_u32_le(v);
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), WireError> {
-        self.out.put_u64_le(v);
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), WireError> {
-        self.out.put_f32_le(v);
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), WireError> {
-        self.out.put_f64_le(v);
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), WireError> {
-        self.out.put_u32_le(v as u32);
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), WireError> {
-        self.serialize_bytes(v.as_bytes())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), WireError> {
-        let len = u32::try_from(v.len()).map_err(|_| WireError("bytes too long".into()))?;
-        self.out.put_u32_le(len);
-        self.out.extend_from_slice(v);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<(), WireError> {
-        self.out.put_u8(0);
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, v: &T) -> Result<(), WireError> {
-        self.out.put_u8(1);
-        v.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), WireError> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), WireError> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), WireError> {
-        self.out.put_u32_le(variant_index);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        v: &T,
-    ) -> Result<(), WireError> {
-        v.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        v: &T,
-    ) -> Result<(), WireError> {
-        self.out.put_u32_le(variant_index);
-        v.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self, WireError> {
-        let len = len.ok_or_else(|| WireError("sequences must know their length".into()))?;
-        let len = u32::try_from(len).map_err(|_| WireError("sequence too long".into()))?;
-        self.out.put_u32_le(len);
-        Ok(self)
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Self, WireError> {
-        Ok(self)
-    }
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, WireError> {
-        Ok(self)
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, WireError> {
-        self.out.put_u32_le(variant_index);
-        Ok(self)
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Self, WireError> {
-        let len = len.ok_or_else(|| WireError("maps must know their length".into()))?;
-        let len = u32::try_from(len).map_err(|_| WireError("map too long".into()))?;
-        self.out.put_u32_le(len);
-        Ok(self)
-    }
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, WireError> {
-        Ok(self)
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, WireError> {
-        self.out.put_u32_le(variant_index);
-        Ok(self)
-    }
-    fn is_human_readable(&self) -> bool {
-        false
-    }
-}
-
-macro_rules! forward_compound {
-    ($trait_:ident, $method:ident) => {
-        impl<'a, 'b> $trait_ for &'b mut Ser<'a> {
-            type Ok = ();
-            type Error = WireError;
-            fn $method<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), WireError> {
-                v.serialize(&mut **self)
-            }
-            fn end(self) -> Result<(), WireError> {
-                Ok(())
-            }
-        }
-    };
-}
-
-forward_compound!(SerializeSeq, serialize_element);
-forward_compound!(SerializeTuple, serialize_element);
-forward_compound!(SerializeTupleStruct, serialize_field);
-forward_compound!(SerializeTupleVariant, serialize_field);
-
-impl<'a, 'b> SerializeMap for &'b mut Ser<'a> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), WireError> {
-        key.serialize(&mut **self)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), WireError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-impl<'a, 'b> SerializeStruct for &'b mut Ser<'a> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        v: &T,
-    ) -> Result<(), WireError> {
-        v.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-impl<'a, 'b> SerializeStructVariant for &'b mut Ser<'a> {
-    type Ok = ();
-    type Error = WireError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        v: &T,
-    ) -> Result<(), WireError> {
-        v.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------- decoder
 
 struct De<'de> {
     buf: &'de [u8],
@@ -672,8 +402,9 @@ impl<'a, 'de> VariantAccess<'de> for Enum<'a, 'de> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
+    use serde::{Deserialize, Serialize};
     use std::collections::HashMap;
+    use std::fmt;
 
     fn roundtrip<T: Serialize + DeserializeOwned + PartialEq + fmt::Debug>(v: T) {
         let bytes = to_bytes(&v).expect("serialize");

@@ -1,6 +1,7 @@
 //! Property tests for the wire format: arbitrary MIND messages round-trip
 //! bit-exactly, and corrupted frames never panic.
 
+use mind_core::wire_len::serialized_len;
 use mind_core::{CarriedFilter, MindPayload, Replication};
 use mind_histogram::{CutTree, GridHistogram};
 use mind_net::{from_bytes, to_bytes};
@@ -169,6 +170,7 @@ proptest! {
     #[test]
     fn prop_messages_roundtrip(msg in arb_msg()) {
         let bytes = to_bytes(&msg).expect("encode");
+        prop_assert_eq!(serialized_len(&msg), bytes.len(), "counting and buffering must agree");
         let back: OverlayMsg<MindPayload> = from_bytes(&bytes).expect("decode");
         // The enums don't implement PartialEq end-to-end (CutTree does, but
         // OverlayMsg intentionally stays lean); compare re-encodings.

@@ -1,10 +1,11 @@
 //! Pins `MindPayload::wire_size` — the simulator's bandwidth model —
-//! against the *real* `mind_net::wire` encoder, for **every** payload
-//! kind. The insert plane uses hand-computed header arithmetic (shared
-//! between `Insert`/`InsertBatch` and `Replica`/`ReplicaBatch` so
-//! batching amortization is measured honestly) and everything else goes
-//! through the `mind_core::wire_len` counting mirror; either can drift
-//! from the codec independently, so both are checked here byte for byte.
+//! against the wire encoder, for **every** payload kind. What can drift is
+//! the insert plane's hand-computed arithmetic (`insert_header_size`,
+//! `records_size`, `Record::wire_size`, shared between
+//! `Insert`/`InsertBatch` and `Replica`/`ReplicaBatch` so batching
+//! amortization is measured honestly); every other kind is counted by the
+//! same encoder that produces the bytes, and is here so a variant moved
+//! onto hand arithmetic later is already covered.
 //!
 //! The `variant_name` match is deliberately wildcard-free: adding a
 //! `MindPayload` variant fails this file at compile time until the new

@@ -965,13 +965,6 @@ impl<P: Clone> Overlay<P> {
         out: &mut Outbox<OverlayMsg<P>>,
     ) {
         let probe_id = ((self.id.0 as u64) << 24) | (self.seq & 0xFF_FFFF);
-        if std::env::var_os("MIND_TRACE").is_some() {
-            eprintln!(
-                "[ring] {} starts ring for {target} ttl={ttl} fanout={:?}",
-                self.id,
-                self.table.alive_nodes()
-            );
-        }
         self.seq += 1;
         let my = self.code.unwrap_or(BitCode::ROOT);
         let need_cpl = my.common_prefix_len(&target);
@@ -1018,12 +1011,6 @@ impl<P: Clone> Overlay<P> {
         let my_cpl = my.common_prefix_len(&target);
         let can_resume = self.responsible_for(&target)
             || (my_cpl >= need_cpl && self.table.next_hop(&my, &target).is_some());
-        if std::env::var_os("MIND_TRACE").is_some() {
-            eprintln!(
-                "[ring] {} got probe {probe_id} for {target} ttl={ttl} resume={can_resume} my={my}",
-                self.id
-            );
-        }
         if can_resume {
             out.send(origin, OverlayMsg::RingHit { probe_id, code: my });
             return;
@@ -1056,9 +1043,6 @@ impl<P: Clone> Overlay<P> {
             return Vec::new(); // already resolved
         };
         if p.ttl >= self.cfg.ring_ttl_max {
-            if std::env::var_os("MIND_TRACE").is_some() {
-                eprintln!("[ring] {} gives up on {}", self.id, p.target);
-            }
             return vec![OverlayEvent::Undeliverable {
                 target: p.target,
                 payload: p.payload,

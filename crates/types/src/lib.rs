@@ -14,7 +14,9 @@
 //!   and data-space hyper-rectangles,
 //! * [`NodeId`] / [`NodeLogic`] — the transport-agnostic, event-driven node
 //!   abstraction that lets the same overlay logic run on the deterministic
-//!   discrete-event simulator (`mind-netsim`) or on real TCP (`mind-net`).
+//!   discrete-event simulator (`mind-netsim`) or on real TCP (`mind-net`),
+//! * [`wire`] — the one encoder of the wire layout, with the three things
+//!   done to its bytes: buffer them, count them, hash them.
 
 #![warn(missing_docs)]
 
@@ -25,6 +27,7 @@ pub mod node;
 pub mod record;
 pub mod rect;
 pub mod schema;
+pub mod wire;
 
 pub use code::BitCode;
 pub use driver::ClusterDriver;

@@ -65,8 +65,9 @@ impl Record {
         Ok(self)
     }
 
-    /// Approximate serialized size in bytes, used by the simulator's
-    /// bandwidth model.
+    /// Exact encoded size in bytes under the wire codec (`u32` count +
+    /// 8 bytes per value), used by the simulator's bandwidth model; pinned
+    /// against the encoder by `mind-net`'s `wire_size_exact` test.
     pub fn wire_size(&self) -> usize {
         8 * self.values.len() + 4
     }

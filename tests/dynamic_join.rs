@@ -94,19 +94,6 @@ fn joiner_learns_catalog_and_historical_data_stays_queryable() {
                 .unwrap_or(0)
         })
         .sum();
-    if std::env::var_os("MIND_TRACE").is_some() {
-        for k in 0..6u32 {
-            let n = world.node(NodeId(k));
-            let st = n.index_state("grow").unwrap();
-            eprintln!(
-                "[store] n{k} code={:?} primary={} replica={} len={}",
-                n.overlay().code().unwrap(),
-                st.versions[0].primary_rows,
-                st.versions[0].replica_rows,
-                st.versions[0].primary.len() + st.versions[0].replicas.len()
-            );
-        }
-    }
     assert_eq!(stored, 120);
 
     // A seventh node joins the live system.
