@@ -421,6 +421,20 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
         self.storage_distribution(index).iter().sum()
     }
 
+    /// Primary rows resident on a live node that does not own them (see
+    /// [`MindNode::misplaced_primary_rows`]), summed over the cluster.
+    pub fn misplaced_primary_rows(&self, index: &str) -> u64 {
+        (0..self.driver.len())
+            .map(|k| NodeId(k as u32))
+            .filter(|&id| self.driver.is_alive(id))
+            .map(|id| {
+                let index = index.to_string();
+                self.driver
+                    .read(id, move |n| n.misplaced_primary_rows(&index))
+            })
+            .sum()
+    }
+
     /// Approximate stored bytes per node for one index (primary + replica
     /// stores, all versions). Served from the stores' incremental byte
     /// counters, so sampling this every simulated minute stays O(nodes).

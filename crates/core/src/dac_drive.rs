@@ -13,6 +13,7 @@ use crate::reliability::OpTarget;
 use mind_overlay::OverlayMsg;
 use mind_types::node::SimTime;
 use mind_types::{BitCode, HyperRect, NodeId, Record};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub(crate) const KIND_DAC_TICK: u64 = 0;
@@ -26,22 +27,25 @@ pub(crate) enum DacJob {
         version: u32,
         record: Record,
         sent_at: SimTime,
-        is_replica: bool,
+        /// The code a primary insert was routed toward (its rows' leaf
+        /// codes all extend it); `None` for a replica copy, which was
+        /// pushed directly and is stored whole.
+        routed_to: Option<BitCode>,
         /// Who to ack once applied (the insert origin, or the pushing
         /// primary for replica copies).
         acker: NodeId,
         /// Idempotency key (0 = legacy/unacked operation).
         op_id: u64,
     },
-    /// A whole wire batch applied under one op id: all records store (and
-    /// ack) together or not at all, so a retried batch can never be half
-    /// deduped.
+    /// A whole wire batch applied under one op id: all records are stored
+    /// or taken into custody (and acked) together or not at all, so a
+    /// retried batch can never be half deduped.
     InsertBatch {
         index: String,
         version: u32,
         records: Vec<Record>,
         sent_at: SimTime,
-        is_replica: bool,
+        routed_to: Option<BitCode>,
         acker: NodeId,
         op_id: u64,
     },
@@ -68,6 +72,10 @@ pub(crate) struct BatchResult {
     /// `sent_at` of each primary insert in the batch (latency recorded at
     /// release time).
     insert_sent_ats: Vec<SimTime>,
+    /// Rows that arrived here under a prefix this node owns only part of,
+    /// re-originated as ops of this node: `(routing target, op id,
+    /// payload)`, tracked and routed when the batch is released.
+    forwards: Vec<(BitCode, u64, MindPayload)>,
 }
 
 /// A query response before the wire boundary: records are refcounted
@@ -147,7 +155,7 @@ impl MindNode {
                     version,
                     record,
                     sent_at,
-                    is_replica,
+                    routed_to,
                     acker,
                     op_id,
                 } => {
@@ -156,12 +164,13 @@ impl MindNode {
                         &index,
                         version,
                         record,
-                        is_replica,
+                        sent_at,
+                        routed_to,
                         acker,
                         op_id,
                         &mut result,
                     );
-                    if applied && !is_replica {
+                    if applied && routed_to.is_some() {
                         result.insert_sent_ats.push(sent_at);
                     }
                 }
@@ -170,7 +179,7 @@ impl MindNode {
                     version,
                     records,
                     sent_at,
-                    is_replica,
+                    routed_to,
                     acker,
                     op_id,
                 } => {
@@ -181,15 +190,16 @@ impl MindNode {
                         &index,
                         version,
                         records,
-                        is_replica,
+                        sent_at,
+                        routed_to,
                         acker,
                         op_id,
                         &mut result,
                     );
-                    if !is_replica {
-                        // One latency sample per record: they all left the
-                        // origin in one frame stamped with the oldest
-                        // record's enqueue time.
+                    if routed_to.is_some() {
+                        // One latency sample per record stored here: they
+                        // all left the origin in one frame stamped with
+                        // the oldest record's enqueue time.
                         for _ in 0..applied {
                             result.insert_sent_ats.push(sent_at);
                         }
@@ -260,18 +270,83 @@ impl MindNode {
         out.set_timer(cost.max(1), token(KIND_BATCH, batch_id));
     }
 
+    /// `true` when this node's own code covers every leaf under `target`
+    /// — the balanced-overlay case, where an owner-addressed insert op
+    /// needs no second look at its rows.
+    fn owns_prefix(&self, target: &BitCode) -> bool {
+        self.overlay.code().is_some_and(|c| c.is_prefix_of(target))
+    }
+
+    /// The re-split (DESIGN.md §14): splits the rows of a primary insert
+    /// op that was routed under a `target` prefix this node only partly
+    /// owns (a deeper node on an unbalanced overlay, or one answering
+    /// through a claimed region) into the share it stores — returned —
+    /// and the rest, which it re-originates as tracked ops of its own,
+    /// grouped strictly deeper than `target` so the hand-over ends at the
+    /// leaf code, and carrying the original `sent_at` so latency stays
+    /// origin-to-durable. Runs at apply time, under the op's dedup
+    /// record, so a retried copy is re-acked and never re-forwarded;
+    /// from the ack on, custody of the forwarded rows is this node's
+    /// `pending_ops` retry. The caller has checked the version exists.
+    fn keep_owned_rows(
+        &mut self,
+        index: &str,
+        version: u32,
+        target: BitCode,
+        records: Vec<Record>,
+        sent_at: SimTime,
+        result: &mut BatchResult,
+    ) -> Vec<Record> {
+        let Some(state) = self.indexes.get(index) else {
+            return records;
+        };
+        let Some(ver) = state.version(version) else {
+            return records;
+        };
+        let dims = state.schema.indexed_dims;
+        let own_len = self.overlay.code().map_or(0, |c| c.len());
+        let depth = own_len.max(target.len() + 1);
+        let mut mine = Vec::with_capacity(records.len());
+        // Keyed by (len, index) of the deeper prefix: replay-stable order.
+        let mut rest: BTreeMap<(u8, u64), Vec<Record>> = BTreeMap::new();
+        for record in records {
+            let leaf = ver.cuts.code_for_point(record.point(dims));
+            // A row routed by its full leaf code stays wherever routing
+            // ended, as it always has.
+            if leaf.len() <= target.len() || self.overlay.should_answer(&leaf) {
+                mine.push(record);
+            } else {
+                let deeper = leaf.prefix(depth.min(leaf.len()));
+                rest.entry((deeper.len(), deeper.as_index()))
+                    .or_default()
+                    .push(record);
+            }
+        }
+        for ((len, bits), rows) in rest {
+            self.metrics.insert_rows_forwarded += rows.len() as u64;
+            let (op_id, payload) = self.insert_op(index.to_string(), version, rows, sent_at);
+            result
+                .forwards
+                .push((BitCode::from_index(bits, len), op_id, payload));
+        }
+        mine
+    }
+
     /// Applies one insert (primary or replica). Returns `true` when the
-    /// record was actually stored. The ack is emitted *only* on success
-    /// or on a detected duplicate — an insert that cannot be applied yet
-    /// (index/version unknown here, e.g. a lost flood) stays unacked so
-    /// the origin's retry can land once the catalog heals.
+    /// record was actually stored here. The ack is emitted *only* once
+    /// the record is stored or re-originated toward its owner (see
+    /// [`MindNode::keep_owned_rows`]), or on a detected duplicate — an
+    /// insert that cannot be applied yet (index/version unknown here,
+    /// e.g. a lost flood) stays unacked so the origin's retry can land
+    /// once the catalog heals.
     #[allow(clippy::too_many_arguments)]
     fn apply_insert(
         &mut self,
         index: &str,
         version: u32,
         record: Record,
-        is_replica: bool,
+        sent_at: SimTime,
+        routed_to: Option<BitCode>,
         acker: NodeId,
         op_id: u64,
         result: &mut BatchResult,
@@ -284,16 +359,27 @@ impl MindNode {
             result.sends.push((acker, MindPayload::Ack { op_id }));
             return false;
         }
-        let Some(state) = self.indexes.get_mut(index) else {
+        let Some(state) = self.indexes.get(index) else {
             return false;
         };
         let dims = state.schema.indexed_dims;
         let replication = state.replication;
-        if state.version_mut(version).is_none() {
+        if state.version(version).is_none() {
             return false;
         }
+        let is_replica = routed_to.is_none();
+        let kept = match routed_to {
+            Some(target) if !self.owns_prefix(&target) => self
+                .keep_owned_rows(index, version, target, vec![record], sent_at, result)
+                .pop(),
+            _ => Some(record),
+        };
+        let Some(record) = kept else {
+            // On its way to its owner, in this node's custody.
+            self.ack_applied(op_id, acker, result);
+            return false;
+        };
         if !is_replica {
-            state.day_histogram.add(record.point(dims));
             // Standing queries fire the moment the primary copy lands.
             for (trigger_id, origin) in self.triggers.fired(index, &record, dims) {
                 result.sends.push((
@@ -306,10 +392,7 @@ impl MindNode {
                 ));
             }
         }
-        if op_id != 0 {
-            self.seen_ops.insert(op_id);
-            result.sends.push((acker, MindPayload::Ack { op_id }));
-        }
+        self.ack_applied(op_id, acker, result);
         // Push replicas to the prefix neighbors that would take over
         // (cloned per target — these cross the wire), then store the
         // original record by move: the local insert never copies it.
@@ -335,6 +418,9 @@ impl MindNode {
             }
         }
         let state = self.indexes.get_mut(index).expect("checked above"); // lint:allow(unwrap) presence checked above
+        if !is_replica {
+            state.day_histogram.add(record.point(dims));
+        }
         let ver = state.version_mut(version).expect("checked above"); // lint:allow(unwrap) presence checked above
         if is_replica {
             ver.replica_rows += 1;
@@ -346,20 +432,31 @@ impl MindNode {
         true
     }
 
+    /// Remembers `op_id` as applied here (stored, or re-originated toward
+    /// its owner) and queues its ack.
+    fn ack_applied(&mut self, op_id: u64, acker: NodeId, result: &mut BatchResult) {
+        if op_id != 0 {
+            self.seen_ops.insert(op_id);
+            result.sends.push((acker, MindPayload::Ack { op_id }));
+        }
+    }
+
     /// Applies a whole wire batch under one op id (primary or replica
-    /// side). Returns the number of records stored — `0` when the batch
-    /// was a duplicate or cannot apply yet (unknown index/version: it
-    /// stays unacked so the origin's retry lands once the catalog heals).
-    /// Mirrors [`MindNode::apply_insert`] record-for-record: histogram and
-    /// trigger effects fire per record, but dedup, ack, and the replica
-    /// pushes happen once per batch.
+    /// side). Returns the number of records stored here — `0` when the
+    /// batch was a duplicate or cannot apply yet (unknown index/version:
+    /// it stays unacked so the origin's retry lands once the catalog
+    /// heals). Mirrors [`MindNode::apply_insert`] record-for-record:
+    /// histogram and trigger effects fire per stored record, but dedup,
+    /// the re-split, the ack, and the replica pushes happen once per
+    /// batch.
     #[allow(clippy::too_many_arguments)]
     fn apply_insert_batch(
         &mut self,
         index: &str,
         version: u32,
         records: Vec<Record>,
-        is_replica: bool,
+        sent_at: SimTime,
+        routed_to: Option<BitCode>,
         acker: NodeId,
         op_id: u64,
         result: &mut BatchResult,
@@ -369,18 +466,22 @@ impl MindNode {
             result.sends.push((acker, MindPayload::Ack { op_id }));
             return 0;
         }
-        let Some(state) = self.indexes.get_mut(index) else {
+        let Some(state) = self.indexes.get(index) else {
             return 0;
         };
         let dims = state.schema.indexed_dims;
         let replication = state.replication;
-        if state.version_mut(version).is_none() {
+        if state.version(version).is_none() {
             return 0;
         }
-        if !is_replica {
-            for record in &records {
-                state.day_histogram.add(record.point(dims));
+        let is_replica = routed_to.is_none();
+        let records = match routed_to {
+            Some(target) if !self.owns_prefix(&target) => {
+                self.keep_owned_rows(index, version, target, records, sent_at, result)
             }
+            _ => records,
+        };
+        if !is_replica {
             // Standing queries fire per record, the moment the primary
             // copies land.
             for record in &records {
@@ -396,10 +497,7 @@ impl MindNode {
                 }
             }
         }
-        if op_id != 0 {
-            self.seen_ops.insert(op_id);
-            result.sends.push((acker, MindPayload::Ack { op_id }));
-        }
+        self.ack_applied(op_id, acker, result);
         // Replicate the whole applied batch in one push per target —
         // the same frame/op/ack amortization the primary leg got.
         if !is_replica && !records.is_empty() {
@@ -425,6 +523,11 @@ impl MindNode {
         }
         let n = records.len();
         let state = self.indexes.get_mut(index).expect("checked above"); // lint:allow(unwrap) presence checked above
+        if !is_replica {
+            for record in &records {
+                state.day_histogram.add(record.point(dims));
+            }
+        }
         let ver = state.version_mut(version).expect("checked above"); // lint:allow(unwrap) presence checked above
         if is_replica {
             ver.replica_rows += n as u64;
@@ -536,6 +639,9 @@ impl MindNode {
             for (dest, resp) in result.responses {
                 self.deliver_response(now, dest, resp, out);
             }
+            for (target, op_id, payload) in result.forwards {
+                self.launch_insert_op(now, target, op_id, payload, None, out);
+            }
             for (dest, payload) in result.sends {
                 if dest == self.id() {
                     // Loopback shortcut (e.g. responding to our own query).
@@ -547,7 +653,13 @@ impl MindNode {
                     | MindPayload::ReplicaBatch { op_id, .. } = &payload
                     {
                         if *op_id != 0 {
-                            self.track_op(*op_id, OpTarget::Direct(dest), payload.clone(), out);
+                            self.track_op(
+                                *op_id,
+                                OpTarget::Direct(dest),
+                                payload.clone(),
+                                None,
+                                out,
+                            );
                         }
                     }
                     out.send(dest, OverlayMsg::Direct { payload });
@@ -564,6 +676,26 @@ impl MindNode {
     /// Pending (unprocessed) DAC requests — the Figure 11 hotspot signal.
     pub fn dac_pending(&self) -> usize {
         self.dac_queue.len()
+    }
+
+    /// Primary rows of `index` resident here although neither this node's
+    /// code nor a region it claimed covers their leaf code — 0 once
+    /// ingest has settled, except for the rows a join acceptor keeps for
+    /// its joiner behind the handoff pointer (Section 3.4). Walks every
+    /// stored row: a test and bench oracle, not a hot-path counter.
+    pub fn misplaced_primary_rows(&self, index: &str) -> u64 {
+        let Some(state) = self.indexes.get(index) else {
+            return 0;
+        };
+        let dims = state.schema.indexed_dims;
+        let mut misplaced = 0;
+        for ver in &state.versions {
+            for row in ver.primary.range_records(ver.cuts.bounds()) {
+                let leaf = ver.cuts.code_for_point(row.point(dims));
+                misplaced += u64::from(!self.overlay.responsible_for(&leaf));
+            }
+        }
+        misplaced
     }
 
     /// Handles DAC-class timers; `true` if `kind` was ours.

@@ -50,7 +50,7 @@ pub mod wire_len {
 
 pub use cluster::{ClusterConfig, MindCluster};
 pub use messages::{CarriedFilter, MindPayload, Replication};
-pub use metrics::{percentile, LatencySummary, NodeMetrics};
+pub use metrics::{percentile, FlushCounts, LatencySummary, NodeMetrics};
 pub use node::{MindConfig, MindNode};
 pub use query::{QueryOutcome, QueryTracker};
 pub use trigger::{Trigger, TriggerSet};

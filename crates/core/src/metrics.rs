@@ -1,6 +1,7 @@
 //! Per-node metrics and summary statistics for the evaluation figures.
 
 use mind_types::node::SimTime;
+use serde::{Deserialize, Serialize};
 
 /// Counters and samples one node accumulates while running.
 #[derive(Debug, Default, Clone)]
@@ -20,6 +21,16 @@ pub struct NodeMetrics {
     /// fast path; one-record stragglers leave as plain `Insert`s and are
     /// not counted here).
     pub insert_batches_sent: u64,
+    /// Insert frames the origin-side batcher shipped, by what released
+    /// them. At low arrival rates `idle` dominates (the row never
+    /// waited); at saturation `size` and `ack` do; `age` counts the
+    /// frames that sat out the full `insert_batch_age` (a lost or slow
+    /// ack, or the ack machinery off).
+    pub insert_frames: FlushCounts,
+    /// Rows that reached this node under a prefix it only partly owned
+    /// and that it re-originated toward their owner (the apply-time
+    /// re-split; 0 on a balanced overlay).
+    pub insert_rows_forwarded: u64,
     /// Sub-queries this node answered.
     pub subqueries_answered: u64,
     /// Records this node's scans returned (zero-copy handles on the local
@@ -42,6 +53,20 @@ pub struct NodeMetrics {
     /// cost a full `CatalogResponse` reply. In a converged overlay this
     /// stays near zero while `catalog_digests_sent` keeps climbing.
     pub catalog_digest_mismatches: u64,
+}
+
+/// Insert frames by flush cause (see [`NodeMetrics::insert_frames`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FlushCounts {
+    /// The group had nothing in flight: the row left at once.
+    pub idle: u64,
+    /// Released by the ack (or abandonment) of the group's last
+    /// outstanding frame.
+    pub ack: u64,
+    /// The buffer reached `insert_batch_max`.
+    pub size: u64,
+    /// `insert_batch_age` expired, or a driver forced the drain.
+    pub age: u64,
 }
 
 /// Percentile of a *sorted* slice using nearest-rank (the convention the

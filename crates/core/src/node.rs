@@ -19,7 +19,7 @@ use crate::messages::{CarriedFilter, IndexDef, MindPayload, Replication};
 use crate::metrics::NodeMetrics;
 use crate::query::QueryTracker;
 use crate::query_track::QueryRetryMeta;
-use crate::reliability::{PendingOp, SeenOps};
+use crate::reliability::{GroupKey, PendingOp, SeenOps, WireBatch};
 use crate::trigger::{Trigger, TriggerSet};
 use mind_histogram::{CutTree, GridHistogram};
 use mind_overlay::{Overlay, OverlayConfig, OverlayEvent, OverlayMsg};
@@ -79,16 +79,21 @@ pub struct MindConfig {
     /// Interval between anti-entropy catalog exchanges with a round-robin
     /// neighbor (heals lost index/version/trigger floods). `0` disables.
     pub anti_entropy_interval: SimTime,
-    /// Ingest fast path: records bound for the same index, version, and
-    /// region code are coalesced at the origin into one `InsertBatch`
-    /// frame of up to this many records (one frame, one op id, one ack).
-    /// `1` (the default) disables batching — every insert leaves
-    /// immediately as a plain `Insert`, exactly the pre-batching wire
+    /// Ingest fast path: records of one index and version bound for the
+    /// same owner (their leaf codes share one prefix of this node's own
+    /// overlay depth) that arrive while an earlier frame to that owner is
+    /// unacked are coalesced into one `InsertBatch` frame of up to this
+    /// many records (one frame, one op id, one ack). `1` (the default)
+    /// disables batching — every insert leaves immediately as a plain
+    /// `Insert` routed to its leaf code, exactly the pre-batching wire
     /// behavior.
     pub insert_batch_max: usize,
-    /// How long a partially filled wire batch may age before it is
-    /// flushed anyway (the size/age batcher in `crate::reliability`).
-    /// Ignored while `insert_batch_max <= 1`.
+    /// The longest a buffered row may wait for its group's unacked frame
+    /// before it is shipped anyway — a cap, not a wait: a row whose group
+    /// has nothing in flight leaves at once, and an ack releases whatever
+    /// queued up behind it. With `retry_timeout == 0` there is no ack
+    /// signal and every partial batch waits this long. Ignored while
+    /// `insert_batch_max <= 1`.
     pub insert_batch_age: SimTime,
     /// This node's boot epoch, carried in the high 40 bits of the wire
     /// horizon field. A process runtime sets it to something strictly
@@ -144,12 +149,12 @@ pub struct MindNode {
     pub(crate) batch_seq: u64,
     pub(crate) pending_batches: HashMap<u64, BatchResult>,
     // origin-side wire batching (crate::reliability)
-    /// Open wire batches by `(index, version, code.len, code.as_index)` —
-    /// a `BTreeMap` so a bulk drain walks them in a replay-stable order.
-    pub(crate) wire_batches: BTreeMap<(String, u32, u8, u64), crate::reliability::WireBatch>,
-    /// Flush-timer argument → open-batch key (the 48-bit timer budget
-    /// cannot carry the key itself).
-    pub(crate) wire_batch_keys: HashMap<u64, (String, u32, u8, u64)>,
+    /// Insert groups with buffered rows or unacked frames — a `BTreeMap`
+    /// so a bulk drain walks them in a replay-stable order.
+    pub(crate) wire_batches: BTreeMap<GroupKey, WireBatch>,
+    /// Age-timer argument → group key (the 48-bit timer budget cannot
+    /// carry the key itself).
+    pub(crate) wire_batch_keys: HashMap<u64, GroupKey>,
     pub(crate) wire_batch_seq: u64,
     // reliable delivery + bounded dedup (crate::reliability)
     pub(crate) op_seq: u64,
@@ -265,9 +270,10 @@ impl MindNode {
         self.dac_queue.clear();
         self.dac_busy = false;
         self.pending_batches.clear();
-        // Buffered-but-unsent wire batches die with the crash (their op
-        // ids were never reserved, so nothing retries them) — same loss
-        // semantics as records sitting in the DAC queue.
+        // Buffered-but-unsent rows die with the crash (their op ids were
+        // never reserved, so nothing retries them) — same loss semantics
+        // as records sitting in the DAC queue — and with them each
+        // group's count of frames in flight.
         self.wire_batches.clear();
         self.wire_batch_keys.clear();
         self.pending_ops.clear();
@@ -440,32 +446,13 @@ impl MindNode {
         let code = cuts.code_for_point(record.point(state.schema.indexed_dims));
         self.metrics.inserts_originated += 1;
         if self.cfg.insert_batch_max > 1 {
-            // Ingest fast path: coalesce into the per-(index, version,
-            // code) wire batch; it leaves when full or aged out.
+            // Ingest fast path: the batcher groups rows by owner and
+            // decides when each group's next frame leaves.
             self.buffer_wire_insert(now, index.to_string(), version, code, record, out);
             return Ok(());
         }
-        let op_id = self.next_op_id();
-        // Horizon read *after* reserving the op's counter, so the payload
-        // never claims its own op as settled.
-        let horizon = self.op_horizon();
-        let payload = MindPayload::Insert {
-            index: index.to_string(),
-            version,
-            record,
-            origin: self.id,
-            sent_at: now,
-            op_id,
-            horizon,
-        };
-        self.track_op(
-            op_id,
-            crate::reliability::OpTarget::Routed(code),
-            payload.clone(),
-            out,
-        );
-        let events = self.overlay.route(now, code, payload, out);
-        self.process_events(now, events, out);
+        let (op_id, payload) = self.insert_op(index.to_string(), version, vec![record], now);
+        self.launch_insert_op(now, code, op_id, payload, None, out);
         Ok(())
     }
 
@@ -540,11 +527,11 @@ impl MindNode {
         for ev in events {
             match ev {
                 OverlayEvent::Delivered {
-                    target: _,
+                    target,
                     hops,
                     payload,
                 } => {
-                    self.on_routed(now, hops, payload, out);
+                    self.on_routed(now, target, hops, payload, out);
                 }
                 OverlayEvent::DirectDelivered { from, payload } => {
                     self.on_direct(now, from, payload, out);
@@ -638,7 +625,18 @@ impl MindNode {
         }
     }
 
-    fn on_routed(&mut self, now: SimTime, hops: u32, payload: MindPayload, out: &mut Out) {
+    /// A routed payload terminated here. `target` is the code it was
+    /// routed toward: for inserts, the prefix every carried row's leaf
+    /// code extends — this node may own only part of it (`dac_drive`
+    /// re-splits at apply time).
+    fn on_routed(
+        &mut self,
+        now: SimTime,
+        target: BitCode,
+        hops: u32,
+        payload: MindPayload,
+        out: &mut Out,
+    ) {
         match payload {
             MindPayload::Insert {
                 index,
@@ -655,7 +653,7 @@ impl MindNode {
                     // straggler): re-ack, don't touch the DAC.
                     if self.seen_ops.observe(op_id, horizon) {
                         self.metrics.dup_ops_ignored += 1;
-                        self.send_ack(origin, op_id, out);
+                        self.send_ack(now, origin, op_id, out);
                         return;
                     }
                 }
@@ -669,7 +667,7 @@ impl MindNode {
                         version,
                         record,
                         sent_at,
-                        is_replica: false,
+                        routed_to: Some(target),
                         acker: origin,
                         op_id,
                     },
@@ -690,7 +688,7 @@ impl MindNode {
                     // id, so one dedup check covers every record.
                     if self.seen_ops.observe(op_id, horizon) {
                         self.metrics.dup_ops_ignored += 1;
-                        self.send_ack(origin, op_id, out);
+                        self.send_ack(now, origin, op_id, out);
                         return;
                     }
                 }
@@ -705,7 +703,7 @@ impl MindNode {
                         version,
                         records,
                         sent_at,
-                        is_replica: false,
+                        routed_to: Some(target),
                         acker: origin,
                         op_id,
                     },
@@ -766,7 +764,7 @@ impl MindNode {
             } => {
                 if op_id != 0 && self.seen_ops.observe(op_id, horizon) {
                     self.metrics.dup_ops_ignored += 1;
-                    self.send_ack(from, op_id, out);
+                    self.send_ack(now, from, op_id, out);
                     return;
                 }
                 // Replica writes skip latency metrics and histogram
@@ -778,7 +776,7 @@ impl MindNode {
                         version,
                         record,
                         sent_at: now,
-                        is_replica: true,
+                        routed_to: None,
                         acker: from,
                         op_id,
                     },
@@ -794,7 +792,7 @@ impl MindNode {
             } => {
                 if op_id != 0 && self.seen_ops.observe(op_id, horizon) {
                     self.metrics.dup_ops_ignored += 1;
-                    self.send_ack(from, op_id, out);
+                    self.send_ack(now, from, op_id, out);
                     return;
                 }
                 self.enqueue(
@@ -804,14 +802,14 @@ impl MindNode {
                         version,
                         records,
                         sent_at: now,
-                        is_replica: true,
+                        routed_to: None,
                         acker: from,
                         op_id,
                     },
                     out,
                 );
             }
-            MindPayload::Ack { op_id } => self.on_ack(op_id, out),
+            MindPayload::Ack { op_id } => self.on_ack(now, op_id, out),
             MindPayload::TriggerFired {
                 trigger_id,
                 at,

@@ -62,23 +62,45 @@ pub(crate) enum OpTarget {
     Direct(NodeId),
 }
 
-/// An open origin-side wire batch: records bound for one `(index,
-/// version, code)` destination, waiting to fill up or age out (the
-/// ingest fast path, DESIGN.md §14). Keyed in `MindNode::wire_batches`
-/// by `(index, version, code.len(), code.as_index())`.
+/// Key of one origin-side insert group: `(index, version, group code
+/// length, group code as index)`.
+pub(crate) type GroupKey = (String, u32, u8, u64);
+
+/// What released an insert frame from the origin-side batcher.
+#[derive(Debug, Clone, Copy)]
+enum FlushCause {
+    /// Nothing of the group was in flight: the row left at once.
+    Idle,
+    /// The group's last outstanding op was acked or abandoned.
+    Ack,
+    /// The buffer reached `insert_batch_max`.
+    Size,
+    /// `insert_batch_age` expired (or a driver forced the drain).
+    Age,
+}
+
+/// Origin-side state of one insert group: the rows of one `(index,
+/// version)` whose leaf codes share one prefix of this node's own
+/// overlay depth — on a balanced overlay, one owner (the ingest fast
+/// path, DESIGN.md §14). Rows buffer here only while an earlier frame of
+/// the group is unacked; the entry lives while it has buffered rows or
+/// unacked frames.
 #[derive(Debug)]
 pub(crate) struct WireBatch {
-    /// The routing code every buffered record conformed to.
+    /// The routing target: the common prefix of every row's leaf code.
     code: BitCode,
     /// Buffered records, in origin insert order.
     records: Vec<Record>,
     /// When the *oldest* buffered record was enqueued — becomes the
-    /// batch's `sent_at`, so batching delay shows up in insert latency.
+    /// frame's `sent_at`, so batching delay shows up in insert latency.
     oldest: SimTime,
-    /// The armed age-flush timer and its token argument; cancelled (and
-    /// the argument's key mapping dropped) when a size flush wins.
-    timer: TimerId,
-    flush_arg: u64,
+    /// The armed age-cap timer and its token argument while rows are
+    /// buffered; cancelled (and the argument's key mapping dropped) when
+    /// another cause ships them first.
+    timer: Option<(TimerId, u64)>,
+    /// Frames of this group shipped and not yet acked or abandoned.
+    /// Stays 0 with the ack machinery off (`retry_timeout == 0`).
+    in_flight: u32,
 }
 
 /// An insert/replica awaiting its ack.
@@ -89,6 +111,9 @@ pub(crate) struct PendingOp {
     attempts: u32,
     /// The armed retry timer; cancelled when the ack lands.
     timer: TimerId,
+    /// The insert group whose in-flight count this op holds up, if the
+    /// origin-side batcher shipped it.
+    group: Option<GroupKey>,
 }
 
 /// Applied-op memory of one origin: the origin's boot epoch, a settled
@@ -214,129 +239,144 @@ impl MindNode {
 
     // ---- origin-side wire batching (the ingest fast path, DESIGN.md §14) ----
 
-    /// Buffers one conformed record into the wire batch for its `(index,
-    /// version, code)` destination; ships the batch when it reaches
-    /// `insert_batch_max` records (the first record also arms an age
-    /// flush, so stragglers never wait forever). Only called when
-    /// batching is enabled (`insert_batch_max > 1`).
+    /// Hands one conformed record to the batcher. Rows are grouped by
+    /// their leaf code cut to this node's own overlay depth — the unit of
+    /// delivery is a node, and on a balanced overlay that prefix names
+    /// exactly one (a deeper or claim-answering receiver re-splits, see
+    /// `dac_drive`). `insert_batch_age` is a cap, not a wait: a row whose
+    /// group has nothing unacked leaves at once; rows arriving behind an
+    /// unacked frame accumulate and leave on its ack, at
+    /// `insert_batch_max` rows, or when the age expires, whichever is
+    /// first. With the ack machinery off there is no ack signal, so rows
+    /// always buffer for size or age. Only called when batching is
+    /// enabled (`insert_batch_max > 1`).
     pub(crate) fn buffer_wire_insert(
         &mut self,
         now: SimTime,
         index: String,
         version: u32,
-        code: BitCode,
+        leaf: BitCode,
         record: Record,
         out: &mut Out,
     ) {
-        let key = (index, version, code.len(), code.as_index());
-        let max = self.cfg.insert_batch_max;
-        let full = if let Some(open) = self.wire_batches.get_mut(&key) {
-            open.records.push(record);
-            open.records.len() >= max
-        } else {
-            let flush_arg = self.wire_batch_seq & 0xFFFF_FFFF_FFFF;
-            self.wire_batch_seq += 1;
-            let timer = out.set_timer(
-                self.cfg.insert_batch_age,
-                token(KIND_BATCH_FLUSH, flush_arg),
-            );
-            self.wire_batch_keys.insert(flush_arg, key.clone());
-            let mut records = Vec::with_capacity(max);
-            records.push(record);
+        let own_len = self.overlay.code().map_or(0, |c| c.len());
+        let code = leaf.prefix(own_len.min(leaf.len()));
+        let key: GroupKey = (index, version, code.len(), code.as_index());
+        let acked = self.cfg.retry_timeout > 0;
+        let Some(group) = self.wire_batches.get_mut(&key) else {
             self.wire_batches.insert(
                 key.clone(),
                 WireBatch {
                     code,
-                    records,
+                    records: vec![record],
                     oldest: now,
-                    timer,
-                    flush_arg,
+                    timer: None,
+                    in_flight: 0,
                 },
             );
-            // `max > 1` whenever the batcher is active, so a fresh
-            // single-record batch is never already full.
-            false
-        };
-        if full {
-            if let Some(batch) = self.wire_batches.remove(&key) {
-                self.wire_batch_keys.remove(&batch.flush_arg);
-                out.cancel_timer(batch.timer);
-                self.ship_wire_batch(now, key.0, key.1, batch, out);
+            if acked {
+                self.ship_wire_batch(now, key, FlushCause::Idle, out);
+            } else {
+                self.arm_batch_age(key, out);
             }
-        }
-    }
-
-    /// Sends one closed wire batch toward its region owner under a single
-    /// fresh op id: a one-record straggler degenerates to a plain
-    /// `Insert` (no batch framing overhead), anything larger leaves as an
-    /// `InsertBatch`.
-    fn ship_wire_batch(
-        &mut self,
-        now: SimTime,
-        index: String,
-        version: u32,
-        batch: WireBatch,
-        out: &mut Out,
-    ) {
-        let WireBatch {
-            code,
-            mut records,
-            oldest,
-            ..
-        } = batch;
-        let op_id = self.next_op_id();
-        // Horizon read *after* reserving the op's counter, so the payload
-        // never claims its own op as settled.
-        let horizon = self.op_horizon();
-        let payload = if records.len() > 1 {
-            self.metrics.insert_batches_sent += 1;
-            MindPayload::InsertBatch {
-                index,
-                version,
-                records,
-                origin: self.id(),
-                sent_at: oldest,
-                op_id,
-                horizon,
-            }
-        } else if let Some(record) = records.pop() {
-            MindPayload::Insert {
-                index,
-                version,
-                record,
-                origin: self.id(),
-                sent_at: oldest,
-                op_id,
-                horizon,
-            }
-        } else {
-            // Batches are created non-empty; nothing to ship.
-            self.settle_op(op_id);
             return;
         };
-        self.track_op(op_id, OpTarget::Routed(code), payload.clone(), out);
-        let events = self.overlay.route(now, code, payload, out);
-        self.process_events(now, events, out);
-    }
-
-    /// Age-flush timer fired: ship the batch the argument maps to, if a
-    /// size flush has not already claimed it.
-    fn flush_wire_batch(&mut self, now: SimTime, flush_arg: u64, out: &mut Out) {
-        if let Some(key) = self.wire_batch_keys.remove(&flush_arg) {
-            if let Some(batch) = self.wire_batches.remove(&key) {
-                self.ship_wire_batch(now, key.0, key.1, batch, out);
-            }
+        let first = group.records.is_empty();
+        if first {
+            group.oldest = now;
+        }
+        group.records.push(record);
+        if group.records.len() >= self.cfg.insert_batch_max {
+            self.ship_wire_batch(now, key, FlushCause::Size, out);
+        } else if first {
+            self.arm_batch_age(key, out);
         }
     }
 
-    /// Force-ships every open wire batch immediately (deterministic key
-    /// order). Lets drivers drain buffered inserts without waiting out
+    /// Arms the age cap for a group that just buffered its first row.
+    fn arm_batch_age(&mut self, key: GroupKey, out: &mut Out) {
+        let arg = self.wire_batch_seq & 0xFFFF_FFFF_FFFF;
+        self.wire_batch_seq += 1;
+        let timer = out.set_timer(self.cfg.insert_batch_age, token(KIND_BATCH_FLUSH, arg));
+        if let Some(group) = self.wire_batches.get_mut(&key) {
+            group.timer = Some((timer, arg));
+        }
+        self.wire_batch_keys.insert(arg, key);
+    }
+
+    /// Ships a group's buffered rows toward their owner as one op and
+    /// retires the age timer; a no-op on an empty buffer.
+    fn ship_wire_batch(&mut self, now: SimTime, key: GroupKey, cause: FlushCause, out: &mut Out) {
+        let Some(group) = self.wire_batches.get_mut(&key) else {
+            return;
+        };
+        if group.records.is_empty() {
+            return;
+        }
+        let records = std::mem::take(&mut group.records);
+        let (code, oldest) = (group.code, group.oldest);
+        if let Some((timer, arg)) = group.timer.take() {
+            out.cancel_timer(timer);
+            self.wire_batch_keys.remove(&arg);
+        }
+        let acked = self.cfg.retry_timeout > 0;
+        if acked {
+            group.in_flight += 1;
+        } else {
+            self.wire_batches.remove(&key);
+        }
+        let frames = &mut self.metrics.insert_frames;
+        match cause {
+            FlushCause::Idle => frames.idle += 1,
+            FlushCause::Ack => frames.ack += 1,
+            FlushCause::Size => frames.size += 1,
+            FlushCause::Age => frames.age += 1,
+        }
+        let (op_id, payload) = self.insert_op(key.0.clone(), key.1, records, oldest);
+        self.launch_insert_op(now, code, op_id, payload, acked.then_some(key), out);
+    }
+
+    /// An op the batcher shipped was acked or abandoned: once the group
+    /// has nothing left in flight, whatever queued up behind leaves.
+    fn wire_group_settled(&mut self, now: SimTime, key: GroupKey, out: &mut Out) {
+        let Some(group) = self.wire_batches.get_mut(&key) else {
+            return;
+        };
+        group.in_flight = group.in_flight.saturating_sub(1);
+        if group.in_flight > 0 {
+            return;
+        }
+        if group.records.is_empty() {
+            self.wire_batches.remove(&key);
+        } else {
+            self.ship_wire_batch(now, key, FlushCause::Ack, out);
+        }
+    }
+
+    /// Age-cap timer fired: ship the group the argument maps to, if
+    /// another cause has not already claimed its rows.
+    fn flush_wire_batch(&mut self, now: SimTime, flush_arg: u64, out: &mut Out) {
+        if let Some(key) = self.wire_batch_keys.remove(&flush_arg) {
+            if let Some(group) = self.wire_batches.get_mut(&key) {
+                group.timer = None; // this firing consumed it
+            }
+            self.ship_wire_batch(now, key, FlushCause::Age, out);
+        }
+    }
+
+    /// Force-ships every buffered row immediately (deterministic key
+    /// order; counted as age flushes — the driver declared the cap
+    /// reached). Lets drivers drain buffered inserts without waiting out
     /// the age timers — a no-op when batching is off.
     pub fn flush_inserts(&mut self, now: SimTime, out: &mut Out) {
-        while let Some((key, batch)) = self.wire_batches.pop_first() {
-            self.wire_batch_keys.remove(&batch.flush_arg);
-            out.cancel_timer(batch.timer);
-            self.ship_wire_batch(now, key.0, key.1, batch, out);
+        let open: Vec<GroupKey> = self
+            .wire_batches
+            .iter()
+            .filter(|(_, g)| !g.records.is_empty())
+            .map(|(k, _)| k.clone())
+            .collect();
+        for key in open {
+            self.ship_wire_batch(now, key, FlushCause::Age, out);
         }
     }
 
@@ -345,12 +385,71 @@ impl MindNode {
         self.wire_batches.values().map(|b| b.records.len()).sum()
     }
 
+    /// Reserves a fresh op id for `records` (non-empty, all bound to one
+    /// routing target) and builds their payload: one record is a plain
+    /// `Insert` (no batch framing overhead), anything larger an
+    /// `InsertBatch`. `sent_at` is when the oldest row entered the
+    /// system, at this node or — for re-split rows — at their origin.
+    pub(crate) fn insert_op(
+        &mut self,
+        index: String,
+        version: u32,
+        mut records: Vec<Record>,
+        sent_at: SimTime,
+    ) -> (u64, MindPayload) {
+        debug_assert!(!records.is_empty(), "an insert op carries at least one row");
+        let op_id = self.next_op_id();
+        // Horizon read *after* reserving the op's counter, so the payload
+        // never claims its own op as settled.
+        let horizon = self.op_horizon();
+        let origin = self.id();
+        let payload = if records.len() == 1 {
+            MindPayload::Insert {
+                index,
+                version,
+                record: records.remove(0),
+                origin,
+                sent_at,
+                op_id,
+                horizon,
+            }
+        } else {
+            self.metrics.insert_batches_sent += 1;
+            MindPayload::InsertBatch {
+                index,
+                version,
+                records,
+                origin,
+                sent_at,
+                op_id,
+                horizon,
+            }
+        };
+        (op_id, payload)
+    }
+
+    /// Arms ack tracking for an insert op and routes it toward `target`.
+    pub(crate) fn launch_insert_op(
+        &mut self,
+        now: SimTime,
+        target: BitCode,
+        op_id: u64,
+        payload: MindPayload,
+        group: Option<GroupKey>,
+        out: &mut Out,
+    ) {
+        self.track_op(op_id, OpTarget::Routed(target), payload.clone(), group, out);
+        let events = self.overlay.route(now, target, payload, out);
+        self.process_events(now, events, out);
+    }
+
     /// Registers an operation for ack tracking and arms its retry timer.
     pub(crate) fn track_op(
         &mut self,
         op_id: u64,
         target: OpTarget,
         payload: MindPayload,
+        group: Option<GroupKey>,
         out: &mut Out,
     ) {
         if self.cfg.retry_timeout == 0 {
@@ -364,6 +463,7 @@ impl MindNode {
                 payload,
                 attempts: 0,
                 timer,
+                group,
             },
         );
     }
@@ -378,9 +478,12 @@ impl MindNode {
             return; // acked in the meantime
         };
         if op.attempts >= max_retries {
-            self.pending_ops.remove(&op_id);
+            let group = self.pending_ops.remove(&op_id).and_then(|op| op.group);
             self.settle_op(op_id);
             self.metrics.retries_exhausted += 1;
+            if let Some(key) = group {
+                self.wire_group_settled(now, key, out);
+            }
             return;
         }
         op.attempts += 1;
@@ -404,20 +507,24 @@ impl MindNode {
         }
     }
 
-    /// Handles a received (or loopback) ack: settles the op and cancels
-    /// its pending retry timer.
-    pub(crate) fn on_ack(&mut self, op_id: u64, out: &mut Out) {
+    /// Handles a received (or loopback) ack: settles the op, cancels its
+    /// pending retry timer, and lets the batcher release what queued up
+    /// behind it.
+    pub(crate) fn on_ack(&mut self, now: SimTime, op_id: u64, out: &mut Out) {
         if let Some(op) = self.pending_ops.remove(&op_id) {
             self.settle_op(op_id);
             self.metrics.acks_received += 1;
             out.cancel_timer(op.timer);
+            if let Some(key) = op.group {
+                self.wire_group_settled(now, key, out);
+            }
         }
     }
 
     /// Queues an `Ack` for direct delivery (loopback-safe).
-    pub(crate) fn send_ack(&mut self, to: NodeId, op_id: u64, out: &mut Out) {
+    pub(crate) fn send_ack(&mut self, now: SimTime, to: NodeId, op_id: u64, out: &mut Out) {
         if to == self.id() {
-            self.on_ack(op_id, out);
+            self.on_ack(now, op_id, out);
         } else {
             out.send(
                 to,
@@ -501,6 +608,253 @@ mod tests {
 
     fn hz(boot: u64, settled: u64) -> u64 {
         (boot << 24) | settled
+    }
+
+    // ---- the batcher's flush rule, on one node with a hand-driven outbox ----
+
+    use crate::messages::Replication;
+    use crate::node::MindConfig;
+    use mind_histogram::CutTree;
+    use mind_overlay::{OverlayConfig, StaticTopology};
+    use mind_types::node::{NodeLogic, MILLIS, SECONDS};
+    use mind_types::{AttrDef, AttrKind, IndexSchema};
+
+    const MAX: usize = 4;
+    const AGE: SimTime = 5 * MILLIS;
+
+    /// Node 0 (code `0`) of a two-node overlay with index "t" installed;
+    /// every row of [`far`] belongs to node 1 (code `1`).
+    fn origin(retry_timeout: SimTime) -> (MindNode, Out) {
+        let topo = StaticTopology::balanced(2);
+        let cfg = MindConfig {
+            insert_batch_max: MAX,
+            insert_batch_age: AGE,
+            retry_timeout,
+            ..MindConfig::default()
+        };
+        let mut n = MindNode::new_static(
+            NodeId(0),
+            topo.code(0),
+            topo.neighbor_entries(0),
+            OverlayConfig::default(),
+            cfg,
+        );
+        let mut out = Out::new();
+        let schema = IndexSchema::new("t", vec![AttrDef::new("x", AttrKind::Generic, 0, 1023)], 1);
+        let cuts = CutTree::even(schema.bounds(), 4);
+        n.create_index(schema, cuts, Replication::None, &mut out)
+            .unwrap();
+        out.drain();
+        (n, out)
+    }
+
+    /// Row `i` of the far half: distinct leaves, one owner.
+    fn far(i: u64) -> Record {
+        Record::new(vec![512 + 37 * i])
+    }
+
+    /// The insert frames in `out`, as `(op id, rows)`, plus the armed
+    /// age-cap timers `(token, id)` and the cancelled timer ids.
+    #[allow(clippy::type_complexity)]
+    fn drain(out: &mut Out) -> (Vec<(u64, usize)>, Vec<(u64, TimerId)>, Vec<TimerId>) {
+        let fx = out.drain();
+        let mut frames = Vec::new();
+        for (to, msg) in fx.sends {
+            let OverlayMsg::Route {
+                target, payload, ..
+            } = msg
+            else {
+                continue;
+            };
+            assert_eq!(to, NodeId(1));
+            assert_eq!(
+                target,
+                BitCode::parse("1").unwrap(),
+                "addressed to the owner"
+            );
+            match payload {
+                MindPayload::Insert { op_id, .. } => frames.push((op_id, 1)),
+                MindPayload::InsertBatch { op_id, records, .. } => {
+                    frames.push((op_id, records.len()));
+                }
+                other => panic!("unexpected routed payload {other:?}"),
+            }
+        }
+        let ages = fx
+            .timers
+            .into_iter()
+            .filter(|&(_, tok, _)| (tok >> 48) & 0xFF == KIND_BATCH_FLUSH)
+            .map(|(delay, tok, id)| {
+                assert_eq!(delay, AGE);
+                (tok, id)
+            })
+            .collect();
+        (frames, ages, fx.cancels)
+    }
+
+    fn ack(n: &mut MindNode, now: SimTime, op_id: u64, out: &mut Out) {
+        let payload = MindPayload::Ack { op_id };
+        n.on_message(now, NodeId(1), OverlayMsg::Direct { payload }, out);
+    }
+
+    #[test]
+    fn idle_group_ships_at_once_and_the_ack_releases_what_queued_behind() {
+        let (mut n, mut out) = origin(SECONDS);
+        n.insert(10, "t", far(0), &mut out).unwrap();
+        let (frames, ages, _) = drain(&mut out);
+        assert_eq!(frames.len(), 1, "row 1 never waits");
+        assert_eq!(frames[0].1, 1, "and leaves as a plain Insert");
+        assert!(ages.is_empty(), "nothing buffered, no age timer");
+        let first = frames[0].0;
+
+        n.insert(20, "t", far(1), &mut out).unwrap();
+        n.insert(30, "t", far(2), &mut out).unwrap();
+        let (frames, ages, _) = drain(&mut out);
+        assert!(frames.is_empty(), "rows behind an unacked frame accumulate");
+        assert_eq!(ages.len(), 1, "one age cap per buffered run");
+        assert_eq!(n.buffered_inserts(), 2);
+
+        ack(&mut n, 300, first, &mut out);
+        let (frames, _, cancels) = drain(&mut out);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].1, 2, "rows 2..k leave as one InsertBatch");
+        assert!(
+            cancels.contains(&ages[0].1),
+            "the ack won: age timer retired"
+        );
+        assert_eq!(n.buffered_inserts(), 0);
+        // The retired timer firing anyway (a driver that lost the race)
+        // ships nothing twice.
+        n.on_timer(5_020, ages[0].0, &mut out);
+        assert!(drain(&mut out).0.is_empty());
+
+        ack(&mut n, 600, frames[0].0, &mut out);
+        assert!(n.wire_batches.is_empty(), "a settled group leaves no state");
+        let f = n.metrics.insert_frames;
+        assert_eq!((f.idle, f.ack, f.size, f.age), (1, 1, 0, 0));
+        assert_eq!(n.metrics.insert_rows_forwarded, 0);
+    }
+
+    #[test]
+    fn full_frames_pipeline_behind_an_unacked_one() {
+        let (mut n, mut out) = origin(SECONDS);
+        for i in 0..(1 + 2 * MAX as u64 + 1) {
+            n.insert(10 + i, "t", far(i), &mut out).unwrap();
+        }
+        let (frames, ages, cancels) = drain(&mut out);
+        let rows: Vec<usize> = frames.iter().map(|f| f.1).collect();
+        assert_eq!(rows, vec![1, MAX, MAX], "size flushes do not wait for acks");
+        assert_eq!(n.buffered_inserts(), 1);
+        assert_eq!(ages.len(), 3, "each buffered run armed its own cap");
+        assert_eq!(cancels.len(), 2, "and each size flush retired one");
+        // Only the *last* outstanding ack releases the straggler.
+        ack(&mut n, 400, frames[0].0, &mut out);
+        ack(&mut n, 410, frames[1].0, &mut out);
+        assert!(drain(&mut out).0.is_empty());
+        ack(&mut n, 420, frames[2].0, &mut out);
+        let (frames, _, _) = drain(&mut out);
+        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![1]);
+        let f = n.metrics.insert_frames;
+        assert_eq!((f.idle, f.ack, f.size, f.age), (1, 1, 2, 0));
+    }
+
+    #[test]
+    fn a_lost_ack_still_ships_on_the_age_cap_exactly_once() {
+        let (mut n, mut out) = origin(SECONDS);
+        n.insert(10, "t", far(0), &mut out).unwrap();
+        let first = drain(&mut out).0[0].0;
+        n.insert(20, "t", far(1), &mut out).unwrap();
+        n.insert(30, "t", far(2), &mut out).unwrap();
+        let (_, ages, _) = drain(&mut out);
+        // The ack never comes; the cap fires.
+        n.on_timer(20 + AGE, ages[0].0, &mut out);
+        let (frames, _, cancels) = drain(&mut out);
+        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![2]);
+        assert!(
+            !cancels.contains(&ages[0].1),
+            "a fired timer is not cancelled"
+        );
+        // The first frame's ack (a retry's, say) arrives late: the group
+        // still has the second frame out and nothing buffered.
+        ack(&mut n, 9_000, first, &mut out);
+        assert!(drain(&mut out).0.is_empty(), "shipped once, not again");
+        let f = n.metrics.insert_frames;
+        assert_eq!((f.idle, f.ack, f.size, f.age), (1, 0, 0, 1));
+    }
+
+    #[test]
+    fn an_abandoned_frame_releases_the_group_like_an_ack() {
+        let (mut n, mut out) = origin(SECONDS);
+        n.cfg.max_retries = 0;
+        n.insert(10, "t", far(0), &mut out).unwrap();
+        let first = drain(&mut out).0[0].0;
+        n.insert(20, "t", far(1), &mut out).unwrap();
+        drain(&mut out);
+        n.on_timer(SECONDS + 10, token(KIND_OP_RETRY, first), &mut out);
+        assert_eq!(n.metrics.retries_exhausted, 1);
+        let (frames, _, _) = drain(&mut out);
+        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(n.metrics.insert_frames.ack, 1);
+    }
+
+    #[test]
+    fn without_acks_the_size_and_age_rule_stays() {
+        let (mut n, mut out) = origin(0);
+        n.insert(10, "t", far(0), &mut out).unwrap();
+        let (frames, ages, _) = drain(&mut out);
+        assert!(frames.is_empty(), "no ack signal: even row 1 buffers");
+        assert_eq!(ages.len(), 1);
+        for i in 1..MAX as u64 {
+            n.insert(10 + i, "t", far(i), &mut out).unwrap();
+        }
+        let (frames, _, cancels) = drain(&mut out);
+        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![MAX]);
+        assert_eq!(cancels, vec![ages[0].1]);
+        assert!(n.wire_batches.is_empty() && n.pending_ops_len() == 0);
+        n.insert(100, "t", far(9), &mut out).unwrap();
+        let (_, ages, _) = drain(&mut out);
+        n.on_timer(100 + AGE, ages[0].0, &mut out);
+        let (frames, _, _) = drain(&mut out);
+        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![1]);
+        let f = n.metrics.insert_frames;
+        assert_eq!((f.idle, f.ack, f.size, f.age), (0, 0, 1, 1));
+    }
+
+    #[test]
+    fn forced_drain_counts_and_ships_buffered_rows() {
+        let (mut n, mut out) = origin(SECONDS);
+        for i in 0..3 {
+            n.insert(10 + i, "t", far(i), &mut out).unwrap();
+        }
+        let (_, ages, _) = drain(&mut out);
+        assert_eq!(n.buffered_inserts(), 2);
+        n.flush_inserts(50, &mut out);
+        let (frames, _, cancels) = drain(&mut out);
+        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(cancels, vec![ages[0].1]);
+        assert_eq!(n.buffered_inserts(), 0);
+        n.flush_inserts(60, &mut out);
+        assert!(drain(&mut out).0.is_empty(), "nothing left to drain");
+        assert_eq!(n.pending_ops_len(), 2, "both frames still tracked");
+    }
+
+    #[test]
+    fn a_crash_clears_buffers_and_in_flight_counts() {
+        let (mut n, mut out) = origin(SECONDS);
+        n.on_start(0, &mut out);
+        for i in 0..3 {
+            n.insert(10 + i, "t", far(i), &mut out).unwrap();
+        }
+        let (frames, ages, _) = drain(&mut out);
+        assert!(!n.wire_batches.is_empty() && n.pending_ops_len() == 1);
+        // A second `on_start` is the restart after a crash.
+        n.on_start(SECONDS, &mut out);
+        assert!(n.wire_batches.is_empty() && n.wire_batch_keys.is_empty());
+        assert_eq!((n.buffered_inserts(), n.pending_ops_len()), (0, 0));
+        // Stragglers of the old incarnation find nothing to act on.
+        ack(&mut n, SECONDS + 1, frames[0].0, &mut out);
+        n.on_timer(SECONDS + 2, ages[0].0, &mut out);
+        assert!(drain(&mut out).0.is_empty());
     }
 
     #[test]

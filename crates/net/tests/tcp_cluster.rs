@@ -2,12 +2,12 @@
 //! `MindNode` logic that runs on the simulator, driven by `TcpHost` —
 //! create an index, insert from several nodes, query with full recall.
 
-use mind_core::{MindConfig, MindNode, Replication};
+use mind_core::{FlushCounts, MindCluster, MindConfig, MindNode, Replication};
 use mind_histogram::CutTree;
-use mind_net::TcpHost;
+use mind_net::{TcpFleet, TcpHost};
 use mind_overlay::{OverlayConfig, StaticTopology};
-use mind_types::node::MILLIS;
-use mind_types::{AttrDef, AttrKind, HyperRect, IndexSchema, NodeId, Record};
+use mind_types::node::{MILLIS, SECONDS};
+use mind_types::{AttrDef, AttrKind, ClusterDriver, HyperRect, IndexSchema, NodeId, Record};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
@@ -128,4 +128,126 @@ fn mind_cluster_over_real_tcp() {
     for h in hosts {
         h.shutdown();
     }
+}
+
+/// Batched ingest on an `n`-node fleet over real sockets, then a
+/// full-domain query. Returns every node's flush-cause counts summed,
+/// the multi-record frames shipped, and the rows re-split on the way.
+fn batched_fleet_run(n: usize, rows: u64) -> (FlushCounts, u64, u64) {
+    let topo = StaticTopology::balanced(n);
+    let overlay_cfg = OverlayConfig {
+        hb_interval: 200 * MILLIS,
+        ..OverlayConfig::default()
+    };
+    let mind_cfg = MindConfig {
+        retry_timeout: 500 * MILLIS,
+        query_deadline: 20 * SECONDS,
+        insert_batch_max: 64,
+        insert_batch_age: 5 * MILLIS,
+        ..MindConfig::default()
+    };
+    let topo2 = topo.clone();
+    let fleet = TcpFleet::spawn(n, move |id| {
+        let k = id.0 as usize;
+        MindNode::new_static(
+            id,
+            topo2.code(k),
+            topo2.neighbor_entries(k),
+            overlay_cfg,
+            mind_cfg,
+        )
+    })
+    .expect("fleet spawn");
+    let mut cluster = MindCluster::from_parts(fleet, topo);
+    let s = schema();
+    let cuts = CutTree::even(s.bounds(), 8);
+    cluster
+        .create_index(NodeId(0), s, cuts, Replication::None)
+        .expect("create_index");
+    let settled = cluster.wait_until(30 * SECONDS, |c| {
+        (0..n as u32).all(|k| c.read_node(NodeId(k), |n| !n.index_tags().is_empty()))
+    });
+    assert!(settled, "create_index flood never settled");
+
+    // Loader batches of 128 rows per origin call, round-robin: rows of
+    // one call queue up behind the first frame to each owner.
+    let row = |i: u64| {
+        Record::new(vec![
+            (i * 389) % 1024,
+            (i * 7919) % 86_400,
+            (i * 104_729) % (1 << 20),
+        ])
+    };
+    for (b, first) in (0..rows).step_by(128).enumerate() {
+        let batch: Vec<Record> = (first..(first + 128).min(rows)).map(row).collect();
+        cluster
+            .driver_mut()
+            .with_node(NodeId((b % n) as u32), move |node, now, out| {
+                for r in batch {
+                    node.insert(now, "tcp-flows", r, out).unwrap();
+                }
+            });
+    }
+    let stored = cluster.wait_until(60 * SECONDS, |c| c.total_primary_rows("tcp-flows") == rows);
+    assert!(stored, "batched burst never fully stored");
+    assert_eq!(
+        cluster.misplaced_primary_rows("tcp-flows"),
+        0,
+        "every row rests at its owner"
+    );
+    let full = HyperRect::new(vec![0, 0, 0], vec![1023, 86_400, 1 << 20]);
+    let outcome = cluster
+        .query_and_wait(NodeId(1), "tcp-flows", full, vec![])
+        .expect("query");
+    assert!(outcome.complete);
+    let mut got: Vec<Vec<u64>> = outcome
+        .records
+        .iter()
+        .map(|r| r.values().to_vec())
+        .collect();
+    let mut want: Vec<Vec<u64>> = (0..rows).map(|i| row(i).values().to_vec()).collect();
+    got.sort();
+    want.sort();
+    assert_eq!(got, want, "answer diverges from the oracle");
+
+    let mut frames = FlushCounts::default();
+    let (mut batches, mut forwarded, mut originated) = (0, 0, 0);
+    for k in 0..n as u32 {
+        let m = cluster.read_node(NodeId(k), |n| n.metrics.clone());
+        frames.idle += m.insert_frames.idle;
+        frames.ack += m.insert_frames.ack;
+        frames.size += m.insert_frames.size;
+        frames.age += m.insert_frames.age;
+        batches += m.insert_batches_sent;
+        forwarded += m.insert_rows_forwarded;
+        originated += m.inserts_originated;
+        assert_eq!(m.retries_exhausted, 0);
+    }
+    assert_eq!(originated, rows);
+    cluster.into_driver().shutdown();
+    (frames, batches, forwarded)
+}
+
+#[test]
+fn batched_ingest_over_tcp_addresses_owners() {
+    // Balanced fleet: a prefix of the sender's own depth names one node,
+    // so nothing is ever re-split, and rows queue behind unacked frames
+    // instead of leaving one per frame on a timer.
+    let rows = 4096;
+    let (frames, batches, forwarded) = batched_fleet_run(4, rows);
+    assert_eq!(forwarded, 0, "balanced overlay: no re-split");
+    let total = frames.idle + frames.ack + frames.size + frames.age;
+    assert!(
+        frames.idle > 0 && batches > 0,
+        "{frames:?} batches {batches}"
+    );
+    assert!(
+        total * 4 < rows,
+        "{total} frames for {rows} rows: frames are per owner, not per leaf region"
+    );
+
+    // Unbalanced fleet: some frames land on a node that owns half of
+    // their prefix and are taken apart there.
+    let (_, _, forwarded) = batched_fleet_run(6, rows);
+    assert!(forwarded > 0, "unbalanced overlay: the re-split must run");
 }

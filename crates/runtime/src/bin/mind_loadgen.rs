@@ -8,7 +8,11 @@
 //! ```
 //!
 //! Prints stable `key=value` lines (rates, p50/p99/p999 for inserts and
-//! queries, `conserved=`, `audit_clean=`). Exits nonzero if the run
+//! queries, `conserved=`, `audit_clean=`, and per node
+//! `nodeK_insert_frames=idle:..,ack:..,size:..,age:..` — what released
+//! each insert frame the node's batcher shipped — and
+//! `nodeK_insert_rows_forwarded=`, the rows it re-split toward their
+//! owner). Exits nonzero if the run
 //! errors, conservation or the audit fails, or the sustained insert rate
 //! falls below `--min-insert-rate`. `--shutdown` sends every node a
 //! clean control-protocol shutdown after the run.

@@ -6,6 +6,11 @@
 //!           [--anti-entropy-ms 45000]
 //! ```
 //!
+//! `--batch-max` rows at most share one insert frame to one owner;
+//! `--batch-age-ms` is the longest a row may wait behind that owner's
+//! unacked frame before it ships anyway — a cap, not a wait: with nothing
+//! in flight a row leaves at once (`--batch-max 1` turns batching off).
+//!
 //! Reads the cluster spec (`id node_addr control_addr` per line), binds
 //! this node's overlay and control listeners, hosts the `MindNode` logic
 //! on a `TcpHost`, and serves the control protocol until a `Shutdown`

@@ -7,7 +7,7 @@
 //! in order, per connection; connections are cheap and long-lived.
 
 use mind_audit::NodeSnapshot;
-use mind_core::{QueryOutcome, Replication};
+use mind_core::{FlushCounts, QueryOutcome, Replication};
 use mind_net::frame::{read_frame, write_frame};
 use mind_net::{from_bytes, to_bytes, HostStatsSnapshot};
 use mind_types::{IndexSchema, Record};
@@ -61,6 +61,9 @@ pub enum ControlRequest {
     IsMember,
     /// The node's transport counters.
     HostStats,
+    /// The node's ingest counters: insert frames by flush cause and rows
+    /// re-split toward their owner.
+    IngestStats,
     /// The node's audited state (for fleet-wide invariant checks).
     Snapshot,
     /// Clean process shutdown via the stop flag (no signals involved).
@@ -84,6 +87,13 @@ pub enum ControlResponse {
     Member(bool),
     /// Answer to [`ControlRequest::HostStats`].
     HostStats(HostStatsSnapshot),
+    /// Answer to [`ControlRequest::IngestStats`].
+    IngestStats {
+        /// Insert frames the node's batcher shipped, by flush cause.
+        frames: FlushCounts,
+        /// Rows the node re-originated toward their owner.
+        rows_forwarded: u64,
+    },
     /// Answer to [`ControlRequest::Snapshot`].
     Snapshot(NodeSnapshot),
     /// The operation failed node-side.

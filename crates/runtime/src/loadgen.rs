@@ -10,7 +10,7 @@ use crate::config::ClusterSpec;
 use crate::control::{ControlClient, ControlRequest, ControlResponse};
 use crate::hist::LatencyHistogram;
 use mind_audit::{Auditor, Snapshot};
-use mind_core::Replication;
+use mind_core::{FlushCounts, Replication};
 use mind_types::{AttrDef, AttrKind, IndexSchema, NodeId, Record};
 use std::io;
 use std::time::{Duration, Instant};
@@ -76,6 +76,10 @@ pub struct LoadReport {
     pub audit_clean: bool,
     /// Transport sends dropped, summed over nodes.
     pub sends_dropped: u64,
+    /// Per node, in id order: insert frames by flush cause and rows the
+    /// node re-split toward their owner (nonzero only on an unbalanced
+    /// overlay).
+    pub ingest: Vec<(FlushCounts, u64)>,
 }
 
 impl LoadReport {
@@ -83,12 +87,24 @@ impl LoadReport {
     pub fn render(&self) -> String {
         let (ip50, ip99, ip999) = self.insert_hist.percentiles();
         let (qp50, qp99, qp999) = self.query_hist.percentiles();
+        let per_node: String = self
+            .ingest
+            .iter()
+            .enumerate()
+            .map(|(k, (f, forwarded))| {
+                format!(
+                    "\nnode{k}_insert_frames=idle:{},ack:{},size:{},age:{}\
+                     \nnode{k}_insert_rows_forwarded={forwarded}",
+                    f.idle, f.ack, f.size, f.age
+                )
+            })
+            .collect();
         format!(
             "inserts_total={}\ninsert_wall_ms={}\ninsert_rate={:.0}\n\
              insert_p50_us={ip50}\ninsert_p99_us={ip99}\ninsert_p999_us={ip999}\n\
              queries_complete={}/{}\n\
              query_p50_us={qp50}\nquery_p99_us={qp99}\nquery_p999_us={qp999}\n\
-             stored_total={}\nconserved={}\naudit_clean={}\nsends_dropped={}",
+             stored_total={}\nconserved={}\naudit_clean={}\nsends_dropped={}{per_node}",
             self.inserts_total,
             self.insert_wall.as_millis(),
             self.insert_rate,
@@ -299,12 +315,20 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
     let snapshot = Snapshot { now: 0, nodes };
     let audit_clean = Auditor::settled().audit(&snapshot).is_clean();
 
-    // Transport drop counts, summed.
+    // Transport drop counts, summed; ingest counters, per node.
     let mut sends_dropped = 0u64;
+    let mut ingest = Vec::with_capacity(n);
     for c in clients.iter_mut() {
         match c.call(&ControlRequest::HostStats)? {
             ControlResponse::HostStats(s) => sends_dropped += s.sends_dropped,
             r => return Err(other_err(format!("stats failed: {r:?}"))),
+        }
+        match c.call(&ControlRequest::IngestStats)? {
+            ControlResponse::IngestStats {
+                frames,
+                rows_forwarded,
+            } => ingest.push((frames, rows_forwarded)),
+            r => return Err(other_err(format!("ingest stats failed: {r:?}"))),
         }
     }
 
@@ -320,6 +344,7 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         conserved,
         audit_clean,
         sends_dropped,
+        ingest,
     })
 }
 

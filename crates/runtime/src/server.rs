@@ -152,6 +152,17 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
             Some(m) => ControlResponse::Member(m),
             None => ControlResponse::Err("host stopped".into()),
         },
+        ControlRequest::IngestStats => {
+            match handle
+                .invoke(|n, _now, _out| (n.metrics.insert_frames, n.metrics.insert_rows_forwarded))
+            {
+                Some((frames, rows_forwarded)) => ControlResponse::IngestStats {
+                    frames,
+                    rows_forwarded,
+                },
+                None => ControlResponse::Err("host stopped".into()),
+            }
+        }
         ControlRequest::Snapshot => {
             match handle.invoke(move |n, _now, _out| snapshot_node(id, true, n)) {
                 Some(snap) => ControlResponse::Snapshot(snap),

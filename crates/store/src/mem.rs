@@ -89,9 +89,14 @@ impl MemStore {
         id
     }
 
+    /// Buffered rows a tree of `indexed` points tolerates before a rebuild.
+    fn threshold(indexed: usize) -> usize {
+        REBUILD_FLOOR.max(indexed / REBUILD_FRACTION)
+    }
+
     /// `true` when the insert buffer has outgrown the rebuild threshold.
     fn buffer_over_threshold(&self) -> bool {
-        self.buf_ids.len() > REBUILD_FLOOR.max(self.tree.len() / REBUILD_FRACTION)
+        self.buf_ids.len() > Self::threshold(self.tree.len())
     }
 
     /// Appends a record and indexes its first `dims` values.
@@ -108,12 +113,32 @@ impl MemStore {
         id
     }
 
-    /// Bulk append: buffers the whole batch, then runs the rebuild check
-    /// *once*. A batch that trips the threshold mid-stream under
-    /// [`MemStore::insert`] would pay a tree rebuild per
-    /// `REBUILD_FLOOR`-sized slice; here the rebuild cost is amortized over
-    /// the entire batch.
+    /// Bulk append with at most *one* rebuild. A batch that trips the
+    /// threshold mid-stream under [`MemStore::insert`] would pay a tree
+    /// rebuild per `REBUILD_FLOOR`-sized slice; here the rebuild cost is
+    /// amortized over the entire batch.
+    ///
+    /// Where the batch's tail fits the buffer of the rebuilt tree (every
+    /// wire-sized batch into a store of any size), the rebuild happens at
+    /// the very row [`MemStore::insert`] would have rebuilt at and the tail
+    /// is buffered behind it. The split between tree and buffer is then a
+    /// function of how many rows the store holds, not of where the sender's
+    /// frames happened to be cut: an overshoot of a few dozen rows while
+    /// the tree is small would shift every later rebuild by the same
+    /// proportion, and with it how much unsorted buffer a scan finds.
     pub fn insert_batch(&mut self, records: Vec<Record>) {
+        let mut records = records.into_iter();
+        let until_rebuild =
+            (Self::threshold(self.tree.len()) + 1).saturating_sub(self.buf_ids.len());
+        if let Some(tail) = records.len().checked_sub(until_rebuild) {
+            let rebuilt = self.tree.len() + self.buf_ids.len() + until_rebuild;
+            if tail <= Self::threshold(rebuilt) {
+                for record in records.by_ref().take(until_rebuild) {
+                    self.push_record(record);
+                }
+                self.rebuild();
+            }
+        }
         for record in records {
             self.push_record(record);
         }
@@ -325,6 +350,33 @@ mod tests {
         b.sort();
         assert_eq!(a, b);
         assert_eq!(batched.count_range(&rect), singles.count_range(&rect));
+    }
+
+    #[test]
+    fn small_batches_rebuild_where_singles_do() {
+        // However a stream is cut into wire-sized batches, the tree/buffer
+        // split after every batch is the one single inserts leave.
+        let records: Vec<Record> = (0..5000u64).map(|i| rec(&[i, i * 3, i * 7])).collect();
+        for cut in [1usize, 7, 64, 200] {
+            let mut singles = MemStore::new(2);
+            let mut batched = MemStore::new(2);
+            let mut sizes = (1..=cut).cycle();
+            let mut rest = &records[..];
+            while !rest.is_empty() {
+                let (batch, after) = rest.split_at(sizes.next().unwrap_or(1).min(rest.len()));
+                for r in batch {
+                    singles.insert(r.clone());
+                }
+                batched.insert_batch(batch.to_vec());
+                assert_eq!(
+                    (batched.tree.len(), batched.buf_ids.len()),
+                    (singles.tree.len(), singles.buf_ids.len()),
+                    "cut {cut}, {} rows in",
+                    batched.len()
+                );
+                rest = after;
+            }
+        }
     }
 
     proptest! {

@@ -184,7 +184,7 @@ impl ShardedStore {
     /// Bulk append: one scatter pass splits the batch into per-shard
     /// sub-batches, then each subtree absorbs its sub-batch through
     /// [`MemStore::insert_batch`] — so a batch of `B` records pays at most
-    /// one rebuild check per *shard*, not per record.
+    /// one rebuild per *shard*, placed where single inserts would place it.
     pub fn insert_batch(&mut self, records: Vec<Record>) {
         let n = self.shards.len();
         let per_shard_hint = records.len() / n + 1;

@@ -418,6 +418,9 @@ fn batched_replay_run(seed: u64, kind: StoreKind) -> (ReplayObservables, u64) {
     assert_eq!(exhausted, 0, "seed {seed}: a batch op ran out of budget");
     let batches = metric_sum(&cluster, |m| m.insert_batches_sent);
     assert!(batches > 0, "seed {seed}: batching never engaged");
+    // Balanced overlay: a prefix of the sender's own depth is one node.
+    let forwarded = metric_sum(&cluster, |m| m.insert_rows_forwarded);
+    assert_eq!(forwarded, 0, "seed {seed}: a frame was re-split");
     let s = cluster.world().stats.clone();
     assert!(
         s.partitioned > 0,
@@ -453,6 +456,168 @@ fn batched_ingest_survives_chaos_and_replays_identically() {
         let a = batched_replay_run(seed, StoreKind::Sharded(3));
         let b = batched_replay_run(seed, StoreKind::Sharded(3));
         assert_eq!(a, b, "seed {seed}: batched sharded replay diverged");
+    }
+}
+
+/// One seeded batched run on an *unbalanced* overlay (`n` not a power
+/// of two: codes of two lengths), where a frame addressed to a prefix of
+/// the sender's own depth can land on a deeper node that owns only part
+/// of it and must re-split at apply time. The stream crosses a dynamic
+/// join (one owner's region splits under the senders' feet) and a crash
+/// with sibling takeover (`Replication::Level(1)`), under background
+/// loss and duplication. Rows spread over all seven days so every node
+/// owns some. Oracle-checked and audited clean before returning the
+/// observables plus `(InsertBatch frames, rows re-split)`.
+fn unbalanced_batched_run(n: usize, seed: u64) -> (ReplayObservables, (u64, u64)) {
+    let mut cfg = ClusterConfig::planetlab(n, seed);
+    cfg.mind.insert_batch_max = 8;
+    cfg.sim.fault = FaultPlan::lossy(0.03).with_duplication(0.01);
+    // No partition to ride out here: a 10 s failure horizon, so the
+    // takeover (and the senders' stale contacts) settle within the run.
+    cfg.overlay.hb_miss_threshold = 5;
+    let (overlay_cfg, mind_cfg) = (cfg.overlay, cfg.mind);
+    let mut cluster = MindCluster::new(cfg);
+    let lens: Vec<u8> = (0..n).map(|k| cluster.topology().code(k).len()).collect();
+    assert!(
+        lens.iter().min() < lens.iter().max(),
+        "n = {n} must give an unbalanced overlay"
+    );
+    let s = schema();
+    let cuts = CutTree::even(s.bounds(), 9);
+    cluster
+        .create_index(NodeId(0), s, cuts.clone(), Replication::Level(1))
+        .unwrap();
+    cluster.run_for(50 * SECONDS);
+
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0B1A5);
+    let mut oracle = Vec::new();
+    let mut insert = |cluster: &mut MindCluster, at: u32, r: Record| {
+        oracle.push(r.clone());
+        cluster.insert(NodeId(at), "chaos", r).unwrap();
+    };
+    for i in 0..60usize {
+        let r = random_record(&mut rng, i as u64 % 7);
+        insert(&mut cluster, (i % n) as u32, r);
+        if i % 20 == 19 {
+            cluster.run_for(SECONDS);
+        }
+    }
+    // A burst from the shallowest node (the last code is never split):
+    // its groups are wider than the deep owners they land on, and a burst
+    // fills multi-record frames that have to be taken apart there.
+    for i in 0..80u64 {
+        let r = random_record(&mut rng, i % 7);
+        insert(&mut cluster, n as u32 - 1, r);
+    }
+    cluster.run_for(2 * SECONDS);
+    // Before any join leaves historical rows behind a handoff pointer,
+    // residency is exact: every row taken apart above reached its owner
+    // (sibling replicas would mask a misplaced row in the answer below).
+    cluster.run_for(40 * SECONDS);
+    assert_eq!(
+        cluster.total_primary_rows("chaos"),
+        60 + 80,
+        "n {n} seed {seed}: burst not settled"
+    );
+    assert_eq!(
+        cluster.misplaced_primary_rows("chaos"),
+        0,
+        "n {n} seed {seed}: a row rests on a node that does not own it"
+    );
+
+    // A node joins mid-stream: some owner's code lengthens while frames
+    // addressed to its old, shorter code are still being produced.
+    let joiner = cluster.world_mut().add_node(
+        mind::core::MindNode::new_joiner(NodeId(n as u32), NodeId(0), overlay_cfg, mind_cfg),
+        mind::netsim::Site::new("joiner", 40.0, -75.0),
+    );
+    for i in 0..80usize {
+        let r = random_record(&mut rng, i as u64 % 7);
+        insert(&mut cluster, (i % n) as u32, r);
+        if i % 8 == 7 {
+            cluster.run_for(SECONDS);
+        }
+    }
+    cluster.run_for(60 * SECONDS);
+    assert!(
+        cluster.world().node(joiner).overlay().is_member(),
+        "n {n} seed {seed}: the joiner never joined"
+    );
+    // The joiner originates too (at its own, deepest, depth).
+    for i in 0..20u64 {
+        let r = random_record(&mut rng, i % 7);
+        insert(&mut cluster, joiner.0, r);
+    }
+    // Quiesce (acks + replica pushes), then kill a deep node: its
+    // sibling holds the Level-1 replicas and takes the region over.
+    cluster.run_for(90 * SECONDS);
+    let victim = 1usize;
+    assert_eq!(lens[victim], *lens.iter().max().unwrap());
+    let dead_region = cuts.rect_for_code(&cluster.topology().code(victim));
+    cluster.crash(NodeId(victim as u32));
+    // Rows for the dead owner, inserted into the failure window from
+    // every depth: they ride their origin's retries — or, where a
+    // shallow origin's frame reached the live sibling first, the
+    // sibling's custody retries — until the takeover lands.
+    for i in 0..40usize {
+        let r = Record::new(
+            (0..3)
+                .map(|d| rng.random_range(dead_region.lo(d)..=dead_region.hi(d)))
+                .collect(),
+        );
+        insert(&mut cluster, (2 + i % (n - 2)) as u32, r);
+        if i % 10 == 9 {
+            cluster.run_for(SECONDS);
+        }
+    }
+    cluster.run_for(90 * SECONDS);
+    // And the whole space again, on the overlay the takeover left.
+    for i in 0..40usize {
+        let r = random_record(&mut rng, i as u64 % 7);
+        insert(&mut cluster, (2 + i % (n - 1)) as u32, r);
+    }
+    cluster.run_for(150 * SECONDS);
+
+    let ctx = format!("n {n} seed {seed} unbalanced batched");
+    assert_matches_oracle(&mut cluster, NodeId(3), &oracle, &ctx);
+    cluster.audit_settled().assert_clean(&ctx);
+    let exhausted = metric_sum(&cluster, |m| m.retries_exhausted);
+    assert_eq!(exhausted, 0, "{ctx}: an op ran out of budget");
+    let batches = metric_sum(&cluster, |m| m.insert_batches_sent);
+    assert!(batches > 0, "{ctx}: batching never engaged");
+    let forwarded = metric_sum(&cluster, |m| m.insert_rows_forwarded);
+    assert!(forwarded > 0, "{ctx}: no frame ever needed a re-split");
+
+    let q = HyperRect::new(vec![0, 0, 0], vec![1 << 20, 86_400 * 7, 1 << 20]);
+    let outcome = cluster
+        .query_and_wait(NodeId(2), "chaos", q, vec![])
+        .unwrap();
+    assert!(outcome.complete);
+    let retries = metric_sum(&cluster, |m| m.retries_sent);
+    (
+        (
+            cluster.world().stats.counters(),
+            sorted_values(&outcome.records),
+            retries,
+        ),
+        (batches, forwarded),
+    )
+}
+
+#[test]
+fn batched_ingest_on_unbalanced_overlay() {
+    // Owner-addressed frames on overlays where "a prefix of my own depth"
+    // does not name one node: every row must still end up at its owner
+    // exactly once, and the whole run must replay byte-identically.
+    for n in [6, 11] {
+        for seed in SEEDS {
+            let a = unbalanced_batched_run(n, seed);
+            let b = unbalanced_batched_run(n, seed);
+            assert_eq!(
+                a, b,
+                "n {n} seed {seed}: unbalanced batched replay diverged"
+            );
+        }
     }
 }
 
