@@ -49,11 +49,13 @@ pub(crate) enum DacJob {
         acker: NodeId,
         op_id: u64,
     },
+    /// Every region of one query version this node answers, scanned
+    /// together (`codes` is never empty).
     Scan {
         query_id: u64,
         index: String,
         version: u32,
-        code: BitCode,
+        codes: Vec<BitCode>,
         rect: HyperRect,
         filters: Vec<CarriedFilter>,
         origin: NodeId,
@@ -78,14 +80,16 @@ pub(crate) struct BatchResult {
     forwards: Vec<(BitCode, u64, MindPayload)>,
 }
 
-/// A query response before the wire boundary: records are refcounted
+/// A region's answer before the wire boundary: its rows as refcounted
 /// handles into the local store, not copies.
+pub(crate) type RegionRows = (BitCode, Vec<Arc<Record>>);
+
+/// A query response before the wire boundary.
 #[derive(Debug)]
 pub(crate) struct LocalResponse {
     pub(crate) query_id: u64,
     pub(crate) version: u32,
-    pub(crate) code: BitCode,
-    pub(crate) records: Vec<Arc<Record>>,
+    pub(crate) answers: Vec<RegionRows>,
 }
 
 /// A sub-query waiting for the acceptor's historical records.
@@ -105,36 +109,6 @@ impl MindNode {
             self.dac_busy = true;
             out.set_timer(1, token(KIND_DAC_TICK, 0));
         }
-    }
-
-    /// Buffers a region scan for the DAC (the query track's entry point
-    /// into the storage queue).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn enqueue_scan(
-        &mut self,
-        now: SimTime,
-        query_id: u64,
-        index: String,
-        version: u32,
-        code: BitCode,
-        rect: HyperRect,
-        filters: Vec<CarriedFilter>,
-        origin: NodeId,
-        out: &mut Out,
-    ) {
-        self.enqueue(
-            now,
-            DacJob::Scan {
-                query_id,
-                index,
-                version,
-                code,
-                rect,
-                filters,
-                origin,
-            },
-            out,
-        );
     }
 
     fn dac_tick(&mut self, now: SimTime, out: &mut Out) {
@@ -209,42 +183,48 @@ impl MindNode {
                     query_id,
                     index,
                     version,
-                    code,
+                    codes,
                     rect,
                     filters,
                     origin,
                 } => {
-                    let records = self.run_scan(&index, version, &code, &rect, &filters, false);
-                    cost += cost_model.per_query + cost_model.per_result * records.len() as SimTime;
+                    let answers = self.run_scan_batch(&index, version, codes, &rect, &filters);
+                    // One storage query with a disjunction of ranges.
+                    let rows: usize = answers.iter().map(|(_, rows)| rows.len()).sum();
+                    cost += cost_model.per_query + cost_model.per_result * rows as SimTime;
                     self.metrics.subqueries_answered += 1;
-                    // Fresh joiner: the region's historical rows still live
+                    self.metrics.query_regions_answered += answers.len() as u64;
+                    // Fresh joiner: the regions' historical rows still live
                     // at the acceptor (Section 3.4). Merge its answer with
-                    // ours before responding.
+                    // ours before responding — one exchange per region; the
+                    // pointer is short-lived and not worth a batched message.
                     if let Some((sibling, joined_at)) = self.handoff {
                         if now.saturating_sub(joined_at) < self.cfg.handoff_ttl {
-                            let handoff_id = self.handoff_seq;
-                            self.handoff_seq += 1;
-                            self.pending_handoffs.insert(
-                                handoff_id,
-                                PendingHandoff {
-                                    query_id,
-                                    version,
-                                    code,
-                                    origin,
-                                    local: records,
-                                },
-                            );
-                            result.sends.push((
-                                sibling,
-                                MindPayload::HandoffScan {
+                            for (code, local) in answers {
+                                let handoff_id = self.handoff_seq;
+                                self.handoff_seq += 1;
+                                self.pending_handoffs.insert(
                                     handoff_id,
-                                    index,
-                                    version,
-                                    code,
-                                    rect,
-                                    filters,
-                                },
-                            ));
+                                    PendingHandoff {
+                                        query_id,
+                                        version,
+                                        code,
+                                        origin,
+                                        local,
+                                    },
+                                );
+                                result.sends.push((
+                                    sibling,
+                                    MindPayload::HandoffScan {
+                                        handoff_id,
+                                        index: index.clone(),
+                                        version,
+                                        code,
+                                        rect: rect.clone(),
+                                        filters: filters.clone(),
+                                    },
+                                ));
+                            }
                             continue;
                         }
                         self.handoff = None; // aged out
@@ -254,8 +234,7 @@ impl MindNode {
                         LocalResponse {
                             query_id,
                             version,
-                            code,
-                            records,
+                            answers,
                         },
                     ));
                 }
@@ -539,7 +518,71 @@ impl MindNode {
         n
     }
 
-    /// Answers a sub-query from the local store. Zero-copy: the returned
+    /// Answers every region of a scan job, in code order. Several
+    /// prefix-free regions share **one** walk of each store over the query
+    /// clipped to their common ancestor's region; each row is handed to the
+    /// region whose code prefixes its leaf code and dropped when there is
+    /// none (a replica of a region answered elsewhere), so per region the
+    /// rows are exactly those of [`MindNode::run_scan`]. A single region,
+    /// or regions that nest (no honest sender produces them), are scanned
+    /// one by one.
+    pub(crate) fn run_scan_batch(
+        &mut self,
+        index: &str,
+        version: u32,
+        mut codes: Vec<BitCode>,
+        rect: &HyperRect,
+        filters: &[CarriedFilter],
+    ) -> Vec<RegionRows> {
+        // Code order is the cut tree's in-order, so in a prefix-free set
+        // the region holding a leaf is the last code not above it, and a
+        // nested pair would sit side by side.
+        codes.sort_unstable();
+        let shared = codes.len() > 1 && codes.windows(2).all(|w| !w[0].is_prefix_of(&w[1]));
+        if !shared {
+            return codes
+                .into_iter()
+                .map(|code| {
+                    let rows = self.run_scan(index, version, &code, rect, filters, false);
+                    (code, rows)
+                })
+                .collect();
+        }
+        let span = {
+            let (first, last) = (codes[0], codes[codes.len() - 1]);
+            first.prefix(first.common_prefix_len(&last))
+        };
+        let mut answers: Vec<RegionRows> = codes.into_iter().map(|c| (c, Vec::new())).collect();
+        let Some(state) = self.indexes.get(index) else {
+            return answers;
+        };
+        let Some(ver) = state.version(version) else {
+            return answers;
+        };
+        let dims = state.schema.indexed_dims;
+        let Some(clip) = ver.cuts.rect_for_code(&span).intersection(rect) else {
+            return answers;
+        };
+        let mut served = 0;
+        let rows = ver.primary.range_records(&clip).into_iter();
+        for row in rows.chain(ver.replicas.range_records(&clip)) {
+            if !filters.iter().all(|f| f.accepts(&row)) {
+                continue;
+            }
+            let leaf = ver.cuts.code_for_point(row.point(dims));
+            let after = answers.partition_point(|(code, _)| *code <= leaf);
+            if let Some((code, rows)) = answers[..after].last_mut() {
+                if code.is_prefix_of(&leaf) {
+                    rows.push(row);
+                    served += 1;
+                }
+            }
+        }
+        self.metrics.records_served += served;
+        answers
+    }
+
+    /// Answers one region from the local store. Zero-copy: the returned
     /// records are shared handles into the store's record heap — nothing
     /// is materialized until (unless) the response crosses the wire.
     pub(crate) fn run_scan(
@@ -607,7 +650,9 @@ impl MindNode {
         if dest == self.id() {
             let query_id = resp.query_id;
             if let Some(t) = self.queries.get_mut(&query_id) {
-                t.on_response(now, resp.version, resp.code, dest, resp.records);
+                for (code, rows) in resp.answers {
+                    t.on_response(now, resp.version, code, dest, rows);
+                }
             }
             // A local answer can be the query's last: retire its timers.
             self.settle_query_timers(query_id, out);
@@ -618,9 +663,12 @@ impl MindNode {
                     payload: MindPayload::QueryResponse {
                         query_id: resp.query_id,
                         version: resp.version,
-                        code: resp.code,
                         responder: self.id(),
-                        records: Self::to_wire(&resp.records),
+                        answers: resp
+                            .answers
+                            .iter()
+                            .map(|(code, rows)| (*code, Self::to_wire(rows)))
+                            .collect(),
                     },
                 },
             );
@@ -712,5 +760,134 @@ impl MindNode {
             _ => return false,
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::index::IndexState;
+    use crate::node::MindConfig;
+    use mind_histogram::CutTree;
+    use mind_overlay::{OverlayConfig, StaticTopology};
+    use mind_types::{AttrDef, AttrKind, IndexSchema, Value};
+    use proptest::prelude::*;
+
+    const SIDE: Value = 255;
+
+    /// A node holding index "t" (two indexed dimensions and a carried
+    /// attribute) under `cuts`, with `primary` and `replicas` stored as
+    /// given — wherever their points fall, so the stores also hold rows
+    /// of regions this node would never answer.
+    fn node_with(cuts: CutTree, primary: &[Record], replicas: &[Record]) -> MindNode {
+        let topo = StaticTopology::balanced(2);
+        let mut n = MindNode::new_static(
+            NodeId(0),
+            topo.code(0),
+            topo.neighbor_entries(0),
+            OverlayConfig::default(),
+            MindConfig::default(),
+        );
+        let attr = |name| AttrDef::new(name, AttrKind::Generic, 0, SIDE);
+        let schema = IndexSchema::new("t", vec![attr("x"), attr("y"), attr("c")], 2);
+        let mut state = IndexState::new(
+            schema,
+            cuts,
+            Replication::None,
+            n.cfg.hist_granularity,
+            n.cfg.store_kind,
+        );
+        for r in primary {
+            state.versions[0].primary.insert(r.clone());
+        }
+        for r in replicas {
+            state.versions[0].replicas.insert(r.clone());
+        }
+        n.indexes.insert("t".into(), state);
+        n
+    }
+
+    /// A prefix-free set of region codes: walks the tree from `code`,
+    /// each step taking the region, leaving a hole, or descending, as
+    /// `choices` says.
+    fn pick(
+        cuts: &CutTree,
+        code: BitCode,
+        choices: &mut impl Iterator<Item = u8>,
+        out: &mut Vec<BitCode>,
+    ) {
+        let leaf = cuts.leaf_rect(&code).is_some();
+        match choices.next().unwrap_or(0) % 5 {
+            0 => out.push(code),
+            1 => {}
+            _ if leaf => out.push(code),
+            _ => {
+                pick(cuts, code.child(false), choices, out);
+                pick(cuts, code.child(true), choices, out);
+            }
+        }
+    }
+
+    fn sorted(mut rows: Vec<Arc<Record>>) -> Vec<Vec<Value>> {
+        rows.sort_by(|a, b| a.values().cmp(b.values()));
+        rows.iter().map(|r| r.values().to_vec()).collect()
+    }
+
+    fn arb_rows(max: usize) -> impl Strategy<Value = Vec<Record>> {
+        prop::collection::vec(
+            (0..=SIDE, 0..=SIDE, 0..=SIDE).prop_map(|(x, y, c)| Record::new(vec![x, y, c])),
+            0..max,
+        )
+    }
+
+    proptest! {
+        /// The shared scan is exact: per region code it returns the rows
+        /// the clipped single-region scan returns, and nothing else.
+        #[test]
+        fn shared_scan_equals_one_scan_per_code(
+            cut_points in prop::collection::vec((0..=SIDE, 0..=SIDE), 0..60),
+            depth in 1u8..7,
+            primary in arb_rows(150),
+            replicas in arb_rows(150),
+            corners in ((0..=SIDE, 0..=SIDE), (0..=SIDE, 0..=SIDE)),
+            carried in prop::option::of((0..=SIDE, 0..=SIDE)),
+            shape in 0u8..4,
+            choices in prop::collection::vec(any::<u8>(), 1..80),
+        ) {
+            let bounds = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+            let points: Vec<[Value; 2]> = cut_points.iter().map(|&(x, y)| [x, y]).collect();
+            let points: Vec<&[Value]> = points.iter().map(|p| p.as_slice()).collect();
+            let cuts = CutTree::balanced_from_points(bounds, depth, &points);
+            let mut codes = Vec::new();
+            match shape {
+                // One region; every leaf; otherwise a random prefix-free set.
+                0 => codes.push(cuts.leaves()[choices[0] as usize % cuts.leaf_count()].0),
+                1 => codes.extend(cuts.leaves().into_iter().map(|(code, _)| code)),
+                _ => pick(&cuts, BitCode::ROOT, &mut choices.iter().copied().cycle(), &mut codes),
+            }
+            if choices[0] % 2 == 1 {
+                codes.reverse();
+            }
+            let ((x0, y0), (x1, y1)) = corners;
+            let rect = HyperRect::new(vec![x0.min(x1), y0.min(y1)], vec![x0.max(x1), y0.max(y1)]);
+            let filters: Vec<CarriedFilter> = carried
+                .map(|(a, b)| CarriedFilter { attr: 2, lo: a.min(b), hi: a.max(b) })
+                .into_iter()
+                .collect();
+            let mut n = node_with(cuts, &primary, &replicas);
+            let mut expected: Vec<(BitCode, Vec<Vec<Value>>)> = codes
+                .iter()
+                .map(|c| (*c, sorted(n.run_scan("t", 0, c, &rect, &filters, false))))
+                .collect();
+            expected.sort();
+            let served = n.metrics.records_served;
+            let got: Vec<(BitCode, Vec<Vec<Value>>)> = n
+                .run_scan_batch("t", 0, codes, &rect, &filters)
+                .into_iter()
+                .map(|(c, rows)| (c, sorted(rows)))
+                .collect();
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(n.metrics.records_served, 2 * served);
+        }
     }
 }

@@ -187,7 +187,16 @@ pub enum MindPayload {
         /// The originating node (receives plan and responses directly).
         origin: NodeId,
     },
-    /// Routed to the owner of one covering region: answer for it.
+    /// Routed to the owner of a group of covering regions: answer for
+    /// them (Section 3.6, "split into sub-queries, one per node"). The
+    /// sender groups the covering codes it does not answer itself by their
+    /// prefix at its own overlay depth and routes one `SubQuery` per group
+    /// toward that prefix, so on a balanced overlay a node receives every
+    /// region it owns in one frame. A receiver that owns only part of the
+    /// prefix (a deeper node on an unbalanced overlay, or one answering
+    /// through a claimed region) answers its share and re-groups the rest
+    /// strictly deeper than the prefix it was routed under, so the
+    /// hand-over ends at the single code (DESIGN.md §14).
     SubQuery {
         /// Query id.
         query_id: u64,
@@ -195,9 +204,11 @@ pub enum MindPayload {
         index: String,
         /// Version to consult.
         version: u32,
-        /// The covering region this sub-query is responsible for.
-        code: BitCode,
-        /// The full query rectangle (responders clip to their region).
+        /// The covering regions this sub-query asks for: prefix-free, all
+        /// extending the routing target (a single code shorter than the
+        /// sender's grouping depth travels alone, routed by itself).
+        codes: Vec<BitCode>,
+        /// The full query rectangle (responders clip to their regions).
         rect: HyperRect,
         /// Post-filters on carried attributes.
         filters: Vec<CarriedFilter>,
@@ -223,19 +234,20 @@ pub enum MindPayload {
         /// For refinements: the coarser code these codes replace.
         replaces: Option<BitCode>,
     },
-    /// Direct to the originator: one region's (possibly empty — negative)
-    /// answer.
+    /// Direct to the originator: the answers of one store scan at the
+    /// responder — every region one sub-query asked it for, each with its
+    /// (possibly empty — negative) rows, so the originator's completion
+    /// accounting stays per `(version, code)`.
     QueryResponse {
         /// Query id.
         query_id: u64,
         /// Version answered.
         version: u32,
-        /// Region code answered.
-        code: BitCode,
         /// The responding node.
         responder: NodeId,
-        /// Matching records (empty = negative response).
-        records: Vec<Record>,
+        /// Per region code answered, its matching records (empty =
+        /// negative response). A row appears under exactly one code.
+        answers: Vec<(BitCode, Vec<Record>)>,
     },
     /// Flooded: install a standing query on every node; any node that
     /// stores a matching primary record notifies the trigger's origin
@@ -394,20 +406,14 @@ mod tests {
 
     #[test]
     fn response_size_scales_with_records() {
-        let empty = MindPayload::QueryResponse {
+        let response = |records| MindPayload::QueryResponse {
             query_id: 1,
             version: 0,
-            code: BitCode::ROOT,
             responder: NodeId(0),
-            records: vec![],
+            answers: vec![(BitCode::ROOT, records)],
         };
-        let full = MindPayload::QueryResponse {
-            query_id: 1,
-            version: 0,
-            code: BitCode::ROOT,
-            responder: NodeId(0),
-            records: (0..100).map(|i| Record::new(vec![i, i, i])).collect(),
-        };
+        let empty = response(vec![]);
+        let full = response((0..100).map(|i| Record::new(vec![i, i, i])).collect());
         assert!(full.wire_size() > empty.wire_size() + 2000);
     }
 }

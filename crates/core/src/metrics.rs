@@ -31,8 +31,13 @@ pub struct NodeMetrics {
     /// and that it re-originated toward their owner (the apply-time
     /// re-split; 0 on a balanced overlay).
     pub insert_rows_forwarded: u64,
-    /// Sub-queries this node answered.
+    /// Sub-query scan jobs run here: one per `SubQuery` frame (or local
+    /// dispatch) this node answered, however many regions it named.
     pub subqueries_answered: u64,
+    /// Covering regions those scan jobs answered (one per region code);
+    /// the ratio to `subqueries_answered` is the regions a frame pair and
+    /// a store scan were shared by.
+    pub query_regions_answered: u64,
     /// Records this node's scans returned (zero-copy handles on the local
     /// path; the counter tracks scan volume regardless of destination).
     pub records_served: u64,

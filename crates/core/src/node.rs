@@ -627,8 +627,9 @@ impl MindNode {
 
     /// A routed payload terminated here. `target` is the code it was
     /// routed toward: for inserts, the prefix every carried row's leaf
-    /// code extends — this node may own only part of it (`dac_drive`
-    /// re-splits at apply time).
+    /// code extends, for sub-queries the prefix every carried region code
+    /// extends — this node may own only part of it (`dac_drive` re-splits
+    /// inserts at apply time, `dispatch_subqueries` regions on arrival).
     fn on_routed(
         &mut self,
         now: SimTime,
@@ -724,13 +725,24 @@ impl MindNode {
                 query_id,
                 index,
                 version,
-                code,
+                codes,
                 rect,
                 filters,
                 origin,
             } => {
-                self.on_subquery(
-                    now, query_id, index, version, code, rect, filters, origin, out,
+                // Whatever of the group is not answered here is re-grouped
+                // strictly deeper than the prefix it arrived under.
+                self.dispatch_subqueries(
+                    now,
+                    query_id,
+                    &index,
+                    version,
+                    &codes,
+                    target.len() + 1,
+                    &rect,
+                    &filters,
+                    origin,
+                    out,
                 );
             }
             MindPayload::HistReport {
@@ -898,8 +910,7 @@ impl MindNode {
                         crate::dac_drive::LocalResponse {
                             query_id: p.query_id,
                             version: p.version,
-                            code: p.code,
-                            records: merged,
+                            answers: vec![(p.code, merged)],
                         },
                         out,
                     );
@@ -920,19 +931,20 @@ impl MindNode {
             MindPayload::QueryResponse {
                 query_id,
                 version,
-                code,
                 responder,
-                records,
+                answers,
             } => {
                 if let Some(t) = self.queries.get_mut(&query_id) {
-                    // Arriving off the wire: wrap into shared handles once.
-                    t.on_response(
-                        now,
-                        version,
-                        code,
-                        responder,
-                        records.into_iter().map(Arc::new).collect(),
-                    );
+                    for (code, records) in answers {
+                        // Arriving off the wire: wrap into shared handles once.
+                        t.on_response(
+                            now,
+                            version,
+                            code,
+                            responder,
+                            records.into_iter().map(Arc::new).collect(),
+                        );
+                    }
                 }
                 self.settle_query_timers(query_id, out);
             }

@@ -6,12 +6,14 @@
 //! the event plane — under sustained query load this is the difference
 //! between O(in-flight) and O(ever-issued) pending timers.
 
+use crate::dac_drive::DacJob;
 use crate::messages::{CarriedFilter, MindPayload};
 use crate::node::{token, MindNode, Out};
 use crate::query::QueryTracker;
 use mind_overlay::OverlayMsg;
 use mind_types::node::{SimTime, TimerId};
 use mind_types::{BitCode, HyperRect, MindError, NodeId};
+use std::collections::BTreeMap;
 
 pub(crate) const KIND_QUERY_DEADLINE: u64 = 2;
 pub(crate) const KIND_QUERY_RETRY: u64 = 5;
@@ -216,16 +218,20 @@ impl MindNode {
                 }
             }
         }
-        // Announced but unanswered regions: re-dispatch their sub-queries.
-        for (v, code) in missing {
-            self.dispatch_subquery(
+        // Announced but unanswered regions: re-dispatch their sub-queries,
+        // grouped by owner like the first round (`missing` is in
+        // `(version, code)` order, so a version's codes are one run).
+        for run in missing.chunk_by(|a, b| a.0 == b.0) {
+            let codes: Vec<BitCode> = run.iter().map(|&(_, code)| code).collect();
+            self.dispatch_subqueries(
                 now,
                 query_id,
-                index.clone(),
-                v,
-                code,
-                rect.clone(),
-                filters.clone(),
+                &index,
+                run[0].0,
+                &codes,
+                0,
+                &rect,
+                &filters,
                 self.id(),
                 out,
             );
@@ -293,8 +299,8 @@ impl MindNode {
             }
         };
         // Split down to at least this node's code length so that, on a
-        // balanced overlay, every sub-query maps to one node. Deeper nodes
-        // refine further on arrival (see `on_subquery`).
+        // balanced overlay, every sub-query region maps to one node. Deeper
+        // nodes refine further on arrival (see `dispatch_subqueries`).
         let min_len = self.overlay.code().map(|c| c.len()).unwrap_or(0);
         ver.cuts.covering_codes_into(&rect, min_len, &mut codes);
         out.send(
@@ -308,120 +314,109 @@ impl MindNode {
                 },
             },
         );
-        for &code in &codes {
-            self.dispatch_subquery(
-                now,
-                query_id,
-                index.to_string(),
-                version,
-                code,
-                rect.clone(),
-                filters.clone(),
-                origin,
-                out,
-            );
-        }
+        self.dispatch_subqueries(
+            now, query_id, index, version, &codes, 0, &rect, &filters, origin, out,
+        );
         self.cover_scratch = codes;
     }
 
-    /// Routes a sub-query to its region owner, or processes it here when
-    /// this node is responsible.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn dispatch_subquery(
-        &mut self,
-        now: SimTime,
-        query_id: u64,
-        index: String,
-        version: u32,
-        code: BitCode,
-        rect: HyperRect,
-        filters: Vec<CarriedFilter>,
-        origin: NodeId,
-        out: &mut Out,
-    ) {
-        if self.overlay.should_answer(&code) {
-            self.on_subquery(
-                now, query_id, index, version, code, rect, filters, origin, out,
-            );
-        } else {
-            let payload = MindPayload::SubQuery {
-                query_id,
-                index,
-                version,
-                code,
-                rect,
-                filters,
-                origin,
-            };
-            let events = self.overlay.route(now, code, payload, out);
-            self.process_events(now, events, out);
-        }
-    }
-
-    /// Handles a sub-query arriving at (or dispatched to) this node.
+    /// Sends every region code of one query version to its owner — paper
+    /// §3.6's "sub-queries, one per node" — for the root split, a received
+    /// `SubQuery`, refinement and retry alike.
     ///
-    /// If this node's code strictly extends the region code, the region
-    /// spans several nodes (unbalanced overlay): split it one level,
-    /// announce the refinement atomically to the originator, and dispatch
-    /// the halves. Otherwise answer it from the local store.
+    /// Codes this node should answer stay here: a region that spans
+    /// several nodes (this node's code strictly extends the region code,
+    /// unbalanced overlay) is split one level, the refinement announced
+    /// atomically to the originator, and its halves dispatched in turn;
+    /// the rest become **one** scan job. The other codes are grouped by
+    /// their prefix at depth `max(own depth, min_group_len)` (a shorter
+    /// code stands alone) and routed as one `SubQuery` per group toward
+    /// that prefix. A receiver calls this with `min_group_len` one past
+    /// the length of the prefix it was routed under, so every hand-over
+    /// groups strictly deeper and ends at the single code.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_subquery(
+    pub(crate) fn dispatch_subqueries(
         &mut self,
         now: SimTime,
         query_id: u64,
-        index: String,
+        index: &str,
         version: u32,
-        code: BitCode,
-        rect: HyperRect,
-        filters: Vec<CarriedFilter>,
+        codes: &[BitCode],
+        min_group_len: u8,
+        rect: &HyperRect,
+        filters: &[CarriedFilter],
         origin: NodeId,
         out: &mut Out,
     ) {
-        let my_code = self.overlay.code();
-        let must_refine = match my_code {
-            Some(mine) => code.is_prefix_of(&mine) && code.len() < mine.len(),
-            None => false,
-        };
+        let own = self.overlay.code();
+        let group_len = own.map_or(0, |c| c.len()).max(min_group_len);
         // Refinement requires the cut tree to be deeper than the region
         // code; a leaf region is answered whole (the tree depth is always
         // configured above the overlay depth, see MindConfig::cut_depth).
-        let can_refine = self
+        let tree_depth = self
             .indexes
-            .get(&index)
+            .get(index)
             .and_then(|s| s.version(version))
-            .map(|v| v.cuts.depth() > code.len())
-            .unwrap_or(false);
-        if must_refine && can_refine {
-            let children = vec![code.child(false), code.child(true)];
-            out.send(
-                origin,
-                OverlayMsg::Direct {
-                    payload: MindPayload::QueryPlan {
-                        query_id,
-                        version,
-                        codes: children.clone(),
-                        replaces: Some(code),
-                    },
-                },
-            );
-            for child in children {
-                self.dispatch_subquery(
-                    now,
-                    query_id,
-                    index.clone(),
-                    version,
-                    child,
-                    rect.clone(),
-                    filters.clone(),
-                    origin,
-                    out,
-                );
+            .map_or(0, |v| v.cuts.depth());
+        let mut scan = Vec::new();
+        // Keyed by the group's routing prefix: replay-stable order.
+        let mut groups: BTreeMap<BitCode, Vec<BitCode>> = BTreeMap::new();
+        let mut work = Vec::new();
+        for &code in codes {
+            work.push(code);
+            while let Some(code) = work.pop() {
+                if !self.overlay.should_answer(&code) {
+                    let prefix = code.prefix(group_len.min(code.len()));
+                    groups.entry(prefix).or_default().push(code);
+                } else if tree_depth > code.len()
+                    && own.is_some_and(|mine| code.len() < mine.len() && code.is_prefix_of(&mine))
+                {
+                    let halves = [code.child(false), code.child(true)];
+                    out.send(
+                        origin,
+                        OverlayMsg::Direct {
+                            payload: MindPayload::QueryPlan {
+                                query_id,
+                                version,
+                                codes: halves.to_vec(),
+                                replaces: Some(code),
+                            },
+                        },
+                    );
+                    work.extend(halves.into_iter().rev());
+                } else {
+                    scan.push(code);
+                }
             }
-            return;
         }
-        self.enqueue_scan(
-            now, query_id, index, version, code, rect, filters, origin, out,
-        );
+        if !scan.is_empty() {
+            self.enqueue(
+                now,
+                DacJob::Scan {
+                    query_id,
+                    index: index.to_string(),
+                    version,
+                    codes: scan,
+                    rect: rect.clone(),
+                    filters: filters.to_vec(),
+                    origin,
+                },
+                out,
+            );
+        }
+        for (prefix, codes) in groups {
+            let payload = MindPayload::SubQuery {
+                query_id,
+                index: index.to_string(),
+                version,
+                codes,
+                rect: rect.clone(),
+                filters: filters.to_vec(),
+                origin,
+            };
+            let events = self.overlay.route(now, prefix, payload, out);
+            self.process_events(now, events, out);
+        }
     }
 
     /// Handles query-class timers; `true` if `kind` was ours.

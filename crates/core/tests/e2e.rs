@@ -117,6 +117,39 @@ fn point_query_and_empty_query() {
 }
 
 #[test]
+fn wide_query_costs_one_scan_per_owner() {
+    // A box just inside the bounds: its covering is leaf-fine along every
+    // face — hundreds of regions — yet each of the 8 owners gets them in
+    // one `SubQuery`, scans once and answers with one `QueryResponse`.
+    let n = 8u32;
+    let mut cluster = cluster_with_index(n as usize, 9, Replication::None);
+    let mut inside = 0;
+    for i in 0..200u64 {
+        let (x, size) = ((i * 389) % 1024, (i * 104_729) % (1 << 20));
+        inside += u64::from((1..=1022).contains(&x) && (1..1 << 20).contains(&size));
+        cluster
+            .insert(NodeId((i % 8) as u32), "flows", rec(x, 1000 + i, size, i))
+            .unwrap();
+    }
+    cluster.run_for(60 * SECONDS);
+    let q = HyperRect::new(vec![1, 1, 1], vec![1022, 86_400 * 7 - 1, (1 << 20) - 1]);
+    let outcome = cluster
+        .query_and_wait(NodeId(5), "flows", q, vec![])
+        .unwrap();
+    assert!(outcome.complete);
+    assert_eq!(outcome.records.len() as u64, inside, "perfect recall");
+    assert_eq!(outcome.cost_nodes, n as usize, "every node owns a face");
+    let (mut jobs, mut regions) = (0, 0);
+    for k in 0..n {
+        let m = &cluster.world().node(NodeId(k)).metrics;
+        assert_eq!(m.subqueries_answered, 1, "node {k}: one scan job");
+        jobs += m.subqueries_answered;
+        regions += m.query_regions_answered;
+    }
+    assert!(regions > 10 * jobs, "{regions} regions in {jobs} scan jobs");
+}
+
+#[test]
 fn carried_filters_apply_at_responders() {
     let mut cluster = cluster_with_index(8, 4, Replication::None);
     for i in 0..40u64 {

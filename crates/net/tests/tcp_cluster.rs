@@ -130,10 +130,12 @@ fn mind_cluster_over_real_tcp() {
     }
 }
 
-/// Batched ingest on an `n`-node fleet over real sockets, then a
-/// full-domain query. Returns every node's flush-cause counts summed,
-/// the multi-record frames shipped, and the rows re-split on the way.
-fn batched_fleet_run(n: usize, rows: u64) -> (FlushCounts, u64, u64) {
+/// Batched ingest on an `n`-node fleet over real sockets, then two
+/// full-width queries (the whole domain; a box just inside it, whose
+/// covering is leaf-fine along every face). Returns every node's
+/// flush-cause counts summed, the multi-record frames shipped, the rows
+/// re-split on the way, and the `(scan jobs, regions)` the queries cost.
+fn batched_fleet_run(n: usize, rows: u64) -> (FlushCounts, u64, u64, (u64, u64)) {
     let topo = StaticTopology::balanced(n);
     let overlay_cfg = OverlayConfig {
         hb_interval: 200 * MILLIS,
@@ -196,22 +198,29 @@ fn batched_fleet_run(n: usize, rows: u64) -> (FlushCounts, u64, u64) {
         "every row rests at its owner"
     );
     let full = HyperRect::new(vec![0, 0, 0], vec![1023, 86_400, 1 << 20]);
-    let outcome = cluster
-        .query_and_wait(NodeId(1), "tcp-flows", full, vec![])
-        .expect("query");
-    assert!(outcome.complete);
-    let mut got: Vec<Vec<u64>> = outcome
-        .records
-        .iter()
-        .map(|r| r.values().to_vec())
-        .collect();
-    let mut want: Vec<Vec<u64>> = (0..rows).map(|i| row(i).values().to_vec()).collect();
-    got.sort();
-    want.sort();
-    assert_eq!(got, want, "answer diverges from the oracle");
+    let inner = HyperRect::new(vec![1, 1, 1], vec![1022, 86_399, (1 << 20) - 1]);
+    for rect in [full, inner] {
+        let mut want: Vec<Vec<u64>> = (0..rows)
+            .map(|i| row(i).values().to_vec())
+            .filter(|v| rect.contains_point(v))
+            .collect();
+        let outcome = cluster
+            .query_and_wait(NodeId(1), "tcp-flows", rect, vec![])
+            .expect("query");
+        assert!(outcome.complete);
+        let mut got: Vec<Vec<u64>> = outcome
+            .records
+            .iter()
+            .map(|r| r.values().to_vec())
+            .collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "answer diverges from the oracle");
+    }
 
     let mut frames = FlushCounts::default();
     let (mut batches, mut forwarded, mut originated) = (0, 0, 0);
+    let (mut scan_jobs, mut regions) = (0, 0);
     for k in 0..n as u32 {
         let m = cluster.read_node(NodeId(k), |n| n.metrics.clone());
         frames.idle += m.insert_frames.idle;
@@ -221,11 +230,13 @@ fn batched_fleet_run(n: usize, rows: u64) -> (FlushCounts, u64, u64) {
         batches += m.insert_batches_sent;
         forwarded += m.insert_rows_forwarded;
         originated += m.inserts_originated;
+        scan_jobs += m.subqueries_answered;
+        regions += m.query_regions_answered;
         assert_eq!(m.retries_exhausted, 0);
     }
     assert_eq!(originated, rows);
     cluster.into_driver().shutdown();
-    (frames, batches, forwarded)
+    (frames, batches, forwarded, (scan_jobs, regions))
 }
 
 #[test]
@@ -234,8 +245,15 @@ fn batched_ingest_over_tcp_addresses_owners() {
     // so nothing is ever re-split, and rows queue behind unacked frames
     // instead of leaving one per frame on a timer.
     let rows = 4096;
-    let (frames, batches, forwarded) = batched_fleet_run(4, rows);
+    let (frames, batches, forwarded, (scan_jobs, regions)) = batched_fleet_run(4, rows);
     assert_eq!(forwarded, 0, "balanced overlay: no re-split");
+    // Query frames are per owner too: a full-width query costs each of
+    // the 4 nodes one `SubQuery`, one scan and one `QueryResponse`,
+    // however many covering regions it names.
+    assert!(
+        scan_jobs <= 2 * 4 && regions > 10 * scan_jobs,
+        "2 queries on 4 nodes: {scan_jobs} scan jobs for {regions} regions"
+    );
     let total = frames.idle + frames.ack + frames.size + frames.age;
     assert!(
         frames.idle > 0 && batches > 0,
@@ -248,6 +266,6 @@ fn batched_ingest_over_tcp_addresses_owners() {
 
     // Unbalanced fleet: some frames land on a node that owns half of
     // their prefix and are taken apart there.
-    let (_, _, forwarded) = batched_fleet_run(6, rows);
+    let (_, _, forwarded, _) = batched_fleet_run(6, rows);
     assert!(forwarded > 0, "unbalanced overlay: the re-split must run");
 }

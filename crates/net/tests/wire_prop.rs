@@ -70,17 +70,17 @@ fn arb_payload() -> impl Strategy<Value = MindPayload> {
         any::<u64>(),
         "[a-z]{1,10}",
         any::<u32>(),
-        arb_code(),
+        prop::collection::vec(arb_code(), 0..40),
         arb_rect(),
         arb_filters(),
         any::<u32>(),
     )
-        .prop_map(|(query_id, index, version, code, rect, filters, origin)| {
+        .prop_map(|(query_id, index, version, codes, rect, filters, origin)| {
             MindPayload::SubQuery {
                 query_id,
                 index,
                 version,
-                code,
+                codes,
                 rect,
                 filters,
                 origin: NodeId(origin),
@@ -89,17 +89,18 @@ fn arb_payload() -> impl Strategy<Value = MindPayload> {
     let response = (
         any::<u64>(),
         any::<u32>(),
-        arb_code(),
         any::<u32>(),
-        prop::collection::vec(arb_record(), 0..6),
+        prop::collection::vec(
+            (arb_code(), prop::collection::vec(arb_record(), 0..6)),
+            0..12,
+        ),
     )
         .prop_map(
-            |(query_id, version, code, responder, records)| MindPayload::QueryResponse {
+            |(query_id, version, responder, answers)| MindPayload::QueryResponse {
                 query_id,
                 version,
-                code,
                 responder: NodeId(responder),
-                records,
+                answers,
             },
         );
     let create = (arb_schema(), 0u8..4).prop_map(|(schema, r)| {

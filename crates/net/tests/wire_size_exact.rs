@@ -89,7 +89,35 @@ fn variant_name(p: &MindPayload) -> &'static str {
     }
 }
 
-/// One representative (non-degenerate) sample of every payload kind.
+/// A `SubQuery` naming the given region codes.
+fn subquery(codes: &[&str]) -> MindPayload {
+    MindPayload::SubQuery {
+        query_id: 5,
+        index: "exact".into(),
+        version: 1,
+        codes: codes.iter().map(|c| BitCode::parse(c).unwrap()).collect(),
+        rect: HyperRect::new(vec![0, 0], vec![100, 100]),
+        filters: vec![],
+        origin: NodeId(1),
+    }
+}
+
+/// A `QueryResponse` answering each `(code, row count)`.
+fn response(answers: Vec<(&str, u64)>) -> MindPayload {
+    MindPayload::QueryResponse {
+        query_id: 5,
+        version: 1,
+        responder: NodeId(6),
+        answers: answers
+            .into_iter()
+            .map(|(c, n)| (BitCode::parse(c).unwrap(), records(n)))
+            .collect(),
+    }
+}
+
+/// Representative (non-degenerate) samples of every payload kind; the
+/// two multi-region kinds also at 0, 1 and many regions, with empty and
+/// non-empty answers.
 fn samples() -> Vec<MindPayload> {
     vec![
         MindPayload::CreateIndex {
@@ -153,28 +181,19 @@ fn samples() -> Vec<MindPayload> {
             }],
             origin: NodeId(1),
         },
-        MindPayload::SubQuery {
-            query_id: 5,
-            index: "exact".into(),
-            version: 1,
-            code: BitCode::parse("0101").unwrap(),
-            rect: HyperRect::new(vec![0, 0], vec![100, 100]),
-            filters: vec![],
-            origin: NodeId(1),
-        },
+        subquery(&[]),
+        subquery(&["0101"]),
+        subquery(&["0100", "01010", "01011", "011"]),
         MindPayload::QueryPlan {
             query_id: 5,
             version: 1,
             codes: vec![BitCode::parse("01").unwrap(), BitCode::parse("10").unwrap()],
             replaces: Some(BitCode::parse("0").unwrap()),
         },
-        MindPayload::QueryResponse {
-            query_id: 5,
-            version: 1,
-            code: BitCode::parse("01").unwrap(),
-            responder: NodeId(6),
-            records: records(3),
-        },
+        response(vec![]),
+        response(vec![("01", 0)]),
+        response(vec![("01", 3)]),
+        response(vec![("0100", 2), ("01010", 0), ("011", 5)]),
         MindPayload::CreateTrigger { trigger: trigger() },
         MindPayload::DropTrigger { trigger_id: 9 },
         MindPayload::TriggerFired {
@@ -220,7 +239,7 @@ fn wire_size_is_exact_for_every_payload_kind() {
     use mind_types::WireSize;
 
     let samples = samples();
-    // Every kind is represented exactly once (the compile-time guard in
+    // Every kind is represented (the compile-time guard in
     // `variant_name` only helps if the sample actually exists).
     let mut names: Vec<&str> = samples.iter().map(variant_name).collect();
     names.sort_unstable();

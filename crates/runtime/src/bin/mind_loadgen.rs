@@ -12,7 +12,9 @@
 //! `nodeK_insert_frames=idle:..,ack:..,size:..,age:..` — what released
 //! each insert frame the node's batcher shipped — and
 //! `nodeK_insert_rows_forwarded=`, the rows it re-split toward their
-//! owner). Exits nonzero if the run
+//! owner, `nodeK_subquery_scans=` / `nodeK_query_regions=` /
+//! `nodeK_regions_per_scan=`, the sub-query scan jobs it ran, the
+//! covering regions they answered and their ratio). Exits nonzero if the run
 //! errors, conservation or the audit fails, or the sustained insert rate
 //! falls below `--min-insert-rate`. `--shutdown` sends every node a
 //! clean control-protocol shutdown after the run.

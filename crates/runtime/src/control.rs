@@ -61,13 +61,25 @@ pub enum ControlRequest {
     IsMember,
     /// The node's transport counters.
     HostStats,
-    /// The node's ingest counters: insert frames by flush cause and rows
-    /// re-split toward their owner.
-    IngestStats,
+    /// The node's protocol counters ([`NodeStats`]).
+    NodeStats,
     /// The node's audited state (for fleet-wide invariant checks).
     Snapshot,
     /// Clean process shutdown via the stop flag (no signals involved).
     Shutdown,
+}
+
+/// What one node's ingest and query planes did, from its `NodeMetrics`.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct NodeStats {
+    /// Insert frames the node's batcher shipped, by flush cause.
+    pub frames: FlushCounts,
+    /// Rows the node re-originated toward their owner.
+    pub rows_forwarded: u64,
+    /// Sub-query scan jobs the node ran (one per `SubQuery` it answered).
+    pub subquery_scans: u64,
+    /// Covering regions those scan jobs answered.
+    pub query_regions: u64,
 }
 
 /// The node's answer to one [`ControlRequest`].
@@ -87,13 +99,8 @@ pub enum ControlResponse {
     Member(bool),
     /// Answer to [`ControlRequest::HostStats`].
     HostStats(HostStatsSnapshot),
-    /// Answer to [`ControlRequest::IngestStats`].
-    IngestStats {
-        /// Insert frames the node's batcher shipped, by flush cause.
-        frames: FlushCounts,
-        /// Rows the node re-originated toward their owner.
-        rows_forwarded: u64,
-    },
+    /// Answer to [`ControlRequest::NodeStats`].
+    NodeStats(NodeStats),
     /// Answer to [`ControlRequest::Snapshot`].
     Snapshot(NodeSnapshot),
     /// The operation failed node-side.

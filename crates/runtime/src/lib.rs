@@ -30,6 +30,6 @@ pub mod loadgen;
 pub mod server;
 
 pub use config::ClusterSpec;
-pub use control::{ControlClient, ControlRequest, ControlResponse};
+pub use control::{ControlClient, ControlRequest, ControlResponse, NodeStats};
 pub use hist::LatencyHistogram;
 pub use loadgen::{LoadOptions, LoadReport};

@@ -7,10 +7,10 @@
 //! tests drive exactly the code path the binary ships.
 
 use crate::config::ClusterSpec;
-use crate::control::{ControlClient, ControlRequest, ControlResponse};
+use crate::control::{ControlClient, ControlRequest, ControlResponse, NodeStats};
 use crate::hist::LatencyHistogram;
 use mind_audit::{Auditor, Snapshot};
-use mind_core::{FlushCounts, Replication};
+use mind_core::Replication;
 use mind_types::{AttrDef, AttrKind, IndexSchema, NodeId, Record};
 use std::io;
 use std::time::{Duration, Instant};
@@ -76,10 +76,10 @@ pub struct LoadReport {
     pub audit_clean: bool,
     /// Transport sends dropped, summed over nodes.
     pub sends_dropped: u64,
-    /// Per node, in id order: insert frames by flush cause and rows the
-    /// node re-split toward their owner (nonzero only on an unbalanced
-    /// overlay).
-    pub ingest: Vec<(FlushCounts, u64)>,
+    /// Per node, in id order: insert frames by flush cause, rows the node
+    /// re-split toward their owner (nonzero only on an unbalanced
+    /// overlay), sub-query scan jobs and the regions they answered.
+    pub per_node: Vec<NodeStats>,
 }
 
 impl LoadReport {
@@ -88,14 +88,24 @@ impl LoadReport {
         let (ip50, ip99, ip999) = self.insert_hist.percentiles();
         let (qp50, qp99, qp999) = self.query_hist.percentiles();
         let per_node: String = self
-            .ingest
+            .per_node
             .iter()
             .enumerate()
-            .map(|(k, (f, forwarded))| {
+            .map(|(k, s)| {
+                let f = s.frames;
                 format!(
                     "\nnode{k}_insert_frames=idle:{},ack:{},size:{},age:{}\
-                     \nnode{k}_insert_rows_forwarded={forwarded}",
-                    f.idle, f.ack, f.size, f.age
+                     \nnode{k}_insert_rows_forwarded={}\
+                     \nnode{k}_subquery_scans={}\nnode{k}_query_regions={}\
+                     \nnode{k}_regions_per_scan={:.1}",
+                    f.idle,
+                    f.ack,
+                    f.size,
+                    f.age,
+                    s.rows_forwarded,
+                    s.subquery_scans,
+                    s.query_regions,
+                    s.query_regions as f64 / s.subquery_scans.max(1) as f64
                 )
             })
             .collect();
@@ -315,20 +325,17 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
     let snapshot = Snapshot { now: 0, nodes };
     let audit_clean = Auditor::settled().audit(&snapshot).is_clean();
 
-    // Transport drop counts, summed; ingest counters, per node.
+    // Transport drop counts, summed; protocol counters, per node.
     let mut sends_dropped = 0u64;
-    let mut ingest = Vec::with_capacity(n);
+    let mut per_node = Vec::with_capacity(n);
     for c in clients.iter_mut() {
         match c.call(&ControlRequest::HostStats)? {
             ControlResponse::HostStats(s) => sends_dropped += s.sends_dropped,
             r => return Err(other_err(format!("stats failed: {r:?}"))),
         }
-        match c.call(&ControlRequest::IngestStats)? {
-            ControlResponse::IngestStats {
-                frames,
-                rows_forwarded,
-            } => ingest.push((frames, rows_forwarded)),
-            r => return Err(other_err(format!("ingest stats failed: {r:?}"))),
+        match c.call(&ControlRequest::NodeStats)? {
+            ControlResponse::NodeStats(s) => per_node.push(s),
+            r => return Err(other_err(format!("node stats failed: {r:?}"))),
         }
     }
 
@@ -344,7 +351,7 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         conserved,
         audit_clean,
         sends_dropped,
-        ingest,
+        per_node,
     })
 }
 

@@ -8,7 +8,7 @@
 //! flag, the accept loop unblocks itself, and the process's main thread
 //! proceeds to halt the host.
 
-use crate::control::{ControlRequest, ControlResponse};
+use crate::control::{ControlRequest, ControlResponse, NodeStats};
 use mind_core::audit::snapshot_node;
 use mind_core::{MindNode, QueryOutcome};
 use mind_histogram::CutTree;
@@ -152,14 +152,15 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
             Some(m) => ControlResponse::Member(m),
             None => ControlResponse::Err("host stopped".into()),
         },
-        ControlRequest::IngestStats => {
-            match handle
-                .invoke(|n, _now, _out| (n.metrics.insert_frames, n.metrics.insert_rows_forwarded))
-            {
-                Some((frames, rows_forwarded)) => ControlResponse::IngestStats {
-                    frames,
-                    rows_forwarded,
-                },
+        ControlRequest::NodeStats => {
+            let stats = handle.invoke(|n, _now, _out| NodeStats {
+                frames: n.metrics.insert_frames,
+                rows_forwarded: n.metrics.insert_rows_forwarded,
+                subquery_scans: n.metrics.subqueries_answered,
+                query_regions: n.metrics.query_regions_answered,
+            });
+            match stats {
+                Some(stats) => ControlResponse::NodeStats(stats),
                 None => ControlResponse::Err("host stopped".into()),
             }
         }

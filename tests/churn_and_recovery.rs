@@ -206,3 +206,32 @@ fn query_from_every_survivor_completes_on_degraded_overlay() {
         assert!(outcome.complete, "query from survivor {k} incomplete");
     }
 }
+
+#[test]
+fn claimant_hands_the_rest_of_a_group_on_strictly_deeper() {
+    // Three nodes: 00, 01 and 1. The pair dies together, so nobody can
+    // shorten its code and the survivor answers through a claim on the
+    // one half it kept as a contact. Its own sub-query group for the
+    // prefix `0` comes back to it (the claim makes it the answerer); the
+    // regions outside the claim must then leave grouped one level deeper
+    // — `01`, which nobody answers — and not as `0` again, which would
+    // come back forever. The query ends: incomplete, at its deadline.
+    let mut cluster = build(3, 35, Replication::None);
+    let survivor = NodeId(2);
+    assert_eq!(cluster.topology().code(2).len(), 1);
+    cluster.crash(NodeId(0));
+    cluster.crash(NodeId(1));
+    cluster.run_for(90 * SECONDS);
+    let claimed = cluster.world().node(survivor).overlay().claimed().clone();
+    assert_eq!(claimed.len(), 1, "the survivor knew one half: {claimed:?}");
+    assert_eq!(claimed.first().map(|c| c.len()), Some(2));
+
+    // Just inside the bounds: the covering is leaf-fine along every face,
+    // so both dead halves contribute regions finer than the claim.
+    let q = HyperRect::new(vec![1, 1, 1], vec![(1 << 20) - 1, 86_399, (1 << 20) - 1]);
+    let outcome = cluster.query_and_wait(survivor, "t", q, vec![]).unwrap();
+    assert!(!outcome.complete, "half the space has no answerer");
+    let m = &cluster.world().node(survivor).metrics;
+    assert!(m.undeliverable > 0, "the unclaimed half was routed on");
+    assert!(m.query_regions_answered > m.subqueries_answered);
+}
