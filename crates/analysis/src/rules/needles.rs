@@ -134,7 +134,7 @@ static RECCLONE: Meta = Meta {
           belong only at the wire boundary (core's to_wire)",
     applies_in_tests: false,
     // The store's scan surface is what the zero-copy query path rests on.
-    only_prefixes: &["crates/store/src/mem.rs", "crates/store/src/dac.rs"],
+    only_prefixes: &["crates/store/src/mem.rs"],
     exempt_prefixes: &[],
 };
 
@@ -145,20 +145,6 @@ static ROUTEALLOC: Meta = Meta {
           routing cost the arena rewrite removed",
     applies_in_tests: false,
     only_prefixes: &["crates/histogram/src/flat.rs"],
-    exempt_prefixes: &[],
-};
-
-static STOREALLOC: Meta = Meta {
-    name: "storealloc",
-    why: "the bit-sliced store and the sharded scatter/gather scan path \
-          share records by Arc handle and size every buffer up front \
-          (count_range is popcount-only and allocates nothing; per-shard \
-          gathers remap ids in place in the vector the subtree scan \
-          already returned); Vec::new grow-by-push, to_vec, or a deep \
-          clone here quietly re-introduces the per-record copying and \
-          realloc churn those layouts exist to avoid",
-    applies_in_tests: false,
-    only_prefixes: &["crates/store/src/bitmap.rs", "crates/store/src/sharded.rs"],
     exempt_prefixes: &[],
 };
 
@@ -181,7 +167,7 @@ static WORLDRNG: Meta = Meta {
     exempt_prefixes: &[],
 };
 
-/// The nine needle rules.
+/// The eight needle rules.
 pub fn rules() -> Vec<Box<dyn FileRule>> {
     vec![
         Box::new(PatternRule {
@@ -219,13 +205,6 @@ pub fn rules() -> Vec<Box<dyn FileRule>> {
         }),
         Box::new(PatternRule {
             meta: &ROUTEALLOC,
-            pats: &[
-                Pat::Path(&["Vec", "new"]),
-                Pat::Method(&["to_vec", "clone"]),
-            ],
-        }),
-        Box::new(PatternRule {
-            meta: &STOREALLOC,
             pats: &[
                 Pat::Path(&["Vec", "new"]),
                 Pat::Method(&["to_vec", "clone"]),

@@ -1,4 +1,4 @@
-// analyze-as: crates/store/src/dac.rs
+// analyze-as: crates/store/src/mem.rs
 pub fn scan(records: &[Arc<Record>]) -> Vec<Arc<Record>> {
     records.iter().map(Arc::clone).collect()
 }

@@ -9,7 +9,7 @@ pub fn s() -> &'static str {
 /* nor is x.expect("boom")
    in a block comment */
 pub fn out_of_scope_clone(x: &Vec<u32>) -> Vec<u32> {
-    x.clone() // recclone/routealloc/storealloc are scoped to their modules
+    x.clone() // recclone/routealloc are scoped to their modules
 }
 #[cfg(test)]
 mod tests {

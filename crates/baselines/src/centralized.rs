@@ -40,14 +40,13 @@ pub struct CentralizedNode {
 }
 
 impl CentralizedNode {
-    /// Creates a node; `hub` is where all data lives. The store backend —
-    /// only materially exercised at the hub — follows the same
-    /// `MIND_STORE` selection as a MIND deployment.
-    pub fn new(id: NodeId, hub: NodeId, dims: usize, kind: StoreKind) -> Self {
+    /// Creates a node; `hub` is where all data lives. The store — only
+    /// materially exercised at the hub — is the one a MIND node uses.
+    pub fn new(id: NodeId, hub: NodeId, dims: usize) -> Self {
         CentralizedNode {
             id,
             hub,
-            store: kind.new_store(dims),
+            store: StoreKind::KdTree.new_store(dims),
             query_seq: 0,
             queries: HashMap::new(),
             hub_stored: 0,
@@ -180,14 +179,10 @@ mod tests {
     use mind_types::node::SECONDS;
 
     fn build(n: usize) -> World<CentralizedNode> {
-        build_kind(n, StoreKind::KdTree)
-    }
-
-    fn build_kind(n: usize, kind: StoreKind) -> World<CentralizedNode> {
         let mut w = World::new(lan_config(2));
         for k in 0..n {
             w.add_node(
-                CentralizedNode::new(NodeId(k as u32), NodeId(0), 2, kind),
+                CentralizedNode::new(NodeId(k as u32), NodeId(0), 2),
                 Site::new(format!("s{k}"), 0.0, k as f64 * 0.1),
             );
         }
@@ -196,15 +191,7 @@ mod tests {
 
     #[test]
     fn all_data_lands_on_hub_and_queries_resolve() {
-        // Backend-parameterized: the hub's answers must not depend on
-        // which store backend sits behind the trait.
-        for kind in [StoreKind::KdTree, StoreKind::Bitmap] {
-            all_data_lands_on_hub_and_queries_resolve_with(kind);
-        }
-    }
-
-    fn all_data_lands_on_hub_and_queries_resolve_with(kind: StoreKind) {
-        let mut w = build_kind(8, kind);
+        let mut w = build(8);
         for k in 0..8u32 {
             w.with_node(NodeId(k), |n, now, out| {
                 n.insert(now, Record::new(vec![k as u64, 1]), out);

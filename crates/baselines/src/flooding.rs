@@ -40,12 +40,12 @@ pub struct FloodingNode {
 
 impl FloodingNode {
     /// Creates a node that knows the full peer list. Every node evaluates
-    /// every query locally, so the backend choice shows up deployment-wide.
-    pub fn new(id: NodeId, peers: Vec<NodeId>, dims: usize, kind: StoreKind) -> Self {
+    /// every query locally, on the store a MIND node uses.
+    pub fn new(id: NodeId, peers: Vec<NodeId>, dims: usize) -> Self {
         FloodingNode {
             id,
             peers,
-            store: kind.new_store(dims),
+            store: StoreKind::KdTree.new_store(dims),
             query_seq: 0,
             queries: HashMap::new(),
             evaluations: 0,
@@ -171,15 +171,11 @@ mod tests {
     use mind_types::node::SECONDS;
 
     fn build(n: usize) -> World<FloodingNode> {
-        build_kind(n, StoreKind::KdTree)
-    }
-
-    fn build_kind(n: usize, kind: StoreKind) -> World<FloodingNode> {
         let peers: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         let mut w = World::new(lan_config(1));
         for k in 0..n {
             w.add_node(
-                FloodingNode::new(NodeId(k as u32), peers.clone(), 2, kind),
+                FloodingNode::new(NodeId(k as u32), peers.clone(), 2),
                 Site::new(format!("s{k}"), 0.0, k as f64 * 0.1),
             );
         }
@@ -188,13 +184,7 @@ mod tests {
 
     #[test]
     fn query_gathers_all_local_shares() {
-        for kind in [StoreKind::KdTree, StoreKind::Bitmap] {
-            query_gathers_all_local_shares_with(kind);
-        }
-    }
-
-    fn query_gathers_all_local_shares_with(kind: StoreKind) {
-        let mut w = build_kind(8, kind);
+        let mut w = build(8);
         // Each node stores one record at x = its id.
         for k in 0..8u64 {
             w.with_node(NodeId(k as u32), |n, _now, _out| {

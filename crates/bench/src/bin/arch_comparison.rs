@@ -32,9 +32,6 @@ fn main() {
         "distributed wins on query work vs flooding and on load spread vs centralized",
     );
     let scale = ExperimentScale::from_env(1);
-    // The baselines share the MIND deployment's store-backend selection
-    // (the MIND cluster itself reads MIND_STORE in its ClusterConfig).
-    let store_kind = mind_store::StoreKind::from_env();
     let kind = IndexKind::Octets;
     let ts_bound = 86_400;
     let t0 = 11 * 3600;
@@ -119,10 +116,7 @@ fn main() {
     let mut flood: World<FloodingNode> = World::new(sim);
     let peers: Vec<NodeId> = (0..34u32).map(NodeId).collect();
     for (k, site) in baseline_sites().into_iter().enumerate() {
-        flood.add_node(
-            FloodingNode::new(NodeId(k as u32), peers.clone(), 3, store_kind),
-            site,
-        );
+        flood.add_node(FloodingNode::new(NodeId(k as u32), peers.clone(), 3), site);
     }
     for (r, rec) in &inserts {
         let rec = rec.clone();
@@ -148,10 +142,7 @@ fn main() {
     };
     let mut central: World<CentralizedNode> = World::new(sim);
     for (k, site) in baseline_sites().into_iter().enumerate() {
-        central.add_node(
-            CentralizedNode::new(NodeId(k as u32), NodeId(0), 3, store_kind),
-            site,
-        );
+        central.add_node(CentralizedNode::new(NodeId(k as u32), NodeId(0), 3), site);
     }
     for (i, (r, rec)) in inserts.iter().enumerate() {
         let rec = rec.clone();

@@ -5,17 +5,6 @@
 //! `harness::store_sample_points`) and emits the flat-JSON report that
 //! starts the perf trajectory in `BENCH_store.json`.
 //!
-//! A second group races the two `Store` *backends* (the columnar k-d
-//! `MemStore` vs the bit-sliced `BitmapStore`) through the trait object a
-//! node actually holds, across the query shapes where their cost models
-//! diverge: point-heavy exact lookups, a wildcard-heavy count (one
-//! constrained axis, half the day), the standing narrow 5-minute range,
-//! build-from-scratch, and resident bytes. The emitted ratios are
-//! `kdtree_ns / bitmap_ns` per shape (higher = bitmap relatively faster)
-//! plus bitmap/kdtree build and bytes ratios — the gate pins each against
-//! the committed baseline rather than asserting a winner, because which
-//! backend wins is shape-dependent by design (see DESIGN.md §13).
-//!
 //! Modes:
 //!
 //! * no args — measure and print the JSON report to stdout;
@@ -33,8 +22,8 @@
 
 use mind_bench::harness::store_sample_points;
 use mind_bench::report::{json_numbers, metric, parse_json_numbers};
-use mind_store::{KdTree, NaiveKdTree, Store, StoreKind};
-use mind_types::{HyperRect, Record, RecordId};
+use mind_store::{KdTree, NaiveKdTree};
+use mind_types::{HyperRect, RecordId};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -54,29 +43,6 @@ const SPEEDUP_FLOOR: f64 = 2.0;
 const TOLERANCE: f64 = 0.20;
 /// The columnar build may cost at most this multiple of the naive build.
 const BUILD_RATIO_CEILING: f64 = 1.2;
-/// Exact-match probes per repetition in the point-heavy backend shape.
-const POINT_PROBES: usize = 64;
-/// Times each backend query shape repeats inside one timed region: the
-/// fast shapes finish in ~10 µs on the columnar tree, which is timer and
-/// scheduler noise territory; batching lengthens the region so the
-/// measured ratio reflects the data structures, not the clock.
-const QUERY_BATCH: usize = 16;
-/// Regression tolerance for the backend ratio keys. Wider than
-/// [`TOLERANCE`]: each backend ratio divides two independently-noisy
-/// sub-millisecond medians, so the gate targets structural regressions
-/// (an accidental full scan, a dropped pruning step) rather than jitter.
-const BACKEND_TOLERANCE: f64 = 0.30;
-
-/// Backend perf ratios gated with a *lower* bound only: each records how
-/// the bitmap backend fares against the columnar k-d tree on one query
-/// shape (`kdtree_ns / bitmap_ns`), and the gate forbids the bitmap from
-/// regressing relative to the committed baseline — it does not demand
-/// either backend win (the point-heavy shape structurally favors the
-/// tree; the wildcard count favors the slices).
-const BACKEND_RATIO_KEYS: [&str; 3] = ["point_ratio", "wildcard_count_ratio", "narrow_range_ratio"];
-/// Backend cost ratios gated with an *upper* bound: bitmap build time and
-/// resident bytes relative to the columnar backend must not creep up.
-const BACKEND_COST_KEYS: [&str; 2] = ["store_build_ratio", "store_bytes_ratio"];
 
 /// Median wall time of `run(setup())` over `reps` repetitions, in
 /// nanoseconds. `setup` runs outside the timed region so build benches can
@@ -145,7 +111,7 @@ fn measure() -> Vec<(String, f64)> {
     let columnar_count = median_ns(QUERY_REPS, || (), |()| columnar.count_range(&query) as u64);
     let naive_count = median_ns(QUERY_REPS, || (), |()| naive.count_range(&query) as u64);
 
-    let mut rows = vec![
+    vec![
         ("points".into(), POINTS as f64),
         ("range_hits".into(), hits as f64),
         ("naive.build_ns".into(), naive_build),
@@ -157,156 +123,6 @@ fn measure() -> Vec<(String, f64)> {
         ("range_speedup".into(), naive_range / columnar_range),
         ("count_speedup".into(), naive_count / columnar_count),
         ("build_ratio".into(), columnar_build / naive_build),
-    ];
-    rows.extend(measure_backends(&pts));
-    rows
-}
-
-/// One query shape measured on both backends with *paired* samples:
-/// `kd_ns`/`bm_ns` are per-batch medians, `ratio` is the median of the
-/// per-repetition `kd/bm` quotients. Pairing matters: timing one backend
-/// to completion and then the other lets frequency/thermal drift between
-/// the two phases masquerade as a ratio change, while back-to-back
-/// samples see the same machine state and the drift cancels. (The ratio
-/// row may therefore differ slightly from the quotient of the ns rows.)
-struct PairedShape {
-    kd_ns: f64,
-    bm_ns: f64,
-    ratio: f64,
-}
-
-/// Builds one backend from the workload through the trait object a node
-/// actually holds.
-fn build_backend(kind: StoreKind, pts: &[Vec<u64>]) -> Box<dyn Store> {
-    let mut s = kind.new_store(3);
-    for p in pts {
-        s.insert(Record::new(p.clone()));
-    }
-    s.rebuild();
-    s
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
-/// Interleaved measurement of one shape on both backends. Each closure
-/// runs one full pass and returns a hit count to black-box.
-fn paired_shape(
-    reps: usize,
-    mut kd: impl FnMut() -> u64,
-    mut bm: impl FnMut() -> u64,
-) -> PairedShape {
-    // Warm both sides before the first paired sample.
-    std::hint::black_box(kd());
-    std::hint::black_box(bm());
-    let mut kds = Vec::with_capacity(reps);
-    let mut bms = Vec::with_capacity(reps);
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now(); // lint:allow(wallclock) measuring real time is this binary's purpose
-        std::hint::black_box(kd());
-        let a = t.elapsed().as_nanos() as f64;
-        let t = Instant::now(); // lint:allow(wallclock) measuring real time is this binary's purpose
-        std::hint::black_box(bm());
-        let b = t.elapsed().as_nanos() as f64;
-        kds.push(a);
-        bms.push(b);
-        ratios.push(a / b);
-    }
-    PairedShape {
-        kd_ns: median(kds),
-        bm_ns: median(bms),
-        ratio: median(ratios),
-    }
-}
-
-/// The per-backend, per-query-shape rows: columnar k-d vs bit-sliced
-/// bitmap, both behind `dyn Store`, on identical input.
-fn measure_backends(pts: &[Vec<u64>]) -> Vec<(String, f64)> {
-    // The standing 5-minute monitoring window (narrow on time, wildcarded
-    // elsewhere) — same rect as the tree-vs-tree group above.
-    let narrow = HyperRect::new(vec![0, 40_000, 0], vec![u32::MAX as u64, 40_300, 2 << 20]);
-    // Wildcard-heavy count: only the time axis constrains (half the day);
-    // the other axes span the whole u64 domain, so the bitmap walks a
-    // single dimension's slices while the trees must visit every
-    // half-covered subtree.
-    let wildcard = HyperRect::new(vec![0, 0, 0], vec![u64::MAX, 43_200, u64::MAX]);
-    // Point-heavy: exact-match rects on stored coordinates, spread evenly
-    // through insertion order.
-    let probes: Vec<HyperRect> = pts
-        .iter()
-        .step_by(POINTS / POINT_PROBES)
-        .take(POINT_PROBES)
-        .map(|p| HyperRect::new(p.clone(), p.clone()))
-        .collect();
-
-    let kd = build_backend(StoreKind::KdTree, pts);
-    let bm = build_backend(StoreKind::Bitmap, pts);
-
-    // Differential check on every shape about to be timed: a perf row for
-    // a backend that answers wrongly is worse than meaningless.
-    for rect in probes.iter().chain([&narrow, &wildcard]) {
-        let mut kd_ids = kd.range_ids(rect);
-        kd_ids.sort();
-        assert_eq!(kd_ids, bm.range_ids(rect), "backends disagree on {rect:?}");
-        assert_eq!(kd.count_range(rect), bm.count_range(rect));
-    }
-    eprintln!(
-        "bench_store: backends agree; wildcard count {} / point probes {}",
-        kd.count_range(&wildcard),
-        POINT_PROBES
-    );
-
-    let batch = |store: &dyn Store, per_pass: &dyn Fn(&dyn Store) -> u64| {
-        (0..QUERY_BATCH).map(|_| per_pass(store)).sum::<u64>()
-    };
-    let point_pass: &dyn Fn(&dyn Store) -> u64 =
-        &|s| probes.iter().map(|r| s.range_ids(r).len() as u64).sum();
-    let wild_pass: &dyn Fn(&dyn Store) -> u64 = &|s| s.count_range(&wildcard) as u64;
-    let narrow_pass: &dyn Fn(&dyn Store) -> u64 = &|s| s.range_records(&narrow).len() as u64;
-
-    let point = paired_shape(
-        QUERY_REPS,
-        || batch(kd.as_ref(), point_pass),
-        || batch(bm.as_ref(), point_pass),
-    );
-    let wild = paired_shape(
-        QUERY_REPS,
-        || batch(kd.as_ref(), wild_pass),
-        || batch(bm.as_ref(), wild_pass),
-    );
-    let nar = paired_shape(
-        QUERY_REPS,
-        || batch(kd.as_ref(), narrow_pass),
-        || batch(bm.as_ref(), narrow_pass),
-    );
-    let build = paired_shape(
-        BUILD_REPS,
-        || build_backend(StoreKind::KdTree, pts).len() as u64,
-        || build_backend(StoreKind::Bitmap, pts).len() as u64,
-    );
-    let (kd_bytes, bm_bytes) = (kd.approx_bytes() as f64, bm.approx_bytes() as f64);
-
-    vec![
-        ("kdtree.point_ns".into(), point.kd_ns),
-        ("bitmap.point_ns".into(), point.bm_ns),
-        ("kdtree.wildcard_count_ns".into(), wild.kd_ns),
-        ("bitmap.wildcard_count_ns".into(), wild.bm_ns),
-        ("kdtree.narrow_range_ns".into(), nar.kd_ns),
-        ("bitmap.narrow_range_ns".into(), nar.bm_ns),
-        ("kdtree.store_build_ns".into(), build.kd_ns),
-        ("bitmap.store_build_ns".into(), build.bm_ns),
-        ("kdtree.store_bytes".into(), kd_bytes),
-        ("bitmap.store_bytes".into(), bm_bytes),
-        ("point_ratio".into(), point.ratio),
-        ("wildcard_count_ratio".into(), wild.ratio),
-        ("narrow_range_ratio".into(), nar.ratio),
-        // Build ratio is bitmap/kdtree (a cost, gated with a ceiling), so
-        // invert the paired kd/bm quotient.
-        ("store_build_ratio".into(), 1.0 / build.ratio),
-        ("store_bytes_ratio".into(), bm_bytes / kd_bytes),
     ]
 }
 
@@ -337,35 +153,6 @@ fn check(current: &[(String, f64)], baseline: &[(String, f64)]) -> usize {
         violations += 1;
     } else {
         println!("ok   build_ratio: {cur:.2} (ceiling {ceiling:.2}, baseline {base:.2})");
-    }
-
-    // Backend rows: the bitmap must not lose ground against the columnar
-    // tree on any shape (lower bound on the kdtree/bitmap perf ratios) nor
-    // grow more expensive to build or hold (upper bound on the cost
-    // ratios). No absolute floor here: which backend wins each shape is a
-    // property of the shape, and the honest measured ratios are what the
-    // baseline commits to (DESIGN.md §13).
-    for key in BACKEND_RATIO_KEYS {
-        let base = metric(baseline, key).unwrap_or_else(|| panic!("baseline missing {key}"));
-        let cur = metric(current, key).unwrap_or_else(|| panic!("measurement missing {key}"));
-        let floor = base * (1.0 - BACKEND_TOLERANCE);
-        if cur < floor {
-            println!("FAIL {key}: {cur:.2} < floor {floor:.2} (baseline {base:.2})");
-            violations += 1;
-        } else {
-            println!("ok   {key}: {cur:.2} (floor {floor:.2}, baseline {base:.2})");
-        }
-    }
-    for key in BACKEND_COST_KEYS {
-        let base = metric(baseline, key).unwrap_or_else(|| panic!("baseline missing {key}"));
-        let cur = metric(current, key).unwrap_or_else(|| panic!("measurement missing {key}"));
-        let ceiling = base * (1.0 + BACKEND_TOLERANCE);
-        if cur > ceiling {
-            println!("FAIL {key}: {cur:.2} > ceiling {ceiling:.2} (baseline {base:.2})");
-            violations += 1;
-        } else {
-            println!("ok   {key}: {cur:.2} (ceiling {ceiling:.2}, baseline {base:.2})");
-        }
     }
     violations
 }

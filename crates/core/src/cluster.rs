@@ -48,10 +48,7 @@ impl ClusterConfig {
                 ..SimConfig::default()
             },
             overlay: OverlayConfig::default(),
-            mind: MindConfig {
-                store_kind: mind_store::StoreKind::from_env(),
-                ..MindConfig::default()
-            },
+            mind: MindConfig::default(),
             sites: mind_netsim::topology::baseline_sites(),
         }
     }
@@ -64,10 +61,7 @@ impl ClusterConfig {
                 ..SimConfig::default()
             },
             overlay: OverlayConfig::default(),
-            mind: MindConfig {
-                store_kind: mind_store::StoreKind::from_env(),
-                ..MindConfig::default()
-            },
+            mind: MindConfig::default(),
             sites: mind_netsim::planetlab_sites(n, seed),
         }
     }

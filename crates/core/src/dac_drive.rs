@@ -840,6 +840,76 @@ mod tests {
         )
     }
 
+    /// The Figure 11 effect: a scan queued behind a heavy insert batch is
+    /// answered only once the inserts' modelled cost has elapsed.
+    #[test]
+    fn scan_queued_behind_a_heavy_insert_batch_waits_for_it() {
+        let bounds = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+        let cuts = CutTree::balanced_from_points(bounds.clone(), 1, &[]);
+        let codes: Vec<BitCode> = cuts.leaves().into_iter().map(|(code, _)| code).collect();
+        let mut n = node_with(cuts, &[], &[]);
+        let cost = n.cfg.dac_cost;
+        let mut out = Out::new();
+        n.enqueue(
+            0,
+            DacJob::InsertBatch {
+                index: "t".into(),
+                version: 0,
+                records: (0..5000)
+                    .map(|i| Record::new(vec![i % 256, i / 256, 0]))
+                    .collect(),
+                sent_at: 0,
+                routed_to: n.overlay.code(),
+                acker: NodeId(1),
+                op_id: 0,
+            },
+            &mut out,
+        );
+        n.enqueue(
+            0,
+            DacJob::Scan {
+                query_id: 7,
+                index: "t".into(),
+                version: 0,
+                codes,
+                rect: bounds,
+                filters: Vec::new(),
+                origin: NodeId(1),
+            },
+            &mut out,
+        );
+
+        let batch_id = n.batch_seq;
+        let mut out = Out::new();
+        assert!(n.handle_dac_timer(1, KIND_DAC_TICK, 0, &mut out));
+        assert!(out.sends.is_empty(), "no answer before the batch is paid");
+        let [(delay, tok, _)] = out.timers[..] else {
+            panic!("one batch-release timer, got {:?}", out.timers);
+        };
+        assert_eq!(tok, token(KIND_BATCH, batch_id));
+        assert!(
+            delay >= cost.per_insert * 5000 + cost.per_query,
+            "queued inserts dominate, got {delay}"
+        );
+
+        let mut out = Out::new();
+        assert!(n.handle_dac_timer(1 + delay, KIND_BATCH, batch_id, &mut out));
+        let [(NodeId(1), OverlayMsg::Direct { payload })] = &out.sends[..] else {
+            panic!("one direct answer to the origin, got {:?}", out.sends);
+        };
+        let MindPayload::QueryResponse {
+            query_id, answers, ..
+        } = payload
+        else {
+            panic!("a query response, got {payload:?}");
+        };
+        assert_eq!(*query_id, 7);
+        assert_eq!(
+            answers.iter().map(|(_, rows)| rows.len()).sum::<usize>(),
+            5000
+        );
+    }
+
     proptest! {
         /// The shared scan is exact: per region code it returns the rows
         /// the clipped single-region scan returns, and nothing else.

@@ -23,8 +23,8 @@ pub struct IndexVersion {
     /// points at the same allocation within a process.
     pub cuts: Arc<CutTree>,
     /// Rows this node owns as the region's primary. The backend behind
-    /// the `dyn Store` is uniform across a node's versions and chosen by
-    /// [`StoreKind`] in the node config (`MIND_STORE`).
+    /// the `dyn Store` is uniform across a node's versions, built by the
+    /// node config's [`StoreKind`].
     pub primary: Box<dyn Store>,
     /// Replica copies pushed by prefix neighbors. Kept separate from the
     /// primaries so that (a) join-time handoff scans return only the

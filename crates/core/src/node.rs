@@ -47,8 +47,7 @@ pub(crate) fn token(kind: u64, arg: u64) -> u64 {
 pub struct MindConfig {
     /// Storage processing costs (models the prototype's MySQL + JDBC).
     pub dac_cost: DacCostModel,
-    /// Store backend for every per-version record store on this node
-    /// (`MIND_STORE=kdtree|bitmap`; see [`StoreKind::from_env`]).
+    /// Store backend for every per-version record store on this node.
     pub store_kind: StoreKind,
     /// Requests processed per DAC batch.
     pub dac_batch_size: usize,

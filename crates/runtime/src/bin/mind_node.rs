@@ -14,15 +14,12 @@
 //! Reads the cluster spec (`id node_addr control_addr` per line), binds
 //! this node's overlay and control listeners, hosts the `MindNode` logic
 //! on a `TcpHost`, and serves the control protocol until a `Shutdown`
-//! request flips the stop flag — no signals involved. The store backend
-//! honors `MIND_STORE`/`MIND_SHARDS`, defaulting the sharded backend's
-//! shard count to the host's core count (`StoreKind::from_env_runtime`).
+//! request flips the stop flag — no signals involved.
 
 use mind_core::{MindConfig, MindNode};
 use mind_net::TcpHost;
 use mind_overlay::{OverlayConfig, StaticTopology};
 use mind_runtime::{server, ClusterSpec};
-use mind_store::StoreKind;
 use mind_types::node::MILLIS;
 use mind_types::NodeId;
 use std::net::TcpListener;
@@ -127,7 +124,6 @@ fn main() -> ExitCode {
         .map(|d| d.as_millis() as u64)
         .unwrap_or(1);
     let mind_cfg = MindConfig {
-        store_kind: StoreKind::from_env_runtime(),
         retry_timeout: args.retry_ms * MILLIS,
         anti_entropy_interval: args.anti_entropy_ms * MILLIS,
         insert_batch_max: args.batch_max,

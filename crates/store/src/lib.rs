@@ -14,35 +14,26 @@
 //!   record heap plus a k-d index with an insert buffer and periodic
 //!   rebuild (versions are dropped wholesale when they age out, so there is
 //!   no per-record delete path),
-//! * [`ShardedStore`] — N per-core `MemStore` subtrees behind one store:
-//!   records scatter by id hash, scans gather in parallel with a
-//!   deterministic shard-order merge (`MIND_SHARDS`),
-//! * [`Dac`] — the request queue with batched processing and an explicit
-//!   cost model, which is what gives the simulator realistic per-node
-//!   processing delays (the paper attributes its latency tails partly to
-//!   DAC queuing).
+//! * [`DacCostModel`] — what a DAC batch costs in simulated time, which is
+//!   what gives the simulator realistic per-node processing delays (the
+//!   paper attributes its latency tails partly to DAC queuing; the queue
+//!   itself is `mind-core`'s `dac_drive`).
 //!
-//! All of the above sit behind the dyn-safe [`Store`] trait: `mind-core`,
-//! the DAC, and the baselines hold `Box<dyn Store>`, and the backend —
-//! [`MemStore`] (columnar k-d) or [`BitmapStore`] (bit-sliced bitmaps) —
-//! is picked per deployment via [`StoreKind`] (`MIND_STORE=kdtree|bitmap`).
-//! The two backends are raced differentially: proptests, the `store_range`
-//! fuzz target, and the chaos suite all assert they agree exactly.
+//! [`MemStore`] sits behind the dyn-safe [`Store`] trait: `mind-core` and
+//! the baselines hold `Box<dyn Store>` built by [`StoreKind`]. It is raced
+//! differentially against [`NaiveKdTree`] and brute force by proptests and
+//! the `store_range` fuzz target.
 
 #![warn(missing_docs)]
 
-pub mod bitmap;
 pub mod dac;
 pub mod kdtree;
 pub mod mem;
 pub mod naive;
-pub mod sharded;
 pub mod store;
 
-pub use bitmap::BitmapStore;
-pub use dac::{Dac, DacCostModel, DacRequest, DacResponse};
+pub use dac::DacCostModel;
 pub use kdtree::KdTree;
 pub use mem::MemStore;
 pub use naive::NaiveKdTree;
-pub use sharded::ShardedStore;
 pub use store::{fuzz_store_range, Store, StoreKind};

@@ -1,24 +1,15 @@
-//! The pluggable store interface and backend selection.
+//! The store interface and its one backend.
 //!
 //! [`Store`] is the seam the rest of the system sees: `mind-core`'s
-//! per-version stores, the DAC queue, and the baseline architectures all
-//! hold `Box<dyn Store>` and never name a concrete backend. Three
-//! implementations exist today — the columnar k-d tree
-//! ([`crate::MemStore`]), the bit-sliced bitmap index
-//! ([`crate::BitmapStore`]), and the per-core sharded store
-//! ([`crate::ShardedStore`]) — and the trait is deliberately dyn-safe so a
-//! future disk-resident backend slots in behind the same methods.
-//!
-//! Backend choice is configuration, not code: [`StoreKind`] parses the
-//! `MIND_STORE` (`kdtree` | `bitmap` | `sharded`) and `MIND_SHARDS`
-//! environment variables the same way the bench harness's
-//! `ExperimentScale` parses `MIND_SCALE` — a set-but-malformed value falls
-//! back to the default *with a warning on stderr*, because silently
-//! ignoring a typo would make a "bitmap" run measure the k-d tree.
+//! per-version stores and the baseline architectures hold `Box<dyn Store>`
+//! and never name a concrete type. One implementation stands behind it —
+//! the columnar k-d tree ([`crate::MemStore`]) — and the trait is
+//! deliberately dyn-safe so a replacement (levelled runs, a disk-resident
+//! store) slots in behind the same methods. [`StoreKind`] is the
+//! constructor callers name; nothing reads it from the environment.
 
-use crate::bitmap::BitmapStore;
 use crate::mem::MemStore;
-use crate::sharded::ShardedStore;
+use crate::naive::NaiveKdTree;
 use mind_types::{HyperRect, Record, RecordId};
 use std::sync::Arc;
 
@@ -36,12 +27,11 @@ pub trait Store: std::fmt::Debug + Send {
 
     /// Appends a whole batch of records, in order. Equivalent to calling
     /// [`Store::insert`] once per record — ids stay dense and
-    /// insertion-ordered — but backends override it to amortize per-insert
-    /// bookkeeping over the batch (the k-d backends run their rebuild
-    /// check once instead of per record; the sharded backend scatters the
-    /// batch across subtrees in one pass). The ingest fast path hands the
-    /// DAC whole `InsertBatch` payloads, so this is the hot entry point
-    /// under batched wire traffic.
+    /// insertion-ordered — but a backend may override it to amortize
+    /// per-insert bookkeeping over the batch (the k-d store rebuilds at most
+    /// once, at the row single inserts would have). The ingest fast path
+    /// hands the DAC whole `InsertBatch` payloads, so this is the hot entry
+    /// point under batched wire traffic.
     fn insert_batch(&mut self, records: Vec<Record>) {
         for record in records {
             self.insert(record);
@@ -79,147 +69,36 @@ pub trait Store: std::fmt::Debug + Send {
     }
 }
 
-/// Which [`Store`] backend a node uses, selected via `MIND_STORE` (and,
-/// for the sharded backend, `MIND_SHARDS`).
+/// The [`Store`] backend a node builds its per-version stores from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreKind {
-    /// The columnar k-d tree (`MemStore`): best at selective queries the
-    /// tree can prune, and the default.
+    /// The columnar k-d tree (`MemStore`).
     #[default]
     KdTree,
-    /// The bit-sliced bitmap index (`BitmapStore`): selectivity-
-    /// independent scans, popcount-only counting.
-    Bitmap,
-    /// The per-core sharded store (`ShardedStore`): `n` columnar k-d
-    /// subtrees scattered by record-id hash, scanned scatter/gather in
-    /// parallel.
-    Sharded(u32),
 }
 
-/// Shard count used when `MIND_STORE=sharded` is requested without an
-/// explicit `MIND_SHARDS` — fixed (not derived from the host's core
-/// count) so the same configuration means the same data layout on every
-/// machine.
-const DEFAULT_SHARDS: u32 = 4;
-
 impl StoreKind {
-    /// Reads `MIND_STORE` (`kdtree` | `bitmap` | `sharded`) and
-    /// `MIND_SHARDS` (a positive shard count) from the environment,
-    /// defaulting to [`StoreKind::KdTree`]. Setting `MIND_SHARDS` alone
-    /// selects the sharded backend — the shards *are* k-d subtrees, so a
-    /// shard count is a complete backend choice on its own. Set-but-
-    /// malformed values fall back with a warning on stderr (mirroring the
-    /// bench harness's `ExperimentScale::from_env`).
-    pub fn from_env() -> Self {
-        Self::from_lookup(|name| std::env::var(name).ok())
-    }
-
-    /// [`Self::from_env`] for the real (non-simulated) runtime: when the
-    /// sharded backend is selected without an explicit `MIND_SHARDS`, the
-    /// default shard count is derived from the host's available
-    /// parallelism instead of the fixed simulation default — a real
-    /// `mind-node` process wants one shard per core. An explicit
-    /// `MIND_SHARDS` still wins, and the simulator keeps the fixed
-    /// [`StoreKind::from_env`] default so same-seed replay means the same
-    /// data layout on every machine.
-    pub fn from_env_runtime() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(DEFAULT_SHARDS);
-        Self::from_lookup_with_default(|name| std::env::var(name).ok(), cores)
-    }
-
-    /// [`Self::from_env`] with an injectable variable lookup, so the
-    /// malformed-input paths are testable without mutating the process
-    /// environment (env vars are global state across test threads).
-    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
-        Self::from_lookup_with_default(lookup, DEFAULT_SHARDS)
-    }
-
-    /// The shared parser behind [`Self::from_env`] (fixed sim default)
-    /// and [`Self::from_env_runtime`] (core-count default).
-    fn from_lookup_with_default(
-        lookup: impl Fn(&str) -> Option<String>,
-        default_shards: u32,
-    ) -> Self {
-        let shards = match lookup("MIND_SHARDS") {
-            None => None,
-            Some(s) => match s.parse::<u32>() {
-                Ok(n) if n >= 1 => Some(n),
-                _ => {
-                    eprintln!(
-                        "warning: ignoring malformed MIND_SHARDS={s:?}; \
-                         expected a positive shard count"
-                    );
-                    None
-                }
-            },
-        };
-        match lookup("MIND_STORE") {
-            // No explicit backend: a shard count alone means "sharded".
-            None => match shards {
-                Some(n) => StoreKind::Sharded(n),
-                None => StoreKind::default(),
-            },
-            Some(s) => match s.as_str() {
-                // An explicit `kdtree` with a shard count still shards —
-                // the shards are k-d trees, and `MIND_SHARDS=1` is the
-                // degenerate single-subtree layout, not a different index.
-                "kdtree" => match shards {
-                    Some(n) => StoreKind::Sharded(n),
-                    None => StoreKind::KdTree,
-                },
-                "bitmap" => {
-                    if shards.is_some() {
-                        eprintln!(
-                            "warning: MIND_SHARDS is ignored when MIND_STORE=bitmap \
-                             (the bitmap backend is unsharded)"
-                        );
-                    }
-                    StoreKind::Bitmap
-                }
-                "sharded" => StoreKind::Sharded(shards.unwrap_or(default_shards)),
-                _ => {
-                    let default = StoreKind::default();
-                    eprintln!(
-                        "warning: ignoring malformed MIND_STORE={s:?}; using {}",
-                        default.name()
-                    );
-                    default
-                }
-            },
-        }
-    }
-
-    /// The `MIND_STORE` spelling of this backend.
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreKind::KdTree => "kdtree",
-            StoreKind::Bitmap => "bitmap",
-            StoreKind::Sharded(_) => "sharded",
-        }
-    }
-
     /// Creates an empty store of this kind with `dims` indexed dimensions.
     pub fn new_store(self, dims: usize) -> Box<dyn Store> {
         match self {
             StoreKind::KdTree => Box::new(MemStore::new(dims)),
-            StoreKind::Bitmap => Box::new(BitmapStore::new(dims)),
-            StoreKind::Sharded(n) => Box::new(ShardedStore::new(dims, n as usize)),
         }
     }
 }
 
 /// Differential fuzz driver shared by the `store_range` fuzz target and its
 /// unit tests: parses arbitrary bytes into a record set plus a query
-/// rectangle, drives both backends through the [`Store`] trait, and asserts
-/// they agree exactly with each other and with a brute-force scan.
+/// rectangle and asserts that the k-d store filled one `insert` at a time,
+/// the k-d store filled by one `insert_batch` of the same rows (its own
+/// rebuild-at-the-same-row path), the [`NaiveKdTree`] oracle and a
+/// brute-force scan agree exactly on ids and counts.
 ///
-/// Input layout: `data[0]` packs the dimensionality (`1 + data[0] % 3`), a
-/// rebuild-control bit (`data[0] & 0x80`), and a shard count for the
-/// sharded backend (`1 + (data[0] >> 2) % 8`); the remaining bytes are
-/// read as little-endian u64s — first `2 * dims` become the rect bounds
-/// (normalized so `lo <= hi` per axis), the rest become points.
+/// Input layout (frozen: the committed `fuzz/corpus/store_range` inputs
+/// replay against it): `data[0]` packs the dimensionality
+/// (`1 + data[0] % 3`) and a rebuild-control bit (`data[0] & 0x80`); the
+/// remaining bytes are read as little-endian u64s — first `2 * dims` become
+/// the rect bounds (normalized so `lo <= hi` per axis), the rest become
+/// points.
 pub fn fuzz_store_range(data: &[u8]) {
     let Some((&ctl, rest)) = data.split_first() else {
         return;
@@ -255,24 +134,25 @@ pub fn fuzz_store_range(data: &[u8]) {
         pts
     };
 
-    let shard_count = 1 + ((ctl >> 2) % 8) as u32;
     let mut kd: Box<dyn Store> = StoreKind::KdTree.new_store(dims);
-    let mut bm: Box<dyn Store> = StoreKind::Bitmap.new_store(dims);
-    let mut sh: Box<dyn Store> = StoreKind::Sharded(shard_count).new_store(dims);
     for (i, p) in points.iter().enumerate() {
         kd.insert(Record::new(p.to_vec()));
-        bm.insert(Record::new(p.to_vec()));
-        sh.insert(Record::new(p.to_vec()));
         if rebuild_midway && i == points.len() / 2 {
             kd.rebuild();
-            bm.rebuild();
-            sh.rebuild();
         }
     }
     // The batched entry point must land records under the same ids as the
-    // one-at-a-time path, whatever the scatter layout.
-    let mut sh_batched: Box<dyn Store> = StoreKind::Sharded(shard_count).new_store(dims);
-    sh_batched.insert_batch(points.iter().map(|p| Record::new(p.to_vec())).collect());
+    // one-at-a-time path, wherever its single rebuild falls.
+    let mut kd_batched: Box<dyn Store> = StoreKind::KdTree.new_store(dims);
+    kd_batched.insert_batch(points.iter().map(|p| Record::new(p.to_vec())).collect());
+    let naive = NaiveKdTree::build(
+        dims,
+        points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.to_vec(), RecordId(i as u64)))
+            .collect(),
+    );
 
     let brute: Vec<RecordId> = points
         .iter()
@@ -280,150 +160,55 @@ pub fn fuzz_store_range(data: &[u8]) {
         .filter(|(_, p)| rect.contains_point(p))
         .map(|(i, _)| RecordId(i as u64))
         .collect();
-    let mut kd_ids = kd.range_ids(&rect);
-    kd_ids.sort();
-    let mut bm_ids = bm.range_ids(&rect);
-    bm_ids.sort();
-    let mut sh_ids = sh.range_ids(&rect);
-    sh_ids.sort();
-    let mut shb_ids = sh_batched.range_ids(&rect);
-    shb_ids.sort();
-    assert_eq!(kd_ids, brute, "kdtree ids diverge from brute force");
-    assert_eq!(bm_ids, brute, "bitmap ids diverge from brute force");
-    assert_eq!(sh_ids, brute, "sharded ids diverge from brute force");
+    let sorted = |mut ids: Vec<RecordId>| {
+        ids.sort();
+        ids
+    };
     assert_eq!(
-        shb_ids, brute,
-        "batched sharded ids diverge from brute force"
+        sorted(kd.range_ids(&rect)),
+        brute,
+        "kdtree ids diverge from brute force"
+    );
+    assert_eq!(
+        sorted(kd_batched.range_ids(&rect)),
+        brute,
+        "batched kdtree ids diverge from brute force"
+    );
+    assert_eq!(
+        sorted(naive.range_vec(&rect)),
+        brute,
+        "naive ids diverge from brute force"
     );
     assert_eq!(kd.count_range(&rect), brute.len(), "kdtree count diverges");
-    assert_eq!(bm.count_range(&rect), brute.len(), "bitmap count diverges");
-    assert_eq!(sh.count_range(&rect), brute.len(), "sharded count diverges");
+    assert_eq!(
+        kd_batched.count_range(&rect),
+        brute.len(),
+        "batched kdtree count diverges"
+    );
+    assert_eq!(
+        naive.count_range(&rect),
+        brute.len(),
+        "naive count diverges"
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A lookup closure over explicit (var, value) pairs — `from_lookup`
-    /// now consults two variables, so the tests need per-name answers.
-    fn env(pairs: &'static [(&'static str, &'static str)]) -> impl Fn(&str) -> Option<String> {
-        move |name| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| (*v).to_string())
-        }
-    }
-
     #[test]
-    fn kind_from_lookup_parses_warns_and_defaults() {
-        assert_eq!(StoreKind::from_lookup(|_| None), StoreKind::KdTree);
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_STORE", "bitmap")])),
-            StoreKind::Bitmap
-        );
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_STORE", "kdtree")])),
-            StoreKind::KdTree
-        );
-        // Malformed: falls back to the default (after warning on stderr)
-        // instead of being silently swallowed or panicking.
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_STORE", "BitMap")])),
-            StoreKind::KdTree
-        );
-    }
-
-    #[test]
-    fn runtime_default_shards_derive_from_parallelism() {
-        // The runtime parser: `sharded` without a count takes the
-        // injected (core-count) default instead of the fixed sim one...
-        assert_eq!(
-            StoreKind::from_lookup_with_default(env(&[("MIND_STORE", "sharded")]), 12),
-            StoreKind::Sharded(12)
-        );
-        // ...but an explicit MIND_SHARDS still wins,
-        assert_eq!(
-            StoreKind::from_lookup_with_default(
-                env(&[("MIND_STORE", "sharded"), ("MIND_SHARDS", "3")]),
-                12
-            ),
-            StoreKind::Sharded(3)
-        );
-        // and backends that never shard are unaffected.
-        assert_eq!(
-            StoreKind::from_lookup_with_default(env(&[("MIND_STORE", "bitmap")]), 12),
-            StoreKind::Bitmap
-        );
-        // from_env_runtime agrees with the host's core count.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get() as u32)
-            .unwrap_or(DEFAULT_SHARDS);
-        // (only assert when the env doesn't override the backend)
-        if std::env::var("MIND_STORE").as_deref() == Ok("sharded")
-            && std::env::var("MIND_SHARDS").is_err()
-        {
-            assert_eq!(StoreKind::from_env_runtime(), StoreKind::Sharded(cores));
-        }
-    }
-
-    #[test]
-    fn kind_from_lookup_parses_shard_counts() {
-        // A shard count alone selects the sharded backend.
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_SHARDS", "7")])),
-            StoreKind::Sharded(7)
-        );
-        // `sharded` without a count gets the fixed default.
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_STORE", "sharded")])),
-            StoreKind::Sharded(DEFAULT_SHARDS)
-        );
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_STORE", "sharded"), ("MIND_SHARDS", "2")])),
-            StoreKind::Sharded(2)
-        );
-        // Shards compose with an explicit kdtree (the shards are k-d
-        // subtrees), including the degenerate single-shard layout.
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_STORE", "kdtree"), ("MIND_SHARDS", "1")])),
-            StoreKind::Sharded(1)
-        );
-        // ... but not with the bitmap, which stays unsharded (warns).
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_STORE", "bitmap"), ("MIND_SHARDS", "4")])),
-            StoreKind::Bitmap
-        );
-        // Malformed counts warn and are treated as unset.
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_SHARDS", "0")])),
-            StoreKind::KdTree
-        );
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_SHARDS", "four")])),
-            StoreKind::KdTree
-        );
-        assert_eq!(
-            StoreKind::from_lookup(env(&[("MIND_STORE", "sharded"), ("MIND_SHARDS", "-2")])),
-            StoreKind::Sharded(DEFAULT_SHARDS)
-        );
-    }
-
-    #[test]
-    fn kinds_build_working_stores() {
-        for kind in [StoreKind::KdTree, StoreKind::Bitmap, StoreKind::Sharded(3)] {
-            let mut s = kind.new_store(2);
-            assert!(s.is_empty(), "{}", kind.name());
-            s.insert(Record::new(vec![3, 4, 99]));
-            s.rebuild();
-            let rect = HyperRect::new(vec![0, 0], vec![10, 10]);
-            assert_eq!(s.len(), 1);
-            assert_eq!(s.dims(), 2);
-            assert_eq!(s.count_range(&rect), 1);
-            assert_eq!(s.range_ids(&rect), vec![RecordId(0)]);
-            assert_eq!(s.range_records(&rect)[0].value(2), 99);
-            assert!(s.approx_bytes() > 0);
-        }
+    fn kind_builds_a_working_store() {
+        let mut s = StoreKind::default().new_store(2);
+        assert!(s.is_empty());
+        s.insert(Record::new(vec![3, 4, 99]));
+        s.rebuild();
+        let rect = HyperRect::new(vec![0, 0], vec![10, 10]);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.dims(), 2);
+        assert_eq!(s.count_range(&rect), 1);
+        assert_eq!(s.range_ids(&rect), vec![RecordId(0)]);
+        assert_eq!(s.range_records(&rect)[0].value(2), 99);
+        assert!(s.approx_bytes() > 0);
     }
 
     #[test]
@@ -433,6 +218,12 @@ mod tests {
         fuzz_store_range(&[2, 1, 2, 3]); // short tail: no full u64s
         let mut data = vec![0x82u8]; // 3 dims, rebuild midway
         for v in [0u64, u64::MAX, 5, 40, 7, 1, 2, 3, 6, 41, 8, 99, 99, 99] {
+            data.extend_from_slice(&v.to_le_bytes());
+        }
+        fuzz_store_range(&data);
+        // Past the rebuild floor, so the batched store rebuilds mid-batch.
+        let mut data = vec![0x80u8]; // 1 dim, rebuild midway
+        for v in (0..400u64).map(|i| i * 7 % 101) {
             data.extend_from_slice(&v.to_le_bytes());
         }
         fuzz_store_range(&data);

@@ -1,17 +1,15 @@
-//! Cross-backend differential suite: the bit-sliced [`BitmapStore`], the
-//! columnar [`MemStore`], the pre-columnar [`NaiveKdTree`] oracle, and a
-//! brute-force scan must agree *exactly* on `range_ids` / `count_range` —
-//! a second independent implementation is the strongest correctness oracle
-//! either backend can get (mirrors `columnar_prop.rs`, which races the
-//! columnar tree alone).
+//! Differential suite for the store backend: the columnar [`MemStore`], the
+//! pre-columnar [`NaiveKdTree`] oracle, and a brute-force scan must agree
+//! *exactly* on `range_ids` / `count_range` — an independent implementation
+//! is the strongest correctness oracle the backend can get (mirrors
+//! `columnar_prop.rs`, which races the columnar tree alone).
 //!
 //! Coverage the strategies force: duplicate-heavy inputs (tiny coordinate
 //! domains), empty and singleton stores, full-domain wildcard rectangles,
-//! and `u64::MAX`-boundary coordinates (the bitmap walks all 64 slice
-//! bits; the trees compare against inclusive `hi` bounds — both must hold
-//! at the top of the domain).
+//! and `u64::MAX`-boundary coordinates (the trees compare against inclusive
+//! `hi` bounds, which must hold at the top of the domain).
 
-use mind_store::{BitmapStore, MemStore, NaiveKdTree, StoreKind};
+use mind_store::{MemStore, NaiveKdTree, StoreKind};
 use mind_types::{HyperRect, Record, RecordId};
 use proptest::prelude::*;
 
@@ -30,36 +28,31 @@ fn sorted(mut ids: Vec<RecordId>) -> Vec<RecordId> {
     ids
 }
 
-/// Builds every backend (plus the naive tree) from the same points.
-fn build_all(points: &[Vec<u64>]) -> (MemStore, BitmapStore, NaiveKdTree) {
+/// Builds the store and the naive tree from the same points.
+fn build_all(points: &[Vec<u64>]) -> (MemStore, NaiveKdTree) {
     let mut mem = MemStore::new(3);
-    let mut bm = BitmapStore::new(3);
     for p in points {
         mem.insert(Record::new(p.clone()));
-        bm.insert(Record::new(p.clone()));
     }
     let entries = points
         .iter()
         .enumerate()
         .map(|(i, p)| (p.clone(), RecordId(i as u64)))
         .collect();
-    (mem, bm, NaiveKdTree::build(3, entries))
+    (mem, NaiveKdTree::build(3, entries))
 }
 
-/// Asserts all four implementations agree on `rect`, returning the count.
+/// Asserts all three implementations agree on `rect`, returning the count.
 fn assert_agree(
     points: &[Vec<u64>],
     mem: &MemStore,
-    bm: &BitmapStore,
     naive: &NaiveKdTree,
     rect: &HyperRect,
 ) -> usize {
     let oracle = brute(points, rect);
     assert_eq!(sorted(mem.range_ids(rect)), oracle, "columnar vs brute");
-    assert_eq!(bm.range_ids(rect), oracle, "bitmap vs brute");
     assert_eq!(sorted(naive.range_vec(rect)), oracle, "naive vs brute");
     assert_eq!(mem.count_range(rect), oracle.len(), "columnar count");
-    assert_eq!(bm.count_range(rect), oracle.len(), "bitmap count");
     assert_eq!(naive.count_range(rect), oracle.len(), "naive count");
     oracle.len()
 }
@@ -95,7 +88,7 @@ fn rect_from(a: Vec<u64>, b: Vec<u64>) -> HyperRect {
 }
 
 proptest! {
-    /// Duplicate-heavy small domains: every backend agrees with brute
+    /// Duplicate-heavy small domains: store and oracle agree with brute
     /// force on ids and counts.
     #[test]
     fn backends_agree_on_duplicate_heavy_inputs(
@@ -103,9 +96,9 @@ proptest! {
         a in prop::collection::vec(0u64..=7, 3),
         b in prop::collection::vec(0u64..=7, 3),
     ) {
-        let (mem, bm, naive) = build_all(&points);
+        let (mem, naive) = build_all(&points);
         let rect = rect_from(a, b);
-        assert_agree(&points, &mem, &bm, &naive, &rect);
+        assert_agree(&points, &mem, &naive, &rect);
     }
 
     /// u64-domain edges: max coordinates, arbitrary bit patterns, and
@@ -116,24 +109,23 @@ proptest! {
         a in prop::collection::vec(edge_coord(), 3),
         b in prop::collection::vec(edge_coord(), 3),
     ) {
-        let (mem, bm, naive) = build_all(&points);
+        let (mem, naive) = build_all(&points);
         let rect = rect_from(a, b);
-        assert_agree(&points, &mem, &bm, &naive, &rect);
+        assert_agree(&points, &mem, &naive, &rect);
     }
 
     /// The full-domain wildcard rectangle returns every id exactly once,
-    /// from every backend, whatever the input.
+    /// whatever the input.
     #[test]
     fn full_domain_wildcard_returns_each_id_once(points in edge_points(128)) {
-        let (mem, bm, naive) = build_all(&points);
-        let n = assert_agree(&points, &mem, &bm, &naive, &HyperRect::full(3));
+        let (mem, naive) = build_all(&points);
+        let n = assert_agree(&points, &mem, &naive, &HyperRect::full(3));
         prop_assert_eq!(n, points.len());
     }
 
     /// Buffered-vs-rebuilt equivalence through the `Store` trait: answers
-    /// must not depend on whether `rebuild` ran, on either backend (the
-    /// columnar tree folds its insert buffer; the bitmap's rebuild is a
-    /// structural no-op — both must be observationally identical).
+    /// must not depend on whether `rebuild` has folded the insert buffer
+    /// into the tree.
     #[test]
     fn rebuild_is_observationally_invisible(
         points in dup_points(40, 400),
@@ -142,58 +134,56 @@ proptest! {
     ) {
         let rect = rect_from(a, b);
         let oracle = brute(&points, &rect);
-        for kind in [StoreKind::KdTree, StoreKind::Bitmap] {
-            let mut buffered = kind.new_store(3);
-            for p in &points {
-                buffered.insert(Record::new(p.clone()));
-            }
-            let before = sorted(buffered.range_ids(&rect));
-            let count_before = buffered.count_range(&rect);
-            buffered.rebuild();
-            prop_assert_eq!(&sorted(buffered.range_ids(&rect)), &oracle, "{} rebuilt", kind.name());
-            prop_assert_eq!(&before, &oracle, "{} buffered", kind.name());
-            prop_assert_eq!(count_before, oracle.len());
-            prop_assert_eq!(buffered.count_range(&rect), oracle.len());
-            prop_assert_eq!(
-                buffered.count_range(&rect),
-                buffered.range_ids(&rect).len(),
-                "count must equal materialized ids ({})", kind.name()
-            );
+        let mut buffered = StoreKind::KdTree.new_store(3);
+        for p in &points {
+            buffered.insert(Record::new(p.clone()));
         }
+        let before = sorted(buffered.range_ids(&rect));
+        let count_before = buffered.count_range(&rect);
+        buffered.rebuild();
+        prop_assert_eq!(&sorted(buffered.range_ids(&rect)), &oracle, "rebuilt");
+        prop_assert_eq!(&before, &oracle, "buffered");
+        prop_assert_eq!(count_before, oracle.len());
+        prop_assert_eq!(buffered.count_range(&rect), oracle.len());
+        prop_assert_eq!(
+            buffered.count_range(&rect),
+            buffered.range_ids(&rect).len(),
+            "count must equal materialized ids"
+        );
     }
 }
 
 #[test]
 fn empty_and_singleton_stores_agree() {
-    let (mem, bm, naive) = build_all(&[]);
+    let (mem, naive) = build_all(&[]);
     for rect in [
         HyperRect::full(3),
         HyperRect::new(vec![0, 0, 0], vec![0, 0, 0]),
         HyperRect::new(vec![u64::MAX; 3], vec![u64::MAX; 3]),
     ] {
-        assert_agree(&[], &mem, &bm, &naive, &rect);
+        assert_agree(&[], &mem, &naive, &rect);
     }
 
     let points = vec![vec![5, u64::MAX, 0]];
-    let (mem, bm, naive) = build_all(&points);
+    let (mem, naive) = build_all(&points);
     for rect in [
         HyperRect::full(3),
         HyperRect::new(vec![5, u64::MAX, 0], vec![5, u64::MAX, 0]),
         HyperRect::new(vec![6, 0, 0], vec![u64::MAX, u64::MAX, u64::MAX]),
         HyperRect::new(vec![0, 0, 1], vec![u64::MAX, u64::MAX, u64::MAX]),
     ] {
-        assert_agree(&points, &mem, &bm, &naive, &rect);
+        assert_agree(&points, &mem, &naive, &rect);
     }
 }
 
 #[test]
 fn all_points_identical_max_coordinate() {
-    // Every record at the very top of the domain: the bitmap sets all 64
-    // bits of all three dimensions; inclusive bounds must still hit.
+    // Every record at the very top of the domain: inclusive bounds must
+    // still hit.
     let points: Vec<Vec<u64>> = (0..150).map(|_| vec![u64::MAX; 3]).collect();
-    let (mem, bm, naive) = build_all(&points);
+    let (mem, naive) = build_all(&points);
     let exact = HyperRect::new(vec![u64::MAX; 3], vec![u64::MAX; 3]);
-    assert_eq!(assert_agree(&points, &mem, &bm, &naive, &exact), 150);
+    assert_eq!(assert_agree(&points, &mem, &naive, &exact), 150);
     let below = HyperRect::new(vec![0; 3], vec![u64::MAX - 1, u64::MAX, u64::MAX]);
-    assert_eq!(assert_agree(&points, &mem, &bm, &naive, &below), 0);
+    assert_eq!(assert_agree(&points, &mem, &naive, &below), 0);
 }

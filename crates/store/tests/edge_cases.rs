@@ -1,9 +1,8 @@
 //! Storage-layer edge cases: range queries against empty stores,
 //! degenerate single-point rectangles, and duplicate-key inserts — each
-//! exercised on both sides of the tree/buffer boundary and through the
-//! DAC queue.
+//! exercised on both sides of the tree/buffer boundary.
 
-use mind_store::{Dac, DacCostModel, DacRequest, KdTree, MemStore};
+use mind_store::{KdTree, MemStore};
 use mind_types::{HyperRect, Record, RecordId};
 
 fn rec(vals: &[u64]) -> Record {
@@ -30,19 +29,6 @@ fn empty_stores_answer_ranges_negatively() {
         0
     );
     assert_eq!(store.range_ids(&HyperRect::full(2)), Vec::<RecordId>::new());
-
-    // DAC: a query against an empty store still yields a (negative)
-    // response — the paper reports empty regions to the originator.
-    let mut dac = Dac::new(2, DacCostModel::default(), 16);
-    dac.push(DacRequest::Query {
-        token: 9,
-        rect: HyperRect::full(2),
-    });
-    let (resp, elapsed) = dac.process_all();
-    assert_eq!(resp.len(), 1);
-    assert_eq!(resp[0].token, 9);
-    assert!(resp[0].records.is_empty());
-    assert!(elapsed > 0, "a processed query must cost time");
 }
 
 #[test]
@@ -119,20 +105,4 @@ fn duplicate_key_inserts_are_all_stored_and_all_found() {
         store.count_range(&HyperRect::new(vec![43, 42], vec![43, 42])),
         0
     );
-}
-
-#[test]
-fn duplicate_keys_through_the_dac_queue() {
-    let mut dac = Dac::new(1, DacCostModel::default(), 8);
-    for i in 0..20u64 {
-        dac.push(DacRequest::Insert(rec(&[7, i])));
-    }
-    dac.push(DacRequest::Query {
-        token: 1,
-        rect: HyperRect::new(vec![7], vec![7]),
-    });
-    let (resp, _) = dac.process_all();
-    assert_eq!(resp.len(), 1);
-    assert_eq!(resp[0].records.len(), 20);
-    assert_eq!(dac.store().len(), 20);
 }

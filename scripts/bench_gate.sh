@@ -8,9 +8,7 @@
 # the store/route planes, 3x on batched-vs-single ingest) or regresses
 # more than its tolerance against its baseline, or when a cost ratio
 # drifts past its ceiling. Ratios — not absolute nanoseconds — are
-# compared, so the gates are portable across machines. (The sharded-scan
-# strict-improvement floor additionally requires >1 core; see
-# bench_ingest's module docs.)
+# compared, so the gates are portable across machines.
 #
 # The sim gate (bench_sim --check) replays the 100/1k/10k-node churn
 # worlds: wall-clock metrics are banded like the other gates, but the

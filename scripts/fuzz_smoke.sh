@@ -7,9 +7,9 @@
 #
 # Targets:
 #   frame_decode — TCP frame codec round-trip invariant
-#   store_range  — differential store backends (columnar k-d vs bit-sliced
-#                  bitmap vs sharded subtrees vs brute force) on arbitrary
-#                  records + rects
+#   store_range  — the k-d store differentially (single inserts vs one
+#                  insert_batch vs the naive k-d oracle vs brute force) on
+#                  arbitrary records + rects
 #   batch_decode — MindPayload codec: arbitrary bytes reject cleanly or
 #                  decode to a payload whose re-encoding is a canonical
 #                  fixed point with an exact wire_size (batched insert

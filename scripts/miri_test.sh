@@ -12,7 +12,6 @@
 #   prop_                                — proptest suites: hundreds of cases each
 #   random_queries_match_brute_force     — 2000-point randomized k-d workload
 #   absorb_matches_fresh_build           — 1500-point rebuild comparison
-#   query_behind_big_batch_pays_for_it   — 5000-insert DAC batching scenario
 #   range_sees_buffered_and_rebuilt_records — 2000-insert rebuild threshold walk
 #   approx_bytes_incremental_matches_recompute — 1000-insert byte accounting
 #   balanced_histogram_tracks_points     — 1000-point balanced-cut build
@@ -24,7 +23,6 @@ SKIPS=(
     --skip prop_
     --skip random_queries_match_brute_force
     --skip absorb_matches_fresh_build
-    --skip query_behind_big_batch_pays_for_it
     --skip range_sees_buffered_and_rebuilt_records
     --skip approx_bytes_incremental_matches_recompute
     --skip balanced_histogram_tracks_points

@@ -10,7 +10,6 @@ use mind::audit::{AuditConfig, Auditor};
 use mind::core::{ClusterConfig, MindCluster, Replication};
 use mind::histogram::CutTree;
 use mind::netsim::FaultPlan;
-use mind::store::StoreKind;
 use mind::types::node::{SimTime, SECONDS};
 use mind::types::{AttrDef, AttrKind, HyperRect, IndexSchema, NodeId, Record};
 use rand::rngs::StdRng;
@@ -34,36 +33,20 @@ fn schema() -> IndexSchema {
 /// miss threshold is raised so a partition shorter than the failure
 /// horizon is ridden out instead of being misdiagnosed as node death.
 fn build(n: usize, seed: u64, fault: FaultPlan, replication: Replication) -> MindCluster {
-    // `planetlab` reads `MIND_STORE` itself, so the whole suite can run
-    // under either backend from the environment.
-    build_with_kind(n, seed, fault, replication, StoreKind::from_env())
+    build_batching(n, seed, fault, replication, 1)
 }
 
-/// [`build`] with the store backend pinned explicitly, for the scenarios
-/// that race both backends inside one test.
-fn build_with_kind(
-    n: usize,
-    seed: u64,
-    fault: FaultPlan,
-    replication: Replication,
-    kind: StoreKind,
-) -> MindCluster {
-    build_batching(n, seed, fault, replication, kind, 1)
-}
-
-/// [`build_with_kind`] with the ingest fast path enabled: origin nodes
-/// coalesce same-destination inserts into `InsertBatch` frames of up to
+/// [`build`] with the ingest fast path enabled: origin nodes coalesce
+/// same-destination inserts into `InsertBatch` frames of up to
 /// `batch_max` records (`1` = batching off, the default wire behavior).
 fn build_batching(
     n: usize,
     seed: u64,
     fault: FaultPlan,
     replication: Replication,
-    kind: StoreKind,
     batch_max: usize,
 ) -> MindCluster {
     let mut cfg = ClusterConfig::planetlab(n, seed);
-    cfg.mind.store_kind = kind;
     cfg.mind.insert_batch_max = batch_max;
     cfg.sim.fault = fault;
     cfg.overlay.hb_miss_threshold = 25; // horizon: 25 × 2s = 50s
@@ -341,14 +324,12 @@ type ReplayObservables = (
     u64,
 );
 
-/// One seeded lossy/duplicating run with the store backend pinned,
-/// audited clean before returning its observables. Shared by the replay
-/// determinism test (same kind twice) and the backend-invisibility test
-/// (both kinds against each other).
-fn replay_run(seed: u64, kind: StoreKind) -> ReplayObservables {
+/// One seeded lossy/duplicating run, audited clean before returning its
+/// observables.
+fn replay_run(seed: u64) -> ReplayObservables {
     let n = 8;
     let fault = FaultPlan::lossy(0.05).with_duplication(0.02);
-    let mut cluster = build_with_kind(n, seed, fault, Replication::None, kind);
+    let mut cluster = build(n, seed, fault, Replication::None);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
     let mut oracle = Vec::new();
     spray(&mut cluster, &mut rng, n, 100, 0, &mut oracle);
@@ -361,7 +342,7 @@ fn replay_run(seed: u64, kind: StoreKind) -> ReplayObservables {
     let retries = metric_sum(&cluster, |m| m.retries_sent);
     cluster
         .audit_settled()
-        .assert_clean(&format!("seed {seed} replay on {}", kind.name()));
+        .assert_clean(&format!("seed {seed} replay"));
     (
         cluster.world().stats.counters(),
         sorted_values(&outcome.records),
@@ -371,19 +352,19 @@ fn replay_run(seed: u64, kind: StoreKind) -> ReplayObservables {
 
 /// One seeded run with the ingest fast path on (batches of up to 8
 /// records) under loss, duplication, *and* a 15-second two-node
-/// partition, with the store backend pinned. A hot-spot burst of
+/// partition. A hot-spot burst of
 /// same-coordinate records guarantees multi-record frames actually form
 /// (random records spread across region codes mostly age out as
 /// singletons). Oracle-checked and audited clean before returning the
 /// observables plus the cluster-wide `InsertBatch` frame count.
-fn batched_replay_run(seed: u64, kind: StoreKind) -> (ReplayObservables, u64) {
+fn batched_replay_run(seed: u64) -> (ReplayObservables, u64) {
     let n = 8;
     let cut_at: SimTime = 60 * SECONDS;
     let heal_at: SimTime = 75 * SECONDS;
     let fault = FaultPlan::lossy(0.05)
         .with_duplication(0.02)
         .with_partition(vec![NodeId(0), NodeId(1)], cut_at, heal_at);
-    let mut cluster = build_batching(n, seed, fault, Replication::None, kind, 8);
+    let mut cluster = build_batching(n, seed, fault, Replication::None, 8);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
     let mut oracle = Vec::new();
     spray(&mut cluster, &mut rng, n, 80, 0, &mut oracle);
@@ -413,7 +394,7 @@ fn batched_replay_run(seed: u64, kind: StoreKind) -> (ReplayObservables, u64) {
         &mut cluster,
         NodeId(3),
         &oracle,
-        &format!("seed {seed} batched on {}", kind.name()),
+        &format!("seed {seed} batched"),
     );
     let exhausted = metric_sum(&cluster, |m| m.retries_exhausted);
     assert_eq!(exhausted, 0, "seed {seed}: a batch op ran out of budget");
@@ -436,7 +417,7 @@ fn batched_replay_run(seed: u64, kind: StoreKind) -> (ReplayObservables, u64) {
     let retries = metric_sum(&cluster, |m| m.retries_sent);
     cluster
         .audit_settled()
-        .assert_clean(&format!("seed {seed} batched replay on {}", kind.name()));
+        .assert_clean(&format!("seed {seed} batched replay"));
     (
         (
             cluster.world().stats.counters(),
@@ -449,14 +430,13 @@ fn batched_replay_run(seed: u64, kind: StoreKind) -> (ReplayObservables, u64) {
 
 #[test]
 fn batched_ingest_survives_chaos_and_replays_identically() {
-    // The ingest fast path under loss + duplication + partition, on the
-    // sharded backend: answers equal the fault-free oracle, the auditor
-    // is clean, and two same-seed runs agree on every counter, answer
-    // byte, retry, and batch count.
+    // The ingest fast path under loss + duplication + partition: answers
+    // equal the fault-free oracle, the auditor is clean, and two same-seed
+    // runs agree on every counter, answer byte, retry, and batch count.
     for seed in SEEDS {
-        let a = batched_replay_run(seed, StoreKind::Sharded(3));
-        let b = batched_replay_run(seed, StoreKind::Sharded(3));
-        assert_eq!(a, b, "seed {seed}: batched sharded replay diverged");
+        let a = batched_replay_run(seed);
+        let b = batched_replay_run(seed);
+        assert_eq!(a, b, "seed {seed}: batched replay diverged");
     }
 }
 
@@ -827,58 +807,14 @@ fn grouped_queries_on_unbalanced_overlay() {
 }
 
 #[test]
-fn sharded_store_is_protocol_invisible_under_batching() {
-    // Sharding is a node-local detail even on the batched path: swapping
-    // the flat k-d tree for per-core subtrees must not change a single
-    // wire counter, answer byte, retry, or shipped frame. (Batching
-    // itself IS wire-visible, so both sides run with it on.)
-    for seed in SEEDS {
-        let kd = batched_replay_run(seed, StoreKind::KdTree);
-        let sh = batched_replay_run(seed, StoreKind::Sharded(4));
-        assert_eq!(
-            kd, sh,
-            "seed {seed}: shard count leaked into the wire protocol"
-        );
-    }
-}
-
-#[test]
 fn same_seed_and_plan_replay_identically() {
     // Two runs of the same seeded scenario must agree on every fault
-    // counter and every query answer, byte for byte. The backend follows
-    // `MIND_STORE` like the rest of the suite.
-    let kind = StoreKind::from_env();
+    // counter and every query answer, byte for byte.
     for seed in SEEDS {
-        let a = replay_run(seed, kind);
-        let b = replay_run(seed, kind);
+        let a = replay_run(seed);
+        let b = replay_run(seed);
         assert_eq!(a.0, b.0, "seed {seed}: NetStats counters diverged");
         assert_eq!(a.1, b.1, "seed {seed}: query answers diverged");
         assert_eq!(a.2, b.2, "seed {seed}: retry volume diverged");
-    }
-}
-
-#[test]
-fn store_backend_choice_is_protocol_invisible() {
-    // The store backend is a node-local detail: swapping the columnar
-    // k-d tree for the bit-sliced bitmap must not change a single wire
-    // counter, answer byte, or retry — message volume is a sum over
-    // record *sets* and DAC timing charges per record, both of which are
-    // independent of the order a backend materializes results in. The
-    // bitmap runs twice to pin its own byte-identical replay (the kdtree
-    // pair is covered by `same_seed_and_plan_replay_identically`).
-    for seed in SEEDS {
-        let kd = replay_run(seed, StoreKind::KdTree);
-        let bm_a = replay_run(seed, StoreKind::Bitmap);
-        let bm_b = replay_run(seed, StoreKind::Bitmap);
-        assert_eq!(bm_a, bm_b, "seed {seed}: bitmap replay diverged");
-        assert_eq!(
-            kd.0, bm_a.0,
-            "seed {seed}: backend choice leaked into NetStats counters"
-        );
-        assert_eq!(
-            kd.1, bm_a.1,
-            "seed {seed}: backend choice changed query answers"
-        );
-        assert_eq!(kd.2, bm_a.2, "seed {seed}: backend choice changed retries");
     }
 }
