@@ -1,17 +1,21 @@
 //! The Data Access Component (Section 3.9): the batched storage queue
 //! that models the prototype's MySQL + JDBC backend.
 //!
-//! Requests (inserts, replica writes, sub-query scans) are buffered and
-//! processed in batches; a batch's effects — acks, replica pushes, query
-//! responses — are released only when its modeled processing cost has
-//! elapsed, so storage work is never interleaved with network
-//! transmission, exactly as in the prototype.
+//! Requests are buffered and processed in batches; a batch's effects —
+//! acks, replica pushes, query responses — are released only when its
+//! modeled processing cost has elapsed, so storage work is never
+//! interleaved with network transmission, exactly as in the prototype.
+//!
+//! There are two kinds of request. A *write op* is the rows of one
+//! insert or replica frame under one op id; [`MindNode::apply_write`] is
+//! the node's only write path, whatever shape the rows travelled in. A
+//! *scan* answers every region one sub-query asked this node for.
 
 use crate::messages::{CarriedFilter, MindPayload, Replication};
 use crate::node::{token, MindNode, Out};
 use crate::reliability::OpTarget;
 use mind_overlay::OverlayMsg;
-use mind_types::node::SimTime;
+use mind_types::node::{SimTime, SECONDS};
 use mind_types::{BitCode, HyperRect, NodeId, Record};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,36 +23,36 @@ use std::sync::Arc;
 pub(crate) const KIND_DAC_TICK: u64 = 0;
 pub(crate) const KIND_BATCH: u64 = 1;
 
+/// How long a fresh joiner keeps forwarding sub-queries to its acceptor
+/// for the historical data it did not migrate (the paper's "pointer ...
+/// dropped once the data have aged", Section 3.4).
+const HANDOFF_TTL: SimTime = 3600 * SECONDS;
+
+/// A write op as the node applies it: the rows of one wire frame (one
+/// row or many), stored or taken into custody — and acked — together or
+/// not at all, so a retried op can never be half deduped.
+#[derive(Debug)]
+pub(crate) struct WriteOp {
+    pub(crate) index: String,
+    pub(crate) version: u32,
+    pub(crate) rows: Vec<Record>,
+    /// When the oldest row entered the system (for insert latency).
+    pub(crate) sent_at: SimTime,
+    /// The code a primary insert was routed toward (its rows' leaf codes
+    /// all extend it); `None` for replica copies, which were pushed
+    /// directly and are stored whole.
+    pub(crate) routed_to: Option<BitCode>,
+    /// Who to ack once applied (the insert origin, or the pushing
+    /// primary for replica copies).
+    pub(crate) acker: NodeId,
+    /// Idempotency key (0 = a peer that asked for no ack and no dedup).
+    pub(crate) op_id: u64,
+}
+
 /// One buffered storage request (the prototype's DAC queue entry).
 #[derive(Debug)]
 pub(crate) enum DacJob {
-    Insert {
-        index: String,
-        version: u32,
-        record: Record,
-        sent_at: SimTime,
-        /// The code a primary insert was routed toward (its rows' leaf
-        /// codes all extend it); `None` for a replica copy, which was
-        /// pushed directly and is stored whole.
-        routed_to: Option<BitCode>,
-        /// Who to ack once applied (the insert origin, or the pushing
-        /// primary for replica copies).
-        acker: NodeId,
-        /// Idempotency key (0 = legacy/unacked operation).
-        op_id: u64,
-    },
-    /// A whole wire batch applied under one op id: all records are stored
-    /// or taken into custody (and acked) together or not at all, so a
-    /// retried batch can never be half deduped.
-    InsertBatch {
-        index: String,
-        version: u32,
-        records: Vec<Record>,
-        sent_at: SimTime,
-        routed_to: Option<BitCode>,
-        acker: NodeId,
-        op_id: u64,
-    },
+    Write(WriteOp),
     /// Every region of one query version this node answers, scanned
     /// together (`codes` is never empty).
     Scan {
@@ -103,7 +107,7 @@ pub(crate) struct PendingHandoff {
 }
 
 impl MindNode {
-    pub(crate) fn enqueue(&mut self, _now: SimTime, job: DacJob, out: &mut Out) {
+    pub(crate) fn enqueue(&mut self, job: DacJob, out: &mut Out) {
         self.dac_queue.push_back(job);
         if !self.dac_busy {
             self.dac_busy = true;
@@ -124,60 +128,11 @@ impl MindNode {
                 break;
             };
             match job {
-                DacJob::Insert {
-                    index,
-                    version,
-                    record,
-                    sent_at,
-                    routed_to,
-                    acker,
-                    op_id,
-                } => {
-                    cost += cost_model.per_insert;
-                    let applied = self.apply_insert(
-                        &index,
-                        version,
-                        record,
-                        sent_at,
-                        routed_to,
-                        acker,
-                        op_id,
-                        &mut result,
-                    );
-                    if applied && routed_to.is_some() {
-                        result.insert_sent_ats.push(sent_at);
-                    }
-                }
-                DacJob::InsertBatch {
-                    index,
-                    version,
-                    records,
-                    sent_at,
-                    routed_to,
-                    acker,
-                    op_id,
-                } => {
-                    // The wire frame was amortized; the storage work was
-                    // not — every record still costs a row write.
-                    cost += cost_model.per_insert * records.len() as SimTime;
-                    let applied = self.apply_insert_batch(
-                        &index,
-                        version,
-                        records,
-                        sent_at,
-                        routed_to,
-                        acker,
-                        op_id,
-                        &mut result,
-                    );
-                    if routed_to.is_some() {
-                        // One latency sample per record stored here: they
-                        // all left the origin in one frame stamped with
-                        // the oldest record's enqueue time.
-                        for _ in 0..applied {
-                            result.insert_sent_ats.push(sent_at);
-                        }
-                    }
+                DacJob::Write(op) => {
+                    // A frame amortizes the wire, not the storage work:
+                    // every row costs a row write.
+                    cost += cost_model.per_insert * op.rows.len() as SimTime;
+                    self.apply_write(op, &mut result);
                 }
                 DacJob::Scan {
                     query_id,
@@ -199,7 +154,7 @@ impl MindNode {
                     // ours before responding — one exchange per region; the
                     // pointer is short-lived and not worth a batched message.
                     if let Some((sibling, joined_at)) = self.handoff {
-                        if now.saturating_sub(joined_at) < self.cfg.handoff_ttl {
+                        if now.saturating_sub(joined_at) < HANDOFF_TTL {
                             for (code, local) in answers {
                                 let handoff_id = self.handoff_seq;
                                 self.handoff_seq += 1;
@@ -311,211 +266,102 @@ impl MindNode {
         mine
     }
 
-    /// Applies one insert (primary or replica). Returns `true` when the
-    /// record was actually stored here. The ack is emitted *only* once
-    /// the record is stored or re-originated toward its owner (see
-    /// [`MindNode::keep_owned_rows`]), or on a detected duplicate — an
-    /// insert that cannot be applied yet (index/version unknown here,
-    /// e.g. a lost flood) stays unacked so the origin's retry can land
-    /// once the catalog heals.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_insert(
-        &mut self,
-        index: &str,
-        version: u32,
-        record: Record,
-        sent_at: SimTime,
-        routed_to: Option<BitCode>,
-        acker: NodeId,
-        op_id: u64,
-        result: &mut BatchResult,
-    ) -> bool {
+    /// The node's one write path: applies a write op, primary or replica
+    /// side. Dedup, the re-split, the ack and the replica pushes happen
+    /// once per op; histogram, trigger and latency effects once per row
+    /// stored here. The ack is emitted *only* once the rows are stored or
+    /// re-originated toward their owner (see
+    /// [`MindNode::keep_owned_rows`]), or on a detected duplicate — an op
+    /// that cannot be applied yet (index/version unknown here, e.g. a
+    /// lost flood) stays unacked so the sender's retry can land once the
+    /// catalog heals.
+    fn apply_write(&mut self, op: WriteOp, result: &mut BatchResult) {
+        let WriteOp {
+            index,
+            version,
+            rows,
+            sent_at,
+            routed_to,
+            acker,
+            op_id,
+        } = op;
         if op_id != 0 && self.seen_ops.contains(op_id) {
             // A duplicate that slipped into the queue behind the first
             // copy (network duplication or an early retry): ack, don't
             // double-store.
             self.metrics.dup_ops_ignored += 1;
             result.sends.push((acker, MindPayload::Ack { op_id }));
-            return false;
+            return;
         }
-        let Some(state) = self.indexes.get(index) else {
-            return false;
+        let Some(state) = self.indexes.get(&index) else {
+            return;
         };
         let dims = state.schema.indexed_dims;
         let replication = state.replication;
         if state.version(version).is_none() {
-            return false;
+            return;
         }
-        let is_replica = routed_to.is_none();
-        let kept = match routed_to {
-            Some(target) if !self.owns_prefix(&target) => self
-                .keep_owned_rows(index, version, target, vec![record], sent_at, result)
-                .pop(),
-            _ => Some(record),
-        };
-        let Some(record) = kept else {
-            // On its way to its owner, in this node's custody.
-            self.ack_applied(op_id, acker, result);
-            return false;
-        };
-        if !is_replica {
-            // Standing queries fire the moment the primary copy lands.
-            for (trigger_id, origin) in self.triggers.fired(index, &record, dims) {
-                result.sends.push((
-                    origin,
-                    MindPayload::TriggerFired {
-                        trigger_id,
-                        at: self.id(),
-                        record: record.clone(),
-                    },
-                ));
-            }
-        }
-        self.ack_applied(op_id, acker, result);
-        // Push replicas to the prefix neighbors that would take over
-        // (cloned per target — these cross the wire), then store the
-        // original record by move: the local insert never copies it.
-        if !is_replica {
-            let targets = match replication {
-                Replication::None => Vec::new(),
-                Replication::Level(m) => self.overlay.replica_targets(m as usize),
-                Replication::Full => self.overlay.all_neighbor_targets(),
-            };
-            for t in targets {
-                let rep_op = self.next_op_id();
-                let horizon = self.op_horizon();
-                result.sends.push((
-                    t,
-                    MindPayload::Replica {
-                        index: index.to_string(),
-                        version,
-                        record: record.clone(),
-                        op_id: rep_op,
-                        horizon,
-                    },
-                ));
-            }
-        }
-        let state = self.indexes.get_mut(index).expect("checked above"); // lint:allow(unwrap) presence checked above
-        if !is_replica {
-            state.day_histogram.add(record.point(dims));
-        }
-        let ver = state.version_mut(version).expect("checked above"); // lint:allow(unwrap) presence checked above
-        if is_replica {
-            ver.replica_rows += 1;
-            ver.replicas.insert(record);
-        } else {
-            ver.primary_rows += 1;
-            ver.primary.insert(record);
-        }
-        true
-    }
-
-    /// Remembers `op_id` as applied here (stored, or re-originated toward
-    /// its owner) and queues its ack.
-    fn ack_applied(&mut self, op_id: u64, acker: NodeId, result: &mut BatchResult) {
-        if op_id != 0 {
-            self.seen_ops.insert(op_id);
-            result.sends.push((acker, MindPayload::Ack { op_id }));
-        }
-    }
-
-    /// Applies a whole wire batch under one op id (primary or replica
-    /// side). Returns the number of records stored here — `0` when the
-    /// batch was a duplicate or cannot apply yet (unknown index/version:
-    /// it stays unacked so the origin's retry lands once the catalog
-    /// heals). Mirrors [`MindNode::apply_insert`] record-for-record:
-    /// histogram and trigger effects fire per stored record, but dedup,
-    /// the re-split, the ack, and the replica pushes happen once per
-    /// batch.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_insert_batch(
-        &mut self,
-        index: &str,
-        version: u32,
-        records: Vec<Record>,
-        sent_at: SimTime,
-        routed_to: Option<BitCode>,
-        acker: NodeId,
-        op_id: u64,
-        result: &mut BatchResult,
-    ) -> usize {
-        if op_id != 0 && self.seen_ops.contains(op_id) {
-            self.metrics.dup_ops_ignored += 1;
-            result.sends.push((acker, MindPayload::Ack { op_id }));
-            return 0;
-        }
-        let Some(state) = self.indexes.get(index) else {
-            return 0;
-        };
-        let dims = state.schema.indexed_dims;
-        let replication = state.replication;
-        if state.version(version).is_none() {
-            return 0;
-        }
-        let is_replica = routed_to.is_none();
-        let records = match routed_to {
+        let rows = match routed_to {
             Some(target) if !self.owns_prefix(&target) => {
-                self.keep_owned_rows(index, version, target, records, sent_at, result)
+                self.keep_owned_rows(&index, version, target, rows, sent_at, result)
             }
-            _ => records,
+            _ => rows,
         };
-        if !is_replica {
-            // Standing queries fire per record, the moment the primary
-            // copies land.
-            for record in &records {
-                for (trigger_id, origin) in self.triggers.fired(index, record, dims) {
+        let is_primary = routed_to.is_some();
+        if is_primary {
+            // Standing queries fire the moment the primary copies land.
+            for row in &rows {
+                for (trigger_id, origin) in self.triggers.fired(&index, row, dims) {
                     result.sends.push((
                         origin,
                         MindPayload::TriggerFired {
                             trigger_id,
                             at: self.id(),
-                            record: record.clone(),
+                            record: row.clone(),
                         },
                     ));
                 }
             }
         }
-        self.ack_applied(op_id, acker, result);
-        // Replicate the whole applied batch in one push per target —
-        // the same frame/op/ack amortization the primary leg got.
-        if !is_replica && !records.is_empty() {
+        // Remember the op as applied here (stored, or on its way to its
+        // owner in this node's custody) and queue its ack.
+        if op_id != 0 {
+            self.seen_ops.insert(op_id);
+            result.sends.push((acker, MindPayload::Ack { op_id }));
+        }
+        // Push what was stored to the prefix neighbors that would take
+        // over: one op per target.
+        if is_primary && !rows.is_empty() {
             let targets = match replication {
                 Replication::None => Vec::new(),
                 Replication::Level(m) => self.overlay.replica_targets(m as usize),
                 Replication::Full => self.overlay.all_neighbor_targets(),
             };
             for t in targets {
-                let rep_op = self.next_op_id();
-                let horizon = self.op_horizon();
-                result.sends.push((
-                    t,
-                    MindPayload::ReplicaBatch {
-                        index: index.to_string(),
-                        version,
-                        records: records.clone(),
-                        op_id: rep_op,
-                        horizon,
-                    },
-                ));
+                let push = self.replica_op(index.clone(), version, &rows);
+                result.sends.push((t, push));
             }
         }
-        let n = records.len();
-        let state = self.indexes.get_mut(index).expect("checked above"); // lint:allow(unwrap) presence checked above
-        if !is_replica {
-            for record in &records {
-                state.day_histogram.add(record.point(dims));
+        let n = rows.len();
+        let state = self.indexes.get_mut(&index).expect("checked above"); // lint:allow(unwrap) presence checked above
+        if is_primary {
+            for row in &rows {
+                state.day_histogram.add(row.point(dims));
             }
+            // One latency sample per row stored here: they all left the
+            // origin in one frame stamped with the oldest row's time.
+            result
+                .insert_sent_ats
+                .extend(std::iter::repeat_n(sent_at, n));
         }
         let ver = state.version_mut(version).expect("checked above"); // lint:allow(unwrap) presence checked above
-        if is_replica {
-            ver.replica_rows += n as u64;
-            ver.replicas.insert_batch(records);
-        } else {
+        if is_primary {
             ver.primary_rows += n as u64;
-            ver.primary.insert_batch(records);
+            ver.primary.insert_batch(rows);
+        } else {
+            ver.replica_rows += n as u64;
+            ver.replicas.insert_batch(rows);
         }
-        n
     }
 
     /// Answers every region of a scan job, in code order. Several
@@ -700,15 +546,7 @@ impl MindNode {
                     if let MindPayload::Replica { op_id, .. }
                     | MindPayload::ReplicaBatch { op_id, .. } = &payload
                     {
-                        if *op_id != 0 {
-                            self.track_op(
-                                *op_id,
-                                OpTarget::Direct(dest),
-                                payload.clone(),
-                                None,
-                                out,
-                            );
-                        }
+                        self.track_op(*op_id, OpTarget::Direct(dest), payload.clone(), None, out);
                     }
                     out.send(dest, OverlayMsg::Direct { payload });
                 }
@@ -768,43 +606,71 @@ mod tests {
     use super::*;
     use crate::index::IndexState;
     use crate::node::MindConfig;
+    use crate::trigger::Trigger;
     use mind_histogram::CutTree;
     use mind_overlay::{OverlayConfig, StaticTopology};
+    use mind_types::node::NodeLogic;
     use mind_types::{AttrDef, AttrKind, IndexSchema, Value};
     use proptest::prelude::*;
 
     const SIDE: Value = 255;
 
-    /// A node holding index "t" (two indexed dimensions and a carried
-    /// attribute) under `cuts`, with `primary` and `replicas` stored as
-    /// given — wherever their points fall, so the stores also hold rows
-    /// of regions this node would never answer.
-    fn node_with(cuts: CutTree, primary: &[Record], replicas: &[Record]) -> MindNode {
+    /// Node `k` of a two-node overlay (code `k`; the other node is its
+    /// only neighbor) holding index "t" (two indexed dimensions and a
+    /// carried attribute) under `cuts`.
+    fn node_at(k: usize, cuts: CutTree, replication: Replication) -> MindNode {
         let topo = StaticTopology::balanced(2);
         let mut n = MindNode::new_static(
-            NodeId(0),
-            topo.code(0),
-            topo.neighbor_entries(0),
+            NodeId(k as u32),
+            topo.code(k),
+            topo.neighbor_entries(k),
             OverlayConfig::default(),
             MindConfig::default(),
         );
         let attr = |name| AttrDef::new(name, AttrKind::Generic, 0, SIDE);
         let schema = IndexSchema::new("t", vec![attr("x"), attr("y"), attr("c")], 2);
-        let mut state = IndexState::new(
-            schema,
-            cuts,
-            Replication::None,
-            n.cfg.hist_granularity,
-            n.cfg.store_kind,
-        );
-        for r in primary {
-            state.versions[0].primary.insert(r.clone());
-        }
-        for r in replicas {
-            state.versions[0].replicas.insert(r.clone());
-        }
+        let state = IndexState::new(schema, cuts, replication, n.cfg.store_kind);
         n.indexes.insert("t".into(), state);
         n
+    }
+
+    /// Node 0 with `primary` and `replicas` stored as given — wherever
+    /// their points fall, so the stores also hold rows of regions this
+    /// node would never answer.
+    fn node_with(cuts: CutTree, primary: &[Record], replicas: &[Record]) -> MindNode {
+        let mut n = node_at(0, cuts, Replication::None);
+        let ver = &mut n.indexes.get_mut("t").unwrap().versions[0];
+        for r in primary {
+            ver.primary.insert(r.clone());
+        }
+        for r in replicas {
+            ver.replicas.insert(r.clone());
+        }
+        n
+    }
+
+    /// Runs DAC batches until the queue is empty; what they sent, all of
+    /// it direct.
+    fn run_dac(n: &mut MindNode) -> Vec<(NodeId, MindPayload)> {
+        let mut out = Out::new();
+        while n.dac_busy {
+            let batch_id = n.batch_seq;
+            n.handle_dac_timer(1_000, KIND_DAC_TICK, 0, &mut out);
+            n.handle_dac_timer(1_000, KIND_BATCH, batch_id, &mut out);
+        }
+        let direct = |(to, msg)| match msg {
+            OverlayMsg::Direct { payload } => (to, payload),
+            other => panic!("the DAC sends direct, got {other:?}"),
+        };
+        out.sends.into_iter().map(direct).collect()
+    }
+
+    /// Ids and rows of a whole store, each sorted.
+    fn contents(store: &dyn mind_store::Store) -> (Vec<mind_types::RecordId>, Vec<Vec<Value>>) {
+        let all = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+        let mut ids = store.range_ids(&all);
+        ids.sort();
+        (ids, sorted(store.range_records(&all)))
     }
 
     /// A prefix-free set of region codes: walks the tree from `code`,
@@ -833,10 +699,10 @@ mod tests {
         rows.iter().map(|r| r.values().to_vec()).collect()
     }
 
-    fn arb_rows(max: usize) -> impl Strategy<Value = Vec<Record>> {
+    fn arb_rows(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Record>> {
         prop::collection::vec(
             (0..=SIDE, 0..=SIDE, 0..=SIDE).prop_map(|(x, y, c)| Record::new(vec![x, y, c])),
-            0..max,
+            len,
         )
     }
 
@@ -851,22 +717,20 @@ mod tests {
         let cost = n.cfg.dac_cost;
         let mut out = Out::new();
         n.enqueue(
-            0,
-            DacJob::InsertBatch {
+            DacJob::Write(WriteOp {
                 index: "t".into(),
                 version: 0,
-                records: (0..5000)
+                rows: (0..5000)
                     .map(|i| Record::new(vec![i % 256, i / 256, 0]))
                     .collect(),
                 sent_at: 0,
                 routed_to: n.overlay.code(),
                 acker: NodeId(1),
                 op_id: 0,
-            },
+            }),
             &mut out,
         );
         n.enqueue(
-            0,
             DacJob::Scan {
                 query_id: 7,
                 index: "t".into(),
@@ -910,15 +774,145 @@ mod tests {
         );
     }
 
+    /// The wire pin: a one-row op is an `Insert` on its way to the primary
+    /// and a `Replica` on its way on, and a receiver treats a peer's
+    /// one-row `InsertBatch` as the very same op.
+    #[test]
+    fn one_row_travels_as_insert_and_replica_and_applies_like_a_one_row_batch() {
+        let bounds = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+        let cuts = CutTree::balanced_from_points(bounds, 3, &[]);
+        let row = Record::new(vec![200, 200, 5]);
+        let mut sender = node_at(0, cuts.clone(), Replication::Level(1));
+        let mut out = Out::new();
+        sender.insert(10, "t", row.clone(), &mut out).unwrap();
+        let [(NodeId(1), frame)] = &out.sends[..] else {
+            panic!("one frame to the owner, got {:?}", out.sends);
+        };
+        let mut as_batch = frame.clone();
+        let OverlayMsg::Route { payload, .. } = &mut as_batch else {
+            panic!("a routed frame, got {frame:?}");
+        };
+        let MindPayload::Insert {
+            index,
+            version,
+            record,
+            origin,
+            sent_at,
+            op_id,
+            horizon,
+        } = payload.clone()
+        else {
+            panic!("one row leaves as a plain Insert, got {payload:?}");
+        };
+        *payload = MindPayload::InsertBatch {
+            index,
+            version,
+            records: vec![record],
+            origin,
+            sent_at,
+            op_id,
+            horizon,
+        };
+        let applied = |frame: OverlayMsg<MindPayload>| {
+            let mut primary = node_at(1, cuts.clone(), Replication::Level(1));
+            primary.on_message(20, NodeId(0), frame, &mut Out::new());
+            let sends = run_dac(&mut primary);
+            let left = (
+                format!("{sends:?}"),
+                contents(&*primary.indexes["t"].versions[0].primary),
+                primary.metrics.insert_latencies.clone(),
+                primary.seen_ops.contains(op_id),
+            );
+            (sends, left)
+        };
+        let (sends, left) = applied(frame.clone());
+        let [(NodeId(0), MindPayload::Ack { op_id: acked }), (NodeId(0), MindPayload::Replica { record, .. })] =
+            &sends[..]
+        else {
+            panic!("an ack, then one plain Replica to the takeover neighbor, got {sends:?}");
+        };
+        assert_eq!((*acked, record), (op_id, &row));
+        assert_eq!(left.1 .1, vec![row.values().to_vec()]);
+        assert_eq!(left, applied(as_batch).1);
+    }
+
     proptest! {
+        /// The normalisation is exact: one frame of k rows and k frames
+        /// of one row, as a peer's `insert_op`/`replica_op` mint them,
+        /// are the same write on the primary side and on the replica
+        /// side — same stores, day histogram, trigger notifications,
+        /// replica pushes, row counters and latency samples — and each
+        /// op is acked once.
+        #[test]
+        fn one_op_of_k_rows_equals_k_ops_of_one_row(
+            rows in arb_rows(1..100),
+            replica in any::<bool>(),
+            watch in ((0..=SIDE, 0..=SIDE), (0..=SIDE, 0..=SIDE)),
+        ) {
+            let bounds = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+            let ((x0, y0), (x1, y1)) = watch;
+            let watch = HyperRect::new(vec![x0.min(x1), y0.min(y1)], vec![x0.max(x1), y0.max(y1)]);
+            let apply = |ops: Vec<Vec<Record>>| {
+                let cuts = CutTree::balanced_from_points(bounds.clone(), 3, &[]);
+                let mut peer = node_at(1, cuts.clone(), Replication::Level(1));
+                let mut n = node_at(0, cuts, Replication::Level(1));
+                n.triggers.install(Trigger {
+                    trigger_id: 9,
+                    index: "t".into(),
+                    rect: watch.clone(),
+                    filters: Vec::new(),
+                    origin: NodeId(1),
+                });
+                for rows in ops {
+                    let frame = if replica {
+                        let payload = peer.replica_op("t".into(), 0, &rows);
+                        OverlayMsg::Direct { payload }
+                    } else {
+                        let (_, payload) = peer.insert_op("t".into(), 0, rows, 0);
+                        OverlayMsg::Route { target: n.overlay.code().unwrap(), hops: 1, payload }
+                    };
+                    n.on_message(5, NodeId(1), frame, &mut Out::new());
+                }
+                let (mut acks, mut fired, mut pushed) = (0, Vec::new(), Vec::new());
+                for (to, payload) in run_dac(&mut n) {
+                    assert_eq!(to, NodeId(1));
+                    match payload {
+                        MindPayload::Ack { .. } => acks += 1,
+                        MindPayload::TriggerFired { record, .. } => fired.push(record),
+                        MindPayload::Replica { record, .. } => pushed.push(record),
+                        MindPayload::ReplicaBatch { records, .. } => pushed.extend(records),
+                        other => panic!("unexpected effect {other:?}"),
+                    }
+                }
+                let state = &n.indexes["t"];
+                let ver = &state.versions[0];
+                let same = (
+                    (contents(&*ver.primary), contents(&*ver.replicas)),
+                    state.day_histogram.clone(),
+                    (fired, pushed),
+                    (ver.primary_rows, ver.replica_rows),
+                    n.metrics.insert_latencies.len(),
+                );
+                (same, acks)
+            };
+            let k = rows.len();
+            let (batched, batched_acks) = apply(vec![rows.clone()]);
+            let (singles, singles_acks) = apply(rows.into_iter().map(|r| vec![r]).collect());
+            prop_assert_eq!(&batched, &singles);
+            prop_assert_eq!((batched_acks, singles_acks), (1, k));
+            let stored = if replica { (0, k as u64) } else { (k as u64, 0) };
+            prop_assert_eq!(batched.3, stored);
+            prop_assert_eq!(batched.4, if replica { 0 } else { k });
+        }
+
         /// The shared scan is exact: per region code it returns the rows
         /// the clipped single-region scan returns, and nothing else.
         #[test]
         fn shared_scan_equals_one_scan_per_code(
             cut_points in prop::collection::vec((0..=SIDE, 0..=SIDE), 0..60),
             depth in 1u8..7,
-            primary in arb_rows(150),
-            replicas in arb_rows(150),
+            primary in arb_rows(0..150),
+            replicas in arb_rows(0..150),
             corners in ((0..=SIDE, 0..=SIDE), (0..=SIDE, 0..=SIDE)),
             carried in prop::option::of((0..=SIDE, 0..=SIDE)),
             shape in 0u8..4,

@@ -6,6 +6,9 @@ use mind_store::{Store, StoreKind};
 use mind_types::{IndexSchema, MindError, Record};
 use std::sync::Arc;
 
+/// Bins per dimension of the per-day histograms shipped to the collector.
+pub(crate) const HIST_GRANULARITY: u32 = 64;
+
 /// One version of an index: its cuts and the local share of its data.
 ///
 /// Versions implement the paper's daily re-balancing without data motion
@@ -63,7 +66,6 @@ impl IndexState {
         schema: IndexSchema,
         cuts: impl Into<Arc<CutTree>>,
         replication: Replication,
-        hist_granularity: u32,
         store_kind: StoreKind,
     ) -> Self {
         let dims = schema.indexed_dims;
@@ -79,7 +81,7 @@ impl IndexState {
                 primary_rows: 0,
                 replica_rows: 0,
             }],
-            day_histogram: GridHistogram::new(bounds, hist_granularity),
+            day_histogram: GridHistogram::new(bounds, HIST_GRANULARITY),
             store_kind,
         }
     }
@@ -260,7 +262,7 @@ mod tests {
     fn state() -> IndexState {
         let s = schema();
         let cuts = CutTree::even(s.bounds(), 4);
-        IndexState::new(s, cuts, Replication::Level(1), 16, StoreKind::KdTree)
+        IndexState::new(s, cuts, Replication::Level(1), StoreKind::KdTree)
     }
 
     #[test]

@@ -87,7 +87,9 @@ pub enum MindPayload {
         /// Index tag.
         index: String,
     },
-    /// Routed to the record's region owner: store one record.
+    /// Routed to the record's region owner: store one record — the
+    /// one-row encoding of a write op, 4 bytes shorter than a one-row
+    /// [`MindPayload::InsertBatch`] and applied exactly like one.
     Insert {
         /// Index tag.
         index: String,
@@ -109,11 +111,12 @@ pub enum MindPayload {
         horizon: u64,
     },
     /// Routed to the region owner shared by every carried record: store
-    /// many records under **one** frame, one op id, one ack, and one
-    /// horizon update — the batched ingest fast path. The origin's
-    /// batcher (`reliability.rs`) only coalesces records that conformed
-    /// to the same index, version, and routing code, so a batch routes
-    /// exactly like each of its records would have alone.
+    /// the records under **one** frame, one op id, one ack, and one
+    /// horizon update. The origin's batcher (`reliability.rs`) only
+    /// coalesces records that conformed to the same index, version, and
+    /// routing code, so a batch routes exactly like each of its records
+    /// would have alone. `insert_op` picks this encoding for two rows or
+    /// more.
     InsertBatch {
         /// Index tag.
         index: String,
@@ -133,7 +136,8 @@ pub enum MindPayload {
         /// [`MindPayload::Insert::horizon`]).
         horizon: u64,
     },
-    /// Direct to a prefix neighbor: store a replica copy.
+    /// Direct to a prefix neighbor: store a replica copy — the one-row
+    /// encoding of a replica push (`replica_op` picks it by row count).
     Replica {
         /// Index tag.
         index: String,
@@ -147,9 +151,9 @@ pub enum MindPayload {
         /// [`MindPayload::Insert::horizon`]).
         horizon: u64,
     },
-    /// Direct to a prefix neighbor: store replica copies of a whole
-    /// applied batch — one push, one op id, one ack per replica target,
-    /// however many records the primary just applied for it.
+    /// Direct to a prefix neighbor: store replica copies of every record
+    /// of an applied op — one push, one op id, one ack per replica
+    /// target, however many records the primary just applied for it.
     ReplicaBatch {
         /// Index tag.
         index: String,

@@ -25,7 +25,7 @@ pub struct NodeMetrics {
     /// them. At low arrival rates `idle` dominates (the row never
     /// waited); at saturation `size` and `ack` do; `age` counts the
     /// frames that sat out the full `insert_batch_age` (a lost or slow
-    /// ack, or the ack machinery off).
+    /// ack).
     pub insert_frames: FlushCounts,
     /// Rows that reached this node under a prefix it only partly owned
     /// and that it re-originated toward their owner (the apply-time

@@ -13,7 +13,7 @@
 //! [`crate::dac_drive`]. This module owns the struct, the MIND interface,
 //! and the event dispatcher that fans timers out to those concerns.
 
-use crate::dac_drive::{BatchResult, DacJob, PendingHandoff};
+use crate::dac_drive::{BatchResult, DacJob, PendingHandoff, WriteOp};
 use crate::index::IndexState;
 use crate::messages::{CarriedFilter, IndexDef, MindPayload, Replication};
 use crate::metrics::NodeMetrics;
@@ -53,46 +53,28 @@ pub struct MindConfig {
     pub dac_batch_size: usize,
     /// Queries time out (and count as failed) after this long.
     pub query_deadline: SimTime,
-    /// Granularity of the per-day histograms shipped to the collector.
-    pub hist_granularity: u32,
-    /// Depth of balanced cut trees computed from collected histograms.
-    pub cut_depth: u8,
-    /// Length of a "day" in record-timestamp seconds (for versioning).
-    pub day_len: u64,
     /// Whether the designated collector computes and floods new versions.
     pub auto_versioning: bool,
-    /// How long the collector waits for stragglers after the first report.
-    pub collect_grace: SimTime,
-    /// How long a fresh joiner keeps forwarding sub-queries to its
-    /// acceptor for the historical data it did not migrate (the paper's
-    /// "pointer ... dropped once the data have aged", Section 3.4).
-    pub handoff_ttl: SimTime,
-    /// Base timeout before an unacked insert/replica is re-sent; doubles
-    /// per attempt. `0` disables the ack/retry machinery entirely.
+    /// Base timeout before an unacked write op is re-sent; doubles per
+    /// attempt. Must be positive: every op is acked and retried.
     pub retry_timeout: SimTime,
     /// Retry budget per operation (and per query-retry round sequence).
     pub max_retries: u32,
-    /// Interval between re-dispatch rounds for a query's unanswered
-    /// plans/sub-queries. `0` disables query retries.
-    pub query_retry_interval: SimTime,
     /// Interval between anti-entropy catalog exchanges with a round-robin
     /// neighbor (heals lost index/version/trigger floods). `0` disables.
     pub anti_entropy_interval: SimTime,
     /// Ingest fast path: records of one index and version bound for the
     /// same owner (their leaf codes share one prefix of this node's own
     /// overlay depth) that arrive while an earlier frame to that owner is
-    /// unacked are coalesced into one `InsertBatch` frame of up to this
-    /// many records (one frame, one op id, one ack). `1` (the default)
-    /// disables batching — every insert leaves immediately as a plain
-    /// `Insert` routed to its leaf code, exactly the pre-batching wire
-    /// behavior.
+    /// unacked are coalesced into one write op of up to this many records
+    /// (one frame, one op id, one ack). At `1` (the default) nothing is
+    /// grouped: every insert leaves immediately as a one-row op routed to
+    /// its leaf code.
     pub insert_batch_max: usize,
     /// The longest a buffered row may wait for its group's unacked frame
     /// before it is shipped anyway — a cap, not a wait: a row whose group
     /// has nothing in flight leaves at once, and an ack releases whatever
-    /// queued up behind it. With `retry_timeout == 0` there is no ack
-    /// signal and every partial batch waits this long. Ignored while
-    /// `insert_batch_max <= 1`.
+    /// queued up behind it. Ignored while `insert_batch_max <= 1`.
     pub insert_batch_age: SimTime,
     /// This node's boot epoch, carried in the high 40 bits of the wire
     /// horizon field. A process runtime sets it to something strictly
@@ -118,15 +100,9 @@ impl Default for MindConfig {
             store_kind: StoreKind::KdTree,
             dac_batch_size: 64,
             query_deadline: 60 * SECONDS,
-            hist_granularity: 64,
-            cut_depth: 10,
-            day_len: 86_400,
             auto_versioning: true,
-            collect_grace: 10 * SECONDS,
-            handoff_ttl: 3600 * SECONDS,
             retry_timeout: 5 * SECONDS,
             max_retries: 6,
-            query_retry_interval: 8 * SECONDS,
             anti_entropy_interval: 45 * SECONDS,
             insert_batch_max: 1,
             insert_batch_age: SECONDS / 20,
@@ -224,6 +200,10 @@ impl MindNode {
     }
 
     fn with_overlay(id: NodeId, overlay: Overlay<MindPayload>, cfg: MindConfig) -> Self {
+        assert!(
+            cfg.retry_timeout > 0,
+            "retry_timeout must be positive: every write op is acked and retried"
+        );
         MindNode {
             id,
             cfg,
@@ -573,13 +553,7 @@ impl MindNode {
             } => {
                 let tag = schema.tag.clone();
                 self.indexes.entry(tag).or_insert_with(|| {
-                    IndexState::new(
-                        schema,
-                        cuts,
-                        replication,
-                        self.cfg.hist_granularity,
-                        self.cfg.store_kind,
-                    )
+                    IndexState::new(schema, cuts, replication, self.cfg.store_kind)
                 });
             }
             MindPayload::NewVersion {
@@ -624,6 +598,33 @@ impl MindNode {
         }
     }
 
+    /// A write op arrived, in any of its four wire shapes. One already
+    /// applied (a retry whose ack was lost, a network duplicate, or a dead
+    /// incarnation's straggler) is re-acked without touching the DAC — the
+    /// whole op was applied under one op id, so one check covers every
+    /// row. Anything else is queued for [`MindNode::apply_write`]; `hops`
+    /// is the overlay path of a routed frame, sampled once per op.
+    fn on_write_op(
+        &mut self,
+        now: SimTime,
+        op: WriteOp,
+        horizon: u64,
+        hops: Option<u32>,
+        out: &mut Out,
+    ) {
+        if op.op_id != 0 && self.seen_ops.observe(op.op_id, horizon) {
+            self.metrics.dup_ops_ignored += 1;
+            self.send_ack(now, op.acker, op.op_id, out);
+            return;
+        }
+        if let Some(hops) = hops {
+            if self.metrics.insert_hops.len() < self.cfg.metrics_samples_max {
+                self.metrics.insert_hops.push(hops);
+            }
+        }
+        self.enqueue(DacJob::Write(op), out);
+    }
+
     /// A routed payload terminated here. `target` is the code it was
     /// routed toward: for inserts, the prefix every carried row's leaf
     /// code extends, for sub-queries the prefix every carried region code
@@ -647,32 +648,16 @@ impl MindNode {
                 op_id,
                 horizon,
             } => {
-                if op_id != 0 {
-                    // Already applied (a retry whose ack was lost, a
-                    // network duplicate, or a dead incarnation's
-                    // straggler): re-ack, don't touch the DAC.
-                    if self.seen_ops.observe(op_id, horizon) {
-                        self.metrics.dup_ops_ignored += 1;
-                        self.send_ack(now, origin, op_id, out);
-                        return;
-                    }
-                }
-                if self.metrics.insert_hops.len() < self.cfg.metrics_samples_max {
-                    self.metrics.insert_hops.push(hops);
-                }
-                self.enqueue(
-                    now,
-                    DacJob::Insert {
-                        index,
-                        version,
-                        record,
-                        sent_at,
-                        routed_to: Some(target),
-                        acker: origin,
-                        op_id,
-                    },
-                    out,
-                );
+                let op = WriteOp {
+                    index,
+                    version,
+                    rows: vec![record],
+                    sent_at,
+                    routed_to: Some(target),
+                    acker: origin,
+                    op_id,
+                };
+                self.on_write_op(now, op, horizon, Some(hops), out);
             }
             MindPayload::InsertBatch {
                 index,
@@ -683,32 +668,16 @@ impl MindNode {
                 op_id,
                 horizon,
             } => {
-                if op_id != 0 {
-                    // The whole batch was applied atomically under one op
-                    // id, so one dedup check covers every record.
-                    if self.seen_ops.observe(op_id, horizon) {
-                        self.metrics.dup_ops_ignored += 1;
-                        self.send_ack(now, origin, op_id, out);
-                        return;
-                    }
-                }
-                // One frame traveled once: one hop sample per batch.
-                if self.metrics.insert_hops.len() < self.cfg.metrics_samples_max {
-                    self.metrics.insert_hops.push(hops);
-                }
-                self.enqueue(
-                    now,
-                    DacJob::InsertBatch {
-                        index,
-                        version,
-                        records,
-                        sent_at,
-                        routed_to: Some(target),
-                        acker: origin,
-                        op_id,
-                    },
-                    out,
-                );
+                let op = WriteOp {
+                    index,
+                    version,
+                    rows: records,
+                    sent_at,
+                    routed_to: Some(target),
+                    acker: origin,
+                    op_id,
+                };
+                self.on_write_op(now, op, horizon, Some(hops), out);
             }
             MindPayload::RootQuery {
                 query_id,
@@ -766,6 +735,8 @@ impl MindNode {
         out: &mut Out,
     ) {
         match payload {
+            // Replica copies skip latency, hop and histogram accounting
+            // but share the DAC (they cost real work).
             MindPayload::Replica {
                 index,
                 version,
@@ -773,26 +744,16 @@ impl MindNode {
                 op_id,
                 horizon,
             } => {
-                if op_id != 0 && self.seen_ops.observe(op_id, horizon) {
-                    self.metrics.dup_ops_ignored += 1;
-                    self.send_ack(now, from, op_id, out);
-                    return;
-                }
-                // Replica writes skip latency metrics and histogram
-                // accounting but share the DAC (they cost real work).
-                self.enqueue(
-                    now,
-                    DacJob::Insert {
-                        index,
-                        version,
-                        record,
-                        sent_at: now,
-                        routed_to: None,
-                        acker: from,
-                        op_id,
-                    },
-                    out,
-                );
+                let op = WriteOp {
+                    index,
+                    version,
+                    rows: vec![record],
+                    sent_at: now,
+                    routed_to: None,
+                    acker: from,
+                    op_id,
+                };
+                self.on_write_op(now, op, horizon, None, out);
             }
             MindPayload::ReplicaBatch {
                 index,
@@ -801,24 +762,16 @@ impl MindNode {
                 op_id,
                 horizon,
             } => {
-                if op_id != 0 && self.seen_ops.observe(op_id, horizon) {
-                    self.metrics.dup_ops_ignored += 1;
-                    self.send_ack(now, from, op_id, out);
-                    return;
-                }
-                self.enqueue(
-                    now,
-                    DacJob::InsertBatch {
-                        index,
-                        version,
-                        records,
-                        sent_at: now,
-                        routed_to: None,
-                        acker: from,
-                        op_id,
-                    },
-                    out,
-                );
+                let op = WriteOp {
+                    index,
+                    version,
+                    rows: records,
+                    sent_at: now,
+                    routed_to: None,
+                    acker: from,
+                    op_id,
+                };
+                self.on_write_op(now, op, horizon, None, out);
             }
             MindPayload::Ack { op_id } => self.on_ack(now, op_id, out),
             MindPayload::TriggerFired {
@@ -860,7 +813,6 @@ impl MindNode {
                             def.schema.clone(),
                             first_cuts,
                             def.replication,
-                            self.cfg.hist_granularity,
                             self.cfg.store_kind,
                         )
                     });

@@ -1,22 +1,26 @@
 //! Query issue, split, retry, and completion tracking (Section 3.6).
 //!
-//! The originator announces a deadline and (optionally) a retry cadence
-//! when the query is issued; both timers are *cancelled the moment the
-//! tracker completes*, so finished queries leave no stale timer events in
-//! the event plane — under sustained query load this is the difference
-//! between O(in-flight) and O(ever-issued) pending timers.
+//! The originator arms a deadline and a retry cadence when the query is
+//! issued; both timers are *cancelled the moment the tracker completes*,
+//! so finished queries leave no stale timer events in the event plane —
+//! under sustained query load this is the difference between
+//! O(in-flight) and O(ever-issued) pending timers.
 
 use crate::dac_drive::DacJob;
 use crate::messages::{CarriedFilter, MindPayload};
 use crate::node::{token, MindNode, Out};
 use crate::query::QueryTracker;
 use mind_overlay::OverlayMsg;
-use mind_types::node::{SimTime, TimerId};
+use mind_types::node::{SimTime, TimerId, SECONDS};
 use mind_types::{BitCode, HyperRect, MindError, NodeId};
 use std::collections::BTreeMap;
 
 pub(crate) const KIND_QUERY_DEADLINE: u64 = 2;
 pub(crate) const KIND_QUERY_RETRY: u64 = 5;
+
+/// Interval between re-dispatch rounds for a query's unanswered plans
+/// and sub-queries.
+const QUERY_RETRY_INTERVAL: SimTime = 8 * SECONDS;
 
 /// What a query originator needs to re-dispatch unanswered work, plus the
 /// live timer handles retired at completion.
@@ -26,8 +30,7 @@ pub(crate) struct QueryRetryMeta {
     rect: HyperRect,
     filters: Vec<CarriedFilter>,
     attempts: u32,
-    /// The pending retry-round timer (None once the budget is spent or
-    /// retries are disabled).
+    /// The pending retry-round timer (None once the budget is spent).
     retry_timer: Option<TimerId>,
     /// The query's deadline timer.
     deadline_timer: TimerId,
@@ -76,14 +79,7 @@ impl MindNode {
         // Arm the timers *before* routing: a root that answers locally can
         // complete the tracker synchronously, and completion must find the
         // handles to cancel.
-        let retry_timer = if self.cfg.query_retry_interval > 0 {
-            Some(out.set_timer(
-                self.cfg.query_retry_interval,
-                token(KIND_QUERY_RETRY, query_id),
-            ))
-        } else {
-            None
-        };
+        let retry_timer = out.set_timer(QUERY_RETRY_INTERVAL, token(KIND_QUERY_RETRY, query_id));
         let deadline_timer = out.set_timer(
             self.cfg.query_deadline,
             token(KIND_QUERY_DEADLINE, query_id),
@@ -95,7 +91,7 @@ impl MindNode {
                 rect: rect.clone(),
                 filters: filters.clone(),
                 attempts: 0,
-                retry_timer,
+                retry_timer: Some(retry_timer),
                 deadline_timer,
             },
         );
@@ -240,10 +236,7 @@ impl MindNode {
         // answers): only schedule the next round for a live query.
         let still_open = self.queries.get(&query_id).is_some_and(|t| !t.done());
         if still_open {
-            let t = out.set_timer(
-                self.cfg.query_retry_interval,
-                token(KIND_QUERY_RETRY, query_id),
-            );
+            let t = out.set_timer(QUERY_RETRY_INTERVAL, token(KIND_QUERY_RETRY, query_id));
             if let Some(meta) = self.query_meta.get_mut(&query_id) {
                 meta.retry_timer = Some(t);
             }
@@ -352,7 +345,7 @@ impl MindNode {
         let group_len = own.map_or(0, |c| c.len()).max(min_group_len);
         // Refinement requires the cut tree to be deeper than the region
         // code; a leaf region is answered whole (the tree depth is always
-        // configured above the overlay depth, see MindConfig::cut_depth).
+        // chosen above the overlay depth, see `rollover::CUT_DEPTH`).
         let tree_depth = self
             .indexes
             .get(index)
@@ -391,7 +384,6 @@ impl MindNode {
         }
         if !scan.is_empty() {
             self.enqueue(
-                now,
                 DacJob::Scan {
                     query_id,
                     index: index.to_string(),

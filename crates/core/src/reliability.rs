@@ -1,9 +1,13 @@
 //! Reliable delivery (DESIGN.md §8) and bounded dedup state (§10).
 //!
-//! Every tracked `Insert`/`Replica` carries an *op id* (origin node ∥
-//! 24-bit counter) and is retried with exponential backoff until acked or
-//! the retry budget runs out. Receivers remember applied op ids so a
-//! retried copy is re-acked instead of double-stored.
+//! Every write op — the rows of one insert or replica frame — carries an
+//! *op id* (origin node ∥ 24-bit counter) and is retried with exponential
+//! backoff until acked or the retry budget runs out. Receivers remember
+//! applied op ids so a retried copy is re-acked instead of double-stored.
+//! [`MindNode::insert_op`] and [`MindNode::replica_op`] are where an op
+//! gets its id and its wire shape: one row travels as `Insert`/`Replica`,
+//! more as `InsertBatch`/`ReplicaBatch` (4 bytes a frame saved on the
+//! one-row case); the receiving node applies all four the same way.
 //!
 //! The remembered set is **bounded** by a horizon protocol: every outgoing
 //! op also carries the origin's *settled horizon* — the counter below
@@ -99,7 +103,6 @@ pub(crate) struct WireBatch {
     /// another cause ships them first.
     timer: Option<(TimerId, u64)>,
     /// Frames of this group shipped and not yet acked or abandoned.
-    /// Stays 0 with the ack machinery off (`retry_timeout == 0`).
     in_flight: u32,
 }
 
@@ -189,30 +192,23 @@ impl SeenOps {
 
 impl MindNode {
     /// A fresh idempotency key, unique per origin (node id ∥ counter,
-    /// within the 48-bit timer-argument budget). When the ack/retry
-    /// machinery is on, the counter is reserved as live until the op
-    /// settles, pinning the horizon below it.
+    /// within the 48-bit timer-argument budget). The counter is reserved
+    /// as live until the op settles, pinning the horizon below it.
     pub(crate) fn next_op_id(&mut self) -> u64 {
         // Pre-increment: the id 0 is reserved as the "no tracking" sentinel
         // (node 0's op 0 would otherwise collide with it and lose dedup).
         self.op_seq += 1;
         let id =
             (((self.id().0 as u64) << 24) | (self.op_seq & OP_COUNTER_MASK)) & 0xFFFF_FFFF_FFFF;
-        if self.cfg.retry_timeout > 0 {
-            self.live_op_counters.insert(op_counter(id));
-        }
+        self.live_op_counters.insert(op_counter(id));
         id
     }
 
     /// This node's wire horizon field: the boot epoch in the high bits,
     /// and below it the settled-op horizon — every counter at or below it
-    /// is acked or abandoned. With retries off no op ever settles, so no
-    /// counter is claimed (the boot epoch still travels).
+    /// is acked or abandoned.
     pub(crate) fn op_horizon(&self) -> u64 {
         let boot = (self.cfg.boot_id & 0xFF_FFFF_FFFF) << 24;
-        if self.cfg.retry_timeout == 0 {
-            return boot;
-        }
         let settled = match self.live_op_counters.first() {
             Some(&min) => min - 1,
             None => self.op_seq & OP_COUNTER_MASK,
@@ -247,9 +243,8 @@ impl MindNode {
     /// group has nothing unacked leaves at once; rows arriving behind an
     /// unacked frame accumulate and leave on its ack, at
     /// `insert_batch_max` rows, or when the age expires, whichever is
-    /// first. With the ack machinery off there is no ack signal, so rows
-    /// always buffer for size or age. Only called when batching is
-    /// enabled (`insert_batch_max > 1`).
+    /// first. Only called when batching is enabled
+    /// (`insert_batch_max > 1`).
     pub(crate) fn buffer_wire_insert(
         &mut self,
         now: SimTime,
@@ -262,7 +257,6 @@ impl MindNode {
         let own_len = self.overlay.code().map_or(0, |c| c.len());
         let code = leaf.prefix(own_len.min(leaf.len()));
         let key: GroupKey = (index, version, code.len(), code.as_index());
-        let acked = self.cfg.retry_timeout > 0;
         let Some(group) = self.wire_batches.get_mut(&key) else {
             self.wire_batches.insert(
                 key.clone(),
@@ -274,11 +268,7 @@ impl MindNode {
                     in_flight: 0,
                 },
             );
-            if acked {
-                self.ship_wire_batch(now, key, FlushCause::Idle, out);
-            } else {
-                self.arm_batch_age(key, out);
-            }
+            self.ship_wire_batch(now, key, FlushCause::Idle, out);
             return;
         };
         let first = group.records.is_empty();
@@ -319,12 +309,7 @@ impl MindNode {
             out.cancel_timer(timer);
             self.wire_batch_keys.remove(&arg);
         }
-        let acked = self.cfg.retry_timeout > 0;
-        if acked {
-            group.in_flight += 1;
-        } else {
-            self.wire_batches.remove(&key);
-        }
+        group.in_flight += 1;
         let frames = &mut self.metrics.insert_frames;
         match cause {
             FlushCause::Idle => frames.idle += 1,
@@ -333,7 +318,7 @@ impl MindNode {
             FlushCause::Age => frames.age += 1,
         }
         let (op_id, payload) = self.insert_op(key.0.clone(), key.1, records, oldest);
-        self.launch_insert_op(now, code, op_id, payload, acked.then_some(key), out);
+        self.launch_insert_op(now, code, op_id, payload, Some(key), out);
     }
 
     /// An op the batcher shipped was acked or abandoned: once the group
@@ -428,6 +413,38 @@ impl MindNode {
         (op_id, payload)
     }
 
+    /// The replica twin of [`MindNode::insert_op`]: reserves a fresh op
+    /// id for a push of `records` (non-empty — what the primary just
+    /// stored) to one takeover neighbor and builds its payload, a plain
+    /// `Replica` for one record, a `ReplicaBatch` for more. Copies the
+    /// records: every target gets its own, and the primary keeps the
+    /// originals to store.
+    pub(crate) fn replica_op(
+        &mut self,
+        index: String,
+        version: u32,
+        records: &[Record],
+    ) -> MindPayload {
+        let op_id = self.next_op_id();
+        let horizon = self.op_horizon();
+        match records {
+            [record] => MindPayload::Replica {
+                index,
+                version,
+                record: record.clone(),
+                op_id,
+                horizon,
+            },
+            _ => MindPayload::ReplicaBatch {
+                index,
+                version,
+                records: records.to_vec(),
+                op_id,
+                horizon,
+            },
+        }
+    }
+
     /// Arms ack tracking for an insert op and routes it toward `target`.
     pub(crate) fn launch_insert_op(
         &mut self,
@@ -452,9 +469,6 @@ impl MindNode {
         group: Option<GroupKey>,
         out: &mut Out,
     ) {
-        if self.cfg.retry_timeout == 0 {
-            return;
-        }
         let timer = out.set_timer(self.cfg.retry_timeout, token(KIND_OP_RETRY, op_id));
         self.pending_ops.insert(
             op_id,
@@ -624,12 +638,12 @@ mod tests {
 
     /// Node 0 (code `0`) of a two-node overlay with index "t" installed;
     /// every row of [`far`] belongs to node 1 (code `1`).
-    fn origin(retry_timeout: SimTime) -> (MindNode, Out) {
+    fn origin() -> (MindNode, Out) {
         let topo = StaticTopology::balanced(2);
         let cfg = MindConfig {
             insert_batch_max: MAX,
             insert_batch_age: AGE,
-            retry_timeout,
+            retry_timeout: SECONDS,
             ..MindConfig::default()
         };
         let mut n = MindNode::new_static(
@@ -699,7 +713,7 @@ mod tests {
 
     #[test]
     fn idle_group_ships_at_once_and_the_ack_releases_what_queued_behind() {
-        let (mut n, mut out) = origin(SECONDS);
+        let (mut n, mut out) = origin();
         n.insert(10, "t", far(0), &mut out).unwrap();
         let (frames, ages, _) = drain(&mut out);
         assert_eq!(frames.len(), 1, "row 1 never waits");
@@ -737,7 +751,7 @@ mod tests {
 
     #[test]
     fn full_frames_pipeline_behind_an_unacked_one() {
-        let (mut n, mut out) = origin(SECONDS);
+        let (mut n, mut out) = origin();
         for i in 0..(1 + 2 * MAX as u64 + 1) {
             n.insert(10 + i, "t", far(i), &mut out).unwrap();
         }
@@ -760,7 +774,7 @@ mod tests {
 
     #[test]
     fn a_lost_ack_still_ships_on_the_age_cap_exactly_once() {
-        let (mut n, mut out) = origin(SECONDS);
+        let (mut n, mut out) = origin();
         n.insert(10, "t", far(0), &mut out).unwrap();
         let first = drain(&mut out).0[0].0;
         n.insert(20, "t", far(1), &mut out).unwrap();
@@ -784,7 +798,7 @@ mod tests {
 
     #[test]
     fn an_abandoned_frame_releases_the_group_like_an_ack() {
-        let (mut n, mut out) = origin(SECONDS);
+        let (mut n, mut out) = origin();
         n.cfg.max_retries = 0;
         n.insert(10, "t", far(0), &mut out).unwrap();
         let first = drain(&mut out).0[0].0;
@@ -798,31 +812,8 @@ mod tests {
     }
 
     #[test]
-    fn without_acks_the_size_and_age_rule_stays() {
-        let (mut n, mut out) = origin(0);
-        n.insert(10, "t", far(0), &mut out).unwrap();
-        let (frames, ages, _) = drain(&mut out);
-        assert!(frames.is_empty(), "no ack signal: even row 1 buffers");
-        assert_eq!(ages.len(), 1);
-        for i in 1..MAX as u64 {
-            n.insert(10 + i, "t", far(i), &mut out).unwrap();
-        }
-        let (frames, _, cancels) = drain(&mut out);
-        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![MAX]);
-        assert_eq!(cancels, vec![ages[0].1]);
-        assert!(n.wire_batches.is_empty() && n.pending_ops_len() == 0);
-        n.insert(100, "t", far(9), &mut out).unwrap();
-        let (_, ages, _) = drain(&mut out);
-        n.on_timer(100 + AGE, ages[0].0, &mut out);
-        let (frames, _, _) = drain(&mut out);
-        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![1]);
-        let f = n.metrics.insert_frames;
-        assert_eq!((f.idle, f.ack, f.size, f.age), (0, 0, 1, 1));
-    }
-
-    #[test]
     fn forced_drain_counts_and_ships_buffered_rows() {
-        let (mut n, mut out) = origin(SECONDS);
+        let (mut n, mut out) = origin();
         for i in 0..3 {
             n.insert(10 + i, "t", far(i), &mut out).unwrap();
         }
@@ -840,7 +831,7 @@ mod tests {
 
     #[test]
     fn a_crash_clears_buffers_and_in_flight_counts() {
-        let (mut n, mut out) = origin(SECONDS);
+        let (mut n, mut out) = origin();
         n.on_start(0, &mut out);
         for i in 0..3 {
             n.insert(10 + i, "t", far(i), &mut out).unwrap();

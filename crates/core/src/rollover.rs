@@ -5,13 +5,21 @@
 //! merges the reports, computes balanced cuts for the next day, and
 //! floods them as a new index version.
 
+use crate::index::HIST_GRANULARITY;
 use crate::messages::MindPayload;
 use crate::node::{token, MindNode, Out};
 use mind_histogram::{CutTree, GridHistogram};
-use mind_types::node::SimTime;
+use mind_types::node::{SimTime, SECONDS};
 use mind_types::{BitCode, MindError};
 
 pub(crate) const KIND_COLLECT: u64 = 3;
+
+/// Depth of the balanced cut trees computed from collected histograms.
+const CUT_DEPTH: u8 = 10;
+/// Length of a "day" in record-timestamp seconds.
+const DAY_LEN: u64 = 86_400;
+/// How long the collector waits for stragglers after the first report.
+const COLLECT_GRACE: SimTime = 10 * SECONDS;
 
 /// The region code all histogram reports route to: the node owning the
 /// all-zeros corner of the code space acts as the designated collector of
@@ -39,7 +47,7 @@ impl MindNode {
         let bounds = state.schema.bounds();
         let hist = std::mem::replace(
             &mut state.day_histogram,
-            GridHistogram::new(bounds, self.cfg.hist_granularity),
+            GridHistogram::new(bounds, HIST_GRANULARITY),
         );
         let payload = MindPayload::HistReport {
             index: index.to_string(),
@@ -78,7 +86,7 @@ impl MindNode {
             }
             None => {
                 // First report for this (index, day): arm the grace timer.
-                out.set_timer(self.cfg.collect_grace, token(KIND_COLLECT, seq));
+                out.set_timer(COLLECT_GRACE, token(KIND_COLLECT, seq));
                 self.collecting.insert(seq, (index, day, hist, 1));
             }
         }
@@ -95,9 +103,9 @@ impl MindNode {
             return;
         };
         let bounds = state.schema.bounds();
-        let cuts = CutTree::balanced_from_histogram(bounds, self.cfg.cut_depth, &hist);
+        let cuts = CutTree::balanced_from_histogram(bounds, CUT_DEPTH, &hist);
         let version = state.versions.len() as u32;
-        let from_ts = (day + 1) * self.cfg.day_len;
+        let from_ts = (day + 1) * DAY_LEN;
         let events = self.overlay.flood(
             MindPayload::NewVersion {
                 index,

@@ -10,6 +10,8 @@
 //! `--batch-age-ms` is the longest a row may wait behind that owner's
 //! unacked frame before it ships anyway — a cap, not a wait: with nothing
 //! in flight a row leaves at once (`--batch-max 1` turns batching off).
+//! `--retry-ms` is the base ack timeout before an unacked op is re-sent
+//! and must be > 0.
 //!
 //! Reads the cluster spec (`id node_addr control_addr` per line), binds
 //! this node's overlay and control listeners, hosts the `MindNode` logic
@@ -64,6 +66,11 @@ fn parse_args() -> Result<Args, String> {
                 retry_ms = val("--retry-ms")?
                     .parse()
                     .map_err(|e| format!("--retry-ms: {e}"))?;
+                if retry_ms == 0 {
+                    return Err(
+                        "--retry-ms must be > 0: every write op is acked and retried".into(),
+                    );
+                }
             }
             "--hb-ms" => {
                 hb_ms = val("--hb-ms")?

@@ -132,6 +132,17 @@ fn shutdown_and_reap(fleet: &mut Fleet) {
 }
 
 #[test]
+fn zero_retry_timeout_is_rejected_at_parse_time() {
+    let out = Command::new(NODE_BIN)
+        .args(["--id", "0", "--cluster", "unread.txt", "--retry-ms", "0"])
+        .output()
+        .expect("spawn mind-node");
+    assert!(!out.status.success(), "--retry-ms 0 was accepted");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--retry-ms must be > 0"), "stderr: {err}");
+}
+
+#[test]
 fn killed_process_rejoins_fresh_and_cluster_keeps_serving() {
     const N: usize = 4;
     const INDEX: &str = "proc-flows";

@@ -317,12 +317,29 @@ fn sustained_churn_keeps_pending_events_and_seen_ops_bounded() {
 }
 
 /// Every externally observable output of one seeded replay run: the full
-/// NetStats counter tuple, the sorted query answer, and the retry volume.
+/// NetStats counter tuple, the sorted query answer, the retry volume and
+/// the bytes carried over every simulated link.
 type ReplayObservables = (
     (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64),
     Vec<Vec<u64>>,
     u64,
+    u64,
 );
+
+/// Asks `at` for the whole space (the answer must be complete) and
+/// collects the run's observables.
+fn observe(cluster: &mut MindCluster, at: NodeId) -> ReplayObservables {
+    let q = HyperRect::new(vec![0, 0, 0], vec![1 << 20, 86_400 * 7, 1 << 20]);
+    let outcome = cluster.query_and_wait(at, "chaos", q, vec![]).unwrap();
+    assert!(outcome.complete);
+    let stats = &cluster.world().stats;
+    (
+        stats.counters(),
+        sorted_values(&outcome.records),
+        metric_sum(cluster, |m| m.retries_sent),
+        stats.per_link.values().map(|l| l.bytes).sum(),
+    )
+}
 
 /// One seeded lossy/duplicating run, audited clean before returning its
 /// observables.
@@ -334,20 +351,11 @@ fn replay_run(seed: u64) -> ReplayObservables {
     let mut oracle = Vec::new();
     spray(&mut cluster, &mut rng, n, 100, 0, &mut oracle);
     cluster.run_for(120 * SECONDS);
-    let q = HyperRect::new(vec![0, 0, 0], vec![1 << 20, 86_400 * 7, 1 << 20]);
-    let outcome = cluster
-        .query_and_wait(NodeId(2), "chaos", q, vec![])
-        .unwrap();
-    assert!(outcome.complete);
-    let retries = metric_sum(&cluster, |m| m.retries_sent);
+    let observed = observe(&mut cluster, NodeId(2));
     cluster
         .audit_settled()
         .assert_clean(&format!("seed {seed} replay"));
-    (
-        cluster.world().stats.counters(),
-        sorted_values(&outcome.records),
-        retries,
-    )
+    observed
 }
 
 /// One seeded run with the ingest fast path on (batches of up to 8
@@ -409,23 +417,78 @@ fn batched_replay_run(seed: u64) -> (ReplayObservables, u64) {
         "seed {seed}: partition never severed a send"
     );
 
-    let q = HyperRect::new(vec![0, 0, 0], vec![1 << 20, 86_400 * 7, 1 << 20]);
-    let outcome = cluster
-        .query_and_wait(NodeId(2), "chaos", q, vec![])
-        .unwrap();
-    assert!(outcome.complete);
-    let retries = metric_sum(&cluster, |m| m.retries_sent);
+    let observed = observe(&mut cluster, NodeId(2));
     cluster
         .audit_settled()
         .assert_clean(&format!("seed {seed} batched replay"));
-    (
-        (
-            cluster.world().stats.counters(),
-            sorted_values(&outcome.records),
-            retries,
-        ),
-        batches,
-    )
+    (observed, batches)
+}
+
+/// One seeded run on 8 nodes under `Replication::Level(1)` with frames
+/// of up to 8 rows: sprayed rows mostly leave alone (`Insert`, pushed on
+/// as `Replica`), a hot-spot burst leaves in full frames (`InsertBatch`,
+/// pushed on as `ReplicaBatch`). Oracle-checked and audited clean before
+/// returning the observables plus `(insert frames, of them InsertBatch)`.
+fn replicated_replay_run(seed: u64) -> (ReplayObservables, (u64, u64)) {
+    let n = 8;
+    let fault = FaultPlan::lossy(0.05).with_duplication(0.02);
+    let mut cluster = build_batching(n, seed, fault, Replication::Level(1), 8);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x2E91);
+    let mut oracle = Vec::new();
+    spray(&mut cluster, &mut rng, n, 80, 0, &mut oracle);
+    for _ in 0..30 {
+        let r = Record::new(vec![7, 1_234, 9]);
+        oracle.push(r.clone());
+        cluster.insert(NodeId(2), "chaos", r).unwrap();
+    }
+    cluster.run_for(120 * SECONDS);
+    assert_matches_oracle(
+        &mut cluster,
+        NodeId(3),
+        &oracle,
+        &format!("seed {seed} replicated"),
+    );
+    let frames = metric_sum(&cluster, |m| {
+        let f = m.insert_frames;
+        f.idle + f.ack + f.size + f.age
+    });
+    let batches = metric_sum(&cluster, |m| m.insert_batches_sent);
+    let observed = observe(&mut cluster, NodeId(2));
+    cluster
+        .audit_settled()
+        .assert_clean(&format!("seed {seed} replicated replay"));
+    (observed, (frames, batches))
+}
+
+#[test]
+fn golden_replay_pins() {
+    // The same-seed tests compare a build with itself; these constants
+    // compare it with the build that wrote them. A change that claims to
+    // leave the simulated bytes alone must leave them alone: one seed each
+    // of single-row frames without replication, frames of up to 8 through
+    // a partition, and both frame sizes under level-1 replication (all
+    // four insert payloads). Re-pin only with a stated protocol change.
+    let pin = |o: ReplayObservables| (o.0, o.2, o.3);
+    assert_eq!(
+        pin(replay_run(17)),
+        ((4557, 0, 0, 195, 108, 0, 967, 102, 268, 82), 8, 325_252),
+        "single-row frames, no replication"
+    );
+    assert_eq!(
+        pin(batched_replay_run(17).0),
+        ((5566, 0, 0, 252, 121, 84, 1226, 107, 305, 79), 25, 363_152),
+        "frames of up to 8 through a partition"
+    );
+    let (observed, (frames, batches)) = replicated_replay_run(17);
+    assert!(
+        0 < batches && batches < frames,
+        "level 1 saw {batches} InsertBatch of {frames} insert frames"
+    );
+    assert_eq!(
+        pin(observed),
+        ((4700, 0, 0, 202, 110, 0, 1128, 173, 291, 88), 13, 336_242),
+        "both frame sizes under level-1 replication"
+    );
 }
 
 #[test]
@@ -588,20 +651,7 @@ fn unbalanced_batched_run(n: usize, seed: u64) -> (ReplayObservables, (u64, u64)
     let forwarded = metric_sum(&cluster, |m| m.insert_rows_forwarded);
     assert!(forwarded > 0, "{ctx}: no frame ever needed a re-split");
 
-    let q = HyperRect::new(vec![0, 0, 0], vec![1 << 20, 86_400 * 7, 1 << 20]);
-    let outcome = cluster
-        .query_and_wait(NodeId(2), "chaos", q, vec![])
-        .unwrap();
-    assert!(outcome.complete);
-    let retries = metric_sum(&cluster, |m| m.retries_sent);
-    (
-        (
-            cluster.world().stats.counters(),
-            sorted_values(&outcome.records),
-            retries,
-        ),
-        (batches, forwarded),
-    )
+    (observe(&mut cluster, NodeId(2)), (batches, forwarded))
 }
 
 #[test]
@@ -776,20 +826,7 @@ fn unbalanced_query_run(n: usize, seed: u64) -> (ReplayObservables, (u64, u64, u
     let rounds = metric_sum(&cluster, |m| m.query_retries);
     assert!(rounds > 0, "{ctx}: no query ever needed a retry round");
 
-    let q = HyperRect::new(vec![0, 0, 0], vec![1 << 20, 86_400 * 7, 1 << 20]);
-    let outcome = cluster
-        .query_and_wait(NodeId(2), "chaos", q, vec![])
-        .unwrap();
-    assert!(outcome.complete);
-    let retries = metric_sum(&cluster, |m| m.retries_sent);
-    (
-        (
-            cluster.world().stats.counters(),
-            sorted_values(&outcome.records),
-            retries,
-        ),
-        (jobs, regions, rounds),
-    )
+    (observe(&mut cluster, NodeId(2)), (jobs, regions, rounds))
 }
 
 #[test]
@@ -816,5 +853,6 @@ fn same_seed_and_plan_replay_identically() {
         assert_eq!(a.0, b.0, "seed {seed}: NetStats counters diverged");
         assert_eq!(a.1, b.1, "seed {seed}: query answers diverged");
         assert_eq!(a.2, b.2, "seed {seed}: retry volume diverged");
+        assert_eq!(a.3, b.3, "seed {seed}: wire bytes diverged");
     }
 }
