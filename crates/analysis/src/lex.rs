@@ -421,16 +421,13 @@ impl Lexer<'_> {
         // suffixes — all alphanumeric, so one class suffices. A `.` joins
         // only when followed by a digit (so `0..n` stays a range).
         while let Some(c) = self.peek(0) {
-            if c == b'_' || c.is_ascii_alphanumeric() {
-                self.pos += 1;
-            } else if c == b'.'
+            let joins_fraction = c == b'.'
                 && self.peek(1).is_some_and(|d| d.is_ascii_digit())
-                && !self.src[start..self.pos].contains(&b'.')
-            {
-                self.pos += 1;
-            } else {
+                && !self.src[start..self.pos].contains(&b'.');
+            if !(c == b'_' || c.is_ascii_alphanumeric() || joins_fraction) {
                 break;
             }
+            self.pos += 1;
         }
         let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
         self.push(TokKind::Num, &text);

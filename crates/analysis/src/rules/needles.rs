@@ -99,8 +99,12 @@ static UNWRAP: Meta = Meta {
     why: "propagate or handle errors in production code",
     applies_in_tests: false,
     only_prefixes: &[],
-    // Figure-generation binaries: panic-on-error IS their error handling.
-    exempt_prefixes: &["crates/bench/src/bin/", "crates/runtime/src/bin/"],
+    // Figure bodies and binaries: panic-on-error IS their error handling.
+    exempt_prefixes: &[
+        "crates/bench/src/bin/",
+        "crates/bench/src/figures/",
+        "crates/runtime/src/bin/",
+    ],
 };
 
 static RNG: Meta = Meta {

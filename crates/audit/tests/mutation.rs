@@ -166,7 +166,7 @@ proptest! {
         let mut snap = uniform_cube(depth, 2);
         let n = 1u64 << depth;
         let orig = snap.nodes[(pick % n) as usize].clone();
-        let mut clone = orig.clone();
+        let mut clone = orig;
         clone.id = NodeId(n as u32 + 1);
         clone.indexes.clear();
         snap.nodes.push(clone);

@@ -29,18 +29,18 @@ fn bench_embedding(c: &mut Criterion) {
     let tree = CutTree::balanced_from_points(bounds3(), 12, &refs);
 
     c.bench_function("cut_tree/build_balanced_10k_depth12", |b| {
-        b.iter(|| CutTree::balanced_from_points(bounds3(), 12, black_box(&refs)))
+        b.iter(|| CutTree::balanced_from_points(bounds3(), 12, black_box(&refs)));
     });
     c.bench_function("cut_tree/code_for_point", |b| {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % pts.len();
             black_box(tree.code_for_point(&pts[i]))
-        })
+        });
     });
     c.bench_function("cut_tree/covering_codes_5min_query", |b| {
         let q = HyperRect::new(vec![0, 40_000, 0], vec![u32::MAX as u64, 40_300, 2 << 20]);
-        b.iter(|| black_box(tree.covering_codes_at_least(&q, 6)))
+        b.iter(|| black_box(tree.covering_codes_at_least(&q, 6)));
     });
 }
 
@@ -57,10 +57,10 @@ fn bench_routing(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % targets.len();
             black_box(table.next_hop(&me, &targets[i]))
-        })
+        });
     });
     c.bench_function("overlay/static_table_build_102", |b| {
-        b.iter(|| black_box(topo.neighbor_entries(50)))
+        b.iter(|| black_box(topo.neighbor_entries(50)));
     });
 }
 
@@ -86,26 +86,26 @@ fn bench_store(c: &mut Criterion) {
             || entries.clone(),
             |e| KdTree::build(3, e),
             BatchSize::LargeInput,
-        )
+        );
     });
     c.bench_function("kdtree_naive/build_100k", |b| {
         b.iter_batched(
             || entries.clone(),
             |e| NaiveKdTree::build(3, e),
             BatchSize::LargeInput,
-        )
+        );
     });
     c.bench_function("kdtree/range_query_100k", |b| {
-        b.iter(|| black_box(tree.range_vec(&query)))
+        b.iter(|| black_box(tree.range_vec(&query)));
     });
     c.bench_function("kdtree_naive/range_query_100k", |b| {
-        b.iter(|| black_box(naive.range_vec(&query)))
+        b.iter(|| black_box(naive.range_vec(&query)));
     });
     c.bench_function("kdtree/count_range_100k", |b| {
-        b.iter(|| black_box(tree.count_range(&query)))
+        b.iter(|| black_box(tree.count_range(&query)));
     });
     c.bench_function("kdtree_naive/count_range_100k", |b| {
-        b.iter(|| black_box(naive.count_range(&query)))
+        b.iter(|| black_box(naive.count_range(&query)));
     });
     c.bench_function("memstore/insert", |b| {
         let mut store = mind_store::MemStore::new(3);
@@ -113,7 +113,7 @@ fn bench_store(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % pts.len();
             store.insert(Record::new(pts[i].clone()))
-        })
+        });
     });
 }
 
@@ -133,14 +133,14 @@ fn bench_histogram(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % pts.len();
-            h.add(&pts[i])
-        })
+            h.add(&pts[i]);
+        });
     });
     c.bench_function("histogram/merge_5k_bins", |b| {
-        b.iter_batched(|| h1.clone(), |mut h| h.merge(&h2), BatchSize::SmallInput)
+        b.iter_batched(|| h1.clone(), |mut h| h.merge(&h2), BatchSize::SmallInput);
     });
     c.bench_function("histogram/mismatch", |b| {
-        b.iter(|| black_box(mismatch(&h1, &h2)))
+        b.iter(|| black_box(mismatch(&h1, &h2)));
     });
 }
 
@@ -152,10 +152,10 @@ fn bench_traffic(c: &mut Criterion) {
         b.iter(|| {
             w += 30;
             black_box(generator.window_flows(0, w, 30, 0))
-        })
+        });
     });
     c.bench_function("traffic/aggregate_window", |b| {
-        b.iter(|| black_box(aggregate_window(&flows, 43_200, 30)))
+        b.iter(|| black_box(aggregate_window(&flows, 43_200, 30)));
     });
 }
 
@@ -177,10 +177,10 @@ fn bench_wire(c: &mut Criterion) {
     };
     let bytes = mind_net::to_bytes(&msg).unwrap();
     c.bench_function("wire/encode_insert", |b| {
-        b.iter(|| black_box(mind_net::to_bytes(&msg).unwrap()))
+        b.iter(|| black_box(mind_net::to_bytes(&msg).unwrap()));
     });
     c.bench_function("wire/decode_insert", |b| {
-        b.iter(|| black_box(mind_net::from_bytes::<OverlayMsg<MindPayload>>(&bytes).unwrap()))
+        b.iter(|| black_box(mind_net::from_bytes::<OverlayMsg<MindPayload>>(&bytes).unwrap()));
     });
 }
 

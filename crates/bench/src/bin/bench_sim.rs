@@ -109,7 +109,7 @@ fn synth_point(rng: &mut StdRng, sec: u64) -> Vec<u64> {
     let block = (rank / 64) % 8;
     let slot = rank % 64;
     let host = rng.random_range(0..1u64 << 16);
-    let prefix = (((block * 8192 + slot * 128 + rank % 128) as u64) << 16) | host;
+    let prefix = ((block * 8192 + slot * 128 + rank % 128) << 16) | host;
     let fanout = 16 + (u.powf(-0.5) * 4.0) as u64 % 4000;
     let ts = sec + rng.random_range(0..300u64);
     vec![prefix, ts, fanout]

@@ -14,11 +14,12 @@
 //!   owners, and hence the paper's query-cost metric, stay the same),
 //! * **embedding stays cheap** — `code_for_point` is O(depth).
 
-use mind_bench::harness::{
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{
     balanced_cuts, baseline_cluster, install_index, random_query, ExperimentScale, IndexKind,
     TrafficDriver,
 };
-use mind_bench::report::{print_header, print_kv};
+use crate::report::{header, kv};
 use mind_core::Replication;
 use mind_types::node::SECONDS;
 use mind_types::NodeId;
@@ -26,8 +27,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// (max-node/fair ratio, mean plan size, mean query cost)
-fn run(depth: u8) -> (f64, f64, f64) {
-    let scale = ExperimentScale::from_env(1);
+fn sweep_point(scale: ExperimentScale, depth: u8) -> (f64, f64, f64) {
     let kind = IndexKind::Octets;
     let ts_bound = 86_400;
     let driver = TrafficDriver::abilene_geant(43, scale);
@@ -73,43 +73,48 @@ fn run(depth: u8) -> (f64, f64, f64) {
     )
 }
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Ablation: cut-tree depth",
         "balance, plan size and query cost vs cut depth (34 nodes, log2 N = 6)",
         "balance is fixed by the first log2 N levels; deeper trees split queries finer",
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "\n  {:<8} {:>16} {:>16} {:>16}",
         "depth", "max node / fair", "plan size/query", "nodes/query"
-    );
+    )?;
+    let scale = scale.experiment(1);
     let mut plans = Vec::new();
     let mut balances = Vec::new();
     for depth in [6u8, 8, 10, 12] {
-        let (ratio, plan, cost) = run(depth);
+        let (ratio, plan, cost) = sweep_point(scale, depth);
         plans.push(plan);
         balances.push(ratio);
-        println!(
+        writeln!(
+            out,
             "  {:<8} {:>15.1}x {:>16.1} {:>16.1}",
             depth, ratio, plan, cost
-        );
+        )?;
     }
-    println!();
+    writeln!(out)?;
     let balance_invariant = balances.iter().all(|&b| (b - balances[0]).abs() < 0.5);
-    print_kv(
-        "shape check (balance invariant, plans grow with depth)",
+    let verdict = Verdict::new(
+        balance_invariant && plans[3] > plans[0],
         format!(
-            "balance {:.1}x at all depths: {}; plans {:.1} -> {:.1}: {} — {}",
+            "balance {:.1}x at all depths: {}; plans {:.1} -> {:.1}: {}",
             balances[0],
             balance_invariant,
             plans[0],
             plans[3],
             plans[3] > plans[0],
-            if balance_invariant && plans[3] > plans[0] {
-                "reproduced"
-            } else {
-                "NOT reproduced"
-            }
         ),
     );
+    kv(
+        out,
+        "shape check (balance invariant, plans grow with depth)",
+        &verdict,
+    )?;
+    Ok(verdict)
 }

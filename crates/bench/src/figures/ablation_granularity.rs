@@ -7,17 +7,19 @@
 //! against cuts from the exact point set (the unreachable ideal) and
 //! even cuts (the no-information floor).
 
-use mind_bench::harness::{ExperimentScale, IndexKind, TrafficDriver, WINDOW};
-use mind_bench::report::{print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{IndexKind, TrafficDriver, WINDOW};
+use crate::report::{header, kv};
 use mind_histogram::{CutTree, GridHistogram};
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Ablation: histogram granularity",
         "balance quality of histogram-derived cuts vs granularity",
         "coarser histograms -> coarser medians -> worse balance (Section 3.7)",
-    );
-    let scale = ExperimentScale::from_env(6);
+    )?;
+    let scale = scale.experiment(6);
     let kind = IndexKind::Octets;
     let ts_bound = 86_400;
     let schema = kind.schema(ts_bound);
@@ -38,7 +40,7 @@ fn main() {
         }
         w += WINDOW * 4;
     }
-    print_kv("records", pts.len());
+    kv(out, "records", pts.len())?;
     let depth = 8u8;
     let ideal = pts.len() as f64 / (1u64 << depth) as f64;
 
@@ -48,13 +50,18 @@ fn main() {
         (max, max as f64 / ideal.max(1.0))
     };
 
-    println!(
+    writeln!(
+        out,
         "\n  {:<26} {:>12} {:>16}",
         "cuts", "max leaf", "max / ideal"
-    );
+    )?;
     let even = CutTree::even(bounds.clone(), depth);
     let (m, r) = imbalance(&even);
-    println!("  {:<26} {:>12} {:>15.1}x", "even (no information)", m, r);
+    writeln!(
+        out,
+        "  {:<26} {:>12} {:>15.1}x",
+        "even (no information)", m, r
+    )?;
 
     let mut prev_ratio = f64::MAX;
     let mut monotone = true;
@@ -65,12 +72,13 @@ fn main() {
         }
         let tree = CutTree::balanced_from_histogram(bounds.clone(), depth, &hist);
         let (m, r) = imbalance(&tree);
-        println!(
+        writeln!(
+            out,
             "  {:<26} {:>12} {:>15.1}x",
             format!("histogram granularity {gran}"),
             m,
             r
-        );
+        )?;
         if gran >= 8 && r > prev_ratio * 1.5 {
             monotone = false; // allow noise but catch gross inversions
         }
@@ -79,21 +87,21 @@ fn main() {
     let refs: Vec<&[u64]> = pts.iter().map(|p| p.as_slice()).collect();
     let exact = CutTree::balanced_from_points(bounds, depth, &refs);
     let (m, exact_r) = imbalance(&exact);
-    println!(
+    writeln!(
+        out,
         "  {:<26} {:>12} {:>15.1}x",
         "exact points (ideal)", m, exact_r
-    );
+    )?;
 
-    println!();
-    print_kv(
-        "shape check (finer histograms approach the ideal)",
-        format!(
-            "gran-128 ratio {prev_ratio:.1}x vs exact {exact_r:.1}x {}",
-            if monotone && prev_ratio < 4.0 * exact_r.max(1.0) {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
-            }
-        ),
+    writeln!(out)?;
+    let verdict = Verdict::new(
+        monotone && prev_ratio < 4.0 * exact_r.max(1.0),
+        format!("gran-128 ratio {prev_ratio:.1}x vs exact {exact_r:.1}x"),
     );
+    kv(
+        out,
+        "shape check (finer histograms approach the ideal)",
+        &verdict,
+    )?;
+    Ok(verdict)
 }

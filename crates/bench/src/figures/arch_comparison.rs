@@ -11,13 +11,13 @@
 //! * **load concentration** — the centralized hub's links carry the
 //!   whole insert volume (its single point of failure in kind).
 
-use mind_baselines::{CentralizedNode, FloodingNode};
-use mind_bench::harness::{
-    balanced_cuts, baseline_cluster, install_index, random_query, ExperimentScale, IndexKind,
-    TrafficDriver,
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{
+    balanced_cuts, baseline_cluster, install_index, random_query, IndexKind, TrafficDriver,
 };
-use mind_bench::report::{print_header, print_kv};
-use mind_core::Replication;
+use crate::report::{header, kv};
+use mind_baselines::{CentralizedNode, FloodingNode};
+use mind_core::{MindCluster, Replication};
 use mind_netsim::topology::baseline_sites;
 use mind_netsim::{SimConfig, World};
 use mind_types::node::SECONDS;
@@ -25,13 +25,14 @@ use mind_types::{NodeId, Record};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Architecture comparison (Section 2.1)",
         "MIND vs query flooding vs centralized, same workload",
         "distributed wins on query work vs flooding and on load spread vs centralized",
-    );
-    let scale = ExperimentScale::from_env(1);
+    )?;
+    let scale = scale.experiment(1);
     let kind = IndexKind::Octets;
     let ts_bound = 86_400;
     let t0 = 11 * 3600;
@@ -58,10 +59,11 @@ fn main() {
             random_query(kind, &mut rng, t_now)
         })
         .collect();
-    print_kv(
+    kv(
+        out,
         "workload",
         format!("{} inserts, {} queries", inserts.len(), queries.len()),
-    );
+    )?;
 
     // ---- MIND ----
     let mut cluster = baseline_cluster(21);
@@ -76,13 +78,11 @@ fn main() {
         }
     }
     cluster.run_for(60 * SECONDS);
-    let mind_insert_msgs: u64 = cluster
-        .world()
-        .stats
-        .per_link
-        .values()
-        .map(|s| s.data_messages)
-        .sum();
+    let per_link = |c: &MindCluster| -> Vec<u64> {
+        let links = c.world().stats.per_link.values();
+        links.map(|s| s.data_messages).collect()
+    };
+    let mind_insert_msgs: u64 = per_link(&cluster).iter().sum();
     let mut mind_qlat = Vec::new();
     let mut mind_cost = 0usize;
     for q in &queries {
@@ -97,23 +97,16 @@ fn main() {
         mind_qlat.push(o.latency.unwrap_or(0));
         mind_cost += o.cost_nodes;
     }
-    let mind_max_link: u64 = cluster
-        .world()
-        .stats
-        .per_link
-        .values()
-        .map(|s| s.data_messages)
-        .max()
-        .unwrap_or(0);
+    let mind_max_link = per_link(&cluster).into_iter().max().unwrap_or(0);
 
     // ---- flooding ----
-    let sim = SimConfig {
-        seed: 21,
+    let sim = |seed| SimConfig {
+        seed,
         node_service: 18_000,
         link_bytes_per_sec: 1_000_000,
         ..SimConfig::default()
     };
-    let mut flood: World<FloodingNode> = World::new(sim);
+    let mut flood: World<FloodingNode> = World::new(sim(21));
     let peers: Vec<NodeId> = (0..34u32).map(NodeId).collect();
     for (k, site) in baseline_sites().into_iter().enumerate() {
         flood.add_node(FloodingNode::new(NodeId(k as u32), peers.clone(), 3), site);
@@ -127,20 +120,13 @@ fn main() {
         let origin = NodeId(rng.random_range(0..34u32));
         let q = q.clone();
         let qid = flood.with_node(origin, move |n, t, o| n.query(t, q, o));
-        let deadline = flood.now() + 120 * SECONDS;
-        flood.run_until(deadline.min(flood.now() + 60 * SECONDS));
+        flood.run_until(flood.now() + 60 * SECONDS);
         flood_qlat.push(flood.node(origin).query_latency(qid).unwrap_or(60_000_000));
     }
     let flood_evals: u64 = (0..34u32).map(|k| flood.node(NodeId(k)).evaluations).sum();
 
     // ---- centralized ----
-    let sim = SimConfig {
-        seed: 22,
-        node_service: 18_000,
-        link_bytes_per_sec: 1_000_000,
-        ..SimConfig::default()
-    };
-    let mut central: World<CentralizedNode> = World::new(sim);
+    let mut central: World<CentralizedNode> = World::new(sim(22));
     for (k, site) in baseline_sites().into_iter().enumerate() {
         central.add_node(CentralizedNode::new(NodeId(k as u32), NodeId(0), 3), site);
     }
@@ -180,41 +166,49 @@ fn main() {
         v.sort_unstable();
         v.get(v.len() / 2).copied().unwrap_or(0) as f64 / 1e6
     };
-    println!(
+    writeln!(
+        out,
         "\n  {:<28} {:>10} {:>10} {:>12}",
         "metric", "MIND", "flooding", "centralized"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {:<28} {:>10} {:>10} {:>12}",
         "insert msgs on network",
         mind_insert_msgs,
         0,
         inserts.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {:<28} {:>10} {:>10} {:>12}",
         "node evaluations / query",
         format!("{:.1}", mind_cost as f64 / queries.len() as f64),
         format!("{:.1}", flood_evals as f64 / queries.len() as f64),
         "1.0"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {:<28} {:>10} {:>10} {:>12}",
         "median query latency (s)",
         format!("{:.2}", med(mind_qlat)),
         format!("{:.2}", med(flood_qlat)),
         format!("{:.2}", med(central_qlat)),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {:<28} {:>10} {:>10} {:>12}",
         "max tuples on one link", mind_max_link, 0, hub_inbound
-    );
-    println!();
-    print_kv(
-        "shape check",
+    )?;
+    writeln!(out)?;
+    // Less query work than flooding, less load on one link than the hub.
+    let verdict = Verdict::new(
+        (mind_cost as u64) < flood_evals && mind_max_link < hub_inbound,
         format!(
             "MIND touches {:.1} nodes/query vs flooding's 34; hub absorbs {hub_inbound} msgs vs MIND's max link {mind_max_link}",
             mind_cost as f64 / queries.len() as f64
         ),
     );
+    kv(out, "shape check", &verdict.note)?;
+    Ok(verdict)
 }

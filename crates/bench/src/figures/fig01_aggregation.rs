@@ -4,17 +4,19 @@
 //! over a 30-second window and filters aggregates below a size threshold,
 //! obtaining almost two orders of magnitude fewer records at 50 KB.
 
-use mind_bench::harness::{ExperimentScale, TrafficDriver, WINDOW};
-use mind_bench::report::{print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{TrafficDriver, WINDOW};
+use crate::report::{header, kv};
 use mind_traffic::aggregate::reduction_counts;
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 1",
         "records after aggregation and filtering (one Abilene router, one day)",
         "30 s window + 50 KB threshold ≈ two orders of magnitude reduction",
-    );
-    let scale = ExperimentScale::from_env(24);
+    )?;
+    let scale = scale.experiment(24);
     let driver = TrafficDriver::abilene_geant(1, scale);
     let router = 0u16; // an Abilene router (1/100 sampling → high volume)
     let span = scale.hours * 3600;
@@ -37,36 +39,30 @@ fn main() {
         w += WINDOW;
     }
 
-    print_kv("hours of trace", scale.hours);
-    print_kv("raw sampled flow records", raw_total);
-    print_kv(
+    kv(out, "hours of trace", scale.hours)?;
+    kv(out, "raw sampled flow records", raw_total)?;
+    kv(
+        out,
         "aggregated (30 s windows)",
         format!(
             "{agg_total}  ({:.1}x reduction)",
             raw_total as f64 / agg_total.max(1) as f64
         ),
-    );
+    )?;
     for (i, &th) in thresholds.iter().enumerate() {
         let f = filt_totals[i];
-        print_kv(
+        kv(
+            out,
             &format!("aggregated + filtered (>= {} KB)", th >> 10),
             format!(
                 "{f}  ({:.1}x reduction)",
                 raw_total as f64 / f.max(1) as f64
             ),
-        );
+        )?;
     }
     let reduction_50k = raw_total as f64 / filt_totals[1].max(1) as f64;
-    println!();
-    print_kv(
-        "shape check (paper: ~100x at 30 s / 50 KB)",
-        format!(
-            "{reduction_50k:.0}x {}",
-            if reduction_50k >= 20.0 {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
-            }
-        ),
-    );
+    writeln!(out)?;
+    let verdict = Verdict::new(reduction_50k >= 20.0, format!("{reduction_50k:.0}x"));
+    kv(out, "shape check (paper: ~100x at 30 s / 50 KB)", &verdict)?;
+    Ok(verdict)
 }

@@ -4,20 +4,24 @@
 //! 64-bin multi-dimensional histogram per index and shows the occupancy
 //! varies by an order of magnitude — the motivation for balanced cuts.
 
-use mind_bench::harness::{ExperimentScale, IndexKind, TrafficDriver, WINDOW};
-use mind_bench::report::{print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{IndexKind, TrafficDriver, WINDOW};
+use crate::report::{header, kv};
 use mind_histogram::GridHistogram;
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 2",
         "64-bin multi-dimensional histogram occupancy per index",
         "occupancy across bins varies by an order of magnitude or more",
-    );
-    let scale = ExperimentScale::from_env(24);
+    )?;
+    let scale = scale.experiment(24);
     let driver = TrafficDriver::abilene_geant(2, scale);
     let ts_bound = 86_400u64;
 
+    let mut ratios = Vec::new();
+    let mut all = true;
     for kind in [IndexKind::Fanout, IndexKind::Octets, IndexKind::FlowSize] {
         let schema = kind.schema(ts_bound);
         // 64 total bins over 3 dims = 4 bins per dimension.
@@ -39,31 +43,33 @@ fn main() {
         let max = occ.first().copied().unwrap_or(0);
         let median = occ.get(occ.len() / 2).copied().unwrap_or(0);
         let min = occ.last().copied().unwrap_or(0);
-        println!(
+        writeln!(
+            out,
             "\n  {} ({} records in {} of 64 bins):",
             kind.tag(),
             hist.total(),
             occ.len()
-        );
-        print_kv(
+        )?;
+        kv(
+            out,
             "    occupancy (desc, top 8)",
             format!("{:?}", &occ[..occ.len().min(8)]),
-        );
-        print_kv(
+        )?;
+        kv(
+            out,
             "    max / median / min bin",
             format!("{max} / {median} / {min}"),
+        )?;
+        let verdict = Verdict::new(
+            max >= 10 * min.max(1),
+            format!("{:.0}x", max as f64 / min.max(1) as f64),
         );
-        print_kv(
-            "    max:min ratio (paper: >= 10x)",
-            format!(
-                "{:.0}x {}",
-                max as f64 / min.max(1) as f64,
-                if max >= 10 * min.max(1) {
-                    "— reproduced"
-                } else {
-                    "— NOT reproduced"
-                }
-            ),
-        );
+        kv(out, "    max:min ratio (paper: >= 10x)", &verdict)?;
+        all &= verdict.reproduced;
+        ratios.push(verdict.note);
     }
+    Ok(Verdict::new(
+        all,
+        format!("max:min bin ratio {}", ratios.join(" / ")),
+    ))
 }

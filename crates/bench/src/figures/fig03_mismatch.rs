@@ -9,8 +9,9 @@
 //! time-of-day bins and the popular-prefix set churns. This is the case
 //! for daily (not continuous) re-balancing.
 
-use mind_bench::harness::{ExperimentScale, TrafficDriver, WINDOW};
-use mind_bench::report::{print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{TrafficDriver, WINDOW};
+use crate::report::{header, kv};
 use mind_histogram::{mismatch_fraction, GridHistogram};
 use mind_traffic::schemas::index2_schema;
 use mind_types::HyperRect;
@@ -42,21 +43,23 @@ fn hist_for(
     h
 }
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 3",
         "histogram mismatch day-over-day vs hour-over-hour, by granularity",
         "daily mismatch <= ~20%; hourly mismatch -> 1 at granularity >= 64",
-    );
-    let scale = ExperimentScale::from_env(24);
+    )?;
+    let scale = scale.experiment(24);
     let driver = TrafficDriver::abilene_geant(3, scale);
     let schema = index2_schema(86_400);
     let bounds = schema.bounds();
 
-    println!(
+    writeln!(
+        out,
         "\n  {:<12} {:>16} {:>16}",
         "granularity", "day-over-day", "hour-over-hour"
-    );
+    )?;
     let mut hour_at_64 = 0.0;
     let mut day_at_64 = 0.0;
     let mut hour_at_4 = 0.0;
@@ -70,7 +73,7 @@ fn main() {
         let h10 = hist_for(&driver, &bounds, gran, 0, 10 * 3600, 11 * 3600);
         let h11 = hist_for(&driver, &bounds, gran, 0, 11 * 3600, 12 * 3600);
         let hourly = mismatch_fraction(&h10, &h11);
-        println!("  {gran:<12} {daily:>16.3} {hourly:>16.3}");
+        writeln!(out, "  {gran:<12} {daily:>16.3} {hourly:>16.3}")?;
         if gran == 64 {
             hour_at_64 = hourly;
             day_at_64 = daily;
@@ -79,16 +82,15 @@ fn main() {
             hour_at_4 = hourly;
         }
     }
-    println!();
-    print_kv(
-        "shape check: daily low; hourly ~1 at 64, lower when coarse",
-        format!(
-            "daily(64)={day_at_64:.2} hourly(64)={hour_at_64:.2} hourly(4)={hour_at_4:.2} {}",
-            if day_at_64 < 0.3 && hour_at_64 > 0.8 && hour_at_4 < hour_at_64 {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
-            }
-        ),
+    writeln!(out)?;
+    let verdict = Verdict::new(
+        day_at_64 < 0.3 && hour_at_64 > 0.8 && hour_at_4 < hour_at_64,
+        format!("daily(64)={day_at_64:.2} hourly(64)={hour_at_64:.2} hourly(4)={hour_at_4:.2}"),
     );
+    kv(
+        out,
+        "shape check: daily low; hourly ~1 at 64, lower when coarse",
+        &verdict,
+    )?;
+    Ok(verdict)
 }

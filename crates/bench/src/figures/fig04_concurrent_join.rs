@@ -6,7 +6,8 @@
 //! with a consistent prefix-free code set. This binary replays that race
 //! at increasing contention and reports the outcome.
 
-use mind_bench::report::{print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::report::{header, kv};
 use mind_core::MindPayload;
 use mind_netsim::world::lan_config;
 use mind_netsim::{Site, World};
@@ -78,12 +79,14 @@ fn race(joiners: usize, seed: u64) -> (bool, Vec<String>) {
     (ok, codes.iter().map(|c| c.to_string()).collect())
 }
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, _scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 4",
         "deadlock-free serialization of concurrent joins",
         "simultaneous joins serialize; shallower node's join preempts deeper uncommitted ones",
-    );
+    )?;
+    let mut every_ok = true;
     for joiners in [2usize, 4, 8, 16] {
         let mut all_ok = true;
         let mut example = Vec::new();
@@ -94,7 +97,8 @@ fn main() {
                 example = codes;
             }
         }
-        print_kv(
+        kv(
+            out,
             &format!("{joiners} simultaneous joiners (5 seeds)"),
             format!(
                 "{} — final codes e.g. [{}]",
@@ -105,6 +109,11 @@ fn main() {
                 },
                 example.join(", ")
             ),
-        );
+        )?;
+        every_ok &= all_ok;
     }
+    Ok(Verdict::new(
+        every_ok,
+        "2/4/8/16 simultaneous joiners x 5 seeds end prefix-free and complete",
+    ))
 }

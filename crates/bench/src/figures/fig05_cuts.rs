@@ -7,7 +7,8 @@
 //! two cut trees over the same skewed 2-D data set and prints the
 //! occupancy statistics.
 
-use mind_bench::report::{print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::report::{header, kv};
 use mind_histogram::CutTree;
 use mind_types::HyperRect;
 use rand::rngs::StdRng;
@@ -41,12 +42,13 @@ fn render(tree: &CutTree, pts: &[Vec<u64>], side: usize) -> Vec<String> {
     rows
 }
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, _scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 5",
         "even cuts vs distribution-balanced cuts on skewed 2-D data",
         "balanced cuts give every region ~equal record counts",
-    );
+    )?;
     let bounds = HyperRect::new(vec![0, 0], vec![1023, 1023]);
     // Heavily skewed data: 85% clustered near the origin corner.
     let mut rng = StdRng::seed_from_u64(5);
@@ -67,43 +69,40 @@ fn main() {
 
     let depth = 4u8; // 16 regions
     let even = CutTree::even(bounds.clone(), depth);
-    let balanced = CutTree::balanced_from_points(bounds.clone(), depth, &refs);
+    let balanced = CutTree::balanced_from_points(bounds, depth, &refs);
 
+    let mut maxes = Vec::new();
     for (name, tree) in [("even cuts", &even), ("balanced cuts", &balanced)] {
         let occ = tree.leaf_occupancy(pts.iter().cloned());
         let max = *occ.iter().max().unwrap();
         let min = *occ.iter().min().unwrap();
         let ideal = pts.len() as u64 / occ.len() as u64;
-        println!("\n  {name} ({} regions, ideal {ideal}/region):", occ.len());
+        writeln!(
+            out,
+            "\n  {name} ({} regions, ideal {ideal}/region):",
+            occ.len()
+        )?;
         for line in render(tree, &pts, 24) {
-            println!("{line}");
+            writeln!(out, "{line}")?;
         }
-        print_kv("    max / min region occupancy", format!("{max} / {min}"));
-        print_kv(
+        kv(
+            out,
+            "    max / min region occupancy",
+            format!("{max} / {min}"),
+        )?;
+        kv(
+            out,
             "    max / ideal ratio",
             format!("{:.1}x", max as f64 / ideal as f64),
-        );
+        )?;
+        maxes.push(max);
     }
-    let even_max = *even
-        .leaf_occupancy(pts.iter().cloned())
-        .iter()
-        .max()
-        .unwrap();
-    let bal_max = *balanced
-        .leaf_occupancy(pts.iter().cloned())
-        .iter()
-        .max()
-        .unwrap();
-    println!();
-    print_kv(
-        "shape check (balanced max << even max)",
-        format!(
-            "even {even_max} vs balanced {bal_max} {}",
-            if bal_max * 2 < even_max {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
-            }
-        ),
+    let (even_max, bal_max) = (maxes[0], maxes[1]);
+    writeln!(out)?;
+    let verdict = Verdict::new(
+        bal_max * 2 < even_max,
+        format!("even {even_max} vs balanced {bal_max}"),
     );
+    kv(out, "shape check (balanced max << even max)", &verdict)?;
+    Ok(verdict)
 }

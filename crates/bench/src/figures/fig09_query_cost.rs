@@ -11,11 +11,12 @@
 //! per-query costs, so the distribution is not an artifact of one build
 //! of the cuts.
 
-use mind_bench::harness::{
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{
     balanced_cuts, baseline_cluster, install_index, random_query, run_seeds_parallel,
     ExperimentScale, IndexKind, TrafficDriver,
 };
-use mind_bench::report::{fraction_leq, print_header, print_kv};
+use crate::report::{fraction_leq, header, kv};
 use mind_core::Replication;
 use mind_types::node::SECONDS;
 use mind_types::NodeId;
@@ -62,13 +63,14 @@ fn run_world(world_seed: u64, rng_seed: u64, scale: ExperimentScale) -> (Vec<u64
     (costs, incomplete)
 }
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 9",
         "query cost distribution: nodes visited per query (34 nodes)",
         ">90% of queries visit <= 4 nodes",
-    );
-    let scale = ExperimentScale::from_env(1);
+    )?;
+    let scale = scale.experiment(1);
     let worlds = [(9u64, 99u64), (10, 199), (11, 299)];
     let results = run_seeds_parallel(&worlds, |&(world_seed, rng_seed)| {
         run_world(world_seed, rng_seed, scale)
@@ -79,26 +81,17 @@ fn main() {
         .collect();
     let incomplete: usize = results.iter().map(|(_, i)| i).sum();
     costs.sort_unstable();
-    println!("\n  {:>14} {:>12}", "nodes visited", "fraction <=");
+    writeln!(out, "\n  {:>14} {:>12}", "nodes visited", "fraction <=")?;
     for k in [1u64, 2, 3, 4, 6, 8, 12, 16] {
-        println!("  {:>14} {:>12.3}", k, fraction_leq(&costs, k));
+        writeln!(out, "  {:>14} {:>12.3}", k, fraction_leq(&costs, k))?;
     }
-    print_kv("worlds", worlds.len());
-    print_kv("queries", worlds.len() * QUERIES);
-    print_kv("incomplete", incomplete);
-    print_kv("max nodes visited", costs.last().copied().unwrap_or(0));
+    kv(out, "worlds", worlds.len())?;
+    kv(out, "queries", worlds.len() * QUERIES)?;
+    kv(out, "incomplete", incomplete)?;
+    kv(out, "max nodes visited", costs.last().copied().unwrap_or(0))?;
     let f4 = fraction_leq(&costs, 4);
-    println!();
-    print_kv(
-        "shape check (paper: >=90% within 4 nodes)",
-        format!(
-            "{:.1}% {}",
-            f4 * 100.0,
-            if f4 >= 0.80 {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
-            }
-        ),
-    );
+    writeln!(out)?;
+    let verdict = Verdict::new(f4 >= 0.80, format!("{:.1}%", f4 * 100.0));
+    kv(out, "shape check (paper: >=90% within 4 nodes)", &verdict)?;
+    Ok(verdict)
 }

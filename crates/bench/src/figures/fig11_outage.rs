@@ -12,11 +12,12 @@
 //! queries both exposed; the reliable-delivery layer retries). The
 //! zero-loss series is always printed first and is unaffected.
 
-use mind_bench::harness::{
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{
     balanced_cuts, baseline_cluster, install_index, monitoring_query, ExperimentScale, IndexKind,
     TrafficDriver,
 };
-use mind_bench::report::{print_header, print_kv};
+use crate::report::{header, kv};
 use mind_core::Replication;
 use mind_netsim::FaultPlan;
 use mind_types::node::SECONDS;
@@ -25,19 +26,13 @@ use mind_types::NodeId;
 /// Runs the outage scenario once; `loss` is a uniform message loss
 /// probability switched on after index installation. Returns
 /// `(max_delay_us, baseline_mean_us)`.
-fn run_series(scale: &ExperimentScale, loss: f64) -> (u64, f64) {
+fn run_series(out: &mut dyn Write, scale: &ExperimentScale, loss: f64) -> io::Result<(u64, f64)> {
     let kind = IndexKind::Octets;
     let ts_bound = 86_400;
     let driver = TrafficDriver::abilene_geant(11, *scale);
     let mut cluster = baseline_cluster(11);
-    let cuts = balanced_cuts(
-        kind,
-        &driver,
-        ts_bound,
-        10,
-        11 * 3600,
-        11 * 3600 + 600 * scale.hours,
-    );
+    let span = 600 * scale.hours;
+    let cuts = balanced_cuts(kind, &driver, ts_bound, 10, 11 * 3600, 11 * 3600 + span);
     install_index(&mut cluster, kind, cuts, ts_bound, Replication::Level(1));
     if loss > 0.0 {
         // Lossy measurement window: the index is installed, now every
@@ -45,7 +40,6 @@ fn run_series(scale: &ExperimentScale, loss: f64) -> (u64, f64) {
         *cluster.world_mut().fault_plan_mut() = FaultPlan::lossy(loss);
     }
     let t0 = 23 * 3600;
-    let span = 600 * scale.hours;
     driver.drive(&mut cluster, &[kind], 2, t0, t0 + span, ts_bound, None);
     cluster.run_for(30 * SECONDS);
 
@@ -56,21 +50,23 @@ fn run_series(scale: &ExperimentScale, loss: f64) -> (u64, f64) {
     // queries, so it is the natural "hotspot responder".
     let dist = cluster.storage_distribution(kind.tag());
     let hotspot = NodeId(dist.iter().enumerate().max_by_key(|&(_, &c)| c).unwrap().0 as u32);
-    print_kv("originator", origin);
-    print_kv(
+    kv(out, "originator", origin)?;
+    kv(
+        out,
         "hotspot responder",
         format!("{hotspot} ({} rows)", dist[hotspot.0 as usize]),
-    );
+    )?;
 
     let outage_at = cluster.now() + 120 * SECONDS;
     cluster
         .world_mut()
         .schedule_link_outage(hotspot, origin, outage_at, 45 * SECONDS);
 
-    println!(
+    writeln!(
+        out,
         "\n  {:>8} {:>12}  (one monitoring query every ~10 s)",
         "t (s)", "delay (s)"
-    );
+    )?;
     let base = cluster.now();
     let mut max_delay = 0u64;
     let mut baseline_sum = 0u64;
@@ -91,7 +87,7 @@ fn run_series(scale: &ExperimentScale, loss: f64) -> (u64, f64) {
         } else {
             ""
         };
-        println!("  {rel:>8.1} {:>12.3}{marker}", delay as f64 / 1e6);
+        writeln!(out, "  {rel:>8.1} {:>12.3}{marker}", delay as f64 / 1e6)?;
         if delay > max_delay {
             max_delay = delay;
         } else {
@@ -102,61 +98,57 @@ fn run_series(scale: &ExperimentScale, loss: f64) -> (u64, f64) {
         let next = cluster.now() + 10 * SECONDS;
         cluster.run_until(next);
     }
-    println!();
+    writeln!(out)?;
     let baseline_mean = baseline_sum as f64 / baseline_n.max(1) as f64;
-    print_kv(
+    kv(
+        out,
         "max response delay",
         format!("{:.1}s", max_delay as f64 / 1e6),
-    );
-    print_kv("baseline mean", format!("{:.2}s", baseline_mean / 1e6));
-    (max_delay, baseline_mean)
+    )?;
+    kv(out, "baseline mean", format!("{:.2}s", baseline_mean / 1e6))?;
+    Ok((max_delay, baseline_mean))
 }
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 11",
         "per-query response delay around a 45 s overlay link outage",
         "baseline of ~1 s responses with back-to-back spikes near 45 s",
-    );
-    let scale = ExperimentScale::from_env(1);
-    let loss = parse_loss();
+    )?;
+    let loss = scale.loss;
+    let scale = scale.experiment(1);
 
-    let (max_delay, _) = run_series(&scale, 0.0);
-    print_kv(
-        "shape check (spike ~45 s over ~1 s baseline)",
-        if max_delay > 30_000_000 {
-            "reproduced"
-        } else {
-            "NOT reproduced"
-        },
+    let (max_delay, baseline) = run_series(out, &scale, 0.0)?;
+    let verdict = Verdict::new(
+        max_delay > 30_000_000,
+        format!(
+            "spike {:.1}s over {:.2}s baseline",
+            max_delay as f64 / 1e6,
+            baseline / 1e6
+        ),
     );
+    kv(
+        out,
+        "shape check (spike ~45 s over ~1 s baseline)",
+        verdict.word(),
+    )?;
 
     if let Some(loss) = loss {
-        println!("\n  --- additional series: uniform message loss {loss} ---");
-        let (lossy_max, lossy_base) = run_series(&scale, loss);
-        print_kv(
+        writeln!(
+            out,
+            "\n  --- additional series: uniform message loss {loss} ---"
+        )?;
+        let (lossy_max, lossy_base) = run_series(out, &scale, loss)?;
+        kv(
+            out,
             &format!("loss-axis check (loss {loss})"),
             format!(
                 "spike {:.1}s, baseline {:.2}s — retries keep queries completing",
                 lossy_max as f64 / 1e6,
                 lossy_base / 1e6
             ),
-        );
+        )?;
     }
-}
-
-/// Parses `--loss <frac>` (or `--loss=<frac>`) from argv.
-fn parse_loss() -> Option<f64> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--loss" {
-            // lint:allow(unwrap) figure binary: bad CLI input may abort
-            return Some(args.next().expect("--loss needs a value").parse().unwrap());
-        }
-        if let Some(v) = a.strip_prefix("--loss=") {
-            // lint:allow(unwrap) figure binary: bad CLI input may abort
-            return Some(v.parse().unwrap());
-        }
-    }
-    None
+    Ok(verdict)
 }

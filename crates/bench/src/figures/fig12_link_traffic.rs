@@ -6,35 +6,28 @@
 //! rates — but every link carries far less than a centralized collector's
 //! links would.
 
-use mind_bench::harness::{
-    balanced_cuts, baseline_cluster, install_index, ExperimentScale, IndexKind, TrafficDriver,
-};
-use mind_bench::report::{print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{balanced_cuts, baseline_cluster, install_index, IndexKind, TrafficDriver};
+use crate::report::{header, kv};
 use mind_core::Replication;
 use mind_types::node::SECONDS;
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 12",
         "tuples carried per overlay link during one day of insertion",
         "imbalanced (Abilene vs GÉANT volume) but no link close to centralized load",
-    );
-    let scale = ExperimentScale::from_env(1);
+    )?;
+    let scale = scale.experiment(1);
     let kind = IndexKind::Octets;
     let ts_bound = 86_400;
     let driver = TrafficDriver::abilene_geant(12, scale);
     let mut cluster = baseline_cluster(12);
-    let cuts = balanced_cuts(
-        kind,
-        &driver,
-        ts_bound,
-        10,
-        11 * 3600,
-        11 * 3600 + 600 * scale.hours,
-    );
-    install_index(&mut cluster, kind, cuts, ts_bound, Replication::Level(1));
     let t0 = 11 * 3600;
     let span = 600 * scale.hours;
+    let cuts = balanced_cuts(kind, &driver, ts_bound, 10, t0, t0 + span);
+    install_index(&mut cluster, kind, cuts, ts_bound, Replication::Level(1));
     let inserted = driver.drive(&mut cluster, &[kind], 0, t0, t0 + span, ts_bound, None);
     cluster.run_for(30 * SECONDS);
 
@@ -50,34 +43,36 @@ fn main() {
         .collect();
     series.sort_unstable_by(|a, b| b.cmp(a));
 
-    print_kv("records inserted", inserted);
-    print_kv("links carrying tuples", series.len());
-    println!("\n  tuples per link (descending, every 8th):");
-    print!("   ");
+    kv(out, "records inserted", inserted)?;
+    kv(out, "links carrying tuples", series.len())?;
+    writeln!(out, "\n  tuples per link (descending, every 8th):")?;
+    write!(out, "   ")?;
     for (i, c) in series.iter().enumerate() {
         if i % 8 == 0 {
-            print!(" {c}");
+            write!(out, " {c}")?;
         }
     }
-    println!();
+    writeln!(out)?;
     let max = series.first().copied().unwrap_or(0);
     let median = series.get(series.len() / 2).copied().unwrap_or(0);
-    println!();
-    print_kv("max / median tuples per link", format!("{max} / {median}"));
-    print_kv(
+    writeln!(out)?;
+    kv(
+        out,
+        "max / median tuples per link",
+        format!("{max} / {median}"),
+    )?;
+    kv(
+        out,
         "centralized-equivalent load on one node's links",
         format!("{inserted} (= every tuple crosses the hub)"),
-    );
-    print_kv(
-        "shape check (max link << centralized hub)",
+    )?;
+    let verdict = Verdict::new(
+        (max as f64) < 0.5 * inserted as f64,
         format!(
-            "{:.1}% of hub load {}",
-            100.0 * max as f64 / inserted.max(1) as f64,
-            if (max as f64) < 0.5 * inserted as f64 {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
-            }
+            "{:.1}% of hub load",
+            100.0 * max as f64 / inserted.max(1) as f64
         ),
     );
+    kv(out, "shape check (max link << centralized hub)", &verdict)?;
+    Ok(verdict)
 }

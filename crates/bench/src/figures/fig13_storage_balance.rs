@@ -6,16 +6,16 @@
 //! the same traffic to show the imbalance balanced cuts remove
 //! (the Figure 2 skew surfacing as storage hotspots).
 
-use mind_bench::harness::{
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{
     balanced_cuts, baseline_cluster, install_index, ExperimentScale, IndexKind, TrafficDriver,
 };
-use mind_bench::report::{print_header, print_kv};
+use crate::report::{header, kv};
 use mind_core::Replication;
 use mind_histogram::CutTree;
 use mind_types::node::SECONDS;
 
-fn run(cuts: CutTree, seed: u64) -> Vec<u64> {
-    let scale = ExperimentScale::from_env(1);
+fn storage(scale: ExperimentScale, cuts: CutTree, seed: u64) -> Vec<u64> {
     let kind = IndexKind::Octets;
     let ts_bound = 86_400;
     let driver = TrafficDriver::abilene_geant(13, scale);
@@ -43,63 +43,53 @@ fn gini(dist: &[u64]) -> f64 {
     cum / (n * sum as f64)
 }
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 13",
         "per-node record counts after one day: balanced vs even cuts",
         "balanced cuts spread storage ~evenly; even cuts concentrate it",
-    );
+    )?;
     let kind = IndexKind::Octets;
     let ts_bound = 86_400;
-    let scale = ExperimentScale::from_env(1);
+    let scale = scale.experiment(1);
     let driver = TrafficDriver::abilene_geant(13, scale);
     let schema = kind.schema(ts_bound);
 
-    let bal = run(
-        balanced_cuts(
-            kind,
-            &driver,
-            ts_bound,
-            10,
-            11 * 3600,
-            11 * 3600 + 600 * scale.hours,
-        ),
-        13,
-    );
-    let even = run(CutTree::even(schema.bounds(), 10), 13);
+    let (t0, span) = (11 * 3600, 600 * scale.hours);
+    let cuts = balanced_cuts(kind, &driver, ts_bound, 10, t0, t0 + span);
+    let bal = storage(scale, cuts, 13);
+    let even = storage(scale, CutTree::even(schema.bounds(), 10), 13);
 
     for (name, dist) in [("balanced cuts", &bal), ("even cuts", &even)] {
         let total: u64 = dist.iter().sum();
         let max = *dist.iter().max().unwrap();
         let nonzero = dist.iter().filter(|&&c| c > 0).count();
-        println!("\n  {name} (total {total}):");
-        print!("    per-node:");
+        writeln!(out, "\n  {name} (total {total}):")?;
+        write!(out, "    per-node:")?;
         for c in dist {
-            print!(" {c}");
+            write!(out, " {c}")?;
         }
-        println!();
-        print_kv(
+        writeln!(out)?;
+        kv(
+            out,
             "    nodes holding data",
             format!("{nonzero}/{}", dist.len()),
-        );
-        print_kv(
+        )?;
+        kv(
+            out,
             "    max node / fair share",
             format!("{max} / {}", total / dist.len() as u64),
-        );
-        print_kv("    Gini coefficient", format!("{:.3}", gini(dist)));
+        )?;
+        kv(out, "    Gini coefficient", format!("{:.3}", gini(dist)))?;
     }
-    println!();
+    writeln!(out)?;
     let g_bal = gini(&bal);
     let g_even = gini(&even);
-    print_kv(
-        "shape check (balanced much more even)",
-        format!(
-            "Gini even={g_even:.2} vs balanced={g_bal:.2} {}",
-            if g_bal < g_even - 0.1 {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
-            }
-        ),
+    let verdict = Verdict::new(
+        g_bal < g_even - 0.1,
+        format!("Gini even={g_even:.2} vs balanced={g_bal:.2}"),
     );
+    kv(out, "shape check (balanced much more even)", &verdict)?;
+    Ok(verdict)
 }

@@ -7,8 +7,9 @@
 //! insertions take ≤ 5 overlay hops, with a few re-routed around
 //! failures taking more.
 
-use mind_bench::harness::{paper_mind_config, ExperimentScale, IndexKind};
-use mind_bench::report::{cdf_points, fraction_leq, print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{paper_mind_config, IndexKind};
+use crate::report::{cdf_points, fraction_leq, header, kv};
 use mind_core::{ClusterConfig, MindCluster, Replication};
 use mind_histogram::CutTree;
 use mind_types::node::SECONDS;
@@ -16,16 +17,17 @@ use mind_types::{NodeId, Record};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 14",
         "insertion latency CDF, 102 nodes with churn, 1 record/s/node",
         "median < 1 s, long tail; ~90% of inserts <= 5 hops",
-    );
-    let scale = ExperimentScale::from_env(1);
+    )?;
     // Smoke mode (CI): a 24-node overlay and a short churn window — the
     // same code path and shape checks at a few seconds of wall clock.
-    let smoke = std::env::var("MIND_FIG14_SMOKE").is_ok_and(|v| v != "0");
+    let smoke = scale.smoke;
+    let scale = scale.experiment(1);
     let n = if smoke { 24 } else { 102 };
     let kind = IndexKind::Fanout;
     let ts_bound = 86_400;
@@ -61,7 +63,7 @@ fn main() {
     let refs: Vec<&[u64]> = sample.iter().map(|p| p.as_slice()).collect();
     let cuts = CutTree::balanced_from_points(schema.bounds(), 12, &refs);
     cluster
-        .create_index(NodeId(0), schema.clone(), cuts, Replication::Level(1))
+        .create_index(NodeId(0), schema, cuts, Replication::Level(1))
         .unwrap();
     cluster.run_for(20 * SECONDS);
 
@@ -107,67 +109,48 @@ fn main() {
     }
     cluster.run_for(60 * SECONDS);
 
-    let lats: Vec<u64> = (0..n)
-        .flat_map(|k| {
-            cluster
-                .world()
-                .node(NodeId(k as u32))
-                .metrics
-                .insert_latencies
-                .iter()
-                .map(|&(_, l)| l)
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let hops: Vec<u64> = (0..n)
-        .flat_map(|k| {
-            cluster
-                .world()
-                .node(NodeId(k as u32))
-                .metrics
-                .insert_hops
-                .iter()
-                .map(|&h| h as u64)
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let lats = cluster.insert_latency_samples();
+    let hops: Vec<u64> = cluster.insert_hops().into_iter().map(u64::from).collect();
 
-    print_kv("records durably stored", lats.len());
-    print_kv(
+    kv(out, "records durably stored", lats.len())?;
+    kv(
+        out,
         "final live nodes",
         (0..n)
             .filter(|&k| cluster.world().is_alive(NodeId(k as u32)))
             .count(),
-    );
-    print_kv(
+    )?;
+    kv(
+        out,
         "pending events (peak)",
         cluster.world().stats.pending_events_peak,
-    );
-    println!("\n  insertion latency CDF:");
-    println!("  {:>8} {:>12}", "pct", "latency");
+    )?;
+    writeln!(out, "\n  insertion latency CDF:")?;
+    writeln!(out, "  {:>8} {:>12}", "pct", "latency")?;
     for (p, v) in cdf_points(&lats, &[10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9]) {
-        println!("  {:>7.1}% {:>11.3}s", p, v as f64 / 1e6);
+        writeln!(out, "  {:>7.1}% {:>11.3}s", p, v as f64 / 1e6)?;
     }
     let median = cdf_points(&lats, &[50.0])[0].1;
-    println!("\n  hop-count distribution:");
+    writeln!(out, "\n  hop-count distribution:")?;
     for h in [2u64, 3, 4, 5, 7, 10] {
-        println!("  <= {h} hops: {:>6.1}%", 100.0 * fraction_leq(&hops, h));
+        writeln!(
+            out,
+            "  <= {h} hops: {:>6.1}%",
+            100.0 * fraction_leq(&hops, h)
+        )?;
     }
     let f5 = fraction_leq(&hops, 5);
-    println!();
-    print_kv(
-        "shape check (median < 1 s, ~90% <= 5 hops)",
+    writeln!(out)?;
+    let verdict = Verdict::new(
+        median < 2_000_000 && f5 >= 0.85,
         format!(
-            "median={:.2}s hops<=5: {:.0}% {}",
+            "median={:.2}s hops<=5: {:.0}%",
             median as f64 / 1e6,
-            f5 * 100.0,
-            if median < 2_000_000 && f5 >= 0.85 {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
-            }
+            f5 * 100.0
         ),
     );
+    kv(out, "shape check (median < 1 s, ~90% <= 5 hops)", &verdict)?;
+    Ok(verdict)
 }
 
 /// A synthetic Index-1 point: Zipf-block destination prefix, recent
@@ -189,7 +172,7 @@ fn synth_point(rng: &mut StdRng, sec: u64) -> Vec<u64> {
     // point mass (~14% of records carry one exact key) that no cut tree
     // can split, and the single node owning it saturates.
     let host = rng.random_range(0..1u64 << 16);
-    let prefix = (((block * 8192 + slot * 128 + rank % 128) as u64) << 16) | host;
+    let prefix = ((block * 8192 + slot * 128 + rank % 128) << 16) | host;
     let fanout = 16 + (u.powf(-0.5) * 4.0) as u64 % 4000;
     let ts = sec + rng.random_range(0..300u64);
     vec![prefix, ts, fanout]

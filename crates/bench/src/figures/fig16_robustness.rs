@@ -12,10 +12,11 @@
 //! Success here is strict: the query completes before its deadline AND
 //! returns exactly the ground-truth record multiset.
 
-use mind_bench::harness::{
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{
     answers_match, oracle_answer, paper_mind_config, run_seeds_parallel, ExperimentScale, IndexKind,
 };
-use mind_bench::report::print_header;
+use crate::report::header;
 use mind_core::{ClusterConfig, MindCluster, Replication};
 use mind_histogram::CutTree;
 use mind_netsim::SimConfig;
@@ -135,40 +136,19 @@ fn run_point(
     good as f64 / queries as f64
 }
 
-/// Parses `--loss <frac>` (or `--loss=<frac>`) from argv.
-fn parse_loss() -> Option<f64> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--loss" {
-            // lint:allow(unwrap) figure binary: bad CLI input may abort
-            return Some(args.next().expect("--loss needs a value").parse().unwrap());
-        }
-        if let Some(v) = a.strip_prefix("--loss=") {
-            // lint:allow(unwrap) figure binary: bad CLI input may abort
-            return Some(v.parse().unwrap());
-        }
-    }
-    None
-}
-
-fn main() {
-    print_header(
-        "Figure 16",
-        "fraction of successful queries vs % failed nodes (102-node cluster)",
-        "r=0 declines ~linearly; r=1 flat to ~15%; full flat past 50%",
-    );
-    let scale = ExperimentScale::from_env(1);
-    let loss = parse_loss();
-    let fractions = [0usize, 5, 10, 15, 20, 30, 40, 50];
-    println!(
+/// Runs one failure sweep under uniform message loss `loss` and prints
+/// its table: a `(failed %, [r0, r1, full])` row per entry of `fractions`.
+fn sweep(
+    out: &mut dyn Write,
+    fractions: &[usize],
+    scale: &ExperimentScale,
+    loss: f64,
+) -> io::Result<Vec<(usize, [f64; 3])>> {
+    writeln!(
+        out,
         "\n  {:>9} {:>14} {:>14} {:>14}",
         "failed %", "replication 0", "replication 1", "full"
-    );
-    let mut r1_at_15 = 0.0;
-    let mut full_at_50 = 0.0;
-    let mut r0_at_30 = 0.0;
-    let mut r0_at_50 = 0.0;
-    let mut r1_at_50 = 0.0;
+    )?;
     // Every grid point is an independent world with its own pinned seed,
     // so the sweep fans out across cores; results come back in row order
     // and the printed table is byte-identical to a sequential run.
@@ -183,72 +163,61 @@ fn main() {
             ]
         })
         .collect();
-    let rows = run_seeds_parallel(&grid, |&(repl, kill, seed)| {
-        run_point(repl, kill, seed, &scale, 0.0)
+    let cells = run_seeds_parallel(&grid, |&(repl, kill, seed)| {
+        run_point(repl, kill, seed, scale, loss)
     });
-    for (i, &pct) in fractions.iter().enumerate() {
-        let (r0, r1, rf) = (rows[3 * i], rows[3 * i + 1], rows[3 * i + 2]);
-        println!("  {pct:>8}% {r0:>14.2} {r1:>14.2} {rf:>14.2}");
-        if pct == 15 {
-            r1_at_15 = r1;
-        }
-        if pct == 50 {
-            full_at_50 = rf;
-            r0_at_50 = r0;
-            r1_at_50 = r1;
-        }
-        if pct == 30 {
-            r0_at_30 = r0;
-        }
-    }
-    println!();
-    println!("  shape check (paper: r1 lossless to ~15%, full past 50%, r0 ~linear):");
-    println!(
-        "    r1@15%={r1_at_15:.2}  full@50%={full_at_50:.2}  r0@30%={r0_at_30:.2}  ordering@50%: {r0_at_50:.2} < {r1_at_50:.2} < {full_at_50:.2} {}",
-        if r1_at_15 >= 0.95
+    let rows = fractions.iter().zip(cells.chunks(3));
+    rows.map(|(&pct, c)| {
+        writeln!(
+            out,
+            "  {pct:>8}% {:>14.2} {:>14.2} {:>14.2}",
+            c[0], c[1], c[2]
+        )?;
+        Ok((pct, [c[0], c[1], c[2]]))
+    })
+    .collect()
+}
+
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
+        "Figure 16",
+        "fraction of successful queries vs % failed nodes (102-node cluster)",
+        "r=0 declines ~linearly; r=1 flat to ~15%; full flat past 50%",
+    )?;
+    let loss = scale.loss;
+    let scale = scale.experiment(1);
+    let rows = sweep(out, &[0, 5, 10, 15, 20, 30, 40, 50], &scale, 0.0)?;
+    let at = |pct| rows.iter().find(|r| r.0 == pct).map_or([0.0; 3], |r| r.1);
+    let ([_, r1_at_15, _], [r0_at_30, ..]) = (at(15), at(30));
+    let [r0_at_50, r1_at_50, full_at_50] = at(50);
+    writeln!(out)?;
+    writeln!(
+        out,
+        "  shape check (paper: r1 lossless to ~15%, full past 50%, r0 ~linear):"
+    )?;
+    let verdict = Verdict::new(
+        r1_at_15 >= 0.95
             && full_at_50 >= 0.8
             && r0_at_30 < 0.9
             && r0_at_50 < r1_at_50
-            && r1_at_50 < full_at_50
-        {
-            "— reproduced"
-        } else {
-            "— NOT reproduced"
-        }
+            && r1_at_50 < full_at_50,
+        format!(
+            "r1@15%={r1_at_15:.2}  full@50%={full_at_50:.2}  r0@30%={r0_at_30:.2}  ordering@50%: {r0_at_50:.2} < {r1_at_50:.2} < {full_at_50:.2}"
+        ),
     );
+    writeln!(out, "    {verdict}")?;
 
     if let Some(loss) = loss {
         // Additional axis: the same failure sweep (reduced grid) with
         // uniform message loss active from the moment the index is up.
         // The zero-loss rows above are untouched; the reliable-delivery
         // layer (acks + retries + dedup) must keep the curves close.
-        println!("\n  --- additional series: uniform message loss {loss} ---");
-        println!(
-            "\n  {:>9} {:>14} {:>14} {:>14}",
-            "failed %", "replication 0", "replication 1", "full"
-        );
-        let lossy_fractions = [0usize, 15, 30, 50];
-        let lossy_grid: Vec<(Replication, usize, u64)> = lossy_fractions
-            .iter()
-            .flat_map(|&pct| {
-                let kill = N * pct / 100;
-                [
-                    (Replication::None, kill, 160 + pct as u64),
-                    (Replication::Level(1), kill, 161 + pct as u64),
-                    (Replication::Full, kill, 162 + pct as u64),
-                ]
-            })
-            .collect();
-        let lossy_rows = run_seeds_parallel(&lossy_grid, |&(repl, kill, seed)| {
-            run_point(repl, kill, seed, &scale, loss)
-        });
-        for (i, &pct) in lossy_fractions.iter().enumerate() {
-            let (r0, r1, rf) = (
-                lossy_rows[3 * i],
-                lossy_rows[3 * i + 1],
-                lossy_rows[3 * i + 2],
-            );
-            println!("  {pct:>8}% {r0:>14.2} {r1:>14.2} {rf:>14.2}");
-        }
+        writeln!(
+            out,
+            "\n  --- additional series: uniform message loss {loss} ---"
+        )?;
+        sweep(out, &[0, 15, 30, 50], &scale, loss)?;
     }
+    Ok(verdict)
 }

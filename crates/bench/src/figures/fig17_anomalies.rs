@@ -12,8 +12,9 @@
 //! * average response times are on the order of a second,
 //! * the returned tuples identify the backbone routers on the DoS path.
 
-use mind_bench::harness::{abilene_cluster, ExperimentScale, IndexKind, TrafficDriver};
-use mind_bench::report::{print_header, print_kv};
+use super::{io, Scale, Verdict, Write};
+use crate::harness::{abilene_cluster, IndexKind, TrafficDriver};
+use crate::report::{header, kv};
 use mind_core::Replication;
 use mind_histogram::CutTree;
 use mind_traffic::anomaly::{section5_anomalies, AnomalyKind};
@@ -25,13 +26,14 @@ const ABILENE_CODES: [&str; 11] = [
     "STTL", "SNVA", "LOSA", "DNVR", "KSCY", "HSTN", "CHIN", "IPLS", "ATLA", "WASH", "NYCM",
 ];
 
-fn main() {
-    print_header(
+pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
+    header(
+        out,
         "Figure 17",
         "anomaly capture on an 11-node Abilene-congruent overlay",
         "perfect recall, result sizes of tens of records, ~1-2 s responses",
-    );
-    let mut scale = ExperimentScale::from_env(1);
+    )?;
+    let mut scale = scale.experiment(1);
     scale.volume *= 0.5; // 11-router feed, paper-scale minutes
     let trace_secs = 1500; // ~25 minutes
     let ts_bound = 1800;
@@ -76,12 +78,13 @@ fn main() {
         Some(&mut oracle),
     );
     cluster.run_for(60 * SECONDS);
-    print_kv("records inserted (both indices)", inserted);
+    kv(out, "records inserted (both indices)", inserted)?;
 
-    println!(
-        "\n  {:<22} {:>11} {:>11} {:>14}   {}",
-        "anomaly", "result size", "actual size", "avg resp (s)", "ground truth kind"
-    );
+    writeln!(
+        out,
+        "\n  {:<22} {:>11} {:>11} {:>14}   ground truth kind",
+        "anomaly", "result size", "actual size", "avg resp (s)"
+    )?;
     let mut all_recalled = true;
     let mut response_times = Vec::new();
     for a in &driver.anomalies.clone() {
@@ -107,17 +110,13 @@ fn main() {
             if origin == 0 {
                 result_size = outcome.records.len();
                 // Ground truth: anomaly-generated records within the rect.
-                truth_size = outcome
-                    .records
-                    .iter()
-                    .filter(|r| a.matches(r.value(0) as u32, r.value(3) as u32, r.value(1)))
-                    .count();
                 let mut rs: Vec<u16> = outcome
                     .records
                     .iter()
                     .filter(|r| a.matches(r.value(0) as u32, r.value(3) as u32, r.value(1)))
                     .map(|r| r.value(4) as u16)
                     .collect();
+                truth_size = rs.len();
                 rs.sort_unstable();
                 rs.dedup();
                 routers_seen = rs
@@ -146,7 +145,8 @@ fn main() {
             AnomalyKind::Dos { .. } => "DoS",
             AnomalyKind::PortScan { .. } => "port scan",
         };
-        println!(
+        writeln!(
+            out,
             "  t={:<5} {label:<14} {result_size:>11} {truth_size:>11} {avg:>14.2}   {}",
             a.start,
             if matches!(a.kind, AnomalyKind::Dos { .. }) {
@@ -154,24 +154,25 @@ fn main() {
             } else {
                 String::new()
             }
-        );
+        )?;
     }
     let worst = response_times.iter().cloned().fold(0.0f64, f64::max);
-    println!();
-    print_kv(
-        "shape check (perfect recall, ~seconds responses)",
+    writeln!(out)?;
+    let verdict = Verdict::new(
+        all_recalled && worst < 10.0,
         format!(
-            "recall={} worst avg resp={worst:.2}s {}",
+            "recall={} worst avg resp={worst:.2}s",
             if all_recalled {
                 "perfect"
             } else {
                 "INCOMPLETE"
-            },
-            if all_recalled && worst < 10.0 {
-                "— reproduced"
-            } else {
-                "— NOT reproduced"
             }
         ),
     );
+    kv(
+        out,
+        "shape check (perfect recall, ~seconds responses)",
+        &verdict,
+    )?;
+    Ok(verdict)
 }

@@ -1,4 +1,4 @@
-//! Deployment + workload scaffolding shared by the experiment binaries.
+//! Deployment + workload scaffolding shared by the figures.
 
 use mind_core::{ClusterConfig, MindCluster, Replication};
 use mind_histogram::CutTree;
@@ -17,50 +17,14 @@ use rand::{Rng, SeedableRng};
 /// The paper's aggregation window (seconds).
 pub const WINDOW: u64 = 30;
 
-/// Workload scale knobs, overridable via the `MIND_SCALE` environment
-/// variable (a float multiplier on traffic volume).
+/// Workload scale of one experiment run (`mind-figures --scale --hours`).
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentScale {
-    /// Multiplier on generated traffic volume (1.0 ≈ the binary default,
+    /// Multiplier on generated traffic volume (1.0 ≈ the figure default,
     /// which is well below the paper's 9 M records/day for runtime).
     pub volume: f64,
     /// Hours of trace to replay.
     pub hours: u64,
-}
-
-impl ExperimentScale {
-    /// Reads `MIND_SCALE` (volume multiplier) and `MIND_HOURS` from the
-    /// environment, with the given defaults.
-    ///
-    /// A set-but-malformed variable falls back to the default *with a
-    /// warning on stderr*: silently ignoring a typo like `MIND_SCALE=0,5`
-    /// makes a "scaled" run measure the default workload.
-    pub fn from_env(default_hours: u64) -> Self {
-        Self::from_lookup(default_hours, |name| std::env::var(name).ok())
-    }
-
-    /// [`Self::from_env`] with an injectable variable lookup, so the
-    /// malformed-input paths are testable without mutating the process
-    /// environment (env vars are global state across test threads).
-    fn from_lookup(default_hours: u64, lookup: impl Fn(&str) -> Option<String>) -> Self {
-        fn parse_or<T: std::str::FromStr + Copy + std::fmt::Display>(
-            name: &str,
-            raw: Option<String>,
-            default: T,
-        ) -> T {
-            match raw {
-                None => default,
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("warning: ignoring malformed {name}={s:?}; using {default}");
-                    default
-                }),
-            }
-        }
-        ExperimentScale {
-            volume: parse_or("MIND_SCALE", lookup("MIND_SCALE"), 1.0),
-            hours: parse_or("MIND_HOURS", lookup("MIND_HOURS"), default_hours),
-        }
-    }
 }
 
 /// Which of the paper's three indices an experiment exercises.
@@ -428,16 +392,11 @@ pub fn answers_match(mut got: Vec<Record>, mut want: Vec<Record>) -> bool {
     got == want
 }
 
-/// Converts microseconds of simulated latency to seconds.
-pub fn us_to_s(us: SimTime) -> f64 {
-    us as f64 / 1e6
-}
-
 /// Runs one independent world per input on `std::thread` scoped threads
 /// and returns the outputs in input order.
 ///
 /// Every simulated world is deterministic in isolation (seeded RNGs,
-/// virtual clock), so figure binaries sweeping `(series, seed)` grids can
+/// virtual clock), so figures sweeping `(series, seed)` grids can
 /// fan the worlds out across cores without changing a single output row.
 /// The inputs are split into contiguous chunks, one per worker, and the
 /// per-chunk results concatenated in chunk order — no locks, and the
@@ -477,7 +436,7 @@ mod tests {
 
     #[test]
     fn parallel_worlds_match_sequential_rows() {
-        // The figure binaries rely on this: fanning worlds out across
+        // The figures rely on this: fanning worlds out across
         // threads must leave every output row byte-identical to a
         // sequential run over the same inputs.
         let inputs: Vec<u64> = (0..23).collect();
@@ -488,33 +447,6 @@ mod tests {
             .collect();
         assert_eq!(par, seq);
         assert!(run_seeds_parallel(&Vec::<u64>::new(), |_| 0u8).is_empty());
-    }
-
-    #[test]
-    fn scale_from_lookup_parses_warns_and_defaults() {
-        // Unset: defaults straight through.
-        let s = ExperimentScale::from_lookup(3, |_| None);
-        assert_eq!(s.volume, 1.0);
-        assert_eq!(s.hours, 3);
-
-        // Well-formed values are honored.
-        let s = ExperimentScale::from_lookup(3, |name| match name {
-            "MIND_SCALE" => Some("0.25".into()),
-            "MIND_HOURS" => Some("12".into()),
-            _ => None,
-        });
-        assert_eq!(s.volume, 0.25);
-        assert_eq!(s.hours, 12);
-
-        // Malformed values fall back to the defaults (with a stderr
-        // warning) instead of being silently swallowed.
-        let s = ExperimentScale::from_lookup(3, |name| match name {
-            "MIND_SCALE" => Some("0,5".into()),
-            "MIND_HOURS" => Some("two".into()),
-            _ => None,
-        });
-        assert_eq!(s.volume, 1.0);
-        assert_eq!(s.hours, 3);
     }
 
     #[test]

@@ -1,22 +1,25 @@
-//! Output formatting for the experiment binaries.
+//! Output formatting for the figures.
 //!
-//! Each binary prints, for its figure: the experiment header, the paper's
-//! reported shape, and the measured series — aligned so a reader can
-//! compare shapes at a glance (matching `EXPERIMENTS.md`).
+//! Each figure writes: the experiment header, the paper's reported
+//! shape, and the measured series — aligned so a reader can compare
+//! shapes at a glance (matching `EXPERIMENTS.md`).
+
+use std::io::{self, Write};
 
 use mind_types::node::SimTime;
 
-/// Prints the standard experiment banner.
-pub fn print_header(figure: &str, title: &str, paper_claim: &str) {
-    println!("================================================================");
-    println!("{figure}: {title}");
-    println!("paper: {paper_claim}");
-    println!("================================================================");
+/// Writes the standard experiment banner.
+pub fn header(out: &mut dyn Write, figure: &str, title: &str, paper_claim: &str) -> io::Result<()> {
+    let rule = "================================================================";
+    writeln!(
+        out,
+        "{rule}\n{figure}: {title}\npaper: {paper_claim}\n{rule}"
+    )
 }
 
-/// Prints one aligned key/value line.
-pub fn print_kv(key: &str, value: impl std::fmt::Display) {
-    println!("  {key:<44} {value}");
+/// Writes one aligned key/value line.
+pub fn kv(out: &mut dyn Write, key: &str, value: impl std::fmt::Display) -> io::Result<()> {
+    writeln!(out, "  {key:<44} {value}")
 }
 
 /// Formats microseconds as seconds with millisecond precision.

@@ -121,22 +121,6 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn audit_cadence_parses_like_the_other_env_knobs() {
-        assert_eq!(audit_every_from_lookup(|_| None), 1);
-        assert_eq!(audit_every_from_lookup(|_| Some("64".into())), 64);
-        // Malformed or senseless values warn and fall back to every-event.
-        assert_eq!(audit_every_from_lookup(|_| Some("0".into())), 1);
-        assert_eq!(audit_every_from_lookup(|_| Some("-3".into())), 1);
-        assert_eq!(audit_every_from_lookup(|_| Some("often".into())), 1);
-        assert_eq!(audit_every_from_lookup(|_| Some("".into())), 1);
-    }
-}
-
 /// Extracts one node's audited state.
 ///
 /// Public so the real-transport runtime's control server can assemble a
@@ -194,4 +178,20 @@ pub fn snapshot_node(id: NodeId, alive: bool, node: &MindNode) -> NodeSnapshot {
         );
     }
     snap
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn audit_cadence_parses_like_the_other_env_knobs() {
+        assert_eq!(audit_every_from_lookup(|_| None), 1);
+        assert_eq!(audit_every_from_lookup(|_| Some("64".into())), 64);
+        // Malformed or senseless values warn and fall back to every-event.
+        assert_eq!(audit_every_from_lookup(|_| Some("0".into())), 1);
+        assert_eq!(audit_every_from_lookup(|_| Some("-3".into())), 1);
+        assert_eq!(audit_every_from_lookup(|_| Some("often".into())), 1);
+        assert_eq!(audit_every_from_lookup(|_| Some("".into())), 1);
+    }
 }

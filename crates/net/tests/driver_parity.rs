@@ -42,9 +42,7 @@ fn sorted_values(records: &[Record]) -> Vec<Vec<u64>> {
 /// The shared test body. Oracle-exact at two checkpoints: the full-range
 /// query after the first burst, and the second-burst range query after
 /// node 5 crashed and rejoined fresh.
-fn exercise<D: ClusterDriver<MindNode>>(
-    cluster: &mut MindCluster<D>,
-) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+fn exercise<D: ClusterDriver<MindNode>>(cluster: &mut MindCluster<D>) -> Answers {
     // Create the index from node 0 and wait for the flood to land.
     let s = schema();
     let cuts = CutTree::even(s.bounds(), 8);
@@ -117,7 +115,10 @@ fn sim_cluster(seed: u64) -> MindCluster {
     MindCluster::new(cfg)
 }
 
-fn sim_run(seed: u64) -> ((Vec<Vec<u64>>, Vec<Vec<u64>>), String) {
+/// The two answer sets of [`exercise`].
+type Answers = (Vec<Vec<u64>>, Vec<Vec<u64>>);
+
+fn sim_run(seed: u64) -> (Answers, String) {
     let mut cluster = sim_cluster(seed);
     let answers = exercise(&mut cluster);
     cluster.quiesce(300 * SECONDS);

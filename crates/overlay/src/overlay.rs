@@ -19,27 +19,29 @@ const KIND_JOIN_ABORT: u64 = 3;
 /// correspondingly longer expiry horizon).
 const EXTRAS_PING_STRIDE: u64 = 4;
 
+/// Random-walk length for join target selection (≈ log N).
+const JOIN_WALK_TTL: u8 = 5;
+/// Base back-off before a rejected joiner retries (jittered ×1–2).
+const JOIN_RETRY_BACKOFF: SimTime = 500 * MILLIS;
+/// Maximum scope of the expanding-ring recovery broadcast.
+const RING_TTL_MAX: u8 = 4;
+/// How long to wait for ring hits before escalating the scope.
+const RING_TIMEOUT: SimTime = SECONDS;
+/// Give up routing a message after this many overlay hops.
+const ROUTE_TTL: u32 = 64;
+
 fn token(kind: u64, arg: u64) -> u64 {
     TOKEN_TAG | (kind << 48) | (arg & 0xFFFF_FFFF_FFFF)
 }
 
-/// Overlay protocol timing and scope parameters.
+/// Failure-detection timing: the two overlay parameters a deployment
+/// sets. The join, ring-recovery and routing scopes are constants above.
 #[derive(Debug, Clone, Copy)]
 pub struct OverlayConfig {
     /// Heartbeat period.
     pub hb_interval: SimTime,
     /// A neighbor silent for `hb_interval × hb_miss_threshold` is dead.
     pub hb_miss_threshold: u32,
-    /// Random-walk length for join target selection (≈ log N).
-    pub join_walk_ttl: u8,
-    /// Base back-off before a rejected joiner retries (jittered ×1–2).
-    pub join_retry_backoff: SimTime,
-    /// Maximum scope of the expanding-ring recovery broadcast.
-    pub ring_ttl_max: u8,
-    /// How long to wait for ring hits before escalating the scope.
-    pub ring_timeout: SimTime,
-    /// Give up routing a message after this many overlay hops.
-    pub route_ttl: u32,
 }
 
 impl Default for OverlayConfig {
@@ -47,11 +49,6 @@ impl Default for OverlayConfig {
         OverlayConfig {
             hb_interval: 2 * SECONDS,
             hb_miss_threshold: 3,
-            join_walk_ttl: 5,
-            join_retry_backoff: 500 * MILLIS,
-            ring_ttl_max: 4,
-            ring_timeout: SECONDS,
-            route_ttl: 64,
         }
     }
 }
@@ -323,13 +320,12 @@ impl<P: Clone> Overlay<P> {
             bootstrap,
             OverlayMsg::LookupJoinTarget {
                 joiner: self.id,
-                ttl: self.cfg.join_walk_ttl,
+                ttl: JOIN_WALK_TTL,
             },
         );
         // Watchdog: if nothing commits, retry from scratch. At most one is
         // ever pending — re-arming replaces (cancels) the previous one.
-        let backoff =
-            self.cfg.join_retry_backoff * 4 + self.jitter(self.cfg.join_retry_backoff * 4);
+        let backoff = JOIN_RETRY_BACKOFF * 4 + self.jitter(JOIN_RETRY_BACKOFF * 4);
         self.arm_join_retry(backoff, out);
     }
 
@@ -432,8 +428,7 @@ impl<P: Clone> Overlay<P> {
             OverlayMsg::JoinReject => {
                 if matches!(self.state, JoinState::Requested(_) | JoinState::Seeking) {
                     self.state = JoinState::NotJoined;
-                    let backoff =
-                        self.cfg.join_retry_backoff + self.jitter(self.cfg.join_retry_backoff);
+                    let backoff = JOIN_RETRY_BACKOFF + self.jitter(JOIN_RETRY_BACKOFF);
                     self.arm_join_retry(backoff, out);
                 }
                 Vec::new()
@@ -641,10 +636,7 @@ impl<P: Clone> Overlay<P> {
         // Watchdog: abort the split if the acks don't all arrive (lost
         // SplitAck, neighbor death). Shorter than the joiner's own retry
         // watchdog so the acceptor is free again before the retry lands.
-        let abort_timer = out.set_timer(
-            self.cfg.join_retry_backoff * 2,
-            token(KIND_JOIN_ABORT, epoch),
-        );
+        let abort_timer = out.set_timer(JOIN_RETRY_BACKOFF * 2, token(KIND_JOIN_ABORT, epoch));
         self.pending_join = Some(PendingJoin {
             joiner,
             awaiting: awaiting.clone(),
@@ -923,7 +915,7 @@ impl<P: Clone> Overlay<P> {
                 payload,
             }];
         }
-        if hops >= self.cfg.route_ttl {
+        if hops >= ROUTE_TTL {
             return vec![OverlayEvent::Undeliverable { target, payload }];
         }
         let Some(my) = self.code else {
@@ -968,7 +960,7 @@ impl<P: Clone> Overlay<P> {
         self.seq += 1;
         let my = self.code.unwrap_or(BitCode::ROOT);
         let need_cpl = my.common_prefix_len(&target);
-        let timer = out.set_timer(self.cfg.ring_timeout, token(KIND_RING, probe_id));
+        let timer = out.set_timer(RING_TIMEOUT, token(KIND_RING, probe_id));
         self.pending_rings.insert(
             probe_id,
             PendingRing {
@@ -1042,7 +1034,7 @@ impl<P: Clone> Overlay<P> {
         let Some(p) = self.pending_rings.remove(&probe_id) else {
             return Vec::new(); // already resolved
         };
-        if p.ttl >= self.cfg.ring_ttl_max {
+        if p.ttl >= RING_TTL_MAX {
             return vec![OverlayEvent::Undeliverable {
                 target: p.target,
                 payload: p.payload,

@@ -128,12 +128,10 @@ impl ControlClient {
     pub fn connect_ready(addr: SocketAddr, deadline: Duration) -> io::Result<Self> {
         let end = std::time::Instant::now() + deadline;
         loop {
-            match Self::connect(addr, Duration::from_millis(250)) {
-                Ok(mut c) => match c.call(&ControlRequest::Ping) {
-                    Ok(ControlResponse::Pong) => return Ok(c),
-                    _ => {}
-                },
-                Err(_) => {}
+            if let Ok(mut c) = Self::connect(addr, Duration::from_millis(250)) {
+                if let Ok(ControlResponse::Pong) = c.call(&ControlRequest::Ping) {
+                    return Ok(c);
+                }
             }
             if std::time::Instant::now() >= end {
                 return Err(io::Error::new(

@@ -188,7 +188,7 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         for c in clients.iter_mut() {
             match c.call(&ControlRequest::Catalog)? {
                 ControlResponse::Catalog(tags) => {
-                    if !tags.iter().any(|t| *t == opts.index) {
+                    if !tags.contains(&opts.index) {
                         all = false;
                         break;
                     }

@@ -37,7 +37,6 @@ pub fn serve(listener: TcpListener, id: NodeId, handle: HostHandle<MindNode>) {
         let Ok(stream) = conn else { continue };
         let handle = handle.clone();
         let stop = Arc::clone(&stop);
-        let local = local;
         let spawned = std::thread::Builder::new()
             .name(format!("mind-ctl-{}", id.0))
             .spawn(move || {
@@ -106,10 +105,7 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
         }
         ControlRequest::Query { index, lo, hi } => {
             let rect = HyperRect::new(lo, hi);
-            let qid = {
-                let index = index.clone();
-                handle.invoke(move |n, now, out| n.query(now, &index, rect, vec![], out))
-            };
+            let qid = handle.invoke(move |n, now, out| n.query(now, &index, rect, vec![], out));
             let qid = match qid {
                 Some(Ok(q)) => q,
                 Some(Err(e)) => return ControlResponse::Err(e.to_string()),

@@ -548,7 +548,7 @@ mod tests {
         // A query covering the whole domain exercises the root-level
         // containment fast path: every id, no per-point checks.
         let pts: Vec<_> = (0..500)
-            .map(|i| (vec![i as u64 % 37, i as u64 % 91], RecordId(i)))
+            .map(|i| (vec![i % 37, i % 91], RecordId(i)))
             .collect();
         let t = KdTree::build(2, pts.clone());
         let mut got = t.range_vec(&HyperRect::full(2));
@@ -617,7 +617,7 @@ mod tests {
         tree.absorb(&mut buf_cols, &mut buf_ids);
         assert!(buf_ids.is_empty() && buf_cols.iter().all(|c| c.is_empty()));
         assert_eq!(tree.len(), 1500);
-        let fresh = KdTree::build(2, all.clone());
+        let fresh = KdTree::build(2, all);
         for q in [
             HyperRect::new(vec![0, 0], vec![299, 299]),
             HyperRect::new(vec![10, 20], vec![100, 250]),
@@ -634,9 +634,7 @@ mod tests {
 
     #[test]
     fn into_points_preserves_everything() {
-        let points: Vec<_> = (0..50)
-            .map(|i| (vec![i as u64, 2 * i as u64], RecordId(i)))
-            .collect();
+        let points: Vec<_> = (0..50).map(|i| (vec![i, 2 * i], RecordId(i))).collect();
         let tree = KdTree::build(2, points.clone());
         let mut back = tree.into_points();
         back.sort_by_key(|(_, id)| *id);

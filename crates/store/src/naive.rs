@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn oracle_still_answers() {
         let pts: Vec<_> = (0..100)
-            .map(|i| (vec![i as u64, (i * 7 % 50) as u64], RecordId(i)))
+            .map(|i| (vec![i, i * 7 % 50], RecordId(i)))
             .collect();
         let t = NaiveKdTree::build(2, pts);
         assert_eq!(t.len(), 100);

@@ -131,7 +131,7 @@ proptest! {
             buf_ids.push(*id);
         }
         tree.absorb(&mut buf_cols, &mut buf_ids);
-        let fresh = KdTree::build(3, points.clone());
+        let fresh = KdTree::build(3, points);
         prop_assert_eq!(
             sorted(tree.range_vec(&rect)),
             sorted(fresh.range_vec(&rect))

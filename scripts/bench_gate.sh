@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Perf gates: measure the flat-vs-naive ratios for the store and route
-# planes plus the ingest fast path, and diff them against the committed
-# baselines (BENCH_store.json, BENCH_route.json, BENCH_ingest.json), then
-# re-run the churn-world scale sweep against BENCH_sim.json.
+# planes and diff them against the committed baselines (BENCH_store.json,
+# BENCH_route.json), then re-run the churn-world scale sweep against
+# BENCH_sim.json. (The figures have their own gate, exact rather than
+# banded: `mind-figures all --check results`.)
 #
 # Each gate fails when a gated speedup drops below its hard floor (2x on
-# the store/route planes, 3x on batched-vs-single ingest) or regresses
-# more than its tolerance against its baseline, or when a cost ratio
-# drifts past its ceiling. Ratios — not absolute nanoseconds — are
+# the store/route planes) or regresses more than its tolerance against
+# its baseline, or when a cost ratio drifts past its ceiling. Ratios — not absolute nanoseconds — are
 # compared, so the gates are portable across machines.
 #
 # The sim gate (bench_sim --check) replays the 100/1k/10k-node churn
@@ -19,16 +19,14 @@
 # Refresh a baseline after an intentional perf change with:
 #   cargo run --release -p mind-bench --bin bench_store -- --write BENCH_store.json
 #   cargo run --release -p mind-bench --bin bench_route -- --write BENCH_route.json
-#   cargo run --release -p mind-bench --bin bench_ingest -- --write BENCH_ingest.json
 #   cargo run --release -p mind-bench --bin bench_sim -- --write BENCH_sim.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -p mind-bench --bin bench_store --bin bench_route --bin bench_ingest --bin bench_sim
+cargo build --release -p mind-bench --bin bench_store --bin bench_route --bin bench_sim
 
 status=0
 ./target/release/bench_store --check BENCH_store.json || status=1
 ./target/release/bench_route --check BENCH_route.json || status=1
-./target/release/bench_ingest --check BENCH_ingest.json || status=1
 ./target/release/bench_sim --check BENCH_sim.json || status=1
 exit "$status"
