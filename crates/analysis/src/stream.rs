@@ -40,7 +40,7 @@ pub struct SourceFile {
     pub toks: Vec<Tok>,
     /// Comment waivers.
     pub waivers: Vec<Waiver>,
-    /// `true` when the whole file is test/bench/example code by path.
+    /// `true` when the whole file is test/example code by path.
     pub is_test_file: bool,
 }
 
@@ -108,12 +108,11 @@ impl SourceFile {
     }
 }
 
-/// `true` for paths whose entire contents are test/bench/example code.
+/// `true` for paths whose entire contents are test/example code.
 fn path_is_test(rel: &str) -> bool {
     rel.starts_with("tests/")
         || rel.starts_with("examples/")
         || rel.contains("/tests/")
-        || rel.contains("/benches/")
         || rel.contains("/examples/")
 }
 

@@ -1,9 +1,10 @@
-//! Simulation-scale regression gate: churn worlds at N=100/1k/10k.
+//! Simulation-scale regression gate: churn worlds at N=1k/10k.
 //!
-//! The store/route/ingest gates pin the data plane; this binary pins the
-//! *world* — the discrete-event simulator plus the full MIND protocol
-//! stack driven at population scales two orders of magnitude past the
-//! paper's 102-node deployment. Each world runs under continuous churn
+//! `BENCHMARK.json` measures the data plane and its per-layer kernel
+//! costs; this binary pins what it cannot express, the *world* — the
+//! discrete-event simulator plus the full MIND protocol stack driven at
+//! population scales two orders of magnitude past the paper's 102-node
+//! deployment. Each world runs under continuous churn
 //! (a seeded `FaultPlan` crash/revive schedule), a constant ~100
 //! inserts/second aggregate feed (spread across the population), and
 //! periodic range queries, and reports:
@@ -22,10 +23,12 @@
 //! finish its sim-hour inside [`SIM_HOUR_BUDGET_1K_S`] and the 10k-node
 //! world must complete at all); `--smoke` runs the 1k-node churn world
 //! twice at a short horizon and asserts byte-identical replay (the CI
-//! `sim-smoke` determinism assertion); `--probe <n> <span_s>` runs one
-//! ad-hoc world for profiling.
+//! `sim` job's determinism assertion); `--probe <n> <span_s>` runs one
+//! ad-hoc world for profiling — `--probe 100 3600` is the 100-node
+//! overload world (highest per-node load; it storms on most seeds, so it
+//! is not gated — ROADMAP item 4).
 
-use mind_bench::harness::{paper_mind_config, random_query, IndexKind};
+use mind_bench::harness::{paper_mind_config, random_query, synth_point, IndexKind};
 use mind_bench::report::{json_numbers, metric, parse_json_numbers};
 use mind_core::{ClusterConfig, MindCluster, Replication};
 use mind_histogram::CutTree;
@@ -37,12 +40,23 @@ use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
 use std::time::Instant;
 
+/// How a gated row is judged against its baseline value.
+enum Bound {
+    /// Fails below `baseline * factor`.
+    Floor(f64),
+    /// Fails above `baseline * factor`.
+    Ceiling(f64),
+}
+
 /// Wall-clock band for rate metrics: shared CI runners jitter badly, so
 /// the gate only fails on a halving of throughput.
-const WALL_TOLERANCE: f64 = 0.50;
-/// Regression ceiling for deterministic load/memory metrics (peaks may
-/// legitimately move with protocol changes; 1.5x is a real regression).
-const DETERMINISTIC_CEILING: f64 = 1.5;
+const RATE_FLOOR: Bound = Bound::Floor(0.5);
+/// Regression ceiling for deterministic load/memory metrics (sim-time
+/// quantities, identical across machines for one code version; peaks may
+/// legitimately move with protocol changes, 1.5x is a real regression).
+const PEAK_CEILING: Bound = Bound::Ceiling(1.5);
+/// The worlds must still do their work: stored volume holds up.
+const ROWS_FLOOR: Bound = Bound::Floor(0.9);
 /// Hard floor: the 1k-node churn world must complete one simulated hour
 /// within this many wall-clock seconds (measured ~55 s on the dev
 /// container after the PR-10 scaling fixes — the budget leaves ~3x
@@ -62,11 +76,7 @@ struct ScalePoint {
     span_secs: u64,
 }
 
-const SCALE_POINTS: [ScalePoint; 3] = [
-    ScalePoint {
-        n: 100,
-        span_secs: 3600,
-    },
+const SCALE_POINTS: [ScalePoint; 2] = [
     ScalePoint {
         n: 1000,
         span_secs: 3600,
@@ -98,21 +108,6 @@ fn churn_plan(n: u32, span_secs: u64, seed: u64) -> FaultPlan {
         sec += 20;
     }
     plan
-}
-
-/// A synthetic Index-1 point (same shape as the fig14 feed): Zipf-block
-/// destination prefix with host bits, timestamp spread over a trailing
-/// 300 s aggregation window, light-tailed fanout.
-fn synth_point(rng: &mut StdRng, sec: u64) -> Vec<u64> {
-    let u: f64 = rng.random_range(0.0f64..1.0).max(1e-9);
-    let rank = ((u.powf(-0.8) - 1.0) * 8.0) as u64 % 512;
-    let block = (rank / 64) % 8;
-    let slot = rank % 64;
-    let host = rng.random_range(0..1u64 << 16);
-    let prefix = ((block * 8192 + slot * 128 + rank % 128) << 16) | host;
-    let fanout = 16 + (u.powf(-0.5) * 4.0) as u64 % 4000;
-    let ts = sec + rng.random_range(0..300u64);
-    vec![prefix, ts, fanout]
 }
 
 /// Deterministic outcome of one world run (everything but wall clock).
@@ -274,93 +269,75 @@ fn measure() -> Vec<(String, f64)> {
     out
 }
 
-/// Gate check against the committed baseline. Returns violation count.
-fn check(current: &[(String, f64)], baseline: &[(String, f64)]) -> usize {
-    let mut violations = 0;
-    let get = |report: &[(String, f64)], key: &str, who: &str| {
-        metric(report, key).unwrap_or_else(|| panic!("{who} missing {key}"))
+/// The baseline-relative rows of the gate.
+const GATED: [(&str, Bound); 8] = [
+    ("n1000.events_per_sec", RATE_FLOOR),
+    ("n10000.events_per_sec", RATE_FLOOR),
+    ("n1000.pending_events_peak", PEAK_CEILING),
+    ("n1000.approx_mem_mb", PEAK_CEILING),
+    ("n10000.pending_events_peak", PEAK_CEILING),
+    ("n10000.approx_mem_mb", PEAK_CEILING),
+    ("n1000.rows_stored", ROWS_FLOOR),
+    ("n10000.rows_stored", ROWS_FLOOR),
+];
+
+/// One gated row: `Ok` and `Err` both carry the line to print. A key
+/// missing from either report is a violation, never a pass.
+fn judge(
+    current: &[(String, f64)],
+    baseline: &[(String, f64)],
+    key: &str,
+    bound: &Bound,
+) -> Result<String, String> {
+    let cur = metric(current, key).ok_or("missing from the measurement")?;
+    let base = metric(baseline, key).ok_or("missing from the baseline")?;
+    let (word, cmp, limit, bad) = match *bound {
+        Bound::Floor(f) => ("floor", '<', base * f, cur < base * f),
+        Bound::Ceiling(f) => ("ceiling", '>', base * f, cur > base * f),
     };
-
-    // Hard floor 1: the 10k world completed.
-    if metric(current, "n10000.completed") == Some(1.0) {
-        println!("ok   n10000.completed: 10k-node world ran end-to-end");
+    if bad {
+        Err(format!(
+            "{cur:.1} {cmp} {word} {limit:.1} (baseline {base:.1})"
+        ))
     } else {
-        println!("FAIL n10000.completed: 10k-node world did not complete");
-        violations += 1;
+        Ok(format!("{cur:.1} ({word} {limit:.1}, baseline {base:.1})"))
     }
+}
 
+/// Gate check against the committed baseline: prints one line per row
+/// and returns the violations, each naming its key.
+fn check(current: &[(String, f64)], baseline: &[(String, f64)]) -> Vec<String> {
+    // Hard floor 1: the 10k world completed.
+    let completed = if metric(current, "n10000.completed") == Some(1.0) {
+        Ok("10k-node world ran end-to-end".to_string())
+    } else {
+        Err("10k-node world did not complete".to_string())
+    };
     // Hard floor 2: the 1k world's sim-hour fits the wall-clock budget.
-    {
-        let cur = get(current, "n1000.wall_per_simhour_s", "measurement");
-        if cur > SIM_HOUR_BUDGET_1K_S {
-            println!(
-                "FAIL n1000.wall_per_simhour_s: {cur:.1}s > budget {SIM_HOUR_BUDGET_1K_S:.0}s"
-            );
-            violations += 1;
-        } else {
-            println!(
-                "ok   n1000.wall_per_simhour_s: {cur:.1}s (budget {SIM_HOUR_BUDGET_1K_S:.0}s)"
-            );
+    let budget = match metric(current, "n1000.wall_per_simhour_s") {
+        None => Err("missing from the measurement".to_string()),
+        Some(cur) if cur > SIM_HOUR_BUDGET_1K_S => {
+            Err(format!("{cur:.1}s > budget {SIM_HOUR_BUDGET_1K_S:.0}s"))
         }
-    }
-
-    // Throughput bands against the baseline.
-    for key in [
-        "n100.events_per_sec",
-        "n1000.events_per_sec",
-        "n10000.events_per_sec",
-    ] {
-        let base = get(baseline, key, "baseline");
-        let cur = get(current, key, "measurement");
-        let floor = base * (1.0 - WALL_TOLERANCE);
-        if cur < floor {
-            println!("FAIL {key}: {cur:.0} < floor {floor:.0} (baseline {base:.0})");
-            violations += 1;
-        } else {
-            println!("ok   {key}: {cur:.0} (floor {floor:.0}, baseline {base:.0})");
+        Some(cur) => Ok(format!("{cur:.1}s (budget {SIM_HOUR_BUDGET_1K_S:.0}s)")),
+    };
+    let mut violations = Vec::new();
+    let mut row = |key: &str, verdict: Result<String, String>| match verdict {
+        Ok(line) => println!("ok   {key}: {line}"),
+        Err(line) => {
+            println!("FAIL {key}: {line}");
+            violations.push(format!("{key}: {line}"));
         }
-    }
-
-    // Deterministic load/memory metrics: regression ceilings. (These are
-    // sim-time quantities — identical across machines for one code
-    // version; the band absorbs legitimate protocol evolution.)
-    for key in [
-        "n1000.pending_events_peak",
-        "n1000.approx_mem_mb",
-        "n10000.pending_events_peak",
-        "n10000.approx_mem_mb",
-    ] {
-        let base = get(baseline, key, "baseline");
-        let cur = get(current, key, "measurement");
-        let ceiling = base * DETERMINISTIC_CEILING;
-        if cur > ceiling {
-            println!("FAIL {key}: {cur:.1} > ceiling {ceiling:.1} (baseline {base:.1})");
-            violations += 1;
-        } else {
-            println!("ok   {key}: {cur:.1} (ceiling {ceiling:.1}, baseline {base:.1})");
-        }
-    }
-
-    // The worlds must still do their work: stored volume holds up.
-    for key in [
-        "n100.rows_stored",
-        "n1000.rows_stored",
-        "n10000.rows_stored",
-    ] {
-        let base = get(baseline, key, "baseline");
-        let cur = get(current, key, "measurement");
-        let floor = base * 0.9;
-        if cur < floor {
-            println!("FAIL {key}: {cur:.0} < floor {floor:.0} (baseline {base:.0})");
-            violations += 1;
-        } else {
-            println!("ok   {key}: {cur:.0} (floor {floor:.0}, baseline {base:.0})");
-        }
+    };
+    row("n10000.completed", completed);
+    row("n1000.wall_per_simhour_s", budget);
+    for (key, bound) in &GATED {
+        row(key, judge(current, baseline, key, bound));
     }
     violations
 }
 
-/// CI sim-smoke: the 1k-node churn world at a short horizon, twice, with
+/// CI smoke: the 1k-node churn world at a short horizon, twice, with
 /// a byte-identical replay assertion over every deterministic output.
 fn smoke() -> ExitCode {
     let span = 120;
@@ -405,7 +382,7 @@ fn main() -> ExitCode {
             let baseline =
                 parse_json_numbers(&raw).unwrap_or_else(|| panic!("malformed baseline {path}"));
             let current = measure();
-            let violations = check(&current, &baseline);
+            let violations = check(&current, &baseline).len();
             if violations == 0 {
                 println!("bench_sim: gate passed against {path}");
                 ExitCode::SUCCESS
@@ -426,5 +403,65 @@ fn main() -> ExitCode {
             eprintln!("usage: bench_sim [--write <path> | --check <path> | --smoke | --probe <n> <span_s>]");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline, so the tests also prove that
+    /// `BENCH_sim.json` carries every gated key.
+    fn committed() -> Vec<(String, f64)> {
+        parse_json_numbers(include_str!("../../../../BENCH_sim.json")).unwrap()
+    }
+
+    /// `report` with `key` set to `value`, or dropped on `None`.
+    fn plant(report: &[(String, f64)], key: &str, value: Option<f64>) -> Vec<(String, f64)> {
+        report
+            .iter()
+            .filter_map(|(k, v)| {
+                let v = if k == key { value? } else { *v };
+                Some((k.clone(), v))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_report_passes_against_itself() {
+        let base = committed();
+        assert_eq!(check(&base, &base), Vec::<String>::new());
+        assert!(base.iter().all(|(k, _)| !k.starts_with("n100.")));
+    }
+
+    #[test]
+    fn each_planted_regression_is_exactly_one_violation() {
+        let base = committed();
+        let at = |key, factor| Some(metric(&base, key).unwrap() * factor);
+        let planted = [
+            ("n1000.rows_stored", at("n1000.rows_stored", 0.85)),
+            ("n1000.wall_per_simhour_s", Some(181.0)),
+            (
+                "n1000.pending_events_peak",
+                at("n1000.pending_events_peak", 1.6),
+            ),
+            ("n10000.events_per_sec", at("n10000.events_per_sec", 0.45)),
+            ("n10000.completed", None),
+        ];
+        for (key, value) in planted {
+            let violations = check(&plant(&base, key, value), &base);
+            assert_eq!(violations.len(), 1, "{key}: {violations:?}");
+            assert!(violations[0].starts_with(key), "{violations:?}");
+        }
+    }
+
+    #[test]
+    fn a_key_absent_from_the_baseline_is_a_named_violation() {
+        let current = committed();
+        let violations = check(&current, &plant(&current, "n1000.approx_mem_mb", None));
+        assert_eq!(
+            violations,
+            ["n1000.approx_mem_mb: missing from the baseline"]
+        );
     }
 }

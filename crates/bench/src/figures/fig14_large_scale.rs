@@ -8,7 +8,7 @@
 //! failures taking more.
 
 use super::{io, Scale, Verdict, Write};
-use crate::harness::{paper_mind_config, IndexKind};
+use crate::harness::{paper_mind_config, synth_point, IndexKind};
 use crate::report::{cdf_points, fraction_leq, header, kv};
 use mind_core::{ClusterConfig, MindCluster, Replication};
 use mind_histogram::CutTree;
@@ -151,29 +151,4 @@ pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
     );
     kv(out, "shape check (median < 1 s, ~90% <= 5 hops)", &verdict)?;
     Ok(verdict)
-}
-
-/// A synthetic Index-1 point: Zipf-block destination prefix, recent
-/// timestamp, light-tailed fanout above the insert threshold.
-///
-/// Records are pre-aggregated over the trailing five minutes, so their
-/// timestamps spread across a 300 s window behind the insertion instant.
-/// Without that spread every record inserted at the same moment carries
-/// the same timestamp, the whole stream lands in one time slice of the
-/// cut tree, and the few nodes owning that slice become a moving
-/// hotspot that saturates while the rest of the overlay idles.
-fn synth_point(rng: &mut StdRng, sec: u64) -> Vec<u64> {
-    // Zipf-ish rank via inverse power draw.
-    let u: f64 = rng.random_range(0.0f64..1.0).max(1e-9);
-    let rank = ((u.powf(-0.8) - 1.0) * 8.0) as u64 % 512;
-    let block = (rank / 64) % 8;
-    let slot = rank % 64;
-    // Host bits below the /16 prefix: without them the Zipf head is a
-    // point mass (~14% of records carry one exact key) that no cut tree
-    // can split, and the single node owning it saturates.
-    let host = rng.random_range(0..1u64 << 16);
-    let prefix = ((block * 8192 + slot * 128 + rank % 128) << 16) | host;
-    let fanout = 16 + (u.powf(-0.5) * 4.0) as u64 % 4000;
-    let ts = sec + rng.random_range(0..300u64);
-    vec![prefix, ts, fanout]
 }

@@ -313,21 +313,30 @@ pub fn balanced_cuts(
     CutTree::balanced_from_points(bounds, depth, &refs)
 }
 
-/// Deterministic 3-dim sample points in the paper's index domain
-/// (prefix × seconds-of-day × value) — the shared workload of the store
-/// microbenches and the `bench_store` gate binary, so the committed
-/// `BENCH_store.json` numbers and `cargo bench` measure the same thing.
-pub fn store_sample_points(n: usize, seed: u64) -> Vec<Vec<u64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            vec![
-                rng.random_range(0..=u32::MAX as u64),
-                rng.random_range(0..86_400),
-                rng.random_range(0..2 << 20),
-            ]
-        })
-        .collect()
+/// A synthetic Index-1 point (the feed of `fig14_large_scale` and
+/// `bench_sim`): Zipf-block destination prefix, recent timestamp,
+/// light-tailed fanout above the insert threshold.
+///
+/// Records are pre-aggregated over the trailing five minutes, so their
+/// timestamps spread across a 300 s window behind the insertion instant.
+/// Without that spread every record inserted at the same moment carries
+/// the same timestamp, the whole stream lands in one time slice of the
+/// cut tree, and the few nodes owning that slice become a moving
+/// hotspot that saturates while the rest of the overlay idles.
+pub fn synth_point(rng: &mut StdRng, sec: u64) -> Vec<u64> {
+    // Zipf-ish rank via inverse power draw.
+    let u: f64 = rng.random_range(0.0f64..1.0).max(1e-9);
+    let rank = ((u.powf(-0.8) - 1.0) * 8.0) as u64 % 512;
+    let block = (rank / 64) % 8;
+    let slot = rank % 64;
+    // Host bits below the /16 prefix: without them the Zipf head is a
+    // point mass (~14% of records carry one exact key) that no cut tree
+    // can split, and the single node owning it saturates.
+    let host = rng.random_range(0..1u64 << 16);
+    let prefix = ((block * 8192 + slot * 128 + rank % 128) << 16) | host;
+    let fanout = 16 + (u.powf(-0.5) * 4.0) as u64 % 4000;
+    let ts = sec + rng.random_range(0..300u64);
+    vec![prefix, ts, fanout]
 }
 
 /// A full-coverage monitoring query over the last five minutes before

@@ -48,7 +48,7 @@ pub fn fraction_leq(samples: &[u64], threshold: u64) -> f64 {
 
 // ---- machine-readable benchmark reports ----
 //
-// The perf trajectory files (`BENCH_*.json`) are flat JSON objects mapping
+// The gate baseline (`BENCH_sim.json`) is a flat JSON object mapping
 // metric names to numbers. The workspace deliberately vendors no JSON
 // crate, so the emitter and the (correspondingly restricted) parser live
 // here: one level, string keys, finite numeric values — exactly what a

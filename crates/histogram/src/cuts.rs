@@ -62,8 +62,8 @@ pub(crate) enum Node {
 /// [`CutTree`](crate::CutTree): every builder of the flat tree delegates to
 /// the recursive builders here and flattens the result, so the two emit
 /// bit-identical codes by construction. Keep using [`crate::CutTree`] on
-/// production paths; this type remains for property-test oracles and as
-/// the `bench_route` baseline.
+/// production paths; this type remains as that builder and as the
+/// property-test oracle.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NaiveCutTree {
     bounds: HyperRect,

@@ -19,7 +19,7 @@
 //!
 //! [`CutTree`] is the flat-arena layout traversed on the routing hot paths
 //! (see [`flat`]); the boxed [`NaiveCutTree`] it is built from remains as
-//! the property-test oracle and bench baseline (see [`cuts`]).
+//! the property-test oracle (see [`cuts`]).
 
 #![warn(missing_docs)]
 

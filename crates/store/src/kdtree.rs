@@ -39,7 +39,7 @@ use mind_types::{HyperRect, RecordId, Value};
 /// Slices at or below this length are leaf buckets: left unpartitioned at
 /// build time and scanned dimension-major at query time (see
 /// [`KdTree::leaf_mask`]). Must not exceed 64 — leaf hits are tracked in a
-/// `u64` bitmask. Tuned on the 3-dim `BENCH_store.json` workload: wider
+/// `u64` bitmask. Tuned on 100k uniform 3-dim points: wider
 /// buckets shift boundary work out of the branchy descent and into
 /// sequential column sweeps, and 64 was the fastest power of two.
 const LEAF_CUTOFF: usize = 64;

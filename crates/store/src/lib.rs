@@ -8,8 +8,8 @@
 //! * [`KdTree`] — a columnar (structure-of-arrays) k-d tree over the
 //!   indexed attribute values with bounding-box subtree pruning, answering
 //!   the multi-dimensional range scans that MySQL's B-trees served in the
-//!   prototype ([`NaiveKdTree`] is the pre-columnar tree, kept as a
-//!   differential-testing oracle and benchmark baseline),
+//!   prototype ([`NaiveKdTree`] is the pre-columnar tree, kept as the
+//!   differential-testing oracle),
 //! * [`MemStore`] — the per-(index, version) record store: append-only
 //!   record heap plus a k-d index with an insert buffer and periodic
 //!   rebuild (versions are dropped wholesale when they age out, so there is

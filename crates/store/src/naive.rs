@@ -3,15 +3,9 @@
 //! This is the tree [`crate::KdTree`] replaced: one heap-allocated
 //! `Vec<Value>` per point, no bounding-box pruning, and a `count_range`
 //! that materializes ids just to take their length. It stays in the crate
-//! for two jobs:
-//!
-//! * **differential testing** — the columnar tree's proptests check every
-//!   query against this implementation point-for-point (see
-//!   `crates/store/tests/columnar_prop.rs`), and
-//! * **benchmark baseline** — `BENCH_store.json` records before/after
-//!   medians with this tree as "before", so the speedup claim stays
-//!   reproducible from source rather than from a number in a commit
-//!   message.
+//! for differential testing: the columnar tree's proptests and the
+//! `store_range` fuzz body check every query against this implementation
+//! point-for-point (see `crates/store/tests/columnar_prop.rs`).
 //!
 //! Do not use it on a hot path.
 

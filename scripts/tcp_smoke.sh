@@ -5,16 +5,14 @@
 # conservation, and a clean fleet audit, and every node process exits 0
 # after the control-protocol shutdown (no signals involved).
 #
-#   ./scripts/tcp_smoke.sh [inserts] [min_rate]
+#   ./scripts/tcp_smoke.sh [inserts]
 #
-# Defaults are sized for CI (50k rows, any nonzero rate); run with
-# `100000 50000` to reproduce the ≥50k inserts/s acceptance check on a
-# quiet machine.
+# The default is sized for CI (50k rows). How fast the socket plane
+# ingests is the benchmark's `tcp_ingest/rows_per_s`, not this script's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 INSERTS="${1:-50000}"
-MIN_RATE="${2:-1}"
 PORT_BASE="${TCP_SMOKE_PORT_BASE:-47610}"
 WORK="$(mktemp -d)"
 SPEC="$WORK/cluster.txt"
@@ -43,10 +41,9 @@ for i in 0 1 2 3; do
     PIDS+=($!)
 done
 
-echo "tcp-smoke: 4 nodes up, loading $INSERTS rows (min rate $MIN_RATE/s)"
+echo "tcp-smoke: 4 nodes up, loading $INSERTS rows"
 timeout 120 ./target/release/mind-loadgen --cluster "$SPEC" \
-    --inserts "$INSERTS" --batch 64 --queries 16 \
-    --min-insert-rate "$MIN_RATE" --shutdown | tee "$WORK/report.txt"
+    --inserts "$INSERTS" --batch 64 --queries 16 --shutdown | tee "$WORK/report.txt"
 
 grep -q "^conserved=true$" "$WORK/report.txt"
 grep -q "^audit_clean=true$" "$WORK/report.txt"
