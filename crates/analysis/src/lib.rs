@@ -1,12 +1,12 @@
 //! AST-level determinism analyzer for the MIND workspace.
 //!
-//! The workspace's static lint wall — the source-pattern rules clippy
-//! cannot express — as a token-tree semantic pass: every workspace `.rs`
-//! file is lexed into a delimiter-matched token stream with exact
-//! `#[cfg(test)]` scoping, and a rule engine runs over it. String literals
-//! and comments can neither produce false hits nor hide real ones, and
-//! rules can see structure a substring scan cannot (method receivers,
-//! paths, match arms, constant expressions).
+//! The workspace's static lint wall — the source-pattern rules that
+//! neither the compiler, clippy nor the vendored APIs already enforce —
+//! as a token-tree pass: every workspace `.rs` file is lexed into a
+//! delimiter-matched token stream with exact `#[cfg(test)]` scoping, and a
+//! rule engine runs over it. String literals and comments can neither
+//! produce false hits nor hide real ones, and rules can see structure a
+//! substring scan cannot (method receivers, paths, loop bodies).
 //!
 //! The crate registry (`crates.io`) is unreachable from this workspace, so
 //! `syn` is not available; `lex`/`stream` are a purpose-built stand-in
@@ -21,7 +21,6 @@ pub mod stream;
 
 pub use diag::Diagnostic;
 
-use rules::GlobalRule;
 use stream::SourceFile;
 
 /// Runs every rule over `files` (`(workspace-relative path, source)`
@@ -32,7 +31,6 @@ use stream::SourceFile;
 pub fn analyze_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
     let file_rules = rules::file_rules();
     let known_rules = rules::rule_names();
-    let mut timer = rules::TimerTokenRule::default();
     let mut diags: Vec<Diagnostic> = Vec::new();
 
     for (rel_path, src) in files {
@@ -103,11 +101,8 @@ pub fn analyze_sources(files: &[(String, String)]) -> Vec<Diagnostic> {
                 });
             }
         }
-
-        timer.scan_file(&sf);
     }
 
-    timer.finish(&mut diags);
     diags.sort();
     diags.dedup();
     diags

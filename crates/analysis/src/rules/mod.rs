@@ -1,16 +1,10 @@
-//! The rule engine: per-file rules over annotated token streams plus
-//! workspace-global rules that aggregate across files.
+//! The rule engine: per-file rules over annotated token streams.
 
-use crate::diag::Diagnostic;
 use crate::lex::TokKind;
 use crate::stream::{SourceFile, Tok};
 
 mod hashiter;
 mod needles;
-mod timer_token;
-mod wildcard;
-
-pub use timer_token::TimerTokenRule;
 
 /// Static facts about a rule: identity, rationale, and scope.
 pub struct Meta {
@@ -45,29 +39,16 @@ pub trait FileRule {
     fn check(&self, sf: &SourceFile, out: &mut Vec<(u32, String)>);
 }
 
-/// A rule that needs the whole workspace before it can judge (it still
-/// reports per-file, per-line diagnostics).
-pub trait GlobalRule {
-    /// The rule's identity and scope.
-    fn meta(&self) -> &'static Meta;
-    /// Feeds one file's tokens into the aggregate.
-    fn scan_file(&mut self, sf: &SourceFile);
-    /// Emits diagnostics once every file has been scanned.
-    fn finish(&mut self, out: &mut Vec<Diagnostic>);
-}
-
 /// Every per-file rule, in diagnostic order.
 pub fn file_rules() -> Vec<Box<dyn FileRule>> {
     let mut rules: Vec<Box<dyn FileRule>> = needles::rules();
     rules.push(Box::new(hashiter::HashIterRule));
-    rules.push(Box::new(wildcard::HandlerWildcardRule));
     rules
 }
 
 /// Every rule name (for waiver validation).
 pub fn rule_names() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = file_rules().iter().map(|r| r.meta().name).collect();
-    names.push(timer_token::META.name);
     names.push("waiver-justified");
     names
 }

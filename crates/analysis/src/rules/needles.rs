@@ -3,7 +3,6 @@
 //! cannot produce hits and multi-line call chains cannot hide them.
 
 use super::{is_ident, is_punct, method_call_at, path_at, FileRule, Meta};
-use crate::lex::Delim;
 use crate::lex::TokKind;
 use crate::stream::SourceFile;
 
@@ -18,13 +17,6 @@ enum Pat {
     /// An identifier used as a path head (`name::…`) — type positions
     /// like `rng: StdRng` do not match.
     PathHead(&'static str),
-    /// `prefix::{ … name … }` use-tree groups, e.g. `sync::{Mutex, Arc}`.
-    UseGroup {
-        /// Path segment right before the brace group.
-        prefix: &'static str,
-        /// Banned names inside the group.
-        names: &'static [&'static str],
-    },
 }
 
 /// A rule made of token patterns.
@@ -54,8 +46,8 @@ impl FileRule for PatternRule {
                         }
                     }
                     Pat::Path(segs) => {
-                        // Suffix match: `["sync", "Mutex"]` also catches
-                        // `std::sync::Mutex`.
+                        // Suffix match: `["Instant", "now"]` also catches
+                        // `std::time::Instant::now`.
                         if path_at(toks, i, segs) {
                             out.push((toks[i].line, String::new()));
                         }
@@ -71,21 +63,6 @@ impl FileRule for PatternRule {
                             && toks.get(i + 1).is_some_and(|t| is_punct(t, "::"))
                         {
                             out.push((toks[i].line, String::new()));
-                        }
-                    }
-                    Pat::UseGroup { prefix, names } => {
-                        if is_ident(&toks[i], prefix)
-                            && toks.get(i + 1).is_some_and(|t| is_punct(t, "::"))
-                            && toks
-                                .get(i + 2)
-                                .is_some_and(|t| t.kind == TokKind::Open(Delim::Brace))
-                        {
-                            let close = toks[i + 2].mate;
-                            for t in &toks[i + 3..close] {
-                                if t.kind == TokKind::Ident && names.contains(&t.text.as_str()) {
-                                    out.push((t.line, String::new()));
-                                }
-                            }
                         }
                     }
                 }
@@ -107,14 +84,6 @@ static UNWRAP: Meta = Meta {
     ],
 };
 
-static RNG: Meta = Meta {
-    name: "rng",
-    why: "all randomness must be seeded from the experiment config",
-    applies_in_tests: true,
-    only_prefixes: &[],
-    exempt_prefixes: &[],
-};
-
 static WALLCLOCK: Meta = Meta {
     name: "wallclock",
     why: "simulator-driven code must take time from the event clock",
@@ -122,14 +91,6 @@ static WALLCLOCK: Meta = Meta {
     only_prefixes: &[],
     // The real-TCP host driver and its demo run on actual wall time.
     exempt_prefixes: &["crates/net/", "crates/runtime/", "examples/realtime_tcp"],
-};
-
-static STDMUTEX: Meta = Meta {
-    name: "stdmutex",
-    why: "the workspace mandates parking_lot locks",
-    applies_in_tests: true,
-    only_prefixes: &[],
-    exempt_prefixes: &[],
 };
 
 static RECCLONE: Meta = Meta {
@@ -152,16 +113,6 @@ static ROUTEALLOC: Meta = Meta {
     exempt_prefixes: &[],
 };
 
-static RETRYTIMER: Meta = Meta {
-    name: "retrytimer",
-    why: "reliable-delivery timers are owned by core's reliability module; \
-          arming or matching them elsewhere bypasses the ack/retry state \
-          machine and its cancellation invariants",
-    applies_in_tests: true,
-    only_prefixes: &["crates/core/src/"],
-    exempt_prefixes: &["crates/core/src/reliability.rs"],
-};
-
 static WORLDRNG: Meta = Meta {
     name: "worldrng",
     why: "netsim randomness must derive from the single world seed \
@@ -171,7 +122,7 @@ static WORLDRNG: Meta = Meta {
     exempt_prefixes: &[],
 };
 
-/// The eight needle rules.
+/// The five needle rules.
 pub fn rules() -> Vec<Box<dyn FileRule>> {
     vec![
         Box::new(PatternRule {
@@ -179,28 +130,10 @@ pub fn rules() -> Vec<Box<dyn FileRule>> {
             pats: &[Pat::Method(&["unwrap", "expect"])],
         }),
         Box::new(PatternRule {
-            meta: &RNG,
-            pats: &[
-                Pat::Ident(&["thread_rng", "from_entropy", "from_os_rng"]),
-                Pat::Path(&["rand", "random"]),
-            ],
-        }),
-        Box::new(PatternRule {
             meta: &WALLCLOCK,
             pats: &[
                 Pat::Path(&["SystemTime", "now"]),
                 Pat::Path(&["Instant", "now"]),
-            ],
-        }),
-        Box::new(PatternRule {
-            meta: &STDMUTEX,
-            pats: &[
-                Pat::Path(&["sync", "Mutex"]),
-                Pat::Path(&["sync", "RwLock"]),
-                Pat::UseGroup {
-                    prefix: "sync",
-                    names: &["Mutex", "RwLock"],
-                },
             ],
         }),
         Box::new(PatternRule {
@@ -213,10 +146,6 @@ pub fn rules() -> Vec<Box<dyn FileRule>> {
                 Pat::Path(&["Vec", "new"]),
                 Pat::Method(&["to_vec", "clone"]),
             ],
-        }),
-        Box::new(PatternRule {
-            meta: &RETRYTIMER,
-            pats: &[Pat::Ident(&["KIND_OP_RETRY", "KIND_ANTI_ENTROPY"])],
         }),
         Box::new(PatternRule {
             meta: &WORLDRNG,

@@ -7,8 +7,7 @@
 //! diagnostics are `//~ <rule> [<rule>…]` markers at the end of the
 //! offending line; the harness strips markers before analysis. `_bad.rs`
 //! and `_good.rs` fixtures are analyzed as two separate workspaces so a
-//! good fixture can reuse a bad fixture's virtual path (e.g. the
-//! timer-token crates).
+//! good fixture can reuse a bad fixture's virtual path.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -35,7 +34,7 @@ fn load_group(suffix: &str) -> (Vec<(String, String)>, Expected) {
             .and_then(|n| n.to_str())
             .expect("fixture name");
         // Group membership by suffix, allowing numbered variants
-        // (`timer_token_bad2.rs`).
+        // (`unwrap_good2.rs`).
         let stem = name
             .trim_end_matches(".rs")
             .trim_end_matches(char::is_numeric);
@@ -116,4 +115,13 @@ fn every_rule_has_a_positive_and_a_negative_fixture() {
             "rule `{rule}` has no good-fixture negative case"
         );
     }
+}
+
+/// The analyzer keeps only the rules nothing else enforces (DESIGN.md §7).
+#[test]
+fn rule_names_are_the_seven_rules_nothing_else_enforces() {
+    assert_eq!(
+        mind_analysis::rules::rule_names().join(" "),
+        "unwrap wallclock recclone routealloc worldrng hashiter waiver-justified"
+    );
 }

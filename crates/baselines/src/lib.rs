@@ -18,6 +18,8 @@
 //! like-for-like.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 
 pub mod centralized;
 pub mod flooding;

@@ -2,7 +2,7 @@
 //! committed `results/` are what the code prints.
 //!
 //! ```text
-//! mind-figures <name>...|all [--scale <x>] [--hours <n>] [--smoke] [--loss <frac>]
+//! mind-figures <name>...|all [--scale <x>] [--hours <n>] [--loss <frac>]
 //! mind-figures <name>...|all --check <dir>
 //! mind-figures <name>...|all --write <dir>
 //! ```
@@ -29,7 +29,7 @@ enum Mode {
 fn usage(table: &[Figure]) -> String {
     let names: Vec<&str> = table.iter().map(|f| f.name).collect();
     format!(
-        "usage: mind-figures <name>...|all [--scale <x>] [--hours <n>] [--smoke] [--loss <frac>]\n\
+        "usage: mind-figures <name>...|all [--scale <x>] [--hours <n>] [--loss <frac>]\n\
          \x20      mind-figures <name>...|all --check <dir> | --write <dir>\n\
          figures: {}",
         names.join(" ")
@@ -61,7 +61,6 @@ fn parse<'t>(
             "--scale" => scale.volume = value(opt, val())?,
             "--hours" => scale.hours = Some(value(opt, val())?),
             "--loss" => scale.loss = Some(value(opt, val())?),
-            "--smoke" => scale.smoke = true,
             "--check" | "--write" if mode != Mode::Print => {
                 return Err("--check and --write take one directory between them".into());
             }
@@ -79,13 +78,10 @@ fn parse<'t>(
     }
     if mode != Mode::Print && scale != Scale::default() {
         return Err(
-            "--check and --write run the committed scale: no --scale/--hours/--smoke/--loss".into(),
+            "--check and --write run the committed scale: no --scale/--hours/--loss".into(),
         );
     }
     // A knob a figure does not have is an error, not a silent default run.
-    if let Some(f) = figures.iter().find(|f| scale.smoke && !f.smoke) {
-        return Err(format!("{} has no --smoke scale", f.name));
-    }
     if let Some(f) = figures.iter().find(|f| scale.loss.is_some() && !f.loss) {
         return Err(format!("{} has no --loss axis", f.name));
     }
@@ -210,13 +206,11 @@ mod tests {
         Figure {
             name: "toy",
             run: toy,
-            smoke: false,
             loss: false,
         },
         Figure {
             name: "toy_fails",
             run: toy_fails,
-            smoke: true,
             loss: true,
         },
     ];
@@ -310,18 +304,15 @@ mod tests {
 
     #[test]
     fn knobs_a_figure_does_not_have_are_refused() {
-        assert_eq!(drive("toy_fails --smoke --loss=0.05").0, 1);
-        assert_eq!(drive("toy --smoke").0, 2);
-        assert_eq!(drive("all --smoke").0, 2);
+        assert_eq!(drive("toy_fails --loss=0.05").0, 1);
         assert_eq!(drive("toy --loss 0.05").0, 2);
-        // The real table: only fig14 has a smoke scale.
-        let smoke: Vec<&str> = FIGURES.iter().filter(|f| f.smoke).map(|f| f.name).collect();
-        assert_eq!(smoke, ["fig14_large_scale"]);
-        let args = ["fig10_query_latency".to_string(), "--smoke".to_string()];
+        assert_eq!(drive("all --loss 0.05").0, 2);
+        // The real table: fig11 and fig16 have a loss axis.
+        let args = ["fig10_query_latency".to_string(), "--loss=0.05".to_string()];
         let refused = parse(&args, FIGURES).err();
         assert_eq!(
             refused.as_deref(),
-            Some("fig10_query_latency has no --smoke scale")
+            Some("fig10_query_latency has no --loss axis")
         );
     }
 
@@ -336,7 +327,8 @@ mod tests {
             "toy --hours",
             "toy --check a --write b",
             "toy --check dir --scale 2",
-            "toy_fails --write dir --smoke",
+            "toy_fails --write dir --loss 0.05",
+            "toy --smoke",
         ] {
             assert_eq!(drive(line).0, 2, "{line:?}");
         }

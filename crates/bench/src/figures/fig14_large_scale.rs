@@ -24,16 +24,13 @@ pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
         "insertion latency CDF, 102 nodes with churn, 1 record/s/node",
         "median < 1 s, long tail; ~90% of inserts <= 5 hops",
     )?;
-    // Smoke mode (CI): a 24-node overlay and a short churn window — the
-    // same code path and shape checks at a few seconds of wall clock.
-    let smoke = scale.smoke;
     let scale = scale.experiment(1);
-    let n = if smoke { 24 } else { 102 };
+    let n = 102;
     let kind = IndexKind::Fanout;
     let ts_bound = 86_400;
     let schema = kind.schema(ts_bound);
 
-    let span = if smoke { 120 } else { 600 * scale.hours }; // seconds of experiment
+    let span = 600 * scale.hours; // seconds of experiment
 
     let mut cfg = ClusterConfig::planetlab(n, 14);
     cfg.mind = paper_mind_config();
@@ -69,7 +66,7 @@ pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
 
     // Churn schedule: nodes crash and revive so the live population
     // wanders between ~70 and 102 (the paper's observed range).
-    let max_dead = if smoke { 6 } else { 32 };
+    let max_dead = 32;
     let mut dead: Vec<NodeId> = Vec::new();
     let base = cluster.now();
     // Feeds are not synchronized across hosts: spread each node's

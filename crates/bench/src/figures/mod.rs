@@ -42,8 +42,6 @@ pub struct Scale {
     /// `--hours`: trace length (or 10-minute windows, per figure) in
     /// place of the figure's own default.
     pub hours: Option<u64>,
-    /// `--smoke`: the figure's reduced CI scale ([`Figure::smoke`]).
-    pub smoke: bool,
     /// `--loss`: an additional series under this uniform message loss
     /// rate ([`Figure::loss`]).
     pub loss: Option<f64>,
@@ -54,7 +52,6 @@ impl Default for Scale {
         Scale {
             volume: 1.0,
             hours: None,
-            smoke: false,
             loss: None,
         }
     }
@@ -117,8 +114,6 @@ pub struct Figure {
     pub name: &'static str,
     /// Runs the experiment.
     pub run: Run,
-    /// `true` if the figure has a reduced scale for `--smoke`.
-    pub smoke: bool,
     /// `true` if the figure has a loss axis for `--loss`.
     pub loss: bool,
 }
@@ -127,7 +122,6 @@ const fn figure(name: &'static str, run: Run) -> Figure {
     Figure {
         name,
         run,
-        smoke: false,
         loss: false,
     }
 }
@@ -149,10 +143,7 @@ pub const FIGURES: &[Figure] = &[
     },
     figure("fig12_link_traffic", fig12_link_traffic::run),
     figure("fig13_storage_balance", fig13_storage_balance::run),
-    Figure {
-        smoke: true,
-        ..figure("fig14_large_scale", fig14_large_scale::run)
-    },
+    figure("fig14_large_scale", fig14_large_scale::run),
     Figure {
         loss: true,
         ..figure("fig16_robustness", fig16_robustness::run)

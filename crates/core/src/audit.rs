@@ -25,35 +25,6 @@ use crate::cluster::MindCluster;
 use crate::messages::Replication;
 use crate::node::MindNode;
 
-/// Audit cadence from `MIND_AUDIT_EVERY`: the automatic audit points run
-/// the structural audit only at every k-th trigger. The default `1`
-/// keeps today's audit-every-event behavior (what the `--features audit`
-/// test suite pins); large-world benchmarks set it high because each
-/// audit walks the entire deployment — O(nodes² + leaves²) — after
-/// every membership event.
-pub fn audit_every_from_env() -> u64 {
-    audit_every_from_lookup(|name| std::env::var(name).ok())
-}
-
-/// [`audit_every_from_env`] with an injectable variable lookup, so the
-/// malformed-input paths are testable without mutating the process
-/// environment (env vars are global state across test threads).
-fn audit_every_from_lookup(lookup: impl Fn(&str) -> Option<String>) -> u64 {
-    const NAME: &str = "MIND_AUDIT_EVERY";
-    match lookup(NAME) {
-        None => 1,
-        Some(s) => match s.parse::<u64>() {
-            // Every k-th audit point; 0 would mean "never", which is
-            // spelled by not enabling the audit feature instead.
-            Ok(k) if k >= 1 => k,
-            _ => {
-                eprintln!("warning: ignoring malformed {NAME}={s:?}; using 1");
-                1
-            }
-        },
-    }
-}
-
 /// Captures the audited state of every node in a raw simulation world.
 ///
 /// Tests that drive a [`World<MindNode>`] directly (dynamic join, custom
@@ -104,20 +75,6 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
     /// feature is enabled; also useful directly from tests.
     pub fn audit_point(&self, context: &str) {
         self.audit_structural().assert_clean(context);
-    }
-
-    /// Cadence-gated audit point: counts every trigger and runs the full
-    /// audit only at every `MIND_AUDIT_EVERY`-th one (default 1 = every
-    /// trigger). This is what the automatic audit points inside
-    /// `run_for`/`crash`/`revive`/... call, so a 10k-node world under
-    /// churn does not pay a whole-world walk per membership event.
-    #[cfg(feature = "audit")]
-    pub fn audit_point_gated(&self, context: &str) {
-        let t = self.audit_ticks.get() + 1;
-        self.audit_ticks.set(t);
-        if t % self.audit_every == 0 {
-            self.audit_point(context);
-        }
     }
 }
 
@@ -178,20 +135,4 @@ pub fn snapshot_node(id: NodeId, alive: bool, node: &MindNode) -> NodeSnapshot {
         );
     }
     snap
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn audit_cadence_parses_like_the_other_env_knobs() {
-        assert_eq!(audit_every_from_lookup(|_| None), 1);
-        assert_eq!(audit_every_from_lookup(|_| Some("64".into())), 64);
-        // Malformed or senseless values warn and fall back to every-event.
-        assert_eq!(audit_every_from_lookup(|_| Some("0".into())), 1);
-        assert_eq!(audit_every_from_lookup(|_| Some("-3".into())), 1);
-        assert_eq!(audit_every_from_lookup(|_| Some("often".into())), 1);
-        assert_eq!(audit_every_from_lookup(|_| Some("".into())), 1);
-    }
 }

@@ -75,13 +75,6 @@ impl ClusterConfig {
 pub struct MindCluster<D = World<MindNode>> {
     driver: D,
     topology: StaticTopology,
-    /// Audit cadence (`MIND_AUDIT_EVERY`, default 1 = audit at every
-    /// automatic audit point). See [`crate::audit::audit_every_from_env`].
-    #[cfg(feature = "audit")]
-    pub(crate) audit_every: u64,
-    /// Automatic audit points triggered so far (the cadence counter).
-    #[cfg(feature = "audit")]
-    pub(crate) audit_ticks: std::cell::Cell<u64>,
 }
 
 impl MindCluster<World<MindNode>> {
@@ -105,10 +98,6 @@ impl MindCluster<World<MindNode>> {
         MindCluster {
             driver: world,
             topology,
-            #[cfg(feature = "audit")]
-            audit_every: crate::audit::audit_every_from_env(),
-            #[cfg(feature = "audit")]
-            audit_ticks: std::cell::Cell::new(0),
         }
     }
 
@@ -127,14 +116,7 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
     /// Wraps an already-populated driver (a `TcpFleet`, a hand-built
     /// world) and the static code assignment its nodes were built from.
     pub fn from_parts(driver: D, topology: StaticTopology) -> Self {
-        MindCluster {
-            driver,
-            topology,
-            #[cfg(feature = "audit")]
-            audit_every: crate::audit::audit_every_from_env(),
-            #[cfg(feature = "audit")]
-            audit_ticks: std::cell::Cell::new(0),
-        }
+        MindCluster { driver, topology }
     }
 
     /// The driver this cluster runs over.
@@ -200,7 +182,7 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
     pub fn run_for(&mut self, d: SimTime) {
         self.driver.run_for(d);
         #[cfg(feature = "audit")]
-        self.audit_point_gated("after run_for (joins/failures/takeovers settled here)");
+        self.audit_point("after run_for (joins/failures/takeovers settled here)");
     }
 
     /// Best-effort settle barrier bounded by `limit` (see
@@ -208,7 +190,7 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
     pub fn quiesce(&mut self, limit: SimTime) {
         self.driver.quiesce(limit);
         #[cfg(feature = "audit")]
-        self.audit_point_gated("after quiesce");
+        self.audit_point("after quiesce");
     }
 
     /// Polls `cond` every [`ClusterDriver::poll_interval`] until it holds
@@ -245,7 +227,7 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
             n.create_index(schema, cuts, replication, out)
         });
         #[cfg(feature = "audit")]
-        self.audit_point_gated("after create_index");
+        self.audit_point("after create_index");
         r
     }
 
@@ -340,7 +322,7 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
             }
         }
         #[cfg(feature = "audit")]
-        self.audit_point_gated("after gc_versions (version rollover/GC)");
+        self.audit_point("after gc_versions (version rollover/GC)");
         total
     }
 
@@ -361,14 +343,14 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
     pub fn crash(&mut self, id: NodeId) {
         self.driver.crash(id);
         #[cfg(feature = "audit")]
-        self.audit_point_gated("after crash (failure injected)");
+        self.audit_point("after crash (failure injected)");
     }
 
     /// Revives a crashed node.
     pub fn revive(&mut self, id: NodeId) {
         self.driver.revive(id);
         #[cfg(feature = "audit")]
-        self.audit_point_gated("after revive (rejoin begins)");
+        self.audit_point("after revive (rejoin begins)");
     }
 
     /// All insertion latency samples across nodes (µs).

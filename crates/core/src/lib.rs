@@ -28,6 +28,8 @@
 //!   evaluation reports.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 
 pub mod audit;
 pub mod cluster;

@@ -372,6 +372,10 @@ impl WireSize for MindPayload {
     /// `mind-net`'s `wire_size_is_exact_for_every_payload_kind` test; every
     /// other variant is counted by the encoder itself
     /// ([`mind_types::wire::serialized_len`]), so it cannot drift.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a size, not a dispatch: the encoder sizes every variant not listed"
+    )]
     fn wire_size(&self) -> usize {
         match self {
             MindPayload::Insert { index, record, .. } => {

@@ -13,8 +13,6 @@ pub struct NodeMetrics {
     pub insert_hops: Vec<u32>,
     /// Routed messages that gave up (TTL/recovery exhaustion).
     pub undeliverable: u64,
-    /// Target codes of the given-up messages (diagnostics).
-    pub undeliverable_targets: Vec<mind_types::BitCode>,
     /// Inserts this node originated (per-monitor volume, Figure 12).
     pub inserts_originated: u64,
     /// Multi-record `InsertBatch` frames this node shipped (the ingest

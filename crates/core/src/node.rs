@@ -42,6 +42,42 @@ pub(crate) fn token(kind: u64, arg: u64) -> u64 {
     TOKEN_TAG | (kind << 48) | (arg & 0xFFFF_FFFF_FFFF)
 }
 
+/// Every MIND timer kind. `reliability` keeps its kinds private and hands
+/// over only the list.
+const TIMER_KINDS: [u64; 8] = {
+    let [op_retry, anti_entropy, batch_flush] = crate::reliability::TIMER_KINDS;
+    [
+        crate::dac_drive::KIND_DAC_TICK,
+        crate::dac_drive::KIND_BATCH,
+        crate::query_track::KIND_QUERY_DEADLINE,
+        crate::query_track::KIND_QUERY_RETRY,
+        crate::rollover::KIND_COLLECT,
+        op_retry,
+        anti_entropy,
+        batch_flush,
+    ]
+};
+
+// The token layout, checked by the compiler: every kind fits the 8-bit
+// kind field, no two kinds collide (`on_timer` hands a token to the first
+// concern that claims its kind), and the tag differs from the overlay's.
+const _: () = {
+    assert!(
+        TOKEN_TAG != mind_overlay::overlay::TOKEN_TAG,
+        "timer tag shared with the overlay"
+    );
+    let mut i = 0;
+    while i < TIMER_KINDS.len() {
+        assert!(TIMER_KINDS[i] < 256, "timer kind overflows its 8-bit field");
+        let mut j = i + 1;
+        while j < TIMER_KINDS.len() {
+            assert!(TIMER_KINDS[i] != TIMER_KINDS[j], "two timer kinds collide");
+            j += 1;
+        }
+        i += 1;
+    }
+};
+
 /// MIND node configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MindConfig {
@@ -516,12 +552,7 @@ impl MindNode {
                     self.on_direct(now, from, payload, out);
                 }
                 OverlayEvent::FloodDelivered { payload } => self.on_flood(payload),
-                OverlayEvent::Undeliverable { target, .. } => {
-                    self.metrics.undeliverable += 1;
-                    if self.metrics.undeliverable_targets.len() < 64 {
-                        self.metrics.undeliverable_targets.push(target);
-                    }
-                }
+                OverlayEvent::Undeliverable { .. } => self.metrics.undeliverable += 1,
                 OverlayEvent::Joined { acceptor, .. } => {
                     // Section 3.4: fetch the index catalog from the node
                     // we attached to, and keep a pointer to it for the
@@ -721,7 +752,25 @@ impl MindNode {
             } => {
                 self.on_hist_report(now, index, day, hist, out);
             }
-            other => {
+            // Flooded and direct-only payloads are never routed; listing
+            // them keeps this dispatch exhaustive, so a new wire variant
+            // must choose its delivery path here.
+            other @ (MindPayload::CreateIndex { .. }
+            | MindPayload::NewVersion { .. }
+            | MindPayload::DropIndex { .. }
+            | MindPayload::Replica { .. }
+            | MindPayload::ReplicaBatch { .. }
+            | MindPayload::Ack { .. }
+            | MindPayload::QueryPlan { .. }
+            | MindPayload::QueryResponse { .. }
+            | MindPayload::CreateTrigger { .. }
+            | MindPayload::DropTrigger { .. }
+            | MindPayload::TriggerFired { .. }
+            | MindPayload::CatalogRequest
+            | MindPayload::CatalogDigest { .. }
+            | MindPayload::CatalogResponse { .. }
+            | MindPayload::HandoffScan { .. }
+            | MindPayload::HandoffRecords { .. }) => {
                 debug_assert!(false, "unexpected routed payload: {other:?}");
             }
         }
@@ -899,7 +948,17 @@ impl MindNode {
                 }
                 self.settle_query_timers(query_id, out);
             }
-            other => {
+            // Flooded and routed-only payloads never arrive direct.
+            other @ (MindPayload::CreateIndex { .. }
+            | MindPayload::NewVersion { .. }
+            | MindPayload::DropIndex { .. }
+            | MindPayload::Insert { .. }
+            | MindPayload::InsertBatch { .. }
+            | MindPayload::RootQuery { .. }
+            | MindPayload::SubQuery { .. }
+            | MindPayload::CreateTrigger { .. }
+            | MindPayload::DropTrigger { .. }
+            | MindPayload::HistReport { .. }) => {
                 debug_assert!(false, "unexpected direct payload: {other:?}");
             }
         }
@@ -943,36 +1002,5 @@ impl NodeLogic for MindNode {
             || self.handle_query_timer(now, kind, arg, out)
             || self.handle_rollover_timer(kind, arg, out)
             || self.handle_reliability_timer(now, kind, arg, out);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn token_scheme_disjoint_from_overlay() {
-        // Overlay tokens are tagged 0xA5; ours 0xB6.
-        let t = token(crate::dac_drive::KIND_DAC_TICK, 0);
-        assert_eq!(t >> 56, 0xB6);
-    }
-
-    #[test]
-    fn timer_kinds_are_disjoint_across_modules() {
-        let kinds = [
-            crate::dac_drive::KIND_DAC_TICK,
-            crate::dac_drive::KIND_BATCH,
-            crate::query_track::KIND_QUERY_DEADLINE,
-            crate::query_track::KIND_QUERY_RETRY,
-            crate::rollover::KIND_COLLECT,
-            crate::reliability::KIND_OP_RETRY, // lint:allow(retrytimer) disjointness check, not a use
-            crate::reliability::KIND_ANTI_ENTROPY, // lint:allow(retrytimer) disjointness check, not a use
-            crate::reliability::KIND_BATCH_FLUSH,
-        ];
-        for (i, a) in kinds.iter().enumerate() {
-            for b in kinds.iter().skip(i + 1) {
-                assert_ne!(a, b, "timer kinds collide");
-            }
-        }
     }
 }

@@ -24,10 +24,6 @@
 //! newer boot resets that origin's dedup memory, and ops from an older
 //! boot are stale-incarnation duplicates by definition. Simulated nodes
 //! keep the default boot id 0, so sim wire bytes are unchanged.
-//!
-//! This module owns the retry-class timers: `set_timer` with
-//! `KIND_OP_RETRY` must not appear anywhere else in `mind-core` (enforced
-//! by the workspace lint wall).
 
 use crate::messages::MindPayload;
 use crate::node::{token, MindNode, Out};
@@ -36,10 +32,15 @@ use mind_types::node::{SimTime, TimerId};
 use mind_types::{BitCode, NodeId, Record};
 use std::collections::{BTreeMap, BTreeSet};
 
-pub(crate) const KIND_OP_RETRY: u64 = 4;
-pub(crate) const KIND_ANTI_ENTROPY: u64 = 6;
+// The retry-class timer kinds are private: no other module can arm or
+// match them and bypass the ack/retry state machine.
+const KIND_OP_RETRY: u64 = 4;
+const KIND_ANTI_ENTROPY: u64 = 6;
 /// Age-flush timer for a partially filled wire insert batch.
-pub(crate) const KIND_BATCH_FLUSH: u64 = 7;
+const KIND_BATCH_FLUSH: u64 = 7;
+/// This module's timer kinds, for `node.rs`'s build-time disjointness
+/// check.
+pub(crate) const TIMER_KINDS: [u64; 3] = [KIND_OP_RETRY, KIND_ANTI_ENTROPY, KIND_BATCH_FLUSH];
 
 /// Op-id counters occupy the low 24 bits; the origin node id sits above.
 const OP_COUNTER_MASK: u64 = 0xFF_FFFF;

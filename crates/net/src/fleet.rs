@@ -109,7 +109,7 @@ where
                     let st = h.stats();
                     st.msgs_sent + st.msgs_received
                 }
-                _ => 0,
+                Slot::Down { .. } | Slot::Vacant => 0,
             })
             .sum()
     }
@@ -118,7 +118,7 @@ where
     pub fn host_stats(&self, id: NodeId) -> Option<crate::host::HostStatsSnapshot> {
         match &self.slots[id.0 as usize] {
             Slot::Up(h) => Some(h.stats()),
-            _ => None,
+            Slot::Down { .. } | Slot::Vacant => None,
         }
     }
 
@@ -225,7 +225,7 @@ where
                 let (logic, timer_seq) = h.halt();
                 Slot::Down { logic, timer_seq }
             }
-            down => down,
+            down @ (Slot::Down { .. } | Slot::Vacant) => down,
         };
     }
 
@@ -261,7 +261,7 @@ where
                 .expect("revive spawn"); // lint:allow(unwrap) thread-spawn failure is fatal for the fleet
                 Slot::Up(host)
             }
-            up => up,
+            up @ (Slot::Up(_) | Slot::Vacant) => up,
         };
     }
 }

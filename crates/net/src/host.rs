@@ -28,7 +28,6 @@ use crate::wire::{from_bytes, to_bytes};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mind_types::node::{NodeLogic, Outbox, SimTime};
 use mind_types::NodeId;
-use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -320,13 +319,8 @@ where
         R: Send + 'static,
         F: FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R + Send + 'static,
     {
-        let (tx, rx) = bounded(1);
-        self.cmd_tx
-            .send(Cmd::Invoke(Box::new(move |logic, now, out| {
-                let _ = tx.send(f(logic, now, out));
-            })))
-            .expect("driver alive"); // lint:allow(unwrap) invoke on a shut-down host is a caller bug
-        rx.recv().expect("driver answered") // lint:allow(unwrap) driver replies unless it panicked
+        // lint:allow(unwrap) the driver lives as long as `self` and replies unless it panicked
+        self.handle().invoke(f).expect("driver answered")
     }
 
     /// Stops the driver and returns the final logic state.
@@ -338,32 +332,33 @@ where
     /// free timer id — everything a fleet needs to revive this node
     /// without timer-id collisions.
     pub fn halt(mut self) -> (L, u64) {
+        // lint:allow(unwrap) halt consumes self, so the driver is not yet joined
+        let joined = self.stop_threads().expect("not yet joined");
+        // lint:allow(unwrap) surfacing a driver panic is correct
+        joined.expect("driver panicked")
+    }
+}
+
+impl<L: NodeLogic> TcpHost<L> {
+    /// Stops and joins the listener and driver threads; the driver's
+    /// result, `None` once already joined. The listener is joined first:
+    /// once this returns the listen address is free to rebind
+    /// (crash/revive relies on this).
+    fn stop_threads(&mut self) -> Option<std::thread::Result<(L, u64)>> {
         self.stop.store(true, Ordering::Relaxed);
         let _ = self.cmd_tx.send(Cmd::Shutdown);
-        // Unblock the accept loop, then join it: once `halt` returns the
-        // listen address is free to rebind (crash/revive relies on this).
+        // Unblock the accept loop so it sees `stop`.
         let _ = TcpStream::connect(self.listen_addr);
         if let Some(l) = self.listener_thread.take() {
             let _ = l.join();
         }
-        // lint:allow(unwrap) halt consumes self; only callable once
-        let driver = self.driver.take().expect("not yet joined");
-        // lint:allow(unwrap) surfacing a driver panic is correct
-        driver.join().expect("driver panicked")
+        self.driver.take().map(JoinHandle::join)
     }
 }
 
 impl<L: NodeLogic> Drop for TcpHost<L> {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        let _ = TcpStream::connect(self.listen_addr);
-        if let Some(l) = self.listener_thread.take() {
-            let _ = l.join();
-        }
-        if let Some(h) = self.driver.take() {
-            let _ = h.join();
-        }
+        let _ = self.stop_threads();
     }
 }
 
@@ -410,9 +405,10 @@ impl PeerConn {
     }
 }
 
+/// Outbound connections, owned by the driver thread alone.
 struct Conns {
     peers: HashMap<NodeId, SocketAddr>,
-    streams: Mutex<HashMap<NodeId, PeerConn>>,
+    streams: HashMap<NodeId, PeerConn>,
     stats: Arc<HostStats>,
 }
 
@@ -423,9 +419,8 @@ impl Conns {
     /// enters a capped exponential backoff so the driver never stalls on
     /// it. Every dropped message is counted in [`HostStats`]; the
     /// overlay's heartbeats and retries recover the rest.
-    fn send(&self, to: NodeId, frame: &[u8]) {
-        let mut streams = self.streams.lock();
-        let conn = streams.entry(to).or_insert_with(PeerConn::fresh);
+    fn send(&mut self, to: NodeId, frame: &[u8]) {
+        let conn = self.streams.entry(to).or_insert_with(PeerConn::fresh);
 
         // Fast path: write over the cached connection.
         if let Some(w) = conn.writer.as_mut() {
@@ -475,9 +470,8 @@ impl Conns {
     }
 
     /// Flushes every cached outbound connection (shutdown drain).
-    fn flush_all(&self) {
-        let mut streams = self.streams.lock();
-        for conn in streams.values_mut() {
+    fn flush_all(&mut self) {
+        for conn in self.streams.values_mut() {
             if let Some(w) = conn.writer.as_mut() {
                 let _ = w.flush();
             }
@@ -501,9 +495,9 @@ where
 {
     let epoch = options.epoch.unwrap_or_else(Instant::now);
     let now = || epoch.elapsed().as_micros() as SimTime;
-    let conns = Conns {
+    let mut conns = Conns {
         peers,
-        streams: Mutex::new(HashMap::new()),
+        streams: HashMap::new(),
         stats: Arc::clone(&stats),
     };
     let mut timers: BinaryHeap<TimerEntry> = BinaryHeap::new();
@@ -515,11 +509,11 @@ where
     // incarnations of a revived node).
     let mut timer_seq = options.timer_seq;
 
-    let flush = |out: &mut Outbox<L::Msg>,
-                 timers: &mut BinaryHeap<TimerEntry>,
-                 live: &mut HashSet<u64>,
-                 timer_seq: &mut u64,
-                 t: SimTime| {
+    let mut flush = |out: &mut Outbox<L::Msg>,
+                     timers: &mut BinaryHeap<TimerEntry>,
+                     live: &mut HashSet<u64>,
+                     timer_seq: &mut u64,
+                     t: SimTime| {
         let fx = out.drain();
         *timer_seq = fx.next_timer_id;
         for (to, msg) in fx.sends {
@@ -794,5 +788,18 @@ mod tests {
         );
         a.shutdown();
         b2.shutdown();
+    }
+
+    #[test]
+    fn dropping_a_host_stops_it_like_halt() {
+        let (a, b) = spawn_pair();
+        let (addr, handle) = (a.listen_addr(), a.handle());
+        assert_eq!(handle.invoke(|l, _n, _o| l.got.len()), Some(0));
+        drop(a);
+        // The listener is joined, so the address rebinds at once, and the
+        // driver is gone, so a surviving handle gets `None`, not a hang.
+        let _rebound = TcpListener::bind(addr).expect("rebind after drop");
+        assert_eq!(handle.invoke(|l, _n, _o| l.got.len()), None);
+        b.shutdown();
     }
 }

@@ -17,6 +17,8 @@
 //!   and identical to the simulated one.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 
 pub mod fleet;
 pub mod frame;

@@ -300,13 +300,6 @@ where
             return false;
         };
         debug_assert!(time >= self.now, "time went backwards");
-        #[cfg(feature = "audit")]
-        assert!(
-            time >= self.now,
-            "audit: event clock regression: popped t={} while now={}",
-            time,
-            self.now
-        );
         self.now = time;
         let idx = node.0 as usize;
         match kind {
@@ -439,13 +432,6 @@ where
 
     fn push_event(&mut self, time: SimTime, node: NodeId, kind: EventKind<L::Msg>) -> EventRef {
         debug_assert!(time >= self.now, "scheduling into the past");
-        #[cfg(feature = "audit")]
-        assert!(
-            time >= self.now,
-            "audit: event scheduled into the past: t={} while now={}",
-            time,
-            self.now
-        );
         let r = self.queue.insert(time, (node, kind));
         self.note_pending();
         r

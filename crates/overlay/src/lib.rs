@@ -34,6 +34,8 @@
 //! [`NodeLogic`]: mind_types::NodeLogic
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 
 pub mod builder;
 pub mod messages;

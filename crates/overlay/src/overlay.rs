@@ -8,8 +8,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Tag marking timer tokens owned by the overlay (top byte).
-const TOKEN_TAG: u64 = 0xA5 << 56;
+/// Tag marking timer tokens owned by the overlay (top byte). An embedder
+/// multiplexing its own timers onto the same node must tag them
+/// differently; `mind-core` asserts this at build time.
+pub const TOKEN_TAG: u64 = 0xA5 << 56;
 const KIND_HEARTBEAT: u64 = 0;
 const KIND_JOIN_RETRY: u64 = 1;
 const KIND_RING: u64 = 2;
