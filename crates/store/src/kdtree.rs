@@ -28,17 +28,19 @@
 //! * **Leaf buckets** — slices at or below [`LEAF_CUTOFF`] are left
 //!   unpartitioned and scanned dimension-major: one sequential sweep per
 //!   column, AND-ed into a hit bitmask. At that size a branchy descent
-//!   costs more than streaming a few cache lines.
-//! * **In-place rebuild** — [`KdTree::absorb`] folds a columnar insert
-//!   buffer into the existing column buffers and re-layouts in place,
-//!   so the [`crate::MemStore`] rebuild path reuses its allocations
-//!   instead of round-tripping through per-point pairs.
+//!   costs more than streaming a few cache lines. The same kernel scans
+//!   [`crate::MemStore`]'s not-yet-indexed tail, 64 rows at a time.
+//! * **Immutable runs** — a tree is laid out once, from columns, and never
+//!   changes. [`crate::MemStore`] keeps a few of them as levelled runs and
+//!   merges runs by concatenating their columns (`KdTree::into_columns`)
+//!   into one new tree ([`KdTree::from_columns`]); no per-point pairs are
+//!   built on that path.
 
 use mind_types::{HyperRect, RecordId, Value};
 
 /// Slices at or below this length are leaf buckets: left unpartitioned at
 /// build time and scanned dimension-major at query time (see
-/// [`KdTree::leaf_mask`]). Must not exceed 64 — leaf hits are tracked in a
+/// [`leaf_mask`]). Must not exceed 64 — leaf hits are tracked in a
 /// `u64` bitmask. Tuned on 100k uniform 3-dim points: wider
 /// buckets shift boundary work out of the branchy descent and into
 /// sequential column sweeps, and 64 was the fastest power of two.
@@ -46,10 +48,10 @@ const LEAF_CUTOFF: usize = 64;
 
 /// An immutable columnar k-d tree built over `(point, record id)` pairs.
 ///
-/// Mutation is handled one level up: [`crate::MemStore`] accumulates new
-/// points in a columnar buffer and folds it in via [`KdTree::absorb`] when
-/// the buffer grows past a fraction of the indexed size (insert-heavy
-/// monitoring workloads amortize this to O(log n) per insert).
+/// Mutation is handled one level up: [`crate::MemStore`] collects new
+/// points in a small columnar tail, seals each full tail into a tree and
+/// merges trees of equal size (the logarithmic method: O(log n) re-layout
+/// work per insert).
 #[derive(Debug, Clone, Default)]
 pub struct KdTree {
     dims: usize,
@@ -114,21 +116,10 @@ impl KdTree {
         tree
     }
 
-    /// Folds a columnar insert buffer into this tree, draining `buf_cols`
-    /// and `buf_ids`, and re-layouts in place. The tree's column buffers
-    /// are reused — the rebuild allocates a permutation and one scratch
-    /// column, never O(points) point vectors.
-    ///
-    /// # Panics
-    /// Panics if the buffer's dimensionality or lengths disagree.
-    pub fn absorb(&mut self, buf_cols: &mut [Vec<Value>], buf_ids: &mut Vec<RecordId>) {
-        assert_eq!(buf_cols.len(), self.dims, "buffer dimensionality mismatch");
-        for (col, buf) in self.cols.iter_mut().zip(buf_cols.iter_mut()) {
-            assert_eq!(buf.len(), buf_ids.len(), "buffer column/id length mismatch");
-            col.append(buf);
-        }
-        self.ids.append(buf_ids);
-        self.relayout();
+    /// Consumes the tree, returning its column buffers and id array (in
+    /// layout order) for a merge to concatenate.
+    pub(crate) fn into_columns(self) -> (Vec<Vec<Value>>, Vec<RecordId>) {
+        (self.cols, self.ids)
     }
 
     /// Number of indexed points.
@@ -241,41 +232,6 @@ impl KdTree {
         true
     }
 
-    /// Bitmask of the points in `lo..hi` (at most [`LEAF_CUTOFF`] ≤ 64
-    /// wide) that lie inside `rect`, bit `j` standing for point `lo + j`.
-    /// Only the dimensions in `active` are checked.
-    ///
-    /// The scan is dimension-major: each active column's slice is swept
-    /// sequentially and AND-ed into the mask, so a leaf probe touches a
-    /// few short contiguous runs instead of striding across all columns
-    /// point by point — this is where the columnar layout pays at the
-    /// leaves — and a column that eliminates every candidate
-    /// short-circuits the rest.
-    #[inline]
-    fn leaf_mask(&self, rect: &HyperRect, lo: usize, hi: usize, active: u32) -> u64 {
-        debug_assert!(hi - lo <= 64, "leaf bucket wider than the bitmask");
-        let width = hi - lo;
-        let mut mask: u64 = if width == 64 { !0 } else { (1u64 << width) - 1 };
-        let mut rem = active;
-        while rem != 0 {
-            let d = rem.trailing_zeros() as usize;
-            rem &= rem - 1;
-            // One wrapping subtraction folds the two-sided bound check:
-            // `v - lo <= hi - lo` (mod 2^64) iff `lo <= v <= hi`.
-            let qlo = rect.lo(d);
-            let span = rect.hi(d).wrapping_sub(qlo);
-            let mut m = 0u64;
-            for (j, &v) in self.cols[d][lo..hi].iter().enumerate() {
-                m |= u64::from(v.wrapping_sub(qlo) <= span) << j;
-            }
-            mask &= m;
-            if mask == 0 {
-                return 0;
-            }
-        }
-        mask
-    }
-
     /// Recursive range scan over `lo..hi` with the invariant `active != 0`
     /// (an empty active set is handled by the caller via wholesale
     /// emission). The bounding box changes on exactly one axis per
@@ -298,7 +254,7 @@ impl KdTree {
         }
         // Leaf bucket: dimension-major column sweep, then decode the mask.
         if hi - lo <= LEAF_CUTOFF {
-            let mut mask = self.leaf_mask(rect, lo, hi, active);
+            let mut mask = leaf_mask(&self.cols, rect, lo, hi, active);
             while mask != 0 {
                 let j = mask.trailing_zeros() as usize;
                 out.push(self.ids[lo + j]);
@@ -376,7 +332,7 @@ impl KdTree {
             return 0;
         }
         if hi - lo <= LEAF_CUTOFF {
-            return self.leaf_mask(rect, lo, hi, active).count_ones() as usize;
+            return leaf_mask(&self.cols, rect, lo, hi, active).count_ones() as usize;
         }
         let mid = lo + (hi - lo) / 2;
         let axis = depth % self.dims;
@@ -423,8 +379,8 @@ impl KdTree {
     }
 
     /// Consumes the tree, returning the raw points (transposed back to
-    /// per-point pairs; used by tests and migration paths, not the rebuild
-    /// hot path — that is [`Self::absorb`]).
+    /// per-point pairs; used by tests, not the merge path — that is
+    /// `into_columns`).
     pub fn into_points(self) -> Vec<(Vec<Value>, RecordId)> {
         let n = self.ids.len();
         let mut out = Vec::with_capacity(n);
@@ -472,6 +428,48 @@ impl KdTree {
             .map(|col| col.iter().copied().max().unwrap_or(0))
             .collect();
     }
+}
+
+/// Bitmask of the points in `lo..hi` (at most 64 wide) of `cols` that lie
+/// inside `rect`, bit `j` standing for point `lo + j`. Only the dimensions
+/// in `active` are checked. This is the one scan kernel for unindexed
+/// rows: the tree's leaf buckets and [`crate::MemStore`]'s tail both go
+/// through it.
+///
+/// The scan is dimension-major: each active column's slice is swept
+/// sequentially and AND-ed into the mask, so a probe touches a few short
+/// contiguous runs instead of striding across all columns point by point
+/// — this is where the columnar layout pays — and a column that
+/// eliminates every candidate short-circuits the rest.
+#[inline]
+pub(crate) fn leaf_mask(
+    cols: &[Vec<Value>],
+    rect: &HyperRect,
+    lo: usize,
+    hi: usize,
+    active: u32,
+) -> u64 {
+    debug_assert!(hi - lo <= 64, "leaf bucket wider than the bitmask");
+    let width = hi - lo;
+    let mut mask: u64 = if width == 64 { !0 } else { (1u64 << width) - 1 };
+    let mut rem = active;
+    while rem != 0 {
+        let d = rem.trailing_zeros() as usize;
+        rem &= rem - 1;
+        // One wrapping subtraction folds the two-sided bound check:
+        // `v - lo <= hi - lo` (mod 2^64) iff `lo <= v <= hi`.
+        let qlo = rect.lo(d);
+        let span = rect.hi(d).wrapping_sub(qlo);
+        let mut m = 0u64;
+        for (j, &v) in cols[d][lo..hi].iter().enumerate() {
+            m |= u64::from(v.wrapping_sub(qlo) <= span) << j;
+        }
+        mask &= m;
+        if mask == 0 {
+            return 0;
+        }
+    }
+    mask
 }
 
 /// Recursively arranges `perm` (indices into the columns) into median
@@ -591,44 +589,6 @@ mod tests {
             got.sort();
             assert_eq!(got, brute(&points, &rect));
             assert_eq!(tree.count_range(&rect), got.len());
-        }
-    }
-
-    #[test]
-    fn absorb_matches_fresh_build() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let all: Vec<(Vec<Value>, RecordId)> = (0..1500)
-            .map(|i| {
-                (
-                    vec![rng.random_range(0..300u64), rng.random_range(0..300u64)],
-                    RecordId(i),
-                )
-            })
-            .collect();
-        // Build from the first 1000, absorb the rest from a columnar buffer.
-        let mut tree = KdTree::build(2, all[..1000].to_vec());
-        let mut buf_cols: Vec<Vec<Value>> = vec![Vec::new(), Vec::new()];
-        let mut buf_ids = Vec::new();
-        for (p, id) in &all[1000..] {
-            buf_cols[0].push(p[0]);
-            buf_cols[1].push(p[1]);
-            buf_ids.push(*id);
-        }
-        tree.absorb(&mut buf_cols, &mut buf_ids);
-        assert!(buf_ids.is_empty() && buf_cols.iter().all(|c| c.is_empty()));
-        assert_eq!(tree.len(), 1500);
-        let fresh = KdTree::build(2, all);
-        for q in [
-            HyperRect::new(vec![0, 0], vec![299, 299]),
-            HyperRect::new(vec![10, 20], vec![100, 250]),
-            HyperRect::new(vec![150, 0], vec![150, 299]),
-        ] {
-            let mut a = tree.range_vec(&q);
-            let mut b = fresh.range_vec(&q);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
-            assert_eq!(tree.count_range(&q), a.len());
         }
     }
 

@@ -1,14 +1,28 @@
 //! The per-(index, version) record store.
+//!
+//! Rows are indexed by levelled k-d runs, the logarithmic method: the
+//! newest rows sit in a columnar tail of fewer than `TAIL` rows, a full
+//! tail is sealed into an immutable [`KdTree`] run, and whenever `FANOUT`
+//! runs have equal length they are merged into one. The run lengths are
+//! therefore the base-`FANOUT` digits of `len / TAIL`, each times its place
+//! value: a function of the row count alone, so single inserts and batches
+//! cut anywhere leave the same runs. A scan queries every run (at most
+//! `FANOUT - 1` of each length, so O(log n) runs) and sweeps the tail with
+//! the k-d leaves' 64-row bitmask kernel.
 
-use crate::kdtree::KdTree;
+use crate::kdtree::{leaf_mask, KdTree};
 use mind_types::{HyperRect, Record, RecordId, Value};
 use std::sync::Arc;
 
-/// When the unindexed insert buffer exceeds this fraction of the k-d tree
-/// size (and a floor), the tree is rebuilt. Insert-heavy monitoring
-/// workloads amortize the rebuilds to O(log n) per insert.
-const REBUILD_FRACTION: usize = 4; // rebuild when buffer > len/4
-const REBUILD_FLOOR: usize = 256;
+/// Rows the tail holds before it is sealed into a run: the smallest run,
+/// whose columns stay in L1/L2 while they are laid out.
+pub(crate) const TAIL: usize = 1024;
+
+/// How many runs of one length merge into one run. Each row is re-laid
+/// out once per level it climbs; with 2 instead of 4, `tcp_ingest` (2
+/// vCPUs) paid 0.56 instead of 0.43 µs of re-layout per row and lost 12 %
+/// of its rows/s.
+pub(crate) const FANOUT: usize = 4;
 
 /// An in-memory record store answering multi-dimensional range queries —
 /// MIND's replacement for the prototype's per-node MySQL backend.
@@ -20,19 +34,19 @@ const REBUILD_FLOOR: usize = 256;
 /// Records live behind [`Arc`], so the local scan path
 /// ([`MemStore::range_records`]) hands out refcount bumps instead of deep
 /// copies — a record is only materialized when it crosses the (simulated)
-/// wire. The insert buffer is columnar (`buf_cols` mirrors the tree's
-/// layout), so an insert appends `dims + 1` scalars and never allocates a
-/// per-point vector; rebuilds drain the buffer straight into
-/// [`KdTree::absorb`] with no transpose.
+/// wire. The indexed dimensions are kept columnar in the tail and in every
+/// run, so an insert appends `dims` scalars and never allocates a
+/// per-point vector, and a merge concatenates columns with no transpose.
 #[derive(Debug, Clone)]
 pub struct MemStore {
     dims: usize,
     records: Vec<Arc<Record>>,
-    tree: KdTree,
-    /// Columnar insert buffer: `buf_cols[d][i]` is coordinate `d` of the
-    /// `i`-th not-yet-indexed point, parallel to `buf_ids`.
-    buf_cols: Vec<Vec<Value>>,
-    buf_ids: Vec<RecordId>,
+    /// Immutable k-d runs over the oldest `len - len % TAIL` rows, largest
+    /// (oldest) first, at most `FANOUT - 1` of each length.
+    runs: Vec<KdTree>,
+    /// The newest `len % TAIL` rows, columnar: `tail[d][i]` is coordinate
+    /// `d` of the row with id `len - len % TAIL + i`.
+    tail: Vec<Vec<Value>>,
     /// Incrementally maintained [`Self::approx_bytes`] value; records are
     /// append-only, so inserts only ever add to it.
     bytes: usize,
@@ -42,12 +56,12 @@ impl MemStore {
     /// Creates an empty store whose records have `dims` indexed dimensions.
     pub fn new(dims: usize) -> Self {
         assert!(dims > 0, "zero-dimensional store");
+        assert!(dims <= 32, "active-dimension masks are 32 bits wide");
         MemStore {
             dims,
             records: Vec::new(),
-            tree: KdTree::build(dims, vec![]),
-            buf_cols: (0..dims).map(|_| Vec::new()).collect(),
-            buf_ids: Vec::new(),
+            runs: Vec::new(),
+            tail: (0..dims).map(|_| Vec::new()).collect(),
             bytes: 0,
         }
     }
@@ -67,38 +81,6 @@ impl MemStore {
         self.dims
     }
 
-    /// Appends a record to the columnar buffer *without* the rebuild
-    /// check — the shared tail of [`MemStore::insert`] and
-    /// [`MemStore::insert_batch`], which differ only in how often they
-    /// consider folding the buffer into the tree.
-    fn push_record(&mut self, record: Record) -> RecordId {
-        assert!(
-            record.values().len() >= self.dims,
-            "record arity {} below store dimensionality {}",
-            record.values().len(),
-            self.dims
-        );
-        let id = RecordId(self.records.len() as u64);
-        let point = record.point(self.dims);
-        for (col, &v) in self.buf_cols.iter_mut().zip(point) {
-            col.push(v);
-        }
-        self.buf_ids.push(id);
-        self.bytes += record.values().len() * 8 + 24 + self.dims * 8 + 32;
-        self.records.push(Arc::new(record));
-        id
-    }
-
-    /// Buffered rows a tree of `indexed` points tolerates before a rebuild.
-    fn threshold(indexed: usize) -> usize {
-        REBUILD_FLOOR.max(indexed / REBUILD_FRACTION)
-    }
-
-    /// `true` when the insert buffer has outgrown the rebuild threshold.
-    fn buffer_over_threshold(&self) -> bool {
-        self.buf_ids.len() > Self::threshold(self.tree.len())
-    }
-
     /// Appends a record and indexes its first `dims` values.
     ///
     /// # Panics
@@ -106,71 +88,78 @@ impl MemStore {
     /// dimensionality (the caller — `mind-core` — validates records against
     /// the schema before they reach storage).
     pub fn insert(&mut self, record: Record) -> RecordId {
-        let id = self.push_record(record);
-        if self.buffer_over_threshold() {
-            self.rebuild();
+        assert!(
+            record.values().len() >= self.dims,
+            "record arity {} below store dimensionality {}",
+            record.values().len(),
+            self.dims
+        );
+        let id = RecordId(self.records.len() as u64);
+        for (col, &v) in self.tail.iter_mut().zip(record.point(self.dims)) {
+            col.push(v);
+        }
+        self.bytes += record.values().len() * 8 + 24 + self.dims * 8 + 32;
+        self.records.push(Arc::new(record));
+        if self.tail[0].len() == TAIL {
+            self.seal_tail();
         }
         id
     }
 
-    /// Bulk append with at most *one* rebuild. A batch that trips the
-    /// threshold mid-stream under [`MemStore::insert`] would pay a tree
-    /// rebuild per `REBUILD_FLOOR`-sized slice; here the rebuild cost is
-    /// amortized over the entire batch.
-    ///
-    /// Where the batch's tail fits the buffer of the rebuilt tree (every
-    /// wire-sized batch into a store of any size), the rebuild happens at
-    /// the very row [`MemStore::insert`] would have rebuilt at and the tail
-    /// is buffered behind it. The split between tree and buffer is then a
-    /// function of how many rows the store holds, not of where the sender's
-    /// frames happened to be cut: an overshoot of a few dozen rows while
-    /// the tree is small would shift every later rebuild by the same
-    /// proportion, and with it how much unsorted buffer a scan finds.
-    pub fn insert_batch(&mut self, records: Vec<Record>) {
-        let mut records = records.into_iter();
-        let until_rebuild =
-            (Self::threshold(self.tree.len()) + 1).saturating_sub(self.buf_ids.len());
-        if let Some(tail) = records.len().checked_sub(until_rebuild) {
-            let rebuilt = self.tree.len() + self.buf_ids.len() + until_rebuild;
-            if tail <= Self::threshold(rebuilt) {
-                for record in records.by_ref().take(until_rebuild) {
-                    self.push_record(record);
-                }
-                self.rebuild();
+    /// Seals the full tail into a run. The trailing runs it completes a
+    /// group of `FANOUT` equal lengths with are folded into the same run,
+    /// and so on up while merges cascade, so a row is laid out once per
+    /// level it reaches, not once per merge on the way there.
+    fn seal_tail(&mut self) {
+        let (mut len, mut keep) = (TAIL, self.runs.len());
+        while keep >= FANOUT - 1
+            && self.runs[keep + 1 - FANOUT..keep]
+                .iter()
+                .all(|run| run.len() == len)
+        {
+            keep -= FANOUT - 1;
+            len *= FANOUT;
+        }
+        let mut cols: Vec<Vec<Value>> = (0..self.dims).map(|_| Vec::with_capacity(len)).collect();
+        let mut ids = Vec::with_capacity(len);
+        for run in self.runs.drain(keep..) {
+            let (run_cols, run_ids) = run.into_columns();
+            for (col, run_col) in cols.iter_mut().zip(run_cols) {
+                col.extend_from_slice(&run_col);
             }
+            ids.extend_from_slice(&run_ids);
         }
-        for record in records {
-            self.push_record(record);
+        let first = self.records.len() - TAIL;
+        for (col, tail) in cols.iter_mut().zip(&mut self.tail) {
+            col.append(tail);
         }
-        if self.buffer_over_threshold() {
-            self.rebuild();
-        }
+        ids.extend((first..self.records.len()).map(|i| RecordId(i as u64)));
+        self.runs.push(KdTree::from_columns(cols, ids));
     }
 
-    /// Folds the insert buffer into the k-d tree (in place — the tree's
-    /// column buffers are reused, see [`KdTree::absorb`]).
-    pub fn rebuild(&mut self) {
-        if self.buf_ids.is_empty() {
-            return;
-        }
-        self.tree.absorb(&mut self.buf_cols, &mut self.buf_ids);
-    }
-
-    /// `true` when buffered point `i` lies inside `rect`.
-    #[inline]
-    fn buffered_in(&self, i: usize, rect: &HyperRect) -> bool {
-        self.buf_cols
-            .iter()
-            .enumerate()
-            .all(|(d, col)| rect.lo(d) <= col[i] && col[i] <= rect.hi(d))
+    /// The tail in 64-row blocks: each block's first tail index and the
+    /// bitmask of its rows inside `rect`.
+    fn tail_masks<'a>(&'a self, rect: &'a HyperRect) -> impl Iterator<Item = (usize, u64)> + 'a {
+        let n = self.tail[0].len();
+        let all = u32::MAX >> (32 - self.dims);
+        (0..n).step_by(64).map(move |lo| {
+            let hi = n.min(lo + 64);
+            (lo, leaf_mask(&self.tail, rect, lo, hi, all))
+        })
     }
 
     /// Ids of all records whose indexed point lies inside `rect`.
     pub fn range_ids(&self, rect: &HyperRect) -> Vec<RecordId> {
-        let mut out = self.tree.range_vec(rect);
-        for i in 0..self.buf_ids.len() {
-            if self.buffered_in(i, rect) {
-                out.push(self.buf_ids[i]);
+        let mut out = Vec::new();
+        for run in &self.runs {
+            run.range(rect, &mut out);
+        }
+        let first = self.records.len() - self.tail[0].len();
+        for (lo, mut mask) in self.tail_masks(rect) {
+            while mask != 0 {
+                let i = first + lo + mask.trailing_zeros() as usize;
+                out.push(RecordId(i as u64));
+                mask &= mask - 1;
             }
         }
         out
@@ -187,13 +176,15 @@ impl MemStore {
             .collect()
     }
 
-    /// Counts records inside `rect` (allocation-free: counting traversal
-    /// over the tree plus a columnar scan of the insert buffer).
+    /// Counts records inside `rect` (allocation-free: counting traversals
+    /// over the runs plus popcounts of the tail's bitmasks).
     pub fn count_range(&self, rect: &HyperRect) -> usize {
-        self.tree.count_range(rect)
-            + (0..self.buf_ids.len())
-                .filter(|&i| self.buffered_in(i, rect))
-                .count()
+        let in_runs: usize = self.runs.iter().map(|run| run.count_range(rect)).sum();
+        let in_tail: usize = self
+            .tail_masks(rect)
+            .map(|(_, mask)| mask.count_ones() as usize)
+            .sum();
+        in_runs + in_tail
     }
 
     /// Approximate heap footprint in bytes (storage-balance metrics).
@@ -213,12 +204,6 @@ impl MemStore {
 impl crate::Store for MemStore {
     fn insert(&mut self, record: Record) -> RecordId {
         MemStore::insert(self, record)
-    }
-    fn insert_batch(&mut self, records: Vec<Record>) {
-        MemStore::insert_batch(self, records);
-    }
-    fn rebuild(&mut self) {
-        MemStore::rebuild(self);
     }
     fn range_ids(&self, rect: &HyperRect) -> Vec<RecordId> {
         MemStore::range_ids(self, rect)
@@ -243,10 +228,15 @@ impl crate::Store for MemStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Store;
     use proptest::prelude::*;
 
     fn rec(vals: &[u64]) -> Record {
         Record::new(vals.to_vec())
+    }
+
+    fn run_lens(s: &MemStore) -> Vec<usize> {
+        s.runs.iter().map(KdTree::len).collect()
     }
 
     #[test]
@@ -279,30 +269,33 @@ mod tests {
         for i in 0..2000u64 {
             s.insert(rec(&[i]));
         }
-        // Some records are in the tree, some still in the buffer.
+        // The first 1,024 records are sealed into a run, the rest are in
+        // the tail; a rect over ids 1000..1100 straddles the two.
+        assert_eq!((run_lens(&s), s.tail[0].len()), (vec![TAIL], 2000 - TAIL));
         assert_eq!(s.count_range(&HyperRect::new(vec![0], vec![1999])), 2000);
         assert_eq!(s.count_range(&HyperRect::new(vec![500], vec![599])), 100);
-        s.rebuild();
-        assert_eq!(s.count_range(&HyperRect::new(vec![500], vec![599])), 100);
+        let straddle = HyperRect::new(vec![1000], vec![1099]);
+        let mut ids = s.range_ids(&straddle);
+        ids.sort();
+        assert_eq!(ids, (1000..1100).map(RecordId).collect::<Vec<_>>());
+        assert_eq!(s.count_range(&straddle), 100);
     }
 
     #[test]
     fn approx_bytes_incremental_matches_recompute() {
         let mut s = MemStore::new(2);
         assert_eq!(s.approx_bytes(), 0);
-        for i in 0..1000u64 {
+        for i in 0..1500u64 {
             s.insert(rec(&[i, i * 2, i * 3]));
         }
-        // The incremental counter equals the old O(n) recompute, across
-        // buffered and rebuilt states alike. (Records are walked via a
-        // full-domain scan — `iter()` left with the dyn-safe trait cut.)
+        // The incremental counter equals the O(n) recompute, across a seal.
+        // (Records are walked via a full-domain scan — `iter()` left with
+        // the dyn-safe trait cut.)
         let all = s.range_records(&HyperRect::full(2));
-        assert_eq!(all.len(), 1000);
+        assert_eq!(all.len(), 1500);
         let recomputed = all.iter().map(|r| r.values().len() * 8 + 24).sum::<usize>()
             + s.len() * (s.dims() * 8 + 32);
         assert_eq!(s.approx_bytes(), recomputed);
-        s.rebuild();
-        assert_eq!(s.approx_bytes(), recomputed, "rebuild must not drift");
     }
 
     #[test]
@@ -332,49 +325,91 @@ mod tests {
 
     #[test]
     fn insert_batch_matches_singles_and_rebuilds_once() {
-        // A batch far above REBUILD_FLOOR: the single-insert path rebuilds
-        // several times mid-stream, the batch path once at the end — the
-        // observable state (ids, answers, bytes) must be identical.
+        // One batch past four seals and a merge: it seals and merges at the
+        // rows single inserts do, so the observable state (ids, runs,
+        // answers, bytes) is identical.
         let mut singles = MemStore::new(2);
         let mut batched = MemStore::new(2);
-        let records: Vec<Record> = (0..2000u64).map(|i| rec(&[i, i * 3, i * 7])).collect();
+        let records: Vec<Record> = (0..5000u64).map(|i| rec(&[i, i * 3, i * 7])).collect();
         for r in &records {
             singles.insert(r.clone());
         }
         batched.insert_batch(records);
         assert_eq!(batched.len(), singles.len());
+        assert_eq!(run_lens(&batched), vec![TAIL * FANOUT]);
+        assert_eq!(run_lens(&batched), run_lens(&singles));
         assert_eq!(batched.approx_bytes(), singles.approx_bytes());
-        let rect = HyperRect::new(vec![100, 0], vec![900, u64::MAX]);
+        let rect = HyperRect::new(vec![100, 0], vec![4500, u64::MAX]);
         let (mut a, mut b) = (singles.range_ids(&rect), batched.range_ids(&rect));
         a.sort();
         b.sort();
+        assert_eq!(a, (100..=4500).map(RecordId).collect::<Vec<_>>());
         assert_eq!(a, b);
         assert_eq!(batched.count_range(&rect), singles.count_range(&rect));
     }
 
     #[test]
-    fn small_batches_rebuild_where_singles_do() {
-        // However a stream is cut into wire-sized batches, the tree/buffer
-        // split after every batch is the one single inserts leave.
-        let records: Vec<Record> = (0..5000u64).map(|i| rec(&[i, i * 3, i * 7])).collect();
-        for cut in [1usize, 7, 64, 200] {
-            let mut singles = MemStore::new(2);
-            let mut batched = MemStore::new(2);
-            let mut sizes = (1..=cut).cycle();
-            let mut rest = &records[..];
-            while !rest.is_empty() {
-                let (batch, after) = rest.split_at(sizes.next().unwrap_or(1).min(rest.len()));
-                for r in batch {
+    fn a_seal_and_a_merge_keep_every_row() {
+        // Small enough for Miri, large enough to run the seal and merge
+        // index arithmetic: 4,097 one-dimensional rows are four seals, one
+        // merge into a 4,096-row run, and one row left in the tail. The
+        // coordinates are a permutation of the ids, so no run is sorted.
+        let mut s = MemStore::new(1);
+        let coord = |i: u64| i * 7 % 4097;
+        for i in 0..4097 {
+            s.insert(rec(&[coord(i)]));
+        }
+        assert_eq!((run_lens(&s), s.tail[0].len()), (vec![4096], 1));
+        for (lo, hi) in [(100, 2099), (4090, 4090), (0, u64::MAX)] {
+            let rect = HyperRect::new(vec![lo], vec![hi]);
+            let mut ids = s.range_ids(&rect);
+            ids.sort();
+            let want: Vec<RecordId> = (0..4097)
+                .filter(|&i| (lo..=hi).contains(&coord(i)))
+                .map(RecordId)
+                .collect();
+            assert_eq!(ids, want);
+            assert_eq!(s.count_range(&rect), want.len());
+        }
+    }
+
+    /// The run lengths a store of `len` rows holds: the base-`FANOUT`
+    /// digits of `len / TAIL`, most significant first, each repeated as
+    /// often as its value says and scaled by its place.
+    fn digit_runs(len: usize) -> Vec<usize> {
+        let mut runs = Vec::new();
+        let (mut q, mut place) = (len / TAIL, TAIL);
+        while q > 0 {
+            runs.extend(std::iter::repeat_n(place, q % FANOUT));
+            q /= FANOUT;
+            place *= FANOUT;
+        }
+        runs.reverse();
+        runs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// However a stream is cut into batches, the runs after every
+        /// batch are the ones single inserts leave, and their lengths are
+        /// the base-`FANOUT` digits of `len / TAIL`.
+        #[test]
+        fn prop_batch_cuts_leave_the_runs_singles_do(
+            cuts in prop::collection::vec(1u64..1500, 1..28),
+        ) {
+            let mut singles = MemStore::new(1);
+            let mut batched = MemStore::new(1);
+            for cut in cuts {
+                let from = batched.len() as u64;
+                let batch: Vec<Record> = (from..from + cut).map(|i| rec(&[i % 97])).collect();
+                for r in &batch {
                     singles.insert(r.clone());
                 }
-                batched.insert_batch(batch.to_vec());
-                assert_eq!(
-                    (batched.tree.len(), batched.buf_ids.len()),
-                    (singles.tree.len(), singles.buf_ids.len()),
-                    "cut {cut}, {} rows in",
-                    batched.len()
-                );
-                rest = after;
+                batched.insert_batch(batch);
+                prop_assert_eq!(run_lens(&batched), run_lens(&singles));
+                prop_assert_eq!(run_lens(&batched), digit_runs(batched.len()));
+                prop_assert_eq!(batched.tail[0].len(), batched.len() % TAIL);
             }
         }
     }

@@ -3,12 +3,12 @@
 //! [`Store`] is the seam the rest of the system sees: `mind-core`'s
 //! per-version stores and the baseline architectures hold `Box<dyn Store>`
 //! and never name a concrete type. One implementation stands behind it —
-//! the columnar k-d tree ([`crate::MemStore`]) — and the trait is
-//! deliberately dyn-safe so a replacement (levelled runs, a disk-resident
-//! store) slots in behind the same methods. [`StoreKind`] is the
-//! constructor callers name; nothing reads it from the environment.
+//! levelled columnar k-d runs ([`crate::MemStore`]) — and the trait is
+//! deliberately dyn-safe so a replacement (a disk-resident store) slots in
+//! behind the same methods. [`StoreKind`] is the constructor callers name;
+//! nothing reads it from the environment.
 
-use crate::mem::MemStore;
+use crate::mem::{MemStore, FANOUT, TAIL};
 use crate::naive::NaiveKdTree;
 use mind_types::{HyperRect, Record, RecordId};
 use std::sync::Arc;
@@ -17,9 +17,9 @@ use std::sync::Arc;
 ///
 /// Object-safe by construction: every consumer holds `Box<dyn Store>`.
 /// Records are append-only (the paper ages out whole index *versions*,
-/// never individual records), so there is no delete method; `rebuild` is a
-/// hint that buffered inserts should be folded into the main structure —
-/// backends with no insert buffer treat it as a no-op.
+/// never individual records), so there is no delete method. How a backend
+/// lays out what it holds is its own business and has no hint method: the
+/// k-d store's layout is a function of its row count alone.
 pub trait Store: std::fmt::Debug + Send {
     /// Appends a record and indexes its first `dims()` values, returning
     /// the id it was stored under (dense, insertion-ordered).
@@ -28,18 +28,14 @@ pub trait Store: std::fmt::Debug + Send {
     /// Appends a whole batch of records, in order. Equivalent to calling
     /// [`Store::insert`] once per record — ids stay dense and
     /// insertion-ordered — but a backend may override it to amortize
-    /// per-insert bookkeeping over the batch (the k-d store rebuilds at most
-    /// once, at the row single inserts would have). The ingest fast path
-    /// hands the DAC whole `InsertBatch` payloads, so this is the hot entry
-    /// point under batched wire traffic.
+    /// per-insert bookkeeping over the batch. The ingest fast path hands
+    /// the DAC whole `InsertBatch` payloads, so this is the hot entry point
+    /// under batched wire traffic.
     fn insert_batch(&mut self, records: Vec<Record>) {
         for record in records {
             self.insert(record);
         }
     }
-
-    /// Folds any buffered inserts into the main index structure.
-    fn rebuild(&mut self);
 
     /// Ids of all records whose indexed point lies inside `rect`.
     fn range_ids(&self, rect: &HyperRect) -> Vec<RecordId>;
@@ -89,22 +85,25 @@ impl StoreKind {
 /// Differential fuzz driver shared by the `store_range` fuzz target and its
 /// unit tests: parses arbitrary bytes into a record set plus a query
 /// rectangle and asserts that the k-d store filled one `insert` at a time,
-/// the k-d store filled by one `insert_batch` of the same rows (its own
-/// rebuild-at-the-same-row path), the [`NaiveKdTree`] oracle and a
-/// brute-force scan agree exactly on ids and counts.
+/// the k-d store filled by `insert_batch` (cut in two where the input
+/// says), the [`NaiveKdTree`] oracle and a brute-force scan agree exactly
+/// on ids and counts.
 ///
 /// Input layout (frozen: the committed `fuzz/corpus/store_range` inputs
 /// replay against it): `data[0]` packs the dimensionality
-/// (`1 + data[0] % 3`) and a rebuild-control bit (`data[0] & 0x80`); the
+/// (`1 + data[0] % 3`) and a batch-cut bit (`data[0] & 0x80`); the
 /// remaining bytes are read as little-endian u64s — first `2 * dims` become
-/// the rect bounds (normalized so `lo <= hi` per axis), the rest become
-/// points.
+/// the rect bounds (normalized so `lo <= hi` per axis), the rest become up
+/// to 512 points. The points are cycled to `TAIL × FANOUT + 1` rows, each
+/// carrying its row number as an extra value, so every input with a point
+/// crosses the store's seals and a merge. With the cut bit set, the batched
+/// store takes its rows in two `insert_batch` calls, cut at
+/// `rows × (data[0] & 0x7f) / 0x7f`; otherwise in one.
 pub fn fuzz_store_range(data: &[u8]) {
     let Some((&ctl, rest)) = data.split_first() else {
         return;
     };
     let dims = 1 + (ctl % 3) as usize;
-    let rebuild_midway = ctl & 0x80 != 0;
     let mut nums = rest.chunks_exact(8).map(|c| {
         let mut b = [0u8; 8];
         b.copy_from_slice(c);
@@ -120,7 +119,7 @@ pub fn fuzz_store_range(data: &[u8]) {
     }
     let rect = HyperRect::new(lo, hi);
 
-    // Cap the record count so a pathological input length stays fast.
+    // Cap the point count so a pathological input length stays fast.
     let points: Vec<Vec<u64>> = {
         let mut pts = Vec::with_capacity(64);
         let mut point = Vec::with_capacity(dims);
@@ -133,32 +132,44 @@ pub fn fuzz_store_range(data: &[u8]) {
         }
         pts
     };
+    let rows: Vec<Vec<u64>> = points
+        .iter()
+        .cycle()
+        .take(TAIL * FANOUT + 1)
+        .zip(0u64..)
+        .map(|(p, i)| p.iter().copied().chain([i]).collect())
+        .collect();
+    let records = |rows: &[Vec<u64>]| -> Vec<Record> {
+        rows.iter().map(|r| Record::new(r.clone())).collect()
+    };
 
     let mut kd: Box<dyn Store> = StoreKind::KdTree.new_store(dims);
-    for (i, p) in points.iter().enumerate() {
-        kd.insert(Record::new(p.to_vec()));
-        if rebuild_midway && i == points.len() / 2 {
-            kd.rebuild();
-        }
+    for record in records(&rows) {
+        kd.insert(record);
     }
     // The batched entry point must land records under the same ids as the
-    // one-at-a-time path, wherever its single rebuild falls.
+    // one-at-a-time path, wherever the batches are cut.
+    let cut = if ctl & 0x80 != 0 {
+        rows.len() * usize::from(ctl & 0x7f) / 0x7f
+    } else {
+        rows.len()
+    };
     let mut kd_batched: Box<dyn Store> = StoreKind::KdTree.new_store(dims);
-    kd_batched.insert_batch(points.iter().map(|p| Record::new(p.to_vec())).collect());
+    kd_batched.insert_batch(records(&rows[..cut]));
+    kd_batched.insert_batch(records(&rows[cut..]));
     let naive = NaiveKdTree::build(
         dims,
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.to_vec(), RecordId(i as u64)))
+        rows.iter()
+            .zip(0u64..)
+            .map(|(r, i)| (r[..dims].to_vec(), RecordId(i)))
             .collect(),
     );
 
-    let brute: Vec<RecordId> = points
+    let brute: Vec<RecordId> = rows
         .iter()
-        .enumerate()
-        .filter(|(_, p)| rect.contains_point(p))
-        .map(|(i, _)| RecordId(i as u64))
+        .zip(0u64..)
+        .filter(|(r, _)| rect.contains_point(&r[..dims]))
+        .map(|(_, i)| RecordId(i))
         .collect();
     let sorted = |mut ids: Vec<RecordId>| {
         ids.sort();
@@ -201,7 +212,6 @@ mod tests {
         let mut s = StoreKind::default().new_store(2);
         assert!(s.is_empty());
         s.insert(Record::new(vec![3, 4, 99]));
-        s.rebuild();
         let rect = HyperRect::new(vec![0, 0], vec![10, 10]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.dims(), 2);
@@ -216,13 +226,13 @@ mod tests {
         fuzz_store_range(&[]);
         fuzz_store_range(&[0x81]);
         fuzz_store_range(&[2, 1, 2, 3]); // short tail: no full u64s
-        let mut data = vec![0x82u8]; // 3 dims, rebuild midway
+        let mut data = vec![0x82u8]; // 2 dims, batches cut at 2/127
         for v in [0u64, u64::MAX, 5, 40, 7, 1, 2, 3, 6, 41, 8, 99, 99, 99] {
             data.extend_from_slice(&v.to_le_bytes());
         }
         fuzz_store_range(&data);
-        // Past the rebuild floor, so the batched store rebuilds mid-batch.
-        let mut data = vec![0x80u8]; // 1 dim, rebuild midway
+        // 400 points, so the cycle repeats ten times rather than thousands.
+        let mut data = vec![0xC0u8]; // 1 dim, batches cut at 64/127
         for v in (0..400u64).map(|i| i * 7 % 101) {
             data.extend_from_slice(&v.to_le_bytes());
         }

@@ -6,12 +6,15 @@
 //!
 //! Coverage the strategies force: duplicate-heavy inputs (tiny coordinate
 //! domains), empty and singleton stores, full-domain wildcard rectangles,
-//! and `u64::MAX`-boundary coordinates (the trees compare against inclusive
-//! `hi` bounds, which must hold at the top of the domain).
+//! `u64::MAX`-boundary coordinates (the trees compare against inclusive
+//! `hi` bounds, which must hold at the top of the domain), and stores on
+//! either side of the sizes where `MemStore` seals its 1,024-row tail and
+//! merges runs four at a time.
 
 use mind_store::{MemStore, NaiveKdTree, StoreKind};
 use mind_types::{HyperRect, Record, RecordId};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Brute-force oracle: ids of the points inside `rect`, in id order.
 fn brute(points: &[Vec<u64>], rect: &HyperRect) -> Vec<RecordId> {
@@ -122,34 +125,82 @@ proptest! {
         let n = assert_agree(&points, &mem, &naive, &HyperRect::full(3));
         prop_assert_eq!(n, points.len());
     }
+}
 
-    /// Buffered-vs-rebuilt equivalence through the `Store` trait: answers
-    /// must not depend on whether `rebuild` has folded the insert buffer
-    /// into the tree.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Batch cuts are observationally invisible through the `Store` trait:
+    /// a store filled one row at a time and one filled by batches cut at
+    /// arbitrary rows give the same answers. The points are cycled to
+    /// 5,000 rows, past four seals and a merge.
     #[test]
-    fn rebuild_is_observationally_invisible(
+    fn any_batch_cut_is_observationally_invisible(
         points in dup_points(40, 400),
+        cuts in prop::collection::vec(0usize..=5000, 0..8),
         a in prop::collection::vec(0u64..=50, 3),
         b in prop::collection::vec(0u64..=50, 3),
     ) {
+        let rows: Vec<Vec<u64>> = points.iter().cycle().take(5000).cloned().collect();
         let rect = rect_from(a, b);
-        let oracle = brute(&points, &rect);
-        let mut buffered = StoreKind::KdTree.new_store(3);
-        for p in &points {
-            buffered.insert(Record::new(p.clone()));
+        let oracle = brute(&rows, &rect);
+        let mut singles = StoreKind::KdTree.new_store(3);
+        for r in &rows {
+            singles.insert(Record::new(r.clone()));
         }
-        let before = sorted(buffered.range_ids(&rect));
-        let count_before = buffered.count_range(&rect);
-        buffered.rebuild();
-        prop_assert_eq!(&sorted(buffered.range_ids(&rect)), &oracle, "rebuilt");
-        prop_assert_eq!(&before, &oracle, "buffered");
-        prop_assert_eq!(count_before, oracle.len());
-        prop_assert_eq!(buffered.count_range(&rect), oracle.len());
-        prop_assert_eq!(
-            buffered.count_range(&rect),
-            buffered.range_ids(&rect).len(),
-            "count must equal materialized ids"
-        );
+        let mut batched = StoreKind::KdTree.new_store(3);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(rows.len())).collect();
+        cuts.sort_unstable();
+        let mut from = 0;
+        for to in cuts.into_iter().chain([rows.len()]) {
+            batched.insert_batch(rows[from..to].iter().cloned().map(Record::new).collect());
+            from = to;
+        }
+        prop_assert_eq!(batched.len(), rows.len());
+        prop_assert_eq!(&sorted(singles.range_ids(&rect)), &oracle, "singles");
+        prop_assert_eq!(&sorted(batched.range_ids(&rect)), &oracle, "batched");
+        prop_assert_eq!(singles.count_range(&rect), oracle.len());
+        prop_assert_eq!(batched.count_range(&rect), oracle.len());
+    }
+}
+
+/// Either side of every merge cascade up to ~65k rows, at sizes
+/// `1024 × 4^k ± 1`: just before, the store holds three runs of every
+/// smaller size and a full tail but one; just after, one run and one tail
+/// row. It agrees with the oracle on every query shape at each size.
+#[test]
+fn store_agrees_with_naive_tree_either_side_of_every_merge() {
+    let mut rng = StdRng::seed_from_u64(27);
+    let mut points: Vec<Vec<u64>> = Vec::new();
+    let mut mem = MemStore::new(3);
+    let rects = [
+        HyperRect::full(3),
+        HyperRect::new(vec![100, 200, 10], vec![399, 899, 59]),
+        HyperRect::new(vec![500, 0, 0], vec![500, u64::MAX, u64::MAX]),
+        HyperRect::new(vec![0, 0, 99], vec![999, 999, 99]),
+    ];
+    for k in 0..4 {
+        let at = 1024 * 4usize.pow(k);
+        for size in [at - 1, at + 1] {
+            while points.len() < size {
+                let p = vec![
+                    rng.random_range(0..1000u64),
+                    rng.random_range(0..1000u64),
+                    rng.random_range(0..100u64),
+                ];
+                mem.insert(Record::new(p.clone()));
+                points.push(p);
+            }
+            let entries = points
+                .iter()
+                .zip(0u64..)
+                .map(|(p, i)| (p.clone(), RecordId(i)))
+                .collect();
+            let naive = NaiveKdTree::build(3, entries);
+            for rect in &rects {
+                assert_agree(&points, &mem, &naive, rect);
+            }
+        }
     }
 }
 

@@ -80,9 +80,10 @@ proptest! {
         prop_assert_eq!(columnar.count_range(&all), points.len());
     }
 
-    /// Buffered-vs-rebuilt interleavings: a MemStore mid-stream (part
-    /// tree, part columnar insert buffer) answers exactly like one that
-    /// was force-rebuilt, and both match brute force.
+    /// Runs-and-tail interleavings: a MemStore mid-stream (the older rows
+    /// in sealed runs, the newest in its tail) answers exactly like one
+    /// tree built over every row, and both match brute force. The drawn
+    /// points are cycled five times, to up to 3,000 rows.
     #[test]
     fn memstore_interleavings_match(
         vals in prop::collection::vec(prop::collection::vec(0u64..40, 2), 1..600),
@@ -94,49 +95,23 @@ proptest! {
             HyperRect::new(lo, hi)
         }),
     ) {
-        let mut buffered = MemStore::new(2);
-        let mut rebuilt = MemStore::new(2);
-        for p in &vals {
-            buffered.insert(Record::new(p.clone()));
-            rebuilt.insert(Record::new(p.clone()));
+        let rows: Vec<Vec<Value>> = vals.iter().cycle().take(vals.len() * 5).cloned().collect();
+        let mut store = MemStore::new(2);
+        for p in &rows {
+            store.insert(Record::new(p.clone()));
         }
-        rebuilt.rebuild();
-        let expected = vals.iter().filter(|p| rect.contains_point(p)).count();
-        prop_assert_eq!(buffered.range_ids(&rect).len(), expected);
-        prop_assert_eq!(rebuilt.range_ids(&rect).len(), expected);
-        prop_assert_eq!(buffered.count_range(&rect), expected);
-        prop_assert_eq!(rebuilt.count_range(&rect), expected);
+        let one_shot = KdTree::build(
+            2,
+            rows.iter().cloned().zip(0u64..).map(|(p, i)| (p, RecordId(i))).collect(),
+        );
+        let expected = rows.iter().filter(|p| rect.contains_point(p)).count();
+        prop_assert_eq!(store.range_ids(&rect).len(), expected);
+        prop_assert_eq!(store.count_range(&rect), expected);
         // Same ids, not just same counts.
         prop_assert_eq!(
-            sorted(buffered.range_ids(&rect)),
-            sorted(rebuilt.range_ids(&rect))
+            sorted(store.range_ids(&rect)),
+            sorted(one_shot.range_vec(&rect))
         );
-    }
-
-    /// Incremental absorb == one-shot build, for arbitrary chunkings.
-    #[test]
-    fn absorb_chunks_match_one_shot_build(
-        points in dup_points(20, 300),
-        cut in 0usize..300,
-        rect in rect3(20),
-    ) {
-        let cut = cut.min(points.len());
-        let mut tree = KdTree::build(3, points[..cut].to_vec());
-        let mut buf_cols: Vec<Vec<Value>> = vec![Vec::new(); 3];
-        let mut buf_ids = Vec::new();
-        for (p, id) in &points[cut..] {
-            for (d, col) in buf_cols.iter_mut().enumerate() {
-                col.push(p[d]);
-            }
-            buf_ids.push(*id);
-        }
-        tree.absorb(&mut buf_cols, &mut buf_ids);
-        let fresh = KdTree::build(3, points);
-        prop_assert_eq!(
-            sorted(tree.range_vec(&rect)),
-            sorted(fresh.range_vec(&rect))
-        );
-        prop_assert_eq!(tree.count_range(&rect), fresh.count_range(&rect));
     }
 }
 

@@ -1,8 +1,8 @@
 //! Storage-layer edge cases: range queries against empty stores,
 //! degenerate single-point rectangles, and duplicate-key inserts — each
-//! exercised on both sides of the tree/buffer boundary.
+//! exercised in the store's unindexed tail and in its sealed k-d runs.
 
-use mind_store::{KdTree, MemStore};
+use mind_store::{KdTree, MemStore, Store};
 use mind_types::{HyperRect, Record, RecordId};
 
 fn rec(vals: &[u64]) -> Record {
@@ -39,12 +39,13 @@ fn single_point_rectangle_hits_exactly_that_point() {
     store.insert(rec(&[11, 10, 102]));
 
     let point = HyperRect::new(vec![10, 10], vec![10, 10]);
-    // Buffered path (no rebuild yet).
+    // Tail path (three rows, nothing sealed yet).
     let hits = store.range_records(&point);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].value(2), 100);
-    // Indexed path after folding the buffer into the tree.
-    store.rebuild();
+    // Indexed path: far-away rows in one batch seal the three into a run
+    // (wherever a batch is cut, seals fall at the same rows).
+    store.insert_batch((0..2000).map(|i| rec(&[1000 + i, 1000, i])).collect());
     let hits = store.range_records(&point);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].value(2), 100);
@@ -73,32 +74,28 @@ fn single_point_rectangle_hits_exactly_that_point() {
 
 #[test]
 fn duplicate_key_inserts_are_all_stored_and_all_found() {
-    // 600 records on the same indexed point: enough to straddle the
-    // rebuild threshold, so some live in the tree and some in the buffer.
+    // 1,600 records on the same indexed point: enough to straddle the
+    // 1,024-row seal, so some live in a k-d run and some in the tail.
     let mut store = MemStore::new(2);
     let mut ids = Vec::new();
-    for i in 0..600u64 {
+    for i in 0..1600u64 {
         ids.push(store.insert(rec(&[42, 42, i])));
     }
-    assert_eq!(store.len(), 600);
+    assert_eq!(store.len(), 1600);
     // Every insert got a distinct id.
     let mut sorted = ids.clone();
     sorted.sort();
     sorted.dedup();
-    assert_eq!(sorted.len(), 600, "duplicate keys must not collapse ids");
+    assert_eq!(sorted.len(), 1600, "duplicate keys must not collapse ids");
 
     let point = HyperRect::new(vec![42, 42], vec![42, 42]);
-    assert_eq!(store.count_range(&point), 600);
+    assert_eq!(store.count_range(&point), 1600);
     let hits = store.range_records(&point);
-    assert_eq!(hits.len(), 600);
+    assert_eq!(hits.len(), 1600);
     // The carried (non-indexed) attribute distinguishes the duplicates.
     let mut carried: Vec<u64> = hits.iter().map(|r| r.value(2)).collect();
     carried.sort();
-    assert_eq!(carried, (0..600).collect::<Vec<_>>());
-
-    // Still true once everything is folded into the k-d tree.
-    store.rebuild();
-    assert_eq!(store.count_range(&point), 600);
+    assert_eq!(carried, (0..1600).collect::<Vec<_>>());
 
     // A rectangle just beside the pile sees none of it.
     assert_eq!(
