@@ -21,8 +21,11 @@
 //! a dependency cycle.
 //!
 //! This is the dynamic half of the wall; the static half — forbidden source
-//! patterns, reported as `file:line` diagnostics — is `mind-analysis`
-//! (`cargo run -p mind-analysis --bin analyze -- .`).
+//! patterns such as wall-clock reads, randomly seeded hash collections and
+//! library `unwrap`s — is `cargo clippy --workspace --all-targets -- -D
+//! warnings` under the workspace lints and `clippy.toml`.
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod auditor;
 pub mod snapshot;

@@ -3,8 +3,7 @@
 use crate::messages::BaselineMsg;
 use mind_store::{Store, StoreKind};
 use mind_types::node::{NodeLogic, Outbox, SimTime};
-use mind_types::{HyperRect, NodeId, Record};
-use std::collections::HashMap;
+use mind_types::{DetHashMap, HyperRect, NodeId, Record};
 use std::sync::Arc;
 
 /// Tracks one query at its originator (single expected answer).
@@ -32,7 +31,7 @@ pub struct CentralizedNode {
     store: Box<dyn Store>,
     query_seq: u64,
     /// Queries this node originated.
-    pub queries: HashMap<u64, CentralQuery>,
+    pub queries: DetHashMap<u64, CentralQuery>,
     /// Inserts the hub has durably stored.
     pub hub_stored: u64,
     /// Cumulative hub insert latency (µs) for mean computation.
@@ -48,7 +47,7 @@ impl CentralizedNode {
             hub,
             store: StoreKind::KdTree.new_store(dims),
             query_seq: 0,
-            queries: HashMap::new(),
+            queries: DetHashMap::default(),
             hub_stored: 0,
             hub_latency_sum: 0,
         }

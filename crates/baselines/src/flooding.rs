@@ -3,8 +3,7 @@
 use crate::messages::BaselineMsg;
 use mind_store::{Store, StoreKind};
 use mind_types::node::{NodeLogic, Outbox, SimTime};
-use mind_types::{HyperRect, NodeId, Record};
-use std::collections::{HashMap, HashSet};
+use mind_types::{DetHashMap, DetHashSet, HyperRect, NodeId, Record};
 use std::sync::Arc;
 
 /// Tracks one flooded query at its originator.
@@ -13,7 +12,7 @@ pub struct FloodQuery {
     /// Issue time.
     pub issued_at: SimTime,
     /// Nodes that have not answered yet.
-    pub awaiting: HashSet<NodeId>,
+    pub awaiting: DetHashSet<NodeId>,
     /// Accumulated records (shared handles: the local share is answered
     /// without copying; wire answers are wrapped on receipt).
     pub records: Vec<Arc<Record>>,
@@ -33,7 +32,7 @@ pub struct FloodingNode {
     store: Box<dyn Store>,
     query_seq: u64,
     /// In-flight and finished queries by id.
-    pub queries: HashMap<u64, FloodQuery>,
+    pub queries: DetHashMap<u64, FloodQuery>,
     /// Queries this node evaluated on behalf of others.
     pub evaluations: u64,
 }
@@ -47,7 +46,7 @@ impl FloodingNode {
             peers,
             store: StoreKind::KdTree.new_store(dims),
             query_seq: 0,
-            queries: HashMap::new(),
+            queries: DetHashMap::default(),
             evaluations: 0,
         }
     }
@@ -66,7 +65,7 @@ impl FloodingNode {
     pub fn query(&mut self, now: SimTime, rect: HyperRect, out: &mut Outbox<BaselineMsg>) -> u64 {
         let query_id = ((self.id.0 as u64) << 32) | self.query_seq;
         self.query_seq += 1;
-        let mut awaiting: HashSet<NodeId> = self.peers.iter().copied().collect();
+        let mut awaiting: DetHashSet<NodeId> = self.peers.iter().copied().collect();
         awaiting.remove(&self.id);
         // Answer the local share immediately.
         let local = self.store.range_records(&rect);

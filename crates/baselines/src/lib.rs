@@ -18,6 +18,7 @@
 //! like-for-like.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 #![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 

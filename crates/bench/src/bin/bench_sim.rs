@@ -216,7 +216,11 @@ fn run_world(n: usize, span_secs: u64, seed: u64) -> WorldOutcome {
 
 /// Runs one scale point and appends its metric rows.
 fn measure_point(out: &mut Vec<(String, f64)>, n: usize, span_secs: u64) {
-    let t = Instant::now(); // lint:allow(wallclock) measuring real time is this binary's purpose
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measuring real time is this binary's purpose"
+    )]
+    let t = Instant::now();
     let o = run_world(n, span_secs, SEED);
     let wall = t.elapsed().as_secs_f64();
     let events = events_total_from(&o);

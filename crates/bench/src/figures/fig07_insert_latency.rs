@@ -13,6 +13,7 @@ use crate::harness::{
 use crate::report::header;
 use mind_core::{LatencySummary, Replication};
 use mind_types::node::SECONDS;
+use mind_types::NodeId;
 
 pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
     header(
@@ -45,10 +46,16 @@ pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
             // A couple of transient overlay link outages per window — the
             // paper observed these continuously on PlanetLab.
             inject_random_outages(&mut cluster, day * 100 + hour, 3, window_secs * SECONDS);
-            let before = cluster.insert_latency_samples().len();
+            // This window's samples are the inserts that completed on any
+            // node since it opened.
+            let opened = cluster.now();
             driver.drive(&mut cluster, &[kind], day, start, end, ts_bound, None);
             cluster.run_for(30 * SECONDS); // drain in-flight inserts
-            let lats = cluster.insert_latency_samples().split_off(before);
+            let lats = (0..cluster.len() as u32)
+                .flat_map(|k| &cluster.world().node(NodeId(k)).metrics.insert_latencies)
+                .filter(|&&(completed_at, _)| completed_at >= opened)
+                .map(|&(_, lat)| lat)
+                .collect();
             let s = LatencySummary::from_samples(lats);
             writeln!(
                 out,

@@ -154,7 +154,10 @@ impl TrafficDriver {
     /// When `oracle` is provided, every inserted (conformed) record is
     /// also appended there — the centralized ground truth used for recall
     /// accounting.
-    #[allow(clippy::too_many_arguments)] // the drive window is inherently wide
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the drive window is inherently wide"
+    )]
     pub fn drive(
         &self,
         cluster: &mut MindCluster,
@@ -180,12 +183,19 @@ impl TrafficDriver {
                                 let schema = kind.schema(ts_bound);
                                 // Store the conformed (clamped) form — the
                                 // same bytes the cluster will store.
-                                // lint:allow(unwrap) trace records conform by construction
+                                #[expect(
+                                    clippy::unwrap_used,
+                                    reason = "trace records conform by construction"
+                                )]
                                 oracle.push((kind, rec.clone().conform(&schema).unwrap()));
                             }
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "harness: a bad run must die loudly"
+                            )]
                             cluster
                                 .insert(NodeId(r as u32), kind.tag(), rec)
-                                .expect("insert"); // lint:allow(unwrap) harness: a bad run must die loudly
+                                .expect("insert");
                             inserted += 1;
                         }
                     }
@@ -302,7 +312,8 @@ pub fn balanced_cuts(
         for r in 0..driver.routers() as u16 {
             for agg in driver.window_aggregates(0, w, r) {
                 if let Some(rec) = kind.record(&agg) {
-                    let rec = rec.conform(&schema).unwrap(); // lint:allow(unwrap) trace records conform by construction
+                    #[expect(clippy::unwrap_used, reason = "trace records conform by construction")]
+                    let rec = rec.conform(&schema).unwrap();
                     pts.push(rec.point(schema.indexed_dims).to_vec());
                 }
             }
@@ -357,9 +368,10 @@ pub fn install_index(
     ts_bound: u64,
     replication: Replication,
 ) {
+    #[expect(clippy::expect_used, reason = "harness: a bad run must die loudly")]
     cluster
         .create_index(NodeId(0), kind.schema(ts_bound), cuts, replication)
-        .expect("create index"); // lint:allow(unwrap) harness: a bad run must die loudly
+        .expect("create index");
     cluster.run_for(20 * SECONDS);
 }
 
@@ -432,7 +444,10 @@ where
             .map(|c| s.spawn(move || c.iter().map(job).collect::<Vec<O>>()))
             .collect();
         for h in handles {
-            // lint:allow(unwrap) a panicking world must abort the figure run
+            #[expect(
+                clippy::expect_used,
+                reason = "a panicking world must abort the figure run"
+            )]
             out.extend(h.join().expect("a parallel world panicked"));
         }
     });

@@ -15,7 +15,13 @@
 //! --scale <x> --hours <n>` pushes toward paper scale.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a figure body's panic is its error report"
+)]
 pub mod figures;
 pub mod harness;
 pub mod report;

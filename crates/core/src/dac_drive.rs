@@ -343,7 +343,8 @@ impl MindNode {
             }
         }
         let n = rows.len();
-        let state = self.indexes.get_mut(&index).expect("checked above"); // lint:allow(unwrap) presence checked above
+        #[expect(clippy::expect_used, reason = "presence checked above")]
+        let state = self.indexes.get_mut(&index).expect("checked above");
         if is_primary {
             for row in &rows {
                 state.day_histogram.add(row.point(dims));
@@ -354,7 +355,8 @@ impl MindNode {
                 .insert_sent_ats
                 .extend(std::iter::repeat_n(sent_at, n));
         }
-        let ver = state.version_mut(version).expect("checked above"); // lint:allow(unwrap) presence checked above
+        #[expect(clippy::expect_used, reason = "presence checked above")]
+        let ver = state.version_mut(version).expect("checked above");
         if is_primary {
             ver.primary_rows += n as u64;
             ver.primary.insert_batch(rows);

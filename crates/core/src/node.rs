@@ -25,8 +25,8 @@ use mind_histogram::{CutTree, GridHistogram};
 use mind_overlay::{Overlay, OverlayConfig, OverlayEvent, OverlayMsg};
 use mind_store::{DacCostModel, StoreKind};
 use mind_types::node::{NodeLogic, Outbox, SimTime, SECONDS};
-use mind_types::{BitCode, HyperRect, MindError, NodeId, Record};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use mind_types::{BitCode, DetHashMap, HyperRect, MindError, NodeId, Record};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// The outbox type every MIND handler writes into.
@@ -158,18 +158,18 @@ pub struct MindNode {
     pub(crate) dac_queue: VecDeque<DacJob>,
     pub(crate) dac_busy: bool,
     pub(crate) batch_seq: u64,
-    pub(crate) pending_batches: HashMap<u64, BatchResult>,
+    pub(crate) pending_batches: DetHashMap<u64, BatchResult>,
     // origin-side wire batching (crate::reliability)
     /// Insert groups with buffered rows or unacked frames — a `BTreeMap`
     /// so a bulk drain walks them in a replay-stable order.
     pub(crate) wire_batches: BTreeMap<GroupKey, WireBatch>,
     /// Age-timer argument → group key (the 48-bit timer budget cannot
     /// carry the key itself).
-    pub(crate) wire_batch_keys: HashMap<u64, GroupKey>,
+    pub(crate) wire_batch_keys: DetHashMap<u64, GroupKey>,
     pub(crate) wire_batch_seq: u64,
     // reliable delivery + bounded dedup (crate::reliability)
     pub(crate) op_seq: u64,
-    pub(crate) pending_ops: HashMap<u64, PendingOp>,
+    pub(crate) pending_ops: DetHashMap<u64, PendingOp>,
     pub(crate) seen_ops: SeenOps,
     /// Counters of this node's own unsettled ops; their minimum pins the
     /// horizon advertised to receivers (DESIGN.md §10).
@@ -188,12 +188,12 @@ pub struct MindNode {
     /// only for the outgoing plan message.
     pub(crate) cover_scratch: Vec<BitCode>,
     /// In-flight and finished query trackers, by query id.
-    pub queries: HashMap<u64, QueryTracker>,
-    pub(crate) query_meta: HashMap<u64, QueryRetryMeta>,
+    pub queries: DetHashMap<u64, QueryTracker>,
+    pub(crate) query_meta: DetHashMap<u64, QueryRetryMeta>,
     // join-time data handoff (Section 3.4)
     pub(crate) handoff: Option<(NodeId, SimTime)>,
     pub(crate) handoff_seq: u64,
-    pub(crate) pending_handoffs: HashMap<u64, PendingHandoff>,
+    pub(crate) pending_handoffs: DetHashMap<u64, PendingHandoff>,
     // standing queries
     pub(crate) triggers: TriggerSet,
     trigger_seq: u64,
@@ -202,8 +202,8 @@ pub struct MindNode {
     pub trigger_log: Vec<(u64, NodeId, Record)>,
     // histogram collection (collector role, crate::rollover)
     pub(crate) collect_seq: u64,
-    pub(crate) collecting: HashMap<u64, (String, u64, GridHistogram, usize)>,
-    pub(crate) collect_keys: HashMap<(String, u64), u64>,
+    pub(crate) collecting: DetHashMap<u64, (String, u64, GridHistogram, usize)>,
+    pub(crate) collect_keys: DetHashMap<(String, u64), u64>,
     /// Metrics this node accumulated.
     pub metrics: NodeMetrics,
 }
@@ -248,29 +248,29 @@ impl MindNode {
             dac_queue: VecDeque::new(),
             dac_busy: false,
             batch_seq: 0,
-            pending_batches: HashMap::new(),
+            pending_batches: DetHashMap::default(),
             wire_batches: BTreeMap::new(),
-            wire_batch_keys: HashMap::new(),
+            wire_batch_keys: DetHashMap::default(),
             wire_batch_seq: 0,
             op_seq: 0,
-            pending_ops: HashMap::new(),
+            pending_ops: DetHashMap::default(),
             seen_ops: SeenOps::default(),
             live_op_counters: BTreeSet::new(),
             anti_entropy_rr: 0,
             catalog_digest_cache: None,
             query_seq: 0,
             cover_scratch: Vec::new(),
-            queries: HashMap::new(),
-            query_meta: HashMap::new(),
+            queries: DetHashMap::default(),
+            query_meta: DetHashMap::default(),
             handoff: None,
             handoff_seq: 0,
-            pending_handoffs: HashMap::new(),
+            pending_handoffs: DetHashMap::default(),
             triggers: TriggerSet::new(),
             trigger_seq: 0,
             trigger_log: Vec::new(),
             collect_seq: 0,
-            collecting: HashMap::new(),
-            collect_keys: HashMap::new(),
+            collecting: DetHashMap::default(),
+            collect_keys: DetHashMap::default(),
             metrics: NodeMetrics::default(),
         }
     }
@@ -457,7 +457,11 @@ impl MindNode {
         let record = state.conform(record)?;
         let ts = state.record_ts(&record);
         let version = state.version_for_ts(ts);
-        let cuts = &state.version(version).expect("version exists").cuts; // lint:allow(unwrap) version_for_ts returns an installed version
+        #[expect(
+            clippy::expect_used,
+            reason = "version_for_ts returns an installed version"
+        )]
+        let cuts = &state.version(version).expect("version exists").cuts;
         let code = cuts.code_for_point(record.point(state.schema.indexed_dims));
         self.metrics.inserts_originated += 1;
         if self.cfg.insert_batch_max > 1 {
@@ -857,7 +861,11 @@ impl MindNode {
                     let tag = def.schema.tag.clone();
                     let state = self.indexes.entry(tag).or_insert_with(|| {
                         let mut it = def.versions.iter();
-                        let (_, first_cuts) = it.next().expect("at least version 0").clone(); // lint:allow(unwrap) catalog entries always carry version 0
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "catalog entries always carry version 0"
+                        )]
+                        let (_, first_cuts) = it.next().expect("at least version 0").clone();
                         IndexState::new(
                             def.schema.clone(),
                             first_cuts,

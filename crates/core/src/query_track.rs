@@ -69,7 +69,10 @@ impl MindNode {
         // Route one root query per overlapping version.
         let mut routed = Vec::new();
         for v in versions {
-            // lint:allow(unwrap) versions_for_range returns installed versions
+            #[expect(
+                clippy::unwrap_used,
+                reason = "versions_for_range returns installed versions"
+            )]
             match state.version(v).unwrap().cuts.query_prefix(&rect) {
                 None => tracker.on_plan(now, v, vec![], None), // misses the domain
                 Some(prefix) => routed.push((v, prefix)),
@@ -256,7 +259,10 @@ impl MindNode {
     /// Section 3.6: the first node whose region abuts the query splits it
     /// into per-region sub-queries, announces the plan to the originator,
     /// answers its own regions, and routes the rest.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one root query's wire fields plus the outbox"
+    )]
     pub(crate) fn split_root_query(
         &mut self,
         now: SimTime,
@@ -327,7 +333,10 @@ impl MindNode {
     /// that prefix. A receiver calls this with `min_group_len` one past
     /// the length of the prefix it was routed under, so every hand-over
     /// groups strictly deeper and ends at the single code.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one sub-query frame's wire fields plus the outbox"
+    )]
     pub(crate) fn dispatch_subqueries(
         &mut self,
         now: SimTime,

@@ -670,7 +670,10 @@ mod tests {
 
     /// The insert frames in `out`, as `(op id, rows)`, plus the armed
     /// age-cap timers `(token, id)` and the cancelled timer ids.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "frames, armed timers and cancels, drained together"
+    )]
     fn drain(out: &mut Out) -> (Vec<(u64, usize)>, Vec<(u64, TimerId)>, Vec<TimerId>) {
         let fx = out.drain();
         let mut frames = Vec::new();

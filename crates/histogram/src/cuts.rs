@@ -299,7 +299,7 @@ impl NaiveCutTree {
     /// (in leaf order) — the storage-balance measurement behind Figure 13.
     pub fn leaf_occupancy(&self, points: impl Iterator<Item = Vec<Value>>) -> Vec<u64> {
         let leaves = self.leaves();
-        let index: std::collections::HashMap<BitCode, usize> = leaves
+        let index: mind_types::DetHashMap<BitCode, usize> = leaves
             .iter()
             .enumerate()
             .map(|(i, (c, _))| (*c, i))

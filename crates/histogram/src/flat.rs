@@ -17,8 +17,8 @@
 //! Every traversal the routing hot path runs — `code_for_point` per insert
 //! hop, `query_prefix` / `covering_codes` per query split,
 //! `rect_for_code` per sub-query scan — is iterative and allocation-free
-//! (the `routealloc` lint rule walls this file). Two observations make
-//! that possible:
+//! (`no_allocating_calls_outside_tests` walls this file). Two observations
+//! make that possible:
 //!
 //! 1. **Clamp elision.** The boxed tree clamps the point onto the bounds
 //!    (a `Vec` copy) before descending. But every split threshold `t` on
@@ -120,12 +120,15 @@ impl CutTree {
     ///
     /// The preorder walk records exactly the cuts the boxed tree holds, so
     /// the two trees map every point and rectangle to identical codes.
+    #[expect(
+        clippy::expect_used,
+        reason = "a well-formed boxed tree always flattens"
+    )]
     pub fn from_naive(naive: &NaiveCutTree) -> Self {
         let mut axis = Vec::with_capacity(64);
         let mut threshold = Vec::with_capacity(64);
         preorder_columns(naive.root(), &mut axis, &mut threshold);
         let bounds = naive.bounds().span(naive.bounds());
-        // lint:allow(unwrap) a well-formed boxed tree always flattens
         Self::from_columns(bounds, axis, threshold).expect("flatten of a well-formed cut tree")
     }
 
@@ -644,6 +647,17 @@ mod tests {
             .unwrap();
         assert_eq!(ok.leaf_count(), 2);
         assert_eq!(ok.depth(), 1);
+    }
+
+    /// An allocation here silently re-grows the per-hop routing cost the
+    /// arena removed; sizing with `with_capacity` or `vec![..]` stays legal.
+    #[test]
+    fn no_allocating_calls_outside_tests() {
+        let src = include_str!("flat.rs");
+        let (body, _) = src.split_once("\n#[cfg(test)]").expect("a test module");
+        for needle in ["Vec::new(", ".to_vec(", ".clone("] {
+            assert!(!body.contains(needle), "flat.rs calls `{needle}`");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub fn fuzz_cut_columns(data: &[u8]) {
     let mut lo = Vec::with_capacity(dims);
     let mut hi = Vec::with_capacity(dims);
     for _ in 0..dims {
-        // lint:allow(unwrap) split_at guarantees 2*dims u64s
+        #[expect(clippy::unwrap_used, reason = "split_at guarantees 2*dims u64s")]
         let (a, b) = (nums.next().unwrap(), nums.next().unwrap());
         lo.push(a.min(b));
         hi.push(a.max(b));

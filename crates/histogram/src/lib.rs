@@ -22,6 +22,7 @@
 //! the property-test oracle (see [`cuts`]).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cuts;
 pub mod flat;

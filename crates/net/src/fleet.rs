@@ -248,6 +248,10 @@ where
                         }
                     }
                 };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "thread-spawn failure is fatal for the fleet"
+                )]
                 let host = TcpHost::spawn_with(
                     id,
                     listener,
@@ -258,7 +262,7 @@ where
                         epoch: Some(self.epoch),
                     },
                 )
-                .expect("revive spawn"); // lint:allow(unwrap) thread-spawn failure is fatal for the fleet
+                .expect("revive spawn");
                 Slot::Up(host)
             }
             up @ (Slot::Up(_) | Slot::Vacant) => up,

@@ -187,6 +187,10 @@ where
 
     /// [`TcpHost::spawn`] with explicit clock epoch and timer-id seed —
     /// the revive path for fleets that restart crashed hosts.
+    #[expect(
+        clippy::expect_used,
+        reason = "thread-spawn failure is fatal for the host"
+    )]
     pub fn spawn_with(
         id: NodeId,
         listener: TcpListener,
@@ -262,10 +266,10 @@ where
                                     }
                                 }
                             })
-                            .expect("spawn reader"); // lint:allow(unwrap) thread-spawn failure is fatal for the host
+                            .expect("spawn reader");
                     }
                 })
-                .expect("spawn listener") // lint:allow(unwrap) thread-spawn failure is fatal for the host
+                .expect("spawn listener")
         };
 
         // Driver thread.
@@ -275,7 +279,7 @@ where
             std::thread::Builder::new()
                 .name(format!("mind-drive-{}", id.0))
                 .spawn(move || driver_loop(id, logic, cmd_rx, peers, stop, stats, options))
-                .expect("spawn driver") // lint:allow(unwrap) thread-spawn failure is fatal for the host
+                .expect("spawn driver")
         };
 
         Ok(TcpHost {
@@ -314,12 +318,15 @@ where
 
     /// Runs `f` against the node logic on the driver thread and returns
     /// its result. Effects (sends, timers) are processed as usual.
+    #[expect(
+        clippy::expect_used,
+        reason = "the driver lives as long as `self` and replies unless it panicked"
+    )]
     pub fn invoke<R, F>(&self, f: F) -> R
     where
         R: Send + 'static,
         F: FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R + Send + 'static,
     {
-        // lint:allow(unwrap) the driver lives as long as `self` and replies unless it panicked
         self.handle().invoke(f).expect("driver answered")
     }
 
@@ -331,10 +338,12 @@ where
     /// Stops the driver and returns the final logic state plus the next
     /// free timer id — everything a fleet needs to revive this node
     /// without timer-id collisions.
+    #[expect(
+        clippy::expect_used,
+        reason = "halt consumes self, so the driver is not yet joined; surfacing a driver panic is correct"
+    )]
     pub fn halt(mut self) -> (L, u64) {
-        // lint:allow(unwrap) halt consumes self, so the driver is not yet joined
         let joined = self.stop_threads().expect("not yet joined");
-        // lint:allow(unwrap) surfacing a driver panic is correct
         joined.expect("driver panicked")
     }
 }
@@ -479,7 +488,6 @@ impl Conns {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn driver_loop<L>(
     id: NodeId,
     mut logic: L,

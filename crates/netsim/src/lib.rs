@@ -23,6 +23,7 @@
 //! makes every figure in `EXPERIMENTS.md` reproducible bit-for-bit.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod fault;
 pub mod latency;

@@ -81,7 +81,6 @@ impl SimStats {
     /// dropped_dead, dropped_unknown, dropped_fault, duplicated,
     /// partitioned, timers_fired, timers_cancelled, requeued_busy,
     /// pending_events_peak)` — handy for determinism assertions.
-    #[allow(clippy::type_complexity)]
     pub fn counters(&self) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64) {
         (
             self.delivered,

@@ -151,8 +151,11 @@ fn planetlab_pool() -> Vec<Site> {
 /// machines, ~25 % moderately loaded, ~5 % badly overloaded (4-8x) — the
 /// "experimental nature of the PlanetLab testbed" the paper repeatedly
 /// cites for its latency tails.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pre-world site generation from the experiment seed"
+)]
 pub fn planetlab_sites(n: usize, seed: u64) -> Vec<Site> {
-    // lint:allow(worldrng) pre-world site generation from the experiment seed
     let mut rng = StdRng::seed_from_u64(seed);
     let pool = planetlab_pool();
     let mut out = Vec::with_capacity(n);

@@ -6,10 +6,10 @@ use crate::scheduler::{EventRef, Scheduler};
 use crate::stats::SimStats;
 use crate::topology::Site;
 use mind_types::node::{NodeLogic, Outbox, SimTime, TimerId, MILLIS};
-use mind_types::{NodeId, WireSize};
+use mind_types::{DetHashMap, NodeId, WireSize};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 /// Global simulation parameters.
@@ -136,7 +136,7 @@ struct Host<L: NodeLogic> {
 pub struct World<L: NodeLogic> {
     cfg: SimConfig,
     hosts: Vec<Host<L>>,
-    links: HashMap<(NodeId, NodeId), Link>,
+    links: DetHashMap<(NodeId, NodeId), Link>,
     queue: Scheduler<(NodeId, EventKind<L::Msg>)>,
     backlog_total: usize,
     now: SimTime,
@@ -150,13 +150,16 @@ where
     L::Msg: WireSize + Clone,
 {
     /// Creates an empty world.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is the world RNG, seeded once from SimConfig::seed"
+    )]
     pub fn new(cfg: SimConfig) -> Self {
         World {
-            // lint:allow(worldrng) this IS the world RNG: seeded once here
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             hosts: Vec::new(),
-            links: HashMap::new(),
+            links: DetHashMap::default(),
             queue: Scheduler::new(),
             backlog_total: 0,
             now: 0,

@@ -9,9 +9,8 @@
 use mind_netsim::world::lan_config;
 use mind_netsim::{FaultPlan, SimConfig, Site, World};
 use mind_types::node::{NodeLogic, Outbox, SimTime, TimerId, SECONDS};
-use mind_types::{NodeId, WireSize};
+use mind_types::{DetHashMap, NodeId, WireSize};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Fire-and-forget busywork payload: its only job is to occupy the
 /// receiving host's CPU so that due timers get parked in the backlog.
@@ -27,7 +26,7 @@ impl WireSize for Ping {
 /// removed on fire, so the driver can tell "cancelled before it fired"
 /// (handle still present) apart from "already fired" (handle gone).
 struct TimerHost {
-    handles: HashMap<u64, TimerId>,
+    handles: DetHashMap<u64, TimerId>,
     fired: Vec<(SimTime, u64)>,
 }
 
@@ -62,7 +61,7 @@ enum Act {
 struct RunLog {
     fired: Vec<(NodeId, SimTime, u64)>,
     cancelled: Vec<u64>,
-    armed: HashMap<u64, (NodeId, SimTime, SimTime)>,
+    armed: DetHashMap<u64, (NodeId, SimTime, SimTime)>,
 }
 
 fn run_script(
@@ -86,7 +85,7 @@ fn run_script(
     for k in 0..n {
         w.add_node(
             TimerHost {
-                handles: HashMap::new(),
+                handles: DetHashMap::default(),
                 fired: Vec::new(),
             },
             Site::new(format!("s{k}"), k as f64, (k * 3) as f64),
@@ -94,7 +93,7 @@ fn run_script(
     }
 
     let mut cancelled = Vec::new();
-    let mut armed = HashMap::new();
+    let mut armed = DetHashMap::default();
     for (at, act) in script {
         w.run_until(*at);
         match *act {
@@ -341,6 +340,10 @@ struct WheelRun {
     expected_peak: u64,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the wave sizes derive from the same seed as the world"
+)]
 fn run_wheel_at_scale(seed: u64, waves: usize) -> WheelRun {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -348,7 +351,7 @@ fn run_wheel_at_scale(seed: u64, waves: usize) -> WheelRun {
     let mut w = World::new(lan_config(seed));
     let id = w.add_node(
         TimerHost {
-            handles: HashMap::new(),
+            handles: DetHashMap::default(),
             fired: Vec::new(),
         },
         Site::new("s0", 0.0, 0.0),

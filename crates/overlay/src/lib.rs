@@ -34,6 +34,7 @@
 //! [`NodeLogic`]: mind_types::NodeLogic
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 #![cfg_attr(not(test), warn(clippy::match_wildcard_for_single_variants))]
 

@@ -3,10 +3,10 @@
 use crate::messages::{OverlayEvent, OverlayMsg};
 use crate::table::{NeighborEntry, NeighborTable};
 use mind_types::node::{Outbox, SimTime, TimerId, MILLIS, SECONDS};
-use mind_types::{BitCode, NodeId};
+use mind_types::{BitCode, DetHashMap, DetHashSet, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// Tag marking timer tokens owned by the overlay (top byte). An embedder
 /// multiplexing its own timers onto the same node must tag them
@@ -104,14 +104,14 @@ pub struct Overlay<P> {
     /// Extra regions claimed after recursive failure takeover.
     claimed: BTreeSet<BitCode>,
     pending_join: Option<PendingJoin>,
-    pending_rings: HashMap<u64, PendingRing<P>>,
+    pending_rings: DetHashMap<u64, PendingRing<P>>,
     /// The pending join-retry watchdog, cancelled once membership commits.
     join_retry_timer: Option<TimerId>,
     /// `true` once `on_start` has run: a second call is a restart after a
     /// crash, and stale membership must not be resumed.
     started: bool,
-    seen_probes: HashSet<u64>,
-    seen_floods: HashSet<u64>,
+    seen_probes: DetHashSet<u64>,
+    seen_floods: DetHashSet<u64>,
     seq: u64,
     hb_round: u64,
     join_epoch: u64,
@@ -172,11 +172,11 @@ impl<P: Clone> Overlay<P> {
             table,
             claimed: BTreeSet::new(),
             pending_join: None,
-            pending_rings: HashMap::new(),
+            pending_rings: DetHashMap::default(),
             join_retry_timer: None,
             started: false,
-            seen_probes: HashSet::new(),
-            seen_floods: HashSet::new(),
+            seen_probes: DetHashSet::default(),
+            seen_floods: DetHashSet::default(),
             seq: 0,
             hb_round: 0,
             join_epoch: 0,
@@ -605,7 +605,8 @@ impl<P: Clone> Overlay<P> {
         }
         // Walk endpoint: choose the shortest code in the neighborhood
         // (self included) — Adler's rule for balance with high probability.
-        let mut best = (self.code.expect("member has code"), self.id); // lint:allow(unwrap) walk endpoints are members
+        #[expect(clippy::expect_used, reason = "walk endpoints are members")]
+        let mut best = (self.code.expect("member has code"), self.id);
         for e in alive {
             if (e.code.len(), e.node.0) < (best.0.len(), best.1 .0) {
                 best = (e.code, e.node);
@@ -631,7 +632,8 @@ impl<P: Clone> Overlay<P> {
             out.send(joiner, OverlayMsg::JoinReject);
             return;
         }
-        let old_code = self.code.unwrap(); // lint:allow(unwrap) membership checked above
+        #[expect(clippy::unwrap_used, reason = "membership checked above")]
+        let old_code = self.code.unwrap();
         let awaiting: BTreeSet<NodeId> = self.table.alive_nodes().into_iter().collect();
         self.join_epoch += 1;
         let epoch = self.join_epoch;
@@ -731,7 +733,8 @@ impl<P: Clone> Overlay<P> {
         };
         // The split is committing: the abort watchdog can never be right.
         out.cancel_timer(pending.abort_timer);
-        let old_code = self.code.expect("acceptor has code"); // lint:allow(unwrap) only members accept joins
+        #[expect(clippy::expect_used, reason = "only members accept joins")]
+        let old_code = self.code.expect("acceptor has code");
         let my_new = old_code.child(false);
         let joiner_code = old_code.child(true);
         // Hand the joiner my (pre-split) neighbor entries; its final
@@ -987,7 +990,10 @@ impl<P: Clone> Overlay<P> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the RingProbe wire fields
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the RingProbe wire fields"
+    )]
     fn on_ring_probe(
         &mut self,
         from: NodeId,

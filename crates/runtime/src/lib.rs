@@ -22,6 +22,7 @@
 //!   cleanliness.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;
 pub mod control;

@@ -236,7 +236,10 @@ impl KdTree {
     /// (an empty active set is handled by the caller via wholesale
     /// emission). The bounding box changes on exactly one axis per
     /// recursion step, so containment is re-checked only on that axis.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the recursion carries its slice, box and active set by value to stay allocation-free"
+    )]
     fn range_rec(
         &self,
         rect: &HyperRect,
@@ -316,7 +319,10 @@ impl KdTree {
 
     /// Counting twin of [`Self::range_rec`]: identical pruning, but adds
     /// slice lengths and popcounts instead of materializing ids.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors range_rec's recursion state"
+    )]
     fn count_rec(
         &self,
         rect: &HyperRect,

@@ -25,6 +25,7 @@
 //! the `store_range` fuzz target.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod dac;
 pub mod kdtree;

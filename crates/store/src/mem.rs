@@ -255,12 +255,22 @@ mod tests {
     #[test]
     fn range_records_shares_not_copies() {
         let mut s = MemStore::new(1);
-        s.insert(rec(&[3, 77]));
-        let hits = s.range_records(&HyperRect::new(vec![0], vec![10]));
-        assert_eq!(hits.len(), 1);
-        // The handle aliases the stored record: two strong refs, same data.
-        assert_eq!(Arc::strong_count(&hits[0]), 2);
-        assert_eq!(hits[0].value(1), 77);
+        for i in 0..1500u64 {
+            s.insert(rec(&[i, i + 77]));
+        }
+        // Ids 1000..1100 straddle the sealed run and the tail.
+        assert_eq!((run_lens(&s), s.tail[0].len()), (vec![TAIL], 1500 - TAIL));
+        let rect = HyperRect::new(vec![1000], vec![1099]);
+        let (mut a, mut b) = (s.range_records(&rect), s.range_records(&rect));
+        a.sort_by_key(|r| r.value(0));
+        b.sort_by_key(|r| r.value(0));
+        assert_eq!(a.len(), 100);
+        for (x, y) in a.iter().zip(&b) {
+            // Both scans alias the stored record: one allocation, three refs.
+            assert!(Arc::ptr_eq(x, y));
+            assert_eq!(Arc::strong_count(x), 3);
+            assert_eq!(x.value(1), x.value(0) + 77);
+        }
     }
 
     #[test]

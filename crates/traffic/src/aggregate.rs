@@ -8,7 +8,7 @@
 //! indexing affordable at backbone scale.
 
 use crate::flow::RawFlow;
-use std::collections::{HashMap, HashSet};
+use mind_types::{DetHashMap, DetHashSet};
 
 /// One aggregated flow record: the unit MIND actually indexes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,11 +39,11 @@ pub struct AggRecord {
 pub fn aggregate_window(flows: &[RawFlow], window_start: u64, window_len: u64) -> Vec<AggRecord> {
     struct State {
         octets: u64,
-        conns: HashSet<(u32, u16, u32, u16)>,
-        ports: HashMap<u16, u32>,
+        conns: DetHashSet<(u32, u16, u32, u16)>,
+        ports: DetHashMap<u16, u32>,
         router: u16,
     }
-    let mut map: HashMap<(u32, u32), State> = HashMap::new();
+    let mut map: DetHashMap<(u32, u32), State> = DetHashMap::default();
     for f in flows {
         if f.start < window_start || f.start >= window_start + window_len {
             continue;
@@ -51,8 +51,8 @@ pub fn aggregate_window(flows: &[RawFlow], window_start: u64, window_len: u64) -
         let key = (f.dst_prefix(), f.src_prefix());
         let st = map.entry(key).or_insert_with(|| State {
             octets: 0,
-            conns: HashSet::new(),
-            ports: HashMap::new(),
+            conns: DetHashSet::default(),
+            ports: DetHashMap::default(),
             router: f.router,
         });
         st.octets += f.bytes;

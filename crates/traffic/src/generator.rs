@@ -224,7 +224,7 @@ impl TrafficGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use mind_types::DetHashMap;
 
     fn generator() -> TrafficGenerator {
         TrafficGenerator::new(TrafficConfig::default())
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn prefix_popularity_skewed() {
         let g = generator();
-        let mut counts: HashMap<u32, u64> = HashMap::new();
+        let mut counts: DetHashMap<u32, u64> = DetHashMap::default();
         for w in 0..100 {
             for f in g.window_flows(0, w * 30, 30, 0) {
                 *counts.entry(f.dst_prefix()).or_insert(0) += 1;
@@ -305,7 +305,7 @@ mod tests {
     fn hourly_popularity_churns_daily_stays() {
         let g = generator();
         let top_prefix = |day: u64, hour: u64| -> u32 {
-            let mut counts: HashMap<u32, u64> = HashMap::new();
+            let mut counts: DetHashMap<u32, u64> = DetHashMap::default();
             for w in 0..40 {
                 for f in g.window_flows(day, hour * 3600 + w * 30, 30, 0) {
                     *counts.entry(f.dst_prefix()).or_insert(0) += 1;

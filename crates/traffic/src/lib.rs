@@ -24,6 +24,7 @@
 //! measurable; [`schemas`] defines the paper's three evaluation indices.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod aggregate;
 pub mod anomaly;

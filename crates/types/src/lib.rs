@@ -19,6 +19,7 @@
 //!   done to its bytes: buffer them, count them, hash them.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod code;
 pub mod driver;
@@ -36,6 +37,24 @@ pub use node::{NodeId, NodeLogic, Outbox, SimTime, TimerId, WireSize};
 pub use record::{Record, RecordId};
 pub use rect::HyperRect;
 pub use schema::{AttrDef, AttrKind, IndexSchema};
+
+/// std's `HashMap` with a fixed-key hasher (SipHash-1-3, as `RandomState`,
+/// but keyed the same in every process), so its iteration order is a
+/// function of its insert/remove sequence and same-seed runs replay it.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one place std's randomly seeded map is named"
+)]
+pub type DetHashMap<K, V> = std::collections::HashMap<K, V, FixedState>;
+
+/// std's `HashSet` over the fixed-key hasher of [`DetHashMap`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one place std's randomly seeded set is named"
+)]
+pub type DetHashSet<T> = std::collections::HashSet<T, FixedState>;
+
+type FixedState = std::hash::BuildHasherDefault<std::hash::DefaultHasher>;
 
 /// A single attribute value.
 ///

@@ -10,6 +10,12 @@
 //! cargo run --release --example realtime_tcp
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a real-time demo: it waits on the wall clock and hands TcpHost std's peer map"
+)]
+
 use mind::core::{MindConfig, MindNode, Replication};
 use mind::histogram::CutTree;
 use mind::net::TcpHost;

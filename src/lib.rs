@@ -22,6 +22,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub use mind_audit as audit;
 pub use mind_baselines as baselines;

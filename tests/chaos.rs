@@ -509,7 +509,6 @@ fn batched_ingest_survives_chaos_and_replays_identically() {
 /// failure horizon — no partition to ride out, so a takeover (and the
 /// senders' stale contacts) settles within a run. Also returns the
 /// configs a joiner needs, the cuts, and every node's code length.
-#[allow(clippy::type_complexity)]
 fn build_unbalanced(
     n: usize,
     seed: u64,

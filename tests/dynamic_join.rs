@@ -128,8 +128,8 @@ fn joiner_learns_catalog_and_historical_data_stays_queryable() {
     let outcome = world.node(new).query_outcome(qid).expect("query finished");
     assert!(outcome.complete, "query must complete on the grown overlay");
     if outcome.records.len() != 120 {
-        use std::collections::HashMap;
-        let mut counts: HashMap<Vec<u64>, usize> = HashMap::new();
+        use mind::types::DetHashMap;
+        let mut counts: DetHashMap<Vec<u64>, usize> = DetHashMap::default();
         for r in &outcome.records {
             *counts.entry(r.values().to_vec()).or_insert(0) += 1;
         }
