@@ -410,22 +410,6 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
             })
             .sum()
     }
-
-    /// Approximate stored bytes per node for one index (primary + replica
-    /// stores, all versions). Served from the stores' incremental byte
-    /// counters, so sampling this every simulated minute stays O(nodes).
-    pub fn storage_bytes_distribution(&self, index: &str) -> Vec<u64> {
-        (0..self.driver.len())
-            .map(|k| {
-                let index = index.to_string();
-                self.driver.read(NodeId(k as u32), move |n| {
-                    n.index_state(&index)
-                        .map(|s| s.approx_bytes() as u64)
-                        .unwrap_or(0)
-                })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

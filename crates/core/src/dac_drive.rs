@@ -195,13 +195,13 @@ impl MindNode {
                 }
             }
         }
-        let batch_id = self.batch_seq;
-        self.batch_seq += 1;
-        self.pending_batches.insert(batch_id, result);
+        // At most one batch is in flight: the next tick is armed only when
+        // this one is released.
+        self.pending_batch = Some(result);
         // Results (and the next batch) are released when this batch's
         // processing time has elapsed — storage work is not interleaved
         // with network transmission, exactly as in the prototype.
-        out.set_timer(cost.max(1), token(KIND_BATCH, batch_id));
+        out.set_timer(cost.max(1), token(KIND_BATCH, 0));
     }
 
     /// `true` when this node's own code covers every leaf under `target`
@@ -523,8 +523,8 @@ impl MindNode {
         }
     }
 
-    fn release_batch(&mut self, now: SimTime, batch_id: u64, out: &mut Out) {
-        if let Some(result) = self.pending_batches.remove(&batch_id) {
+    fn release_batch(&mut self, now: SimTime, out: &mut Out) {
+        if let Some(result) = self.pending_batch.take() {
             for sent_at in result.insert_sent_ats {
                 if self.metrics.insert_latencies.len() < self.cfg.metrics_samples_max {
                     self.metrics
@@ -561,11 +561,6 @@ impl MindNode {
         }
     }
 
-    /// Pending (unprocessed) DAC requests — the Figure 11 hotspot signal.
-    pub fn dac_pending(&self) -> usize {
-        self.dac_queue.len()
-    }
-
     /// Primary rows of `index` resident here although neither this node's
     /// code nor a region it claimed covers their leaf code — 0 once
     /// ingest has settled, except for the rows a join acceptor keeps for
@@ -587,16 +582,10 @@ impl MindNode {
     }
 
     /// Handles DAC-class timers; `true` if `kind` was ours.
-    pub(crate) fn handle_dac_timer(
-        &mut self,
-        now: SimTime,
-        kind: u64,
-        arg: u64,
-        out: &mut Out,
-    ) -> bool {
+    pub(crate) fn handle_dac_timer(&mut self, now: SimTime, kind: u64, out: &mut Out) -> bool {
         match kind {
             KIND_DAC_TICK => self.dac_tick(now, out),
-            KIND_BATCH => self.release_batch(now, arg, out),
+            KIND_BATCH => self.release_batch(now, out),
             _ => return false,
         }
         true
@@ -656,9 +645,8 @@ mod tests {
     fn run_dac(n: &mut MindNode) -> Vec<(NodeId, MindPayload)> {
         let mut out = Out::new();
         while n.dac_busy {
-            let batch_id = n.batch_seq;
-            n.handle_dac_timer(1_000, KIND_DAC_TICK, 0, &mut out);
-            n.handle_dac_timer(1_000, KIND_BATCH, batch_id, &mut out);
+            n.handle_dac_timer(1_000, KIND_DAC_TICK, &mut out);
+            n.handle_dac_timer(1_000, KIND_BATCH, &mut out);
         }
         let direct = |(to, msg)| match msg {
             OverlayMsg::Direct { payload } => (to, payload),
@@ -667,12 +655,10 @@ mod tests {
         out.sends.into_iter().map(direct).collect()
     }
 
-    /// Ids and rows of a whole store, each sorted.
-    fn contents(store: &dyn mind_store::Store) -> (Vec<mind_types::RecordId>, Vec<Vec<Value>>) {
+    /// Row count and sorted rows of a whole store.
+    fn contents(store: &dyn mind_store::Store) -> (usize, Vec<Vec<Value>>) {
         let all = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
-        let mut ids = store.range_ids(&all);
-        ids.sort();
-        (ids, sorted(store.range_records(&all)))
+        (store.len(), sorted(store.range_records(&all)))
     }
 
     /// A prefix-free set of region codes: walks the tree from `code`,
@@ -745,21 +731,20 @@ mod tests {
             &mut out,
         );
 
-        let batch_id = n.batch_seq;
         let mut out = Out::new();
-        assert!(n.handle_dac_timer(1, KIND_DAC_TICK, 0, &mut out));
+        assert!(n.handle_dac_timer(1, KIND_DAC_TICK, &mut out));
         assert!(out.sends.is_empty(), "no answer before the batch is paid");
         let [(delay, tok, _)] = out.timers[..] else {
             panic!("one batch-release timer, got {:?}", out.timers);
         };
-        assert_eq!(tok, token(KIND_BATCH, batch_id));
+        assert_eq!(tok, token(KIND_BATCH, 0));
         assert!(
             delay >= cost.per_insert * 5000 + cost.per_query,
             "queued inserts dominate, got {delay}"
         );
 
         let mut out = Out::new();
-        assert!(n.handle_dac_timer(1 + delay, KIND_BATCH, batch_id, &mut out));
+        assert!(n.handle_dac_timer(1 + delay, KIND_BATCH, &mut out));
         let [(NodeId(1), OverlayMsg::Direct { payload })] = &out.sends[..] else {
             panic!("one direct answer to the origin, got {:?}", out.sends);
         };

@@ -184,16 +184,6 @@ impl IndexState {
         self.versions.iter().map(|v| v.primary_rows).sum()
     }
 
-    /// Approximate heap bytes across all versions' stores (primary +
-    /// replica). Cheap — the stores maintain their counters incrementally,
-    /// so storage-balance sampling never walks the record heaps.
-    pub fn approx_bytes(&self) -> usize {
-        self.versions
-            .iter()
-            .map(|v| v.primary.approx_bytes() + v.replicas.approx_bytes())
-            .sum()
-    }
-
     /// Drops every version's stored rows (crash-lost in-memory state)
     /// while keeping the catalog — schema, cut trees, version numbering —
     /// intact. Used when a node restarts after a crash.

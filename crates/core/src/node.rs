@@ -157,8 +157,8 @@ pub struct MindNode {
     // DAC (crate::dac_drive)
     pub(crate) dac_queue: VecDeque<DacJob>,
     pub(crate) dac_busy: bool,
-    pub(crate) batch_seq: u64,
-    pub(crate) pending_batches: DetHashMap<u64, BatchResult>,
+    /// The processed batch waiting out its modelled cost.
+    pub(crate) pending_batch: Option<BatchResult>,
     // origin-side wire batching (crate::reliability)
     /// Insert groups with buffered rows or unacked frames — a `BTreeMap`
     /// so a bulk drain walks them in a replay-stable order.
@@ -247,8 +247,7 @@ impl MindNode {
             indexes: BTreeMap::new(),
             dac_queue: VecDeque::new(),
             dac_busy: false,
-            batch_seq: 0,
-            pending_batches: DetHashMap::default(),
+            pending_batch: None,
             wire_batches: BTreeMap::new(),
             wire_batch_keys: DetHashMap::default(),
             wire_batch_seq: 0,
@@ -284,7 +283,7 @@ impl MindNode {
     fn reset_after_restart(&mut self) {
         self.dac_queue.clear();
         self.dac_busy = false;
-        self.pending_batches.clear();
+        self.pending_batch = None;
         // Buffered-but-unsent rows die with the crash (their op ids were
         // never reserved, so nothing retries them) — same loss semantics
         // as records sitting in the DAC queue — and with them each
@@ -1006,7 +1005,7 @@ impl NodeLogic for MindNode {
         let arg = tok & 0xFFFF_FFFF_FFFF;
         // Each protocol concern claims its own timer kinds; the chain
         // stops at the first taker.
-        let _ = self.handle_dac_timer(now, kind, arg, out)
+        let _ = self.handle_dac_timer(now, kind, out)
             || self.handle_query_timer(now, kind, arg, out)
             || self.handle_rollover_timer(kind, arg, out)
             || self.handle_reliability_timer(now, kind, arg, out);

@@ -3,6 +3,10 @@
 //! Every frame is `u32` little-endian payload length followed by the
 //! payload (a [`crate::wire`]-encoded message). A 64 MiB cap guards
 //! against corrupted peers.
+//!
+//! Framing never flushes: the caller owns buffering and decides when its
+//! bytes leave (the TCP host writes a whole pass per peer at once; the
+//! control protocol flushes after each message).
 
 use std::io::{self, Read, Write};
 
@@ -10,7 +14,7 @@ use std::io::{self, Read, Write};
 /// records stays far below this).
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Writes one frame.
+/// Writes one frame into `w` without flushing it.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -19,8 +23,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
         ));
     }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    w.write_all(payload)
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF at a frame boundary.

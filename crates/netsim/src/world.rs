@@ -267,19 +267,9 @@ where
         self.crash_now(id);
     }
 
-    /// Schedules a crash.
-    pub fn schedule_crash(&mut self, id: NodeId, at: SimTime) {
-        self.push_event(at, id, EventKind::Crash);
-    }
-
     /// Revives a dead node: bumps its incarnation and replays `on_start`.
     pub fn revive_node(&mut self, id: NodeId) {
         self.revive_now(id);
-    }
-
-    /// Schedules a revive.
-    pub fn schedule_revive(&mut self, id: NodeId, at: SimTime) {
-        self.push_event(at, id, EventKind::Revive);
     }
 
     /// Makes the (bidirectional) link between `a` and `b` unusable during
@@ -379,13 +369,6 @@ where
     /// backlogs (diagnostics).
     pub fn pending_events(&self) -> usize {
         self.queue.len() + self.backlog_total
-    }
-
-    /// Events parked in busy-host backlogs alone (diagnostics): the
-    /// `pending_events` share that is CPU contention rather than
-    /// scheduled future work.
-    pub fn backlog_len(&self) -> usize {
-        self.backlog_total
     }
 
     /// An outbox whose timer ids continue this node's sequence.

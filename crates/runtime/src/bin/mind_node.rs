@@ -130,7 +130,7 @@ fn main() -> ExitCode {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(1);
-    let mind_cfg = MindConfig {
+    let mut mind_cfg = MindConfig {
         retry_timeout: args.retry_ms * MILLIS,
         anti_entropy_interval: args.anti_entropy_ms * MILLIS,
         insert_batch_max: args.batch_max,
@@ -138,6 +138,12 @@ fn main() -> ExitCode {
         boot_id,
         ..MindConfig::default()
     };
+    // No MySQL stands behind a real node: zero the simulator's modelled
+    // DAC cost, so what a batch costs is the store's own work.
+    mind_cfg.dac_cost.batch_overhead = 0;
+    mind_cfg.dac_cost.per_insert = 0;
+    mind_cfg.dac_cost.per_query = 0;
+    mind_cfg.dac_cost.per_result = 0;
     let logic = MindNode::new_static(
         id,
         topo.code(args.id as usize),

@@ -12,7 +12,7 @@ use mind_net::frame::{read_frame, write_frame};
 use mind_net::{from_bytes, to_bytes, HostStatsSnapshot};
 use mind_types::{IndexSchema, Record};
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -147,6 +147,7 @@ impl ControlClient {
     pub fn call(&mut self, req: &ControlRequest) -> io::Result<ControlResponse> {
         let bytes = to_bytes(req).map_err(io::Error::other)?;
         write_frame(&mut self.writer, &bytes)?;
+        self.writer.flush()?;
         let Some(reply) = read_frame(&mut self.reader)? else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,

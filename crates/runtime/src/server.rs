@@ -15,7 +15,7 @@ use mind_histogram::CutTree;
 use mind_net::frame::{read_frame, write_frame};
 use mind_net::{from_bytes, to_bytes, HostHandle};
 use mind_types::{HyperRect, NodeId};
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -52,7 +52,10 @@ pub fn serve(listener: TcpListener, id: NodeId, handle: HostHandle<MindNode>) {
                     let is_shutdown = matches!(req, ControlRequest::Shutdown);
                     let resp = answer(&handle, id, req);
                     if let Ok(frame) = to_bytes(&resp) {
-                        if write_frame(&mut writer, &frame).is_err() {
+                        if write_frame(&mut writer, &frame)
+                            .and_then(|()| writer.flush())
+                            .is_err()
+                        {
                             break;
                         }
                     }

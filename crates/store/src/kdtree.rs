@@ -23,8 +23,6 @@
 //!   paper's wildcard monitoring queries, which constrain only time)
 //!   degenerate into a one-dimensional walk ending in a handful of
 //!   `memcpy`s.
-//! * **Counting traversal** — [`KdTree::count_range`] walks the same
-//!   structure but only adds slice lengths; it never materializes ids.
 //! * **Leaf buckets** — slices at or below [`LEAF_CUTOFF`] are left
 //!   unpartitioned and scanned dimension-major: one sequential sweep per
 //!   column, AND-ed into a hit bitmask. At that size a branchy descent
@@ -171,25 +169,6 @@ impl KdTree {
         out
     }
 
-    /// Counts points inside `rect` without materializing ids: the same
-    /// pruned traversal as [`Self::range`], accumulating slice lengths for
-    /// fully contained subtrees and never touching an output vector.
-    pub fn count_range(&self, rect: &HyperRect) -> usize {
-        assert_eq!(rect.dims(), self.dims, "query dimensionality mismatch");
-        if self.ids.is_empty() {
-            return 0;
-        }
-        let Some(active) = self.root_active_dims(rect) else {
-            return 0; // disjoint from the data's bounding box
-        };
-        if active == 0 {
-            return self.ids.len();
-        }
-        let mut bb_lo = self.bb_lo.clone();
-        let mut bb_hi = self.bb_hi.clone();
-        self.count_rec(rect, 0, self.ids.len(), 0, &mut bb_lo, &mut bb_hi, active)
-    }
-
     /// The *active dimension set* at the root: bit `d` is set when the
     /// query rectangle does **not** already contain the data's bounding
     /// box on dimension `d`. Returns `None` when the query is disjoint
@@ -315,73 +294,6 @@ impl KdTree {
             }
             bb_lo[axis] = saved;
         }
-    }
-
-    /// Counting twin of [`Self::range_rec`]: identical pruning, but adds
-    /// slice lengths and popcounts instead of materializing ids.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors range_rec's recursion state"
-    )]
-    fn count_rec(
-        &self,
-        rect: &HyperRect,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        bb_lo: &mut [Value],
-        bb_hi: &mut [Value],
-        active: u32,
-    ) -> usize {
-        debug_assert!(active != 0, "contained slices are counted by the caller");
-        if lo >= hi {
-            return 0;
-        }
-        if hi - lo <= LEAF_CUTOFF {
-            return leaf_mask(&self.cols, rect, lo, hi, active).count_ones() as usize;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let axis = depth % self.dims;
-        let coord = self.cols[axis][mid];
-        let mut n = usize::from(self.point_in(mid, rect, active));
-        let bit = 1u32 << axis;
-        if rect.lo(axis) <= coord {
-            let saved = bb_hi[axis];
-            bb_hi[axis] = saved.min(coord);
-            let child = if active & bit != 0
-                && rect.lo(axis) <= bb_lo[axis]
-                && bb_hi[axis] <= rect.hi(axis)
-            {
-                active & !bit
-            } else {
-                active
-            };
-            n += if child == 0 {
-                mid - lo
-            } else {
-                self.count_rec(rect, lo, mid, depth + 1, bb_lo, bb_hi, child)
-            };
-            bb_hi[axis] = saved;
-        }
-        if rect.hi(axis) >= coord {
-            let saved = bb_lo[axis];
-            bb_lo[axis] = saved.max(coord);
-            let child = if active & bit != 0
-                && rect.lo(axis) <= bb_lo[axis]
-                && bb_hi[axis] <= rect.hi(axis)
-            {
-                active & !bit
-            } else {
-                active
-            };
-            n += if child == 0 {
-                hi - (mid + 1)
-            } else {
-                self.count_rec(rect, mid + 1, hi, depth + 1, bb_lo, bb_hi, child)
-            };
-            bb_lo[axis] = saved;
-        }
-        n
     }
 
     /// Consumes the tree, returning the raw points (transposed back to
@@ -515,7 +427,6 @@ mod tests {
         let t = KdTree::build(3, vec![]);
         assert!(t.is_empty());
         assert!(t.range_vec(&HyperRect::full(3)).is_empty());
-        assert_eq!(t.count_range(&HyperRect::full(3)), 0);
     }
 
     #[test]
@@ -528,7 +439,6 @@ mod tests {
         assert!(t
             .range_vec(&HyperRect::new(vec![6, 0], vec![10, 10]))
             .is_empty());
-        assert_eq!(t.count_range(&HyperRect::new(vec![5, 5], vec![5, 5])), 1);
     }
 
     #[test]
@@ -537,7 +447,6 @@ mod tests {
         let t = KdTree::build(2, pts);
         let hits = t.range_vec(&HyperRect::new(vec![7, 7], vec![7, 7]));
         assert_eq!(hits.len(), 20);
-        assert_eq!(t.count_range(&HyperRect::new(vec![7, 7], vec![7, 7])), 20);
     }
 
     #[test]
@@ -558,10 +467,10 @@ mod tests {
         let mut got = t.range_vec(&HyperRect::full(2));
         got.sort();
         assert_eq!(got, brute(&pts, &HyperRect::full(2)));
-        assert_eq!(t.count_range(&HyperRect::full(2)), 500);
         // Exactly the bounding box also fully contains.
-        let bb = HyperRect::new(vec![0, 0], vec![36, 90]);
-        assert_eq!(t.count_range(&bb), 500);
+        let mut in_bb = t.range_vec(&HyperRect::new(vec![0, 0], vec![36, 90]));
+        in_bb.sort();
+        assert_eq!(in_bb, got);
     }
 
     #[test]
@@ -594,7 +503,6 @@ mod tests {
             let mut got = tree.range_vec(&rect);
             got.sort();
             assert_eq!(got, brute(&points, &rect));
-            assert_eq!(tree.count_range(&rect), got.len());
         }
     }
 
@@ -626,7 +534,6 @@ mod tests {
             );
             let mut got = tree.range_vec(&rect);
             got.sort();
-            prop_assert_eq!(tree.count_range(&rect), got.len());
             prop_assert_eq!(got, brute(&points, &rect));
         }
     }

@@ -176,17 +176,6 @@ impl MemStore {
             .collect()
     }
 
-    /// Counts records inside `rect` (allocation-free: counting traversals
-    /// over the runs plus popcounts of the tail's bitmasks).
-    pub fn count_range(&self, rect: &HyperRect) -> usize {
-        let in_runs: usize = self.runs.iter().map(|run| run.count_range(rect)).sum();
-        let in_tail: usize = self
-            .tail_masks(rect)
-            .map(|(_, mask)| mask.count_ones() as usize)
-            .sum();
-        in_runs + in_tail
-    }
-
     /// Approximate heap footprint in bytes (storage-balance metrics).
     ///
     /// Maintained incrementally on insert — sampling storage balance across
@@ -205,14 +194,8 @@ impl crate::Store for MemStore {
     fn insert(&mut self, record: Record) -> RecordId {
         MemStore::insert(self, record)
     }
-    fn range_ids(&self, rect: &HyperRect) -> Vec<RecordId> {
-        MemStore::range_ids(self, rect)
-    }
     fn range_records(&self, rect: &HyperRect) -> Vec<Arc<Record>> {
         MemStore::range_records(self, rect)
-    }
-    fn count_range(&self, rect: &HyperRect) -> usize {
-        MemStore::count_range(self, rect)
     }
     fn approx_bytes(&self) -> usize {
         MemStore::approx_bytes(self)
@@ -282,13 +265,10 @@ mod tests {
         // The first 1,024 records are sealed into a run, the rest are in
         // the tail; a rect over ids 1000..1100 straddles the two.
         assert_eq!((run_lens(&s), s.tail[0].len()), (vec![TAIL], 2000 - TAIL));
-        assert_eq!(s.count_range(&HyperRect::new(vec![0], vec![1999])), 2000);
-        assert_eq!(s.count_range(&HyperRect::new(vec![500], vec![599])), 100);
         let straddle = HyperRect::new(vec![1000], vec![1099]);
         let mut ids = s.range_ids(&straddle);
         ids.sort();
         assert_eq!(ids, (1000..1100).map(RecordId).collect::<Vec<_>>());
-        assert_eq!(s.count_range(&straddle), 100);
     }
 
     #[test]
@@ -355,7 +335,6 @@ mod tests {
         b.sort();
         assert_eq!(a, (100..=4500).map(RecordId).collect::<Vec<_>>());
         assert_eq!(a, b);
-        assert_eq!(batched.count_range(&rect), singles.count_range(&rect));
     }
 
     #[test]
@@ -379,7 +358,6 @@ mod tests {
                 .map(RecordId)
                 .collect();
             assert_eq!(ids, want);
-            assert_eq!(s.count_range(&rect), want.len());
         }
     }
 
@@ -444,7 +422,6 @@ mod tests {
                 .filter(|&&(x, y)| rect.contains_point(&[x, y]))
                 .count();
             prop_assert_eq!(s.range_ids(&rect).len(), expected);
-            prop_assert_eq!(s.count_range(&rect), expected);
         }
     }
 }

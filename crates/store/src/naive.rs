@@ -1,9 +1,8 @@
 //! The original array-of-structs k-d tree, kept as a reference oracle.
 //!
 //! This is the tree [`crate::KdTree`] replaced: one heap-allocated
-//! `Vec<Value>` per point, no bounding-box pruning, and a `count_range`
-//! that materializes ids just to take their length. It stays in the crate
-//! for differential testing: the columnar tree's proptests and the
+//! `Vec<Value>` per point and no bounding-box pruning. It stays in the
+//! crate for differential testing: the columnar tree's proptests and the
 //! `store_range` fuzz body check every query against this implementation
 //! point-for-point (see `crates/store/tests/columnar_prop.rs`).
 //!
@@ -66,13 +65,6 @@ impl NaiveKdTree {
         out
     }
 
-    /// Counts points inside `rect` — via a scratch id vector, which is
-    /// exactly the allocation the columnar tree's counting traversal
-    /// removed.
-    pub fn count_range(&self, rect: &HyperRect) -> usize {
-        self.range_vec(rect).len()
-    }
-
     fn range_rec(
         &self,
         rect: &HyperRect,
@@ -133,6 +125,5 @@ mod tests {
         assert_eq!(t.len(), 100);
         let hits = t.range_vec(&HyperRect::new(vec![0, 0], vec![9, 49]));
         assert_eq!(hits.len(), 10);
-        assert_eq!(t.count_range(&HyperRect::full(2)), 100);
     }
 }

@@ -1,6 +1,6 @@
 //! Differential suite for the store backend: the columnar [`MemStore`], the
 //! pre-columnar [`NaiveKdTree`] oracle, and a brute-force scan must agree
-//! *exactly* on `range_ids` / `count_range` — an independent implementation
+//! *exactly* on `range_ids` — an independent implementation
 //! is the strongest correctness oracle the backend can get (mirrors
 //! `columnar_prop.rs`, which races the columnar tree alone).
 //!
@@ -11,7 +11,7 @@
 //! either side of the sizes where `MemStore` seals its 1,024-row tail and
 //! merges runs four at a time.
 
-use mind_store::{MemStore, NaiveKdTree, StoreKind};
+use mind_store::{MemStore, NaiveKdTree, Store};
 use mind_types::{HyperRect, Record, RecordId};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -45,7 +45,8 @@ fn build_all(points: &[Vec<u64>]) -> (MemStore, NaiveKdTree) {
     (mem, NaiveKdTree::build(3, entries))
 }
 
-/// Asserts all three implementations agree on `rect`, returning the count.
+/// Asserts all three implementations agree on `rect`, returning how many
+/// ids they found.
 fn assert_agree(
     points: &[Vec<u64>],
     mem: &MemStore,
@@ -55,8 +56,6 @@ fn assert_agree(
     let oracle = brute(points, rect);
     assert_eq!(sorted(mem.range_ids(rect)), oracle, "columnar vs brute");
     assert_eq!(sorted(naive.range_vec(rect)), oracle, "naive vs brute");
-    assert_eq!(mem.count_range(rect), oracle.len(), "columnar count");
-    assert_eq!(naive.count_range(rect), oracle.len(), "naive count");
     oracle.len()
 }
 
@@ -92,7 +91,7 @@ fn rect_from(a: Vec<u64>, b: Vec<u64>) -> HyperRect {
 
 proptest! {
     /// Duplicate-heavy small domains: store and oracle agree with brute
-    /// force on ids and counts.
+    /// force on ids.
     #[test]
     fn backends_agree_on_duplicate_heavy_inputs(
         points in dup_points(6, 300),
@@ -130,10 +129,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batch cuts are observationally invisible through the `Store` trait:
-    /// a store filled one row at a time and one filled by batches cut at
-    /// arbitrary rows give the same answers. The points are cycled to
-    /// 5,000 rows, past four seals and a merge.
+    /// Batch cuts are observationally invisible: a store filled one row at
+    /// a time and one filled by batches cut at arbitrary rows give the
+    /// same answers. The points are cycled to 5,000 rows, past four seals
+    /// and a merge.
     #[test]
     fn any_batch_cut_is_observationally_invisible(
         points in dup_points(40, 400),
@@ -144,11 +143,11 @@ proptest! {
         let rows: Vec<Vec<u64>> = points.iter().cycle().take(5000).cloned().collect();
         let rect = rect_from(a, b);
         let oracle = brute(&rows, &rect);
-        let mut singles = StoreKind::KdTree.new_store(3);
+        let mut singles = MemStore::new(3);
         for r in &rows {
             singles.insert(Record::new(r.clone()));
         }
-        let mut batched = StoreKind::KdTree.new_store(3);
+        let mut batched = MemStore::new(3);
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(rows.len())).collect();
         cuts.sort_unstable();
         let mut from = 0;
@@ -159,8 +158,6 @@ proptest! {
         prop_assert_eq!(batched.len(), rows.len());
         prop_assert_eq!(&sorted(singles.range_ids(&rect)), &oracle, "singles");
         prop_assert_eq!(&sorted(batched.range_ids(&rect)), &oracle, "batched");
-        prop_assert_eq!(singles.count_range(&rect), oracle.len());
-        prop_assert_eq!(batched.count_range(&rect), oracle.len());
     }
 }
 

@@ -6,7 +6,7 @@
 //! answers — the permutation-based layout, the bounding-box containment
 //! fast path (wholesale slice emission), and the leaf buckets — so every
 //! property here compares sorted id multisets across all three
-//! implementations, and `count_range` against the materialized count.
+//! implementations.
 
 use mind_store::{KdTree, MemStore, NaiveKdTree};
 use mind_types::{HyperRect, Record, RecordId, Value};
@@ -61,8 +61,6 @@ proptest! {
         let want = brute(&points, &rect);
         prop_assert_eq!(&sorted(columnar.range_vec(&rect)), &want);
         prop_assert_eq!(&sorted(naive.range_vec(&rect)), &want);
-        prop_assert_eq!(columnar.count_range(&rect), want.len());
-        prop_assert_eq!(naive.count_range(&rect), want.len());
     }
 
     /// The full-containment fast path: query rectangles that swallow the
@@ -77,7 +75,6 @@ proptest! {
         let got = sorted(columnar.range_vec(&all));
         let want: Vec<RecordId> = (0..points.len() as u64).map(RecordId).collect();
         prop_assert_eq!(got, want);
-        prop_assert_eq!(columnar.count_range(&all), points.len());
     }
 
     /// Runs-and-tail interleavings: a MemStore mid-stream (the older rows
@@ -106,7 +103,6 @@ proptest! {
         );
         let expected = rows.iter().filter(|p| rect.contains_point(p)).count();
         prop_assert_eq!(store.range_ids(&rect).len(), expected);
-        prop_assert_eq!(store.count_range(&rect), expected);
         // Same ids, not just same counts.
         prop_assert_eq!(
             sorted(store.range_ids(&rect)),
@@ -122,14 +118,11 @@ fn empty_and_singleton_trees() {
     let q = HyperRect::new(vec![0, 0], vec![100, 100]);
     assert!(empty.range_vec(&q).is_empty());
     assert!(naive_empty.range_vec(&q).is_empty());
-    assert_eq!(empty.count_range(&q), 0);
 
     let single = KdTree::build(2, vec![(vec![50, 50], RecordId(9))]);
     assert_eq!(single.range_vec(&q), vec![RecordId(9)]);
-    assert_eq!(single.count_range(&q), 1);
     let miss = HyperRect::new(vec![0, 0], vec![49, 100]);
     assert!(single.range_vec(&miss).is_empty());
-    assert_eq!(single.count_range(&miss), 0);
 }
 
 #[test]
@@ -142,7 +135,5 @@ fn all_points_identical() {
     let hit = HyperRect::new(vec![3, 3, 3], vec![3, 3, 3]);
     let miss = HyperRect::new(vec![4, 0, 0], vec![9, 9, 9]);
     assert_eq!(tree.range_vec(&hit).len(), 100);
-    assert_eq!(tree.count_range(&hit), 100);
     assert!(tree.range_vec(&miss).is_empty());
-    assert_eq!(tree.count_range(&miss), 0);
 }

@@ -20,6 +20,7 @@ use mind::core::{MindConfig, MindNode, Replication};
 use mind::histogram::CutTree;
 use mind::net::TcpHost;
 use mind::overlay::{OverlayConfig, StaticTopology};
+use mind::store::DacCostModel;
 use mind::types::node::MILLIS;
 use mind::types::{AttrDef, AttrKind, HyperRect, IndexSchema, NodeId, Record};
 use std::collections::HashMap;
@@ -47,6 +48,16 @@ fn main() {
         hb_interval: 250 * MILLIS,
         ..OverlayConfig::default()
     };
+    // Real sockets, no MySQL: zero the simulator's modelled DAC cost.
+    let mind_cfg = MindConfig {
+        dac_cost: DacCostModel {
+            batch_overhead: 0,
+            per_insert: 0,
+            per_query: 0,
+            per_result: 0,
+        },
+        ..MindConfig::default()
+    };
     let hosts: Vec<TcpHost<MindNode>> = listeners
         .into_iter()
         .enumerate()
@@ -56,7 +67,7 @@ fn main() {
                 topo.code(k),
                 topo.neighbor_entries(k),
                 overlay_cfg,
-                MindConfig::default(),
+                mind_cfg,
             );
             TcpHost::spawn(NodeId(k as u32), l, peers.clone(), node).unwrap()
         })
