@@ -375,7 +375,7 @@ impl MindNode {
     /// or regions that nest (no honest sender produces them), are scanned
     /// one by one.
     pub(crate) fn run_scan_batch(
-        &mut self,
+        &self,
         index: &str,
         version: u32,
         mut codes: Vec<BitCode>,
@@ -411,7 +411,6 @@ impl MindNode {
         let Some(clip) = ver.cuts.rect_for_code(&span).intersection(rect) else {
             return answers;
         };
-        let mut served = 0;
         let rows = ver.primary.range_records(&clip).into_iter();
         for row in rows.chain(ver.replicas.range_records(&clip)) {
             if !filters.iter().all(|f| f.accepts(&row)) {
@@ -422,11 +421,9 @@ impl MindNode {
             if let Some((code, rows)) = answers[..after].last_mut() {
                 if code.is_prefix_of(&leaf) {
                     rows.push(row);
-                    served += 1;
                 }
             }
         }
-        self.metrics.records_served += served;
         answers
     }
 
@@ -434,7 +431,7 @@ impl MindNode {
     /// records are shared handles into the store's record heap — nothing
     /// is materialized until (unless) the response crosses the wire.
     pub(crate) fn run_scan(
-        &mut self,
+        &self,
         index: &str,
         version: u32,
         code: &BitCode,
@@ -442,10 +439,10 @@ impl MindNode {
         filters: &[CarriedFilter],
         primary_only: bool,
     ) -> Vec<Arc<Record>> {
-        let Some(state) = self.indexes.get_mut(index) else {
+        let Some(state) = self.indexes.get(index) else {
             return Vec::new();
         };
-        let Some(ver) = state.version_mut(version) else {
+        let Some(ver) = state.version(version) else {
             return Vec::new();
         };
         // Clip to the sub-query's region so that (a) covering regions
@@ -474,7 +471,6 @@ impl MindNode {
         if !primary_only {
             out.extend(ver.replicas.range_records(&clip).into_iter().filter(accept));
         }
-        self.metrics.records_served += out.len() as u64;
         out
     }
 
@@ -823,6 +819,40 @@ mod tests {
         assert_eq!(left, applied(as_batch).1);
     }
 
+    /// `metrics_samples_max` bounds both sample vectors: at 0 a routed op
+    /// is still stored and acked but leaves no latency or hop sample; at
+    /// the default it leaves one of each.
+    #[test]
+    fn sample_cap_zero_keeps_no_latency_or_hop_sample() {
+        let bounds = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+        let cuts = CutTree::balanced_from_points(bounds, 3, &[]);
+        let mut sender = node_at(0, cuts.clone(), Replication::None);
+        let mut out = Out::new();
+        let row = Record::new(vec![200, 200, 5]);
+        sender.insert(10, "t", row.clone(), &mut out).unwrap();
+        let [(NodeId(1), frame)] = &out.sends[..] else {
+            panic!("one frame to the owner, got {:?}", out.sends);
+        };
+        for (cap, samples) in [(0, 0), (MindConfig::default().metrics_samples_max, 1)] {
+            let mut primary = node_at(1, cuts.clone(), Replication::None);
+            primary.cfg.metrics_samples_max = cap;
+            primary.on_message(20, NodeId(0), frame.clone(), &mut Out::new());
+            let sends = run_dac(&mut primary);
+            assert!(
+                matches!(sends[..], [(NodeId(0), MindPayload::Ack { .. })]),
+                "cap {cap}: one ack to the origin, got {sends:?}"
+            );
+            let (_, stored) = contents(&*primary.indexes["t"].versions[0].primary);
+            assert_eq!(stored, vec![row.values().to_vec()], "cap {cap}");
+            let m = &primary.metrics;
+            assert_eq!(
+                (m.insert_latencies.len(), m.insert_hops.len()),
+                (samples, samples),
+                "cap {cap}"
+            );
+        }
+    }
+
     proptest! {
         /// The normalisation is exact: one frame of k rows and k frames
         /// of one row, as a peer's `insert_op`/`replica_op` mint them,
@@ -925,20 +955,18 @@ mod tests {
                 .map(|(a, b)| CarriedFilter { attr: 2, lo: a.min(b), hi: a.max(b) })
                 .into_iter()
                 .collect();
-            let mut n = node_with(cuts, &primary, &replicas);
+            let n = node_with(cuts, &primary, &replicas);
             let mut expected: Vec<(BitCode, Vec<Vec<Value>>)> = codes
                 .iter()
                 .map(|c| (*c, sorted(n.run_scan("t", 0, c, &rect, &filters, false))))
                 .collect();
             expected.sort();
-            let served = n.metrics.records_served;
             let got: Vec<(BitCode, Vec<Vec<Value>>)> = n
                 .run_scan_batch("t", 0, codes, &rect, &filters)
                 .into_iter()
                 .map(|(c, rows)| (c, sorted(rows)))
                 .collect();
             prop_assert_eq!(&got, &expected);
-            prop_assert_eq!(n.metrics.records_served, 2 * served);
         }
     }
 }

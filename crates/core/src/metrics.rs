@@ -36,9 +36,6 @@ pub struct NodeMetrics {
     /// the ratio to `subqueries_answered` is the regions a frame pair and
     /// a store scan were shared by.
     pub query_regions_answered: u64,
-    /// Records this node's scans returned (zero-copy handles on the local
-    /// path; the counter tracks scan volume regardless of destination).
-    pub records_served: u64,
     /// Unacked insert/replica operations this node re-sent.
     pub retries_sent: u64,
     /// Acks received for this node's insert/replica operations.

@@ -125,7 +125,8 @@ pub struct MindConfig {
     /// ([`NodeMetrics::insert_latencies`] / `insert_hops`). The figure
     /// experiments keep the unlimited default; large-scale benchmarks set
     /// a finite cap so per-node memory stays bounded as worlds grow
-    /// (samples past the cap are dropped, the scalar counters still move).
+    /// (samples past the cap are dropped, the scalar counters still move),
+    /// and the long-lived `mind-node` process keeps none (`0`).
     pub metrics_samples_max: usize,
 }
 

@@ -234,20 +234,8 @@ where
         self.slots[id.0 as usize] = match slot {
             Slot::Down { logic, timer_seq } => {
                 let addr = self.peers[&id];
-                // The halted host's listener closes asynchronously with
-                // the accept loop; retry the rebind briefly.
-                let rebind_deadline = Instant::now() + Duration::from_secs(5);
-                let listener = loop {
-                    match TcpListener::bind(addr) {
-                        Ok(l) => break l,
-                        Err(e) => {
-                            if Instant::now() >= rebind_deadline {
-                                panic!("revive {id:?}: cannot rebind {addr}: {e}");
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                };
+                let listener = TcpListener::bind(addr)
+                    .unwrap_or_else(|e| panic!("revive {id:?}: cannot rebind {addr}: {e}"));
                 #[expect(
                     clippy::expect_used,
                     reason = "thread-spawn failure is fatal for the fleet"

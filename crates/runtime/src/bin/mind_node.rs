@@ -1,17 +1,15 @@
 //! `mind-node`: one process, one MIND node.
 //!
 //! ```text
-//! mind-node --id 2 --cluster cluster.txt [--batch-max 64]
-//!           [--batch-age-ms 5] [--retry-ms 500] [--hb-ms 500]
+//! mind-node --id 2 --cluster cluster.txt [--retry-ms 500] [--hb-ms 500]
 //!           [--anti-entropy-ms 45000]
 //! ```
 //!
-//! `--batch-max` rows at most share one insert frame to one owner;
-//! `--batch-age-ms` is the longest a row may wait behind that owner's
-//! unacked frame before it ships anyway — a cap, not a wait: with nothing
-//! in flight a row leaves at once (`--batch-max 1` turns batching off).
 //! `--retry-ms` is the base ack timeout before an unacked op is re-sent
-//! and must be > 0.
+//! and must be > 0. Insert batching is fixed: at most 64 rows share one
+//! insert frame to one owner, and a row waits at most 5 ms behind that
+//! owner's unacked frame before it ships anyway — a cap, not a wait: with
+//! nothing in flight a row leaves at once.
 //!
 //! Reads the cluster spec (`id node_addr control_addr` per line), binds
 //! this node's overlay and control listeners, hosts the `MindNode` logic
@@ -28,11 +26,14 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Rows at most in one insert frame to one owner.
+const INSERT_BATCH_MAX: usize = 64;
+/// The longest a row waits behind its owner's unacked frame.
+const INSERT_BATCH_AGE: u64 = 5 * MILLIS;
+
 struct Args {
     id: u32,
     cluster: PathBuf,
-    batch_max: usize,
-    batch_age_ms: u64,
     retry_ms: u64,
     hb_ms: u64,
     anti_entropy_ms: u64,
@@ -41,8 +42,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut id = None;
     let mut cluster = None;
-    let mut batch_max = 64usize;
-    let mut batch_age_ms = 5u64;
     let mut retry_ms = 500u64;
     let mut hb_ms = 500u64;
     let mut anti_entropy_ms = 45_000u64;
@@ -52,16 +51,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--id" => id = Some(val("--id")?.parse().map_err(|e| format!("--id: {e}"))?),
             "--cluster" => cluster = Some(PathBuf::from(val("--cluster")?)),
-            "--batch-max" => {
-                batch_max = val("--batch-max")?
-                    .parse()
-                    .map_err(|e| format!("--batch-max: {e}"))?;
-            }
-            "--batch-age-ms" => {
-                batch_age_ms = val("--batch-age-ms")?
-                    .parse()
-                    .map_err(|e| format!("--batch-age-ms: {e}"))?;
-            }
             "--retry-ms" => {
                 retry_ms = val("--retry-ms")?
                     .parse()
@@ -88,8 +77,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         id: id.ok_or("--id is required")?,
         cluster: cluster.ok_or("--cluster is required")?,
-        batch_max: batch_max.max(1),
-        batch_age_ms,
         retry_ms,
         hb_ms,
         anti_entropy_ms,
@@ -133,9 +120,12 @@ fn main() -> ExitCode {
     let mut mind_cfg = MindConfig {
         retry_timeout: args.retry_ms * MILLIS,
         anti_entropy_interval: args.anti_entropy_ms * MILLIS,
-        insert_batch_max: args.batch_max,
-        insert_batch_age: args.batch_age_ms * MILLIS,
+        insert_batch_max: INSERT_BATCH_MAX,
+        insert_batch_age: INSERT_BATCH_AGE,
         boot_id,
+        // Nothing on the process plane reads the per-row latency and hop
+        // samples, so a long-lived node keeps none.
+        metrics_samples_max: 0,
         ..MindConfig::default()
     };
     // No MySQL stands behind a real node: zero the simulator's modelled

@@ -14,23 +14,19 @@
 //!   frames over the same length-framing the overlay uses,
 //! * [`server`] — the per-process control server, bridging control
 //!   connections onto the hosted node's driver thread,
-//! * [`hist`] — the log-bucketed latency histogram `mind-loadgen`
-//!   reports p50/p99/p999 from,
 //! * [`loadgen`] — the load-generator core (also used by the smoke
-//!   tests): hammer a cluster with inserts and queries, report sustained
-//!   ops/s and latency percentiles, verify conservation and audit
-//!   cleanliness.
+//!   tests): drive a cluster with inserts and queries, then verify
+//!   conservation, complete queries and audit cleanliness. It times
+//!   nothing; the socket plane's costs are `BENCHMARK.json`'s.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;
 pub mod control;
-pub mod hist;
 pub mod loadgen;
 pub mod server;
 
 pub use config::ClusterSpec;
 pub use control::{ControlClient, ControlRequest, ControlResponse, NodeStats};
-pub use hist::LatencyHistogram;
 pub use loadgen::{LoadOptions, LoadReport};

@@ -1,54 +1,38 @@
-//! The load-generator core: hammer a running `mind-node` cluster with
-//! batched inserts and range queries over the control protocol, report
-//! sustained ops/s plus p50/p99/p999 latency, and verify the final state
-//! (ops conservation, fleet-wide audit cleanliness).
+//! The load-generator core: drive a running `mind-node` cluster with
+//! batched inserts and range queries over the control protocol, then
+//! verify the final state (ops conservation, complete queries, fleet-wide
+//! audit cleanliness). It times nothing: what the socket plane costs is
+//! `BENCHMARK.json`'s to measure.
 //!
 //! Lives in the library (not the `mind-loadgen` binary) so the smoke
 //! tests drive exactly the code path the binary ships.
 
 use crate::config::ClusterSpec;
 use crate::control::{ControlClient, ControlRequest, ControlResponse, NodeStats};
-use crate::hist::LatencyHistogram;
 use mind_audit::{Auditor, Snapshot};
 use mind_core::Replication;
 use mind_types::{AttrDef, AttrKind, IndexSchema, NodeId, Record};
 use std::io;
 use std::time::{Duration, Instant};
 
+/// Index tag the load creates and fills.
+const INDEX: &str = "loadgen-flows";
+/// Even cut-tree depth of that index.
+const DEPTH: u8 = 8;
+/// Rows per control-protocol insert request (client-side batching).
+const BATCH: usize = 64;
+/// Range queries issued after the inserts.
+const QUERIES: u32 = 16;
+/// Deadline for readiness, conservation, and the whole run.
+const TIMEOUT: Duration = Duration::from_secs(90);
+
 /// What to throw at the cluster.
 #[derive(Debug, Clone)]
 pub struct LoadOptions {
     /// The cluster to target.
     pub cluster: ClusterSpec,
-    /// Index tag to create and load.
-    pub index: String,
     /// Total rows to insert.
     pub inserts: u64,
-    /// Rows per control-protocol insert request (client-side batching).
-    pub batch: usize,
-    /// Range queries to issue after the burst.
-    pub queries: u32,
-    /// Replication policy for the index.
-    pub replication: Replication,
-    /// Even cut-tree depth for the index.
-    pub depth: u8,
-    /// Deadline for readiness, conservation, and the whole run.
-    pub timeout: Duration,
-}
-
-impl Default for LoadOptions {
-    fn default() -> Self {
-        LoadOptions {
-            cluster: ClusterSpec { nodes: Vec::new() },
-            index: "loadgen-flows".into(),
-            inserts: 100_000,
-            batch: 64,
-            queries: 32,
-            replication: Replication::None,
-            depth: 8,
-            timeout: Duration::from_secs(90),
-        }
-    }
 }
 
 /// What happened.
@@ -56,14 +40,6 @@ impl Default for LoadOptions {
 pub struct LoadReport {
     /// Rows acknowledged by the cluster.
     pub inserts_total: u64,
-    /// Wall time of the insert phase.
-    pub insert_wall: Duration,
-    /// Sustained insert throughput, rows per second.
-    pub insert_rate: f64,
-    /// Per-request insert latency (µs); one sample per batched request.
-    pub insert_hist: LatencyHistogram,
-    /// Per-query latency (µs).
-    pub query_hist: LatencyHistogram,
     /// Queries that completed (full recall within deadline).
     pub queries_complete: u32,
     /// Queries issued.
@@ -85,8 +61,6 @@ pub struct LoadReport {
 impl LoadReport {
     /// The `key=value` lines the binary prints (stable, grep-friendly).
     pub fn render(&self) -> String {
-        let (ip50, ip99, ip999) = self.insert_hist.percentiles();
-        let (qp50, qp99, qp999) = self.query_hist.percentiles();
         let per_node: String = self
             .per_node
             .iter()
@@ -110,14 +84,9 @@ impl LoadReport {
             })
             .collect();
         format!(
-            "inserts_total={}\ninsert_wall_ms={}\ninsert_rate={:.0}\n\
-             insert_p50_us={ip50}\ninsert_p99_us={ip99}\ninsert_p999_us={ip999}\n\
-             queries_complete={}/{}\n\
-             query_p50_us={qp50}\nquery_p99_us={qp99}\nquery_p999_us={qp999}\n\
+            "inserts_total={}\nqueries_complete={}/{}\n\
              stored_total={}\nconserved={}\naudit_clean={}\nsends_dropped={}{per_node}",
             self.inserts_total,
-            self.insert_wall.as_millis(),
-            self.insert_rate,
             self.queries_complete,
             self.queries_total,
             self.stored_total,
@@ -161,24 +130,20 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
     if n == 0 {
         return Err(other_err("empty cluster spec"));
     }
-    let deadline = Instant::now() + opts.timeout;
+    let deadline = Instant::now() + TIMEOUT;
 
     // Wait for every node to come up.
     let mut clients: Vec<ControlClient> = Vec::with_capacity(n);
     for spec in &opts.cluster.nodes {
-        clients.push(ControlClient::connect_ready(
-            spec.control_addr,
-            opts.timeout,
-        )?);
+        clients.push(ControlClient::connect_ready(spec.control_addr, TIMEOUT)?);
     }
 
     // Create the index from node 0 and wait for the flood to land
     // everywhere.
-    let schema = load_schema(&opts.index);
     match clients[0].call(&ControlRequest::CreateIndex {
-        schema,
-        depth: opts.depth,
-        replication: opts.replication,
+        schema: load_schema(INDEX),
+        depth: DEPTH,
+        replication: Replication::None,
     })? {
         ControlResponse::Ok => {}
         r => return Err(other_err(format!("create_index failed: {r:?}"))),
@@ -188,7 +153,7 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         for c in clients.iter_mut() {
             match c.call(&ControlRequest::Catalog)? {
                 ControlResponse::Catalog(tags) => {
-                    if !tags.contains(&opts.index) {
+                    if !tags.iter().any(|t| t == INDEX) {
                         all = false;
                         break;
                     }
@@ -206,36 +171,29 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
     }
 
     // Insert phase: one client thread per node, rows striped round-robin,
-    // `opts.batch` rows per request, per-request latency into a
-    // per-thread histogram (merged after).
-    let insert_start = Instant::now();
-    let mut insert_hist = LatencyHistogram::new();
+    // `BATCH` rows per request.
     let mut inserts_total = 0u64;
-    let results: Vec<io::Result<(LatencyHistogram, u64)>> = std::thread::scope(|scope| {
+    let results: Vec<io::Result<u64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .map(|t| {
                 let spec = opts.cluster.nodes[t];
-                let index = opts.index.clone();
                 let inserts = opts.inserts;
-                let batch = opts.batch.max(1) as u64;
                 scope.spawn(move || {
                     let mut client =
                         ControlClient::connect(spec.control_addr, Duration::from_secs(5))?;
-                    let mut hist = LatencyHistogram::new();
                     let mut sent = 0u64;
                     // Thread t owns rows with i % n == t, in batches.
                     let mut i = t as u64;
                     while i < inserts {
-                        let mut rows = Vec::with_capacity(batch as usize);
+                        let mut rows = Vec::with_capacity(BATCH);
                         let mut j = i;
-                        while j < inserts && (rows.len() as u64) < batch {
+                        while j < inserts && rows.len() < BATCH {
                             rows.push(row(j));
                             j += n as u64;
                         }
                         let count = rows.len() as u64;
-                        let t0 = Instant::now();
                         match client.call(&ControlRequest::Insert {
-                            index: index.clone(),
+                            index: INDEX.into(),
                             rows,
                         })? {
                             ControlResponse::Ok => {}
@@ -243,11 +201,10 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
                                 return Err(other_err(format!("insert failed: {r:?}")));
                             }
                         }
-                        hist.record(t0.elapsed().as_micros() as u64);
                         sent += count;
                         i = j;
                     }
-                    Ok((hist, sent))
+                    Ok(sent)
                 })
             })
             .collect();
@@ -260,27 +217,20 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
             .collect()
     });
     for r in results {
-        let (hist, sent) = r?;
-        insert_hist.merge(&hist);
-        inserts_total += sent;
+        inserts_total += r?;
     }
-    let insert_wall = insert_start.elapsed();
-    let insert_rate = inserts_total as f64 / insert_wall.as_secs_f64().max(1e-9);
 
     // Query phase: timestamp slices, round-robin over nodes.
-    let mut query_hist = LatencyHistogram::new();
     let mut queries_complete = 0u32;
-    for q in 0..opts.queries {
+    for q in 0..QUERIES {
         let c = &mut clients[q as usize % n];
         let t0_ts = (q as u64 * 2_048) % 80_000;
-        let t0 = Instant::now();
         match c.call(&ControlRequest::Query {
-            index: opts.index.clone(),
+            index: INDEX.into(),
             lo: vec![0, t0_ts, 0],
             hi: vec![(1 << 20) - 1, t0_ts + 4_096, (1 << 20) - 1],
         })? {
             ControlResponse::Query(outcome) => {
-                query_hist.record(t0.elapsed().as_micros() as u64);
                 if outcome.complete {
                     queries_complete += 1;
                 }
@@ -295,7 +245,7 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         stored_total = 0;
         for c in clients.iter_mut() {
             match c.call(&ControlRequest::PrimaryRows {
-                index: opts.index.clone(),
+                index: INDEX.into(),
             })? {
                 ControlResponse::Count(k) => stored_total += k,
                 r => return Err(other_err(format!("rows failed: {r:?}"))),
@@ -341,12 +291,8 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
 
     Ok(LoadReport {
         inserts_total,
-        insert_wall,
-        insert_rate,
-        insert_hist,
-        query_hist,
         queries_complete,
-        queries_total: opts.queries,
+        queries_total: QUERIES,
         stored_total,
         conserved,
         audit_clean,

@@ -5,9 +5,9 @@
 //!   stale-membership invariant at process level: the revived node comes
 //!   back **fresh** (member again, zero rows, catalog re-learned via
 //!   anti-entropy) and the cluster keeps serving,
-//! * a loadgen smoke: reported percentiles are monotone
-//!   (p50 ≤ p99 ≤ p999), ops counts conserve, and the whole cluster
-//!   shuts down cleanly over the control protocol (no signals).
+//! * a loadgen smoke: ops counts conserve, the fleet audit is clean,
+//!   every query completes, and the whole cluster shuts down cleanly over
+//!   the control protocol (no signals).
 
 use mind_core::Replication;
 use mind_runtime::control::{ControlClient, ControlRequest, ControlResponse};
@@ -304,19 +304,13 @@ fn killed_process_rejoins_fresh_and_cluster_keeps_serving() {
 }
 
 #[test]
-fn loadgen_smoke_percentiles_monotone_and_ops_conserve() {
+fn loadgen_smoke_ops_conserve_audit_clean_queries_complete() {
     const N: usize = 4;
     let mut fleet = spawn_fleet(N, "loadgen", &["--retry-ms", "300"]);
 
     let opts = LoadOptions {
         cluster: fleet.spec.clone(),
-        index: "smoke-flows".into(),
         inserts: 12_000,
-        batch: 48,
-        queries: 8,
-        replication: Replication::None,
-        depth: 6,
-        timeout: Duration::from_secs(60),
     };
     let report = loadgen::run(&opts).expect("loadgen run");
 
@@ -327,12 +321,12 @@ fn loadgen_smoke_percentiles_monotone_and_ops_conserve() {
         "fleet audit failed: {}",
         report.render()
     );
-    assert!(report.insert_rate > 0.0);
-    let (p50, p99, p999) = report.insert_hist.percentiles();
-    assert!(p50 <= p99 && p99 <= p999, "insert percentiles not monotone");
-    let (q50, q99, q999) = report.query_hist.percentiles();
-    assert!(q50 <= q99 && q99 <= q999, "query percentiles not monotone");
-    assert_eq!(report.queries_complete, report.queries_total);
+    assert_eq!(
+        report.queries_complete,
+        report.queries_total,
+        "incomplete queries: {}",
+        report.render()
+    );
 
     shutdown_and_reap(&mut fleet);
 }
