@@ -12,11 +12,11 @@
 //! * the clock is shared (one fleet epoch) and monotone across
 //!   crash/revive of any node,
 //! * `crash` halts the node's host — its listener closes, peers' sends
-//!   to it fail and count as drops — but keeps the logic state and its
-//!   timer-id high-water mark,
-//! * `revive` rebinds the same address and restarts the logic as a new
-//!   incarnation (`on_start` runs again, the overlay observes a restart),
-//!   reusing the preserved timer-id seed so ids never collide,
+//!   to it fail and count as drops — but keeps its [`HostCore`]: the
+//!   logic state and its timer-id sequence,
+//! * `revive` rebinds the same address and respawns the host on that core
+//!   as a new incarnation (`on_start` runs again, the overlay observes a
+//!   restart), so ids never collide,
 //! * `run_for` is a wall-clock sleep (the nodes run on their own
 //!   threads); `quiesce` samples fleet-wide traffic counters and returns
 //!   early once they stop moving.
@@ -25,7 +25,8 @@
 //! whatever TCP and the scheduler produce. Protocol logic above the seam
 //! cannot tell the difference except through timing.
 
-use crate::host::{HostOptions, TcpHost};
+use crate::host::TcpHost;
+use mind_types::host::HostCore;
 use mind_types::node::{NodeLogic, Outbox, SimTime, MILLIS};
 use mind_types::{ClusterDriver, NodeId};
 use serde::de::DeserializeOwned;
@@ -37,12 +38,8 @@ use std::time::{Duration, Instant};
 
 enum Slot<L: NodeLogic> {
     Up(TcpHost<L>),
-    /// Halted node: parked logic plus the next free timer id, everything
-    /// revival needs.
-    Down {
-        logic: L,
-        timer_seq: u64,
-    },
+    /// Halted node: its parked core, everything revival needs.
+    Down(HostCore<L>),
     /// Transient state while a slot is being moved; never observable.
     Vacant,
 }
@@ -76,16 +73,8 @@ where
         let mut slots = Vec::with_capacity(n);
         for (k, listener) in listeners.into_iter().enumerate() {
             let id = NodeId(k as u32);
-            let host = TcpHost::spawn_with(
-                id,
-                listener,
-                peers.clone(),
-                logic_for(id),
-                HostOptions {
-                    timer_seq: 1,
-                    epoch: Some(epoch),
-                },
-            )?;
+            let core = HostCore::new(logic_for(id));
+            let host = TcpHost::spawn_core(id, listener, peers.clone(), core, epoch)?;
             slots.push(Slot::Up(host));
         }
         Ok(TcpFleet {
@@ -109,7 +98,7 @@ where
                     let st = h.stats();
                     st.msgs_sent + st.msgs_received
                 }
-                Slot::Down { .. } | Slot::Vacant => 0,
+                Slot::Down(_) | Slot::Vacant => 0,
             })
             .sum()
     }
@@ -118,7 +107,7 @@ where
     pub fn host_stats(&self, id: NodeId) -> Option<crate::host::HostStatsSnapshot> {
         match &self.slots[id.0 as usize] {
             Slot::Up(h) => Some(h.stats()),
-            Slot::Down { .. } | Slot::Vacant => None,
+            Slot::Down(_) | Slot::Vacant => None,
         }
     }
 
@@ -127,8 +116,8 @@ where
         self.slots
             .into_iter()
             .map(|s| match s {
-                Slot::Up(h) => h.halt().0,
-                Slot::Down { logic, .. } => logic,
+                Slot::Up(h) => h.shutdown(),
+                Slot::Down(core) => core.into_logic(),
                 Slot::Vacant => unreachable!("vacant slot outside crash/revive"),
             })
             .collect()
@@ -159,16 +148,10 @@ where
     {
         match &mut self.slots[id.0 as usize] {
             Slot::Up(h) => h.invoke(f),
-            Slot::Down { logic, timer_seq } => {
-                // Mirror the simulator: the closure still runs against a
-                // crashed node's logic, but its effects go nowhere (the
-                // node is dead; its sends would be lost anyway).
-                let now = self.epoch.elapsed().as_micros() as SimTime;
-                let mut out = Outbox::with_timer_seq(*timer_seq);
-                let r = f(logic, now, &mut out);
-                *timer_seq = out.drain().next_timer_id;
-                r
-            }
+            // The closure still runs against a crashed node's logic and
+            // its timer ids are spent, but its effects are dropped — where
+            // the simulator routes them (see `ClusterDriver::with_node`).
+            Slot::Down(core) => core.pass(self.epoch.elapsed().as_micros() as SimTime, f).0,
             Slot::Vacant => unreachable!("vacant slot outside crash/revive"),
         }
     }
@@ -180,7 +163,7 @@ where
     {
         match &self.slots[id.0 as usize] {
             Slot::Up(h) => h.invoke(move |logic, _now, _out| f(&*logic)),
-            Slot::Down { logic, .. } => f(logic),
+            Slot::Down(core) => f(core.logic()),
             Slot::Vacant => unreachable!("vacant slot outside crash/revive"),
         }
     }
@@ -221,18 +204,15 @@ where
     fn crash(&mut self, id: NodeId) {
         let slot = std::mem::replace(&mut self.slots[id.0 as usize], Slot::Vacant);
         self.slots[id.0 as usize] = match slot {
-            Slot::Up(h) => {
-                let (logic, timer_seq) = h.halt();
-                Slot::Down { logic, timer_seq }
-            }
-            down @ (Slot::Down { .. } | Slot::Vacant) => down,
+            Slot::Up(h) => Slot::Down(h.halt()),
+            down @ (Slot::Down(_) | Slot::Vacant) => down,
         };
     }
 
     fn revive(&mut self, id: NodeId) {
         let slot = std::mem::replace(&mut self.slots[id.0 as usize], Slot::Vacant);
         self.slots[id.0 as usize] = match slot {
-            Slot::Down { logic, timer_seq } => {
+            Slot::Down(core) => {
                 let addr = self.peers[&id];
                 let listener = TcpListener::bind(addr)
                     .unwrap_or_else(|e| panic!("revive {id:?}: cannot rebind {addr}: {e}"));
@@ -240,17 +220,8 @@ where
                     clippy::expect_used,
                     reason = "thread-spawn failure is fatal for the fleet"
                 )]
-                let host = TcpHost::spawn_with(
-                    id,
-                    listener,
-                    self.peers.clone(),
-                    logic,
-                    HostOptions {
-                        timer_seq,
-                        epoch: Some(self.epoch),
-                    },
-                )
-                .expect("revive spawn");
+                let host = TcpHost::spawn_core(id, listener, self.peers.clone(), core, self.epoch)
+                    .expect("revive spawn");
                 Slot::Up(host)
             }
             up @ (Slot::Up(_) | Slot::Vacant) => up,

@@ -5,16 +5,17 @@
 //! * a **listener thread** accepts inbound peers and spawns a reader
 //!   thread per connection; readers decode `(sender, message)` frames into
 //!   the driver's channel,
-//! * the **driver thread** owns the logic, its timer heap, and a cache of
-//!   outbound connections; it processes one event at a time, so the logic
-//!   sees exactly the same single-threaded world as under the simulator,
+//! * the **driver thread** owns the node's [`HostCore`], a timer wheel of
+//!   its own, and a cache of outbound connections; it processes one event
+//!   at a time, so the logic sees exactly the same single-threaded world
+//!   as under the simulator,
 //! * applications call [`TcpHost::invoke`] to run a closure against the
 //!   logic (the `with_node` of the real world).
 //!
-//! Every event — start, timer, inbound frame, invoke — is one *pass*: the
-//! handler runs against a fresh outbox, its timers are armed and
-//! cancelled, and its frames are encoded into per-peer pass buffers that
-//! leave in one `write_all` per peer. A failed write over a cached
+//! Every event — start, timer, inbound frame, invoke — is one *pass* of
+//! the core: its frames are encoded into per-peer pass buffers that
+//! leave in one `write_all` per peer, then its timers are armed and
+//! cancelled on the wheel. A failed write over a cached
 //! connection gets one redial before the pass's frames to that peer count
 //! as dropped; repeated dial failures back off with a capped exponential
 //! delay so a dead peer cannot stall the driver; every
@@ -23,18 +24,20 @@
 //! already queued.
 //!
 //! Clock: microseconds since the driver's epoch, satisfying the
-//! [`SimTime`] contract. A fleet that crashes and revives hosts passes a
-//! shared epoch through [`HostOptions`] so the clock stays monotone
-//! across incarnations.
+//! [`SimTime`] contract. A fleet that crashes and revives hosts spawns
+//! each one on a shared epoch, and a revived host on its predecessor's
+//! core, so the clock stays monotone and timer ids never repeat across
+//! incarnations.
 
 use crate::frame::{read_frame, write_frame};
 use crate::wire::{from_bytes, to_bytes};
-use mind_types::node::{NodeLogic, Outbox, SimTime};
+use mind_types::host::HostCore;
+use mind_types::node::{NodeLogic, Outbox, SimTime, TimerId};
+use mind_types::scheduler::Scheduler;
 use mind_types::NodeId;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -102,34 +105,11 @@ pub struct HostStatsSnapshot {
     pub inbound_throttled: u64,
 }
 
-/// Spawn-time knobs for [`TcpHost::spawn_with`].
-///
-/// The defaults reproduce [`TcpHost::spawn`]; a fleet reviving a crashed
-/// node passes the previous incarnation's `timer_seq` (so timer ids never
-/// collide across restarts) and the fleet-wide `epoch` (so `now` stays
-/// monotone).
-#[derive(Debug, Clone, Copy)]
-pub struct HostOptions {
-    /// First timer id the new incarnation may allocate.
-    pub timer_seq: u64,
-    /// Clock epoch; `None` means "this host's spawn instant".
-    pub epoch: Option<Instant>,
-}
-
-impl Default for HostOptions {
-    fn default() -> Self {
-        HostOptions {
-            timer_seq: 1,
-            epoch: None,
-        }
-    }
-}
-
 /// A MIND node (or any [`NodeLogic`]) running over real TCP.
 pub struct TcpHost<L: NodeLogic> {
     id: NodeId,
     cmd_tx: Sender<Cmd<L>>,
-    driver: Option<JoinHandle<(L, u64)>>,
+    driver: Option<JoinHandle<HostCore<L>>>,
     listener_thread: Option<JoinHandle<()>>,
     listen_addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -188,21 +168,22 @@ where
         peers: HashMap<NodeId, SocketAddr>,
         logic: L,
     ) -> io::Result<Self> {
-        Self::spawn_with(id, listener, peers, logic, HostOptions::default())
+        Self::spawn_core(id, listener, peers, HostCore::new(logic), Instant::now())
     }
 
-    /// [`TcpHost::spawn`] with explicit clock epoch and timer-id seed —
-    /// the revive path for fleets that restart crashed hosts.
+    /// [`TcpHost::spawn`] from a core and a clock epoch: a fleet spawns
+    /// every host on its one epoch, and a revived host on the core its
+    /// predecessor's [`TcpHost::halt`] returned.
     #[expect(
         clippy::expect_used,
         reason = "thread-spawn failure is fatal for the host"
     )]
-    pub fn spawn_with(
+    pub(crate) fn spawn_core(
         id: NodeId,
         listener: TcpListener,
         peers: HashMap<NodeId, SocketAddr>,
-        logic: L,
-        options: HostOptions,
+        core: HostCore<L>,
+        epoch: Instant,
     ) -> io::Result<Self> {
         let listen_addr = listener.local_addr()?;
         let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<L>>();
@@ -238,17 +219,15 @@ where
 
         let driver = Driver {
             id,
-            logic,
-            epoch: options.epoch.unwrap_or_else(Instant::now),
+            core,
+            epoch,
             conns: Conns {
                 peers,
                 streams: HashMap::new(),
                 touched: Vec::new(),
                 stats: Arc::clone(&stats),
             },
-            timers: BinaryHeap::new(),
-            live: HashSet::new(),
-            timer_seq: options.timer_seq,
+            wheel: Scheduler::new(),
         };
         let driver = {
             let stop = Arc::clone(&stop);
@@ -308,17 +287,17 @@ where
 
     /// Stops the driver and returns the final logic state.
     pub fn shutdown(self) -> L {
-        self.halt().0
+        self.halt().into_logic()
     }
 
-    /// Stops the driver and returns the final logic state plus the next
-    /// free timer id — everything a fleet needs to revive this node
-    /// without timer-id collisions.
+    /// Stops the driver and returns its core — the final logic state and
+    /// the timer-id sequence, with no timer left live — everything a
+    /// fleet needs to revive this node without timer-id collisions.
     #[expect(
         clippy::expect_used,
         reason = "halt consumes self, so the driver is not yet joined; surfacing a driver panic is correct"
     )]
-    pub fn halt(mut self) -> (L, u64) {
+    pub fn halt(mut self) -> HostCore<L> {
         let joined = self.stop_threads().expect("not yet joined");
         joined.expect("driver panicked")
     }
@@ -329,7 +308,7 @@ impl<L: NodeLogic> TcpHost<L> {
     /// result, `None` once already joined. The listener is joined first:
     /// once this returns the listen address is free to rebind
     /// (crash/revive relies on this).
-    fn stop_threads(&mut self) -> Option<std::thread::Result<(L, u64)>> {
+    fn stop_threads(&mut self) -> Option<std::thread::Result<HostCore<L>>> {
         self.stop.store(true, Ordering::Relaxed);
         let _ = self.cmd_tx.send(Cmd::Shutdown);
         // Unblock the accept loop so it sees `stop`.
@@ -499,22 +478,15 @@ impl Conns {
     }
 }
 
-/// The driver thread: the hosted logic and everything its effects touch.
+/// The driver thread: the hosted core and everything its effects touch.
 struct Driver<L: NodeLogic> {
     id: NodeId,
-    logic: L,
+    core: HostCore<L>,
     epoch: Instant,
     conns: Conns,
-    /// Armed timers as `(deadline, timer id, token)`, earliest first. Timer
-    /// ids are monotonic per host, so they break deadline ties FIFO.
-    timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    /// Pending (un-cancelled) timer ids. Cancellation removes the id here;
-    /// the heap entry is discarded lazily when its deadline comes up.
-    live: HashSet<u64>,
-    /// Timer-id counter, threaded through every outbox so ids stay unique
-    /// for the lifetime of the host (and, via [`HostOptions`], across
-    /// incarnations of a revived node).
-    timer_seq: u64,
+    /// This host's timers as `(token, id)`; equal deadlines pop in arming
+    /// order.
+    wheel: Scheduler<(u64, TimerId)>,
 }
 
 impl<L> Driver<L>
@@ -526,53 +498,46 @@ where
         self.epoch.elapsed().as_micros() as SimTime
     }
 
-    /// One pass: runs `f` against a fresh outbox, arms and cancels its
-    /// timers, and writes its frames, one `write_all` per peer.
+    /// One pass: runs `f` on the core, writes its frames, one `write_all`
+    /// per peer, then arms and cancels its timers.
     fn pass(&mut self, f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>)) {
-        let mut out = Outbox::with_timer_seq(self.timer_seq);
-        let now = self.now();
-        f(&mut self.logic, now, &mut out);
-        let fx = out.drain();
+        let ((), fx) = self.core.pass(self.now(), f);
         let t = self.now();
-        self.timer_seq = fx.next_timer_id;
         for (to, msg) in fx.sends {
             if let Ok(frame) = to_bytes(&(self.id, msg)) {
                 self.conns.queue(to, &frame);
             }
         }
         self.conns.end_pass();
-        for (delay, token, tid) in fx.timers {
-            self.live.insert(tid.0);
-            self.timers.push(Reverse((t + delay, tid.0, token)));
+        for (delay, token, id) in fx.timers {
+            self.core.arm(&mut self.wheel, t, delay, id, (token, id));
         }
-        for tid in fx.cancels {
-            self.live.remove(&tid.0);
+        for id in fx.cancels {
+            self.core.cancel(&mut self.wheel, id);
         }
     }
 
     /// The driver loop: fires the timers due at loop start, then waits for
-    /// one command or the next deadline. Returns the logic and the next
-    /// free timer id.
-    fn run(mut self, cmd_rx: &Receiver<Cmd<L>>, stop: &AtomicBool) -> (L, u64) {
+    /// one command or the next deadline. Returns the core with no timer
+    /// left live, since its wheel ends with this thread.
+    fn run(mut self, cmd_rx: &Receiver<Cmd<L>>, stop: &AtomicBool) -> HostCore<L> {
         self.pass(|logic, now, out| logic.on_start(now, out));
         while !stop.load(Ordering::Relaxed) {
             let t = self.now();
-            while let Some(&Reverse((deadline, id, token))) = self.timers.peek() {
-                if deadline > t {
+            while self.wheel.peek_time().is_some_and(|deadline| deadline <= t) {
+                let Some((_, _, (token, id))) = self.wheel.pop() else {
                     break;
-                }
-                self.timers.pop();
-                // A cancelled timer's id has left `live`.
-                if self.live.remove(&id) {
+                };
+                if self.core.due(id) {
                     self.pass(|logic, now, out| logic.on_timer(now, token, out));
                 }
             }
-            let wait = self.timers.peek().map_or(
-                Duration::from_millis(100),
-                |&Reverse((deadline, ..))| {
+            let wait = self
+                .wheel
+                .peek_time()
+                .map_or(Duration::from_millis(100), |deadline| {
                     Duration::from_micros(deadline.saturating_sub(self.now()))
-                },
-            );
+                });
             match cmd_rx.recv_timeout(wait.min(Duration::from_millis(250))) {
                 Ok(Cmd::Inbound(from, msg)) => {
                     self.conns
@@ -601,7 +566,8 @@ where
                 Cmd::Shutdown => break,
             }
         }
-        (self.logic, self.timer_seq)
+        self.core.retire_all(&mut self.wheel);
+        self.core
     }
 }
 
@@ -801,32 +767,20 @@ mod tests {
         }
 
         // Kill b; its listener dies with it.
-        let (_b_logic, b_seq) = b.halt();
+        let b_core = b.halt();
+        let seen = b_core.logic().got.len();
 
         // Restart b on the same address (SO_REUSEADDR) as a new
         // incarnation.
         let l1b = TcpListener::bind(addr1).expect("rebind b");
-        let b2 = TcpHost::spawn_with(
-            NodeId(1),
-            l1b,
-            peers,
-            Echo {
-                got: vec![],
-                timer_fired: false,
-            },
-            HostOptions {
-                timer_seq: b_seq,
-                epoch: None,
-            },
-        )
-        .unwrap();
+        let b2 = TcpHost::spawn_core(NodeId(1), l1b, peers, b_core, Instant::now()).unwrap();
 
         // a's cached connection is now dead. Sends must flow again —
         // possibly after a few tries (the dead socket may absorb writes
         // until TCP notices, and the reconnect backoff may defer a dial).
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut i = 0u64;
-        while b2.invoke(|l, _n, _o| l.got.is_empty()) {
+        while b2.invoke(move |l, _n, _o| l.got.len() == seen) {
             assert!(Instant::now() < deadline, "reconnect never delivered");
             a.invoke(move |_l, _n, out| out.send(NodeId(1), Ping(201 + i)));
             i += 1;
@@ -851,5 +805,47 @@ mod tests {
         let _rebound = TcpListener::bind(addr).expect("rebind after drop");
         assert_eq!(handle.invoke(|l, _n, _o| l.got.len()), None);
         b.shutdown();
+    }
+
+    /// Records the token of every timer that fires.
+    struct Fired(Vec<u64>);
+
+    impl NodeLogic for Fired {
+        type Msg = Ping;
+        fn on_start(&mut self, _now: SimTime, _out: &mut Outbox<Ping>) {}
+        fn on_message(
+            &mut self,
+            _now: SimTime,
+            _from: NodeId,
+            _msg: Ping,
+            _out: &mut Outbox<Ping>,
+        ) {
+        }
+        fn on_timer(&mut self, _now: SimTime, token: u64, _out: &mut Outbox<Ping>) {
+            self.0.push(token);
+        }
+    }
+
+    #[test]
+    fn timers_on_the_real_clock_fire_in_arming_order_unless_cancelled() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = [(NodeId(0), l0.local_addr().unwrap())].into();
+        let a = TcpHost::spawn(NodeId(0), l0, peers, Fired(vec![])).unwrap();
+        let doomed = a.invoke(|_l, _n, out| {
+            out.set_timer(0, 1);
+            out.set_timer(200_000, 2);
+            out.set_timer(200_000, 3);
+            out.set_timer(200_000, 4)
+        });
+        // A later event's outbox cancels it, 200 ms before it is due.
+        a.invoke(move |_l, _n, out| out.cancel_timer(doomed));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        // 2, 3 and 4 share a deadline, so the driver pops them in one
+        // batch before it takes the next invoke: 4 cannot fire later.
+        while a.invoke(|l, _n, _o| l.0.len()) < 3 {
+            assert!(Instant::now() < deadline, "timers never fired");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(a.shutdown().0, vec![1, 2, 3]);
     }
 }

@@ -27,5 +27,5 @@ pub mod host;
 pub mod wire;
 
 pub use fleet::TcpFleet;
-pub use host::{HostHandle, HostOptions, HostStatsSnapshot, TcpHost};
+pub use host::{HostHandle, HostStatsSnapshot, TcpHost};
 pub use wire::{from_bytes, to_bytes, WireError};

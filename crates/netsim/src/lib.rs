@@ -27,7 +27,6 @@
 
 pub mod fault;
 pub mod latency;
-mod scheduler;
 pub mod stats;
 pub mod topology;
 pub mod world;

@@ -2,14 +2,15 @@
 
 use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
-use crate::scheduler::{EventRef, Scheduler};
 use crate::stats::SimStats;
 use crate::topology::Site;
-use mind_types::node::{NodeLogic, Outbox, SimTime, TimerId, MILLIS};
+use mind_types::host::HostCore;
+use mind_types::node::{Effects, NodeLogic, Outbox, SimTime, TimerId, MILLIS};
+use mind_types::scheduler::Scheduler;
 use mind_types::{DetHashMap, NodeId, WireSize};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Global simulation parameters.
@@ -55,37 +56,29 @@ impl Default for SimConfig {
     }
 }
 
-/// A scheduled occurrence at one node. Message payloads are owned by the
-/// scheduler's event arena, behind an `Rc` so the fault plane's duplicate
-/// deliveries share one allocation instead of deep-cloning the message.
+/// A scheduled occurrence at one node.
 #[derive(Debug)]
 enum EventKind<M> {
-    Deliver {
-        from: NodeId,
-        msg: Rc<M>,
-        /// Wire size, computed once at send time: consumed by the
-        /// in-flight byte gauge when the message is serviced or dropped.
-        bytes: u32,
-    },
-    Timer {
-        token: u64,
-        id: TimerId,
-        incarnation: u32,
-    },
+    Work(Work<M>),
     Crash,
     Revive,
     /// Internal: the host CPU frees up — drain its busy backlog.
     Resume,
 }
 
-/// An event that reached a busy host and is waiting for its CPU. Kept in
-/// a per-host FIFO instead of being re-pushed into the global queue once
-/// per service completion (the old scheme was O(backlog²) heap churn).
+/// An event that needs the host's CPU. One that reaches a busy host waits
+/// in the host's FIFO backlog instead of being re-pushed into the global
+/// queue once per service completion (that was O(backlog²) heap churn).
+/// Message payloads are owned by the scheduler's event arena, behind an
+/// `Rc` so the fault plane's duplicate deliveries share one allocation
+/// instead of deep-cloning the message.
 #[derive(Debug)]
-enum Waiting<M> {
+enum Work<M> {
     Deliver {
         from: NodeId,
         msg: Rc<M>,
+        /// Wire size, computed once at send time: consumed by the
+        /// in-flight byte gauge when the message is serviced or dropped.
         bytes: u32,
     },
     Timer {
@@ -110,7 +103,8 @@ struct Link {
 }
 
 struct Host<L: NodeLogic> {
-    logic: L,
+    /// The logic, its timer ids and its live timers on the world's wheel.
+    core: HostCore<L>,
     site: Site,
     alive: bool,
     /// Bumped on every revive; a stale incarnation's timers never fire.
@@ -120,13 +114,8 @@ struct Host<L: NodeLogic> {
     service: SimTime,
     /// The host CPU is busy until this instant (arrivals join `backlog`).
     busy_until: SimTime,
-    /// Next [`TimerId`] this node's outboxes will hand out.
-    timer_seq: u64,
-    /// Pending timers by raw [`TimerId`]: the cancellation slot map.
-    /// Entries are removed on fire, on cancel, and wholesale on crash.
-    timers: BTreeMap<u64, EventRef>,
     /// Events that arrived while the CPU was busy, in arrival order.
-    backlog: VecDeque<Waiting<L::Msg>>,
+    backlog: VecDeque<Work<L::Msg>>,
     /// Whether a `Resume` event is already scheduled for this host.
     resume_armed: bool,
 }
@@ -196,20 +185,16 @@ where
         let id = NodeId(self.hosts.len() as u32);
         let service = (self.cfg.node_service as f64 * site.load_factor) as SimTime;
         self.hosts.push(Host {
-            logic,
+            core: HostCore::new(logic),
             site,
             alive: true,
             incarnation: 0,
             service,
             busy_until: self.now,
-            timer_seq: 1,
-            timers: BTreeMap::new(),
             backlog: VecDeque::new(),
             resume_armed: false,
         });
-        let mut out = self.outbox_for(id);
-        self.hosts[id.0 as usize].logic.on_start(self.now, &mut out);
-        self.flush_outbox(id, self.now, out);
+        self.pass(id, self.now, |logic, now, out| logic.on_start(now, out));
         // Apply the fault plan's crash schedule for this node now that it
         // exists (plans are written before the world is populated).
         let crashes: Vec<(SimTime, Option<SimTime>)> = self
@@ -241,11 +226,12 @@ where
 
     /// Read access to a node's logic (inspection only).
     pub fn node(&self, id: NodeId) -> &L {
-        &self.hosts[id.0 as usize].logic
+        self.hosts[id.0 as usize].core.logic()
     }
 
     /// Runs `f` against a node's logic *at the current simulated time*,
-    /// routing any emitted effects through the network. This is how an
+    /// routing any emitted effects through the network — even on a crashed
+    /// node (see [`mind_types::ClusterDriver::with_node`]). This is how an
     /// application invokes the MIND interface on its local node
     /// (`insert_record`, `query_index`, ...).
     pub fn with_node<R>(
@@ -253,23 +239,35 @@ where
         id: NodeId,
         f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R,
     ) -> R {
-        let mut out = self.outbox_for(id);
-        let now = self.now;
-        let r = f(&mut self.hosts[id.0 as usize].logic, now, &mut out);
-        self.flush_outbox(id, now, out);
-        r
+        self.pass(id, self.now, f)
     }
 
     /// Crashes a node immediately: undelivered and future messages to it
-    /// are dropped, its pending timers are cancelled and freed, and its
-    /// busy backlog is discarded.
+    /// are dropped, its pending timers are retired (their arena slots are
+    /// reclaimed on the spot, uncounted), and its busy backlog is
+    /// discarded — parked deliveries count as dropped-dead.
     pub fn crash_node(&mut self, id: NodeId) {
-        self.crash_now(id);
+        let idx = id.0 as usize;
+        self.hosts[idx].alive = false;
+        self.hosts[idx].core.retire_all(&mut self.queue);
+        let backlog = std::mem::take(&mut self.hosts[idx].backlog);
+        self.backlog_total -= backlog.len();
+        for work in backlog {
+            self.discard(id, work);
+        }
     }
 
-    /// Revives a dead node: bumps its incarnation and replays `on_start`.
+    /// Revives a dead node (no-op on a live one): bumps its incarnation
+    /// and replays `on_start`.
     pub fn revive_node(&mut self, id: NodeId) {
-        self.revive_now(id);
+        let idx = id.0 as usize;
+        if self.hosts[idx].alive {
+            return;
+        }
+        self.hosts[idx].alive = true;
+        self.hosts[idx].incarnation += 1;
+        self.hosts[idx].busy_until = self.now;
+        self.pass(id, self.now, |logic, now, out| logic.on_start(now, out));
     }
 
     /// Makes the (bidirectional) link between `a` and `b` unusable during
@@ -294,57 +292,31 @@ where
         };
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
-        let idx = node.0 as usize;
+        let host = &mut self.hosts[node.0 as usize];
         match kind {
-            EventKind::Crash => self.crash_now(node),
-            EventKind::Revive => self.revive_now(node),
+            EventKind::Crash => self.crash_node(node),
+            EventKind::Revive => self.revive_node(node),
             EventKind::Resume => {
-                self.hosts[idx].resume_armed = false;
+                host.resume_armed = false;
                 self.drain_backlog(node);
             }
-            EventKind::Deliver { from, msg, bytes } => {
-                if !self.hosts[idx].alive {
-                    self.stats.dropped_dead += 1;
-                    self.stats.msg_bytes_inflight -= bytes as u64;
-                } else if self.hosts[idx].busy_until > self.now {
-                    // Busy host: park the delivery in the host's FIFO until
-                    // the CPU frees up. Its bytes stay in flight.
-                    self.stats.requeued_busy += 1;
-                    self.hosts[idx]
-                        .backlog
-                        .push_back(Waiting::Deliver { from, msg, bytes });
-                    self.backlog_total += 1;
-                    self.note_pending();
-                    self.arm_resume(node);
-                } else {
-                    self.stats.msg_bytes_inflight -= bytes as u64;
-                    self.service_message(node, from, msg);
-                }
+            // Timers armed by a dead host or a previous incarnation die.
+            EventKind::Work(work @ Work::Timer { incarnation, .. })
+                if !host.alive || host.incarnation != incarnation =>
+            {
+                self.discard(node, work);
             }
-            EventKind::Timer {
-                token,
-                id,
-                incarnation,
-            } => {
-                if !self.hosts[idx].alive || self.hosts[idx].incarnation != incarnation {
-                    // Armed by a dead host or a previous incarnation: drop,
-                    // and retire any slot-map entry it left behind.
-                    self.hosts[idx].timers.remove(&id.0);
-                } else if self.hosts[idx].busy_until > self.now {
-                    self.stats.requeued_busy += 1;
-                    self.hosts[idx].backlog.push_back(Waiting::Timer {
-                        token,
-                        id,
-                        incarnation,
-                    });
-                    self.backlog_total += 1;
-                    self.note_pending();
-                    self.arm_resume(node);
-                } else {
-                    self.hosts[idx].timers.remove(&id.0);
-                    self.fire_timer(node, token);
-                }
+            EventKind::Work(work) if !host.alive => self.discard(node, work),
+            EventKind::Work(work) if host.busy_until > self.now => {
+                // Busy host: park the work in the host's FIFO until the CPU
+                // frees up. A delivery's bytes stay in flight.
+                self.stats.requeued_busy += 1;
+                host.backlog.push_back(work);
+                self.backlog_total += 1;
+                self.note_pending();
+                self.arm_resume(node);
             }
+            EventKind::Work(work) => self.serve(node, work),
         }
         true
     }
@@ -371,9 +343,17 @@ where
         self.queue.len() + self.backlog_total
     }
 
-    /// An outbox whose timer ids continue this node's sequence.
-    fn outbox_for(&self, id: NodeId) -> Outbox<L::Msg> {
-        Outbox::with_timer_seq(self.hosts[id.0 as usize].timer_seq)
+    /// One pass of `id`'s core at the current time; its effects leave
+    /// the host at `t_emit`.
+    fn pass<R>(
+        &mut self,
+        id: NodeId,
+        t_emit: SimTime,
+        f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R,
+    ) -> R {
+        let (r, fx) = self.hosts[id.0 as usize].core.pass(self.now, f);
+        self.flush_outbox(id, t_emit, fx);
+        r
     }
 
     fn note_pending(&mut self) {
@@ -403,7 +383,8 @@ where
         if self.stats.msg_bytes_inflight > self.stats.msg_bytes_inflight_peak {
             self.stats.msg_bytes_inflight_peak = self.stats.msg_bytes_inflight;
         }
-        self.push_event(time, to, EventKind::Deliver { from, msg, bytes });
+        let work = Work::Deliver { from, msg, bytes };
+        self.push_event(time, to, EventKind::Work(work));
     }
 
     /// Approximate peak resident memory of the event plane: the arena's
@@ -416,45 +397,10 @@ where
             + self.stats.msg_bytes_inflight_peak
     }
 
-    fn push_event(&mut self, time: SimTime, node: NodeId, kind: EventKind<L::Msg>) -> EventRef {
+    fn push_event(&mut self, time: SimTime, node: NodeId, kind: EventKind<L::Msg>) {
         debug_assert!(time >= self.now, "scheduling into the past");
-        let r = self.queue.insert(time, (node, kind));
+        self.queue.insert(time, (node, kind));
         self.note_pending();
-        r
-    }
-
-    /// Immediate crash: mark dead, free every pending timer (their arena
-    /// slots are reclaimed on the spot), and discard the busy backlog —
-    /// parked deliveries count as dropped-dead, parked timers die silently.
-    fn crash_now(&mut self, id: NodeId) {
-        let idx = id.0 as usize;
-        self.hosts[idx].alive = false;
-        let timers = std::mem::take(&mut self.hosts[idx].timers);
-        for (_, r) in timers {
-            let _ = self.queue.cancel(r);
-        }
-        let backlog = std::mem::take(&mut self.hosts[idx].backlog);
-        self.backlog_total -= backlog.len();
-        for item in backlog {
-            if let Waiting::Deliver { bytes, .. } = item {
-                self.stats.dropped_dead += 1;
-                self.stats.msg_bytes_inflight -= bytes as u64;
-            }
-        }
-    }
-
-    /// Immediate revive (no-op on a live host).
-    fn revive_now(&mut self, id: NodeId) {
-        let idx = id.0 as usize;
-        if self.hosts[idx].alive {
-            return;
-        }
-        self.hosts[idx].alive = true;
-        self.hosts[idx].incarnation += 1;
-        self.hosts[idx].busy_until = self.now;
-        let mut out = self.outbox_for(id);
-        self.hosts[idx].logic.on_start(self.now, &mut out);
-        self.flush_outbox(id, self.now, out);
     }
 
     /// Ensures a `Resume` event is scheduled for when the host frees up.
@@ -483,70 +429,59 @@ where
                 }
                 return;
             }
-            let Some(item) = self.hosts[idx].backlog.pop_front() else {
+            let Some(work) = self.hosts[idx].backlog.pop_front() else {
                 return;
             };
             self.backlog_total -= 1;
-            match item {
-                Waiting::Deliver { from, msg, bytes } => {
-                    self.stats.msg_bytes_inflight -= bytes as u64;
-                    self.service_message(id, from, msg);
-                }
-                Waiting::Timer {
-                    token,
-                    id: timer_id,
-                    incarnation,
-                } => {
-                    // A missing slot-map entry means the timer was
-                    // cancelled while it waited for the CPU.
-                    if self.hosts[idx].incarnation == incarnation
-                        && self.hosts[idx].timers.remove(&timer_id.0).is_some()
-                    {
-                        self.fire_timer(id, token);
-                    }
+            self.serve(id, work);
+        }
+    }
+
+    /// Runs work on a free host. A delivery occupies its CPU for the
+    /// service time; a timer fires unless it was cancelled, including
+    /// while it waited for the CPU.
+    fn serve(&mut self, id: NodeId, work: Work<L::Msg>) {
+        let idx = id.0 as usize;
+        match work {
+            Work::Deliver { from, msg, bytes } => {
+                self.stats.msg_bytes_inflight -= bytes as u64;
+                let service = self.hosts[idx].service;
+                self.hosts[idx].busy_until = self.now + service;
+                self.stats.delivered += 1;
+                // Sole-owner deliveries (the common case) move the payload
+                // out of the arena without copying; only a still-pending
+                // duplicate forces a clone.
+                let msg = Rc::try_unwrap(msg).unwrap_or_else(|rc| (*rc).clone());
+                // Effects leave the host once the CPU is done with it.
+                self.pass(id, self.now + service, |logic, now, out| {
+                    logic.on_message(now, from, msg, out);
+                });
+            }
+            Work::Timer {
+                token, id: timer, ..
+            } => {
+                if self.hosts[idx].core.due(timer) {
+                    self.stats.timers_fired += 1;
+                    self.pass(id, self.now, |logic, now, out| {
+                        logic.on_timer(now, token, out);
+                    });
                 }
             }
         }
     }
 
-    /// Delivers one message to a free host, occupying its CPU for the
-    /// service time.
-    fn service_message(&mut self, id: NodeId, from: NodeId, msg: Rc<L::Msg>) {
-        let idx = id.0 as usize;
-        let service = self.hosts[idx].service;
-        self.hosts[idx].busy_until = self.now + service;
-        self.stats.delivered += 1;
-        // Sole-owner deliveries (the common case) move the payload out of
-        // the arena without copying; only a still-pending duplicate forces
-        // a clone.
-        let msg = match Rc::try_unwrap(msg) {
-            Ok(m) => m,
-            Err(rc) => (*rc).clone(),
-        };
-        let mut out = self.outbox_for(id);
-        self.hosts[idx]
-            .logic
-            .on_message(self.now, from, msg, &mut out);
-        // Effects leave the host once the CPU is done with the message.
-        self.flush_outbox(id, self.now + service, out);
-    }
-
-    fn fire_timer(&mut self, id: NodeId, token: u64) {
-        self.stats.timers_fired += 1;
-        let mut out = self.outbox_for(id);
-        self.hosts[id.0 as usize]
-            .logic
-            .on_timer(self.now, token, &mut out);
-        self.flush_outbox(id, self.now, out);
-    }
-
-    /// Retires one pending timer of `node`: O(1) via the slot map. If the
-    /// timer is parked in the busy backlog rather than the scheduler,
-    /// removing its map entry is what cancels it there.
-    fn cancel_node_timer(&mut self, node: NodeId, id: TimerId) {
-        if let Some(r) = self.hosts[node.0 as usize].timers.remove(&id.0) {
-            let _ = self.queue.cancel(r);
-            self.stats.timers_cancelled += 1;
+    /// Drops work that reached a dead host or a stale incarnation: a
+    /// delivery counts as dropped-dead, a timer retires its slot-map entry
+    /// (if a crash has not already) without counting.
+    fn discard(&mut self, id: NodeId, work: Work<L::Msg>) {
+        match work {
+            Work::Deliver { bytes, .. } => {
+                self.stats.dropped_dead += 1;
+                self.stats.msg_bytes_inflight -= bytes as u64;
+            }
+            Work::Timer { id: timer, .. } => {
+                self.hosts[id.0 as usize].core.due(timer);
+            }
         }
     }
 
@@ -604,13 +539,12 @@ where
         arrival
     }
 
-    /// Routes an outbox's effects into the event queue: sends traverse the
-    /// modeled network (queuing + serialization + jittered propagation)
-    /// and the fault plane; timers attach to the emitting node's current
-    /// incarnation; cancellations retire pending timers in O(1).
-    fn flush_outbox(&mut self, from: NodeId, t_emit: SimTime, mut out: Outbox<L::Msg>) {
-        let fx = out.drain();
-        self.hosts[from.0 as usize].timer_seq = fx.next_timer_id;
+    /// Routes a pass's effects into the event queue, in this order: sends
+    /// traverse the modeled network (queuing + serialization + jittered
+    /// propagation) and the fault plane; timers attach to the emitting
+    /// node's current incarnation; cancellations retire pending timers in
+    /// O(1). A crashed node's effects are routed too.
+    fn flush_outbox(&mut self, from: NodeId, t_emit: SimTime, fx: Effects<L::Msg>) {
         for (to, msg) in fx.sends {
             if to.0 as usize >= self.hosts.len() {
                 // Unknown endpoint: the connection attempt fails.
@@ -650,21 +584,23 @@ where
             }
             self.push_deliver(arrival, to, from, msg, bytes);
         }
-        let incarnation = self.hosts[from.0 as usize].incarnation;
+        let idx = from.0 as usize;
+        let incarnation = self.hosts[idx].incarnation;
         for (delay, token, id) in fx.timers {
-            let r = self.push_event(
-                t_emit + delay.max(1),
-                from,
-                EventKind::Timer {
-                    token,
-                    id,
-                    incarnation,
-                },
-            );
-            self.hosts[from.0 as usize].timers.insert(id.0, r);
+            let timer = EventKind::Work(Work::Timer {
+                token,
+                id,
+                incarnation,
+            });
+            self.hosts[idx]
+                .core
+                .arm(&mut self.queue, t_emit, delay, id, (from, timer));
+            self.note_pending();
         }
         for id in fx.cancels {
-            self.cancel_node_timer(from, id);
+            if self.hosts[idx].core.cancel(&mut self.queue, id) {
+                self.stats.timers_cancelled += 1;
+            }
         }
     }
 }

@@ -175,7 +175,7 @@ fn main() -> ExitCode {
     // Serve until a Shutdown request flips the stop flag.
     server::serve(control_listener, id, host.handle());
 
-    let (_logic, _seq) = host.halt();
+    host.shutdown();
     println!("mind-node id={} stopped", args.id);
     ExitCode::SUCCESS
 }

@@ -56,6 +56,11 @@ pub trait ClusterDriver<L: NodeLogic> {
     /// Runs `f` against node `id`'s logic at the driver's current time,
     /// routing any effects (sends, timers) the closure emits. This is how
     /// an application invokes the MIND interface on its local node.
+    ///
+    /// On a crashed node the planes differ, and ROADMAP.md item 10 (plane
+    /// parity) owns the difference: the simulator still routes the
+    /// closure's sends into the network and arms its timers (they die at
+    /// fire time), while `TcpFleet` runs the closure and drops its effects.
     fn with_node<R, F>(&mut self, id: NodeId, f: F) -> R
     where
         R: Send + 'static,

@@ -15,6 +15,8 @@
 //! * [`NodeId`] / [`NodeLogic`] — the transport-agnostic, event-driven node
 //!   abstraction that lets the same overlay logic run on the deterministic
 //!   discrete-event simulator (`mind-netsim`) or on real TCP (`mind-net`),
+//! * [`host::HostCore`] and [`scheduler::Scheduler`] — the per-node core
+//!   and the timer wheel that every driver of a [`NodeLogic`] shares,
 //! * [`wire`] — the one encoder of the wire layout, with the three things
 //!   done to its bytes: buffer them, count them, hash them.
 
@@ -24,9 +26,11 @@
 pub mod code;
 pub mod driver;
 pub mod error;
+pub mod host;
 pub mod node;
 pub mod record;
 pub mod rect;
+pub mod scheduler;
 pub mod schema;
 pub mod wire;
 

@@ -30,7 +30,7 @@
 //! is only loaded into the near heap once everything earlier has been,
 //! and the near heap breaks time ties by `seq`.
 
-use mind_types::node::SimTime;
+use crate::node::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -47,7 +47,7 @@ const L1_GRAN_BITS: u64 = L0_GRAN_BITS + SLOT_BITS;
 /// so a stale ref (fired or cancelled event, possibly a reused slot) can
 /// never resolve to the wrong event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct EventRef {
+pub struct EventRef {
     idx: u32,
     seq: u64,
 }
@@ -60,7 +60,7 @@ struct ArenaSlot<T> {
 }
 
 /// Deterministic two-tier event scheduler (see module docs).
-pub(crate) struct Scheduler<T> {
+pub struct Scheduler<T> {
     arena: Vec<ArenaSlot<T>>,
     free: Vec<u32>,
     /// Events at or before the cursor, ordered by `(time, seq, idx)`
@@ -81,8 +81,15 @@ pub(crate) struct Scheduler<T> {
     next_seq: u64,
 }
 
+impl<T> Default for Scheduler<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T> Scheduler<T> {
-    pub(crate) fn new() -> Self {
+    /// An empty scheduler with its cursor at time zero.
+    pub fn new() -> Self {
         Scheduler {
             arena: Vec::new(),
             free: Vec::new(),
@@ -99,23 +106,28 @@ impl<T> Scheduler<T> {
     }
 
     /// Number of live pending events.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// `true` when no event is pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Allocated arena slots, live and free — the scheduler's resident
     /// footprint (the arena never shrinks; slots are reused).
-    pub(crate) fn arena_len(&self) -> usize {
+    pub fn arena_len(&self) -> usize {
         self.arena.len()
     }
 
     /// Bytes per arena slot, for approximate-memory accounting.
-    pub(crate) fn arena_slot_bytes(&self) -> usize {
+    pub fn arena_slot_bytes(&self) -> usize {
         std::mem::size_of::<ArenaSlot<T>>()
     }
 
     /// Schedules `value` at `time`; returns a cancellation handle.
-    pub(crate) fn insert(&mut self, time: SimTime, value: T) -> EventRef {
+    pub fn insert(&mut self, time: SimTime, value: T) -> EventRef {
         let seq = self.next_seq;
         self.next_seq += 1;
         let idx = match self.free.pop() {
@@ -146,7 +158,7 @@ impl<T> Scheduler<T> {
     /// `false` if the event already fired or was already cancelled. The
     /// 16-byte reference left behind in a wheel slot or heap is skipped
     /// (via the `seq` generation check) whenever it surfaces.
-    pub(crate) fn cancel(&mut self, r: EventRef) -> bool {
+    pub fn cancel(&mut self, r: EventRef) -> bool {
         let slot = &mut self.arena[r.idx as usize];
         if slot.seq == r.seq && slot.value.is_some() {
             slot.value = None;
@@ -159,7 +171,7 @@ impl<T> Scheduler<T> {
     }
 
     /// Removes and returns the earliest event as `(time, seq, value)`.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         loop {
             if let Some(Reverse((t, seq, idx))) = self.near.pop() {
                 let slot = &mut self.arena[idx as usize];
@@ -180,7 +192,7 @@ impl<T> Scheduler<T> {
     }
 
     /// Time of the earliest pending event without removing it.
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
             if let Some(&Reverse((t, seq, idx))) = self.near.peek() {
                 let slot = &self.arena[idx as usize];
@@ -306,7 +318,7 @@ impl<T> Scheduler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mind_types::node::SECONDS;
+    use crate::node::SECONDS;
 
     #[test]
     fn pops_in_time_then_insertion_order() {
