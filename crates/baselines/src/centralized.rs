@@ -4,16 +4,15 @@ use crate::messages::BaselineMsg;
 use mind_store::{Store, StoreKind};
 use mind_types::node::{NodeLogic, Outbox, SimTime};
 use mind_types::{DetHashMap, HyperRect, NodeId, Record};
-use std::sync::Arc;
 
 /// Tracks one query at its originator (single expected answer).
 #[derive(Debug)]
 pub struct CentralQuery {
     /// Issue time.
     pub issued_at: SimTime,
-    /// The hub's answer (shared handles: the hub answering its own query
-    /// never copies payloads; wire answers are wrapped on receipt).
-    pub records: Vec<Arc<Record>>,
+    /// The hub's answer: rows copied out of the hub's store once, and
+    /// moved here directly or through the response frame.
+    pub records: Vec<Record>,
     /// Set when the hub answered.
     pub completed_at: Option<SimTime>,
 }
@@ -137,14 +136,7 @@ impl NodeLogic for CentralizedNode {
                 origin,
             } => {
                 debug_assert!(self.is_hub(), "only the hub receives queries");
-                // Materialize at the wire boundary: the response leaves the
-                // hub, so the payload copy is unavoidable here.
-                let records = self
-                    .store
-                    .range_records(&rect)
-                    .iter()
-                    .map(|r| (**r).clone())
-                    .collect();
+                let records = self.store.range_records(&rect);
                 out.send(
                     origin,
                     BaselineMsg::QueryResp {
@@ -160,7 +152,7 @@ impl NodeLogic for CentralizedNode {
                 records,
             } => {
                 if let Some(q) = self.queries.get_mut(&query_id) {
-                    q.records = records.into_iter().map(Arc::new).collect();
+                    q.records = records;
                     q.completed_at = Some(now);
                 }
             }

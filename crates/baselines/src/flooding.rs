@@ -4,7 +4,6 @@ use crate::messages::BaselineMsg;
 use mind_store::{Store, StoreKind};
 use mind_types::node::{NodeLogic, Outbox, SimTime};
 use mind_types::{DetHashMap, DetHashSet, HyperRect, NodeId, Record};
-use std::sync::Arc;
 
 /// Tracks one flooded query at its originator.
 #[derive(Debug)]
@@ -13,9 +12,9 @@ pub struct FloodQuery {
     pub issued_at: SimTime,
     /// Nodes that have not answered yet.
     pub awaiting: DetHashSet<NodeId>,
-    /// Accumulated records (shared handles: the local share is answered
-    /// without copying; wire answers are wrapped on receipt).
-    pub records: Vec<Arc<Record>>,
+    /// Accumulated records: the local share's rows and every peer's
+    /// answer, moved in as they arrive.
+    pub records: Vec<Record>,
     /// Set when every node has answered.
     pub completed_at: Option<SimTime>,
 }
@@ -121,14 +120,7 @@ impl NodeLogic for FloodingNode {
                 origin,
             } => {
                 self.evaluations += 1;
-                // Materialize at the wire boundary: remote evaluations have
-                // to ship their payloads to the originator.
-                let records = self
-                    .store
-                    .range_records(&rect)
-                    .iter()
-                    .map(|r| (**r).clone())
-                    .collect();
+                let records = self.store.range_records(&rect);
                 out.send(
                     origin,
                     BaselineMsg::QueryResp {
@@ -146,7 +138,7 @@ impl NodeLogic for FloodingNode {
             } => {
                 if let Some(q) = self.queries.get_mut(&query_id) {
                     if q.awaiting.remove(&responder) {
-                        q.records.extend(records.into_iter().map(Arc::new));
+                        q.records.extend(records);
                         if q.awaiting.is_empty() && q.completed_at.is_none() {
                             q.completed_at = Some(now);
                         }

@@ -18,7 +18,6 @@ use mind_overlay::OverlayMsg;
 use mind_types::node::{SimTime, SECONDS};
 use mind_types::{BitCode, HyperRect, NodeId, Record};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 pub(crate) const KIND_DAC_TICK: u64 = 0;
 pub(crate) const KIND_BATCH: u64 = 1;
@@ -70,10 +69,9 @@ pub(crate) enum DacJob {
 #[derive(Debug, Default)]
 pub(crate) struct BatchResult {
     sends: Vec<(NodeId, MindPayload)>,
-    /// Query responses still carrying shared record handles. Kept out of
-    /// `sends` so the local path (destination == this node) can feed the
-    /// tracker directly; payloads are materialized into wire records only
-    /// when the response actually leaves the node.
+    /// Query responses, kept out of `sends` so the local path (destination
+    /// == this node) can feed the tracker directly instead of looping a
+    /// message back.
     responses: Vec<(NodeId, LocalResponse)>,
     /// `sent_at` of each primary insert in the batch (latency recorded at
     /// release time).
@@ -84,9 +82,9 @@ pub(crate) struct BatchResult {
     forwards: Vec<(BitCode, u64, MindPayload)>,
 }
 
-/// A region's answer before the wire boundary: its rows as refcounted
-/// handles into the local store, not copies.
-pub(crate) type RegionRows = (BitCode, Vec<Arc<Record>>);
+/// A region's answer: its code and the rows the scan copied out of the
+/// local stores.
+pub(crate) type RegionRows = (BitCode, Vec<Record>);
 
 /// A query response before the wire boundary.
 #[derive(Debug)]
@@ -103,7 +101,7 @@ pub(crate) struct PendingHandoff {
     pub(crate) version: u32,
     pub(crate) code: BitCode,
     pub(crate) origin: NodeId,
-    pub(crate) local: Vec<Arc<Record>>,
+    pub(crate) local: Vec<Record>,
 }
 
 impl MindNode {
@@ -274,7 +272,10 @@ impl MindNode {
     /// [`MindNode::keep_owned_rows`]), or on a detected duplicate — an op
     /// that cannot be applied yet (index/version unknown here, e.g. a
     /// lost flood) stays unacked so the sender's retry can land once the
-    /// catalog heals.
+    /// catalog heals. An op with a row that does not have the schema's
+    /// arity is dropped whole, unacked, and counted in
+    /// `rows_rejected`: only the origin's `conform` checked it, and a
+    /// store fixes its arity by its first row.
     fn apply_write(&mut self, op: WriteOp, result: &mut BatchResult) {
         let WriteOp {
             index,
@@ -296,6 +297,11 @@ impl MindNode {
         let Some(state) = self.indexes.get(&index) else {
             return;
         };
+        let arity = state.schema.arity();
+        if rows.iter().any(|row| row.values().len() != arity) {
+            self.metrics.rows_rejected += rows.len() as u64;
+            return;
+        }
         let dims = state.schema.indexed_dims;
         let replication = state.replication;
         if state.version(version).is_none() {
@@ -427,9 +433,8 @@ impl MindNode {
         answers
     }
 
-    /// Answers one region from the local store. Zero-copy: the returned
-    /// records are shared handles into the store's record heap — nothing
-    /// is materialized until (unless) the response crosses the wire.
+    /// Answers one region from the local store, with rows copied out of
+    /// it once; the response moves them on.
     pub(crate) fn run_scan(
         &self,
         index: &str,
@@ -438,7 +443,7 @@ impl MindNode {
         rect: &HyperRect,
         filters: &[CarriedFilter],
         primary_only: bool,
-    ) -> Vec<Arc<Record>> {
+    ) -> Vec<Record> {
         let Some(state) = self.indexes.get(index) else {
             return Vec::new();
         };
@@ -461,8 +466,8 @@ impl MindNode {
         let Some(clip) = region.intersection(rect) else {
             return Vec::new();
         };
-        let accept = |r: &Arc<Record>| filters.iter().all(|f| f.accepts(r));
-        let mut out: Vec<Arc<Record>> = ver
+        let accept = |r: &Record| filters.iter().all(|f| f.accepts(r));
+        let mut out: Vec<Record> = ver
             .primary
             .range_records(&clip)
             .into_iter()
@@ -474,16 +479,10 @@ impl MindNode {
         out
     }
 
-    /// Copies shared record handles into owned records — the one place a
-    /// scan result is materialized, and only for payloads leaving the node.
-    pub(crate) fn to_wire(records: &[Arc<Record>]) -> Vec<Record> {
-        records.iter().map(|r| (**r).clone()).collect()
-    }
-
     /// Routes a scan answer to its originator. When the originator is this
-    /// node (the paper's common single-node query case) the tracker is fed
-    /// the shared handles directly — no payload copy, no message; only a
-    /// remote originator costs a wire materialization.
+    /// node (the paper's common single-node query case) the tracker takes
+    /// the rows directly, with no message; for a remote originator they
+    /// move into the response frame.
     pub(crate) fn deliver_response(
         &mut self,
         now: SimTime,
@@ -508,11 +507,7 @@ impl MindNode {
                         query_id: resp.query_id,
                         version: resp.version,
                         responder: self.id(),
-                        answers: resp
-                            .answers
-                            .iter()
-                            .map(|(code, rows)| (*code, Self::to_wire(rows)))
-                            .collect(),
+                        answers: resp.answers,
                     },
                 },
             );
@@ -678,7 +673,7 @@ mod tests {
         }
     }
 
-    fn sorted(mut rows: Vec<Arc<Record>>) -> Vec<Vec<Value>> {
+    fn sorted(mut rows: Vec<Record>) -> Vec<Vec<Value>> {
         rows.sort_by(|a, b| a.values().cmp(b.values()));
         rows.iter().map(|r| r.values().to_vec()).collect()
     }
@@ -851,6 +846,40 @@ mod tests {
                 "cap {cap}"
             );
         }
+    }
+
+    /// A peer's rows are checked against the schema before any store sees
+    /// them: an `InsertBatch` carrying a row too short to index and one too
+    /// long for the slab is dropped whole — nothing stored, nothing
+    /// remembered, nothing sent — and its rows are counted.
+    #[test]
+    fn a_peer_op_with_rows_of_the_wrong_arity_is_dropped_unacked() {
+        let bounds = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+        let cuts = CutTree::balanced_from_points(bounds, 3, &[]);
+        let mut peer = node_at(1, cuts.clone(), Replication::Level(1));
+        let mut n = node_at(0, cuts, Replication::Level(1));
+        let rows = vec![Record::new(vec![7]), Record::new(vec![7, 7, 7, 7])];
+        let (op_id, payload) = peer.insert_op("t".into(), 0, rows, 0);
+        assert!(matches!(payload, MindPayload::InsertBatch { .. }));
+        let target = n.overlay.code().unwrap();
+        let mut out = Out::new();
+        n.on_message(
+            5,
+            NodeId(1),
+            OverlayMsg::Route {
+                target,
+                hops: 1,
+                payload,
+            },
+            &mut out,
+        );
+        assert!(out.sends.is_empty());
+        assert!(run_dac(&mut n).is_empty(), "no ack, no replica push");
+        let ver = &n.indexes["t"].versions[0];
+        assert_eq!((ver.primary.len(), ver.replicas.len()), (0, 0));
+        assert_eq!((ver.primary_rows, ver.replica_rows), (0, 0));
+        assert!(!n.seen_ops.contains(op_id));
+        assert_eq!(n.metrics.rows_rejected, 2);
     }
 
     proptest! {

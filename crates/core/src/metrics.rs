@@ -42,6 +42,9 @@ pub struct NodeMetrics {
     pub acks_received: u64,
     /// Duplicate operations (already-applied `op_id`s) ignored here.
     pub dup_ops_ignored: u64,
+    /// Rows of peers' write ops dropped unapplied and unacked because one
+    /// of the op's rows did not have the index schema's arity.
+    pub rows_rejected: u64,
     /// Operations abandoned after exhausting their retry budget.
     pub retries_exhausted: u64,
     /// Query plan/sub-query re-dispatch rounds this node issued.

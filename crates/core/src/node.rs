@@ -27,7 +27,6 @@ use mind_store::{DacCostModel, StoreKind};
 use mind_types::node::{NodeLogic, Outbox, SimTime, SECONDS};
 use mind_types::{BitCode, DetHashMap, HyperRect, MindError, NodeId, Record};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 
 /// The outbox type every MIND handler writes into.
 pub(crate) type Out = Outbox<OverlayMsg<MindPayload>>;
@@ -900,7 +899,7 @@ impl MindNode {
                     OverlayMsg::Direct {
                         payload: MindPayload::HandoffRecords {
                             handoff_id,
-                            records: Self::to_wire(&records),
+                            records,
                         },
                     },
                 );
@@ -911,7 +910,7 @@ impl MindNode {
             } => {
                 if let Some(p) = self.pending_handoffs.remove(&handoff_id) {
                     let mut merged = p.local;
-                    merged.extend(records.into_iter().map(Arc::new));
+                    merged.extend(records);
                     self.deliver_response(
                         now,
                         p.origin,
@@ -944,14 +943,7 @@ impl MindNode {
             } => {
                 if let Some(t) = self.queries.get_mut(&query_id) {
                     for (code, records) in answers {
-                        // Arriving off the wire: wrap into shared handles once.
-                        t.on_response(
-                            now,
-                            version,
-                            code,
-                            responder,
-                            records.into_iter().map(Arc::new).collect(),
-                        );
+                        t.on_response(now, version, code, responder, records);
                     }
                 }
                 self.settle_query_timers(query_id, out);

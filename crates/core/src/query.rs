@@ -10,7 +10,6 @@ use mind_types::node::SimTime;
 use mind_types::{BitCode, NodeId, Record};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// The in-flight state of one query at its originator.
 #[derive(Debug)]
@@ -32,10 +31,10 @@ pub struct QueryTracker {
     outstanding: usize,
     /// Distinct responding nodes (the paper's *query cost*).
     pub responders: BTreeSet<NodeId>,
-    /// Records accumulated, as shared handles: responses answered from the
-    /// local store arrive without ever copying payloads (wire responses
-    /// are wrapped on receipt). Materialized once, in [`Self::outcome`].
-    pub records: Vec<Arc<Record>>,
+    /// Records accumulated: the rows of every answered region, moved in as
+    /// they arrive (a local answer's rows were copied out of the store
+    /// once, a remote answer's decoded off the wire).
+    pub records: Vec<Record>,
     /// Set when all plans arrived and every expected region answered.
     pub completed_at: Option<SimTime>,
     /// Set when the deadline passed first.
@@ -97,7 +96,7 @@ impl QueryTracker {
         version: u32,
         code: BitCode,
         responder: NodeId,
-        mut records: Vec<Arc<Record>>,
+        mut records: Vec<Record>,
     ) {
         if self.done() {
             return;
@@ -137,13 +136,12 @@ impl QueryTracker {
         self.completed_at.is_some() || self.timed_out
     }
 
-    /// Freezes the tracker into an outcome (this is where record payloads
-    /// are finally copied — once, for the caller).
+    /// Freezes the tracker into an outcome, a copy for the caller.
     pub fn outcome(&self) -> QueryOutcome {
         QueryOutcome {
             complete: self.completed_at.is_some(),
             latency: self.completed_at.map(|t| t - self.issued_at),
-            records: self.records.iter().map(|r| (**r).clone()).collect(),
+            records: self.records.clone(),
             cost_nodes: self.responders.len(),
         }
     }
@@ -176,13 +174,7 @@ mod tests {
         let mut t = QueryTracker::new("i".into(), 100, &[0]);
         t.on_plan(110, 0, vec![code("00"), code("01")], None);
         assert!(!t.done());
-        t.on_response(
-            120,
-            0,
-            code("00"),
-            NodeId(1),
-            vec![Arc::new(Record::new(vec![1]))],
-        );
+        t.on_response(120, 0, code("00"), NodeId(1), vec![Record::new(vec![1])]);
         assert!(!t.done());
         t.on_response(130, 0, code("01"), NodeId(2), vec![]);
         assert!(t.done());
@@ -243,20 +235,8 @@ mod tests {
     fn duplicate_responses_ignored() {
         let mut t = QueryTracker::new("i".into(), 0, &[0]);
         t.on_plan(1, 0, vec![code("0"), code("1")], None);
-        t.on_response(
-            2,
-            0,
-            code("0"),
-            NodeId(1),
-            vec![Arc::new(Record::new(vec![1]))],
-        );
-        t.on_response(
-            3,
-            0,
-            code("0"),
-            NodeId(1),
-            vec![Arc::new(Record::new(vec![1]))],
-        );
+        t.on_response(2, 0, code("0"), NodeId(1), vec![Record::new(vec![1])]);
+        t.on_response(3, 0, code("0"), NodeId(1), vec![Record::new(vec![1])]);
         assert_eq!(
             t.records.len(),
             1,
@@ -276,13 +256,7 @@ mod tests {
         assert!(!o.complete);
         assert_eq!(o.latency, None);
         // Late responses change nothing.
-        t.on_response(
-            99,
-            0,
-            code("1"),
-            NodeId(2),
-            vec![Arc::new(Record::new(vec![9]))],
-        );
+        t.on_response(99, 0, code("1"), NodeId(2), vec![Record::new(vec![9])]);
         assert_eq!(t.outcome().records.len(), 0);
     }
 

@@ -35,6 +35,7 @@
 //!   built on that path.
 
 use mind_types::{HyperRect, RecordId, Value};
+use std::ops::Range;
 
 /// Slices at or below this length are leaf buckets: left unpartitioned at
 /// build time and scanned dimension-major at query time (see
@@ -114,6 +115,16 @@ impl KdTree {
         tree
     }
 
+    /// The coordinate columns, in layout order.
+    pub(crate) fn columns(&self) -> &[Vec<Value>] {
+        &self.cols
+    }
+
+    /// The record ids, in layout order (parallel to the columns).
+    pub(crate) fn ids(&self) -> &[RecordId] {
+        &self.ids
+    }
+
     /// Consumes the tree, returning its column buffers and id array (in
     /// layout order) for a merge to concatenate.
     pub(crate) fn into_columns(self) -> (Vec<Vec<Value>>, Vec<RecordId>) {
@@ -137,6 +148,14 @@ impl KdTree {
 
     /// Collects the ids of every point inside `rect` (inclusive bounds).
     pub fn range(&self, rect: &HyperRect, out: &mut Vec<RecordId>) {
+        self.range_positions(rect, |span| out.extend_from_slice(&self.ids[span]));
+    }
+
+    /// Reports the layout positions of every point inside `rect`, in walk
+    /// order, as spans: a subtree the query contains is one span, any
+    /// other hit a span of one. Position `i` is the point whose coordinates
+    /// are `columns()[d][i]` and whose id is `ids()[i]`.
+    pub(crate) fn range_positions(&self, rect: &HyperRect, mut emit: impl FnMut(Range<usize>)) {
         assert_eq!(rect.dims(), self.dims, "query dimensionality mismatch");
         if self.ids.is_empty() {
             return;
@@ -145,7 +164,7 @@ impl KdTree {
             return; // disjoint from the data's bounding box
         };
         if active == 0 {
-            out.extend_from_slice(&self.ids);
+            emit(0..self.ids.len());
             return;
         }
         let mut bb_lo = self.bb_lo.clone();
@@ -158,7 +177,7 @@ impl KdTree {
             &mut bb_lo,
             &mut bb_hi,
             active,
-            out,
+            &mut emit,
         );
     }
 
@@ -219,7 +238,7 @@ impl KdTree {
         clippy::too_many_arguments,
         reason = "the recursion carries its slice, box and active set by value to stay allocation-free"
     )]
-    fn range_rec(
+    fn range_rec<F: FnMut(Range<usize>)>(
         &self,
         rect: &HyperRect,
         lo: usize,
@@ -228,7 +247,7 @@ impl KdTree {
         bb_lo: &mut [Value],
         bb_hi: &mut [Value],
         active: u32,
-        out: &mut Vec<RecordId>,
+        emit: &mut F,
     ) {
         debug_assert!(active != 0, "contained slices are emitted by the caller");
         if lo >= hi {
@@ -238,8 +257,8 @@ impl KdTree {
         if hi - lo <= LEAF_CUTOFF {
             let mut mask = leaf_mask(&self.cols, rect, lo, hi, active);
             while mask != 0 {
-                let j = mask.trailing_zeros() as usize;
-                out.push(self.ids[lo + j]);
+                let j = lo + mask.trailing_zeros() as usize;
+                emit(j..j + 1);
                 mask &= mask - 1;
             }
             return;
@@ -248,7 +267,7 @@ impl KdTree {
         let axis = depth % self.dims;
         let coord = self.cols[axis][mid];
         if self.point_in(mid, rect, active) {
-            out.push(self.ids[mid]);
+            emit(mid..mid + 1);
         }
         // Left subtree holds coords <= node coord on this axis, right holds
         // coords >= (duplicates may go either way, so both bounds are
@@ -270,9 +289,9 @@ impl KdTree {
                 active
             };
             if child == 0 {
-                out.extend_from_slice(&self.ids[lo..mid]);
+                emit(lo..mid);
             } else {
-                self.range_rec(rect, lo, mid, depth + 1, bb_lo, bb_hi, child, out);
+                self.range_rec(rect, lo, mid, depth + 1, bb_lo, bb_hi, child, emit);
             }
             bb_hi[axis] = saved;
         }
@@ -288,9 +307,9 @@ impl KdTree {
                 active
             };
             if child == 0 {
-                out.extend_from_slice(&self.ids[mid + 1..hi]);
+                emit(mid + 1..hi);
             } else {
-                self.range_rec(rect, mid + 1, hi, depth + 1, bb_lo, bb_hi, child, out);
+                self.range_rec(rect, mid + 1, hi, depth + 1, bb_lo, bb_hi, child, emit);
             }
             bb_lo[axis] = saved;
         }

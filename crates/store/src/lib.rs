@@ -11,9 +11,10 @@
 //!   prototype ([`NaiveKdTree`] is the pre-columnar tree, kept as the
 //!   differential-testing oracle),
 //! * [`MemStore`] — the per-(index, version) record store: append-only
-//!   record heap indexed by levelled [`KdTree`] runs, merged four at a time,
-//!   plus a columnar tail of under 1,024 rows (versions are dropped
-//!   wholesale when they age out, so there is no per-record delete path),
+//!   rows held once, indexed values in levelled [`KdTree`] runs (merged
+//!   four at a time) plus a columnar tail of under 1,024 rows, carried
+//!   values in one strided slab (versions are dropped wholesale when they
+//!   age out, so there is no per-record delete path),
 //! * [`DacCostModel`] — what a DAC batch costs in simulated time, which is
 //!   what gives the simulator realistic per-node processing delays (the
 //!   paper attributes its latency tails partly to DAC queuing; the queue

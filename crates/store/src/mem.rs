@@ -12,7 +12,7 @@
 
 use crate::kdtree::{leaf_mask, KdTree};
 use mind_types::{HyperRect, Record, RecordId, Value};
-use std::sync::Arc;
+use std::mem::size_of;
 
 /// Rows the tail holds before it is sealed into a run: the smallest run,
 /// whose columns stay in L1/L2 while they are laid out.
@@ -31,25 +31,30 @@ pub(crate) const FANOUT: usize = 4;
 /// whole index *versions* age out and their stores are dropped wholesale
 /// (Section 3.7).
 ///
-/// Records live behind [`Arc`], so the local scan path
-/// ([`MemStore::range_records`]) hands out refcount bumps instead of deep
-/// copies — a record is only materialized when it crosses the (simulated)
-/// wire. The indexed dimensions are kept columnar in the tail and in every
-/// run, so an insert appends `dims` scalars and never allocates a
-/// per-point vector, and a merge concatenates columns with no transpose.
+/// A row lives once, with no allocation of its own. Its first `dims`
+/// values, the indexed point, live only in the columns of the tail or of
+/// the run holding it, so an insert appends `dims` scalars and a merge
+/// concatenates columns with no transpose. The rest of its values, the
+/// carried attributes, live in one slab at `id * stride`, where `stride =
+/// arity - dims` and the arity is fixed by the store's first row.
+/// [`MemStore::range_records`] is where a [`Record`] is materialised: it
+/// copies each matching row out of the columns and the slab.
 #[derive(Debug, Clone)]
 pub struct MemStore {
     dims: usize,
-    records: Vec<Arc<Record>>,
+    /// Values per row, fixed by the first row (0 while the store is empty).
+    arity: usize,
+    /// Rows stored.
+    len: usize,
+    /// The carried values of row `id` at `id * stride..(id + 1) * stride`,
+    /// `stride = arity - dims`.
+    carried: Vec<Value>,
     /// Immutable k-d runs over the oldest `len - len % TAIL` rows, largest
     /// (oldest) first, at most `FANOUT - 1` of each length.
     runs: Vec<KdTree>,
     /// The newest `len % TAIL` rows, columnar: `tail[d][i]` is coordinate
     /// `d` of the row with id `len - len % TAIL + i`.
     tail: Vec<Vec<Value>>,
-    /// Incrementally maintained [`Self::approx_bytes`] value; records are
-    /// append-only, so inserts only ever add to it.
-    bytes: usize,
 }
 
 impl MemStore {
@@ -59,21 +64,22 @@ impl MemStore {
         assert!(dims <= 32, "active-dimension masks are 32 bits wide");
         MemStore {
             dims,
-            records: Vec::new(),
+            arity: 0,
+            len: 0,
+            carried: Vec::new(),
             runs: Vec::new(),
             tail: (0..dims).map(|_| Vec::new()).collect(),
-            bytes: 0,
         }
     }
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// `true` when the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Indexed dimensionality.
@@ -81,25 +87,38 @@ impl MemStore {
         self.dims
     }
 
-    /// Appends a record and indexes its first `dims` values.
+    /// Appends a record: its first `dims` values to the tail's columns,
+    /// the rest to the carried slab.
     ///
     /// # Panics
     /// Panics if the record has fewer values than the store's
-    /// dimensionality (the caller — `mind-core` — validates records against
-    /// the schema before they reach storage).
+    /// dimensionality, or not as many as the store's first row (the
+    /// caller — `mind-core` — checks records against the schema before
+    /// they reach storage).
     pub fn insert(&mut self, record: Record) -> RecordId {
+        let values = record.values();
         assert!(
-            record.values().len() >= self.dims,
+            values.len() >= self.dims,
             "record arity {} below store dimensionality {}",
-            record.values().len(),
+            values.len(),
             self.dims
         );
-        let id = RecordId(self.records.len() as u64);
-        for (col, &v) in self.tail.iter_mut().zip(record.point(self.dims)) {
+        if self.len == 0 {
+            self.arity = values.len();
+        }
+        assert!(
+            values.len() == self.arity,
+            "record arity {} differs from the store's arity {}",
+            values.len(),
+            self.arity
+        );
+        let (point, carried) = values.split_at(self.dims);
+        for (col, &v) in self.tail.iter_mut().zip(point) {
             col.push(v);
         }
-        self.bytes += record.values().len() * 8 + 24 + self.dims * 8 + 32;
-        self.records.push(Arc::new(record));
+        self.carried.extend_from_slice(carried);
+        let id = RecordId(self.len as u64);
+        self.len += 1;
         if self.tail[0].len() == TAIL {
             self.seal_tail();
         }
@@ -129,11 +148,11 @@ impl MemStore {
             }
             ids.extend_from_slice(&run_ids);
         }
-        let first = self.records.len() - TAIL;
+        let first = self.len - TAIL;
         for (col, tail) in cols.iter_mut().zip(&mut self.tail) {
             col.append(tail);
         }
-        ids.extend((first..self.records.len()).map(|i| RecordId(i as u64)));
+        ids.extend((first..self.len).map(|i| RecordId(i as u64)));
         self.runs.push(KdTree::from_columns(cols, ids));
     }
 
@@ -148,40 +167,57 @@ impl MemStore {
         })
     }
 
-    /// Ids of all records whose indexed point lies inside `rect`.
-    pub fn range_ids(&self, rect: &HyperRect) -> Vec<RecordId> {
-        let mut out = Vec::new();
+    /// Calls `hit` with the columns, position and id of every row whose
+    /// indexed point lies inside `rect`: the runs oldest first, each in its
+    /// walk order, then the tail in id order.
+    fn for_each_hit(&self, rect: &HyperRect, mut hit: impl FnMut(&[Vec<Value>], usize, RecordId)) {
         for run in &self.runs {
-            run.range(rect, &mut out);
+            let (cols, ids) = (run.columns(), run.ids());
+            run.range_positions(rect, |span| {
+                for pos in span {
+                    hit(cols, pos, ids[pos]);
+                }
+            });
         }
-        let first = self.records.len() - self.tail[0].len();
+        let first = self.len - self.tail[0].len();
         for (lo, mut mask) in self.tail_masks(rect) {
             while mask != 0 {
-                let i = first + lo + mask.trailing_zeros() as usize;
-                out.push(RecordId(i as u64));
+                let pos = lo + mask.trailing_zeros() as usize;
+                hit(&self.tail, pos, RecordId((first + pos) as u64));
                 mask &= mask - 1;
             }
         }
+    }
+
+    /// Ids of all records whose indexed point lies inside `rect`.
+    pub fn range_ids(&self, rect: &HyperRect) -> Vec<RecordId> {
+        let mut out = Vec::new();
+        self.for_each_hit(rect, |_, _, id| out.push(id));
         out
     }
 
-    /// Records matching `rect`, as shared handles — the zero-copy local
-    /// scan path. Callers that put records on the wire materialize them at
-    /// the send boundary; everything staying on-node (the common case for
-    /// the paper's single-node queries) never copies record payloads.
-    pub fn range_records(&self, rect: &HyperRect) -> Vec<Arc<Record>> {
-        self.range_ids(rect)
-            .into_iter()
-            .map(|id| Arc::clone(&self.records[id.0 as usize]))
-            .collect()
+    /// Records matching `rect`, in the order [`Self::range_ids`] lists
+    /// their ids. Each is rebuilt from its indexed values in the columns
+    /// and its carried values in the slab: the one place a stored row is
+    /// copied out.
+    pub fn range_records(&self, rect: &HyperRect) -> Vec<Record> {
+        let mut out = Vec::new();
+        self.for_each_hit(rect, |cols, pos, id| {
+            let stride = self.arity - self.dims;
+            let at = id.0 as usize * stride;
+            let mut values = Vec::with_capacity(self.arity);
+            values.extend(cols.iter().map(|col| col[pos]));
+            values.extend_from_slice(&self.carried[at..at + stride]);
+            out.push(Record::new(values));
+        });
+        out
     }
 
-    /// Approximate heap footprint in bytes (storage-balance metrics).
-    ///
-    /// Maintained incrementally on insert — sampling storage balance across
-    /// hundreds of simulated nodes no longer walks every record heap.
+    /// Bytes the rows occupy: per row, its values (in the columns and the
+    /// slab) and the id its run keeps beside them. Counts no slack
+    /// capacity; O(1).
     pub fn approx_bytes(&self) -> usize {
-        self.bytes
+        self.len * (self.arity * size_of::<Value>() + size_of::<RecordId>())
     }
 }
 
@@ -194,7 +230,7 @@ impl crate::Store for MemStore {
     fn insert(&mut self, record: Record) -> RecordId {
         MemStore::insert(self, record)
     }
-    fn range_records(&self, rect: &HyperRect) -> Vec<Arc<Record>> {
+    fn range_records(&self, rect: &HyperRect) -> Vec<Record> {
         MemStore::range_records(self, rect)
     }
     fn approx_bytes(&self) -> usize {
@@ -236,24 +272,21 @@ mod tests {
     }
 
     #[test]
-    fn range_records_shares_not_copies() {
+    fn range_records_rebuild_exact_rows_across_run_and_tail() {
+        let row = |i: u64| rec(&[i, i + 77, i * 3]);
         let mut s = MemStore::new(1);
         for i in 0..1500u64 {
-            s.insert(rec(&[i, i + 77]));
+            s.insert(row(i));
         }
         // Ids 1000..1100 straddle the sealed run and the tail.
         assert_eq!((run_lens(&s), s.tail[0].len()), (vec![TAIL], 1500 - TAIL));
         let rect = HyperRect::new(vec![1000], vec![1099]);
-        let (mut a, mut b) = (s.range_records(&rect), s.range_records(&rect));
+        let (mut a, b) = (s.range_records(&rect), s.range_records(&rect));
+        // Two scans rebuild the same rows in the same order, and each row
+        // is the one inserted: indexed value, then both carried values.
+        assert_eq!(a, b);
         a.sort_by_key(|r| r.value(0));
-        b.sort_by_key(|r| r.value(0));
-        assert_eq!(a.len(), 100);
-        for (x, y) in a.iter().zip(&b) {
-            // Both scans alias the stored record: one allocation, three refs.
-            assert!(Arc::ptr_eq(x, y));
-            assert_eq!(Arc::strong_count(x), 3);
-            assert_eq!(x.value(1), x.value(0) + 77);
-        }
+        assert_eq!(a, (1000..1100).map(row).collect::<Vec<_>>());
     }
 
     #[test]
@@ -278,14 +311,13 @@ mod tests {
         for i in 0..1500u64 {
             s.insert(rec(&[i, i * 2, i * 3]));
         }
-        // The incremental counter equals the O(n) recompute, across a seal.
-        // (Records are walked via a full-domain scan — `iter()` left with
-        // the dyn-safe trait cut.)
+        // The count equals a recompute over every row, across a seal: two
+        // column values, one carried value and one run id per row.
         let all = s.range_records(&HyperRect::full(2));
         assert_eq!(all.len(), 1500);
-        let recomputed = all.iter().map(|r| r.values().len() * 8 + 24).sum::<usize>()
-            + s.len() * (s.dims() * 8 + 32);
+        let recomputed = all.iter().map(|r| r.values().len() * 8 + 8).sum::<usize>();
         assert_eq!(s.approx_bytes(), recomputed);
+        assert_eq!(s.approx_bytes(), 1500 * 32);
     }
 
     #[test]
@@ -314,6 +346,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "differs from the store's arity")]
+    fn a_row_of_another_arity_than_the_first_rejected() {
+        let mut s = MemStore::new(1);
+        s.insert(rec(&[1, 2]));
+        s.insert(rec(&[1, 2, 3]));
+    }
+
+    #[test]
     fn insert_batch_matches_singles_and_rebuilds_once() {
         // One batch past four seals and a merge: it seals and merges at the
         // rows single inserts do, so the observable state (ids, runs,
@@ -339,25 +379,29 @@ mod tests {
 
     #[test]
     fn a_seal_and_a_merge_keep_every_row() {
-        // Small enough for Miri, large enough to run the seal and merge
-        // index arithmetic: 4,097 one-dimensional rows are four seals, one
-        // merge into a 4,096-row run, and one row left in the tail. The
-        // coordinates are a permutation of the ids, so no run is sorted.
+        // Small enough for Miri, large enough to run the seal, merge and
+        // slab index arithmetic: 4,097 one-dimensional rows are four seals,
+        // one merge into a 4,096-row run, and one row left in the tail.
+        // The coordinates are a permutation of the ids, so no run is
+        // sorted, and each row carries its id.
         let mut s = MemStore::new(1);
         let coord = |i: u64| i * 7 % 4097;
+        let row = |i: u64| rec(&[coord(i), i]);
         for i in 0..4097 {
-            s.insert(rec(&[coord(i)]));
+            s.insert(row(i));
         }
         assert_eq!((run_lens(&s), s.tail[0].len()), (vec![4096], 1));
         for (lo, hi) in [(100, 2099), (4090, 4090), (0, u64::MAX)] {
             let rect = HyperRect::new(vec![lo], vec![hi]);
-            let mut ids = s.range_ids(&rect);
-            ids.sort();
-            let want: Vec<RecordId> = (0..4097)
+            let want: Vec<u64> = (0..4097)
                 .filter(|&i| (lo..=hi).contains(&coord(i)))
-                .map(RecordId)
                 .collect();
-            assert_eq!(ids, want);
+            // Rows come back in the order of their ids, each whole.
+            let mut rows = s.range_records(&rect);
+            let carried: Vec<RecordId> = rows.iter().map(|r| RecordId(r.value(1))).collect();
+            assert_eq!(carried, s.range_ids(&rect));
+            rows.sort_by_key(|r| r.value(1));
+            assert_eq!(rows, want.into_iter().map(row).collect::<Vec<_>>());
         }
     }
 

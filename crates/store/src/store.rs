@@ -11,7 +11,6 @@
 use crate::mem::{MemStore, FANOUT, TAIL};
 use crate::naive::NaiveKdTree;
 use mind_types::{HyperRect, Record, RecordId};
-use std::sync::Arc;
 
 /// The per-(index, version) record store interface.
 ///
@@ -37,14 +36,13 @@ pub trait Store: std::fmt::Debug + Send {
         }
     }
 
-    /// Records matching `rect`, as shared handles — the zero-copy local
-    /// scan path. Callers that put records on the wire materialize them at
-    /// the send boundary.
-    fn range_records(&self, rect: &HyperRect) -> Vec<Arc<Record>>;
+    /// Records matching `rect`, each an owned copy of the stored row. The
+    /// store keeps no record objects: the copy is made here, once, and the
+    /// caller moves it on (into a query tracker or a response frame).
+    fn range_records(&self, rect: &HyperRect) -> Vec<Record>;
 
-    /// Approximate heap footprint in bytes (storage-balance metrics).
-    /// Must be maintained incrementally — metric sampling across hundreds
-    /// of simulated nodes calls this hot.
+    /// Approximate bytes the stored rows occupy. Only the benchmark's
+    /// store replay reads it (`store.bytes_per_row`).
     fn approx_bytes(&self) -> usize;
 
     /// Number of stored records.
@@ -81,7 +79,7 @@ impl StoreKind {
 /// rectangle and asserts that the k-d store filled one `insert` at a time,
 /// the k-d store filled by `insert_batch` (cut in two where the input
 /// says), the [`NaiveKdTree`] oracle and a brute-force scan agree exactly
-/// on ids.
+/// on ids, and that both k-d stores return exactly the matching rows, whole.
 ///
 /// Input layout (frozen: the committed `fuzz/corpus/store_range` inputs
 /// replay against it): `data[0]` packs the dimensionality
@@ -184,6 +182,14 @@ pub fn fuzz_store_range(data: &[u8]) {
         brute,
         "naive ids diverge from brute force"
     );
+    // Each row carries its row number last, so rows sort into id order.
+    let whole: Vec<&[u64]> = brute.iter().map(|id| &rows[id.0 as usize][..]).collect();
+    for (store, name) in [(&kd, "kdtree"), (&kd_batched, "batched kdtree")] {
+        let mut got = store.range_records(&rect);
+        got.sort_by_key(|r| r.value(dims));
+        let got: Vec<&[u64]> = got.iter().map(Record::values).collect();
+        assert_eq!(got, whole, "{name} rows diverge from brute force");
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //! pre-columnar [`NaiveKdTree`] oracle, and a brute-force scan must agree
 //! *exactly* on `range_ids` — an independent implementation
 //! is the strongest correctness oracle the backend can get (mirrors
-//! `columnar_prop.rs`, which races the columnar tree alone).
+//! `columnar_prop.rs`, which races the columnar tree alone) — and the
+//! store's `range_records` must rebuild every matching row whole.
 //!
 //! Coverage the strategies force: duplicate-heavy inputs (tiny coordinate
 //! domains), empty and singleton stores, full-domain wildcard rectangles,
@@ -158,6 +159,56 @@ proptest! {
         prop_assert_eq!(batched.len(), rows.len());
         prop_assert_eq!(&sorted(singles.range_ids(&rect)), &oracle, "singles");
         prop_assert_eq!(&sorted(batched.range_ids(&rect)), &oracle, "batched");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A scan returns each matching row whole: its indexed values out of
+    /// the run and tail columns, its two carried values (the first unique
+    /// per row) out of the slab. The rows, of arity `dims + 2`, are cycled
+    /// to 5,000 — past four seals and a merge — and batched at arbitrary
+    /// cuts.
+    #[test]
+    fn prop_range_records_return_whole_rows(
+        points in dup_points(40, 400),
+        cuts in prop::collection::vec(0usize..=5000, 0..8),
+        a in prop::collection::vec(0u64..=50, 3),
+        b in prop::collection::vec(0u64..=50, 3),
+    ) {
+        let rows: Vec<Vec<u64>> = points
+            .iter()
+            .cycle()
+            .take(5000)
+            .zip(0u64..)
+            .map(|(p, i)| {
+                let carried = [i, i.wrapping_mul(0x9e37_79b9_7f4a_7c15)];
+                p.iter().copied().chain(carried).collect()
+            })
+            .collect();
+        let rect = rect_from(a, b);
+        let mut want: Vec<Vec<u64>> = rows
+            .iter()
+            .filter(|r| rect.contains_point(&r[..3]))
+            .cloned()
+            .collect();
+        want.sort();
+        let mut store = MemStore::new(3);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(rows.len())).collect();
+        cuts.sort_unstable();
+        let mut from = 0;
+        for to in cuts.into_iter().chain([rows.len()]) {
+            store.insert_batch(rows[from..to].iter().cloned().map(Record::new).collect());
+            from = to;
+        }
+        let mut got: Vec<Vec<u64>> = store
+            .range_records(&rect)
+            .iter()
+            .map(|r| r.values().to_vec())
+            .collect();
+        got.sort();
+        prop_assert_eq!(got, want);
     }
 }
 

@@ -12,6 +12,8 @@
 #   prop_                                — proptest suites: hundreds of cases each;
 #                                          prop_batch_cuts_leave_the_runs_singles_do
 #                                          inserts up to ~40k rows per case, twice
+#                                          (prop_range_records_return_whole_rows
+#                                          is an integration test, outside --lib)
 #   random_queries_match_brute_force     — 2000-point randomized k-d workload
 #   range_sees_buffered_and_rebuilt_records — 2000 inserts across a seal
 #   approx_bytes_incremental_matches_recompute — 1500-insert byte accounting
@@ -21,9 +23,12 @@
 #   balanced_histogram_tracks_points     — 1000-point balanced-cut build
 #   iteration_is_insertion_order_independent — ~2200-insert replay check
 #
-# a_seal_and_a_merge_keep_every_row (4,097 one-dimensional rows) is not
-# skipped: it is the one test that reaches the store's seal and merge index
-# arithmetic, and it is kept small enough for Miri on purpose.
+# a_seal_and_a_merge_keep_every_row (4,097 one-dimensional rows, each
+# carrying its id) is not skipped: it is the one test that reaches the
+# store's seal, merge and carried-slab index arithmetic, and it is kept
+# small enough for Miri on purpose. Nor are the small row-value checks
+# range_records_rebuild_exact_rows_across_run_and_tail (1,500 rows across
+# a seal) and a_row_of_another_arity_than_the_first_rejected.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
