@@ -256,6 +256,20 @@ impl MindNode {
             .map(|t| t.outcome())
     }
 
+    /// [`Self::query_outcome`] for a long-lived host: a finished query's
+    /// tracker leaves the node, and its rows move out with it.
+    pub fn take_query_outcome(&mut self, query_id: u64) -> Option<crate::query::QueryOutcome> {
+        if !self.queries.get(&query_id)?.done() {
+            return None;
+        }
+        let mut t = self.queries.remove(&query_id)?;
+        let records = std::mem::take(&mut t.records);
+        Some(crate::query::QueryOutcome {
+            records,
+            ..t.outcome()
+        })
+    }
+
     /// Section 3.6: the first node whose region abuts the query splits it
     /// into per-region sub-queries, announces the plan to the originator,
     /// answers its own regions, and routes the rest.

@@ -33,16 +33,6 @@ use crate::grid::GridHistogram;
 use mind_types::{BitCode, HyperRect, Value};
 use serde::{Deserialize, Serialize};
 
-/// How cut thresholds are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CutStrategy {
-    /// Midpoint cuts (Figure 5, top left).
-    Even,
-    /// Weighted-median cuts from an observed distribution (Figure 5, bottom
-    /// right).
-    Balanced,
-}
-
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) enum Node {
     Leaf,

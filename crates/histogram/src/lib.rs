@@ -30,7 +30,7 @@ pub mod fuzz;
 pub mod grid;
 pub mod mismatch;
 
-pub use cuts::{CutStrategy, NaiveCutTree};
+pub use cuts::NaiveCutTree;
 pub use flat::CutTree;
 pub use fuzz::fuzz_cut_columns;
 pub use grid::GridHistogram;

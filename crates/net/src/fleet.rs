@@ -13,7 +13,8 @@
 //!   crash/revive of any node,
 //! * `crash` halts the node's host — its listener closes, peers' sends
 //!   to it fail and count as drops — but keeps its [`HostCore`]: the
-//!   logic state and its timer-id sequence,
+//!   logic state and its timer-id sequence; `with_node` on it runs the
+//!   closure and drops its effects, as the simulator does,
 //! * `revive` rebinds the same address and respawns the host on that core
 //!   as a new incarnation (`on_start` runs again, the overlay observes a
 //!   restart), so ids never collide,
@@ -149,8 +150,8 @@ where
         match &mut self.slots[id.0 as usize] {
             Slot::Up(h) => h.invoke(f),
             // The closure still runs against a crashed node's logic and
-            // its timer ids are spent, but its effects are dropped — where
-            // the simulator routes them (see `ClusterDriver::with_node`).
+            // its timer ids are spent, but its effects are dropped, as on
+            // every plane (see `ClusterDriver::with_node`).
             Slot::Down(core) => core.pass(self.epoch.elapsed().as_micros() as SimTime, f).0,
             Slot::Vacant => unreachable!("vacant slot outside crash/revive"),
         }

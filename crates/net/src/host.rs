@@ -731,6 +731,47 @@ mod tests {
     }
 
     #[test]
+    fn a_held_driver_throttles_its_reader_and_loses_nothing() {
+        let (a, b) = spawn_pair();
+        // Hold b's driver in a long invoke from another thread.
+        let (started_tx, started_rx) = mpsc::channel();
+        let held = b.handle();
+        let holder = std::thread::spawn(move || {
+            held.invoke(move |_l, _n, _o| {
+                started_tx.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(300));
+                7
+            })
+        });
+        started_rx.recv().unwrap();
+        // One pass past the high-water mark, with values past Echo's reply
+        // range, so b sends nothing back.
+        let end = 1000 + INBOUND_HIGH_WATER as u64 + 2000;
+        a.invoke(move |_l, _n, out| (1000..end).for_each(|v| out.send(NodeId(1), Ping(v))));
+        assert_eq!(
+            holder.join().unwrap(),
+            Some(7),
+            "the held invoke is answered"
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let got = loop {
+            let got = b.invoke(|l, _n, _o| l.got.iter().map(|&(_, v)| v).collect::<Vec<_>>());
+            if got.len() as u64 >= end - 1000 {
+                break got;
+            }
+            assert!(Instant::now() < deadline, "b saw {} frames", got.len());
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(got, (1000..end).collect::<Vec<_>>());
+        assert!(
+            b.stats().inbound_throttled > 0,
+            "the reader never throttled"
+        );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
     fn reconnects_after_peer_restart() {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();

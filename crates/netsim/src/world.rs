@@ -84,7 +84,6 @@ enum Work<M> {
     Timer {
         token: u64,
         id: TimerId,
-        incarnation: u32,
     },
 }
 
@@ -107,8 +106,6 @@ struct Host<L: NodeLogic> {
     core: HostCore<L>,
     site: Site,
     alive: bool,
-    /// Bumped on every revive; a stale incarnation's timers never fire.
-    incarnation: u32,
     /// Per-message service time: `cfg.node_service × site.load_factor`,
     /// fixed at admission (both factors are immutable afterwards).
     service: SimTime,
@@ -188,7 +185,6 @@ where
             core: HostCore::new(logic),
             site,
             alive: true,
-            incarnation: 0,
             service,
             busy_until: self.now,
             backlog: VecDeque::new(),
@@ -230,10 +226,11 @@ where
     }
 
     /// Runs `f` against a node's logic *at the current simulated time*,
-    /// routing any emitted effects through the network — even on a crashed
-    /// node (see [`mind_types::ClusterDriver::with_node`]). This is how an
+    /// routing any emitted effects through the network. This is how an
     /// application invokes the MIND interface on its local node
-    /// (`insert_record`, `query_index`, ...).
+    /// (`insert_record`, `query_index`, ...). On a crashed node `f` still
+    /// runs and its result returns, but its effects are dropped: a dead
+    /// host sends nothing and arms nothing.
     pub fn with_node<R>(
         &mut self,
         id: NodeId,
@@ -253,19 +250,19 @@ where
         let backlog = std::mem::take(&mut self.hosts[idx].backlog);
         self.backlog_total -= backlog.len();
         for work in backlog {
-            self.discard(id, work);
+            self.discard(work);
         }
     }
 
-    /// Revives a dead node (no-op on a live one): bumps its incarnation
-    /// and replays `on_start`.
+    /// Revives a dead node (no-op on a live one) and replays `on_start`.
+    /// Nothing its past life armed can fire: the crash retired every
+    /// timer, and a dead host arms none.
     pub fn revive_node(&mut self, id: NodeId) {
         let idx = id.0 as usize;
         if self.hosts[idx].alive {
             return;
         }
         self.hosts[idx].alive = true;
-        self.hosts[idx].incarnation += 1;
         self.hosts[idx].busy_until = self.now;
         self.pass(id, self.now, |logic, now, out| logic.on_start(now, out));
     }
@@ -300,13 +297,7 @@ where
                 host.resume_armed = false;
                 self.drain_backlog(node);
             }
-            // Timers armed by a dead host or a previous incarnation die.
-            EventKind::Work(work @ Work::Timer { incarnation, .. })
-                if !host.alive || host.incarnation != incarnation =>
-            {
-                self.discard(node, work);
-            }
-            EventKind::Work(work) if !host.alive => self.discard(node, work),
+            EventKind::Work(work) if !host.alive => self.discard(work),
             EventKind::Work(work) if host.busy_until > self.now => {
                 // Busy host: park the work in the host's FIFO until the CPU
                 // frees up. A delivery's bytes stay in flight.
@@ -344,15 +335,18 @@ where
     }
 
     /// One pass of `id`'s core at the current time; its effects leave
-    /// the host at `t_emit`.
+    /// the host at `t_emit`, or are dropped if it is dead.
     fn pass<R>(
         &mut self,
         id: NodeId,
         t_emit: SimTime,
         f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R,
     ) -> R {
-        let (r, fx) = self.hosts[id.0 as usize].core.pass(self.now, f);
-        self.flush_outbox(id, t_emit, fx);
+        let host = &mut self.hosts[id.0 as usize];
+        let (r, fx) = host.core.pass(self.now, f);
+        if host.alive {
+            self.flush_outbox(id, t_emit, fx);
+        }
         r
     }
 
@@ -457,9 +451,7 @@ where
                     logic.on_message(now, from, msg, out);
                 });
             }
-            Work::Timer {
-                token, id: timer, ..
-            } => {
+            Work::Timer { token, id: timer } => {
                 if self.hosts[idx].core.due(timer) {
                     self.stats.timers_fired += 1;
                     self.pass(id, self.now, |logic, now, out| {
@@ -470,18 +462,12 @@ where
         }
     }
 
-    /// Drops work that reached a dead host or a stale incarnation: a
-    /// delivery counts as dropped-dead, a timer retires its slot-map entry
-    /// (if a crash has not already) without counting.
-    fn discard(&mut self, id: NodeId, work: Work<L::Msg>) {
-        match work {
-            Work::Deliver { bytes, .. } => {
-                self.stats.dropped_dead += 1;
-                self.stats.msg_bytes_inflight -= bytes as u64;
-            }
-            Work::Timer { id: timer, .. } => {
-                self.hosts[id.0 as usize].core.due(timer);
-            }
+    /// Drops work that reached a dead host: a delivery counts as
+    /// dropped-dead; a timer is already dead, since the crash retired it.
+    fn discard(&mut self, work: Work<L::Msg>) {
+        if let Work::Deliver { bytes, .. } = work {
+            self.stats.dropped_dead += 1;
+            self.stats.msg_bytes_inflight -= bytes as u64;
         }
     }
 
@@ -539,11 +525,10 @@ where
         arrival
     }
 
-    /// Routes a pass's effects into the event queue, in this order: sends
-    /// traverse the modeled network (queuing + serialization + jittered
-    /// propagation) and the fault plane; timers attach to the emitting
-    /// node's current incarnation; cancellations retire pending timers in
-    /// O(1). A crashed node's effects are routed too.
+    /// Routes a live host's pass effects into the event queue, in this
+    /// order: sends traverse the modeled network (queuing, serialization,
+    /// jittered propagation) and the fault plane; timers arm on the wheel;
+    /// cancellations retire pending timers in O(1).
     fn flush_outbox(&mut self, from: NodeId, t_emit: SimTime, fx: Effects<L::Msg>) {
         for (to, msg) in fx.sends {
             if to.0 as usize >= self.hosts.len() {
@@ -585,13 +570,8 @@ where
             self.push_deliver(arrival, to, from, msg, bytes);
         }
         let idx = from.0 as usize;
-        let incarnation = self.hosts[idx].incarnation;
         for (delay, token, id) in fx.timers {
-            let timer = EventKind::Work(Work::Timer {
-                token,
-                id,
-                incarnation,
-            });
+            let timer = EventKind::Work(Work::Timer { token, id });
             self.hosts[idx]
                 .core
                 .arm(&mut self.queue, t_emit, delay, id, (from, timer));
@@ -894,7 +874,25 @@ mod tests {
     }
 
     #[test]
-    fn timers_cancelled_across_incarnations() {
+    fn with_node_on_a_crashed_host_returns_but_routes_nothing() {
+        let (mut w, a, b) = two_node_world(0);
+        w.crash_node(a);
+        let before = w.stats.counters();
+        let now = w.with_node(a, |_l, now, out| {
+            out.send(b, Ping(1));
+            out.set_timer(SECONDS, 7);
+            now
+        });
+        assert_eq!(now, w.now(), "the closure ran and its value returned");
+        assert_eq!(w.pending_events(), 0, "no send routed, no timer armed");
+        w.run_until_idle(10 * SECONDS);
+        assert!(w.node(b).received.is_empty());
+        assert!(w.stats.per_link.is_empty());
+        assert_eq!(w.stats.counters(), before, "no counter moved");
+    }
+
+    #[test]
+    fn timers_do_not_outlive_a_crash() {
         struct TimerNode {
             fired: u32,
         }
@@ -913,8 +911,8 @@ mod tests {
         }
         let mut w: World<TimerNode> = World::new(lan_config(3));
         let a = w.add_node(TimerNode { fired: 0 }, Site::new("a", 0.0, 0.0));
-        // Crash + revive before the original timer fires: the stale timer
-        // must not fire, but the revive's new timer must.
+        // Crash + revive before the original timer fires: the crash
+        // retires it, and only the revive's new timer fires.
         w.crash_node(a);
         w.revive_node(a);
         w.run_until_idle(10 * SECONDS);

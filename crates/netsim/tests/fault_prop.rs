@@ -1,8 +1,8 @@
 //! Property tests for the fault-injection plane: under an arbitrary
 //! seeded [`FaultPlan`], every message is delivered exactly once, dropped,
 //! or duplicated exactly as the plan dictates — never delivered to a dead
-//! or partitioned endpoint — and the same seed replays a byte-identical
-//! delivery order.
+//! or partitioned endpoint, and never sent at all by a dead one — and the
+//! same seed replays a byte-identical delivery order.
 
 use mind_netsim::world::lan_config;
 use mind_netsim::{FaultPlan, SimConfig, Site, World};
@@ -58,6 +58,8 @@ struct Send {
 
 /// One delivery observed at a node: (where, when, from, tag).
 type Delivery = (NodeId, SimTime, NodeId, u64);
+/// A crash: (victim, crash time, revive time).
+type CrashWindow = (NodeId, SimTime, Option<SimTime>);
 /// The scalar NetStats counters, as returned by `SimStats::counters`.
 type Counters = (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64);
 
@@ -86,6 +88,13 @@ fn run_script(
         }
     }
     (log, w.stats.counters(), emit_times)
+}
+
+/// `true` if `node` is the crash victim and down at `t`.
+fn down(crash: Option<CrashWindow>, node: NodeId, t: SimTime) -> bool {
+    crash.is_some_and(|(victim, crash_at, revive_at)| {
+        node == victim && t >= crash_at && revive_at.is_none_or(|r| t < r)
+    })
 }
 
 /// Builds a valid script from raw proptest triples: loopbacks and
@@ -151,22 +160,29 @@ proptest! {
 
         let (log, stats, emits) = run_script(n, seed, &plan, &script);
 
-        // Conservation: each send is severed, lost, or becomes a delivery
-        // attempt (plus at most one duplicate); attempts reach a live host
-        // or count against a dead one. Nothing vanishes unaccounted.
+        // A dead host sends nothing: the victim's sends inside its down
+        // window vanish before the network, counted nowhere.
+        let muted = script
+            .iter()
+            .zip(&emits)
+            .filter(|&(s, &t)| down(crash_window, NodeId(s.from as u32), t))
+            .count() as u64;
+        // Conservation: every other send is severed, lost, or becomes a
+        // delivery attempt (plus at most one duplicate); attempts reach a
+        // live host or count against a dead one. Nothing else vanishes.
         let (delivered, dropped_dead, _unknown, dropped_fault, duplicated, partitioned, ..) = stats;
         prop_assert_eq!(
             delivered + dropped_dead,
-            script.len() as u64 - partitioned - dropped_fault + duplicated,
+            script.len() as u64 - muted - partitioned - dropped_fault + duplicated,
             "conservation violated"
         );
         prop_assert_eq!(log.len() as u64, delivered);
 
         // Index the script by tag for the per-delivery checks.
         for &(at_node, t, from, tag) in &log {
-            let s = script.iter().position(|x| x.tag == tag).expect("unknown tag");
-            let s = &script[s];
-            let t_emit = emits[script.iter().position(|x| x.tag == tag).unwrap()];
+            let i = script.iter().position(|x| x.tag == tag).expect("unknown tag");
+            let (s, t_emit) = (&script[i], emits[i]);
+            prop_assert!(!down(crash_window, from, t_emit), "a dead host's send was delivered");
             prop_assert_eq!(at_node, NodeId(s.to as u32), "delivered to the wrong node");
             prop_assert_eq!(from, NodeId(s.from as u32), "wrong sender");
             prop_assert!(t >= t_emit, "delivered before it was sent");
@@ -174,12 +190,7 @@ proptest! {
                 !plan.severed(NodeId(s.from as u32), NodeId(s.to as u32), t_emit),
                 "delivered across an active partition cut"
             );
-            if let Some((victim, crash_at, revive_at)) = crash_window {
-                if at_node == victim {
-                    let dead = t >= crash_at && revive_at.map(|r| t < r).unwrap_or(true);
-                    prop_assert!(!dead, "delivered to a dead host at t={}", t);
-                }
-            }
+            prop_assert!(!down(crash_window, at_node, t), "delivered to a dead host at t={}", t);
         }
         // At most original + one duplicate per tag; no duplication => at
         // most one.
@@ -193,9 +204,22 @@ proptest! {
         // Determinism: same seed, same plan, same script — identical log
         // (order included) and identical counters.
         let (log2, stats2, emits2) = run_script(n, seed, &plan, &script);
-        prop_assert_eq!(log, log2, "same seed produced a different delivery order");
+        prop_assert_eq!(&log, &log2, "same seed produced a different delivery order");
         prop_assert_eq!(stats, stats2, "same seed produced different stats");
-        prop_assert_eq!(emits, emits2);
+        prop_assert_eq!(&emits, &emits2);
+        // The muted sends touch no counter and no RNG draw: the script
+        // without them replays to the same log and the same stats.
+        if muted > 0 {
+            let live: Vec<Send> = script
+                .iter()
+                .zip(&emits)
+                .filter(|&(s, &t)| !down(crash_window, NodeId(s.from as u32), t))
+                .map(|(s, _)| s.clone())
+                .collect();
+            let (log3, stats3, _) = run_script(n, seed, &plan, &live);
+            prop_assert_eq!(log, log3, "muted sends moved the delivery log");
+            prop_assert_eq!(stats, stats3, "muted sends moved a counter");
+        }
     }
 
     /// With every fault probability at zero, the plan is a no-op: every

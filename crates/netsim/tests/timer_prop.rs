@@ -1,8 +1,8 @@
 //! Property tests for timer cancellation: a timer whose handle is
 //! cancelled before it fires must never fire — including when the timer
 //! is parked in a busy host's backlog at cancellation time, and across
-//! crash/revive incarnation bumps (a crash retires every pending timer
-//! of the old incarnation). Conversely, a timer that is never cancelled
+//! crash/revive (a crash retires every pending timer of the old
+//! incarnation). Conversely, a timer that is never cancelled
 //! on a never-crashed host fires exactly once, never before its due
 //! time, and the whole timeline replays byte-identically from the seed.
 

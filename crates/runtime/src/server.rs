@@ -115,10 +115,11 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
                 None => return ControlResponse::Err("host stopped".into()),
             };
             // The distributed query completes asynchronously; poll the
-            // tracker on the driver thread until it does.
+            // tracker on the driver thread until it does, then take it out
+            // so a long-lived node keeps no finished query's rows.
             let deadline = Instant::now() + QUERY_WAIT;
             loop {
-                match handle.invoke(move |n, _now, _out| n.query_outcome(qid)) {
+                match handle.invoke(move |n, _now, _out| n.take_query_outcome(qid)) {
                     Some(Some(outcome)) => return ControlResponse::Query(outcome),
                     Some(None) => {
                         if Instant::now() >= deadline {
@@ -170,5 +171,51 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
             }
         }
         ControlRequest::Shutdown => ControlResponse::Ok,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mind_core::{MindConfig, Replication};
+    use mind_net::TcpHost;
+    use mind_overlay::{OverlayConfig, StaticTopology};
+    use mind_types::{AttrDef, AttrKind, IndexSchema};
+
+    #[test]
+    fn a_finished_query_leaves_the_node() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = [(NodeId(0), listener.local_addr().unwrap())].into();
+        let topo = StaticTopology::balanced(1);
+        let logic = MindNode::new_static(
+            NodeId(0),
+            topo.code(0),
+            topo.neighbor_entries(0),
+            OverlayConfig::default(),
+            MindConfig::default(),
+        );
+        let host = TcpHost::spawn(NodeId(0), listener, peers, logic).unwrap();
+        let handle = host.handle();
+        let schema = IndexSchema::new("t", vec![AttrDef::new("x", AttrKind::Generic, 0, 100)], 1);
+        let create = ControlRequest::CreateIndex {
+            schema,
+            depth: 2,
+            replication: Replication::None,
+        };
+        assert!(matches!(
+            answer(&handle, NodeId(0), create),
+            ControlResponse::Ok
+        ));
+        let query = ControlRequest::Query {
+            index: "t".into(),
+            lo: vec![0],
+            hi: vec![100],
+        };
+        let ControlResponse::Query(outcome) = answer(&handle, NodeId(0), query) else {
+            panic!("not a query answer");
+        };
+        assert!(outcome.complete);
+        assert_eq!(host.invoke(|n, _now, _out| n.queries.len()), 0);
+        host.shutdown();
     }
 }

@@ -57,10 +57,9 @@ pub trait ClusterDriver<L: NodeLogic> {
     /// routing any effects (sends, timers) the closure emits. This is how
     /// an application invokes the MIND interface on its local node.
     ///
-    /// On a crashed node the planes differ, and ROADMAP.md item 10 (plane
-    /// parity) owns the difference: the simulator still routes the
-    /// closure's sends into the network and arms its timers (they die at
-    /// fire time), while `TcpFleet` runs the closure and drops its effects.
+    /// On a crashed node `f` still runs and its result returns, but its
+    /// effects are dropped: a dead node sends nothing and arms nothing, so
+    /// a row inserted there is lost.
     fn with_node<R, F>(&mut self, id: NodeId, f: F) -> R
     where
         R: Send + 'static,
@@ -100,6 +99,6 @@ pub trait ClusterDriver<L: NodeLogic> {
     fn crash(&mut self, id: NodeId);
 
     /// Revives a crashed node: its logic observes a restart (`on_start`
-    /// runs again under a new incarnation) and rejoins the deployment.
+    /// runs again) and rejoins the deployment.
     fn revive(&mut self, id: NodeId);
 }

@@ -32,8 +32,6 @@ impl std::fmt::Display for NodeId {
 /// Simulated or wall-clock time in **microseconds**.
 pub type SimTime = u64;
 
-/// One microsecond expressed in [`SimTime`] units.
-pub const MICROS: SimTime = 1;
 /// One millisecond expressed in [`SimTime`] units.
 pub const MILLIS: SimTime = 1_000;
 /// One second expressed in [`SimTime`] units.
