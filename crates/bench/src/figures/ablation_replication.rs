@@ -34,8 +34,8 @@ fn cost(scale: ExperimentScale, replication: Replication) -> (u64, u64, u64, Lat
             .index_state(kind.tag())
         {
             for v in &st.versions {
-                primary += v.primary_rows;
-                replicas += v.replica_rows;
+                primary += v.primary.len() as u64;
+                replicas += v.replicas.len() as u64;
             }
         }
     }

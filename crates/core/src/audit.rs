@@ -121,8 +121,8 @@ pub fn snapshot_node(id: NodeId, alive: bool, node: &MindNode) -> NodeSnapshot {
                 from_ts: v.from_ts,
                 bounds: v.cuts.bounds().clone(),
                 leaves: v.cuts.leaves(),
-                primary_rows: v.primary_rows,
-                replica_rows: v.replica_rows,
+                primary_rows: v.primary.len() as u64,
+                replica_rows: v.replicas.len() as u64,
             })
             .collect();
         snap.indexes.insert(

@@ -48,6 +48,102 @@ pub(crate) struct WriteOp {
     pub(crate) op_id: u64,
 }
 
+/// How a write frame reached this node — what its payload alone does not
+/// say.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Via {
+    /// Routed toward `target` in `hops` overlay hops: a primary insert.
+    Routed { target: BitCode, hops: u32 },
+    /// Pushed directly by `from`: a replica copy.
+    Pushed { from: NodeId },
+}
+
+impl WriteOp {
+    /// The one decode of the four write shapes: `Insert` and
+    /// `InsertBatch` arrive routed and are acked to the origin they name,
+    /// stamped with its `sent_at`; `Replica` and `ReplicaBatch` arrive
+    /// pushed and are acked to the pusher, stamped `now`. A one-row shape
+    /// becomes a one-row op. Returns the op and the sender's horizon
+    /// field, or `None` for a payload that is no write or came the wrong
+    /// way.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "a decode, not a dispatch: `on_routed` and `on_direct` name the write shapes"
+    )]
+    pub(crate) fn from_payload(
+        payload: MindPayload,
+        via: Via,
+        now: SimTime,
+    ) -> Option<(Self, u64)> {
+        let (index, version, rows, origin, op_id, horizon) = match payload {
+            MindPayload::Insert {
+                index,
+                version,
+                record,
+                origin,
+                sent_at,
+                op_id,
+                horizon,
+            } => (
+                index,
+                version,
+                vec![record],
+                Some((origin, sent_at)),
+                op_id,
+                horizon,
+            ),
+            MindPayload::InsertBatch {
+                index,
+                version,
+                records,
+                origin,
+                sent_at,
+                op_id,
+                horizon,
+            } => (
+                index,
+                version,
+                records,
+                Some((origin, sent_at)),
+                op_id,
+                horizon,
+            ),
+            MindPayload::Replica {
+                index,
+                version,
+                record,
+                op_id,
+                horizon,
+            } => (index, version, vec![record], None, op_id, horizon),
+            MindPayload::ReplicaBatch {
+                index,
+                version,
+                records,
+                op_id,
+                horizon,
+            } => (index, version, records, None, op_id, horizon),
+            _ => return None,
+        };
+        let (routed_to, acker, sent_at) = match (via, origin) {
+            (Via::Routed { target, .. }, Some((origin, sent_at))) => {
+                (Some(target), origin, sent_at)
+            }
+            (Via::Pushed { from }, None) => (None, from, now),
+            _ => return None,
+        };
+        let op = WriteOp {
+            index,
+            version,
+            rows,
+            sent_at,
+            routed_to,
+            acker,
+            op_id,
+        };
+        Some((op, horizon))
+    }
+}
+
 /// One buffered storage request (the prototype's DAC queue entry).
 #[derive(Debug)]
 pub(crate) enum DacJob {
@@ -348,7 +444,6 @@ impl MindNode {
                 result.sends.push((t, push));
             }
         }
-        let n = rows.len();
         #[expect(clippy::expect_used, reason = "presence checked above")]
         let state = self.indexes.get_mut(&index).expect("checked above");
         if is_primary {
@@ -359,15 +454,13 @@ impl MindNode {
             // origin in one frame stamped with the oldest row's time.
             result
                 .insert_sent_ats
-                .extend(std::iter::repeat_n(sent_at, n));
+                .extend(std::iter::repeat_n(sent_at, rows.len()));
         }
         #[expect(clippy::expect_used, reason = "presence checked above")]
         let ver = state.version_mut(version).expect("checked above");
         if is_primary {
-            ver.primary_rows += n as u64;
             ver.primary.insert_batch(rows);
         } else {
-            ver.replica_rows += n as u64;
             ver.replicas.insert_batch(rows);
         }
     }
@@ -877,7 +970,6 @@ mod tests {
         assert!(run_dac(&mut n).is_empty(), "no ack, no replica push");
         let ver = &n.indexes["t"].versions[0];
         assert_eq!((ver.primary.len(), ver.replicas.len()), (0, 0));
-        assert_eq!((ver.primary_rows, ver.replica_rows), (0, 0));
         assert!(!n.seen_ops.contains(op_id));
         assert_eq!(n.metrics.rows_rejected, 2);
     }
@@ -887,7 +979,7 @@ mod tests {
         /// of one row, as a peer's `insert_op`/`replica_op` mint them,
         /// are the same write on the primary side and on the replica
         /// side — same stores, day histogram, trigger notifications,
-        /// replica pushes, row counters and latency samples — and each
+        /// replica pushes and latency samples — and each
         /// op is acked once.
         #[test]
         fn one_op_of_k_rows_equals_k_ops_of_one_row(
@@ -936,7 +1028,6 @@ mod tests {
                     (contents(&*ver.primary), contents(&*ver.replicas)),
                     state.day_histogram.clone(),
                     (fired, pushed),
-                    (ver.primary_rows, ver.replica_rows),
                     n.metrics.insert_latencies.len(),
                 );
                 (same, acks)
@@ -946,9 +1037,9 @@ mod tests {
             let (singles, singles_acks) = apply(rows.into_iter().map(|r| vec![r]).collect());
             prop_assert_eq!(&batched, &singles);
             prop_assert_eq!((batched_acks, singles_acks), (1, k));
-            let stored = if replica { (0, k as u64) } else { (k as u64, 0) };
-            prop_assert_eq!(batched.3, stored);
-            prop_assert_eq!(batched.4, if replica { 0 } else { k });
+            let stored = if replica { (0, k) } else { (k, 0) };
+            prop_assert_eq!((batched.0 .0 .0, batched.0 .1 .0), stored);
+            prop_assert_eq!(batched.3, if replica { 0 } else { k });
         }
 
         /// The shared scan is exact: per region code it returns the rows

@@ -37,10 +37,6 @@ pub struct IndexVersion {
     /// from double-counting because they only match sub-queries for
     /// regions this node has taken over.
     pub replicas: Box<dyn Store>,
-    /// Primary rows stored (for storage-balance metrics).
-    pub primary_rows: u64,
-    /// Replica rows stored.
-    pub replica_rows: u64,
 }
 
 /// All local state for one index.
@@ -78,8 +74,6 @@ impl IndexState {
                 cuts: cuts.into(),
                 primary: store_kind.new_store(dims),
                 replicas: store_kind.new_store(dims),
-                primary_rows: 0,
-                replica_rows: 0,
             }],
             day_histogram: GridHistogram::new(bounds, HIST_GRANULARITY),
             store_kind,
@@ -111,8 +105,6 @@ impl IndexState {
             cuts: cuts.into(),
             primary: self.store_kind.new_store(self.schema.indexed_dims),
             replicas: self.store_kind.new_store(self.schema.indexed_dims),
-            primary_rows: 0,
-            replica_rows: 0,
         });
     }
 
@@ -181,7 +173,7 @@ impl IndexState {
 
     /// Total primary rows across versions.
     pub fn primary_rows(&self) -> u64 {
-        self.versions.iter().map(|v| v.primary_rows).sum()
+        self.versions.iter().map(|v| v.primary.len() as u64).sum()
     }
 
     /// Drops every version's stored rows (crash-lost in-memory state)
@@ -193,8 +185,6 @@ impl IndexState {
         for v in &mut self.versions {
             v.primary = kind.new_store(dims);
             v.replicas = kind.new_store(dims);
-            v.primary_rows = 0;
-            v.replica_rows = 0;
         }
     }
 
@@ -215,16 +205,9 @@ impl IndexState {
                 .map(|nx| nx.from_ts.saturating_sub(1))
                 .unwrap_or(u64::MAX);
             let v = &mut self.versions[i];
-            if end < before_ts
-                && (v.primary_rows > 0
-                    || v.replica_rows > 0
-                    || !v.primary.is_empty()
-                    || !v.replicas.is_empty())
-            {
+            if end < before_ts && (!v.primary.is_empty() || !v.replicas.is_empty()) {
                 v.primary = kind.new_store(dims);
                 v.replicas = kind.new_store(dims);
-                v.primary_rows = 0;
-                v.replica_rows = 0;
                 collected += 1;
             }
         }

@@ -13,7 +13,7 @@
 //! [`crate::dac_drive`]. This module owns the struct, the MIND interface,
 //! and the event dispatcher that fans timers out to those concerns.
 
-use crate::dac_drive::{BatchResult, DacJob, PendingHandoff, WriteOp};
+use crate::dac_drive::{BatchResult, DacJob, PendingHandoff, Via, WriteOp};
 use crate::index::IndexState;
 use crate::messages::{CarriedFilter, IndexDef, MindPayload, Replication};
 use crate::metrics::NodeMetrics;
@@ -93,8 +93,6 @@ pub struct MindConfig {
     /// Base timeout before an unacked write op is re-sent; doubles per
     /// attempt. Must be positive: every op is acked and retried.
     pub retry_timeout: SimTime,
-    /// Retry budget per operation (and per query-retry round sequence).
-    pub max_retries: u32,
     /// Interval between anti-entropy catalog exchanges with a round-robin
     /// neighbor (heals lost index/version/trigger floods). `0` disables.
     pub anti_entropy_interval: SimTime,
@@ -138,7 +136,6 @@ impl Default for MindConfig {
             query_deadline: 60 * SECONDS,
             auto_versioning: true,
             retry_timeout: 5 * SECONDS,
-            max_retries: 6,
             anti_entropy_interval: 45 * SECONDS,
             insert_batch_max: 1,
             insert_batch_age: SECONDS / 20,
@@ -413,7 +410,7 @@ impl MindNode {
         if self.indexes.contains_key(&schema.tag) {
             return Err(MindError::IndexExists(schema.tag));
         }
-        let events = self.overlay.flood(
+        self.flood(
             MindPayload::CreateIndex {
                 schema,
                 cuts: std::sync::Arc::new(cuts),
@@ -421,7 +418,6 @@ impl MindNode {
             },
             out,
         );
-        self.process_events(0, events, out);
         Ok(())
     }
 
@@ -430,13 +426,12 @@ impl MindNode {
         if !self.indexes.contains_key(tag) {
             return Err(MindError::UnknownIndex(tag.to_string()));
         }
-        let events = self.overlay.flood(
+        self.flood(
             MindPayload::DropIndex {
                 index: tag.to_string(),
             },
             out,
         );
-        self.process_events(0, events, out);
         Ok(())
     }
 
@@ -507,19 +502,13 @@ impl MindNode {
             filters,
             origin: self.id,
         };
-        let events = self
-            .overlay
-            .flood(MindPayload::CreateTrigger { trigger }, out);
-        self.process_events(0, events, out);
+        self.flood(MindPayload::CreateTrigger { trigger }, out);
         Ok(trigger_id)
     }
 
     /// Removes a standing query everywhere.
     pub fn drop_trigger(&mut self, trigger_id: u64, out: &mut Out) {
-        let events = self
-            .overlay
-            .flood(MindPayload::DropTrigger { trigger_id }, out);
-        self.process_events(0, events, out);
+        self.flood(MindPayload::DropTrigger { trigger_id }, out);
     }
 
     /// Drops every index version whose governed time range ends before
@@ -536,42 +525,57 @@ impl MindNode {
 
     // ---- event plumbing ----
 
-    pub(crate) fn process_events(
+    /// Routes `payload` toward `target`; when routing ends here (this
+    /// node answers, or nothing can), the upcall is handled at once.
+    pub(crate) fn route(
         &mut self,
         now: SimTime,
-        events: Vec<OverlayEvent<MindPayload>>,
+        target: BitCode,
+        payload: MindPayload,
         out: &mut Out,
     ) {
-        for ev in events {
-            match ev {
-                OverlayEvent::Delivered {
-                    target,
-                    hops,
-                    payload,
-                } => {
-                    self.on_routed(now, target, hops, payload, out);
-                }
-                OverlayEvent::DirectDelivered { from, payload } => {
-                    self.on_direct(now, from, payload, out);
-                }
-                OverlayEvent::FloodDelivered { payload } => self.on_flood(payload),
-                OverlayEvent::Undeliverable { .. } => self.metrics.undeliverable += 1,
-                OverlayEvent::Joined { acceptor, .. } => {
-                    // Section 3.4: fetch the index catalog from the node
-                    // we attached to, and keep a pointer to it for the
-                    // region's historical data until it ages.
-                    self.handoff = Some((acceptor, now));
-                    out.send(
-                        acceptor,
-                        OverlayMsg::Direct {
-                            payload: MindPayload::CatalogRequest,
-                        },
-                    );
-                }
-                OverlayEvent::CodeChanged { .. }
-                | OverlayEvent::TookOver { .. }
-                | OverlayEvent::NeighborFailed { .. } => {}
+        let event = self.overlay.route(now, target, payload, out);
+        self.process_event(now, event, out);
+    }
+
+    /// Floods a catalog change to every other node and applies it here.
+    pub(crate) fn flood(&mut self, payload: MindPayload, out: &mut Out) {
+        self.overlay.flood(&payload, out);
+        self.on_flood(payload);
+    }
+
+    /// The dispatcher: hands the one upcall of an overlay step, if any,
+    /// to the index/data side.
+    fn process_event(
+        &mut self,
+        now: SimTime,
+        event: Option<OverlayEvent<MindPayload>>,
+        out: &mut Out,
+    ) {
+        match event {
+            Some(OverlayEvent::Delivered {
+                target,
+                hops,
+                payload,
+            }) => self.on_routed(now, target, hops, payload, out),
+            Some(OverlayEvent::DirectDelivered { from, payload }) => {
+                self.on_direct(now, from, payload, out);
             }
+            Some(OverlayEvent::FloodDelivered { payload }) => self.on_flood(payload),
+            Some(OverlayEvent::Undeliverable { .. }) => self.metrics.undeliverable += 1,
+            Some(OverlayEvent::Joined { acceptor, .. }) => {
+                // Section 3.4: fetch the index catalog from the node we
+                // attached to, and keep a pointer to it for the region's
+                // historical data until it ages.
+                self.handoff = Some((acceptor, now));
+                out.send(
+                    acceptor,
+                    OverlayMsg::Direct {
+                        payload: MindPayload::CatalogRequest,
+                    },
+                );
+            }
+            None => {}
         }
     }
 
@@ -632,26 +636,24 @@ impl MindNode {
         }
     }
 
-    /// A write op arrived, in any of its four wire shapes. One already
-    /// applied (a retry whose ack was lost, a network duplicate, or a dead
-    /// incarnation's straggler) is re-acked without touching the DAC — the
-    /// whole op was applied under one op id, so one check covers every
-    /// row. Anything else is queued for [`MindNode::apply_write`]; `hops`
-    /// is the overlay path of a routed frame, sampled once per op.
-    fn on_write_op(
-        &mut self,
-        now: SimTime,
-        op: WriteOp,
-        horizon: u64,
-        hops: Option<u32>,
-        out: &mut Out,
-    ) {
+    /// A write op arrived, in any of its four wire shapes, which
+    /// [`WriteOp::from_payload`] normalises. One already applied (a retry
+    /// whose ack was lost, a network duplicate, or a dead incarnation's
+    /// straggler) is re-acked without touching the DAC — the whole op was
+    /// applied under one op id, so one check covers every row. Anything
+    /// else is queued for [`MindNode::apply_write`]; a routed frame's
+    /// overlay path is sampled once per op.
+    fn on_write_op(&mut self, now: SimTime, payload: MindPayload, via: Via, out: &mut Out) {
+        let Some((op, horizon)) = WriteOp::from_payload(payload, via, now) else {
+            debug_assert!(false, "not a write arriving {via:?}");
+            return;
+        };
         if op.op_id != 0 && self.seen_ops.observe(op.op_id, horizon) {
             self.metrics.dup_ops_ignored += 1;
             self.send_ack(now, op.acker, op.op_id, out);
             return;
         }
-        if let Some(hops) = hops {
+        if let Via::Routed { hops, .. } = via {
             if self.metrics.insert_hops.len() < self.cfg.metrics_samples_max {
                 self.metrics.insert_hops.push(hops);
             }
@@ -673,45 +675,8 @@ impl MindNode {
         out: &mut Out,
     ) {
         match payload {
-            MindPayload::Insert {
-                index,
-                version,
-                record,
-                origin,
-                sent_at,
-                op_id,
-                horizon,
-            } => {
-                let op = WriteOp {
-                    index,
-                    version,
-                    rows: vec![record],
-                    sent_at,
-                    routed_to: Some(target),
-                    acker: origin,
-                    op_id,
-                };
-                self.on_write_op(now, op, horizon, Some(hops), out);
-            }
-            MindPayload::InsertBatch {
-                index,
-                version,
-                records,
-                origin,
-                sent_at,
-                op_id,
-                horizon,
-            } => {
-                let op = WriteOp {
-                    index,
-                    version,
-                    rows: records,
-                    sent_at,
-                    routed_to: Some(target),
-                    acker: origin,
-                    op_id,
-                };
-                self.on_write_op(now, op, horizon, Some(hops), out);
+            write @ (MindPayload::Insert { .. } | MindPayload::InsertBatch { .. }) => {
+                self.on_write_op(now, write, Via::Routed { target, hops }, out);
             }
             MindPayload::RootQuery {
                 query_id,
@@ -789,41 +754,8 @@ impl MindNode {
         match payload {
             // Replica copies skip latency, hop and histogram accounting
             // but share the DAC (they cost real work).
-            MindPayload::Replica {
-                index,
-                version,
-                record,
-                op_id,
-                horizon,
-            } => {
-                let op = WriteOp {
-                    index,
-                    version,
-                    rows: vec![record],
-                    sent_at: now,
-                    routed_to: None,
-                    acker: from,
-                    op_id,
-                };
-                self.on_write_op(now, op, horizon, None, out);
-            }
-            MindPayload::ReplicaBatch {
-                index,
-                version,
-                records,
-                op_id,
-                horizon,
-            } => {
-                let op = WriteOp {
-                    index,
-                    version,
-                    rows: records,
-                    sent_at: now,
-                    routed_to: None,
-                    acker: from,
-                    op_id,
-                };
-                self.on_write_op(now, op, horizon, None, out);
+            write @ (MindPayload::Replica { .. } | MindPayload::ReplicaBatch { .. }) => {
+                self.on_write_op(now, write, Via::Pushed { from }, out);
             }
             MindPayload::Ack { op_id } => self.on_ack(now, op_id, out),
             MindPayload::TriggerFired {
@@ -982,13 +914,14 @@ impl NodeLogic for MindNode {
         msg: Self::Msg,
         out: &mut Outbox<Self::Msg>,
     ) {
-        let events = self.overlay.handle(now, from, msg, out);
-        self.process_events(now, events, out);
+        let event = self.overlay.handle(now, from, msg, out);
+        self.process_event(now, event, out);
     }
 
     fn on_timer(&mut self, now: SimTime, tok: u64, out: &mut Outbox<Self::Msg>) {
-        if let Some(events) = self.overlay.on_timer(now, tok, out) {
-            self.process_events(now, events, out);
+        if self.overlay.owns_timer(tok) {
+            let event = self.overlay.on_timer(now, tok, out);
+            self.process_event(now, event, out);
             return;
         }
         if tok & (0xFF << 56) != TOKEN_TAG {

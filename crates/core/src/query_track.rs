@@ -10,6 +10,7 @@ use crate::dac_drive::DacJob;
 use crate::messages::{CarriedFilter, MindPayload};
 use crate::node::{token, MindNode, Out};
 use crate::query::QueryTracker;
+use crate::reliability::MAX_RETRIES;
 use mind_overlay::OverlayMsg;
 use mind_types::node::{SimTime, TimerId, SECONDS};
 use mind_types::{BitCode, HyperRect, MindError, NodeId};
@@ -22,11 +23,11 @@ pub(crate) const KIND_QUERY_RETRY: u64 = 5;
 /// and sub-queries.
 const QUERY_RETRY_INTERVAL: SimTime = 8 * SECONDS;
 
-/// What a query originator needs to re-dispatch unanswered work, plus the
-/// live timer handles retired at completion.
+/// What a query originator needs beside its tracker (which names the
+/// index) to re-dispatch unanswered work, plus the live timer handles
+/// retired at completion.
 #[derive(Debug)]
 pub(crate) struct QueryRetryMeta {
-    index: String,
     rect: HyperRect,
     filters: Vec<CarriedFilter>,
     attempts: u32,
@@ -90,7 +91,6 @@ impl MindNode {
         self.query_meta.insert(
             query_id,
             QueryRetryMeta {
-                index: index.to_string(),
                 rect: rect.clone(),
                 filters: filters.clone(),
                 attempts: 0,
@@ -107,8 +107,7 @@ impl MindNode {
                 filters: filters.clone(),
                 origin: self.id(),
             };
-            let events = self.overlay.route(now, prefix, payload, out);
-            self.process_events(now, events, out);
+            self.route(now, prefix, payload, out);
         }
         // All versions may have missed the domain: the tracker is already
         // done and the timers just armed must be retired again.
@@ -152,7 +151,7 @@ impl MindNode {
     /// sub-queries still missing answers. The tracker dedups whatever
     /// duplicate plans/responses this produces.
     fn retry_query(&mut self, now: SimTime, query_id: u64, out: &mut Out) {
-        let Some((pending_versions, missing)) = self.queries.get(&query_id).and_then(|t| {
+        let Some((index, pending_versions, missing)) = self.queries.get(&query_id).and_then(|t| {
             if t.done() {
                 None
             } else {
@@ -163,7 +162,7 @@ impl MindNode {
                     .filter(|k| !t.answered.contains(k))
                     .cloned()
                     .collect();
-                Some((pending, missing))
+                Some((t.index.clone(), pending, missing))
             }
         }) else {
             // Finished (or never existed): retire the remaining timers.
@@ -173,12 +172,11 @@ impl MindNode {
         let Some(meta) = self.query_meta.get_mut(&query_id) else {
             return;
         };
-        if meta.attempts >= self.cfg.max_retries {
+        if meta.attempts >= MAX_RETRIES {
             meta.retry_timer = None;
             return; // budget spent; the deadline timer will close the query
         }
         meta.attempts += 1;
-        let index = meta.index.clone();
         let rect = meta.rect.clone();
         let filters = meta.filters.clone();
         if !pending_versions.is_empty() || !missing.is_empty() {
@@ -212,8 +210,7 @@ impl MindNode {
                         filters: filters.clone(),
                         origin: self.id(),
                     };
-                    let events = self.overlay.route(now, prefix, payload, out);
-                    self.process_events(now, events, out);
+                    self.route(now, prefix, payload, out);
                 }
             }
         }
@@ -429,8 +426,7 @@ impl MindNode {
                 filters: filters.to_vec(),
                 origin,
             };
-            let events = self.overlay.route(now, prefix, payload, out);
-            self.process_events(now, events, out);
+            self.route(now, prefix, payload, out);
         }
     }
 

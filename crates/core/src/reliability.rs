@@ -42,6 +42,10 @@ const KIND_BATCH_FLUSH: u64 = 7;
 /// check.
 pub(crate) const TIMER_KINDS: [u64; 3] = [KIND_OP_RETRY, KIND_ANTI_ENTROPY, KIND_BATCH_FLUSH];
 
+/// Retry budget of one write op, and of one query's sequence of retry
+/// rounds (`crate::query_track`).
+pub(crate) const MAX_RETRIES: u32 = 6;
+
 /// Op-id counters occupy the low 24 bits; the origin node id sits above.
 const OP_COUNTER_MASK: u64 = 0xFF_FFFF;
 
@@ -80,7 +84,7 @@ enum FlushCause {
     Ack,
     /// The buffer reached `insert_batch_max`.
     Size,
-    /// `insert_batch_age` expired (or a driver forced the drain).
+    /// `insert_batch_age` expired.
     Age,
 }
 
@@ -350,27 +354,6 @@ impl MindNode {
         }
     }
 
-    /// Force-ships every buffered row immediately (deterministic key
-    /// order; counted as age flushes — the driver declared the cap
-    /// reached). Lets drivers drain buffered inserts without waiting out
-    /// the age timers — a no-op when batching is off.
-    pub fn flush_inserts(&mut self, now: SimTime, out: &mut Out) {
-        let open: Vec<GroupKey> = self
-            .wire_batches
-            .iter()
-            .filter(|(_, g)| !g.records.is_empty())
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in open {
-            self.ship_wire_batch(now, key, FlushCause::Age, out);
-        }
-    }
-
-    /// Records currently buffered in open wire batches (not yet sent).
-    pub fn buffered_inserts(&self) -> usize {
-        self.wire_batches.values().map(|b| b.records.len()).sum()
-    }
-
     /// Reserves a fresh op id for `records` (non-empty, all bound to one
     /// routing target) and builds their payload: one record is a plain
     /// `Insert` (no batch framing overhead), anything larger an
@@ -457,8 +440,7 @@ impl MindNode {
         out: &mut Out,
     ) {
         self.track_op(op_id, OpTarget::Routed(target), payload.clone(), group, out);
-        let events = self.overlay.route(now, target, payload, out);
-        self.process_events(now, events, out);
+        self.route(now, target, payload, out);
     }
 
     /// Registers an operation for ack tracking and arms its retry timer.
@@ -487,12 +469,11 @@ impl MindNode {
     /// retry budget runs out (then the op is abandoned and settles).
     fn retry_op(&mut self, now: SimTime, op_id: u64, out: &mut Out) {
         let horizon = self.op_horizon();
-        let max_retries = self.cfg.max_retries;
         let retry_timeout = self.cfg.retry_timeout;
         let Some(op) = self.pending_ops.get_mut(&op_id) else {
             return; // acked in the meantime
         };
-        if op.attempts >= max_retries {
+        if op.attempts >= MAX_RETRIES {
             let group = self.pending_ops.remove(&op_id).and_then(|op| op.group);
             self.settle_op(op_id);
             self.metrics.retries_exhausted += 1;
@@ -514,10 +495,7 @@ impl MindNode {
         let target = op.target.clone();
         self.metrics.retries_sent += 1;
         match target {
-            OpTarget::Routed(code) => {
-                let events = self.overlay.route(now, code, payload, out);
-                self.process_events(now, events, out);
-            }
+            OpTarget::Routed(code) => self.route(now, code, payload, out),
             OpTarget::Direct(node) => out.send(node, OverlayMsg::Direct { payload }),
         }
     }
@@ -710,6 +688,11 @@ mod tests {
         (frames, ages, fx.cancels)
     }
 
+    /// Rows buffered behind unacked frames, not yet sent.
+    fn buffered(n: &MindNode) -> usize {
+        n.wire_batches.values().map(|b| b.records.len()).sum()
+    }
+
     fn ack(n: &mut MindNode, now: SimTime, op_id: u64, out: &mut Out) {
         let payload = MindPayload::Ack { op_id };
         n.on_message(now, NodeId(1), OverlayMsg::Direct { payload }, out);
@@ -730,7 +713,7 @@ mod tests {
         let (frames, ages, _) = drain(&mut out);
         assert!(frames.is_empty(), "rows behind an unacked frame accumulate");
         assert_eq!(ages.len(), 1, "one age cap per buffered run");
-        assert_eq!(n.buffered_inserts(), 2);
+        assert_eq!(buffered(&n), 2);
 
         ack(&mut n, 300, first, &mut out);
         let (frames, _, cancels) = drain(&mut out);
@@ -740,7 +723,7 @@ mod tests {
             cancels.contains(&ages[0].1),
             "the ack won: age timer retired"
         );
-        assert_eq!(n.buffered_inserts(), 0);
+        assert_eq!(buffered(&n), 0);
         // The retired timer firing anyway (a driver that lost the race)
         // ships nothing twice.
         n.on_timer(5_020, ages[0].0, &mut out);
@@ -762,7 +745,7 @@ mod tests {
         let (frames, ages, cancels) = drain(&mut out);
         let rows: Vec<usize> = frames.iter().map(|f| f.1).collect();
         assert_eq!(rows, vec![1, MAX, MAX], "size flushes do not wait for acks");
-        assert_eq!(n.buffered_inserts(), 1);
+        assert_eq!(buffered(&n), 1);
         assert_eq!(ages.len(), 3, "each buffered run armed its own cap");
         assert_eq!(cancels.len(), 2, "and each size flush retired one");
         // Only the *last* outstanding ack releases the straggler.
@@ -803,34 +786,22 @@ mod tests {
     #[test]
     fn an_abandoned_frame_releases_the_group_like_an_ack() {
         let (mut n, mut out) = origin();
-        n.cfg.max_retries = 0;
         n.insert(10, "t", far(0), &mut out).unwrap();
         let first = drain(&mut out).0[0].0;
         n.insert(20, "t", far(1), &mut out).unwrap();
         drain(&mut out);
-        n.on_timer(SECONDS + 10, token(KIND_OP_RETRY, first), &mut out);
+        let retry = token(KIND_OP_RETRY, first);
+        for _ in 0..MAX_RETRIES {
+            n.on_timer(SECONDS + 10, retry, &mut out);
+        }
+        let (resent, _, _) = drain(&mut out);
+        assert_eq!(resent, vec![(first, 1); MAX_RETRIES as usize]);
+        assert_eq!(n.metrics.retries_exhausted, 0);
+        n.on_timer(SECONDS + 20, retry, &mut out);
         assert_eq!(n.metrics.retries_exhausted, 1);
         let (frames, _, _) = drain(&mut out);
         assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![1]);
         assert_eq!(n.metrics.insert_frames.ack, 1);
-    }
-
-    #[test]
-    fn forced_drain_counts_and_ships_buffered_rows() {
-        let (mut n, mut out) = origin();
-        for i in 0..3 {
-            n.insert(10 + i, "t", far(i), &mut out).unwrap();
-        }
-        let (_, ages, _) = drain(&mut out);
-        assert_eq!(n.buffered_inserts(), 2);
-        n.flush_inserts(50, &mut out);
-        let (frames, _, cancels) = drain(&mut out);
-        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(cancels, vec![ages[0].1]);
-        assert_eq!(n.buffered_inserts(), 0);
-        n.flush_inserts(60, &mut out);
-        assert!(drain(&mut out).0.is_empty(), "nothing left to drain");
-        assert_eq!(n.pending_ops_len(), 2, "both frames still tracked");
     }
 
     #[test]
@@ -845,7 +816,7 @@ mod tests {
         // A second `on_start` is the restart after a crash.
         n.on_start(SECONDS, &mut out);
         assert!(n.wire_batches.is_empty() && n.wire_batch_keys.is_empty());
-        assert_eq!((n.buffered_inserts(), n.pending_ops_len()), (0, 0));
+        assert_eq!((buffered(&n), n.pending_ops_len()), (0, 0));
         // Stragglers of the old incarnation find nothing to act on.
         ack(&mut n, SECONDS + 1, frames[0].0, &mut out);
         n.on_timer(SECONDS + 2, ages[0].0, &mut out);

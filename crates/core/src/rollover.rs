@@ -55,8 +55,7 @@ impl MindNode {
             reporter: self.id(),
             hist,
         };
-        let events = self.overlay.route(now, collector_code(), payload, out);
-        self.process_events(now, events, out);
+        self.route(now, collector_code(), payload, out);
         Ok(())
     }
 
@@ -106,7 +105,7 @@ impl MindNode {
         let cuts = CutTree::balanced_from_histogram(bounds, CUT_DEPTH, &hist);
         let version = state.versions.len() as u32;
         let from_ts = (day + 1) * DAY_LEN;
-        let events = self.overlay.flood(
+        self.flood(
             MindPayload::NewVersion {
                 index,
                 version,
@@ -115,7 +114,6 @@ impl MindNode {
             },
             out,
         );
-        self.process_events(0, events, out);
     }
 
     /// Handles rollover-class timers; `true` if `kind` was ours.

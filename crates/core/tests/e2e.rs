@@ -339,7 +339,8 @@ fn daily_histogram_collection_installs_new_version() {
                 .index_state("flows")
                 .unwrap()
                 .versions[1]
-                .primary_rows
+                .primary
+                .len() as u64
         })
         .sum();
     assert_eq!(v1_rows, 100, "day-1 rows must land in version 1");

@@ -69,11 +69,6 @@ impl GridHistogram {
         self.total
     }
 
-    /// Number of non-empty bins.
-    pub fn occupied_bins(&self) -> usize {
-        self.bins.len()
-    }
-
     /// The bin coordinate of `v` on axis `d` (clamped to the domain).
     fn coord(&self, d: usize, v: Value) -> u64 {
         let lo = self.bounds.lo(d);
@@ -207,7 +202,6 @@ mod tests {
         assert_eq!(h.bin_count(&[1, 0]), 1);
         assert_eq!(h.bin_count(&[3, 3]), 1);
         assert_eq!(h.bin_count(&[2, 2]), 0);
-        assert_eq!(h.occupied_bins(), 3);
     }
 
     #[test]

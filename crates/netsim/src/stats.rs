@@ -143,13 +143,6 @@ impl SimStats {
             .max_by_key(|(_, s)| s.max_queue_delay)
             .map(|(&k, v)| (k, v))
     }
-
-    /// Message counts per directed link, descending (Figure 12's series).
-    pub fn link_message_series(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.per_link.values().map(|s| s.messages).collect();
-        v.sort_unstable_by(|a, b| b.cmp(a));
-        v
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +158,7 @@ mod tests {
         s.record_link(b, c, 100, 500, 510, 7);
         assert_eq!(s.busiest_link().unwrap().0, (a, b));
         assert_eq!(s.slowest_link().unwrap().0, (b, c));
-        assert_eq!(s.link_message_series(), vec![2, 1]);
+        assert_eq!(s.per_link[&(a, b)].messages, 2);
         assert_eq!(s.per_link[&(a, b)].bytes, 132);
         assert_eq!(
             s.per_link[&(a, b)].data_messages,

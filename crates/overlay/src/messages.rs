@@ -175,7 +175,10 @@ impl<P: WireSize> WireSize for OverlayMsg<P> {
     }
 }
 
-/// Upcalls from the overlay to its embedding node.
+/// Upcalls from the overlay to its embedding node: an overlay step
+/// yields at most one. Splits, takeovers and failure verdicts change the
+/// overlay's own state ([`crate::Overlay::code`],
+/// [`crate::Overlay::claimed`]) and raise no upcall.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OverlayEvent<P> {
     /// This node completed its join and owns `code`.
@@ -186,18 +189,6 @@ pub enum OverlayEvent<P> {
         /// the region's historical data — the application keeps a pointer
         /// to it until that data ages (Section 3.4).
         acceptor: NodeId,
-    },
-    /// This node's code changed (it accepted a join, or took over for a
-    /// failed sibling by shortening its code).
-    CodeChanged {
-        /// The new code.
-        code: BitCode,
-    },
-    /// This node now also answers for `region` (recursive takeover of a
-    /// failed node whose exact sibling was also gone).
-    TookOver {
-        /// The claimed region code.
-        region: BitCode,
     },
     /// A routed payload reached the node responsible for `target`.
     Delivered {
@@ -219,13 +210,6 @@ pub enum OverlayEvent<P> {
         from: NodeId,
         /// The payload.
         payload: P,
-    },
-    /// A neighbor was declared dead after repeated heartbeat misses.
-    NeighborFailed {
-        /// The dead node.
-        node: NodeId,
-        /// Its last known code.
-        code: BitCode,
     },
     /// A routed message could not be delivered (TTL exhausted after
     /// recovery attempts). Carries the payload back to the application.

@@ -351,12 +351,13 @@ impl<P: Clone> Overlay<P> {
         target: BitCode,
         payload: P,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    ) -> Option<OverlayEvent<P>> {
         self.forward_route(now, target, payload, 0, out)
     }
 
-    /// Floods `payload` to every overlay node (including this one).
-    pub fn flood(&mut self, payload: P, out: &mut Outbox<OverlayMsg<P>>) -> Vec<OverlayEvent<P>> {
+    /// Floods `payload` to every other overlay node. The caller applies
+    /// it locally: a flood raises no upcall at its origin.
+    pub fn flood(&mut self, payload: &P, out: &mut Outbox<OverlayMsg<P>>) {
         let flood_id = ((self.id.0 as u64) << 24) | (self.seq & 0xFF_FFFF);
         self.seq += 1;
         self.seen_floods.insert(flood_id);
@@ -369,17 +370,16 @@ impl<P: Clone> Overlay<P> {
                 },
             );
         }
-        vec![OverlayEvent::FloodDelivered { payload }]
     }
 
-    /// Handles an overlay message, returning upcall events.
+    /// Handles an overlay message, returning its upcall, if any.
     pub fn handle(
         &mut self,
         now: SimTime,
         from: NodeId,
         msg: OverlayMsg<P>,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    ) -> Option<OverlayEvent<P>> {
         // Any traffic proves the sender is alive: refresh its liveness so
         // that lost heartbeat/ack messages (or a partition shorter than
         // the failure horizon) do not misdiagnose a chatty neighbor as
@@ -395,25 +395,26 @@ impl<P: Clone> Overlay<P> {
         match msg {
             OverlayMsg::LookupJoinTarget { joiner, ttl } => {
                 self.on_lookup(joiner, ttl, out);
-                Vec::new()
+                None
             }
             OverlayMsg::JoinCandidate { candidate, .. } => {
                 if self.state == JoinState::Seeking {
                     self.state = JoinState::Requested(candidate);
                     out.send(candidate, OverlayMsg::JoinRequest);
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::JoinRequest => {
                 self.on_join_request(now, from, out);
-                Vec::new()
+                None
             }
             OverlayMsg::SplitAsk { joiner, old_code } => {
                 self.on_split_ask(now, from, joiner, old_code, out);
-                Vec::new()
+                None
             }
             OverlayMsg::SplitAck { ok, old_code } => {
-                self.on_split_ack(now, from, ok, old_code, out)
+                self.on_split_ack(now, from, ok, old_code, out);
+                None
             }
             OverlayMsg::SplitCommit {
                 new_code,
@@ -422,7 +423,7 @@ impl<P: Clone> Overlay<P> {
             } => {
                 self.table
                     .observe(&self.code.unwrap_or(BitCode::ROOT), from, new_code, now);
-                Vec::new()
+                None
             }
             OverlayMsg::JoinCommit { code, neighbors } => {
                 self.on_join_commit(now, from, code, neighbors, out)
@@ -433,20 +434,20 @@ impl<P: Clone> Overlay<P> {
                     let backoff = JOIN_RETRY_BACKOFF + self.jitter(JOIN_RETRY_BACKOFF);
                     self.arm_join_retry(backoff, out);
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::Heartbeat { code } => {
                 if let Some(my) = self.code {
                     self.table.observe(&my, from, code, now);
                     out.send(from, OverlayMsg::HeartbeatAck { code: my });
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::HeartbeatAck { code } => {
                 if let Some(my) = self.code {
                     self.table.observe(&my, from, code, now);
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::CodeChanged { new_code } => {
                 if let Some(e) = self.table.find_by_node_mut(from) {
@@ -454,7 +455,7 @@ impl<P: Clone> Overlay<P> {
                     e.alive = true;
                     e.last_seen = now;
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::TakeoverAnnounce {
                 flood_id,
@@ -462,7 +463,7 @@ impl<P: Clone> Overlay<P> {
                 new_code,
             } => {
                 if !self.seen_floods.insert(flood_id) {
-                    return Vec::new();
+                    return None;
                 }
                 if origin != self.id {
                     if let Some(my) = self.code {
@@ -484,7 +485,7 @@ impl<P: Clone> Overlay<P> {
                         );
                     }
                 }
-                Vec::new()
+                None
             }
             OverlayMsg::Route {
                 target,
@@ -499,7 +500,7 @@ impl<P: Clone> Overlay<P> {
                 ttl,
             } => {
                 self.on_ring_probe(from, probe_id, target, need_cpl, origin, ttl, out);
-                Vec::new()
+                None
             }
             OverlayMsg::RingHit { probe_id, code: _ } => {
                 if let Some(p) = self.pending_rings.remove(&probe_id) {
@@ -514,14 +515,12 @@ impl<P: Clone> Overlay<P> {
                         },
                     );
                 }
-                Vec::new()
+                None
             }
-            OverlayMsg::Direct { payload } => {
-                vec![OverlayEvent::DirectDelivered { from, payload }]
-            }
+            OverlayMsg::Direct { payload } => Some(OverlayEvent::DirectDelivered { from, payload }),
             OverlayMsg::Flood { flood_id, payload } => {
                 if !self.seen_floods.insert(flood_id) {
-                    return Vec::new();
+                    return None;
                 }
                 for n in self.table.alive_nodes() {
                     if n != from {
@@ -534,37 +533,41 @@ impl<P: Clone> Overlay<P> {
                         );
                     }
                 }
-                vec![OverlayEvent::FloodDelivered { payload }]
+                Some(OverlayEvent::FloodDelivered { payload })
             }
         }
     }
 
-    /// Handles a timer; returns `None` for tokens the overlay does not own.
+    /// `true` for a timer token the overlay armed (its [`TOKEN_TAG`]). An
+    /// embedder multiplexing its own timers hands only these to
+    /// [`Self::on_timer`].
+    pub fn owns_timer(&self, tok: u64) -> bool {
+        tok & (0xFF << 56) == TOKEN_TAG
+    }
+
+    /// Handles one of the overlay's own timers (see [`Self::owns_timer`]),
+    /// returning its upcall, if any.
     pub fn on_timer(
         &mut self,
         now: SimTime,
         tok: u64,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Option<Vec<OverlayEvent<P>>> {
-        if tok & (0xFF << 56) != TOKEN_TAG {
-            return None;
-        }
+    ) -> Option<OverlayEvent<P>> {
+        debug_assert!(self.owns_timer(tok), "foreign timer token {tok:#x}");
         let kind = (tok >> 48) & 0xFF;
         let arg = tok & 0xFFFF_FFFF_FFFF;
         match kind {
             KIND_HEARTBEAT => {
-                let events = self.heartbeat_round(now, out);
+                self.heartbeat_round(now, out);
                 out.set_timer(self.cfg.hb_interval, token(KIND_HEARTBEAT, 0));
-                Some(events)
             }
             KIND_JOIN_RETRY => {
                 self.join_retry_timer = None; // this firing consumed it
                 if self.state != JoinState::Member {
                     self.start_join(now, out);
                 }
-                Some(Vec::new())
             }
-            KIND_RING => Some(self.on_ring_timeout(now, arg, out)),
+            KIND_RING => return self.on_ring_timeout(now, arg, out),
             KIND_JOIN_ABORT => {
                 // The split never gathered all its acks (a SplitAck was
                 // lost, or a neighbor died mid-protocol). Abort so the
@@ -578,10 +581,10 @@ impl<P: Clone> Overlay<P> {
                         out.send(joiner, OverlayMsg::JoinReject);
                     }
                 }
-                Some(Vec::new())
             }
-            _ => Some(Vec::new()),
+            _ => {}
         }
+        None
     }
 
     // ---- join protocol ----
@@ -650,10 +653,10 @@ impl<P: Clone> Overlay<P> {
         if awaiting.is_empty() {
             // Single-node overlay: commit immediately.
             // (Handled via the same path as the last ack.)
-            let events = self.commit_join(now, out);
+            self.commit_join(now, out);
             debug_assert!(
-                self.code == Some(old_code.child(false)) && !events.is_empty(),
-                "immediate commit must split {old_code} and surface the code change"
+                self.code == Some(old_code.child(false)),
+                "immediate commit must split {old_code}"
             );
         } else {
             for n in awaiting {
@@ -702,34 +705,29 @@ impl<P: Clone> Overlay<P> {
         ok: bool,
         old_code: BitCode,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    ) {
         if Some(old_code) != self.code {
-            return Vec::new(); // stale ack from an aborted attempt
+            return; // stale ack from an aborted attempt
         }
         let Some(pending) = &mut self.pending_join else {
-            return Vec::new();
+            return;
         };
         if !ok {
             let joiner = pending.joiner;
             out.cancel_timer(pending.abort_timer);
             self.pending_join = None;
             out.send(joiner, OverlayMsg::JoinReject);
-            return Vec::new();
+            return;
         }
         pending.awaiting.remove(&from);
         if pending.awaiting.is_empty() {
-            return self.commit_join(now, out);
+            self.commit_join(now, out);
         }
-        Vec::new()
     }
 
-    fn commit_join(
-        &mut self,
-        now: SimTime,
-        out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    fn commit_join(&mut self, now: SimTime, out: &mut Outbox<OverlayMsg<P>>) {
         let Some(pending) = self.pending_join.take() else {
-            return Vec::new();
+            return;
         };
         // The split is committing: the abort watchdog can never be right.
         out.cancel_timer(pending.abort_timer);
@@ -761,7 +759,6 @@ impl<P: Clone> Overlay<P> {
         self.code = Some(my_new);
         self.table
             .push(NeighborEntry::new(joiner_code, pending.joiner, now));
-        vec![OverlayEvent::CodeChanged { code: my_new }]
     }
 
     fn on_join_commit(
@@ -771,9 +768,9 @@ impl<P: Clone> Overlay<P> {
         code: BitCode,
         neighbors: Vec<(BitCode, NodeId)>,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    ) -> Option<OverlayEvent<P>> {
         if self.state == JoinState::Member {
-            return Vec::new(); // duplicate
+            return None; // duplicate
         }
         self.state = JoinState::Member;
         // Joined: the retry watchdog is obsolete — retire it instead of
@@ -794,21 +791,16 @@ impl<P: Clone> Overlay<P> {
             .collect();
         entries.push(NeighborEntry::new(code.sibling(), acceptor, now));
         self.table.set_all(entries);
-        vec![OverlayEvent::Joined { code, acceptor }]
+        Some(OverlayEvent::Joined { code, acceptor })
     }
 
     // ---- maintenance & failure handling ----
 
-    fn heartbeat_round(
-        &mut self,
-        now: SimTime,
-        out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    fn heartbeat_round(&mut self, now: SimTime, out: &mut Outbox<OverlayMsg<P>>) {
         let Some(my) = self.code else {
-            return Vec::new();
+            return;
         };
         self.hb_round += 1;
-        let mut events = Vec::new();
         let horizon = self.cfg.hb_interval * self.cfg.hb_miss_threshold as SimTime;
         let extras_horizon = horizon * EXTRAS_PING_STRIDE as SimTime;
         if now > horizon {
@@ -816,11 +808,7 @@ impl<P: Clone> Overlay<P> {
                 .table
                 .expire(now - horizon, now.saturating_sub(extras_horizon))
             {
-                events.push(OverlayEvent::NeighborFailed {
-                    node: dead.node,
-                    code: dead.code,
-                });
-                events.extend(self.handle_neighbor_death(dead, out));
+                self.handle_neighbor_death(dead, out);
             }
         }
         // Representatives every round (the paper's ~log N maintenance
@@ -843,28 +831,21 @@ impl<P: Clone> Overlay<P> {
                 );
             }
         }
-        events
     }
 
     /// Section 3.8 takeover: the failed node's sibling shortens its code;
     /// otherwise the leftmost node of the sibling subtree claims the
     /// region as an alias.
-    fn handle_neighbor_death(
-        &mut self,
-        dead: NeighborEntry,
-        out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    fn handle_neighbor_death(&mut self, dead: NeighborEntry, out: &mut Outbox<OverlayMsg<P>>) {
         let Some(my) = self.code else {
-            return Vec::new();
+            return;
         };
-        let mut events = Vec::new();
         let x = dead.code;
         if x.is_empty() {
-            return events;
+            return;
         }
         if my == x.sibling() {
             // Exact sibling: take over by shortening my code.
-            let region = x;
             let new_code = my.parent();
             self.code = Some(new_code);
             self.table.pop(); // the final dimension was the dead sibling
@@ -887,8 +868,6 @@ impl<P: Clone> Overlay<P> {
                     },
                 );
             }
-            events.push(OverlayEvent::CodeChanged { code: new_code });
-            events.push(OverlayEvent::TookOver { region });
         } else if !self.responsible_for(&x) {
             // Not the sibling: claim the dead region (the paper's
             // recursive takeover — "if both a node and its sibling fail,
@@ -898,9 +877,7 @@ impl<P: Clone> Overlay<P> {
             // any live node closer to the region (e.g. the code-shortened
             // sibling holding the replicas).
             self.claimed.insert(x);
-            events.push(OverlayEvent::TookOver { region: x });
         }
-        events
     }
 
     // ---- routing ----
@@ -912,19 +889,19 @@ impl<P: Clone> Overlay<P> {
         payload: P,
         hops: u32,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    ) -> Option<OverlayEvent<P>> {
         if self.should_answer(&target) {
-            return vec![OverlayEvent::Delivered {
+            return Some(OverlayEvent::Delivered {
                 target,
                 hops,
                 payload,
-            }];
+            });
         }
         if hops >= ROUTE_TTL {
-            return vec![OverlayEvent::Undeliverable { target, payload }];
+            return Some(OverlayEvent::Undeliverable { target, payload });
         }
         let Some(my) = self.code else {
-            return vec![OverlayEvent::Undeliverable { target, payload }];
+            return Some(OverlayEvent::Undeliverable { target, payload });
         };
         if let Some(e) = self.table.next_hop(&my, &target) {
             // Routing-loop guard: every greedy hop must strictly lengthen
@@ -946,11 +923,11 @@ impl<P: Clone> Overlay<P> {
                     payload,
                 },
             );
-            return Vec::new();
+            return None;
         }
         // Greedy dead-end (Section 3.8): expanding-ring scoped broadcast.
         self.start_ring(target, payload, hops, 1, out);
-        Vec::new()
+        None
     }
 
     fn start_ring(
@@ -1038,19 +1015,19 @@ impl<P: Clone> Overlay<P> {
         _now: SimTime,
         probe_id: u64,
         out: &mut Outbox<OverlayMsg<P>>,
-    ) -> Vec<OverlayEvent<P>> {
+    ) -> Option<OverlayEvent<P>> {
         let Some(p) = self.pending_rings.remove(&probe_id) else {
-            return Vec::new(); // already resolved
+            return None; // already resolved
         };
         if p.ttl >= RING_TTL_MAX {
-            return vec![OverlayEvent::Undeliverable {
+            return Some(OverlayEvent::Undeliverable {
                 target: p.target,
                 payload: p.payload,
-            }];
+            });
         }
         // Escalate the scope with a fresh probe id.
         self.start_ring(p.target, p.payload, p.hops, p.ttl + 1, out);
-        Vec::new()
+        None
     }
 }
 
@@ -1090,8 +1067,7 @@ mod tests {
         let mut o = static_overlay(8, 3);
         let mut out: Out = Outbox::new();
         let ev = o.route(0, BitCode::parse("0111").unwrap(), Tag(1), &mut out);
-        assert_eq!(ev.len(), 1);
-        assert!(matches!(ev[0], OverlayEvent::Delivered { hops: 0, .. }));
+        assert!(matches!(ev, Some(OverlayEvent::Delivered { hops: 0, .. })));
         assert!(out.sends.is_empty());
     }
 
@@ -1100,7 +1076,7 @@ mod tests {
         let mut o = static_overlay(8, 0); // code 000
         let mut out: Out = Outbox::new();
         let ev = o.route(0, BitCode::parse("110").unwrap(), Tag(1), &mut out);
-        assert!(ev.is_empty());
+        assert!(ev.is_none());
         assert_eq!(out.sends.len(), 1);
         // Dim-0 neighbor of 000 is the leftmost node under 1xx: 100 = node 4.
         assert_eq!(out.sends[0].0, NodeId(4));
@@ -1128,13 +1104,12 @@ mod tests {
     fn flood_reaches_all_neighbors_once() {
         let mut o = static_overlay(8, 0);
         let mut out: Out = Outbox::new();
-        let ev = o.flood(Tag(9), &mut out);
-        assert_eq!(ev.len(), 1);
+        o.flood(&Tag(9), &mut out);
         assert_eq!(out.sends.len(), 3); // 3 neighbors in a 3-cube
                                         // Re-receiving my own flood id is suppressed.
         let (_, msg) = out.sends[0].clone();
-        let ev2 = o.handle(1, NodeId(1), msg, &mut out);
-        assert!(ev2.is_empty());
+        let ev = o.handle(1, NodeId(1), msg, &mut out);
+        assert!(ev.is_none());
     }
 
     #[test]
@@ -1142,17 +1117,38 @@ mod tests {
         let mut o = static_overlay(8, 0); // 000, sibling 001 = node 1
         let mut out: Out = Outbox::new();
         let dead = NeighborEntry::new(BitCode::parse("001").unwrap(), NodeId(1), 0);
-        let ev = o.handle_neighbor_death(dead, &mut out);
+        o.handle_neighbor_death(dead, &mut out);
         assert_eq!(o.code().unwrap(), BitCode::parse("00").unwrap());
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e, OverlayEvent::TookOver { .. })));
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e, OverlayEvent::CodeChanged { .. })));
+        assert!(o.claimed().is_empty(), "the shortened code covers it");
         // Now responsible for the dead sibling's region.
         assert!(o.responsible_for(&BitCode::parse("0011").unwrap()));
         // The takeover is announced overlay-wide.
+        assert!(out
+            .sends
+            .iter()
+            .any(|(_, m)| matches!(m, OverlayMsg::TakeoverAnnounce { .. })));
+    }
+
+    #[test]
+    fn heartbeat_round_takes_over_for_silent_neighbors() {
+        // 16 nodes; node 0000's representatives are 0001 (its exact
+        // sibling), 0010, 0100 and 1000. The sibling and 0100 go silent.
+        let mut o = static_overlay(16, 0);
+        let mut out: Out = Outbox::new();
+        let cfg = OverlayConfig::default();
+        let now = cfg.hb_interval * (cfg.hb_miss_threshold as SimTime + 1);
+        for (node, code) in [(2, "0010"), (8, "1000")] {
+            let ack = OverlayMsg::HeartbeatAck {
+                code: BitCode::parse(code).unwrap(),
+            };
+            assert!(o.handle(now, NodeId(node), ack, &mut out).is_none());
+        }
+        let hb = token(KIND_HEARTBEAT, 0);
+        assert!(o.owns_timer(hb));
+        assert!(o.on_timer(now, hb, &mut out).is_none());
+        assert_eq!(o.code().unwrap(), BitCode::parse("000").unwrap());
+        let claimed: Vec<BitCode> = o.claimed().iter().copied().collect();
+        assert_eq!(claimed, vec![BitCode::parse("0100").unwrap()]);
         assert!(out
             .sends
             .iter()
@@ -1167,11 +1163,10 @@ mod tests {
         let mut o2 = static_overlay(16, 2);
         let mut out: Out = Outbox::new();
         let dead = NeighborEntry::new(BitCode::parse("0001").unwrap(), NodeId(1), 0);
-        let ev = o2.handle_neighbor_death(dead.clone(), &mut out);
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e, OverlayEvent::TookOver { .. })));
+        o2.handle_neighbor_death(dead.clone(), &mut out);
         let region = BitCode::parse("0001").unwrap();
+        assert!(o2.claimed().contains(&region));
+        assert_eq!(o2.code().unwrap(), BitCode::parse("0010").unwrap());
         assert!(o2.responsible_for(&region));
         // A live route toward 0001 still exists (via its dim-2 entry
         // covering the 000x subtree) -> defer, do not answer.
@@ -1181,11 +1176,9 @@ mod tests {
         );
         // The exact sibling shortens instead of claiming.
         let mut o0 = static_overlay(16, 0);
-        let ev = o0.handle_neighbor_death(dead, &mut out);
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e, OverlayEvent::CodeChanged { .. })));
+        o0.handle_neighbor_death(dead, &mut out);
         assert_eq!(o0.code().unwrap(), BitCode::parse("000").unwrap());
+        assert!(o0.claimed().is_empty());
         assert!(o0.should_answer(&region), "code owner always answers");
     }
 
@@ -1235,13 +1228,11 @@ mod tests {
         );
         assert_eq!(o.code().unwrap(), BitCode::parse("00").unwrap());
         // A non-sibling death elsewhere becomes a claim, not a shorten.
-        let ev = o.handle_neighbor_death(
+        o.handle_neighbor_death(
             NeighborEntry::new(BitCode::parse("0100").unwrap(), NodeId(4), 0),
             &mut out,
         );
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e, OverlayEvent::TookOver { .. })));
+        assert!(o.claimed().contains(&BitCode::parse("0100").unwrap()));
         assert_eq!(o.code().unwrap(), BitCode::parse("00").unwrap());
         // If instead the rep's code was 01 (fully merged neighbor subtree
         // that then died), its sibling is 00 = my code -> shorten to 0.
@@ -1287,7 +1278,7 @@ mod tests {
             }
         }
         let ev = o.route(0, BitCode::parse("111").unwrap(), Tag(5), &mut out);
-        assert!(ev.is_empty());
+        assert!(ev.is_none());
         assert_eq!(o.pending_rings.len(), 1);
         // With no live neighbors the probes go nowhere; fire timeouts.
         let mut gave_up = false;
@@ -1295,13 +1286,8 @@ mod tests {
             let timers: Vec<u64> = out.timers.iter().map(|&(_, t, _)| t).collect();
             out.timers.clear();
             for t in timers {
-                if let Some(ev) = o.on_timer(1000, t, &mut out) {
-                    if ev
-                        .iter()
-                        .any(|e| matches!(e, OverlayEvent::Undeliverable { .. }))
-                    {
-                        gave_up = true;
-                    }
+                if let Some(OverlayEvent::Undeliverable { .. }) = o.on_timer(1000, t, &mut out) {
+                    gave_up = true;
                 }
             }
             if gave_up {
@@ -1404,8 +1390,8 @@ mod tests {
         let mut a = static_overlay(4, 0);
         let mut out: Out = Outbox::new();
         // Ack for a code A no longer has.
-        let ev = a.on_split_ack(0, NodeId(1), true, BitCode::parse("11").unwrap(), &mut out);
-        assert!(ev.is_empty());
+        a.on_split_ack(0, NodeId(1), true, BitCode::parse("11").unwrap(), &mut out);
+        assert_eq!(a.code().unwrap(), BitCode::parse("00").unwrap());
         assert!(a.pending_join.is_none());
     }
 }

@@ -21,18 +21,16 @@ struct RawNode {
 }
 
 impl RawNode {
-    fn absorb(&mut self, events: Vec<OverlayEvent<Payload>>) {
-        for ev in events {
-            match ev {
-                OverlayEvent::Delivered {
-                    target,
-                    hops,
-                    payload,
-                } => self.delivered.push((target, hops, payload)),
-                OverlayEvent::FloodDelivered { payload } => self.flooded.push(payload),
-                OverlayEvent::Undeliverable { payload, .. } => self.undeliverable.push(payload),
-                _ => {}
-            }
+    fn absorb(&mut self, event: Option<OverlayEvent<Payload>>) {
+        match event {
+            Some(OverlayEvent::Delivered {
+                target,
+                hops,
+                payload,
+            }) => self.delivered.push((target, hops, payload)),
+            Some(OverlayEvent::FloodDelivered { payload }) => self.flooded.push(payload),
+            Some(OverlayEvent::Undeliverable { payload, .. }) => self.undeliverable.push(payload),
+            _ => {}
         }
     }
 }
@@ -53,9 +51,8 @@ impl NodeLogic for RawNode {
         self.absorb(ev);
     }
     fn on_timer(&mut self, now: SimTime, tok: u64, out: &mut Outbox<Self::Msg>) {
-        if let Some(ev) = self.overlay.on_timer(now, tok, out) {
-            self.absorb(ev);
-        }
+        let ev = self.overlay.on_timer(now, tok, out);
+        self.absorb(ev);
     }
 }
 
@@ -133,8 +130,9 @@ fn routing_hop_counts_scale_logarithmically() {
 fn flood_reaches_every_node_exactly_once() {
     let (mut world, _) = static_world(34, 3);
     world.with_node(NodeId(5), |node, _now, out| {
-        let ev = node.overlay.flood(Payload(42), out);
-        node.absorb(ev);
+        let payload = Payload(42);
+        node.overlay.flood(&payload, out);
+        node.flooded.push(payload);
     });
     world.run_until(20 * SECONDS);
     for k in 0..34u32 {

@@ -128,11 +128,6 @@ impl IndexSchema {
         HyperRect::new(lo, hi)
     }
 
-    /// Index of the attribute named `name`, if any.
-    pub fn attr_index(&self, name: &str) -> Option<usize> {
-        self.attrs.iter().position(|a| a.name == name)
-    }
-
     /// The position of the timestamp attribute among the indexed dimensions,
     /// if the schema has one. Index versioning (Section 3.7) selects the
     /// version(s) a query must consult from the query's time range.
@@ -173,13 +168,6 @@ mod tests {
     #[test]
     fn time_dim_found() {
         assert_eq!(sample().time_dim(), Some(1));
-    }
-
-    #[test]
-    fn attr_index_lookup() {
-        let s = sample();
-        assert_eq!(s.attr_index("fanout"), Some(2));
-        assert_eq!(s.attr_index("nope"), None);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Fails when DESIGN.md, README.md or EXPERIMENTS.md cite a repo path under
-# crates/, tests/, scripts/, examples/, fuzz/, vendor/ or benchmark/ that
-# does not exist. A `:line` or `::item` suffix is not part of the path.
+# Fails when DESIGN.md, README.md, EXPERIMENTS.md or the verify skill
+# (.claude/skills/verify/SKILL.md, a build-and-drive recipe) cite a repo
+# path under crates/, tests/, scripts/, examples/, fuzz/, vendor/ or
+# benchmark/ that does not exist. A `:line` or `::item` suffix is not
+# part of the path.
 #
 # Usage: ./scripts/check_doc_paths.sh   (prints `doc:line: path`, exit 1)
 set -euo pipefail
@@ -9,7 +11,7 @@ cd "$(dirname "$0")/.."
 
 roots='crates|tests|scripts|examples|fuzz|vendor|benchmark'
 status=0
-for doc in DESIGN.md README.md EXPERIMENTS.md; do
+for doc in DESIGN.md README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
     # A cited path starts after a character that cannot be part of one,
     # so `crates/x/tests/y.rs` is one path, not two.
     while IFS=: read -r line path; do
