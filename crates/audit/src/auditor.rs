@@ -21,9 +21,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mind_types::{BitCode, HyperRect, NodeId};
+use mind_types::{BitCode, HyperRect, NodeId, Replication};
 
-use crate::snapshot::{NodeSnapshot, ReplicationSnapshot, Snapshot, VersionSnapshot};
+use crate::snapshot::{NodeSnapshot, Snapshot, VersionSnapshot};
 
 /// Codes near the representation limit cannot be split further; the gap
 /// search stops descending there (real overlay codes are far shorter).
@@ -32,387 +32,102 @@ const MAX_GAP_DEPTH: u8 = 62;
 /// Which strictness class(es) to verify. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditConfig {
-    /// Require live codes plus claimed regions to tile the hypercube.
-    pub require_total_coverage: bool,
-    /// Require neighbor links to be reciprocated.
-    pub require_symmetry: bool,
+    /// Also check the settled class: live codes plus claimed regions tile
+    /// the hypercube, live neighbor entries point at live members inside
+    /// their subtree and are reciprocated, and replica targets are the
+    /// ones the table dictates at the right prefix distance.
+    pub settled: bool,
     /// Forbid claimed regions that shadow a live member's code.
     pub require_fresh_claims: bool,
-    /// Require replica targets to be alive and correctly prefix-placed.
-    pub require_replica_placement: bool,
 }
 
 impl AuditConfig {
     /// Only the invariants that hold at every instant, even mid-churn.
     pub fn structural() -> Self {
         AuditConfig {
-            require_total_coverage: false,
-            require_symmetry: false,
+            settled: false,
             require_fresh_claims: false,
-            require_replica_placement: false,
         }
     }
 
     /// Every invariant, for quiescent (post-stabilization) states.
     pub fn settled() -> Self {
         AuditConfig {
-            require_total_coverage: true,
-            require_symmetry: true,
+            settled: true,
             require_fresh_claims: true,
-            require_replica_placement: true,
         }
     }
 }
 
-/// One detected invariant violation, with enough context to act on.
+/// One detected invariant violation: which invariant tripped, and the
+/// report line naming what is at fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Violation {
-    /// Two live members own overlapping regions (one code prefixes the
-    /// other): the zone space is no longer a partition.
-    CodeOverlap {
-        a: NodeId,
-        a_code: BitCode,
-        b: NodeId,
-        b_code: BitCode,
-    },
-    /// No live code or claimed region covers `region`: data and queries
-    /// routed there have no owner.
-    CoverageGap { region: BitCode },
-    /// `node` still claims `claim` although live member `owner` covers it.
-    StaleClaim {
-        node: NodeId,
-        claim: BitCode,
-        owner: NodeId,
-        owner_code: BitCode,
-    },
-    /// A member's neighbor table does not have one entry per code bit, or
-    /// entries are out of dimension order.
-    TableShape {
-        node: NodeId,
-        code_len: u8,
-        detail: String,
-    },
-    /// Entry `dim`'s recorded code lies outside the `subtree` it must
-    /// represent.
-    NeighborDimMismatch {
-        node: NodeId,
-        dim: u8,
-        subtree: BitCode,
-        entry_code: BitCode,
-        entry_node: NodeId,
-    },
-    /// An entry still marked alive points at a node that is globally dead
-    /// or no longer a member.
-    NeighborTargetDead {
-        node: NodeId,
-        dim: u8,
-        target: NodeId,
-    },
-    /// The target's *actual* current code has left the subtree the entry
-    /// represents.
-    NeighborSubtreeEscape {
-        node: NodeId,
-        dim: u8,
-        target: NodeId,
-        subtree: BitCode,
-        actual: BitCode,
-    },
-    /// `from` lists `to` as a live neighbor but `to` does not know `from`.
-    NeighborAsymmetry { from: NodeId, to: NodeId, dim: u8 },
-    /// Two leaves of one cut tree overlap in code space.
-    CutLeafOverlap {
-        node: NodeId,
-        index: String,
-        version: u32,
-        a: BitCode,
-        b: BitCode,
-    },
-    /// A cut tree's leaves miss part of code space.
-    CutCoverageGap {
-        node: NodeId,
-        index: String,
-        version: u32,
-        region: BitCode,
-    },
-    /// Leaf rectangles do not reassemble into the version bounds by sibling
-    /// merges: some cut boundary is skewed.
-    CutGeometryMismatch {
-        node: NodeId,
-        index: String,
-        version: u32,
-        region: BitCode,
-        detail: String,
-    },
-    /// The recorded replica targets differ from what the neighbor table
-    /// dictates for the index's replication level.
-    ReplicaTargetMismatch {
-        node: NodeId,
-        index: String,
-        expected: Vec<NodeId>,
-        recorded: Vec<NodeId>,
-    },
-    /// A replica sits on a node whose code does not share exactly the
-    /// required prefix length with the primary.
-    ReplicaPrefixMismatch {
-        node: NodeId,
-        index: String,
-        target: NodeId,
-        dim: u8,
-        common_prefix: u8,
-    },
-    /// A node's version timestamps go backwards.
-    VersionRegression {
-        node: NodeId,
-        index: String,
-        version: u32,
-        prev_from_ts: u64,
-        from_ts: u64,
-    },
-    /// Two live nodes disagree on a version's timestamp or cut tree.
-    VersionDisagreement {
-        index: String,
-        version: u32,
-        a: NodeId,
-        b: NodeId,
-        detail: String,
-    },
-    /// Two sub-query codes of one split overlap.
-    QuerySplitOverlap { a: BitCode, b: BitCode },
-    /// Part of the query rectangle is covered by no sub-query.
-    QuerySplitGap { region: BitCode },
-    /// A sub-query whose region misses the query rectangle entirely.
-    QuerySplitExcess { code: BitCode },
-}
-
-/// Field-less discriminant of [`Violation`], for asserting *which* invariant
-/// tripped without matching every payload field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ViolationKind {
-    CodeOverlap,
-    CoverageGap,
-    StaleClaim,
-    TableShape,
-    NeighborDimMismatch,
-    NeighborTargetDead,
-    NeighborSubtreeEscape,
-    NeighborAsymmetry,
-    CutLeafOverlap,
-    CutCoverageGap,
-    CutGeometryMismatch,
-    ReplicaTargetMismatch,
-    ReplicaPrefixMismatch,
-    VersionRegression,
-    VersionDisagreement,
-    QuerySplitOverlap,
-    QuerySplitGap,
-    QuerySplitExcess,
+pub struct Violation {
+    /// The violated invariant.
+    pub kind: ViolationKind,
+    /// The report line, e.g. `stale claim: n0 claims [1] but live n1 owns [1]`.
+    pub detail: String,
 }
 
 impl Violation {
-    /// The violated invariant, without payload.
-    pub fn kind(&self) -> ViolationKind {
-        match self {
-            Violation::CodeOverlap { .. } => ViolationKind::CodeOverlap,
-            Violation::CoverageGap { .. } => ViolationKind::CoverageGap,
-            Violation::StaleClaim { .. } => ViolationKind::StaleClaim,
-            Violation::TableShape { .. } => ViolationKind::TableShape,
-            Violation::NeighborDimMismatch { .. } => ViolationKind::NeighborDimMismatch,
-            Violation::NeighborTargetDead { .. } => ViolationKind::NeighborTargetDead,
-            Violation::NeighborSubtreeEscape { .. } => ViolationKind::NeighborSubtreeEscape,
-            Violation::NeighborAsymmetry { .. } => ViolationKind::NeighborAsymmetry,
-            Violation::CutLeafOverlap { .. } => ViolationKind::CutLeafOverlap,
-            Violation::CutCoverageGap { .. } => ViolationKind::CutCoverageGap,
-            Violation::CutGeometryMismatch { .. } => ViolationKind::CutGeometryMismatch,
-            Violation::ReplicaTargetMismatch { .. } => ViolationKind::ReplicaTargetMismatch,
-            Violation::ReplicaPrefixMismatch { .. } => ViolationKind::ReplicaPrefixMismatch,
-            Violation::VersionRegression { .. } => ViolationKind::VersionRegression,
-            Violation::VersionDisagreement { .. } => ViolationKind::VersionDisagreement,
-            Violation::QuerySplitOverlap { .. } => ViolationKind::QuerySplitOverlap,
-            Violation::QuerySplitGap { .. } => ViolationKind::QuerySplitGap,
-            Violation::QuerySplitExcess { .. } => ViolationKind::QuerySplitExcess,
-        }
+    fn new(kind: ViolationKind, detail: String) -> Self {
+        Violation { kind, detail }
     }
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Violation::CodeOverlap {
-                a,
-                a_code,
-                b,
-                b_code,
-            } => {
-                write!(
-                    f,
-                    "code overlap: {a} owns [{a_code}] and {b} owns [{b_code}]"
-                )
-            }
-            Violation::CoverageGap { region } => {
-                write!(f, "coverage gap: no live code or claim covers [{region}]")
-            }
-            Violation::StaleClaim {
-                node,
-                claim,
-                owner,
-                owner_code,
-            } => {
-                write!(
-                    f,
-                    "stale claim: {node} claims [{claim}] but live {owner} owns [{owner_code}]"
-                )
-            }
-            Violation::TableShape {
-                node,
-                code_len,
-                detail,
-            } => {
-                write!(f, "table shape: {node} (code length {code_len}): {detail}")
-            }
-            Violation::NeighborDimMismatch {
-                node,
-                dim,
-                subtree,
-                entry_code,
-                entry_node,
-            } => {
-                write!(
-                    f,
-                    "neighbor dim mismatch: {node} dim {dim} must represent [{subtree}] \
-                     but records {entry_node} at [{entry_code}]"
-                )
-            }
-            Violation::NeighborTargetDead { node, dim, target } => {
-                write!(
-                    f,
-                    "dead neighbor: {node} dim {dim} still lists {target} as alive"
-                )
-            }
-            Violation::NeighborSubtreeEscape {
-                node,
-                dim,
-                target,
-                subtree,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "neighbor escaped subtree: {node} dim {dim} represents [{subtree}] \
-                     but {target} now owns [{actual}]"
-                )
-            }
-            Violation::NeighborAsymmetry { from, to, dim } => {
-                write!(
-                    f,
-                    "asymmetric link: {from} lists {to} (dim {dim}) but {to} does not know {from}"
-                )
-            }
-            Violation::CutLeafOverlap {
-                node,
-                index,
-                version,
-                a,
-                b,
-            } => {
-                write!(
-                    f,
-                    "cut leaf overlap: {node} {index} v{version}: [{a}] overlaps [{b}]"
-                )
-            }
-            Violation::CutCoverageGap {
-                node,
-                index,
-                version,
-                region,
-            } => {
-                write!(
-                    f,
-                    "cut coverage gap: {node} {index} v{version}: no leaf covers [{region}]"
-                )
-            }
-            Violation::CutGeometryMismatch {
-                node,
-                index,
-                version,
-                region,
-                detail,
-            } => {
-                write!(
-                    f,
-                    "cut geometry mismatch: {node} {index} v{version} at [{region}]: {detail}"
-                )
-            }
-            Violation::ReplicaTargetMismatch {
-                node,
-                index,
-                expected,
-                recorded,
-            } => {
-                write!(
-                    f,
-                    "replica target mismatch: {node} {index}: table dictates {expected:?}, \
-                     recorded {recorded:?}"
-                )
-            }
-            Violation::ReplicaPrefixMismatch {
-                node,
-                index,
-                target,
-                dim,
-                common_prefix,
-            } => {
-                write!(
-                    f,
-                    "replica prefix mismatch: {node} {index}: replica on {target} shares \
-                     prefix {common_prefix}, placement dim requires {dim}"
-                )
-            }
-            Violation::VersionRegression {
-                node,
-                index,
-                version,
-                prev_from_ts,
-                from_ts,
-            } => {
-                write!(
-                    f,
-                    "version regression: {node} {index} v{version} starts at {from_ts} \
-                     before v{} at {prev_from_ts}",
-                    version - 1
-                )
-            }
-            Violation::VersionDisagreement {
-                index,
-                version,
-                a,
-                b,
-                detail,
-            } => {
-                write!(
-                    f,
-                    "version disagreement: {index} v{version}: {a} vs {b}: {detail}"
-                )
-            }
-            Violation::QuerySplitOverlap { a, b } => {
-                write!(
-                    f,
-                    "query split overlap: sub-queries [{a}] and [{b}] overlap"
-                )
-            }
-            Violation::QuerySplitGap { region } => {
-                write!(
-                    f,
-                    "query split gap: query region [{region}] has no sub-query"
-                )
-            }
-            Violation::QuerySplitExcess { code } => {
-                write!(
-                    f,
-                    "query split excess: sub-query [{code}] misses the query rectangle"
-                )
-            }
-        }
+        f.write_str(&self.detail)
     }
+}
+
+/// The invariant a [`Violation`] breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ViolationKind {
+    /// Two live members own overlapping regions (one code prefixes the
+    /// other): the zone space is no longer a partition.
+    CodeOverlap,
+    /// No live code or claimed region covers a region: data and queries
+    /// routed there have no owner.
+    CoverageGap,
+    /// A node still claims a region although a live member covers it.
+    StaleClaim,
+    /// A member's neighbor table does not have one entry per code bit, or
+    /// entries are out of dimension order.
+    TableShape,
+    /// An entry's recorded code lies outside the subtree it must represent.
+    NeighborDimMismatch,
+    /// An entry still marked alive points at a node that is globally dead
+    /// or no longer a member.
+    NeighborTargetDead,
+    /// The target's *actual* current code has left the subtree the entry
+    /// represents.
+    NeighborSubtreeEscape,
+    /// A node lists a live neighbor that does not know it back.
+    NeighborAsymmetry,
+    /// Two leaves of one cut tree overlap in code space.
+    CutLeafOverlap,
+    /// A cut tree's leaves miss part of code space.
+    CutCoverageGap,
+    /// Leaf rectangles do not reassemble into the version bounds by sibling
+    /// merges: some cut boundary is skewed.
+    CutGeometryMismatch,
+    /// The recorded replica targets differ from what the neighbor table
+    /// dictates for the index's replication level.
+    ReplicaTargetMismatch,
+    /// A replica sits on a node whose code does not share exactly the
+    /// required prefix length with the primary.
+    ReplicaPrefixMismatch,
+    /// A node's version timestamps go backwards.
+    VersionRegression,
+    /// Two live nodes disagree on a version's timestamp or cut tree.
+    VersionDisagreement,
+    /// Two sub-query codes of one split overlap.
+    QuerySplitOverlap,
+    /// Part of the query rectangle is covered by no sub-query.
+    QuerySplitGap,
+    /// A sub-query whose region misses the query rectangle entirely.
+    QuerySplitExcess,
 }
 
 /// The outcome of one audit pass.
@@ -502,12 +217,10 @@ impl Auditor {
         for (i, (a, a_code)) in live.iter().enumerate() {
             for (b, b_code) in live.iter().skip(i + 1) {
                 if a_code.compatible(b_code) {
-                    out.push(Violation::CodeOverlap {
-                        a: *a,
-                        a_code: *a_code,
-                        b: *b,
-                        b_code: *b_code,
-                    });
+                    out.push(Violation::new(
+                        ViolationKind::CodeOverlap,
+                        format!("code overlap: {a} owns [{a_code}] and {b} owns [{b_code}]"),
+                    ));
                 }
             }
         }
@@ -519,24 +232,29 @@ impl Auditor {
                         .iter()
                         .find(|(id, c)| *id != node.id && c.compatible(claim))
                     {
-                        out.push(Violation::StaleClaim {
-                            node: node.id,
-                            claim: *claim,
-                            owner: *owner,
-                            owner_code: *owner_code,
-                        });
+                        out.push(Violation::new(
+                            ViolationKind::StaleClaim,
+                            format!(
+                                "stale claim: {} claims [{claim}] but live {owner} owns \
+                                 [{owner_code}]",
+                                node.id
+                            ),
+                        ));
                     }
                 }
             }
         }
 
-        if self.config.require_total_coverage {
+        if self.config.settled {
             let mut cover: Vec<BitCode> = live.iter().map(|(_, c)| *c).collect();
             for node in snap.nodes.iter().filter(|n| n.alive) {
                 cover.extend(node.claimed.iter().copied());
             }
             if let Some(region) = find_gap(BitCode::ROOT, &cover) {
-                out.push(Violation::CoverageGap { region });
+                out.push(Violation::new(
+                    ViolationKind::CoverageGap,
+                    format!("coverage gap: no live code or claim covers [{region}]"),
+                ));
             }
         }
     }
@@ -545,76 +263,70 @@ impl Auditor {
     fn check_tables(&self, snap: &Snapshot, out: &mut Vec<Violation>) {
         for node in snap.nodes.iter().filter(|n| n.alive && n.member) {
             let Some(code) = node.code else { continue };
-            if node.neighbors.len() != usize::from(code.len()) {
-                out.push(Violation::TableShape {
-                    node: node.id,
-                    code_len: code.len(),
-                    detail: format!(
-                        "{} entries for a {}-bit code",
-                        node.neighbors.len(),
-                        code.len()
+            let id = node.id;
+            let len = code.len();
+            if node.neighbors.len() != usize::from(len) {
+                out.push(Violation::new(
+                    ViolationKind::TableShape,
+                    format!(
+                        "table shape: {id} (code length {len}): {} entries for a {len}-bit code",
+                        node.neighbors.len()
                     ),
-                });
+                ));
             }
             for (pos, entry) in node.neighbors.iter().enumerate() {
-                if usize::from(entry.dim) != pos {
-                    out.push(Violation::TableShape {
-                        node: node.id,
-                        code_len: code.len(),
-                        detail: format!("entry at position {pos} labeled dim {}", entry.dim),
-                    });
+                let (dim, target) = (entry.dim, entry.node);
+                if usize::from(dim) != pos {
+                    out.push(Violation::new(
+                        ViolationKind::TableShape,
+                        format!(
+                            "table shape: {id} (code length {len}): entry at position {pos} \
+                             labeled dim {dim}"
+                        ),
+                    ));
                     continue;
                 }
-                if entry.dim >= code.len() {
+                if dim >= len {
                     continue; // already reported as a shape violation above
                 }
-                let subtree = code.flip_prefix(entry.dim);
+                let subtree = code.flip_prefix(dim);
                 if !subtree.compatible(&entry.code) {
-                    out.push(Violation::NeighborDimMismatch {
-                        node: node.id,
-                        dim: entry.dim,
-                        subtree,
-                        entry_code: entry.code,
-                        entry_node: entry.node,
-                    });
+                    out.push(Violation::new(
+                        ViolationKind::NeighborDimMismatch,
+                        format!(
+                            "neighbor dim mismatch: {id} dim {dim} must represent [{subtree}] \
+                             but records {target} at [{}]",
+                            entry.code
+                        ),
+                    ));
                 }
-                if !entry.alive {
+                if !entry.alive || !self.config.settled {
                     continue;
                 }
-                let target = snap.node(entry.node);
-                let target_live = target.map(|t| t.alive && t.member).unwrap_or(false);
-                if self.config.require_replica_placement || self.config.require_symmetry {
-                    if !target_live {
-                        out.push(Violation::NeighborTargetDead {
-                            node: node.id,
-                            dim: entry.dim,
-                            target: entry.node,
-                        });
-                        continue;
-                    }
-                    if let Some(actual) = target.and_then(|t| t.code) {
-                        if !subtree.compatible(&actual) {
-                            out.push(Violation::NeighborSubtreeEscape {
-                                node: node.id,
-                                dim: entry.dim,
-                                target: entry.node,
-                                subtree,
-                                actual,
-                            });
-                        }
-                    }
+                let Some(t) = snap.node(target).filter(|t| t.alive && t.member) else {
+                    out.push(Violation::new(
+                        ViolationKind::NeighborTargetDead,
+                        format!("dead neighbor: {id} dim {dim} still lists {target} as alive"),
+                    ));
+                    continue;
+                };
+                if let Some(actual) = t.code.filter(|a| !subtree.compatible(a)) {
+                    out.push(Violation::new(
+                        ViolationKind::NeighborSubtreeEscape,
+                        format!(
+                            "neighbor escaped subtree: {id} dim {dim} represents [{subtree}] \
+                             but {target} now owns [{actual}]"
+                        ),
+                    ));
                 }
-                if self.config.require_symmetry && target_live {
-                    let knows_back = target.is_some_and(|t| {
-                        t.neighbors.iter().any(|e| e.node == node.id) || t.extras.contains(&node.id)
-                    });
-                    if !knows_back {
-                        out.push(Violation::NeighborAsymmetry {
-                            from: node.id,
-                            to: entry.node,
-                            dim: entry.dim,
-                        });
-                    }
+                if !t.neighbors.iter().any(|e| e.node == id) && !t.extras.contains(&id) {
+                    out.push(Violation::new(
+                        ViolationKind::NeighborAsymmetry,
+                        format!(
+                            "asymmetric link: {id} lists {target} (dim {dim}) but {target} does \
+                             not know {id}"
+                        ),
+                    ));
                 }
             }
         }
@@ -626,43 +338,35 @@ impl Auditor {
         for node in &snap.nodes {
             for (tag, index) in &node.indexes {
                 for (v, ver) in index.versions.iter().enumerate() {
-                    let version = v as u32;
+                    let at = format!("{} {tag} v{v}", node.id);
                     let codes: Vec<BitCode> = ver.leaves.iter().map(|(c, _)| *c).collect();
                     let mut overlapping = false;
                     for (i, a) in codes.iter().enumerate() {
                         for b in codes.iter().skip(i + 1) {
                             if a.compatible(b) {
                                 overlapping = true;
-                                out.push(Violation::CutLeafOverlap {
-                                    node: node.id,
-                                    index: tag.clone(),
-                                    version,
-                                    a: *a,
-                                    b: *b,
-                                });
+                                out.push(Violation::new(
+                                    ViolationKind::CutLeafOverlap,
+                                    format!("cut leaf overlap: {at}: [{a}] overlaps [{b}]"),
+                                ));
                             }
                         }
                     }
                     if let Some(region) = find_gap(BitCode::ROOT, &codes) {
-                        out.push(Violation::CutCoverageGap {
-                            node: node.id,
-                            index: tag.clone(),
-                            version,
-                            region,
-                        });
+                        out.push(Violation::new(
+                            ViolationKind::CutCoverageGap,
+                            format!("cut coverage gap: {at}: no leaf covers [{region}]"),
+                        ));
                         continue; // merge needs a complete leaf set
                     }
                     if overlapping {
                         continue;
                     }
-                    if let Err((region, detail)) = merge_to_bounds(&ver.leaves, &ver.bounds) {
-                        out.push(Violation::CutGeometryMismatch {
-                            node: node.id,
-                            index: tag.clone(),
-                            version,
-                            region,
-                            detail,
-                        });
+                    if let Err((region, why)) = merge_to_bounds(&ver.leaves, &ver.bounds) {
+                        out.push(Violation::new(
+                            ViolationKind::CutGeometryMismatch,
+                            format!("cut geometry mismatch: {at} at [{region}]: {why}"),
+                        ));
                     }
                 }
             }
@@ -672,7 +376,7 @@ impl Auditor {
     /// Replica targets match what the table dictates and sit at the right
     /// prefix distance.
     fn check_replication(&self, snap: &Snapshot, out: &mut Vec<Violation>) {
-        if !self.config.require_replica_placement {
+        if !self.config.settled {
             return;
         }
         for node in snap.nodes.iter().filter(|n| n.alive && n.member) {
@@ -681,8 +385,8 @@ impl Auditor {
             for (tag, index) in &node.indexes {
                 let mut expected: Vec<(u8, NodeId)> = Vec::new();
                 match index.replication {
-                    ReplicationSnapshot::None => {}
-                    ReplicationSnapshot::Level(m) => {
+                    Replication::None => {}
+                    Replication::Level(m) => {
                         for i in 1..=m.min(k) {
                             let dim = k - i;
                             if let Some(e) = node.neighbors.get(usize::from(dim)) {
@@ -692,7 +396,7 @@ impl Auditor {
                             }
                         }
                     }
-                    ReplicationSnapshot::Full => {
+                    Replication::Full => {
                         for e in &node.neighbors {
                             if e.alive && e.node != node.id {
                                 expected.push((e.dim, e.node));
@@ -713,32 +417,35 @@ impl Auditor {
                 got.sort();
                 got.dedup();
                 if want != got {
-                    out.push(Violation::ReplicaTargetMismatch {
-                        node: node.id,
-                        index: tag.clone(),
-                        expected: want,
-                        recorded: got,
-                    });
+                    out.push(Violation::new(
+                        ViolationKind::ReplicaTargetMismatch,
+                        format!(
+                            "replica target mismatch: {} {tag}: table dictates {want:?}, recorded \
+                             {got:?}",
+                            node.id
+                        ),
+                    ));
                     continue;
                 }
 
                 // Prefix placement only constrains leveled replication: a
                 // replica at dim d must share exactly d code bits with the
                 // primary (the node that takes the region over on failure).
-                if let ReplicationSnapshot::Level(_) = index.replication {
+                if let Replication::Level(_) = index.replication {
                     for (dim, target) in &expected {
                         let Some(actual) = snap.node(*target).and_then(|t| t.code) else {
                             continue; // liveness reported by check_tables
                         };
                         let cpl = code.common_prefix_len(&actual);
                         if cpl != *dim {
-                            out.push(Violation::ReplicaPrefixMismatch {
-                                node: node.id,
-                                index: tag.clone(),
-                                target: *target,
-                                dim: *dim,
-                                common_prefix: cpl,
-                            });
+                            out.push(Violation::new(
+                                ViolationKind::ReplicaPrefixMismatch,
+                                format!(
+                                    "replica prefix mismatch: {} {tag}: replica on {target} shares \
+                                     prefix {cpl}, placement dim requires {dim}",
+                                    node.id
+                                ),
+                            ));
                         }
                     }
                 }
@@ -752,13 +459,16 @@ impl Auditor {
             for (tag, index) in &node.indexes {
                 for (v, pair) in index.versions.windows(2).enumerate() {
                     if pair[1].from_ts < pair[0].from_ts {
-                        out.push(Violation::VersionRegression {
-                            node: node.id,
-                            index: tag.clone(),
-                            version: (v + 1) as u32,
-                            prev_from_ts: pair[0].from_ts,
-                            from_ts: pair[1].from_ts,
-                        });
+                        out.push(Violation::new(
+                            ViolationKind::VersionRegression,
+                            format!(
+                                "version regression: {} {tag} v{} starts at {} before v{v} at {}",
+                                node.id,
+                                v + 1,
+                                pair[1].from_ts,
+                                pair[0].from_ts
+                            ),
+                        ));
                     }
                 }
             }
@@ -780,24 +490,22 @@ impl Auditor {
                         continue;
                     };
                     for (v, (va, vb)) in ia.versions.iter().zip(&ib.versions).enumerate() {
-                        let detail = if va.from_ts != vb.from_ts {
-                            Some(format!("from_ts {} vs {}", va.from_ts, vb.from_ts))
+                        let why = if va.from_ts != vb.from_ts {
+                            format!("from_ts {} vs {}", va.from_ts, vb.from_ts)
                         } else if va.bounds != vb.bounds {
-                            Some("bounds differ".to_owned())
+                            "bounds differ".to_owned()
                         } else if va.leaves != vb.leaves {
-                            Some("cut trees differ".to_owned())
+                            "cut trees differ".to_owned()
                         } else {
-                            None
+                            continue;
                         };
-                        if let Some(detail) = detail {
-                            out.push(Violation::VersionDisagreement {
-                                index: tag.clone(),
-                                version: v as u32,
-                                a: a.id,
-                                b: b.id,
-                                detail,
-                            });
-                        }
+                        out.push(Violation::new(
+                            ViolationKind::VersionDisagreement,
+                            format!(
+                                "version disagreement: {tag} v{v}: {} vs {}: {why}",
+                                a.id, b.id
+                            ),
+                        ));
                     }
                 }
             }
@@ -817,19 +525,32 @@ pub fn check_query_split(
     query: &HyperRect,
     codes: &[BitCode],
 ) -> Vec<Violation> {
+    let gap = |region: BitCode| {
+        Violation::new(
+            ViolationKind::QuerySplitGap,
+            format!("query split gap: query region [{region}] has no sub-query"),
+        )
+    };
+    let excess = |code: &BitCode| {
+        Violation::new(
+            ViolationKind::QuerySplitExcess,
+            format!("query split excess: sub-query [{code}] misses the query rectangle"),
+        )
+    };
     let mut out = Vec::new();
     for (i, a) in codes.iter().enumerate() {
         for b in codes.iter().skip(i + 1) {
             if a.compatible(b) {
-                out.push(Violation::QuerySplitOverlap { a: *a, b: *b });
+                out.push(Violation::new(
+                    ViolationKind::QuerySplitOverlap,
+                    format!("query split overlap: sub-queries [{a}] and [{b}] overlap"),
+                ));
             }
         }
     }
 
     let Some(clipped) = version.bounds.intersection(query) else {
-        for c in codes {
-            out.push(Violation::QuerySplitExcess { code: *c });
-        }
+        out.extend(codes.iter().map(excess));
         return out;
     };
 
@@ -852,11 +573,9 @@ pub fn check_query_split(
             (0, false) => {
                 // A refinement plan may tile a leaf with finer codes; they
                 // must then cover the whole leaf between them.
-                if let Some(region) = find_gap(*leaf_code, &finer) {
-                    out.push(Violation::QuerySplitGap { region });
-                }
+                out.extend(find_gap(*leaf_code, &finer).map(gap));
             }
-            (0, true) => out.push(Violation::QuerySplitGap { region: *leaf_code }),
+            (0, true) => out.push(gap(*leaf_code)),
             // Multiple/mixed covers are compatible pairs, already reported
             // as QuerySplitOverlap above.
             _ => {}
@@ -869,7 +588,7 @@ pub fn check_query_split(
             .iter()
             .any(|(lc, lr)| lc.compatible(code) && lr.intersects(&clipped));
         if !touches {
-            out.push(Violation::QuerySplitExcess { code: *code });
+            out.push(excess(code));
         }
     }
     out

@@ -31,6 +31,4 @@ pub mod auditor;
 pub mod snapshot;
 
 pub use auditor::{check_query_split, AuditConfig, AuditReport, Auditor, Violation, ViolationKind};
-pub use snapshot::{
-    IndexSnapshot, NeighborSnapshot, NodeSnapshot, ReplicationSnapshot, Snapshot, VersionSnapshot,
-};
+pub use snapshot::{IndexSnapshot, NeighborSnapshot, NodeSnapshot, Snapshot, VersionSnapshot};

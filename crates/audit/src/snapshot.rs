@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use mind_types::{BitCode, HyperRect, NodeId};
+use mind_types::{BitCode, HyperRect, NodeId, Replication};
 
 /// One captured state of the whole cluster at a simulated instant.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -58,6 +58,13 @@ impl NodeSnapshot {
             indexes: BTreeMap::new(),
         }
     }
+
+    /// Rows the node holds as primary for `index`, over all versions.
+    pub fn primary_rows(&self, index: &str) -> u64 {
+        self.indexes
+            .get(index)
+            .map_or(0, |i| i.versions.iter().map(|v| v.primary_rows).sum())
+    }
 }
 
 /// One neighbor-table entry as seen by the owning node.
@@ -74,24 +81,11 @@ pub struct NeighborSnapshot {
     pub alive: bool,
 }
 
-/// Mirror of `mind-core`'s replication policy, kept here so the auditor does
-/// not depend on the core crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ReplicationSnapshot {
-    /// Primary copy only.
-    #[default]
-    None,
-    /// Replicas at the `m` prefix neighbors that would take over on failure.
-    Level(u8),
-    /// A replica at every overlay neighbor.
-    Full,
-}
-
 /// One index as held by one node.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct IndexSnapshot {
     /// The index's replication policy.
-    pub replication: ReplicationSnapshot,
+    pub replication: Replication,
     /// The nodes this node currently pushes replicas to, as reported by the
     /// overlay at capture time.
     pub replica_targets: Vec<NodeId>,

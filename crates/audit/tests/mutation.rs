@@ -12,9 +12,9 @@
 
 use mind_audit::auditor::{check_query_split, Auditor, ViolationKind};
 use mind_audit::snapshot::{
-    IndexSnapshot, NeighborSnapshot, NodeSnapshot, ReplicationSnapshot, Snapshot, VersionSnapshot,
+    IndexSnapshot, NeighborSnapshot, NodeSnapshot, Snapshot, VersionSnapshot,
 };
-use mind_types::{BitCode, HyperRect, NodeId};
+use mind_types::{BitCode, HyperRect, NodeId, Replication};
 use proptest::prelude::*;
 
 const TAG: &str = "idx";
@@ -82,7 +82,7 @@ fn uniform_cube(depth: u8, cut_depth: u8) -> Snapshot {
             indexes.insert(
                 TAG.to_string(),
                 IndexSnapshot {
-                    replication: ReplicationSnapshot::Level(1),
+                    replication: Replication::Level(1),
                     replica_targets,
                     versions: versions.clone(),
                 },
@@ -110,8 +110,31 @@ fn kinds(snap: &Snapshot, auditor: Auditor) -> Vec<ViolationKind> {
         .audit(snap)
         .violations
         .iter()
-        .map(|v| v.kind())
+        .map(|v| v.kind)
         .collect()
+}
+
+/// The report text is what `assert_clean` prints: one stale claim and one
+/// cut geometry skewed on both nodes read back line for line.
+#[test]
+fn report_lines_name_the_planted_faults() {
+    let mut snap = uniform_cube(1, 1);
+    let stolen = snap.nodes[1].code.unwrap();
+    snap.nodes[0].claimed.push(stolen);
+    for node in &mut snap.nodes {
+        let (_, rect) = &mut node.indexes.get_mut(TAG).unwrap().versions[0].leaves[0];
+        let mut hi = rect.his().to_vec();
+        hi[0] -= 1;
+        *rect = HyperRect::new(rect.los().to_vec(), hi);
+    }
+    let report = Auditor::settled().audit(&snap);
+    assert_eq!(
+        report.to_string(),
+        "3 violation(s):\n  \
+         - stale claim: n0 claims [1] but live n1 owns [1]\n  \
+         - cut geometry mismatch: n0 idx v0 at [ε]: children [0] and [1] do not reassemble\n  \
+         - cut geometry mismatch: n1 idx v0 at [ε]: children [0] and [1] do not reassemble\n"
+    );
 }
 
 proptest! {
@@ -414,7 +437,7 @@ proptest! {
         let dropped = (pick as usize) % codes.len();
         codes.remove(dropped);
         let got: Vec<ViolationKind> =
-            check_query_split(ver, &query, &codes).iter().map(|v| v.kind()).collect();
+            check_query_split(ver, &query, &codes).iter().map(|v| v.kind).collect();
         prop_assert_eq!(got, vec![ViolationKind::QuerySplitGap]);
     }
 
@@ -428,7 +451,7 @@ proptest! {
         let dup = codes[(pick as usize) % codes.len()];
         codes.push(dup);
         let got: Vec<ViolationKind> =
-            check_query_split(ver, &query, &codes).iter().map(|v| v.kind()).collect();
+            check_query_split(ver, &query, &codes).iter().map(|v| v.kind).collect();
         prop_assert_eq!(got, vec![ViolationKind::QuerySplitOverlap]);
     }
 
@@ -443,7 +466,7 @@ proptest! {
         let query = ver.leaves[0].1.clone();
         let codes = vec![ver.leaves[0].0, ver.leaves[ver.leaves.len() - 1].0];
         let got: Vec<ViolationKind> =
-            check_query_split(ver, &query, &codes).iter().map(|v| v.kind()).collect();
+            check_query_split(ver, &query, &codes).iter().map(|v| v.kind).collect();
         prop_assert_eq!(got, vec![ViolationKind::QuerySplitExcess]);
     }
 }

@@ -14,15 +14,13 @@
 //! `cargo test --features audit`.
 
 use mind_audit::{
-    AuditReport, Auditor, IndexSnapshot, NeighborSnapshot, NodeSnapshot, ReplicationSnapshot,
-    Snapshot, VersionSnapshot,
+    AuditReport, Auditor, IndexSnapshot, NeighborSnapshot, NodeSnapshot, Snapshot, VersionSnapshot,
 };
-use mind_types::{ClusterDriver, NodeId};
+use mind_types::{ClusterDriver, NodeId, Replication};
 
 use mind_netsim::World;
 
 use crate::cluster::MindCluster;
-use crate::messages::Replication;
 use crate::node::MindNode;
 
 /// Captures the audited state of every node in a raw simulation world.
@@ -106,13 +104,10 @@ pub fn snapshot_node(id: NodeId, alive: bool, node: &MindNode) -> NodeSnapshot {
         let Some(state) = node.index_state(&tag) else {
             continue;
         };
-        let (replication, replica_targets) = match state.replication {
-            Replication::None => (ReplicationSnapshot::None, Vec::new()),
-            Replication::Level(m) => (
-                ReplicationSnapshot::Level(m),
-                overlay.replica_targets(m.into()),
-            ),
-            Replication::Full => (ReplicationSnapshot::Full, overlay.all_neighbor_targets()),
+        let replica_targets = match state.replication {
+            Replication::None => Vec::new(),
+            Replication::Level(m) => overlay.replica_targets(m.into()),
+            Replication::Full => overlay.all_neighbor_targets(),
         };
         let versions = state
             .versions
@@ -128,7 +123,7 @@ pub fn snapshot_node(id: NodeId, alive: bool, node: &MindNode) -> NodeSnapshot {
         snap.indexes.insert(
             tag,
             IndexSnapshot {
-                replication,
+                replication: state.replication,
                 replica_targets,
                 versions,
             },

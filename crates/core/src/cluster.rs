@@ -16,14 +16,14 @@
 //! sim-specialized accessors [`MindCluster::world`] /
 //! [`MindCluster::world_mut`], which only exist for the sim driver.
 
-use crate::messages::{CarriedFilter, Replication};
+use crate::messages::CarriedFilter;
 use crate::node::{MindConfig, MindNode};
 use crate::query::QueryOutcome;
 use mind_histogram::CutTree;
 use mind_netsim::{SimConfig, Site, World};
 use mind_overlay::{OverlayConfig, StaticTopology};
 use mind_types::node::SimTime;
-use mind_types::{ClusterDriver, HyperRect, IndexSchema, MindError, NodeId, Record};
+use mind_types::{ClusterDriver, HyperRect, IndexSchema, MindError, NodeId, Record, Replication};
 
 /// Everything needed to stand up a cluster.
 #[derive(Debug, Clone)]

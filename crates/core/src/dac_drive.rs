@@ -11,12 +11,12 @@
 //! the node's only write path, whatever shape the rows travelled in. A
 //! *scan* answers every region one sub-query asked this node for.
 
-use crate::messages::{CarriedFilter, MindPayload, Replication};
+use crate::messages::{CarriedFilter, MindPayload};
 use crate::node::{token, MindNode, Out};
 use crate::reliability::OpTarget;
 use mind_overlay::OverlayMsg;
 use mind_types::node::{SimTime, SECONDS};
-use mind_types::{BitCode, HyperRect, NodeId, Record};
+use mind_types::{BitCode, HyperRect, NodeId, Record, Replication};
 use std::collections::BTreeMap;
 
 pub(crate) const KIND_DAC_TICK: u64 = 0;

@@ -1,9 +1,8 @@
 //! Per-node index state: schema, versions, cuts, stores.
 
-use crate::messages::Replication;
 use mind_histogram::{CutTree, GridHistogram};
 use mind_store::{Store, StoreKind};
-use mind_types::{IndexSchema, MindError, Record};
+use mind_types::{IndexSchema, MindError, Record, Replication};
 use std::sync::Arc;
 
 /// Bins per dimension of the per-day histograms shipped to the collector.

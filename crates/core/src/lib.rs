@@ -52,8 +52,9 @@ pub mod wire_len {
 }
 
 pub use cluster::{ClusterConfig, MindCluster};
-pub use messages::{CarriedFilter, MindPayload, Replication};
+pub use messages::{CarriedFilter, MindPayload};
 pub use metrics::{percentile, FlushCounts, LatencySummary, NodeMetrics};
+pub use mind_types::Replication;
 pub use node::{MindConfig, MindNode};
 pub use query::{QueryOutcome, QueryTracker};
 pub use trigger::{Trigger, TriggerSet};

@@ -2,24 +2,9 @@
 
 use mind_histogram::{CutTree, GridHistogram};
 use mind_types::node::SimTime;
-use mind_types::{BitCode, HyperRect, IndexSchema, NodeId, Record, WireSize};
+use mind_types::{BitCode, HyperRect, IndexSchema, NodeId, Record, Replication, WireSize};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// How many copies of each record an index keeps (Section 3.8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Replication {
-    /// Primary copy only.
-    None,
-    /// Primary plus replicas at the `m` prefix neighbors that would take
-    /// over on failure. `Level(1)` survives any 1 failure per sibling
-    /// pair; the paper's Figure 16 shows it tolerating 15 % random node
-    /// loss with no recall loss.
-    Level(u8),
-    /// Primary plus a replica at every overlay neighbor (the paper's
-    /// "full replication": survives > 50 % random loss).
-    Full,
-}
 
 /// A post-filter on any record attribute (indexed or carried), applied at
 /// the responding node. This supports Index-3-style predicates on carried

@@ -15,7 +15,7 @@
 
 use crate::dac_drive::{BatchResult, DacJob, PendingHandoff, Via, WriteOp};
 use crate::index::IndexState;
-use crate::messages::{CarriedFilter, IndexDef, MindPayload, Replication};
+use crate::messages::{CarriedFilter, IndexDef, MindPayload};
 use crate::metrics::NodeMetrics;
 use crate::query::QueryTracker;
 use crate::query_track::QueryRetryMeta;
@@ -25,7 +25,7 @@ use mind_histogram::{CutTree, GridHistogram};
 use mind_overlay::{Overlay, OverlayConfig, OverlayEvent, OverlayMsg};
 use mind_store::{DacCostModel, StoreKind};
 use mind_types::node::{NodeLogic, Outbox, SimTime, SECONDS};
-use mind_types::{BitCode, DetHashMap, HyperRect, MindError, NodeId, Record};
+use mind_types::{BitCode, DetHashMap, HyperRect, MindError, NodeId, Record, Replication};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The outbox type every MIND handler writes into.

@@ -605,12 +605,11 @@ mod tests {
 
     // ---- the batcher's flush rule, on one node with a hand-driven outbox ----
 
-    use crate::messages::Replication;
     use crate::node::MindConfig;
     use mind_histogram::CutTree;
     use mind_overlay::{OverlayConfig, StaticTopology};
     use mind_types::node::{NodeLogic, MILLIS, SECONDS};
-    use mind_types::{AttrDef, AttrKind, IndexSchema};
+    use mind_types::{AttrDef, AttrKind, IndexSchema, Replication};
 
     const MAX: usize = 4;
     const AGE: SimTime = 5 * MILLIS;

@@ -22,8 +22,6 @@ pub enum OverlayMsg<P> {
     JoinCandidate {
         /// Proposed accepting node.
         candidate: NodeId,
-        /// The candidate's code at proposal time (may be stale).
-        code: BitCode,
     },
     /// Direct request from the joiner to the accepting candidate.
     JoinRequest,
@@ -44,14 +42,10 @@ pub enum OverlayMsg<P> {
         old_code: BitCode,
     },
     /// Acceptor informs neighbors the split committed; carries its new
-    /// code and the joiner (owner of the sibling code).
+    /// code.
     SplitCommit {
         /// Acceptor's post-split code (`old_code·0`).
         new_code: BitCode,
-        /// The joiner node.
-        joiner: NodeId,
-        /// The joiner's code (`old_code·1`).
-        joiner_code: BitCode,
     },
     /// Acceptor tells the joiner the join is final and hands over its
     /// neighbor table.
@@ -76,11 +70,6 @@ pub enum OverlayMsg<P> {
     HeartbeatAck {
         /// Sender's current code.
         code: BitCode,
-    },
-    /// The sender's code changed (join commit or failure takeover).
-    CodeChanged {
-        /// The sender's new code.
-        new_code: BitCode,
     },
     /// Overlay-wide announcement that `origin` took over a failed
     /// sibling's region by shortening its code to `new_code`. Flooded
@@ -125,8 +114,6 @@ pub enum OverlayMsg<P> {
     RingHit {
         /// Echo of the probe id.
         probe_id: u64,
-        /// The responding node's code.
-        code: BitCode,
     },
 
     // ---- flooding (index create/drop) ----
@@ -167,7 +154,6 @@ impl<P: WireSize> WireSize for OverlayMsg<P> {
             | OverlayMsg::JoinReject
             | OverlayMsg::Heartbeat { .. }
             | OverlayMsg::HeartbeatAck { .. }
-            | OverlayMsg::CodeChanged { .. }
             | OverlayMsg::TakeoverAnnounce { .. }
             | OverlayMsg::RingProbe { .. }
             | OverlayMsg::RingHit { .. } => 32,

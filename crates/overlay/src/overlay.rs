@@ -339,6 +339,14 @@ impl<P: Clone> Overlay<P> {
         self.join_retry_timer = Some(out.set_timer(backoff, token(KIND_JOIN_RETRY, 0)));
     }
 
+    /// A fresh flood or probe id: this node's id above a 24-bit sequence
+    /// number, so ids from different origins never collide.
+    fn next_id(&mut self) -> u64 {
+        let id = ((self.id.0 as u64) << 24) | (self.seq & 0xFF_FFFF);
+        self.seq += 1;
+        id
+    }
+
     fn jitter(&mut self, range: SimTime) -> SimTime {
         self.rng.random_range(0..range.max(1))
     }
@@ -358,8 +366,7 @@ impl<P: Clone> Overlay<P> {
     /// Floods `payload` to every other overlay node. The caller applies
     /// it locally: a flood raises no upcall at its origin.
     pub fn flood(&mut self, payload: &P, out: &mut Outbox<OverlayMsg<P>>) {
-        let flood_id = ((self.id.0 as u64) << 24) | (self.seq & 0xFF_FFFF);
-        self.seq += 1;
+        let flood_id = self.next_id();
         self.seen_floods.insert(flood_id);
         for n in self.table.alive_nodes() {
             out.send(
@@ -397,7 +404,7 @@ impl<P: Clone> Overlay<P> {
                 self.on_lookup(joiner, ttl, out);
                 None
             }
-            OverlayMsg::JoinCandidate { candidate, .. } => {
+            OverlayMsg::JoinCandidate { candidate } => {
                 if self.state == JoinState::Seeking {
                     self.state = JoinState::Requested(candidate);
                     out.send(candidate, OverlayMsg::JoinRequest);
@@ -416,11 +423,7 @@ impl<P: Clone> Overlay<P> {
                 self.on_split_ack(now, from, ok, old_code, out);
                 None
             }
-            OverlayMsg::SplitCommit {
-                new_code,
-                joiner: _,
-                joiner_code: _,
-            } => {
+            OverlayMsg::SplitCommit { new_code } => {
                 self.table
                     .observe(&self.code.unwrap_or(BitCode::ROOT), from, new_code, now);
                 None
@@ -446,14 +449,6 @@ impl<P: Clone> Overlay<P> {
             OverlayMsg::HeartbeatAck { code } => {
                 if let Some(my) = self.code {
                     self.table.observe(&my, from, code, now);
-                }
-                None
-            }
-            OverlayMsg::CodeChanged { new_code } => {
-                if let Some(e) = self.table.find_by_node_mut(from) {
-                    e.code = new_code;
-                    e.alive = true;
-                    e.last_seen = now;
                 }
                 None
             }
@@ -502,7 +497,7 @@ impl<P: Clone> Overlay<P> {
                 self.on_ring_probe(from, probe_id, target, need_cpl, origin, ttl, out);
                 None
             }
-            OverlayMsg::RingHit { probe_id, code: _ } => {
+            OverlayMsg::RingHit { probe_id } => {
                 if let Some(p) = self.pending_rings.remove(&probe_id) {
                     // Resolved: the escalation timeout must never fire.
                     out.cancel_timer(p.timer);
@@ -615,13 +610,7 @@ impl<P: Clone> Overlay<P> {
                 best = (e.code, e.node);
             }
         }
-        out.send(
-            joiner,
-            OverlayMsg::JoinCandidate {
-                candidate: best.1,
-                code: best.0,
-            },
-        );
+        out.send(joiner, OverlayMsg::JoinCandidate { candidate: best.1 });
     }
 
     fn on_join_request(&mut self, now: SimTime, joiner: NodeId, out: &mut Outbox<OverlayMsg<P>>) {
@@ -747,14 +736,7 @@ impl<P: Clone> Overlay<P> {
             },
         );
         for n in self.table.alive_nodes() {
-            out.send(
-                n,
-                OverlayMsg::SplitCommit {
-                    new_code: my_new,
-                    joiner: pending.joiner,
-                    joiner_code,
-                },
-            );
+            out.send(n, OverlayMsg::SplitCommit { new_code: my_new });
         }
         self.code = Some(my_new);
         self.table
@@ -855,8 +837,7 @@ impl<P: Clone> Overlay<P> {
             // neighbors (whom we do not know) must learn the new owner,
             // or their provisional claims would swallow traffic for the
             // region.
-            let flood_id = ((self.id.0 as u64) << 24) | (self.seq & 0xFF_FFFF);
-            self.seq += 1;
+            let flood_id = self.next_id();
             self.seen_floods.insert(flood_id);
             for n in self.table.alive_nodes() {
                 out.send(
@@ -938,8 +919,7 @@ impl<P: Clone> Overlay<P> {
         ttl: u8,
         out: &mut Outbox<OverlayMsg<P>>,
     ) {
-        let probe_id = ((self.id.0 as u64) << 24) | (self.seq & 0xFF_FFFF);
-        self.seq += 1;
+        let probe_id = self.next_id();
         let my = self.code.unwrap_or(BitCode::ROOT);
         let need_cpl = my.common_prefix_len(&target);
         let timer = out.set_timer(RING_TIMEOUT, token(KIND_RING, probe_id));
@@ -989,7 +969,7 @@ impl<P: Clone> Overlay<P> {
         let can_resume = self.responsible_for(&target)
             || (my_cpl >= need_cpl && self.table.next_hop(&my, &target).is_some());
         if can_resume {
-            out.send(origin, OverlayMsg::RingHit { probe_id, code: my });
+            out.send(origin, OverlayMsg::RingHit { probe_id });
             return;
         }
         if ttl > 1 {

@@ -50,20 +50,12 @@ pub enum ControlRequest {
         /// Per-dimension upper corner (inclusive).
         hi: Vec<u64>,
     },
-    /// Rows this node holds as primary for `index`, all versions.
-    PrimaryRows {
-        /// Target index tag.
-        index: String,
-    },
-    /// Index tags this node knows.
-    Catalog,
-    /// Whether the node's overlay considers itself a member.
-    IsMember,
     /// The node's transport counters.
     HostStats,
     /// The node's protocol counters ([`NodeStats`]).
     NodeStats,
-    /// The node's audited state (for fleet-wide invariant checks).
+    /// The node's audited state: membership, index catalog and per-version
+    /// row counts, and what fleet-wide invariant checks range over.
     Snapshot,
     /// Clean process shutdown via the stop flag (no signals involved).
     Shutdown,
@@ -91,12 +83,6 @@ pub enum ControlResponse {
     Pong,
     /// Answer to [`ControlRequest::Query`].
     Query(QueryOutcome),
-    /// A count (primary rows).
-    Count(u64),
-    /// Answer to [`ControlRequest::Catalog`].
-    Catalog(Vec<String>),
-    /// Answer to [`ControlRequest::IsMember`].
-    Member(bool),
     /// Answer to [`ControlRequest::HostStats`].
     HostStats(HostStatsSnapshot),
     /// Answer to [`ControlRequest::NodeStats`].
@@ -161,7 +147,7 @@ impl ControlClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mind_types::{AttrDef, AttrKind};
+    use mind_types::{AttrDef, AttrKind, NodeId};
 
     #[test]
     fn requests_roundtrip_through_the_wire_codec() {
@@ -192,7 +178,7 @@ mod tests {
             let back: ControlRequest = from_bytes(&bytes).unwrap();
             assert_eq!(format!("{req:?}"), format!("{back:?}"));
         }
-        let resp = ControlResponse::Count(42);
+        let resp = ControlResponse::Snapshot(NodeSnapshot::new(NodeId(3)));
         let bytes = to_bytes(&resp).unwrap();
         let back: ControlResponse = from_bytes(&bytes).unwrap();
         assert_eq!(format!("{resp:?}"), format!("{back:?}"));

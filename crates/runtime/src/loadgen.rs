@@ -9,9 +9,9 @@
 
 use crate::config::ClusterSpec;
 use crate::control::{ControlClient, ControlRequest, ControlResponse, NodeStats};
-use mind_audit::{Auditor, Snapshot};
+use mind_audit::{Auditor, NodeSnapshot, Snapshot};
 use mind_core::Replication;
-use mind_types::{AttrDef, AttrKind, IndexSchema, NodeId, Record};
+use mind_types::{AttrDef, AttrKind, IndexSchema, Record};
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -148,22 +148,10 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         ControlResponse::Ok => {}
         r => return Err(other_err(format!("create_index failed: {r:?}"))),
     }
-    'settle: loop {
-        let mut all = true;
-        for c in clients.iter_mut() {
-            match c.call(&ControlRequest::Catalog)? {
-                ControlResponse::Catalog(tags) => {
-                    if !tags.iter().any(|t| t == INDEX) {
-                        all = false;
-                        break;
-                    }
-                }
-                r => return Err(other_err(format!("catalog failed: {r:?}"))),
-            }
-        }
-        if all {
-            break 'settle;
-        }
+    while !snapshots(&mut clients)?
+        .iter()
+        .all(|s| s.indexes.contains_key(INDEX))
+    {
         if Instant::now() >= deadline {
             return Err(other_err("index flood never settled"));
         }
@@ -241,16 +229,10 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
 
     // Conservation: every acked row is stored exactly once (primaries).
     let mut stored_total;
+    let mut nodes;
     let conserved = loop {
-        stored_total = 0;
-        for c in clients.iter_mut() {
-            match c.call(&ControlRequest::PrimaryRows {
-                index: INDEX.into(),
-            })? {
-                ControlResponse::Count(k) => stored_total += k,
-                r => return Err(other_err(format!("rows failed: {r:?}"))),
-            }
-        }
+        nodes = snapshots(&mut clients)?;
+        stored_total = nodes.iter().map(|s| s.primary_rows(INDEX)).sum();
         if stored_total == inserts_total {
             break true;
         }
@@ -260,18 +242,8 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         std::thread::sleep(Duration::from_millis(50));
     };
 
-    // Fleet-wide audit: assemble per-node snapshots and run the settled
-    // invariant catalog.
-    let mut nodes = Vec::with_capacity(n);
-    for (k, c) in clients.iter_mut().enumerate() {
-        match c.call(&ControlRequest::Snapshot)? {
-            ControlResponse::Snapshot(s) => {
-                debug_assert_eq!(s.id, NodeId(k as u32));
-                nodes.push(s);
-            }
-            r => return Err(other_err(format!("snapshot failed: {r:?}"))),
-        }
-    }
+    // Fleet-wide audit: the settled invariant catalog over the last
+    // per-node snapshots.
     let snapshot = Snapshot { now: 0, nodes };
     let audit_clean = Auditor::settled().audit(&snapshot).is_clean();
 
@@ -299,6 +271,17 @@ pub fn run(opts: &LoadOptions) -> io::Result<LoadReport> {
         sends_dropped,
         per_node,
     })
+}
+
+/// Every node's audited state, in client order.
+fn snapshots(clients: &mut [ControlClient]) -> io::Result<Vec<NodeSnapshot>> {
+    clients
+        .iter_mut()
+        .map(|c| match c.call(&ControlRequest::Snapshot)? {
+            ControlResponse::Snapshot(s) => Ok(s),
+            r => Err(other_err(format!("snapshot failed: {r:?}"))),
+        })
+        .collect()
 }
 
 /// Sends a clean shutdown to every node in the spec (best effort).

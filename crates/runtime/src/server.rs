@@ -136,22 +136,6 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
                 }
             }
         }
-        ControlRequest::PrimaryRows { index } => {
-            match handle.invoke(move |n, _now, _out| {
-                n.index_state(&index).map(|s| s.primary_rows()).unwrap_or(0)
-            }) {
-                Some(count) => ControlResponse::Count(count),
-                None => ControlResponse::Err("host stopped".into()),
-            }
-        }
-        ControlRequest::Catalog => match handle.invoke(|n, _now, _out| n.index_tags()) {
-            Some(tags) => ControlResponse::Catalog(tags),
-            None => ControlResponse::Err("host stopped".into()),
-        },
-        ControlRequest::IsMember => match handle.invoke(|n, _now, _out| n.overlay().is_member()) {
-            Some(m) => ControlResponse::Member(m),
-            None => ControlResponse::Err("host stopped".into()),
-        },
         ControlRequest::NodeStats => {
             let stats = handle.invoke(|n, _now, _out| NodeStats {
                 frames: n.metrics.insert_frames,

@@ -9,6 +9,7 @@
 //!   every query completes, and the whole cluster shuts down cleanly over
 //!   the control protocol (no signals).
 
+use mind_audit::NodeSnapshot;
 use mind_core::Replication;
 use mind_runtime::control::{ControlClient, ControlRequest, ControlResponse};
 use mind_runtime::loadgen::{self, LoadOptions};
@@ -75,16 +76,15 @@ fn client(fleet: &Fleet, id: u32) -> ControlClient {
     .expect("node never became ready")
 }
 
-fn primary_rows(c: &mut ControlClient, index: &str) -> u64 {
-    match c
-        .call(&ControlRequest::PrimaryRows {
-            index: index.into(),
-        })
-        .expect("rows call")
-    {
-        ControlResponse::Count(k) => k,
-        r => panic!("unexpected rows response {r:?}"),
+fn snapshot(c: &mut ControlClient) -> NodeSnapshot {
+    match c.call(&ControlRequest::Snapshot).expect("snapshot call") {
+        ControlResponse::Snapshot(s) => s,
+        r => panic!("unexpected snapshot response {r:?}"),
     }
+}
+
+fn primary_rows(c: &mut ControlClient, index: &str) -> u64 {
+    snapshot(c).primary_rows(index)
 }
 
 fn total_rows(clients: &mut [ControlClient], index: &str) -> u64 {
@@ -93,8 +93,8 @@ fn total_rows(clients: &mut [ControlClient], index: &str) -> u64 {
 
 fn has_index(c: &mut ControlClient, index: &str) -> bool {
     matches!(
-        c.call(&ControlRequest::Catalog),
-        Ok(ControlResponse::Catalog(tags)) if tags.iter().any(|t| t == index)
+        c.call(&ControlRequest::Snapshot),
+        Ok(ControlResponse::Snapshot(s)) if s.indexes.contains_key(index)
     )
 }
 
@@ -222,10 +222,7 @@ fn killed_process_rejoins_fresh_and_cluster_keeps_serving() {
     // FRESH: zero rows, and the index catalog re-learned from a peer via
     // anti-entropy rather than remembered.
     let mut c3 = client(&fleet, 3);
-    match c3.call(&ControlRequest::IsMember).expect("member") {
-        ControlResponse::Member(m) => assert!(m, "revived node lost membership"),
-        r => panic!("unexpected member response {r:?}"),
-    }
+    assert!(snapshot(&mut c3).member, "revived node lost membership");
     let deadline = Instant::now() + Duration::from_secs(30);
     while !has_index(&mut c3, INDEX) {
         assert!(

@@ -66,33 +66,6 @@ pub struct KdTree {
 }
 
 impl KdTree {
-    /// Builds a tree over the given points.
-    ///
-    /// # Panics
-    /// Panics if `dims == 0` or any point has a different dimensionality.
-    pub fn build(dims: usize, pts: Vec<(Vec<Value>, RecordId)>) -> Self {
-        assert!(dims > 0, "zero-dimensional tree");
-        assert!(dims <= 32, "active-dimension masks are 32 bits wide");
-        let mut cols: Vec<Vec<Value>> = (0..dims).map(|_| Vec::with_capacity(pts.len())).collect();
-        let mut ids = Vec::with_capacity(pts.len());
-        for (p, id) in &pts {
-            assert_eq!(p.len(), dims, "point dimensionality mismatch");
-            for (d, col) in cols.iter_mut().enumerate() {
-                col.push(p[d]);
-            }
-            ids.push(*id);
-        }
-        let mut tree = KdTree {
-            dims,
-            cols,
-            ids,
-            bb_lo: Vec::new(),
-            bb_hi: Vec::new(),
-        };
-        tree.relayout();
-        tree
-    }
-
     /// Builds a tree directly from column buffers (no transpose).
     ///
     /// # Panics
@@ -179,13 +152,6 @@ impl KdTree {
             active,
             &mut emit,
         );
-    }
-
-    /// Convenience wrapper over [`Self::range`] returning a fresh vec.
-    pub fn range_vec(&self, rect: &HyperRect) -> Vec<RecordId> {
-        let mut out = Vec::new();
-        self.range(rect, &mut out);
-        out
     }
 
     /// The *active dimension set* at the root: bit `d` is set when the
@@ -315,19 +281,6 @@ impl KdTree {
         }
     }
 
-    /// Consumes the tree, returning the raw points (transposed back to
-    /// per-point pairs; used by tests, not the merge path — that is
-    /// `into_columns`).
-    pub fn into_points(self) -> Vec<(Vec<Value>, RecordId)> {
-        let n = self.ids.len();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let p: Vec<Value> = self.cols.iter().map(|col| col[i]).collect();
-            out.push((p, self.ids[i]));
-        }
-        out
-    }
-
     /// Re-establishes the median layout and root bounding box over the
     /// current column contents. Runs the recursive median partition on a
     /// permutation vector, then applies it to every column and the id
@@ -441,38 +394,52 @@ mod tests {
         v
     }
 
+    /// A tree over `points`, built from columns as the store builds runs.
+    fn build(dims: usize, points: &[(Vec<Value>, RecordId)]) -> KdTree {
+        let cols = (0..dims)
+            .map(|d| points.iter().map(|(p, _)| p[d]).collect())
+            .collect();
+        KdTree::from_columns(cols, points.iter().map(|(_, id)| *id).collect())
+    }
+
+    /// The ids `tree` reports inside `rect`, sorted.
+    fn ids(tree: &KdTree, rect: &HyperRect) -> Vec<RecordId> {
+        let mut out = Vec::new();
+        tree.range(rect, &mut out);
+        out.sort();
+        out
+    }
+
     #[test]
     fn empty_tree() {
-        let t = KdTree::build(3, vec![]);
-        assert!(t.is_empty());
-        assert!(t.range_vec(&HyperRect::full(3)).is_empty());
+        let tree = build(3, &[]);
+        assert!(tree.is_empty());
+        assert!(ids(&tree, &HyperRect::full(3)).is_empty());
     }
 
     #[test]
     fn single_point() {
-        let t = KdTree::build(2, vec![(vec![5, 5], RecordId(1))]);
+        let tree = build(2, &[(vec![5, 5], RecordId(1))]);
         assert_eq!(
-            t.range_vec(&HyperRect::new(vec![0, 0], vec![10, 10])),
+            ids(&tree, &HyperRect::new(vec![0, 0], vec![10, 10])),
             vec![RecordId(1)]
         );
-        assert!(t
-            .range_vec(&HyperRect::new(vec![6, 0], vec![10, 10]))
-            .is_empty());
+        assert!(ids(&tree, &HyperRect::new(vec![6, 0], vec![10, 10])).is_empty());
     }
 
     #[test]
     fn duplicate_coordinates_all_found() {
         let pts: Vec<_> = (0..20).map(|i| (vec![7u64, 7], RecordId(i))).collect();
-        let t = KdTree::build(2, pts);
-        let hits = t.range_vec(&HyperRect::new(vec![7, 7], vec![7, 7]));
+        let tree = build(2, &pts);
+        let hits = ids(&tree, &HyperRect::new(vec![7, 7], vec![7, 7]));
         assert_eq!(hits.len(), 20);
     }
 
     #[test]
     fn boundary_inclusive() {
-        let t = KdTree::build(1, vec![(vec![10], RecordId(0)), (vec![20], RecordId(1))]);
-        assert_eq!(t.range_vec(&HyperRect::new(vec![10], vec![20])).len(), 2);
-        assert_eq!(t.range_vec(&HyperRect::new(vec![11], vec![19])).len(), 0);
+        let tree = build(1, &[(vec![10], RecordId(0)), (vec![20], RecordId(1))]);
+        assert_eq!(ids(&tree, &HyperRect::new(vec![10], vec![20])).len(), 2);
+        assert_eq!(ids(&tree, &HyperRect::new(vec![11], vec![19])).len(), 0);
     }
 
     #[test]
@@ -482,13 +449,11 @@ mod tests {
         let pts: Vec<_> = (0..500)
             .map(|i| (vec![i % 37, i % 91], RecordId(i)))
             .collect();
-        let t = KdTree::build(2, pts.clone());
-        let mut got = t.range_vec(&HyperRect::full(2));
-        got.sort();
+        let tree = build(2, &pts);
+        let got = ids(&tree, &HyperRect::full(2));
         assert_eq!(got, brute(&pts, &HyperRect::full(2)));
         // Exactly the bounding box also fully contains.
-        let mut in_bb = t.range_vec(&HyperRect::new(vec![0, 0], vec![36, 90]));
-        in_bb.sort();
+        let in_bb = ids(&tree, &HyperRect::new(vec![0, 0], vec![36, 90]));
         assert_eq!(in_bb, got);
     }
 
@@ -507,7 +472,7 @@ mod tests {
                 )
             })
             .collect();
-        let tree = KdTree::build(3, points.clone());
+        let tree = build(3, &points);
         for _ in 0..100 {
             let lo: Vec<u64> = vec![
                 rng.random_range(0..1000),
@@ -519,19 +484,9 @@ mod tests {
                 .map(|&l| l + rng.random_range(0..500u64))
                 .collect();
             let rect = HyperRect::new(lo, hi);
-            let mut got = tree.range_vec(&rect);
-            got.sort();
+            let got = ids(&tree, &rect);
             assert_eq!(got, brute(&points, &rect));
         }
-    }
-
-    #[test]
-    fn into_points_preserves_everything() {
-        let points: Vec<_> = (0..50).map(|i| (vec![i, 2 * i], RecordId(i))).collect();
-        let tree = KdTree::build(2, points.clone());
-        let mut back = tree.into_points();
-        back.sort_by_key(|(_, id)| *id);
-        assert_eq!(back, points);
     }
 
     proptest! {
@@ -546,13 +501,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, p)| (p, RecordId(i as u64)))
                 .collect();
-            let tree = KdTree::build(2, points.clone());
+            let tree = build(2, &points);
             let rect = HyperRect::new(
                 qlo.clone(),
                 qlo.iter().zip(&span).map(|(&l, &s)| l + s).collect(),
             );
-            let mut got = tree.range_vec(&rect);
-            got.sort();
+            let got = ids(&tree, &rect);
             prop_assert_eq!(got, brute(&points, &rect));
         }
     }

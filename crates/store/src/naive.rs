@@ -93,11 +93,6 @@ impl NaiveKdTree {
             self.range_rec(rect, mid + 1, hi, depth + 1, out);
         }
     }
-
-    /// Consumes the tree, returning the raw points.
-    pub fn into_points(self) -> Vec<(Vec<Value>, RecordId)> {
-        self.pts
-    }
 }
 
 /// Recursively arranges `pts[lo..hi]` into median layout.

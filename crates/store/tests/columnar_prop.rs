@@ -27,6 +27,22 @@ fn sorted(mut v: Vec<RecordId>) -> Vec<RecordId> {
     v
 }
 
+/// A columnar tree over `points`, built from columns as the store builds
+/// its runs.
+fn columnar(dims: usize, points: &[(Vec<Value>, RecordId)]) -> KdTree {
+    let cols = (0..dims)
+        .map(|d| points.iter().map(|(p, _)| p[d]).collect())
+        .collect();
+    KdTree::from_columns(cols, points.iter().map(|(_, id)| *id).collect())
+}
+
+/// The ids `tree` reports inside `rect`, sorted.
+fn ids(tree: &KdTree, rect: &HyperRect) -> Vec<RecordId> {
+    let mut out = Vec::new();
+    tree.range(rect, &mut out);
+    sorted(out)
+}
+
 /// Points with heavy duplicate pressure: coordinates from a tiny domain,
 /// so select-nth pivots collide and whole runs share a value.
 fn dup_points(max: u64, len: usize) -> impl Strategy<Value = Vec<(Vec<Value>, RecordId)>> {
@@ -56,10 +72,10 @@ proptest! {
         points in dup_points(12, 400),
         rect in rect3(12),
     ) {
-        let columnar = KdTree::build(3, points.clone());
+        let tree = columnar(3, &points);
         let naive = NaiveKdTree::build(3, points.clone());
         let want = brute(&points, &rect);
-        prop_assert_eq!(&sorted(columnar.range_vec(&rect)), &want);
+        prop_assert_eq!(&ids(&tree, &rect), &want);
         prop_assert_eq!(&sorted(naive.range_vec(&rect)), &want);
     }
 
@@ -70,9 +86,8 @@ proptest! {
     fn full_containment_reports_each_id_once(
         points in dup_points(8, 300),
     ) {
-        let columnar = KdTree::build(3, points.clone());
-        let all = HyperRect::full(3);
-        let got = sorted(columnar.range_vec(&all));
+        let tree = columnar(3, &points);
+        let got = ids(&tree, &HyperRect::full(3));
         let want: Vec<RecordId> = (0..points.len() as u64).map(RecordId).collect();
         prop_assert_eq!(got, want);
     }
@@ -97,32 +112,30 @@ proptest! {
         for p in &rows {
             store.insert(Record::new(p.clone()));
         }
-        let one_shot = KdTree::build(
-            2,
-            rows.iter().cloned().zip(0u64..).map(|(p, i)| (p, RecordId(i))).collect(),
-        );
+        let points: Vec<_> = rows.iter().cloned().zip(0u64..).map(|(p, i)| (p, RecordId(i))).collect();
+        let one_shot = columnar(2, &points);
         let expected = rows.iter().filter(|p| rect.contains_point(p)).count();
         prop_assert_eq!(store.range_ids(&rect).len(), expected);
         // Same ids, not just same counts.
         prop_assert_eq!(
             sorted(store.range_ids(&rect)),
-            sorted(one_shot.range_vec(&rect))
+            ids(&one_shot, &rect)
         );
     }
 }
 
 #[test]
 fn empty_and_singleton_trees() {
-    let empty = KdTree::build(2, vec![]);
+    let empty = columnar(2, &[]);
     let naive_empty = NaiveKdTree::build(2, vec![]);
     let q = HyperRect::new(vec![0, 0], vec![100, 100]);
-    assert!(empty.range_vec(&q).is_empty());
+    assert!(ids(&empty, &q).is_empty());
     assert!(naive_empty.range_vec(&q).is_empty());
 
-    let single = KdTree::build(2, vec![(vec![50, 50], RecordId(9))]);
-    assert_eq!(single.range_vec(&q), vec![RecordId(9)]);
+    let single = columnar(2, &[(vec![50, 50], RecordId(9))]);
+    assert_eq!(ids(&single, &q), vec![RecordId(9)]);
     let miss = HyperRect::new(vec![0, 0], vec![49, 100]);
-    assert!(single.range_vec(&miss).is_empty());
+    assert!(ids(&single, &miss).is_empty());
 }
 
 #[test]
@@ -131,9 +144,9 @@ fn all_points_identical() {
     // single point in space, so every query either fully contains the
     // root box or misses it.
     let pts: Vec<_> = (0..100).map(|i| (vec![3u64, 3, 3], RecordId(i))).collect();
-    let tree = KdTree::build(3, pts);
+    let tree = columnar(3, &pts);
     let hit = HyperRect::new(vec![3, 3, 3], vec![3, 3, 3]);
     let miss = HyperRect::new(vec![4, 0, 0], vec![9, 9, 9]);
-    assert_eq!(tree.range_vec(&hit).len(), 100);
-    assert!(tree.range_vec(&miss).is_empty());
+    assert_eq!(ids(&tree, &hit).len(), 100);
+    assert!(ids(&tree, &miss).is_empty());
 }

@@ -12,8 +12,10 @@ fn rec(vals: &[u64]) -> Record {
 #[test]
 fn empty_stores_answer_ranges_negatively() {
     // Tree: no points, any rectangle.
-    let tree = KdTree::build(3, vec![]);
-    assert!(tree.range_vec(&HyperRect::full(3)).is_empty());
+    let tree = KdTree::from_columns(vec![Vec::new(); 3], Vec::new());
+    let mut hits = Vec::new();
+    tree.range(&HyperRect::full(3), &mut hits);
+    assert!(hits.is_empty());
 
     // Store: same, via ids and records.
     let store = MemStore::new(2);

@@ -40,7 +40,7 @@ pub use error::MindError;
 pub use node::{NodeId, NodeLogic, Outbox, SimTime, TimerId, WireSize};
 pub use record::{Record, RecordId};
 pub use rect::HyperRect;
-pub use schema::{AttrDef, AttrKind, IndexSchema};
+pub use schema::{AttrDef, AttrKind, IndexSchema, Replication};
 
 /// std's `HashMap` with a fixed-key hasher (SipHash-1-3, as `RandomState`,
 /// but keyed the same in every process), so its iteration order is a

@@ -138,6 +138,22 @@ impl IndexSchema {
     }
 }
 
+/// How many copies of each record an index keeps (Section 3.8).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum Replication {
+    /// Primary copy only.
+    #[default]
+    None,
+    /// Primary plus replicas at the `m` prefix neighbors that would take
+    /// over on failure. `Level(1)` survives any 1 failure per sibling
+    /// pair; the paper's Figure 16 shows it tolerating 15 % random node
+    /// loss with no recall loss.
+    Level(u8),
+    /// Primary plus a replica at every overlay neighbor (the paper's
+    /// "full replication": survives > 50 % random loss).
+    Full,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -170,7 +170,7 @@ fn revived_node_does_not_resume_stale_membership() {
         .iter()
         .filter(|v| {
             matches!(
-                v.kind(),
+                v.kind,
                 ViolationKind::CodeOverlap | ViolationKind::StaleClaim
             )
         })
