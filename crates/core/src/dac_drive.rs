@@ -5,6 +5,9 @@
 //! acks, replica pushes, query responses — are released only when its
 //! modeled processing cost has elapsed, so storage work is never
 //! interleaved with network transmission, exactly as in the prototype.
+//! Under a free cost model ([`mind_store::DacCostModel::is_free`], the
+//! real-socket configuration) both timers are zero-delay: a pass's jobs
+//! are stored and their effects released at the end of that pass.
 //!
 //! There are two kinds of request. A *write op* is the rows of one
 //! insert or replica frame under one op id; [`MindNode::apply_write`] is
@@ -205,8 +208,15 @@ impl MindNode {
         self.dac_queue.push_back(job);
         if !self.dac_busy {
             self.dac_busy = true;
-            out.set_timer(1, token(KIND_DAC_TICK, 0));
+            self.arm_dac_tick(out);
         }
+    }
+
+    /// Arms the next batch's pickup: 1 µs out under a modelled cost, and
+    /// at the end of this pass under a free one.
+    fn arm_dac_tick(&self, out: &mut Out) {
+        let delay = if self.cfg.dac_cost.is_free() { 0 } else { 1 };
+        out.set_timer(delay, token(KIND_DAC_TICK, 0));
     }
 
     fn dac_tick(&mut self, now: SimTime, out: &mut Out) {
@@ -295,7 +305,8 @@ impl MindNode {
         // Results (and the next batch) are released when this batch's
         // processing time has elapsed — storage work is not interleaved
         // with network transmission, exactly as in the prototype.
-        out.set_timer(cost.max(1), token(KIND_BATCH, 0));
+        let delay = if cost_model.is_free() { 0 } else { cost.max(1) };
+        out.set_timer(delay, token(KIND_BATCH, 0));
     }
 
     /// `true` when this node's own code covers every leaf under `target`
@@ -641,7 +652,7 @@ impl MindNode {
         if self.dac_queue.is_empty() {
             self.dac_busy = false;
         } else {
-            out.set_timer(1, token(KIND_DAC_TICK, 0));
+            self.arm_dac_tick(out);
         }
     }
 
@@ -684,6 +695,8 @@ mod tests {
     use crate::trigger::Trigger;
     use mind_histogram::CutTree;
     use mind_overlay::{OverlayConfig, StaticTopology};
+    use mind_store::DacCostModel;
+    use mind_types::host::HostCore;
     use mind_types::node::NodeLogic;
     use mind_types::{AttrDef, AttrKind, IndexSchema, Value};
     use proptest::prelude::*;
@@ -905,6 +918,49 @@ mod tests {
         assert_eq!((*acked, record), (op_id, &row));
         assert_eq!(left.1 .1, vec![row.values().to_vec()]);
         assert_eq!(left, applied(as_batch).1);
+    }
+
+    /// Under a free cost model the pass that receives an insert frame
+    /// stores its rows and sends the ack, and leaves no DAC timer armed;
+    /// under a modelled one it only arms the 1 µs tick.
+    #[test]
+    fn a_free_dac_stores_and_acks_in_the_pass_that_receives_a_frame() {
+        let bounds = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+        let cuts = CutTree::balanced_from_points(bounds, 3, &[]);
+        let rows: Vec<Record> = (0..5).map(|i| Record::new(vec![i, i, i])).collect();
+        for (cost, free) in [(DacCostModel::FREE, true), (DacCostModel::default(), false)] {
+            let mut peer = node_at(1, cuts.clone(), Replication::None);
+            let mut n = node_at(0, cuts.clone(), Replication::None);
+            n.cfg.dac_cost = cost;
+            let (op_id, payload) = peer.insert_op("t".into(), 0, rows.clone(), 0);
+            let target = n.overlay.code().unwrap();
+            let frame = OverlayMsg::Route {
+                target,
+                hops: 1,
+                payload,
+            };
+            let mut core = HostCore::new(n);
+            let ((), fx) = core.pass(5, |n, now, out| n.on_message(now, NodeId(1), frame, out));
+            let is_dac = |tok: u64| [KIND_DAC_TICK, KIND_BATCH].contains(&((tok >> 48) & 0xFF));
+            let dac_timers: Vec<(SimTime, u64)> = fx
+                .timers
+                .iter()
+                .filter(|&&(_, tok, _)| is_dac(tok))
+                .map(|&(delay, tok, _)| (delay, tok))
+                .collect();
+            let stored = core.logic().indexes["t"].versions[0].primary.len();
+            let ack = OverlayMsg::Direct {
+                payload: MindPayload::Ack { op_id },
+            };
+            let acked = format!("{:?}", fx.sends) == format!("{:?}", [(NodeId(1), ack)]);
+            if free {
+                assert_eq!((stored, acked), (5, true), "stored and acked in the pass");
+                assert!(dac_timers.is_empty(), "no DAC timer: {dac_timers:?}");
+            } else {
+                assert_eq!((stored, fx.sends.len()), (0, 0), "nothing before the tick");
+                assert_eq!(dac_timers, vec![(1, token(KIND_DAC_TICK, 0))]);
+            }
+        }
     }
 
     /// `metrics_samples_max` bounds both sample vectors: at 0 a routed op

@@ -54,6 +54,7 @@ pub mod wire_len {
 pub use cluster::{ClusterConfig, MindCluster};
 pub use messages::{CarriedFilter, MindPayload};
 pub use metrics::{percentile, FlushCounts, LatencySummary, NodeMetrics};
+pub use mind_store::DacCostModel;
 pub use mind_types::Replication;
 pub use node::{MindConfig, MindNode};
 pub use query::{QueryOutcome, QueryTracker};

@@ -61,14 +61,15 @@ pub struct NodeMetrics {
 /// Insert frames by flush cause (see [`NodeMetrics::insert_frames`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlushCounts {
-    /// The group had nothing in flight: the row left at once.
+    /// The group had nothing in flight: its rows left at the end of the
+    /// pass that buffered them.
     pub idle: u64,
     /// Released by the ack (or abandonment) of the group's last
     /// outstanding frame.
     pub ack: u64,
     /// The buffer reached `insert_batch_max`.
     pub size: u64,
-    /// `insert_batch_age` expired, or a driver forced the drain.
+    /// `insert_batch_age` expired.
     pub age: u64,
 }
 

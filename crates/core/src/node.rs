@@ -105,9 +105,10 @@ pub struct MindConfig {
     /// its leaf code.
     pub insert_batch_max: usize,
     /// The longest a buffered row may wait for its group's unacked frame
-    /// before it is shipped anyway — a cap, not a wait: a row whose group
-    /// has nothing in flight leaves at once, and an ack releases whatever
-    /// queued up behind it. Ignored while `insert_batch_max <= 1`.
+    /// before it is shipped anyway — a cap, not a wait: rows whose group
+    /// has nothing in flight leave at the end of the driver pass that
+    /// took them, as one frame, and an ack releases whatever queued up
+    /// behind it. Ignored while `insert_batch_max <= 1`.
     pub insert_batch_age: SimTime,
     /// This node's boot epoch, carried in the high 40 bits of the wire
     /// horizon field. A process runtime sets it to something strictly

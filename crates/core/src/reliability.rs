@@ -78,7 +78,8 @@ pub(crate) type GroupKey = (String, u32, u8, u64);
 /// What released an insert frame from the origin-side batcher.
 #[derive(Debug, Clone, Copy)]
 enum FlushCause {
-    /// Nothing of the group was in flight: the row left at once.
+    /// Nothing of the group was in flight: the rows left at the end of
+    /// the pass that buffered them.
     Idle,
     /// The group's last outstanding op was acked or abandoned.
     Ack,
@@ -91,9 +92,10 @@ enum FlushCause {
 /// Origin-side state of one insert group: the rows of one `(index,
 /// version)` whose leaf codes share one prefix of this node's own
 /// overlay depth — on a balanced overlay, one owner (the ingest fast
-/// path, DESIGN.md §14). Rows buffer here only while an earlier frame of
-/// the group is unacked; the entry lives while it has buffered rows or
-/// unacked frames.
+/// path, DESIGN.md §14). Rows buffer here until the end of the pass
+/// that buffered them, or while an earlier frame of the group is
+/// unacked; the entry lives while it has buffered rows or unacked
+/// frames.
 #[derive(Debug)]
 pub(crate) struct WireBatch {
     /// The routing target: the common prefix of every row's leaf code.
@@ -244,11 +246,12 @@ impl MindNode {
     /// their leaf code cut to this node's own overlay depth — the unit of
     /// delivery is a node, and on a balanced overlay that prefix names
     /// exactly one (a deeper or claim-answering receiver re-splits, see
-    /// `dac_drive`). `insert_batch_age` is a cap, not a wait: a row whose
-    /// group has nothing unacked leaves at once; rows arriving behind an
-    /// unacked frame accumulate and leave on its ack, at
-    /// `insert_batch_max` rows, or when the age expires, whichever is
-    /// first. Only called when batching is enabled
+    /// `dac_drive`). `insert_batch_age` is a cap, not a wait: rows whose
+    /// group has nothing unacked leave at the end of the pass that
+    /// buffered them (a zero-delay flush timer), every row of that pass
+    /// in one frame; rows arriving behind an unacked frame accumulate
+    /// and leave on its ack, at `insert_batch_max` rows, or when the age
+    /// expires, whichever is first. Only called when batching is enabled
     /// (`insert_batch_max > 1`).
     pub(crate) fn buffer_wire_insert(
         &mut self,
@@ -273,7 +276,7 @@ impl MindNode {
                     in_flight: 0,
                 },
             );
-            self.ship_wire_batch(now, key, FlushCause::Idle, out);
+            self.arm_batch_flush(key, 0, out);
             return;
         };
         let first = group.records.is_empty();
@@ -284,15 +287,17 @@ impl MindNode {
         if group.records.len() >= self.cfg.insert_batch_max {
             self.ship_wire_batch(now, key, FlushCause::Size, out);
         } else if first {
-            self.arm_batch_age(key, out);
+            // An existing group with an empty buffer has a frame in flight.
+            self.arm_batch_flush(key, self.cfg.insert_batch_age, out);
         }
     }
 
-    /// Arms the age cap for a group that just buffered its first row.
-    fn arm_batch_age(&mut self, key: GroupKey, out: &mut Out) {
+    /// Arms the flush of a group that just buffered its first row: 0 (the
+    /// end of the pass) for a new group, else the age cap.
+    fn arm_batch_flush(&mut self, key: GroupKey, delay: SimTime, out: &mut Out) {
         let arg = self.wire_batch_seq & 0xFFFF_FFFF_FFFF;
         self.wire_batch_seq += 1;
-        let timer = out.set_timer(self.cfg.insert_batch_age, token(KIND_BATCH_FLUSH, arg));
+        let timer = out.set_timer(delay, token(KIND_BATCH_FLUSH, arg));
         if let Some(group) = self.wire_batches.get_mut(&key) {
             group.timer = Some((timer, arg));
         }
@@ -343,14 +348,21 @@ impl MindNode {
         }
     }
 
-    /// Age-cap timer fired: ship the group the argument maps to, if
-    /// another cause has not already claimed its rows.
+    /// Flush timer fired: ship the group the argument maps to, if
+    /// another cause has not already claimed its rows — `Idle` with
+    /// nothing in flight, else `Age`.
     fn flush_wire_batch(&mut self, now: SimTime, flush_arg: u64, out: &mut Out) {
         if let Some(key) = self.wire_batch_keys.remove(&flush_arg) {
-            if let Some(group) = self.wire_batches.get_mut(&key) {
-                group.timer = None; // this firing consumed it
-            }
-            self.ship_wire_batch(now, key, FlushCause::Age, out);
+            let Some(group) = self.wire_batches.get_mut(&key) else {
+                return;
+            };
+            group.timer = None; // this firing consumed it
+            let cause = if group.in_flight == 0 {
+                FlushCause::Idle
+            } else {
+                FlushCause::Age
+            };
+            self.ship_wire_batch(now, key, cause, out);
         }
     }
 
@@ -603,41 +615,47 @@ mod tests {
         (boot << 24) | settled
     }
 
-    // ---- the batcher's flush rule, on one node with a hand-driven outbox ----
+    // ---- the batcher's flush rule, on one node in the host core both planes run ----
 
     use crate::node::MindConfig;
     use mind_histogram::CutTree;
     use mind_overlay::{OverlayConfig, StaticTopology};
-    use mind_types::node::{NodeLogic, MILLIS, SECONDS};
+    use mind_types::host::HostCore;
+    use mind_types::node::{Effects, NodeLogic, MILLIS, SECONDS};
     use mind_types::{AttrDef, AttrKind, IndexSchema, Replication};
+    use std::ops::Range;
 
     const MAX: usize = 4;
     const AGE: SimTime = 5 * MILLIS;
 
-    /// Node 0 (code `0`) of a two-node overlay with index "t" installed;
-    /// every row of [`far`] belongs to node 1 (code `1`).
-    fn origin() -> (MindNode, Out) {
+    type Fx = Effects<OverlayMsg<MindPayload>>;
+
+    /// Node 0 (code `0`) of a two-node overlay, at most `max` rows a
+    /// frame, with index "t" installed; every row of [`far`] belongs to
+    /// node 1 (code `1`).
+    fn origin(max: usize) -> HostCore<MindNode> {
         let topo = StaticTopology::balanced(2);
         let cfg = MindConfig {
-            insert_batch_max: MAX,
+            insert_batch_max: max,
             insert_batch_age: AGE,
             retry_timeout: SECONDS,
             ..MindConfig::default()
         };
-        let mut n = MindNode::new_static(
+        let n = MindNode::new_static(
             NodeId(0),
             topo.code(0),
             topo.neighbor_entries(0),
             OverlayConfig::default(),
             cfg,
         );
-        let mut out = Out::new();
+        let mut core = HostCore::new(n);
         let schema = IndexSchema::new("t", vec![AttrDef::new("x", AttrKind::Generic, 0, 1023)], 1);
         let cuts = CutTree::even(schema.bounds(), 4);
-        n.create_index(schema, cuts, Replication::None, &mut out)
-            .unwrap();
-        out.drain();
-        (n, out)
+        core.pass(0, |n, _now, out| {
+            n.create_index(schema, cuts, Replication::None, out)
+                .unwrap();
+        });
+        core
     }
 
     /// Row `i` of the far half: distinct leaves, one owner.
@@ -645,14 +663,37 @@ mod tests {
         Record::new(vec![512 + 37 * i])
     }
 
-    /// The insert frames in `out`, as `(op id, rows)`, plus the armed
-    /// age-cap timers `(token, id)` and the cancelled timer ids.
+    /// One pass that inserts [`far`] rows `rows` at `now`.
+    fn insert(core: &mut HostCore<MindNode>, now: SimTime, rows: Range<u64>) -> Fx {
+        let ((), fx) = core.pass(now, |n, now, out| {
+            for i in rows {
+                n.insert(now, "t", far(i), out).unwrap();
+            }
+        });
+        fx
+    }
+
+    /// One pass that delivers node 1's ack of `op_id`.
+    fn ack(core: &mut HostCore<MindNode>, now: SimTime, op_id: u64) -> Fx {
+        let payload = MindPayload::Ack { op_id };
+        let msg = OverlayMsg::Direct { payload };
+        core.pass(now, |n, now, out| n.on_message(now, NodeId(1), msg, out))
+            .1
+    }
+
+    /// One pass that fires the timer `tok`.
+    fn fire(core: &mut HostCore<MindNode>, now: SimTime, tok: u64) -> Fx {
+        core.pass(now, |n, now, out| n.on_timer(now, tok, out)).1
+    }
+
+    /// The insert frames of a pass, as `(op id, rows)`, plus the age-cap
+    /// timers it armed `(token, id)` and the timer ids it cancelled. A
+    /// zero-delay flush fired inside the pass, so none is armed.
     #[expect(
         clippy::type_complexity,
         reason = "frames, armed timers and cancels, drained together"
     )]
-    fn drain(out: &mut Out) -> (Vec<(u64, usize)>, Vec<(u64, TimerId)>, Vec<TimerId>) {
-        let fx = out.drain();
+    fn drain(fx: Fx) -> (Vec<(u64, usize)>, Vec<(u64, TimerId)>, Vec<TimerId>) {
         let mut frames = Vec::new();
         for (to, msg) in fx.sends {
             let OverlayMsg::Route {
@@ -688,87 +729,86 @@ mod tests {
     }
 
     /// Rows buffered behind unacked frames, not yet sent.
-    fn buffered(n: &MindNode) -> usize {
-        n.wire_batches.values().map(|b| b.records.len()).sum()
+    fn buffered(core: &HostCore<MindNode>) -> usize {
+        let batches = core.logic().wire_batches.values();
+        batches.map(|b| b.records.len()).sum()
     }
 
-    fn ack(n: &mut MindNode, now: SimTime, op_id: u64, out: &mut Out) {
-        let payload = MindPayload::Ack { op_id };
-        n.on_message(now, NodeId(1), OverlayMsg::Direct { payload }, out);
+    /// `(idle, ack, size, age)`: what released each insert frame.
+    fn causes(core: &HostCore<MindNode>) -> (u64, u64, u64, u64) {
+        let f = core.logic().metrics.insert_frames;
+        (f.idle, f.ack, f.size, f.age)
     }
 
     #[test]
     fn idle_group_ships_at_once_and_the_ack_releases_what_queued_behind() {
-        let (mut n, mut out) = origin();
-        n.insert(10, "t", far(0), &mut out).unwrap();
-        let (frames, ages, _) = drain(&mut out);
-        assert_eq!(frames.len(), 1, "row 1 never waits");
+        let mut core = origin(MAX);
+        let (frames, ages, _) = drain(insert(&mut core, 10, 0..1));
+        assert_eq!(frames.len(), 1, "row 1 leaves in the pass that took it");
         assert_eq!(frames[0].1, 1, "and leaves as a plain Insert");
         assert!(ages.is_empty(), "nothing buffered, no age timer");
         let first = frames[0].0;
 
-        n.insert(20, "t", far(1), &mut out).unwrap();
-        n.insert(30, "t", far(2), &mut out).unwrap();
-        let (frames, ages, _) = drain(&mut out);
+        let (frames, ages, _) = drain(insert(&mut core, 20, 1..3));
         assert!(frames.is_empty(), "rows behind an unacked frame accumulate");
         assert_eq!(ages.len(), 1, "one age cap per buffered run");
-        assert_eq!(buffered(&n), 2);
+        assert_eq!(buffered(&core), 2);
 
-        ack(&mut n, 300, first, &mut out);
-        let (frames, _, cancels) = drain(&mut out);
+        let (frames, _, cancels) = drain(ack(&mut core, 300, first));
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].1, 2, "rows 2..k leave as one InsertBatch");
         assert!(
             cancels.contains(&ages[0].1),
             "the ack won: age timer retired"
         );
-        assert_eq!(buffered(&n), 0);
+        assert_eq!(buffered(&core), 0);
         // The retired timer firing anyway (a driver that lost the race)
         // ships nothing twice.
-        n.on_timer(5_020, ages[0].0, &mut out);
-        assert!(drain(&mut out).0.is_empty());
+        assert!(drain(fire(&mut core, 5_020, ages[0].0)).0.is_empty());
 
-        ack(&mut n, 600, frames[0].0, &mut out);
+        drain(ack(&mut core, 600, frames[0].0));
+        let n = core.logic();
         assert!(n.wire_batches.is_empty(), "a settled group leaves no state");
-        let f = n.metrics.insert_frames;
-        assert_eq!((f.idle, f.ack, f.size, f.age), (1, 1, 0, 0));
+        assert_eq!(causes(&core), (1, 1, 0, 0));
         assert_eq!(n.metrics.insert_rows_forwarded, 0);
     }
 
     #[test]
+    fn rows_to_an_idle_owner_in_one_pass_leave_as_one_frame() {
+        let mut core = origin(64);
+        let (frames, ages, cancels) = drain(insert(&mut core, 10, 0..10));
+        assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![10]);
+        assert!(ages.is_empty() && cancels.is_empty());
+        assert_eq!((buffered(&core), core.logic().pending_ops_len()), (0, 1));
+        assert_eq!(causes(&core), (1, 0, 0, 0));
+    }
+
+    #[test]
     fn full_frames_pipeline_behind_an_unacked_one() {
-        let (mut n, mut out) = origin();
-        for i in 0..(1 + 2 * MAX as u64 + 1) {
-            n.insert(10 + i, "t", far(i), &mut out).unwrap();
-        }
-        let (frames, ages, cancels) = drain(&mut out);
+        let mut core = origin(MAX);
+        let (mut frames, _, _) = drain(insert(&mut core, 10, 0..1));
+        let (behind, ages, cancels) = drain(insert(&mut core, 11, 1..(2 * MAX as u64 + 2)));
+        frames.extend(behind);
         let rows: Vec<usize> = frames.iter().map(|f| f.1).collect();
         assert_eq!(rows, vec![1, MAX, MAX], "size flushes do not wait for acks");
-        assert_eq!(buffered(&n), 1);
+        assert_eq!(buffered(&core), 1);
         assert_eq!(ages.len(), 3, "each buffered run armed its own cap");
         assert_eq!(cancels.len(), 2, "and each size flush retired one");
         // Only the *last* outstanding ack releases the straggler.
-        ack(&mut n, 400, frames[0].0, &mut out);
-        ack(&mut n, 410, frames[1].0, &mut out);
-        assert!(drain(&mut out).0.is_empty());
-        ack(&mut n, 420, frames[2].0, &mut out);
-        let (frames, _, _) = drain(&mut out);
+        assert!(drain(ack(&mut core, 400, frames[0].0)).0.is_empty());
+        assert!(drain(ack(&mut core, 410, frames[1].0)).0.is_empty());
+        let (frames, _, _) = drain(ack(&mut core, 420, frames[2].0));
         assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![1]);
-        let f = n.metrics.insert_frames;
-        assert_eq!((f.idle, f.ack, f.size, f.age), (1, 1, 2, 0));
+        assert_eq!(causes(&core), (1, 1, 2, 0));
     }
 
     #[test]
     fn a_lost_ack_still_ships_on_the_age_cap_exactly_once() {
-        let (mut n, mut out) = origin();
-        n.insert(10, "t", far(0), &mut out).unwrap();
-        let first = drain(&mut out).0[0].0;
-        n.insert(20, "t", far(1), &mut out).unwrap();
-        n.insert(30, "t", far(2), &mut out).unwrap();
-        let (_, ages, _) = drain(&mut out);
+        let mut core = origin(MAX);
+        let first = drain(insert(&mut core, 10, 0..1)).0[0].0;
+        let (_, ages, _) = drain(insert(&mut core, 20, 1..3));
         // The ack never comes; the cap fires.
-        n.on_timer(20 + AGE, ages[0].0, &mut out);
-        let (frames, _, cancels) = drain(&mut out);
+        let (frames, _, cancels) = drain(fire(&mut core, 20 + AGE, ages[0].0));
         assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![2]);
         assert!(
             !cancels.contains(&ages[0].1),
@@ -776,50 +816,44 @@ mod tests {
         );
         // The first frame's ack (a retry's, say) arrives late: the group
         // still has the second frame out and nothing buffered.
-        ack(&mut n, 9_000, first, &mut out);
-        assert!(drain(&mut out).0.is_empty(), "shipped once, not again");
-        let f = n.metrics.insert_frames;
-        assert_eq!((f.idle, f.ack, f.size, f.age), (1, 0, 0, 1));
+        let (frames, _, _) = drain(ack(&mut core, 9_000, first));
+        assert!(frames.is_empty(), "shipped once, not again");
+        assert_eq!(causes(&core), (1, 0, 0, 1));
     }
 
     #[test]
     fn an_abandoned_frame_releases_the_group_like_an_ack() {
-        let (mut n, mut out) = origin();
-        n.insert(10, "t", far(0), &mut out).unwrap();
-        let first = drain(&mut out).0[0].0;
-        n.insert(20, "t", far(1), &mut out).unwrap();
-        drain(&mut out);
+        let mut core = origin(MAX);
+        let first = drain(insert(&mut core, 10, 0..1)).0[0].0;
+        drain(insert(&mut core, 20, 1..2));
         let retry = token(KIND_OP_RETRY, first);
-        for _ in 0..MAX_RETRIES {
-            n.on_timer(SECONDS + 10, retry, &mut out);
-        }
-        let (resent, _, _) = drain(&mut out);
+        let resent: Vec<(u64, usize)> = (0..MAX_RETRIES)
+            .flat_map(|_| drain(fire(&mut core, SECONDS + 10, retry)).0)
+            .collect();
         assert_eq!(resent, vec![(first, 1); MAX_RETRIES as usize]);
-        assert_eq!(n.metrics.retries_exhausted, 0);
-        n.on_timer(SECONDS + 20, retry, &mut out);
-        assert_eq!(n.metrics.retries_exhausted, 1);
-        let (frames, _, _) = drain(&mut out);
+        assert_eq!(core.logic().metrics.retries_exhausted, 0);
+        let (frames, _, _) = drain(fire(&mut core, SECONDS + 20, retry));
+        assert_eq!(core.logic().metrics.retries_exhausted, 1);
         assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(n.metrics.insert_frames.ack, 1);
+        assert_eq!(core.logic().metrics.insert_frames.ack, 1);
     }
 
     #[test]
     fn a_crash_clears_buffers_and_in_flight_counts() {
-        let (mut n, mut out) = origin();
-        n.on_start(0, &mut out);
-        for i in 0..3 {
-            n.insert(10 + i, "t", far(i), &mut out).unwrap();
-        }
-        let (frames, ages, _) = drain(&mut out);
+        let mut core = origin(MAX);
+        core.pass(0, |n, now, out| n.on_start(now, out));
+        let (frames, _, _) = drain(insert(&mut core, 10, 0..1));
+        let (_, ages, _) = drain(insert(&mut core, 11, 1..3));
+        let n = core.logic();
         assert!(!n.wire_batches.is_empty() && n.pending_ops_len() == 1);
         // A second `on_start` is the restart after a crash.
-        n.on_start(SECONDS, &mut out);
+        core.pass(SECONDS, |n, now, out| n.on_start(now, out));
+        let n = core.logic();
         assert!(n.wire_batches.is_empty() && n.wire_batch_keys.is_empty());
-        assert_eq!((buffered(&n), n.pending_ops_len()), (0, 0));
+        assert_eq!((buffered(&core), n.pending_ops_len()), (0, 0));
         // Stragglers of the old incarnation find nothing to act on.
-        ack(&mut n, SECONDS + 1, frames[0].0, &mut out);
-        n.on_timer(SECONDS + 2, ages[0].0, &mut out);
-        assert!(drain(&mut out).0.is_empty());
+        assert!(drain(ack(&mut core, SECONDS + 1, frames[0].0)).0.is_empty());
+        assert!(drain(fire(&mut core, SECONDS + 2, ages[0].0)).0.is_empty());
     }
 
     #[test]

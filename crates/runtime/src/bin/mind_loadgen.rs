@@ -9,7 +9,8 @@
 //! queries. Prints stable `key=value` lines (`queries_complete=`,
 //! `conserved=`, `audit_clean=`, and per node
 //! `nodeK_insert_frames=idle:..,ack:..,size:..,age:..` — what released
-//! each insert frame the node's batcher shipped — and
+//! each insert frame the node's batcher shipped — `nodeK_rows_per_frame=`,
+//! the rows inserted at the node over those frames, and
 //! `nodeK_insert_rows_forwarded=`, the rows it re-split toward their
 //! owner, `nodeK_subquery_scans=` / `nodeK_query_regions=` /
 //! `nodeK_regions_per_scan=`, the sub-query scan jobs it ran, the

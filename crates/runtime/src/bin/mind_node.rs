@@ -9,14 +9,14 @@
 //! and must be > 0. Insert batching is fixed: at most 64 rows share one
 //! insert frame to one owner, and a row waits at most 5 ms behind that
 //! owner's unacked frame before it ships anyway — a cap, not a wait: with
-//! nothing in flight a row leaves at once.
+//! nothing in flight the rows leave at the end of the pass that took them.
 //!
 //! Reads the cluster spec (`id node_addr control_addr` per line), binds
 //! this node's overlay and control listeners, hosts the `MindNode` logic
 //! on a `TcpHost`, and serves the control protocol until a `Shutdown`
 //! request flips the stop flag — no signals involved.
 
-use mind_core::{MindConfig, MindNode};
+use mind_core::{DacCostModel, MindConfig, MindNode};
 use mind_net::TcpHost;
 use mind_overlay::{OverlayConfig, StaticTopology};
 use mind_runtime::{server, ClusterSpec};
@@ -117,7 +117,7 @@ fn main() -> ExitCode {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(1);
-    let mut mind_cfg = MindConfig {
+    let mind_cfg = MindConfig {
         retry_timeout: args.retry_ms * MILLIS,
         anti_entropy_interval: args.anti_entropy_ms * MILLIS,
         insert_batch_max: INSERT_BATCH_MAX,
@@ -126,14 +126,11 @@ fn main() -> ExitCode {
         // Nothing on the process plane reads the per-row latency and hop
         // samples, so a long-lived node keeps none.
         metrics_samples_max: 0,
+        // No MySQL stands behind a real node: no modelled DAC cost, so
+        // what a batch costs is the store's own work.
+        dac_cost: DacCostModel::FREE,
         ..MindConfig::default()
     };
-    // No MySQL stands behind a real node: zero the simulator's modelled
-    // DAC cost, so what a batch costs is the store's own work.
-    mind_cfg.dac_cost.batch_overhead = 0;
-    mind_cfg.dac_cost.per_insert = 0;
-    mind_cfg.dac_cost.per_query = 0;
-    mind_cfg.dac_cost.per_result = 0;
     let logic = MindNode::new_static(
         id,
         topo.code(args.id as usize),

@@ -64,6 +64,8 @@ pub enum ControlRequest {
 /// What one node's ingest and query planes did, from its `NodeMetrics`.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct NodeStats {
+    /// Rows inserted at this node (the rows its batcher ships).
+    pub rows_originated: u64,
     /// Insert frames the node's batcher shipped, by flush cause.
     pub frames: FlushCounts,
     /// Rows the node re-originated toward their owner.

@@ -52,9 +52,10 @@ pub struct LoadReport {
     pub audit_clean: bool,
     /// Transport sends dropped, summed over nodes.
     pub sends_dropped: u64,
-    /// Per node, in id order: insert frames by flush cause, rows the node
-    /// re-split toward their owner (nonzero only on an unbalanced
-    /// overlay), sub-query scan jobs and the regions they answered.
+    /// Per node, in id order: rows inserted there, the insert frames
+    /// that carried them by flush cause, rows the node re-split toward
+    /// their owner (nonzero only on an unbalanced overlay), sub-query
+    /// scan jobs and the regions they answered.
     pub per_node: Vec<NodeStats>,
 }
 
@@ -67,8 +68,10 @@ impl LoadReport {
             .enumerate()
             .map(|(k, s)| {
                 let f = s.frames;
+                let frames = f.idle + f.ack + f.size + f.age;
                 format!(
                     "\nnode{k}_insert_frames=idle:{},ack:{},size:{},age:{}\
+                     \nnode{k}_rows_per_frame={:.1}\
                      \nnode{k}_insert_rows_forwarded={}\
                      \nnode{k}_subquery_scans={}\nnode{k}_query_regions={}\
                      \nnode{k}_regions_per_scan={:.1}",
@@ -76,6 +79,7 @@ impl LoadReport {
                     f.ack,
                     f.size,
                     f.age,
+                    s.rows_originated as f64 / frames.max(1) as f64,
                     s.rows_forwarded,
                     s.subquery_scans,
                     s.query_regions,

@@ -138,6 +138,7 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
         }
         ControlRequest::NodeStats => {
             let stats = handle.invoke(|n, _now, _out| NodeStats {
+                rows_originated: n.metrics.inserts_originated,
                 frames: n.metrics.insert_frames,
                 rows_forwarded: n.metrics.insert_rows_forwarded,
                 subquery_scans: n.metrics.subqueries_answered,

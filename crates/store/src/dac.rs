@@ -31,6 +31,26 @@ pub struct DacCostModel {
     pub per_result: SimTime,
 }
 
+impl DacCostModel {
+    /// No modelled cost: what a node without MySQL behind it pays, where
+    /// a batch costs only the store's own work.
+    pub const FREE: DacCostModel = DacCostModel {
+        batch_overhead: 0,
+        per_insert: 0,
+        per_query: 0,
+        per_result: 0,
+    };
+
+    /// `true` when every cost is 0: the DAC then stores a pass's jobs and
+    /// releases their effects at the end of that pass.
+    pub fn is_free(&self) -> bool {
+        self.batch_overhead == 0
+            && self.per_insert == 0
+            && self.per_query == 0
+            && self.per_result == 0
+    }
+}
+
 impl Default for DacCostModel {
     fn default() -> Self {
         DacCostModel {

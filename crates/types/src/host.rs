@@ -3,7 +3,8 @@
 //! A driver (the simulator's `World`, a `TcpHost` thread) owns a clock, a
 //! transport and a timer wheel ([`Scheduler`]), and per node a
 //! [`HostCore`]: the logic, the timer-id sequence and the live timers.
-//! Every event is one [`HostCore::pass`]; the driver routes its sends,
+//! Every event is one [`HostCore::pass`], which fires the pass's own
+//! zero-delay timers before it returns; the driver routes its sends,
 //! then [`HostCore::arm`]s its timers, then [`HostCore::cancel`]s. A core
 //! outlives a crash, so ids never repeat; its wheel refs do not, so
 //! [`HostCore::retire_all`] runs before a core leaves its wheel.
@@ -45,6 +46,11 @@ impl<L: NodeLogic> HostCore<L> {
     /// Runs one handler at `now` against a fresh outbox that continues
     /// this node's timer-id sequence; returns its result and its effects,
     /// none of them applied yet.
+    ///
+    /// A timer the pass arms with delay 0 fires at the end of the pass,
+    /// in arming order, against the same outbox, and so does one that
+    /// such a firing arms. One the pass cancelled first does not fire.
+    /// None of them is in the returned effects, so none reaches a wheel.
     #[inline]
     pub fn pass<R>(
         &mut self,
@@ -53,12 +59,25 @@ impl<L: NodeLogic> HostCore<L> {
     ) -> (R, Effects<L::Msg>) {
         let mut out = Outbox::with_timer_seq(self.timer_seq);
         let r = f(&mut self.logic, now, &mut out);
+        let mut i = 0;
+        while let Some(&(delay, token, id)) = out.timers.get(i) {
+            if delay > 0 {
+                i += 1;
+                continue;
+            }
+            out.timers.remove(i);
+            if !out.cancels.contains(&id) {
+                self.logic.on_timer(now, token, &mut out);
+            }
+        }
         let fx = out.drain();
         self.timer_seq = fx.next_timer_id;
         (r, fx)
     }
 
     /// Arms timer `id` on `wheel` at `t + delay.max(1)`, carrying `event`.
+    /// A pass's effects carry no zero delay; the floor keeps a hand-made
+    /// one from firing in the tick that armed it.
     #[inline]
     pub fn arm<T>(
         &mut self,
@@ -160,11 +179,52 @@ mod tests {
         assert!(!core.due(id));
     }
 
+    /// Arms zero-delay timers 1, 2 and 4 (cancelling 4) and a 10 µs
+    /// timer 5 per message; firing 2 arms a zero-delay 3.
+    #[derive(Default)]
+    struct Chain {
+        fired: Vec<u64>,
+    }
+
+    impl NodeLogic for Chain {
+        type Msg = ();
+        fn on_start(&mut self, _now: SimTime, _out: &mut Outbox<()>) {}
+        fn on_message(&mut self, _now: SimTime, _from: NodeId, _msg: (), out: &mut Outbox<()>) {
+            out.set_timer(0, 1);
+            out.set_timer(0, 2);
+            let cancelled = out.set_timer(0, 4);
+            out.set_timer(10, 5);
+            out.cancel_timer(cancelled);
+        }
+        fn on_timer(&mut self, _now: SimTime, token: u64, out: &mut Outbox<()>) {
+            self.fired.push(token);
+            if token == 2 {
+                out.set_timer(0, 3);
+            }
+        }
+    }
+
     #[test]
-    fn zero_delay_arms_one_tick_out() {
-        let mut core = HostCore::new(Arms);
+    fn zero_delay_timers_fire_in_the_pass_that_armed_them() {
+        let mut core = HostCore::new(Chain::default());
         let mut wheel = Scheduler::new();
-        arm_one(&mut core, &mut wheel, 0);
+        let ((), fx) = core.pass(7, |l, now, out| l.on_message(now, NodeId(0), (), out));
+        assert_eq!(core.logic().fired, vec![1, 2, 3], "arming order, chained");
+        // Ids 1, 2, 3 and 5 went to the zero-delay timers.
+        assert_eq!(fx.timers, vec![(10, 5, TimerId(4))], "only the 10 µs one");
+        for (delay, _, id) in fx.timers {
+            core.arm(&mut wheel, 7, delay, id, id);
+        }
+        assert_eq!((wheel.len(), wheel.peek_time()), (1, Some(17)));
+        let ((), fx) = core.pass(8, |l, now, out| l.on_message(now, NodeId(0), (), out));
+        assert_eq!(
+            fx.timers,
+            vec![(10, 5, TimerId(9))],
+            "the sequence moved on"
+        );
+        // A zero delay armed on a wheel by hand still lands one tick out.
+        let mut wheel = Scheduler::new();
+        core.arm(&mut wheel, 0, 0, TimerId(99), TimerId(99));
         assert_eq!(wheel.peek_time(), Some(1));
     }
 

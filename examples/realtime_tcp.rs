@@ -50,12 +50,7 @@ fn main() {
     };
     // Real sockets, no MySQL: zero the simulator's modelled DAC cost.
     let mind_cfg = MindConfig {
-        dac_cost: DacCostModel {
-            batch_overhead: 0,
-            per_insert: 0,
-            per_query: 0,
-            per_result: 0,
-        },
+        dac_cost: DacCostModel::FREE,
         ..MindConfig::default()
     };
     let hosts: Vec<TcpHost<MindNode>> = listeners
