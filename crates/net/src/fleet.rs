@@ -2,8 +2,8 @@
 //!
 //! [`TcpFleet`] is the real-transport twin of `mind-netsim`'s `World`:
 //! the same `MindCluster` API drives either one through the
-//! [`ClusterDriver`] seam. Each node runs as a `TcpHost` — its own driver
-//! thread, listener, and real-clock timers — and nodes talk over actual
+//! [`ClusterDriver`] seam. Each node runs as a `TcpHost` — its own
+//! threads, listener, and real-clock timers — and nodes talk over actual
 //! localhost sockets, so the reliability layer's retries, acks and
 //! batch-flush timers run against wall time.
 //!

@@ -1,29 +1,42 @@
 //! The thread-per-connection TCP driver.
 //!
-//! One [`TcpHost`] runs one [`NodeLogic`] instance:
+//! One [`TcpHost`] runs one [`NodeLogic`] instance. The node's
+//! [`HostCore`] and its timer wheel sit behind one lock, and the thread
+//! that has an event runs its pass there:
 //!
 //! * a **listener thread** accepts inbound peers and spawns a reader
-//!   thread per connection; readers decode `(sender, message)` frames into
-//!   the driver's channel,
-//! * the **driver thread** owns the node's [`HostCore`], a timer wheel of
-//!   its own, and a cache of outbound connections; it processes one event
-//!   at a time, so the logic sees exactly the same single-threaded world
-//!   as under the simulator,
+//!   thread per connection. A reader pushes each decoded frame onto the
+//!   host's inbox, then takes the core if it is free and runs every queued
+//!   frame in order. It never waits on the core lock, and it leaves the
+//!   core alone while another thread waits for it,
 //! * applications call [`TcpHost::invoke`] to run a closure against the
-//!   logic (the `with_node` of the real world).
+//!   logic (the `with_node` of the real world) on their own thread, under
+//!   the lock. An invoke runs no queued frame; one that leaves frames
+//!   queued wakes the driver thread,
+//! * the **driver thread** keeps time: it parks until the wheel's next
+//!   deadline, fires the due timers and runs the frames a busy core left
+//!   queued. A pass that arms an earlier deadline unparks it.
+//!
+//! The lock lets one pass run at a time, so the logic sees exactly the
+//! same single-threaded world as under the simulator.
 //!
 //! Every event — start, timer, inbound frame, invoke — is one *pass* of
-//! the core: its frames are encoded into per-peer pass buffers that
-//! leave in one `write_all` per peer, then its timers are armed and
-//! cancelled on the wheel. A failed write over a cached
-//! connection gets one redial before the pass's frames to that peer count
-//! as dropped; repeated dial failures back off with a capped exponential
-//! delay so a dead peer cannot stall the driver; every
-//! drop/reconnect/throttle is counted in [`HostStats`]; inbound readers
-//! throttle when the driver's queue backs up; shutdown answers the invokes
-//! already queued.
+//! the core: its frames are appended to per-peer outbound queues under the
+//! lock, then its timers are armed and cancelled on the wheel. The thread
+//! that ran the pass writes the queues after unlocking, in queue order per
+//! peer. Outbound sockets are non-blocking, and a write that would block
+//! leaves its bytes for the driver thread, so no thread that reads a
+//! socket ever blocks on a socket write; an invoke waits while a peer's
+//! queue is over `OUTBOUND_HIGH_WATER`. A failed write over a cached
+//! connection gets one redial before the queued frames to that peer count
+//! as dropped; readers leave dials to the other threads; repeated dial
+//! failures back off with a capped exponential delay so a dead peer cannot
+//! stall the host; every drop/reconnect/throttle is counted in
+//! [`HostStats`]; readers throttle when the inbox backs up. A panic inside
+//! a pass poisons the lock: later invokes return `None` and
+//! [`TcpHost::halt`] panics.
 //!
-//! Clock: microseconds since the driver's epoch, satisfying the
+//! Clock: microseconds since the host's epoch, satisfying the
 //! [`SimTime`] contract. A fleet that crashes and revives hosts spawns
 //! each one on a shared epoch, and a revived host on its predecessor's
 //! core, so the clock stays monotone and timer ids never repeat across
@@ -37,29 +50,29 @@ use mind_types::scheduler::Scheduler;
 use mind_types::NodeId;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// A closure run on the hosted node by the driver thread.
-type InvokeFn<L> = Box<dyn FnOnce(&mut L, SimTime, &mut Outbox<<L as NodeLogic>::Msg>) + Send>;
-
-enum Cmd<L: NodeLogic> {
-    Invoke(InvokeFn<L>),
-    Inbound(NodeId, L::Msg),
-    Shutdown,
-}
-
-/// Inbound frames the driver may have queued before readers throttle.
+/// Inbound frames the inbox may hold before readers throttle.
 ///
-/// A slow driver (long invoke, GC pause) makes readers sleep instead of
+/// A busy core (long invoke, GC pause) makes readers sleep instead of
 /// buffering without bound; the TCP windows upstream push back from there.
 const INBOUND_HIGH_WATER: usize = 8192;
+
+/// Bytes queued to one peer past which an invoke waits for them to leave.
+///
+/// Readers never wait, or they would stop draining their own socket; an
+/// invoke, on an application thread, pushes back instead.
+const OUTBOUND_HIGH_WATER: usize = 4 << 20;
+
+/// How long a thread waits before it retries a write the socket refused.
+const WRITE_RETRY: Duration = Duration::from_micros(200);
 
 /// Shared counters for one host's transport activity.
 ///
@@ -71,7 +84,6 @@ pub struct HostStats {
     msgs_received: AtomicU64,
     sends_dropped: AtomicU64,
     reconnects: AtomicU64,
-    inbound_pending: AtomicUsize,
     inbound_throttled: AtomicU64,
 }
 
@@ -100,58 +112,50 @@ pub struct HostStatsSnapshot {
     /// Successful dials of a peer that had a connection before or whose
     /// last dial failed; a first contact is not a reconnect.
     pub reconnects: u64,
-    /// Times an inbound reader slept because the driver's queue was over
+    /// Times an inbound reader slept because the host's inbox was over
     /// the high-water mark.
     pub inbound_throttled: u64,
 }
 
 /// A MIND node (or any [`NodeLogic`]) running over real TCP.
 pub struct TcpHost<L: NodeLogic> {
-    id: NodeId,
-    cmd_tx: Sender<Cmd<L>>,
-    driver: Option<JoinHandle<HostCore<L>>>,
+    shared: Arc<Shared<L>>,
+    driver: Option<JoinHandle<()>>,
     listener_thread: Option<JoinHandle<()>>,
     listen_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    stats: Arc<HostStats>,
 }
 
 /// A cloneable handle for invoking a [`TcpHost`] from other threads
 /// (e.g. a control-protocol server living next to the host).
 pub struct HostHandle<L: NodeLogic> {
-    cmd_tx: Sender<Cmd<L>>,
-    stats: Arc<HostStats>,
+    shared: Arc<Shared<L>>,
 }
 
 impl<L: NodeLogic> Clone for HostHandle<L> {
     fn clone(&self) -> Self {
         HostHandle {
-            cmd_tx: self.cmd_tx.clone(),
-            stats: Arc::clone(&self.stats),
+            shared: Arc::clone(&self.shared),
         }
     }
 }
 
-impl<L: NodeLogic> HostHandle<L> {
-    /// Runs `f` against the node logic on the driver thread; `None` if
-    /// the host has shut down.
+impl<L: NodeLogic> HostHandle<L>
+where
+    L::Msg: Serialize,
+{
+    /// Runs `f` against the node logic on this thread, under the core
+    /// lock; `None` if the host has shut down or a pass panicked.
     pub fn invoke<R, F>(&self, f: F) -> Option<R>
     where
         R: Send + 'static,
         F: FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R + Send + 'static,
     {
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.cmd_tx
-            .send(Cmd::Invoke(Box::new(move |logic, now, out| {
-                let _ = tx.send(f(logic, now, out));
-            })))
-            .ok()?;
-        rx.recv().ok()
+        self.shared.invoke(f)
     }
 
     /// A snapshot of the host's transport counters.
     pub fn stats(&self) -> HostStatsSnapshot {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 }
 
@@ -186,71 +190,73 @@ where
         epoch: Instant,
     ) -> io::Result<Self> {
         let listen_addr = listener.local_addr()?;
-        let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<L>>();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(HostStats::default());
+        let shared = Arc::new(Shared {
+            id,
+            epoch,
+            core: Mutex::new(Some(Core {
+                host: core,
+                wheel: Scheduler::new(),
+                touched: Vec::new(),
+                wakes_at: 0,
+            })),
+            inbox: Mutex::default(),
+            waiting: AtomicUsize::new(0),
+            links: peers
+                .into_iter()
+                .map(|(peer, addr)| (peer, Mutex::new(Link::new(addr))))
+                .collect(),
+            backlog: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            stats: HostStats::default(),
+            driver: OnceLock::new(),
+        });
+        // The start pass runs before any other thread can reach the core.
+        shared.invoke(|logic, now, out| logic.on_start(now, out));
+
+        let driver = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(format!("mind-drive-{}", id.0))
+                .spawn(move || shared.drive())
+                .expect("spawn driver")
+        };
+        let _ = shared.driver.set(driver.thread().clone());
 
         // Listener thread: accept → per-connection reader thread. The
         // handle is kept so `halt` can join it — the listener socket must
         // be provably closed before `halt` returns, or a same-address
         // rebind (crash/revive) races the accept loop's exit.
         let listener_thread = {
-            let cmd_tx = cmd_tx.clone();
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("mind-listen-{}", id.0))
                 .spawn(move || {
                     for conn in listener.incoming() {
-                        if stop.load(Ordering::Relaxed) {
+                        if shared.stop.load(Ordering::Relaxed) {
                             break;
                         }
                         let Ok(stream) = conn else { continue };
-                        let (cmd_tx, stop, stats) =
-                            (cmd_tx.clone(), Arc::clone(&stop), Arc::clone(&stats));
+                        let shared = Arc::clone(&shared);
                         std::thread::Builder::new()
                             .name(format!("mind-read-{}", id.0))
-                            .spawn(move || read_peer::<L>(stream, &cmd_tx, &stop, &stats))
+                            .spawn(move || shared.read_peer(stream))
                             .expect("spawn reader");
                     }
                 })
                 .expect("spawn listener")
         };
 
-        let driver = Driver {
-            id,
-            core,
-            epoch,
-            conns: Conns {
-                peers,
-                streams: HashMap::new(),
-                touched: Vec::new(),
-                stats: Arc::clone(&stats),
-            },
-            wheel: Scheduler::new(),
-        };
-        let driver = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name(format!("mind-drive-{}", id.0))
-                .spawn(move || driver.run(&cmd_rx, &stop))
-                .expect("spawn driver")
-        };
-
         Ok(TcpHost {
-            id,
-            cmd_tx,
+            shared,
             driver: Some(driver),
             listener_thread: Some(listener_thread),
             listen_addr,
-            stop,
-            stats,
         })
     }
 
     /// This host's node id.
     pub fn id(&self) -> NodeId {
-        self.id
+        self.shared.id
     }
 
     /// The address peers dial.
@@ -260,63 +266,74 @@ where
 
     /// A snapshot of the host's transport counters.
     pub fn stats(&self) -> HostStatsSnapshot {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// A cloneable invoke handle (for control servers and harvesters).
     pub fn handle(&self) -> HostHandle<L> {
         HostHandle {
-            cmd_tx: self.cmd_tx.clone(),
-            stats: Arc::clone(&self.stats),
+            shared: Arc::clone(&self.shared),
         }
     }
 
-    /// Runs `f` against the node logic on the driver thread and returns
-    /// its result. Effects (sends, timers) are processed as usual.
+    /// Runs `f` against the node logic on this thread, under the core
+    /// lock, and returns its result. Effects (sends, timers) are processed
+    /// as usual.
     #[expect(
         clippy::expect_used,
-        reason = "the driver lives as long as `self` and replies unless it panicked"
+        reason = "the host runs as long as `self`, so only a panicked pass refuses an invoke"
     )]
     pub fn invoke<R, F>(&self, f: F) -> R
     where
         R: Send + 'static,
         F: FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R + Send + 'static,
     {
-        self.handle().invoke(f).expect("driver answered")
+        self.shared.invoke(f).expect("no pass panicked")
     }
 
-    /// Stops the driver and returns the final logic state.
+    /// Stops the host and returns the final logic state.
     pub fn shutdown(self) -> L {
         self.halt().into_logic()
     }
 
-    /// Stops the driver and returns its core — the final logic state and
+    /// Stops the host and returns its core — the final logic state and
     /// the timer-id sequence, with no timer left live — everything a
     /// fleet needs to revive this node without timer-id collisions.
     #[expect(
         clippy::expect_used,
-        reason = "halt consumes self, so the driver is not yet joined; surfacing a driver panic is correct"
+        reason = "halt consumes self, so the core is still there unless a pass panicked; surfacing that panic is correct"
     )]
     pub fn halt(mut self) -> HostCore<L> {
-        let joined = self.stop_threads().expect("not yet joined");
-        joined.expect("driver panicked")
+        self.stop_threads().expect("no pass panicked")
     }
 }
 
 impl<L: NodeLogic> TcpHost<L> {
-    /// Stops and joins the listener and driver threads; the driver's
-    /// result, `None` once already joined. The listener is joined first:
-    /// once this returns the listen address is free to rebind
-    /// (crash/revive relies on this).
-    fn stop_threads(&mut self) -> Option<std::thread::Result<HostCore<L>>> {
-        self.stop.store(true, Ordering::Relaxed);
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
+    /// Stops and joins the listener and driver threads, takes the core out
+    /// of the lock and closes the outbound connections. Returns the core;
+    /// `None` once already stopped or if a pass panicked. The listener is
+    /// joined first: once this returns the listen address is free to
+    /// rebind (crash/revive relies on this).
+    fn stop_threads(&mut self) -> Option<HostCore<L>> {
+        let shared = &self.shared;
+        shared.stop.store(true, Ordering::Relaxed);
         // Unblock the accept loop so it sees `stop`.
         let _ = TcpStream::connect(self.listen_addr);
         if let Some(l) = self.listener_thread.take() {
             let _ = l.join();
         }
-        self.driver.take().map(JoinHandle::join)
+        let driver = self.driver.take()?;
+        driver.thread().unpark();
+        let _ = driver.join();
+        // No pass runs once the core is out; what the queues still hold
+        // gets one last write, and the rest counts as dropped.
+        let core = shared.lock().and_then(|mut core| core.take());
+        for link in shared.links.values() {
+            hold(link).close(&shared.stats);
+        }
+        let mut core = core?;
+        core.host.retire_all(&mut core.wheel);
+        Some(core.host)
     }
 }
 
@@ -326,36 +343,262 @@ impl<L: NodeLogic> Drop for TcpHost<L> {
     }
 }
 
-/// One inbound connection's reader: decodes `(sender, message)` frames
-/// into the driver's queue until EOF, a corrupt frame, or shutdown.
-fn read_peer<L: NodeLogic>(
-    stream: TcpStream,
-    cmd_tx: &Sender<Cmd<L>>,
-    stop: &AtomicBool,
-    stats: &HostStats,
-) where
-    L::Msg: DeserializeOwned,
-{
-    let mut reader = BufReader::new(stream);
-    while !stop.load(Ordering::Relaxed) {
-        let Ok(Some(bytes)) = read_frame(&mut reader) else {
-            break; // EOF or error
-        };
-        let Ok((from, msg)) = from_bytes::<(NodeId, L::Msg)>(&bytes) else {
-            break; // corrupted peer
-        };
-        // Backpressure: sleep while the driver's queue is over the high
-        // water mark instead of buffering without bound.
-        while stats.inbound_pending.load(Ordering::Relaxed) > INBOUND_HIGH_WATER
-            && !stop.load(Ordering::Relaxed)
-        {
-            stats.inbound_throttled.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(1));
+/// Locks a mutex no pass runs under, so no panic can poison it.
+fn hold<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The core and everything a pass touches, behind the host's one lock.
+struct Core<L: NodeLogic> {
+    host: HostCore<L>,
+    /// This host's timers as `(token, id)`; equal deadlines pop in arming
+    /// order.
+    wheel: Scheduler<(u64, TimerId)>,
+    /// Peers the passes of this lock hold queued frames to; the holder
+    /// writes their queues after unlocking.
+    touched: Vec<NodeId>,
+    /// When the parked driver thread wakes on its own; 0 while it is
+    /// awake. A pass that arms an earlier deadline unparks it.
+    wakes_at: SimTime,
+}
+
+/// What a host's threads share.
+struct Shared<L: NodeLogic> {
+    id: NodeId,
+    epoch: Instant,
+    /// `None` once the host has halted.
+    core: Mutex<Option<Core<L>>>,
+    /// Decoded frames no pass has run yet, in arrival order.
+    inbox: Mutex<VecDeque<(NodeId, L::Msg)>>,
+    /// Threads blocked on `core`; readers leave it to them while nonzero.
+    waiting: AtomicUsize,
+    /// One outbound queue per peer in the deployment.
+    links: HashMap<NodeId, Mutex<Link>>,
+    /// Some queue holds bytes a refused write left for the driver thread.
+    backlog: AtomicBool,
+    stop: AtomicBool,
+    stats: HostStats,
+    /// The driver thread, set once it is spawned.
+    driver: OnceLock<Thread>,
+}
+
+/// Who writes the queues a pass filled.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Writer {
+    /// Reads a socket: never dials, never waits for a write.
+    Reader,
+    /// Keeps time and finishes refused writes.
+    Driver,
+    /// An application thread: waits while a queue is over the bound.
+    Invoke,
+}
+
+impl<L: NodeLogic> Shared<L> {
+    fn now(&self) -> SimTime {
+        self.epoch.elapsed().as_micros() as SimTime
+    }
+
+    /// Takes the core, waiting for it; `None` if a pass panicked.
+    fn lock(&self) -> Option<MutexGuard<'_, Option<Core<L>>>> {
+        match self.core.try_lock() {
+            Ok(core) => return Some(core),
+            Err(TryLockError::Poisoned(_)) => return None,
+            Err(TryLockError::WouldBlock) => {}
         }
-        stats.inbound_pending.fetch_add(1, Ordering::Relaxed);
-        stats.msgs_received.fetch_add(1, Ordering::Relaxed);
-        if cmd_tx.send(Cmd::Inbound(from, msg)).is_err() {
-            break;
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let core = self.core.lock();
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        core.ok()
+    }
+
+    fn unpark_driver(&self) {
+        if let Some(driver) = self.driver.get() {
+            driver.unpark();
+        }
+    }
+
+    /// Writes the queues to `peers`. A queue the socket refuses (or a
+    /// reader cannot dial for) is left to the driver thread.
+    fn write(&self, peers: &[NodeId], by: Writer) {
+        for link in peers.iter().filter_map(|to| self.links.get(to)) {
+            loop {
+                let mut link = hold(link);
+                if link.write(by != Writer::Reader, &self.stats) {
+                    break;
+                }
+                if by != Writer::Invoke || link.queued() <= OUTBOUND_HIGH_WATER {
+                    self.backlog.store(true, Ordering::SeqCst);
+                    if by != Writer::Driver {
+                        self.unpark_driver();
+                    }
+                    break;
+                }
+                drop(link);
+                std::thread::sleep(WRITE_RETRY);
+            }
+        }
+    }
+}
+
+impl<L: NodeLogic> Shared<L>
+where
+    L::Msg: Serialize,
+{
+    /// One pass on the held core: runs `f`, appends its frames to their
+    /// peers' queues, then arms and cancels its timers.
+    fn pass<R>(
+        &self,
+        core: &mut Core<L>,
+        f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R,
+    ) -> R {
+        let (r, fx) = core.host.pass(self.now(), f);
+        let t = self.now();
+        for (to, msg) in fx.sends {
+            let Ok(frame) = to_bytes(&(self.id, msg)) else {
+                continue;
+            };
+            if !self.links.get(&to).is_some_and(|l| hold(l).queue(&frame)) {
+                self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
+            } else if !core.touched.contains(&to) {
+                core.touched.push(to);
+            }
+        }
+        for (delay, token, id) in fx.timers {
+            core.host.arm(&mut core.wheel, t, delay, id, (token, id));
+        }
+        for id in fx.cancels {
+            core.host.cancel(&mut core.wheel, id);
+        }
+        if let Some(d) = core.wheel.peek_time().filter(|&d| d < core.wakes_at) {
+            core.wakes_at = d;
+            self.unpark_driver();
+        }
+        r
+    }
+
+    /// Runs every queued frame, each in its own pass, in arrival order.
+    fn run_inbox(&self, core: &mut Core<L>) {
+        loop {
+            let Some((from, msg)) = hold(&self.inbox).pop_front() else {
+                return;
+            };
+            self.pass(core, |logic, now, out| {
+                logic.on_message(now, from, msg, out);
+            });
+        }
+    }
+
+    /// Runs `f` on this thread under the core lock, then writes its
+    /// frames. A panicking pass unwinds through the guard, which poisons
+    /// the lock: this invoke and every later one return `None`.
+    fn invoke<R>(&self, f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R) -> Option<R> {
+        let (r, touched) = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut guard = self.lock()?;
+            let core = guard.as_mut()?;
+            let r = self.pass(core, f);
+            Some((r, std::mem::take(&mut core.touched)))
+        }))
+        .ok()??;
+        self.write(&touched, Writer::Invoke);
+        if !hold(&self.inbox).is_empty() {
+            self.unpark_driver();
+        }
+        Some(r)
+    }
+
+    /// One inbound connection's reader: decodes `(sender, message)` frames
+    /// onto the inbox until EOF, a corrupt frame, or shutdown, and runs
+    /// them when the core is free.
+    fn read_peer(&self, stream: TcpStream)
+    where
+        L::Msg: DeserializeOwned,
+    {
+        let mut reader = BufReader::new(stream);
+        while !self.stop.load(Ordering::Relaxed) {
+            let Ok(Some(bytes)) = read_frame(&mut reader) else {
+                break; // EOF or error
+            };
+            let Ok((from, msg)) = from_bytes::<(NodeId, L::Msg)>(&bytes) else {
+                break; // corrupted peer
+            };
+            // Backpressure: sleep while the inbox is over the high water
+            // mark instead of buffering without bound.
+            while hold(&self.inbox).len() > INBOUND_HIGH_WATER && !self.stop.load(Ordering::Relaxed)
+            {
+                self.stats.inbound_throttled.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
+            hold(&self.inbox).push_back((from, msg));
+            self.run_queued();
+        }
+    }
+
+    /// A reader's turn: while nobody waits for the core and it is free,
+    /// runs every queued frame and writes what they sent. A frame queued
+    /// meanwhile is run by whoever holds the core next: a reader or the
+    /// driver thread rechecks the inbox after unlocking, and an invoke
+    /// wakes the driver thread.
+    fn run_queued(&self) {
+        while self.waiting.load(Ordering::SeqCst) == 0 {
+            let Ok(mut guard) = self.core.try_lock() else {
+                return;
+            };
+            let Some(core) = guard.as_mut() else {
+                return;
+            };
+            self.run_inbox(core);
+            let touched = std::mem::take(&mut core.touched);
+            drop(guard);
+            self.write(&touched, Writer::Reader);
+            if hold(&self.inbox).is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// The driver thread: finishes refused writes, fires due timers, runs
+    /// the frames a busy core left queued, then parks until the next
+    /// deadline (or a retry of a refused write).
+    fn drive(&self) {
+        while !self.stop.load(Ordering::Relaxed) {
+            if self.backlog.swap(false, Ordering::SeqCst) {
+                let peers: Vec<NodeId> = self.links.keys().copied().collect();
+                self.write(&peers, Writer::Driver);
+            }
+            let Some(mut guard) = self.lock() else {
+                return;
+            };
+            let Some(core) = guard.as_mut() else {
+                return;
+            };
+            core.wakes_at = 0;
+            let t = self.now();
+            while core.wheel.peek_time().is_some_and(|deadline| deadline <= t) {
+                let Some((_, _, (token, id))) = core.wheel.pop() else {
+                    break;
+                };
+                if core.host.due(id) {
+                    self.pass(core, |logic, now, out| logic.on_timer(now, token, out));
+                }
+            }
+            self.run_inbox(core);
+            let next = core.wheel.peek_time();
+            core.wakes_at = next.unwrap_or(SimTime::MAX);
+            let touched = std::mem::take(&mut core.touched);
+            drop(guard);
+            self.write(&touched, Writer::Driver);
+            if !hold(&self.inbox).is_empty() {
+                continue;
+            }
+            let wait = next.map(|d| Duration::from_micros(d.saturating_sub(self.now())));
+            match wait {
+                _ if self.backlog.load(Ordering::SeqCst) => {
+                    std::thread::park_timeout(wait.map_or(WRITE_RETRY, |w| w.min(WRITE_RETRY)));
+                }
+                Some(w) => std::thread::park_timeout(w),
+                None => std::thread::park(),
+            }
         }
     }
 }
@@ -364,61 +607,125 @@ fn read_peer<L: NodeLogic>(
 const DIAL_BACKOFF_FLOOR: Duration = Duration::from_millis(50);
 const DIAL_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
-struct PeerConn {
+/// One peer's outbound queue and connection.
+///
+/// Frames count as sent once every byte of their chunk has left, and as
+/// dropped together when the peer cannot be reached — never silently
+/// lost; the overlay's heartbeats and retries recover the drops.
+struct Link {
+    addr: SocketAddr,
+    /// Non-blocking once dialed.
     stream: Option<TcpStream>,
-    /// The current pass's frames to this peer, encoded back to back.
-    pass: Vec<u8>,
-    /// Frames in `pass`.
-    frames: u64,
+    /// The chunk being written; `out[head..]` has not left yet.
+    out: Vec<u8>,
+    head: usize,
+    /// Frames in `out`.
+    out_frames: u64,
+    /// Frames queued behind `out`, encoded back to back.
+    next: Vec<u8>,
+    next_frames: u64,
+    /// The last stream failed, so the next dial is a reconnect.
+    lost: bool,
     /// Consecutive dial failures; drives the backoff exponent.
     dial_failures: u32,
     /// No redial before this instant.
     next_dial: Instant,
 }
 
-impl PeerConn {
-    fn fresh() -> Self {
-        PeerConn {
+impl Link {
+    fn new(addr: SocketAddr) -> Self {
+        Link {
+            addr,
             stream: None,
-            pass: Vec::new(),
-            frames: 0,
+            out: Vec::new(),
+            head: 0,
+            out_frames: 0,
+            next: Vec::new(),
+            next_frames: 0,
+            lost: false,
             dial_failures: 0,
             next_dial: Instant::now(),
         }
     }
 
-    /// Writes the pass buffer with one `write_all`, dialing on demand;
-    /// `true` if it left. A write over the cached stream that fails gets
-    /// exactly one redial, which honours the backoff window of a peer
-    /// whose dials keep failing, so the driver never stalls on it. A write
-    /// that failed part way may have delivered some frames already, so the
-    /// redial can repeat them; receivers dedup as they do any duplicate.
-    fn write_pass(&mut self, addr: Option<&SocketAddr>, stats: &HostStats) -> bool {
-        let mut had_stream = false;
-        if let Some(s) = self.stream.as_mut() {
-            if s.write_all(&self.pass).is_ok() {
-                return true;
+    /// Appends one encoded frame; `false` if it is oversized and could
+    /// never be framed.
+    fn queue(&mut self, frame: &[u8]) -> bool {
+        let framed = write_frame(&mut self.next, frame).is_ok();
+        self.next_frames += u64::from(framed);
+        framed
+    }
+
+    /// Bytes queued that have not left yet.
+    fn queued(&self) -> usize {
+        self.out.len() - self.head + self.next.len()
+    }
+
+    /// Writes until the queue is empty (`true`) or the socket refuses more
+    /// (`false`). Without `dial`, a missing connection also answers
+    /// `false`. A write over the cached stream that fails resends its chunk
+    /// whole over exactly one redial, which honours the backoff window of
+    /// a peer whose dials keep failing; receivers dedup any frame it
+    /// repeats. If that fails too, everything queued counts as dropped.
+    fn write(&mut self, dial: bool, stats: &HostStats) -> bool {
+        let mut dialed = false;
+        loop {
+            if self.head == self.out.len() {
+                let sent = std::mem::take(&mut self.out_frames);
+                stats.msgs_sent.fetch_add(sent, Ordering::Relaxed);
+                self.out.clear();
+                self.head = 0;
+                // One large chunk (a big query answer) must not pin its
+                // peak capacity for the connection's lifetime.
+                self.out.shrink_to(1 << 16);
+                if self.next.is_empty() {
+                    return true;
+                }
+                std::mem::swap(&mut self.out, &mut self.next);
+                self.out_frames = std::mem::take(&mut self.next_frames);
             }
-            // The cached stream went bad: drop it and redial once.
-            self.stream = None;
-            had_stream = true;
+            let Some(stream) = self.stream.as_mut() else {
+                if !dial {
+                    return false;
+                }
+                if dialed || !self.dial(stats) {
+                    self.drop_queued(stats);
+                    return true;
+                }
+                dialed = true;
+                continue;
+            };
+            match stream.write(&self.out[self.head..]) {
+                Ok(n) if n > 0 => self.head += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => {
+                    self.stream = None;
+                    self.lost = true;
+                    self.head = 0;
+                }
+            }
         }
-        // No address, or inside the backoff window: no dial.
-        let Some(addr) = addr.filter(|_| Instant::now() >= self.next_dial) else {
+    }
+
+    /// Dials the peer unless inside its backoff window; `true` if a
+    /// non-blocking stream is up.
+    fn dial(&mut self, stats: &HostStats) -> bool {
+        if Instant::now() < self.next_dial {
             return false;
-        };
-        match TcpStream::connect_timeout(addr, Duration::from_millis(500)) {
-            Ok(mut s) => {
+        }
+        let dialed = TcpStream::connect_timeout(&self.addr, Duration::from_millis(500))
+            .and_then(|s| s.set_nonblocking(true).map(|()| s));
+        match dialed {
+            Ok(s) => {
                 let _ = s.set_nodelay(true);
-                if had_stream || self.dial_failures > 0 {
+                if self.lost || self.dial_failures > 0 {
                     stats.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
+                self.lost = false;
                 self.dial_failures = 0;
-                let sent = s.write_all(&self.pass).is_ok();
-                if sent {
-                    self.stream = Some(s);
-                }
-                sent
+                self.stream = Some(s);
+                true
             }
             Err(_) => {
                 self.dial_failures = self.dial_failures.saturating_add(1);
@@ -430,144 +737,21 @@ impl PeerConn {
             }
         }
     }
-}
 
-/// Outbound connections, owned by the driver thread alone.
-struct Conns {
-    peers: HashMap<NodeId, SocketAddr>,
-    streams: HashMap<NodeId, PeerConn>,
-    /// Peers with frames in their pass buffer, in first-send order.
-    touched: Vec<NodeId>,
-    stats: Arc<HostStats>,
-}
-
-impl Conns {
-    /// Appends one encoded frame to `to`'s pass buffer.
-    fn queue(&mut self, to: NodeId, frame: &[u8]) {
-        let conn = self.streams.entry(to).or_insert_with(PeerConn::fresh);
-        if write_frame(&mut conn.pass, frame).is_err() {
-            // Oversized: it could never be framed.
-            self.stats.sends_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if conn.frames == 0 {
-            self.touched.push(to);
-        }
-        conn.frames += 1;
+    fn drop_queued(&mut self, stats: &HostStats) {
+        let frames = std::mem::take(&mut self.out_frames) + std::mem::take(&mut self.next_frames);
+        stats.sends_dropped.fetch_add(frames, Ordering::Relaxed);
+        self.out.clear();
+        self.next.clear();
+        self.head = 0;
     }
 
-    /// Ends a pass: one write per touched peer. Its frames count as sent
-    /// together or as dropped together — never silently lost; the
-    /// overlay's heartbeats and retries recover the drops.
-    fn end_pass(&mut self) {
-        for to in self.touched.drain(..) {
-            let Some(conn) = self.streams.get_mut(&to) else {
-                continue;
-            };
-            let counter = if conn.write_pass(self.peers.get(&to), &self.stats) {
-                &self.stats.msgs_sent
-            } else {
-                &self.stats.sends_dropped
-            };
-            counter.fetch_add(std::mem::take(&mut conn.frames), Ordering::Relaxed);
-            // One large pass (a big query answer) must not pin its peak
-            // capacity for the connection's lifetime.
-            conn.pass.clear();
-            conn.pass.shrink_to(1 << 16);
-        }
-    }
-}
-
-/// The driver thread: the hosted core and everything its effects touch.
-struct Driver<L: NodeLogic> {
-    id: NodeId,
-    core: HostCore<L>,
-    epoch: Instant,
-    conns: Conns,
-    /// This host's timers as `(token, id)`; equal deadlines pop in arming
-    /// order.
-    wheel: Scheduler<(u64, TimerId)>,
-}
-
-impl<L> Driver<L>
-where
-    L: NodeLogic,
-    L::Msg: Serialize,
-{
-    fn now(&self) -> SimTime {
-        self.epoch.elapsed().as_micros() as SimTime
-    }
-
-    /// One pass: runs `f` on the core, writes its frames, one `write_all`
-    /// per peer, then arms and cancels its timers.
-    fn pass(&mut self, f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>)) {
-        let ((), fx) = self.core.pass(self.now(), f);
-        let t = self.now();
-        for (to, msg) in fx.sends {
-            if let Ok(frame) = to_bytes(&(self.id, msg)) {
-                self.conns.queue(to, &frame);
-            }
-        }
-        self.conns.end_pass();
-        for (delay, token, id) in fx.timers {
-            self.core.arm(&mut self.wheel, t, delay, id, (token, id));
-        }
-        for id in fx.cancels {
-            self.core.cancel(&mut self.wheel, id);
-        }
-    }
-
-    /// The driver loop: fires the timers due at loop start, then waits for
-    /// one command or the next deadline. Returns the core with no timer
-    /// left live, since its wheel ends with this thread.
-    fn run(mut self, cmd_rx: &Receiver<Cmd<L>>, stop: &AtomicBool) -> HostCore<L> {
-        self.pass(|logic, now, out| logic.on_start(now, out));
-        while !stop.load(Ordering::Relaxed) {
-            let t = self.now();
-            while self.wheel.peek_time().is_some_and(|deadline| deadline <= t) {
-                let Some((_, _, (token, id))) = self.wheel.pop() else {
-                    break;
-                };
-                if self.core.due(id) {
-                    self.pass(|logic, now, out| logic.on_timer(now, token, out));
-                }
-            }
-            let wait = self
-                .wheel
-                .peek_time()
-                .map_or(Duration::from_millis(100), |deadline| {
-                    Duration::from_micros(deadline.saturating_sub(self.now()))
-                });
-            match cmd_rx.recv_timeout(wait.min(Duration::from_millis(250))) {
-                Ok(Cmd::Inbound(from, msg)) => {
-                    self.conns
-                        .stats
-                        .inbound_pending
-                        .fetch_sub(1, Ordering::Relaxed);
-                    self.pass(|logic, now, out| logic.on_message(now, from, msg, out));
-                }
-                Ok(Cmd::Invoke(f)) => self.pass(f),
-                Ok(Cmd::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-        }
-        // Graceful drain: answer any invokes already queued (their callers
-        // are blocked on the reply) and count off queued inbounds. Every
-        // pass has already written its frames.
-        while let Ok(cmd) = cmd_rx.try_recv() {
-            match cmd {
-                Cmd::Invoke(f) => self.pass(f),
-                Cmd::Inbound(..) => {
-                    self.conns
-                        .stats
-                        .inbound_pending
-                        .fetch_sub(1, Ordering::Relaxed);
-                }
-                Cmd::Shutdown => break,
-            }
-        }
-        self.core.retire_all(&mut self.wheel);
-        self.core
+    /// At halt: one last write without waiting, the rest dropped, and the
+    /// connection closed.
+    fn close(&mut self, stats: &HostStats) {
+        let _ = self.write(false, stats);
+        self.drop_queued(stats);
+        self.stream = None;
     }
 }
 
@@ -576,6 +760,7 @@ mod tests {
     use super::*;
     use mind_types::WireSize;
     use serde::Deserialize;
+    use std::sync::mpsc;
 
     #[derive(Debug, Clone, Serialize, Deserialize)]
     struct Ping(u64);
@@ -888,5 +1073,155 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(a.shutdown().0, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_panicking_pass_refuses_later_invokes_and_halt_reports_it() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = [(NodeId(0), l0.local_addr().unwrap())].into();
+        let a = TcpHost::spawn(NodeId(0), l0, peers, Fired(vec![])).unwrap();
+        let handle = a.handle();
+        assert_eq!(
+            handle.invoke(|_l, _n, _o| -> u8 { panic!("a failing pass") }),
+            None
+        );
+        // The node may be half-updated: nothing runs on it any more.
+        assert_eq!(handle.invoke(|l, _n, _o| l.0.len()), None);
+        assert!(panic::catch_unwind(AssertUnwindSafe(move || a.halt())).is_err());
+    }
+
+    /// A bulk frame with its round in a flood.
+    #[derive(Debug, Clone, Serialize, Deserialize)]
+    struct Bulk {
+        round: u8,
+        body: String,
+    }
+    impl WireSize for Bulk {}
+
+    /// Counts bulk frames and answers each below round 8 with the next
+    /// round.
+    struct Flood(u64);
+
+    impl NodeLogic for Flood {
+        type Msg = Bulk;
+        fn on_start(&mut self, _now: SimTime, _out: &mut Outbox<Bulk>) {}
+        fn on_message(&mut self, _now: SimTime, from: NodeId, msg: Bulk, out: &mut Outbox<Bulk>) {
+            self.0 += 1;
+            if msg.round < 8 {
+                out.send(
+                    from,
+                    Bulk {
+                        round: msg.round + 1,
+                        body: msg.body,
+                    },
+                );
+            }
+        }
+        fn on_timer(&mut self, _now: SimTime, _token: u64, _out: &mut Outbox<Bulk>) {}
+    }
+
+    #[test]
+    fn two_hosts_flooding_each_other_both_drain() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers: HashMap<NodeId, SocketAddr> = [
+            (NodeId(0), l0.local_addr().unwrap()),
+            (NodeId(1), l1.local_addr().unwrap()),
+        ]
+        .into();
+        let a = TcpHost::spawn(NodeId(0), l0, peers.clone(), Flood(0)).unwrap();
+        let b = TcpHost::spawn(NodeId(1), l1, peers, Flood(0)).unwrap();
+        // Each host sends 64 frames of 256 KiB in one pass, from its own
+        // thread, so both floods run at once; every frame then bounces
+        // until round 8. A reader that blocked on its replies' writes
+        // would stop draining its socket, and both hosts would hang.
+        let body = "x".repeat(256 << 10);
+        std::thread::scope(|s| {
+            for (host, to) in [(&a, NodeId(1)), (&b, NodeId(0))] {
+                let body = body.clone();
+                s.spawn(move || {
+                    host.invoke(move |_l, _n, out| {
+                        for _ in 0..64 {
+                            let body = body.clone();
+                            out.send(to, Bulk { round: 0, body });
+                        }
+                    });
+                });
+            }
+        });
+        // Nine rounds of 64 frames reach each host: its peer's rounds 0,
+        // 2, .., 8 and the answers 1, 3, .., 7 to its own.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let got = loop {
+            let got = [&a, &b].map(|h| h.invoke(|l, _n, _o| l.0));
+            if got.iter().all(|&n| n >= 576) {
+                break got;
+            }
+            assert!(Instant::now() < deadline, "received {got:?} of 576 each");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(got, [576, 576]);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// Arms a 10 s timer at start and a 5 ms one on every frame; records
+    /// when the 5 ms timer was armed and when it fired.
+    struct Alarm {
+        armed: Option<SimTime>,
+        fired: Option<SimTime>,
+    }
+
+    impl NodeLogic for Alarm {
+        type Msg = Ping;
+        fn on_start(&mut self, _now: SimTime, out: &mut Outbox<Ping>) {
+            out.set_timer(10_000_000, 1);
+        }
+        fn on_message(&mut self, now: SimTime, _from: NodeId, _msg: Ping, out: &mut Outbox<Ping>) {
+            self.armed = Some(now);
+            out.set_timer(5_000, 2);
+        }
+        fn on_timer(&mut self, now: SimTime, token: u64, _out: &mut Outbox<Ping>) {
+            if token == 2 {
+                self.fired = Some(now);
+            }
+        }
+    }
+
+    #[test]
+    fn a_timer_armed_in_a_readers_pass_fires_on_time() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers: HashMap<NodeId, SocketAddr> = [
+            (NodeId(0), l0.local_addr().unwrap()),
+            (NodeId(1), l1.local_addr().unwrap()),
+        ]
+        .into();
+        let a = TcpHost::spawn(NodeId(0), l0, peers.clone(), Fired(vec![])).unwrap();
+        let alarm = Alarm {
+            armed: None,
+            fired: None,
+        };
+        let b = TcpHost::spawn(NodeId(1), l1, peers, alarm).unwrap();
+        // b's driver thread is parked on the 10 s timer when the frame
+        // arrives, so only the wake-up the reader's pass gives it fires
+        // the 5 ms one in time.
+        std::thread::sleep(Duration::from_millis(50));
+        a.invoke(|_l, _n, out| out.send(NodeId(1), Ping(1)));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let (armed, fired) = loop {
+            if let (Some(armed), Some(fired)) = b.invoke(|l, _n, _o| (l.armed, l.fired)) {
+                break (armed, fired);
+            }
+            assert!(Instant::now() < deadline, "the 5 ms timer never fired");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(
+            fired - armed < 200_000,
+            "the 5 ms timer fired {} us after it was armed",
+            fired - armed
+        );
+        a.shutdown();
+        b.shutdown();
     }
 }

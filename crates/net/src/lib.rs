@@ -11,10 +11,11 @@
 //!   the message enums (the paper used hand-framed Java serialization),
 //! * [`frame`] — length-prefixed framing over a TCP stream,
 //! * [`host`] — a thread-per-connection driver: a listener thread accepts
-//!   inbound peers, reader threads decode frames into a channel, and a
-//!   single driver thread owns the node logic, its timers, and the
-//!   outbound connection cache — so the logic itself stays single-threaded
-//!   and identical to the simulated one.
+//!   inbound peers, and the node logic and its timers sit behind one lock.
+//!   A reader thread runs the passes of the frames it decodes, an invoke
+//!   runs on its caller's thread, and a driver thread fires timers — one
+//!   pass at a time, so the logic itself stays single-threaded and
+//!   identical to the simulated one.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]

@@ -12,8 +12,8 @@
 //!   line) every process reads at startup,
 //! * [`control`] — the control protocol: serde-encoded request/response
 //!   frames over the same length-framing the overlay uses,
-//! * [`server`] — the per-process control server, bridging control
-//!   connections onto the hosted node's driver thread,
+//! * [`server`] — the per-process control server, running each control
+//!   request against the hosted node under its core lock,
 //! * [`loadgen`] — the load-generator core (also used by the smoke
 //!   tests): drive a cluster with inserts and queries, then verify
 //!   conservation, complete queries and audit cleanliness. It times

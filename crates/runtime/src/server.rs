@@ -1,5 +1,5 @@
-//! The per-process control server: bridges control-protocol connections
-//! onto the hosted node's driver thread.
+//! The per-process control server: runs control-protocol requests against
+//! the hosted node, on the connection's thread under the node's core lock.
 //!
 //! One thread per control connection; each request becomes one
 //! [`HostHandle::invoke`] (or a short invoke-poll loop for distributed
@@ -115,8 +115,8 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
                 None => return ControlResponse::Err("host stopped".into()),
             };
             // The distributed query completes asynchronously; poll the
-            // tracker on the driver thread until it does, then take it out
-            // so a long-lived node keeps no finished query's rows.
+            // tracker until it does, then take it out so a long-lived node
+            // keeps no finished query's rows.
             let deadline = Instant::now() + QUERY_WAIT;
             loop {
                 match handle.invoke(move |n, _now, _out| n.take_query_outcome(qid)) {

@@ -25,9 +25,10 @@
 //! observe which driver it runs on except through timing.
 //!
 //! Closures crossing the seam are `Send + 'static` and return
-//! `Send + 'static` values because a real-transport driver executes them
-//! on the hosted node's driver thread; the simulator runs them inline and
-//! the bounds cost it nothing.
+//! `Send + 'static` values, so a real-transport driver may run them on a
+//! thread of its own. `TcpFleet` runs them on the caller's thread under
+//! the node's core lock, and the simulator runs them inline; the bounds
+//! cost neither anything.
 
 use crate::node::{NodeLogic, Outbox, SimTime};
 use crate::NodeId;
