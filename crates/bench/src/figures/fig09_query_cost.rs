@@ -91,7 +91,7 @@ pub fn run(out: &mut dyn Write, scale: &Scale) -> io::Result<Verdict> {
     kv(out, "max nodes visited", costs.last().copied().unwrap_or(0))?;
     let f4 = fraction_leq(&costs, 4);
     writeln!(out)?;
-    let verdict = Verdict::new(f4 >= 0.80, format!("{:.1}%", f4 * 100.0));
+    let verdict = Verdict::new(f4 >= 0.90, format!("{:.1}%", f4 * 100.0));
     kv(out, "shape check (paper: >=90% within 4 nodes)", &verdict)?;
     Ok(verdict)
 }

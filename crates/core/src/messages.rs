@@ -325,58 +325,12 @@ pub enum MindPayload {
     },
 }
 
-/// Exact encoded size of the header an `Insert` and an `InsertBatch`
-/// share under the `mind-net` codec: enum variant tag (4), length-
-/// prefixed index tag (4 + bytes), `version` (4), `origin` (4),
-/// `sent_at` (8), `op_id` (8), `horizon` (8). Computed once here so the
-/// single and batched paths can never disagree on what a header costs —
-/// the whole point of batching is amortizing exactly these bytes.
-fn insert_header_size(index: &str) -> usize {
-    4 + (4 + index.len()) + 4 + 4 + 8 + 8 + 8
-}
-
-/// Exact encoded size of the header a `Replica` and a `ReplicaBatch`
-/// share: variant tag (4), length-prefixed index tag (4 + bytes),
-/// `version` (4), `op_id` (8), `horizon` (8).
-fn replica_header_size(index: &str) -> usize {
-    4 + (4 + index.len()) + 4 + 8 + 8
-}
-
-/// Exact encoded size of a record sequence: `u32` count + each record's
-/// own exact encoding ([`Record::wire_size`] is exact under the codec).
-fn records_size(records: &[Record]) -> usize {
-    4 + records.iter().map(Record::wire_size).sum::<usize>()
-}
-
 impl WireSize for MindPayload {
-    /// Exact `mind_net::wire` encoded size of this payload.
-    ///
-    /// The insert plane (the per-record hot path, where batching amortizes
-    /// framing) is O(1)-per-record arithmetic over the shared header
-    /// helpers above, pinned against the encoder for every variant by
-    /// `mind-net`'s `wire_size_is_exact_for_every_payload_kind` test; every
-    /// other variant is counted by the encoder itself
-    /// ([`mind_types::wire::serialized_len`]), so it cannot drift.
-    #[expect(
-        clippy::wildcard_enum_match_arm,
-        reason = "a size, not a dispatch: the encoder sizes every variant not listed"
-    )]
+    /// Exact `mind_net::wire` encoded size of this payload, counted by
+    /// the encoder itself ([`mind_types::wire::serialized_len`]), so it
+    /// cannot drift from the bytes a socket carries.
     fn wire_size(&self) -> usize {
-        match self {
-            MindPayload::Insert { index, record, .. } => {
-                insert_header_size(index) + record.wire_size()
-            }
-            MindPayload::InsertBatch { index, records, .. } => {
-                insert_header_size(index) + records_size(records)
-            }
-            MindPayload::Replica { index, record, .. } => {
-                replica_header_size(index) + record.wire_size()
-            }
-            MindPayload::ReplicaBatch { index, records, .. } => {
-                replica_header_size(index) + records_size(records)
-            }
-            other => mind_types::wire::serialized_len(other),
-        }
+        mind_types::wire::serialized_len(self)
     }
 }
 

@@ -2,23 +2,23 @@
 //!
 //! One [`TcpHost`] runs one [`NodeLogic`] instance. The node's
 //! [`HostCore`] and its timer wheel sit behind one lock, and the thread
-//! that has an event runs its pass there:
+//! that has an event takes it and runs that event's pass there:
 //!
 //! * a **listener thread** accepts inbound peers and spawns a reader
-//!   thread per connection. A reader pushes each decoded frame onto the
-//!   host's inbox, then takes the core if it is free and runs every queued
-//!   frame in order. It never waits on the core lock, and it leaves the
-//!   core alone while another thread waits for it,
+//!   thread per connection. A reader decodes one frame, waits for the
+//!   core, runs the frame's pass and writes what it sent before it reads
+//!   the next; the socket buffer and TCP flow control bound what waits
+//!   upstream of it,
 //! * applications call [`TcpHost::invoke`] to run a closure against the
 //!   logic (the `with_node` of the real world) on their own thread, under
-//!   the lock. An invoke runs no queued frame; one that leaves frames
-//!   queued wakes the driver thread,
+//!   the lock,
 //! * the **driver thread** keeps time: it parks until the wheel's next
-//!   deadline, fires the due timers and runs the frames a busy core left
-//!   queued. A pass that arms an earlier deadline unparks it.
+//!   deadline and fires the due timers. A pass that arms an earlier
+//!   deadline unparks it.
 //!
 //! The lock lets one pass run at a time, so the logic sees exactly the
-//! same single-threaded world as under the simulator.
+//! same single-threaded world as under the simulator, and every thread
+//! holds it for one event.
 //!
 //! Every event — start, timer, inbound frame, invoke — is one *pass* of
 //! the core: its frames are appended to per-peer outbound queues under the
@@ -31,10 +31,9 @@
 //! connection gets one redial before the queued frames to that peer count
 //! as dropped; readers leave dials to the other threads; repeated dial
 //! failures back off with a capped exponential delay so a dead peer cannot
-//! stall the host; every drop/reconnect/throttle is counted in
-//! [`HostStats`]; readers throttle when the inbox backs up. A panic inside
-//! a pass poisons the lock: later invokes return `None` and
-//! [`TcpHost::halt`] panics.
+//! stall the host; every drop, reconnect and reader wait for a busy core
+//! is counted in [`HostStats`]. A panic inside a pass poisons the lock:
+//! later invokes return `None` and [`TcpHost::halt`] panics.
 //!
 //! Clock: microseconds since the host's epoch, satisfying the
 //! [`SimTime`] contract. A fleet that crashes and revives hosts spawns
@@ -50,25 +49,19 @@ use mind_types::scheduler::Scheduler;
 use mind_types::NodeId;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// Inbound frames the inbox may hold before readers throttle.
-///
-/// A busy core (long invoke, GC pause) makes readers sleep instead of
-/// buffering without bound; the TCP windows upstream push back from there.
-const INBOUND_HIGH_WATER: usize = 8192;
-
 /// Bytes queued to one peer past which an invoke waits for them to leave.
 ///
-/// Readers never wait, or they would stop draining their own socket; an
-/// invoke, on an application thread, pushes back instead.
+/// Readers never wait for a write, or they would stop draining their own
+/// socket; an invoke, on an application thread, pushes back instead.
 const OUTBOUND_HIGH_WATER: usize = 4 << 20;
 
 /// How long a thread waits before it retries a write the socket refused.
@@ -112,8 +105,7 @@ pub struct HostStatsSnapshot {
     /// Successful dials of a peer that had a connection before or whose
     /// last dial failed; a first contact is not a reconnect.
     pub reconnects: u64,
-    /// Times an inbound reader slept because the host's inbox was over
-    /// the high-water mark.
+    /// Times an inbound reader found the core busy and waited for it.
     pub inbound_throttled: u64,
 }
 
@@ -199,8 +191,6 @@ where
                 touched: Vec::new(),
                 wakes_at: 0,
             })),
-            inbox: Mutex::default(),
-            waiting: AtomicUsize::new(0),
             links: peers
                 .into_iter()
                 .map(|(peer, addr)| (peer, Mutex::new(Link::new(addr))))
@@ -368,10 +358,6 @@ struct Shared<L: NodeLogic> {
     epoch: Instant,
     /// `None` once the host has halted.
     core: Mutex<Option<Core<L>>>,
-    /// Decoded frames no pass has run yet, in arrival order.
-    inbox: Mutex<VecDeque<(NodeId, L::Msg)>>,
-    /// Threads blocked on `core`; readers leave it to them while nonzero.
-    waiting: AtomicUsize,
     /// One outbound queue per peer in the deployment.
     links: HashMap<NodeId, Mutex<Link>>,
     /// Some queue holds bytes a refused write left for the driver thread.
@@ -400,15 +386,7 @@ impl<L: NodeLogic> Shared<L> {
 
     /// Takes the core, waiting for it; `None` if a pass panicked.
     fn lock(&self) -> Option<MutexGuard<'_, Option<Core<L>>>> {
-        match self.core.try_lock() {
-            Ok(core) => return Some(core),
-            Err(TryLockError::Poisoned(_)) => return None,
-            Err(TryLockError::WouldBlock) => {}
-        }
-        self.waiting.fetch_add(1, Ordering::SeqCst);
-        let core = self.core.lock();
-        self.waiting.fetch_sub(1, Ordering::SeqCst);
-        core.ok()
+        self.core.lock().ok()
     }
 
     fn unpark_driver(&self) {
@@ -476,18 +454,6 @@ where
         r
     }
 
-    /// Runs every queued frame, each in its own pass, in arrival order.
-    fn run_inbox(&self, core: &mut Core<L>) {
-        loop {
-            let Some((from, msg)) = hold(&self.inbox).pop_front() else {
-                return;
-            };
-            self.pass(core, |logic, now, out| {
-                logic.on_message(now, from, msg, out);
-            });
-        }
-    }
-
     /// Runs `f` on this thread under the core lock, then writes its
     /// frames. A panicking pass unwinds through the guard, which poisons
     /// the lock: this invoke and every later one return `None`.
@@ -500,15 +466,12 @@ where
         }))
         .ok()??;
         self.write(&touched, Writer::Invoke);
-        if !hold(&self.inbox).is_empty() {
-            self.unpark_driver();
-        }
         Some(r)
     }
 
-    /// One inbound connection's reader: decodes `(sender, message)` frames
-    /// onto the inbox until EOF, a corrupt frame, or shutdown, and runs
-    /// them when the core is free.
+    /// One inbound connection's reader: until EOF, a corrupt frame, a
+    /// halt or shutdown, decodes one `(sender, message)` frame, runs its
+    /// pass under the core lock and writes what it sent.
     fn read_peer(&self, stream: TcpStream)
     where
         L::Msg: DeserializeOwned,
@@ -521,45 +484,25 @@ where
             let Ok((from, msg)) = from_bytes::<(NodeId, L::Msg)>(&bytes) else {
                 break; // corrupted peer
             };
-            // Backpressure: sleep while the inbox is over the high water
-            // mark instead of buffering without bound.
-            while hold(&self.inbox).len() > INBOUND_HIGH_WATER && !self.stop.load(Ordering::Relaxed)
-            {
-                self.stats.inbound_throttled.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(1));
-            }
             self.stats.msgs_received.fetch_add(1, Ordering::Relaxed);
-            hold(&self.inbox).push_back((from, msg));
-            self.run_queued();
-        }
-    }
-
-    /// A reader's turn: while nobody waits for the core and it is free,
-    /// runs every queued frame and writes what they sent. A frame queued
-    /// meanwhile is run by whoever holds the core next: a reader or the
-    /// driver thread rechecks the inbox after unlocking, and an invoke
-    /// wakes the driver thread.
-    fn run_queued(&self) {
-        while self.waiting.load(Ordering::SeqCst) == 0 {
-            let Ok(mut guard) = self.core.try_lock() else {
-                return;
+            let guard = match self.core.try_lock() {
+                Err(TryLockError::WouldBlock) => {
+                    self.stats.inbound_throttled.fetch_add(1, Ordering::Relaxed);
+                    self.lock()
+                }
+                taken => taken.ok(),
             };
-            let Some(core) = guard.as_mut() else {
-                return;
-            };
-            self.run_inbox(core);
+            let Some(mut guard) = guard else { break };
+            let Some(core) = guard.as_mut() else { break };
+            self.pass(core, |node, now, out| node.on_message(now, from, msg, out));
             let touched = std::mem::take(&mut core.touched);
             drop(guard);
             self.write(&touched, Writer::Reader);
-            if hold(&self.inbox).is_empty() {
-                return;
-            }
         }
     }
 
-    /// The driver thread: finishes refused writes, fires due timers, runs
-    /// the frames a busy core left queued, then parks until the next
-    /// deadline (or a retry of a refused write).
+    /// The driver thread: finishes refused writes, fires due timers, then
+    /// parks until the next deadline (or a retry of a refused write).
     fn drive(&self) {
         while !self.stop.load(Ordering::Relaxed) {
             if self.backlog.swap(false, Ordering::SeqCst) {
@@ -582,15 +525,11 @@ where
                     self.pass(core, |logic, now, out| logic.on_timer(now, token, out));
                 }
             }
-            self.run_inbox(core);
             let next = core.wheel.peek_time();
             core.wakes_at = next.unwrap_or(SimTime::MAX);
             let touched = std::mem::take(&mut core.touched);
             drop(guard);
             self.write(&touched, Writer::Driver);
-            if !hold(&self.inbox).is_empty() {
-                continue;
-            }
             let wait = next.map(|d| Duration::from_micros(d.saturating_sub(self.now())));
             match wait {
                 _ if self.backlog.load(Ordering::SeqCst) => {
@@ -916,9 +855,9 @@ mod tests {
     }
 
     #[test]
-    fn a_held_driver_throttles_its_reader_and_loses_nothing() {
+    fn a_held_core_makes_its_reader_wait_and_loses_nothing() {
         let (a, b) = spawn_pair();
-        // Hold b's driver in a long invoke from another thread.
+        // Hold b's core in a long invoke from another thread.
         let (started_tx, started_rx) = mpsc::channel();
         let held = b.handle();
         let holder = std::thread::spawn(move || {
@@ -929,9 +868,9 @@ mod tests {
             })
         });
         started_rx.recv().unwrap();
-        // One pass past the high-water mark, with values past Echo's reply
-        // range, so b sends nothing back.
-        let end = 1000 + INBOUND_HIGH_WATER as u64 + 2000;
+        // One pass of 10,192 frames, with values past Echo's reply range,
+        // so b sends nothing back.
+        let end = 1000 + 10_192;
         a.invoke(move |_l, _n, out| (1000..end).for_each(|v| out.send(NodeId(1), Ping(v))));
         assert_eq!(
             holder.join().unwrap(),
@@ -950,8 +889,52 @@ mod tests {
         assert_eq!(got, (1000..end).collect::<Vec<_>>());
         assert!(
             b.stats().inbound_throttled > 0,
-            "the reader never throttled"
+            "the reader never waited for the core"
         );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn an_invoke_is_not_starved_by_a_flooding_peer() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers: HashMap<NodeId, SocketAddr> = [
+            (NodeId(0), l0.local_addr().unwrap()),
+            (NodeId(1), l1.local_addr().unwrap()),
+        ]
+        .into();
+        let a = TcpHost::spawn(NodeId(0), l0, peers.clone(), Fired(vec![])).unwrap();
+        let b = TcpHost::spawn(NodeId(1), l1, peers, Fired(vec![])).unwrap();
+        // a floods b from its own thread while b's application thread
+        // times how long each of its invokes waits for the core. A reader
+        // holds it for one pass at a time, so a wait is short unless the
+        // scheduler preempts the holder; on a busy two-core box that hits
+        // a few waits a second, so the p99 is taken over 1,000 waits,
+        // where a few stalls cannot set it.
+        let done = AtomicBool::new(false);
+        let mut waits = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    a.invoke(|_l, _n, out| (0..500).for_each(|v| out.send(NodeId(1), Ping(v))));
+                }
+            });
+            let waits: Vec<Duration> = (0..1000)
+                .map(|_| {
+                    std::thread::sleep(Duration::from_millis(2));
+                    let asked = Instant::now();
+                    b.invoke(move |_l, _n, _o| asked.elapsed())
+                })
+                .collect();
+            done.store(true, Ordering::Relaxed);
+            waits
+        });
+        waits.sort_unstable();
+        let (p50, p99, worst) = (waits[500], waits[989], waits[999]);
+        let flood = b.stats().msgs_received;
+        println!("invoke wait under {flood} frames: p50 {p50:?}, p99 {p99:?}, worst {worst:?}");
+        assert!(flood > 0, "a never reached b");
+        assert!(p99 < Duration::from_millis(10), "p99 wait {p99:?}");
         a.shutdown();
         b.shutdown();
     }

@@ -1,11 +1,9 @@
 //! Pins `MindPayload::wire_size` — the simulator's bandwidth model —
-//! against the wire encoder, for **every** payload kind. What can drift is
-//! the insert plane's hand-computed arithmetic (`insert_header_size`,
-//! `records_size`, `Record::wire_size`, shared between
-//! `Insert`/`InsertBatch` and `Replica`/`ReplicaBatch` so batching
-//! amortization is measured honestly); every other kind is counted by the
-//! same encoder that produces the bytes, and is here so a variant moved
-//! onto hand arithmetic later is already covered.
+//! against the wire encoder, for **every** payload kind. Every kind is
+//! counted by the encoder that produces the bytes
+//! (`mind_types::wire::serialized_len`); this file is here so a kind later
+//! moved onto hand arithmetic is already covered, and so the batch framing
+//! the ingest path banks on stays measured.
 //!
 //! The `variant_name` match is deliberately wildcard-free: adding a
 //! `MindPayload` variant fails this file at compile time until the new
