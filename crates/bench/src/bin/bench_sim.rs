@@ -66,6 +66,11 @@ const SIM_HOUR_BUDGET_1K_S: f64 = 180.0;
 /// World seed (index sample, churn schedule, and sim RNG all derive from
 /// it, so every published number replays).
 const SEED: u64 = 22;
+/// The smoke world's `(events, pending_peak, rows)`: sim-time counts, the
+/// same on every machine for one protocol. A change that must leave the
+/// simulated bytes alone reproduces them exactly; only a stated protocol
+/// change re-pins them.
+const SMOKE_PIN: (u64, u64, u64) = (2_983_823, 14_236, 11_973);
 
 /// One world's scale point: population, simulated span, and how many
 /// seconds pass between two inserts from the same node (period scales
@@ -342,18 +347,29 @@ fn check(current: &[(String, f64)], baseline: &[(String, f64)]) -> Vec<String> {
 }
 
 /// CI smoke: the 1k-node churn world at a short horizon, twice, with
-/// a byte-identical replay assertion over every deterministic output.
+/// a byte-identical replay assertion over every deterministic output and
+/// a check of its counts against [`SMOKE_PIN`].
 fn smoke() -> ExitCode {
     let span = 120;
     let n = 1000;
     let first = run_world(n, span, SEED);
     let second = run_world(n, span, SEED);
-    eprintln!(
-        "bench_sim --smoke: n={n} span={span}s events={} pending_peak={} rows={}",
+    let counts = (
         events_total_from(&first),
         first.counters.9,
-        first.rows_stored
+        first.rows_stored,
     );
+    eprintln!(
+        "bench_sim --smoke: n={n} span={span}s events={} pending_peak={} rows={}",
+        counts.0, counts.1, counts.2
+    );
+    if counts != SMOKE_PIN {
+        println!(
+            "sim-smoke pin FAILED: (events, pending_peak, rows) = {counts:?}, pinned \
+             {SMOKE_PIN:?}; re-pin only with a stated protocol change"
+        );
+        return ExitCode::FAILURE;
+    }
     if first == second {
         println!(
             "sim-smoke replay ok: n={n} span={span}s — counters, arena peaks and \

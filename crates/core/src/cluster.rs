@@ -267,14 +267,9 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
         filters: Vec<CarriedFilter>,
     ) -> Result<QueryOutcome, MindError> {
         let qid = self.query(at, index, rect, filters)?;
-        let deadline = self.driver.now() + 120 * mind_types::node::SECONDS;
-        while self.driver.now() < deadline {
-            if let Some(o) = self.query_outcome(at, qid) {
-                return Ok(o);
-            }
-            let step = self.driver.poll_interval();
-            self.driver.run_for(step);
-        }
+        self.wait_until(120 * mind_types::node::SECONDS, |c| {
+            c.query_outcome(at, qid).is_some()
+        });
         Ok(self.query_outcome(at, qid).unwrap_or_else(|| QueryOutcome {
             complete: false,
             latency: None,

@@ -5,6 +5,9 @@
 //! acks, replica pushes, query responses — are released only when its
 //! modeled processing cost has elapsed, so storage work is never
 //! interleaved with network transmission, exactly as in the prototype.
+//! They leave through [`MindNode::direct`]: an ack or an answer this node
+//! owes itself (its own insert, its own query) goes to `on_direct` with
+//! no frame, as a peer's would arrive.
 //! Under a free cost model ([`mind_store::DacCostModel::is_free`], the
 //! real-socket configuration) both timers are zero-delay: a pass's jobs
 //! are stored and their effects released at the end of that pass.
@@ -17,7 +20,6 @@
 use crate::messages::{CarriedFilter, MindPayload};
 use crate::node::{token, MindNode, Out};
 use crate::reliability::OpTarget;
-use mind_overlay::OverlayMsg;
 use mind_types::node::{SimTime, SECONDS};
 use mind_types::{BitCode, HyperRect, NodeId, Record, Replication};
 use std::collections::BTreeMap;
@@ -168,10 +170,9 @@ pub(crate) enum DacJob {
 #[derive(Debug, Default)]
 pub(crate) struct BatchResult {
     sends: Vec<(NodeId, MindPayload)>,
-    /// Query responses, kept out of `sends` so the local path (destination
-    /// == this node) can feed the tracker directly instead of looping a
-    /// message back.
-    responses: Vec<(NodeId, LocalResponse)>,
+    /// Query responses, released ahead of `forwards` and `sends` (the
+    /// order fixes a simulated run's draws).
+    responses: Vec<(NodeId, MindPayload)>,
     /// `sent_at` of each primary insert in the batch (latency recorded at
     /// release time).
     insert_sent_ats: Vec<SimTime>,
@@ -183,15 +184,7 @@ pub(crate) struct BatchResult {
 
 /// A region's answer: its code and the rows the scan copied out of the
 /// local stores.
-pub(crate) type RegionRows = (BitCode, Vec<Record>);
-
-/// A query response before the wire boundary.
-#[derive(Debug)]
-pub(crate) struct LocalResponse {
-    pub(crate) query_id: u64,
-    pub(crate) version: u32,
-    pub(crate) answers: Vec<RegionRows>,
-}
+type RegionRows = (BitCode, Vec<Record>);
 
 /// A sub-query waiting for the acceptor's historical records.
 #[derive(Debug)]
@@ -290,9 +283,10 @@ impl MindNode {
                     }
                     result.responses.push((
                         origin,
-                        LocalResponse {
+                        MindPayload::QueryResponse {
                             query_id,
                             version,
+                            responder: self.id(),
                             answers,
                         },
                     ));
@@ -583,41 +577,6 @@ impl MindNode {
         out
     }
 
-    /// Routes a scan answer to its originator. When the originator is this
-    /// node (the paper's common single-node query case) the tracker takes
-    /// the rows directly, with no message; for a remote originator they
-    /// move into the response frame.
-    pub(crate) fn deliver_response(
-        &mut self,
-        now: SimTime,
-        dest: NodeId,
-        resp: LocalResponse,
-        out: &mut Out,
-    ) {
-        if dest == self.id() {
-            let query_id = resp.query_id;
-            if let Some(t) = self.queries.get_mut(&query_id) {
-                for (code, rows) in resp.answers {
-                    t.on_response(now, resp.version, code, dest, rows);
-                }
-            }
-            // A local answer can be the query's last: retire its timers.
-            self.settle_query_timers(query_id, out);
-        } else {
-            out.send(
-                dest,
-                OverlayMsg::Direct {
-                    payload: MindPayload::QueryResponse {
-                        query_id: resp.query_id,
-                        version: resp.version,
-                        responder: self.id(),
-                        answers: resp.answers,
-                    },
-                },
-            );
-        }
-    }
-
     fn release_batch(&mut self, now: SimTime, out: &mut Out) {
         if let Some(result) = self.pending_batch.take() {
             for sent_at in result.insert_sent_ats {
@@ -627,26 +586,21 @@ impl MindNode {
                         .push((now, now.saturating_sub(sent_at)));
                 }
             }
-            for (dest, resp) in result.responses {
-                self.deliver_response(now, dest, resp, out);
+            for (dest, payload) in result.responses {
+                self.direct(now, dest, payload, out);
             }
             for (target, op_id, payload) in result.forwards {
                 self.launch_insert_op(now, target, op_id, payload, None, out);
             }
             for (dest, payload) in result.sends {
-                if dest == self.id() {
-                    // Loopback shortcut (e.g. responding to our own query).
-                    self.on_direct(now, dest, payload, out);
-                } else {
-                    // Replica pushes leave through here exactly once — arm
-                    // their ack/retry tracking at actual transmission time.
-                    if let MindPayload::Replica { op_id, .. }
-                    | MindPayload::ReplicaBatch { op_id, .. } = &payload
-                    {
-                        self.track_op(*op_id, OpTarget::Direct(dest), payload.clone(), None, out);
-                    }
-                    out.send(dest, OverlayMsg::Direct { payload });
+                // Replica pushes leave through here exactly once — arm
+                // their ack/retry tracking at actual transmission time.
+                if let MindPayload::Replica { op_id, .. }
+                | MindPayload::ReplicaBatch { op_id, .. } = &payload
+                {
+                    self.track_op(*op_id, OpTarget::Direct(dest), payload.clone(), None, out);
                 }
+                self.direct(now, dest, payload, out);
             }
         }
         if self.dac_queue.is_empty() {
@@ -694,7 +648,7 @@ mod tests {
     use crate::node::MindConfig;
     use crate::trigger::Trigger;
     use mind_histogram::CutTree;
-    use mind_overlay::{OverlayConfig, StaticTopology};
+    use mind_overlay::{OverlayConfig, OverlayMsg, StaticTopology};
     use mind_store::DacCostModel;
     use mind_types::host::HostCore;
     use mind_types::node::NodeLogic;
@@ -707,7 +661,16 @@ mod tests {
     /// only neighbor) holding index "t" (two indexed dimensions and a
     /// carried attribute) under `cuts`.
     fn node_at(k: usize, cuts: CutTree, replication: Replication) -> MindNode {
-        let topo = StaticTopology::balanced(2);
+        node_of(&StaticTopology::balanced(2), k, cuts, replication)
+    }
+
+    /// Node `k` of `topo`, holding index "t" as [`node_at`]'s do.
+    fn node_of(
+        topo: &StaticTopology,
+        k: usize,
+        cuts: CutTree,
+        replication: Replication,
+    ) -> MindNode {
         let mut n = MindNode::new_static(
             NodeId(k as u32),
             topo.code(k),
@@ -961,6 +924,73 @@ mod tests {
                 assert_eq!(dac_timers, vec![(1, token(KIND_DAC_TICK, 0))]);
             }
         }
+    }
+
+    /// A node that owns the whole index settles what it addresses to
+    /// itself without a frame: the ack of its own insert and the answer
+    /// to its own query go through `on_direct` in the pass that makes
+    /// them. Only the query's plan still reaches its originator as a
+    /// frame (`split_root_query` sends it, whoever the originator is).
+    #[test]
+    fn a_node_settles_its_own_ack_and_answer_without_a_frame() {
+        let bounds = HyperRect::new(vec![0, 0], vec![SIDE, SIDE]);
+        let cuts = CutTree::balanced_from_points(bounds.clone(), 3, &[]);
+        let mut n = node_of(&StaticTopology::balanced(1), 0, cuts, Replication::None);
+        n.cfg.dac_cost = DacCostModel::FREE;
+        let me = n.id();
+        let row = Record::new(vec![200, 200, 5]);
+        let mut core = HostCore::new(n);
+        type Sends = [(NodeId, OverlayMsg<MindPayload>)];
+        let no_self_frame = |sends: &Sends| {
+            let own = sends.iter().filter(|(to, _)| *to == me);
+            let settled_here = own.filter(|(_, msg)| {
+                matches!(
+                    msg,
+                    OverlayMsg::Direct {
+                        payload: MindPayload::Ack { .. } | MindPayload::QueryResponse { .. }
+                    }
+                )
+            });
+            assert_eq!(settled_here.count(), 0, "a frame to itself: {sends:?}");
+        };
+
+        let ((), fx) = core.pass(10, |n, now, out| {
+            n.insert(now, "t", row.clone(), out).unwrap();
+        });
+        no_self_frame(&fx.sends);
+        let n = core.logic();
+        assert_eq!(n.pending_ops_len(), 0, "acked in the pass");
+        assert_eq!(n.indexes["t"].versions[0].primary.len(), 1);
+
+        let (qid, fx) = core.pass(20, |n, now, out| {
+            n.query(now, "t", bounds, Vec::new(), out).unwrap()
+        });
+        no_self_frame(&fx.sends);
+        let [(to, plan)] = &fx.sends[..] else {
+            panic!("one frame leaves, got {:?}", fx.sends);
+        };
+        let OverlayMsg::Direct {
+            payload: MindPayload::QueryPlan { .. },
+        } = plan
+        else {
+            panic!("the plan leaves, got {plan:?}");
+        };
+        assert_eq!(*to, me);
+        let answered = |core: &HostCore<MindNode>| {
+            let t = &core.logic().queries[&qid];
+            (t.records.clone(), t.responders.iter().copied().collect())
+        };
+        let want = (vec![row], vec![me]);
+        assert_eq!(answered(&core), want, "answered in the pass");
+        assert!(core.logic().query_outcome(qid).is_none(), "plan pending");
+
+        let plan = plan.clone();
+        let ((), fx) = core.pass(30, |n, now, out| n.on_message(now, me, plan, out));
+        no_self_frame(&fx.sends);
+        assert_eq!(core.logic().pending_ops_len(), 0);
+        let outcome = core.logic().query_outcome(qid).unwrap();
+        assert!(outcome.complete && outcome.cost_nodes == 1);
+        assert_eq!(answered(&core), want, "its row; itself its only responder");
     }
 
     /// `metrics_samples_max` bounds both sample vectors: at 0 a routed op

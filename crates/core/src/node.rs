@@ -19,7 +19,7 @@ use crate::messages::{CarriedFilter, IndexDef, MindPayload};
 use crate::metrics::NodeMetrics;
 use crate::query::QueryTracker;
 use crate::query_track::QueryRetryMeta;
-use crate::reliability::{GroupKey, PendingOp, SeenOps, WireBatch};
+use crate::reliability::{op_lifetime, GroupKey, PendingOp, SeenOps, WireBatch};
 use crate::trigger::{Trigger, TriggerSet};
 use mind_histogram::{CutTree, GridHistogram};
 use mind_overlay::{Overlay, OverlayConfig, OverlayEvent, OverlayMsg};
@@ -169,9 +169,10 @@ pub struct MindNode {
     pub(crate) op_seq: u64,
     pub(crate) pending_ops: DetHashMap<u64, PendingOp>,
     pub(crate) seen_ops: SeenOps,
-    /// Counters of this node's own unsettled ops; their minimum pins the
-    /// horizon advertised to receivers (DESIGN.md §10).
-    pub(crate) live_op_counters: BTreeSet<u64>,
+    /// Sequence numbers (`op_seq` values, never wrapped) of this node's
+    /// own unsettled ops; their minimum pins the horizon advertised to
+    /// receivers (DESIGN.md §10).
+    pub(crate) live_op_seqs: BTreeSet<u64>,
     pub(crate) anti_entropy_rr: u64,
     /// Memoized catalog digest for the anti-entropy exchange; cleared by
     /// every catalog mutation (index/version/trigger installs and drops),
@@ -238,6 +239,7 @@ impl MindNode {
             cfg.retry_timeout > 0,
             "retry_timeout must be positive: every write op is acked and retried"
         );
+        let seen_ops = SeenOps::new(op_lifetime(cfg.retry_timeout));
         MindNode {
             id,
             cfg,
@@ -251,8 +253,8 @@ impl MindNode {
             wire_batch_seq: 0,
             op_seq: 0,
             pending_ops: DetHashMap::default(),
-            seen_ops: SeenOps::default(),
-            live_op_counters: BTreeSet::new(),
+            seen_ops,
+            live_op_seqs: BTreeSet::new(),
             anti_entropy_rr: 0,
             catalog_digest_cache: None,
             query_seq: 0,
@@ -292,7 +294,7 @@ impl MindNode {
         // The crash abandoned every in-flight op (their retry timers died
         // with the old incarnation): settle them all, so the horizon
         // advertised after restart advances past them.
-        self.live_op_counters.clear();
+        self.live_op_seqs.clear();
         // Forget applied op ids too: the rows died with the stores, so a
         // retried op must be stored again, not deduped into data loss.
         self.seen_ops.clear();
@@ -539,6 +541,16 @@ impl MindNode {
         self.process_event(now, event, out);
     }
 
+    /// Sends `payload` straight to node `to`; addressed to this node, it
+    /// is handled at once, with no frame.
+    pub(crate) fn direct(&mut self, now: SimTime, to: NodeId, payload: MindPayload, out: &mut Out) {
+        if to == self.id {
+            self.on_direct(now, to, payload, out);
+        } else {
+            out.send(to, OverlayMsg::Direct { payload });
+        }
+    }
+
     /// Floods a catalog change to every other node and applies it here.
     pub(crate) fn flood(&mut self, payload: MindPayload, out: &mut Out) {
         self.overlay.flood(&payload, out);
@@ -649,9 +661,10 @@ impl MindNode {
             debug_assert!(false, "not a write arriving {via:?}");
             return;
         };
-        if op.op_id != 0 && self.seen_ops.observe(op.op_id, horizon) {
+        if op.op_id != 0 && self.seen_ops.observe(now, op.op_id, horizon) {
             self.metrics.dup_ops_ignored += 1;
-            self.send_ack(now, op.acker, op.op_id, out);
+            let ack = MindPayload::Ack { op_id: op.op_id };
+            self.direct(now, op.acker, ack, out);
             return;
         }
         if let Via::Routed { hops, .. } = via {
@@ -745,13 +758,7 @@ impl MindNode {
         }
     }
 
-    pub(crate) fn on_direct(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        payload: MindPayload,
-        out: &mut Out,
-    ) {
+    fn on_direct(&mut self, now: SimTime, from: NodeId, payload: MindPayload, out: &mut Out) {
         match payload {
             // Replica copies skip latency, hop and histogram accounting
             // but share the DAC (they cost real work).
@@ -844,16 +851,13 @@ impl MindNode {
                 if let Some(p) = self.pending_handoffs.remove(&handoff_id) {
                     let mut merged = p.local;
                     merged.extend(records);
-                    self.deliver_response(
-                        now,
-                        p.origin,
-                        crate::dac_drive::LocalResponse {
-                            query_id: p.query_id,
-                            version: p.version,
-                            answers: vec![(p.code, merged)],
-                        },
-                        out,
-                    );
+                    let response = MindPayload::QueryResponse {
+                        query_id: p.query_id,
+                        version: p.version,
+                        responder: self.id,
+                        answers: vec![(p.code, merged)],
+                    };
+                    self.direct(now, p.origin, response, out);
                 }
             }
             MindPayload::QueryPlan {

@@ -10,10 +10,19 @@
 //! one-row case); the receiving node applies all four the same way.
 //!
 //! The remembered set is **bounded** by a horizon protocol: every outgoing
-//! op also carries the origin's *settled horizon* — the counter below
-//! which all of its ops are acked or abandoned. A receiver keeps, per
-//! origin, only the horizon and the applied counters above it, so its
-//! dedup memory is O(origin's in-flight ops), not O(ops ever applied).
+//! op also carries the origin's *settled horizon* — the counter at or
+//! before which all of its ops are acked or abandoned. A receiver keeps,
+//! per origin, only the horizon and the applied counters after it, so
+//! its dedup memory is O(origin's in-flight ops), not O(ops ever applied).
+//!
+//! The counter wraps every 2^24 ops, so "before" and "after" are serial
+//! number order (RFC 1982): exact while fewer than 2^23 ops leave one
+//! origin during the lifetime of one of its ops ([`op_lifetime`]). The
+//! origin keeps its live ops as unwrapped sequence numbers and skips
+//! counter 0 at each wrap (op id 0 is the untracked sentinel). A receiver
+//! starts an origin's memory at the horizon the op carries, when it first
+//! hears the origin and again after a silence longer than an op's
+//! lifetime, which no copy of an op applied before it can outlast.
 //!
 //! The horizon's assumption — an origin's counters are monotone — breaks
 //! when an origin *process* restarts and counts from zero again: its
@@ -48,6 +57,15 @@ pub(crate) const MAX_RETRIES: u32 = 6;
 
 /// Op-id counters occupy the low 24 bits; the origin node id sits above.
 const OP_COUNTER_MASK: u64 = 0xFF_FFFF;
+
+/// `a` comes after `b` as a serial number (RFC 1982) in the 24-bit
+/// counter space: the step forward from `b` to `a` is nonzero and shorter
+/// than half the space. Exact while fewer than 2^23 ops leave one origin
+/// during the lifetime of one of its ops.
+fn serial_after(a: u64, b: u64) -> bool {
+    let step = a.wrapping_sub(b) & OP_COUNTER_MASK;
+    step != 0 && step <= OP_COUNTER_MASK >> 1
+}
 
 fn op_origin(op_id: u64) -> u64 {
     op_id >> 24
@@ -126,22 +144,50 @@ pub(crate) struct PendingOp {
     group: Option<GroupKey>,
 }
 
+/// The longest one op lives, from its first send to the last copy a
+/// receiver can get: `MAX_RETRIES` resends on the doubling backoff
+/// (`retry_timeout << attempt`) end by `63 * retry_timeout` and the op is
+/// abandoned at `127 * retry_timeout`; one more `retry_timeout` covers
+/// the last copy's transit.
+pub(crate) fn op_lifetime(retry_timeout: SimTime) -> SimTime {
+    retry_timeout << (MAX_RETRIES + 1)
+}
+
 /// Applied-op memory of one origin: the origin's boot epoch, a settled
-/// horizon within that boot, and the applied counters above it.
-#[derive(Debug, Default)]
+/// horizon within that boot, the applied counters after it, and when
+/// this node last heard an op of it.
+#[derive(Debug)]
 struct OriginSeen {
     boot: u64,
     horizon: u64,
     recent: BTreeSet<u64>,
+    heard: SimTime,
+}
+
+impl OriginSeen {
+    /// Settled at the origin (at or before the horizon) or applied here.
+    fn seen(&self, counter: u64) -> bool {
+        !serial_after(counter, self.horizon) || self.recent.contains(&counter)
+    }
 }
 
 /// The receiver side of op dedup, bounded via the horizon protocol.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct SeenOps {
     by_origin: BTreeMap<u64, OriginSeen>,
+    /// [`op_lifetime`] under this node's `retry_timeout`: an origin
+    /// unheard for longer is forgotten.
+    lifetime: SimTime,
 }
 
 impl SeenOps {
+    pub(crate) fn new(lifetime: SimTime) -> Self {
+        SeenOps {
+            by_origin: BTreeMap::new(),
+            lifetime,
+        }
+    }
+
     /// The single receive-path entry point: folds the op's carried
     /// boot/horizon into this origin's memory, then reports whether the
     /// op was already applied here. `true` means re-ack, don't apply —
@@ -152,36 +198,53 @@ impl SeenOps {
     /// is gone, nothing retries its ops, so in-flight copies are safe to
     /// drop). A *newer* boot epoch resets the origin's memory — the
     /// restarted process counts from zero again, and its fresh low
-    /// counters must not be mistaken for settled old ones.
-    pub(crate) fn observe(&mut self, op_id: u64, horizon_field: u64) -> bool {
+    /// counters must not be mistaken for settled old ones. So does a
+    /// silence from the origin longer than an op's lifetime: no copy of
+    /// an op applied before it can still arrive, and the origin may have
+    /// sent half the counter space meanwhile. A new origin's memory, or a
+    /// reset one's, starts at the horizon the op carries: counters compare
+    /// as serial numbers, so a fixed start would make half the counter
+    /// space read as settled.
+    pub(crate) fn observe(&mut self, now: SimTime, op_id: u64, horizon_field: u64) -> bool {
         let (boot, horizon) = split_horizon(horizon_field);
-        let o = self.by_origin.entry(op_origin(op_id)).or_default();
-        if boot > o.boot {
-            o.boot = boot;
-            o.horizon = 0;
-            o.recent.clear();
-        } else if boot < o.boot {
+        let fresh = || OriginSeen {
+            boot,
+            horizon,
+            recent: BTreeSet::new(),
+            heard: now,
+        };
+        let o = self.by_origin.entry(op_origin(op_id)).or_insert_with(fresh);
+        if boot < o.boot {
             return true;
         }
-        if horizon > o.horizon {
-            o.horizon = horizon;
-            o.recent.retain(|&c| c > horizon);
+        if boot > o.boot || now.saturating_sub(o.heard) > self.lifetime {
+            *o = fresh();
         }
-        op_counter(op_id) <= o.horizon || o.recent.contains(&op_counter(op_id))
+        o.heard = now;
+        if serial_after(horizon, o.horizon) {
+            o.horizon = horizon;
+            o.recent.retain(|&c| serial_after(c, horizon));
+        }
+        o.seen(op_counter(op_id))
     }
 
     /// Re-check under the currently remembered state (the DAC apply-time
     /// guard; the boot/horizon folding already happened on receive).
     pub(crate) fn contains(&self, op_id: u64) -> bool {
-        self.by_origin.get(&op_origin(op_id)).is_some_and(|o| {
-            op_counter(op_id) <= o.horizon || o.recent.contains(&op_counter(op_id))
-        })
+        let origin = self.by_origin.get(&op_origin(op_id));
+        origin.is_some_and(|o| o.seen(op_counter(op_id)))
     }
 
-    /// Records an applied op.
+    /// Records an applied op; [`SeenOps::observe`] met its origin first.
     pub(crate) fn insert(&mut self, op_id: u64) {
-        let o = self.by_origin.entry(op_origin(op_id)).or_default();
-        if op_counter(op_id) > o.horizon {
+        let Some(o) = self.by_origin.get_mut(&op_origin(op_id)) else {
+            debug_assert!(
+                false,
+                "op {op_id:#x} applied before its origin was observed"
+            );
+            return;
+        };
+        if serial_after(op_counter(op_id), o.horizon) {
             o.recent.insert(op_counter(op_id));
         }
     }
@@ -198,27 +261,30 @@ impl SeenOps {
 }
 
 impl MindNode {
-    /// A fresh idempotency key, unique per origin (node id ∥ counter,
-    /// within the 48-bit timer-argument budget). The counter is reserved
-    /// as live until the op settles, pinning the horizon below it.
+    /// A fresh idempotency key, unique per origin among its live ops
+    /// (node id ∥ counter, within the 48-bit timer-argument budget). The
+    /// sequence number is reserved as live until the op settles, pinning
+    /// the horizon below it.
     pub(crate) fn next_op_id(&mut self) -> u64 {
-        // Pre-increment: the id 0 is reserved as the "no tracking" sentinel
-        // (node 0's op 0 would otherwise collide with it and lose dedup).
+        // Pre-increment, and skip counter 0 at every wrap: the id 0 is
+        // reserved as the "no tracking" sentinel (node 0's counter 0
+        // would otherwise collide with it and lose dedup).
         self.op_seq += 1;
-        let id =
-            (((self.id().0 as u64) << 24) | (self.op_seq & OP_COUNTER_MASK)) & 0xFFFF_FFFF_FFFF;
-        self.live_op_counters.insert(op_counter(id));
-        id
+        if self.op_seq & OP_COUNTER_MASK == 0 {
+            self.op_seq += 1;
+        }
+        self.live_op_seqs.insert(self.op_seq);
+        (((self.id().0 as u64) << 24) | (self.op_seq & OP_COUNTER_MASK)) & 0xFFFF_FFFF_FFFF
     }
 
     /// This node's wire horizon field: the boot epoch in the high bits,
-    /// and below it the settled-op horizon — every counter at or below it
+    /// and below it the settled-op horizon — every counter at or before it
     /// is acked or abandoned.
     pub(crate) fn op_horizon(&self) -> u64 {
         let boot = (self.cfg.boot_id & 0xFF_FFFF_FFFF) << 24;
-        let settled = match self.live_op_counters.first() {
+        let settled = match self.live_op_seqs.first() {
             Some(&min) => min - 1,
-            None => self.op_seq & OP_COUNTER_MASK,
+            None => self.op_seq,
         };
         boot | (settled & OP_COUNTER_MASK)
     }
@@ -235,9 +301,14 @@ impl MindNode {
     }
 
     /// Marks an op settled (acked or abandoned), letting the horizon
-    /// advance past it.
+    /// advance past it. Its counter names the latest sequence number that
+    /// ends in it: an op settles before the counter comes round again.
     fn settle_op(&mut self, op_id: u64) {
-        self.live_op_counters.remove(&op_counter(op_id));
+        let mut seq = (self.op_seq & !OP_COUNTER_MASK) | op_counter(op_id);
+        if seq > self.op_seq {
+            seq -= OP_COUNTER_MASK + 1;
+        }
+        self.live_op_seqs.remove(&seq);
     }
 
     // ---- origin-side wire batching (the ingest fast path, DESIGN.md §14) ----
@@ -512,9 +583,9 @@ impl MindNode {
         }
     }
 
-    /// Handles a received (or loopback) ack: settles the op, cancels its
-    /// pending retry timer, and lets the batcher release what queued up
-    /// behind it.
+    /// Handles an ack, a peer's or this node's own: settles the op,
+    /// cancels its pending retry timer, and lets the batcher release what
+    /// queued up behind it.
     pub(crate) fn on_ack(&mut self, now: SimTime, op_id: u64, out: &mut Out) {
         if let Some(op) = self.pending_ops.remove(&op_id) {
             self.settle_op(op_id);
@@ -523,20 +594,6 @@ impl MindNode {
             if let Some(key) = op.group {
                 self.wire_group_settled(now, key, out);
             }
-        }
-    }
-
-    /// Queues an `Ack` for direct delivery (loopback-safe).
-    pub(crate) fn send_ack(&mut self, now: SimTime, to: NodeId, op_id: u64, out: &mut Out) {
-        if to == self.id() {
-            self.on_ack(now, op_id, out);
-        } else {
-            out.send(
-                to,
-                OverlayMsg::Direct {
-                    payload: MindPayload::Ack { op_id },
-                },
-            );
         }
     }
 
@@ -613,6 +670,10 @@ mod tests {
 
     fn hz(boot: u64, settled: u64) -> u64 {
         (boot << 24) | settled
+    }
+
+    fn seen() -> SeenOps {
+        SeenOps::new(op_lifetime(SECONDS))
     }
 
     // ---- the batcher's flush rule, on one node in the host core both planes run ----
@@ -856,58 +917,112 @@ mod tests {
         assert!(drain(fire(&mut core, SECONDS + 2, ages[0].0)).0.is_empty());
     }
 
+    /// Node 0's op counter wraps with an op in flight: no op takes the
+    /// untracked id 0, a receiver takes every op as new, and each ack
+    /// settles the sequence number its op left under.
+    #[test]
+    fn op_ids_outlive_the_counter_wrap() {
+        let mut core = origin(1);
+        core.pass(0, |n, _, _| n.op_seq = OP_COUNTER_MASK - 2);
+        let mut receiver = seen();
+        let mut in_flight = None;
+        for i in 0..4 {
+            let fx = insert(&mut core, 10 + i, i..i + 1);
+            let [(_, OverlayMsg::Route { payload, .. })] = &fx.sends[..] else {
+                panic!("one insert frame, got {:?}", fx.sends);
+            };
+            let &MindPayload::Insert { op_id, horizon, .. } = payload else {
+                panic!("one row leaves as a plain Insert, got {payload:?}");
+            };
+            assert_ne!(op_id, 0, "op id 0 is the untracked sentinel");
+            assert!(
+                !receiver.observe(10 + i, op_id, horizon),
+                "op {op_id:#x} taken for a duplicate"
+            );
+            receiver.insert(op_id);
+            // Each op is acked once the next is out: one is always in
+            // flight, across the wrap too.
+            if let Some(prev) = in_flight.replace(op_id) {
+                ack(&mut core, 20 + i, prev);
+            }
+        }
+        ack(&mut core, 30, in_flight.unwrap());
+        let n = core.logic();
+        assert_eq!((n.pending_ops_len(), n.live_op_seqs.len()), (0, 0));
+    }
+
     #[test]
     fn seen_ops_dedups_and_bounds() {
-        let mut s = SeenOps::default();
-        assert!(!s.observe(id(7, 3), hz(0, 0)));
+        let mut s = seen();
+        assert!(!s.observe(0, id(7, 3), hz(0, 0)));
         s.insert(id(7, 3));
         s.insert(id(7, 4));
-        assert!(s.observe(id(7, 3), hz(0, 0)));
+        assert!(s.observe(0, id(7, 3), hz(0, 0)));
         assert_eq!(s.len(), 2);
         // Horizon 4 settles both; the memory is reclaimed but the ops
         // still read as seen.
-        assert!(!s.observe(id(7, 5), hz(0, 4)));
+        assert!(!s.observe(0, id(7, 5), hz(0, 4)));
         assert_eq!(s.len(), 0);
-        assert!(s.observe(id(7, 3), hz(0, 4)));
-        assert!(s.observe(id(7, 4), hz(0, 4)));
-        assert!(!s.observe(id(7, 5), hz(0, 4)));
+        assert!(s.observe(0, id(7, 3), hz(0, 4)));
+        assert!(s.observe(0, id(7, 4), hz(0, 4)));
+        assert!(!s.observe(0, id(7, 5), hz(0, 4)));
     }
 
     #[test]
     fn horizons_are_per_origin_and_monotonic() {
-        let mut s = SeenOps::default();
-        assert!(s.observe(id(1, 5), hz(0, 8)));
-        assert!(!s.observe(id(2, 5), hz(0, 0)));
+        let mut s = seen();
+        assert!(s.observe(0, id(1, 5), hz(0, 8)));
+        assert!(!s.observe(0, id(2, 5), hz(0, 0)));
         // A stale (lower) horizon never regresses.
-        assert!(s.observe(id(1, 8), hz(0, 3)));
+        assert!(s.observe(0, id(1, 8), hz(0, 3)));
         // Counters above the horizon are only seen if remembered.
         s.insert(id(1, 12));
-        assert!(s.observe(id(1, 12), hz(0, 8)));
-        assert!(!s.observe(id(1, 11), hz(0, 8)));
+        assert!(s.observe(0, id(1, 12), hz(0, 8)));
+        assert!(!s.observe(0, id(1, 11), hz(0, 8)));
+    }
+
+    /// A receiver hears nothing from an origin while that origin sends
+    /// more than half the counter space. A retry inside an op's lifetime
+    /// still dedups; once the silence outlasts it, the origin's next op
+    /// reads as new, not as settled.
+    #[test]
+    fn a_quiet_origin_is_forgotten_after_an_op_lifetime() {
+        let life = op_lifetime(SECONDS);
+        let mut s = seen();
+        assert!(!s.observe(0, id(5, 5), hz(0, 4)));
+        s.insert(id(5, 5));
+        assert!(s.observe(life, id(5, 5), hz(0, 4)));
+        let later = 4 + 9_000_000;
+        assert!(
+            !s.observe(2 * life + 1, id(5, later + 1), hz(0, later)),
+            "a fresh op after a long silence read as settled"
+        );
+        s.insert(id(5, later + 1));
+        assert!(s.observe(2 * life + 2, id(5, later + 1), hz(0, later)));
     }
 
     #[test]
     fn unknown_origin_is_never_seen() {
-        let s = SeenOps::default();
+        let s = seen();
         assert!(!s.contains(id(42, 1)));
     }
 
     #[test]
     fn newer_boot_resets_origin_memory() {
-        let mut s = SeenOps::default();
+        let mut s = seen();
         // Boot 100: counters up to 50 settled, 60 applied and remembered.
-        assert!(!s.observe(id(3, 60), hz(100, 50)));
+        assert!(!s.observe(0, id(3, 60), hz(100, 50)));
         s.insert(id(3, 60));
-        assert!(s.observe(id(3, 42), hz(100, 50)));
-        assert!(s.observe(id(3, 60), hz(100, 50)));
+        assert!(s.observe(0, id(3, 42), hz(100, 50)));
+        assert!(s.observe(0, id(3, 60), hz(100, 50)));
         // The origin restarts (boot 101) and counts from zero again: its
         // low fresh counters must NOT read as settled old ones.
-        assert!(!s.observe(id(3, 1), hz(101, 0)));
+        assert!(!s.observe(0, id(3, 1), hz(101, 0)));
         s.insert(id(3, 1));
         assert_eq!(s.len(), 1);
         // Its own retries still dedup within the new boot.
-        assert!(s.observe(id(3, 1), hz(101, 0)));
+        assert!(s.observe(0, id(3, 1), hz(101, 0)));
         // A straggler from the dead incarnation is a stale duplicate.
-        assert!(s.observe(id(3, 61), hz(100, 50)));
+        assert!(s.observe(0, id(3, 61), hz(100, 50)));
     }
 }
