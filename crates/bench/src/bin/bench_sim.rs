@@ -16,6 +16,10 @@
 //!   footprint, from the `SimStats` high-water counters,
 //! * `events_total` / `rows_stored` — the deterministic work actually done.
 //!
+//! The world itself is `mind_bench::worlds::run_world`; stderr adds its
+//! simulator counters and its census (deliveries and fired timers by
+//! kind, the largest first), for no gated row.
+//!
 //! Modes: no args prints the report; `--write <path>` (over)writes the
 //! committed baseline `BENCH_sim.json`; `--check <path>` re-measures and
 //! gates (ratio bands for wall-clock metrics, regression ceilings for the
@@ -28,15 +32,8 @@
 //! overload world (highest per-node load; it storms on most seeds, so it
 //! is not gated — ROADMAP item 4).
 
-use mind_bench::harness::{paper_mind_config, random_query, synth_point, IndexKind};
 use mind_bench::report::{json_numbers, metric, parse_json_numbers};
-use mind_core::{ClusterConfig, MindCluster, Replication};
-use mind_histogram::CutTree;
-use mind_netsim::FaultPlan;
-use mind_types::node::SECONDS;
-use mind_types::{NodeId, Record};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mind_bench::worlds::{run_world, Fingerprint, CHURN_SEED, SMOKE_WORLD};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -63,15 +60,6 @@ const ROWS_FLOOR: Bound = Bound::Floor(0.9);
 /// headroom for slower CI hardware; pre-PR-10 the same world took
 /// several minutes and failed this floor).
 const SIM_HOUR_BUDGET_1K_S: f64 = 180.0;
-/// World seed (index sample, churn schedule, and sim RNG all derive from
-/// it, so every published number replays).
-const SEED: u64 = 22;
-/// The smoke world's `(events, pending_peak, rows)`: sim-time counts, the
-/// same on every machine for one protocol. A change that must leave the
-/// simulated bytes alone reproduces them exactly; only a stated protocol
-/// change re-pins them.
-const SMOKE_PIN: (u64, u64, u64) = (2_983_823, 14_236, 11_973);
-
 /// One world's scale point: population, simulated span, and how many
 /// seconds pass between two inserts from the same node (period scales
 /// with N so the aggregate feed stays ~100 records/s and cross-N numbers
@@ -94,141 +82,18 @@ const SCALE_POINTS: [ScalePoint; 2] = [
     },
 ];
 
-/// Seeded churn schedule: every 20 simulated seconds one node (never the
-/// query/index origin, node 0) crashes for 40–80 s and revives, capped so
-/// schedules never overlap per node. Applied via the `FaultPlan` so the
-/// world itself executes the churn deterministically.
-fn churn_plan(n: u32, span_secs: u64, seed: u64) -> FaultPlan {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FF_EE00);
-    let mut plan = FaultPlan::default();
-    let mut busy_until = vec![0u64; n as usize];
-    let mut sec = 30u64; // let the index flood settle first
-    while sec + 90 < span_secs + 30 {
-        let victim = rng.random_range(1..n);
-        if busy_until[victim as usize] <= sec {
-            let down: u64 = 40 + rng.random_range(0..40u64);
-            plan = plan.with_crash(NodeId(victim), sec * SECONDS, Some((sec + down) * SECONDS));
-            busy_until[victim as usize] = sec + down + 5;
-        }
-        sec += 20;
-    }
-    plan
-}
-
-/// Deterministic outcome of one world run (everything but wall clock).
-#[derive(Debug, PartialEq, Eq)]
-struct WorldOutcome {
-    counters: (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64),
-    event_arena_peak: u64,
-    msg_bytes_peak: u64,
-    approx_mem_bytes: u64,
-    rows_stored: u64,
-}
-
-/// Builds and drives one churn world to completion.
-fn run_world(n: usize, span_secs: u64, seed: u64) -> WorldOutcome {
-    let kind = IndexKind::Fanout;
-    let schema = kind.schema(86_400);
-
-    let mut cfg = ClusterConfig::planetlab(n, seed);
-    cfg.mind = paper_mind_config();
-    // Same rationale as fig14: the retransmission timeout must sit above
-    // the ack RTT under load or spurious resends snowball into a retry
-    // storm that sustains the congestion that caused them.
-    cfg.mind.retry_timeout = 30 * SECONDS;
-    // 1 ms/message keeps even the slowest PlanetLab tier (load factor
-    // 4–8x => 125–250 msg/s capacity) above the per-node arrival rate
-    // at every scale point — the n=100 world carries the highest
-    // per-node load, because the aggregate feed is constant across N.
-    // At the figures' paper-calibrated 18 ms the slow 30% of hosts sit
-    // *below* the steady-state arrival rate: their backlogs grow for
-    // the whole span, acks outlive the retry timeout, and the resend
-    // storm feeds the backlog — the world then measures queue growth,
-    // not population scaling (DESIGN.md §16). The real TCP node plane
-    // sustains ~600k inserts/s, so 1 ms is still conservative.
-    cfg.sim.node_service = 1_000;
-    cfg.sim.link_bytes_per_sec = 1_000_000;
-    // Per-link counters are per-message BTreeMap upserts into an
-    // O(N * degree) map — a measured wall at 1k+ hosts (DESIGN.md §16).
-    // The scalar counters this benchmark reports are unaffected.
-    cfg.sim.link_stats = n < 1000;
-    // Per-insert latency/hop samples grow without bound; at bench scale
-    // keep a fixed-size prefix per node (the counters still move).
-    cfg.mind.metrics_samples_max = 10_000;
-    cfg.sim.fault = churn_plan(n as u32, span_secs, seed);
-
-    let mut cluster = MindCluster::new(cfg);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sample: Vec<Vec<u64>> = (0..4000)
-        .map(|_| {
-            let sec = rng.random_range(0..span_secs);
-            synth_point(&mut rng, sec)
-        })
-        .collect();
-    let refs: Vec<&[u64]> = sample.iter().map(|p| p.as_slice()).collect();
-    let cuts = CutTree::balanced_from_points(schema.bounds(), 10, &refs);
-    cluster
-        .create_index(NodeId(0), schema, cuts, Replication::Level(1))
-        .unwrap();
-    cluster.run_for(20 * SECONDS);
-
-    // ~100 inserts/s aggregate: each second one cohort of ~n/period nodes
-    // inserts, staggered across the second like unsynchronized feeds.
-    let period = (n as u64 / 100).max(1);
-    let base = cluster.now();
-    for sec in 0..span_secs {
-        let t = base + sec * SECONDS;
-        let cohort: Vec<u32> = (0..n as u32)
-            .filter(|&k| k as u64 % period == sec % period)
-            .collect();
-        let stagger = SECONDS / cohort.len().max(1) as u64;
-        for (i, &k) in cohort.iter().enumerate() {
-            cluster.run_until(t + i as u64 * stagger);
-            if cluster.is_alive(NodeId(k)) {
-                let p = synth_point(&mut rng, sec);
-                let rec = Record::new(vec![
-                    p[0],
-                    p[1],
-                    p[2],
-                    rng.random_range(0..1u64 << 32),
-                    k as u64,
-                ]);
-                let _ = cluster.insert(NodeId(k), kind.tag(), rec);
-            }
-        }
-        // Periodic monitoring queries from rotating live origins.
-        if sec % 10 == 3 {
-            let at = NodeId((sec * 31 % n as u64) as u32);
-            if cluster.is_alive(at) {
-                let rect = random_query(kind, &mut rng, sec);
-                let _ = cluster.query(at, kind.tag(), rect, vec![]);
-            }
-        }
-    }
-    cluster.run_until(base + span_secs * SECONDS);
-    cluster.run_for(60 * SECONDS);
-
-    let world = cluster.world();
-    WorldOutcome {
-        counters: world.stats.counters(),
-        event_arena_peak: world.stats.event_arena_peak,
-        msg_bytes_peak: world.stats.msg_bytes_inflight_peak,
-        approx_mem_bytes: world.approx_peak_memory_bytes(),
-        rows_stored: cluster.total_primary_rows(kind.tag()),
-    }
-}
-
-/// Runs one scale point and appends its metric rows.
+/// Runs one scale point and appends its metric rows; its counters and
+/// census go to stderr.
 fn measure_point(out: &mut Vec<(String, f64)>, n: usize, span_secs: u64) {
     #[expect(
         clippy::disallowed_methods,
         reason = "measuring real time is this binary's purpose"
     )]
     let t = Instant::now();
-    let o = run_world(n, span_secs, SEED);
+    let (o, approx_mem_bytes) = run_world(n, span_secs, CHURN_SEED);
     let wall = t.elapsed().as_secs_f64();
-    let events = events_total_from(&o);
+    let events = events_total(&o);
+    let c = |name| o.stat(name);
     let prefix = format!("n{n}");
     out.push((format!("{prefix}.events_total"), events as f64));
     out.push((format!("{prefix}.events_per_sec"), events as f64 / wall));
@@ -236,35 +101,68 @@ fn measure_point(out: &mut Vec<(String, f64)>, n: usize, span_secs: u64) {
         format!("{prefix}.wall_per_simhour_s"),
         wall * 3600.0 / span_secs as f64,
     ));
-    out.push((format!("{prefix}.pending_events_peak"), o.counters.9 as f64));
+    out.push((
+        format!("{prefix}.pending_events_peak"),
+        c("pending_events_peak") as f64,
+    ));
     out.push((
         format!("{prefix}.event_arena_peak"),
-        o.event_arena_peak as f64,
+        c("event_arena_peak") as f64,
     ));
     out.push((
         format!("{prefix}.approx_mem_mb"),
-        o.approx_mem_bytes as f64 / 1e6,
+        approx_mem_bytes as f64 / 1e6,
     ));
     out.push((format!("{prefix}.rows_stored"), o.rows_stored as f64));
     eprintln!(
         "bench_sim: n={n} span={span_secs}s wall={wall:.1}s events={events} \
          pending_peak={} arena_peak={} mem~{:.1}MB rows={}",
-        o.counters.9,
-        o.event_arena_peak,
-        o.approx_mem_bytes as f64 / 1e6,
+        c("pending_events_peak"),
+        c("event_arena_peak"),
+        approx_mem_bytes as f64 / 1e6,
         o.rows_stored
     );
-    let c = o.counters;
     eprintln!(
         "bench_sim:   delivered={} dropped(dead/unknown/fault)={}/{}/{} dup={} part={} \
          timers(fired/cancelled)={}/{} requeued_busy={}",
-        c.0, c.1, c.2, c.3, c.4, c.5, c.6, c.7, c.8
+        c("delivered"),
+        c("dropped_dead"),
+        c("dropped_unknown"),
+        c("dropped_fault"),
+        c("duplicated"),
+        c("partitioned"),
+        c("timers_fired"),
+        c("timers_cancelled"),
+        c("requeued_busy"),
     );
+    // Where the deliveries and timers went, the largest kind first.
+    let mut census: Vec<(String, u64)> = o.census.counts().filter(|&(_, k)| k > 0).collect();
+    census.sort_by_key(|&(_, k)| std::cmp::Reverse(k));
+    for kinds in census.chunks(5) {
+        let kinds: Vec<String> = kinds
+            .iter()
+            .map(|(kind, k)| format!("{kind}={k}"))
+            .collect();
+        eprintln!("bench_sim:   census {}", kinds.join(" "));
+    }
 }
 
-fn events_total_from(o: &WorldOutcome) -> u64 {
-    let c = o.counters;
-    c.0 + c.1 + c.2 + c.3 + c.4 + c.5 + c.6 + c.8
+/// Simulator events: deliveries, drops, fired timers and events parked
+/// behind a busy host (a cancelled timer is none).
+fn events_total(o: &Fingerprint) -> u64 {
+    [
+        "delivered",
+        "dropped_dead",
+        "dropped_unknown",
+        "dropped_fault",
+        "duplicated",
+        "partitioned",
+        "timers_fired",
+        "requeued_busy",
+    ]
+    .iter()
+    .map(|name| o.stat(name))
+    .sum()
 }
 
 fn measure() -> Vec<(String, f64)> {
@@ -347,33 +245,23 @@ fn check(current: &[(String, f64)], baseline: &[(String, f64)]) -> Vec<String> {
 }
 
 /// CI smoke: the 1k-node churn world at a short horizon, twice, with
-/// a byte-identical replay assertion over every deterministic output and
-/// a check of its counts against [`SMOKE_PIN`].
+/// a byte-identical replay assertion over every deterministic output.
+/// What the world did is pinned in `results/replay_pins.txt`, which
+/// `mind-figures --check` compares.
 fn smoke() -> ExitCode {
-    let span = 120;
-    let n = 1000;
-    let first = run_world(n, span, SEED);
-    let second = run_world(n, span, SEED);
-    let counts = (
-        events_total_from(&first),
-        first.counters.9,
-        first.rows_stored,
-    );
+    let (n, span) = SMOKE_WORLD;
+    let first = run_world(n, span, CHURN_SEED);
+    let second = run_world(n, span, CHURN_SEED);
     eprintln!(
         "bench_sim --smoke: n={n} span={span}s events={} pending_peak={} rows={}",
-        counts.0, counts.1, counts.2
+        events_total(&first.0),
+        first.0.stat("pending_events_peak"),
+        first.0.rows_stored
     );
-    if counts != SMOKE_PIN {
-        println!(
-            "sim-smoke pin FAILED: (events, pending_peak, rows) = {counts:?}, pinned \
-             {SMOKE_PIN:?}; re-pin only with a stated protocol change"
-        );
-        return ExitCode::FAILURE;
-    }
     if first == second {
         println!(
-            "sim-smoke replay ok: n={n} span={span}s — counters, arena peaks and \
-             stored rows identical across runs"
+            "sim-smoke replay ok: n={n} span={span}s — counters, census, arena peaks \
+             and stored rows identical across runs"
         );
         ExitCode::SUCCESS
     } else {

@@ -9,9 +9,10 @@
 //!
 //! Plain mode writes each figure's series to stdout and its verdict to
 //! stderr. `--check` runs the figures at the committed scale into a
-//! buffer and byte-diffs each against `<dir>/<name>.txt`; `--write`
-//! regenerates those files. A shape check that does not reproduce, or a
-//! file that differs, exits 1; a bad command line exits 2.
+//! buffer and byte-diffs each against `<dir>/<name>.txt`, listing every
+//! differing line (up to 40 a file); `--write` regenerates those files.
+//! A shape check that does not reproduce, or a file that differs, exits
+//! 1; a bad command line exits 2.
 
 use mind_bench::figures::{Figure, Scale, FIGURES};
 use std::io::Write;
@@ -88,30 +89,32 @@ fn parse<'t>(
     Ok((figures, scale, mode))
 }
 
-/// The first line at which two outputs part: `(line number, committed
-/// line, current line)`, `None` when they are byte-identical.
-fn first_difference(committed: &[u8], current: &[u8]) -> Option<(usize, String, String)> {
-    if committed == current {
-        return None;
-    }
+/// The most differing lines `--check` lists for one file.
+const DIFF_CAP: usize = 40;
+
+/// Every line at which two outputs differ, paired by line number:
+/// `(line number, committed line, current line)`; empty when they are
+/// byte-identical.
+fn differences(committed: &[u8], current: &[u8]) -> Vec<(usize, String, String)> {
     let show = |line: Option<&[u8]>| match line {
         Some(l) => String::from_utf8_lossy(l).into_owned(),
         None => "<end of file>".to_string(),
     };
     let mut a = committed.split_inclusive(|&c| c == b'\n');
     let mut b = current.split_inclusive(|&c| c == b'\n');
-    let mut line = 1;
-    loop {
-        let (x, y) = (a.next(), b.next());
-        if x != y {
-            return Some((line, show(x), show(y)));
+    let mut diffs = Vec::new();
+    for line in 1.. {
+        match (a.next(), b.next()) {
+            (None, None) => break,
+            (x, y) if x != y => diffs.push((line, show(x), show(y))),
+            _ => {}
         }
-        line += 1;
     }
+    diffs
 }
 
 /// Diffs one figure's bytes against its committed file, reporting to
-/// `out`. `true` when identical.
+/// `out` each differing line, up to [`DIFF_CAP`]. `true` when identical.
 fn check_file(path: &Path, current: &[u8], out: &mut dyn Write) -> std::io::Result<bool> {
     let committed = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -120,15 +123,16 @@ fn check_file(path: &Path, current: &[u8], out: &mut dyn Write) -> std::io::Resu
             return Ok(false);
         }
     };
-    match first_difference(&committed, current) {
-        None => Ok(true),
-        Some((line, was, is)) => {
-            writeln!(out, "DIFF {}:{line}", path.display())?;
-            writeln!(out, "  committed: {}", was.trim_end_matches('\n'))?;
-            writeln!(out, "  current:   {}", is.trim_end_matches('\n'))?;
-            Ok(false)
-        }
+    let diffs = differences(&committed, current);
+    for (line, was, is) in diffs.iter().take(DIFF_CAP) {
+        writeln!(out, "DIFF {}:{line}", path.display())?;
+        writeln!(out, "  committed: {}", was.trim_end_matches('\n'))?;
+        writeln!(out, "  current:   {}", is.trim_end_matches('\n'))?;
     }
+    if diffs.len() > DIFF_CAP {
+        writeln!(out, "… {} more", diffs.len() - DIFF_CAP)?;
+    }
+    Ok(diffs.is_empty())
 }
 
 /// Runs the figures into `out` or against `mode`'s directory, one
@@ -250,7 +254,7 @@ mod tests {
         let mut table: Vec<String> = FIGURES.iter().map(|f| format!("{}.txt", f.name)).collect();
         table.sort();
         assert_eq!(table, committed);
-        assert_eq!(table.len(), 19);
+        assert_eq!(table.len(), 20);
     }
 
     #[test]
@@ -272,11 +276,32 @@ mod tests {
             )
         );
 
+        // Every differing line is named, not only the first.
+        std::fs::write(&path, "line onE\nline twO\n").unwrap();
+        let (status, out) = drive(&format!("toy --check {d}"));
+        assert_eq!(status, 1);
+        let p = path.display();
+        assert_eq!(
+            out,
+            format!(
+                "DIFF {p}:1\n  committed: line onE\n  current:   line one\n\
+                 DIFF {p}:2\n  committed: line twO\n  current:   line two\n"
+            )
+        );
+
         // A committed file that merely stops early is a diff as well.
         std::fs::write(&path, "line one\n").unwrap();
         let (status, out) = drive(&format!("toy --check {d}"));
         assert_eq!(status, 1);
         assert!(out.contains(":2\n  committed: <end of file>\n"), "{out}");
+
+        // Past the cap, the rest is a count.
+        let long: String = (0..DIFF_CAP + 12).map(|k| format!("extra {k}\n")).collect();
+        std::fs::write(&path, format!("line one\nline two\n{long}")).unwrap();
+        let (status, out) = drive(&format!("toy --check {d}"));
+        assert_eq!(status, 1);
+        assert_eq!(out.matches("DIFF ").count(), DIFF_CAP, "{out}");
+        assert!(out.ends_with("\n… 12 more\n"), "{out}");
     }
 
     #[test]

@@ -32,6 +32,7 @@ mod fig13_storage_balance;
 mod fig14_large_scale;
 mod fig16_robustness;
 mod fig17_anomalies;
+mod replay_pins;
 
 /// The workload knobs of one `mind-figures` invocation. The default is
 /// the committed scale: what `results/` holds and `--check` runs.
@@ -126,7 +127,8 @@ const fn figure(name: &'static str, run: Run) -> Figure {
     }
 }
 
-/// Every figure and ablation, in the paper's order (what `all` runs).
+/// Every figure and ablation, in the paper's order, then the replay pins
+/// (what `all` runs).
 pub const FIGURES: &[Figure] = &[
     figure("fig01_aggregation", fig01_aggregation::run),
     figure("fig02_skew", fig02_skew::run),
@@ -153,4 +155,5 @@ pub const FIGURES: &[Figure] = &[
     figure("ablation_granularity", ablation_granularity::run),
     figure("ablation_replication", ablation_replication::run),
     figure("ablation_cut_depth", ablation_cut_depth::run),
+    figure("replay_pins", replay_pins::run),
 ];

@@ -7,7 +7,8 @@
 //! up the paper's deployments, streaming synthetic Abilene/GÉANT traffic
 //! into the indices at the paper's 30-second cadence, issuing the paper's
 //! uniform random monitoring queries, and formatting results next to the
-//! paper's reported numbers.
+//! paper's reported numbers. [`worlds`] holds the seeded worlds whose
+//! per-kind fingerprint `results/replay_pins.txt` pins.
 //!
 //! Scale: the paper inserted ~9 M records/day for 3 days. The figures
 //! default to a proportionally scaled-down workload (set via
@@ -25,3 +26,5 @@
 pub mod figures;
 pub mod harness;
 pub mod report;
+#[expect(clippy::unwrap_used, reason = "a world's panic is its error report")]
+pub mod worlds;

@@ -1,5 +1,7 @@
 //! Per-node metrics and summary statistics for the evaluation figures.
 
+use crate::messages::MindPayload;
+use mind_overlay::OverlayMsg;
 use mind_types::node::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -56,6 +58,206 @@ pub struct NodeMetrics {
     /// cost a full `CatalogResponse` reply. In a converged overlay this
     /// stays near zero while `catalog_digests_sent` keeps climbing.
     pub catalog_digest_mismatches: u64,
+    /// Every message delivered here and every timer that fired here, by
+    /// kind.
+    pub census: Census,
+}
+
+/// The overlay's own messages, in census order.
+const CONTROL: [&str; 13] = [
+    "LookupJoinTarget",
+    "JoinCandidate",
+    "JoinRequest",
+    "SplitAsk",
+    "SplitAck",
+    "SplitCommit",
+    "JoinCommit",
+    "JoinReject",
+    "Heartbeat",
+    "HeartbeatAck",
+    "TakeoverAnnounce",
+    "RingProbe",
+    "RingHit",
+];
+/// The overlay messages that carry a MIND payload, in census order.
+const ENVELOPES: [&str; 3] = ["route", "flood", "direct"];
+/// MIND's payloads, in census order: each has a slot under every
+/// envelope, so no count depends on which pairs the protocol uses.
+const PAYLOADS: [&str; 21] = [
+    "CreateIndex",
+    "NewVersion",
+    "DropIndex",
+    "Insert",
+    "InsertBatch",
+    "Replica",
+    "ReplicaBatch",
+    "Ack",
+    "RootQuery",
+    "SubQuery",
+    "QueryPlan",
+    "QueryResponse",
+    "CreateTrigger",
+    "DropTrigger",
+    "TriggerFired",
+    "CatalogRequest",
+    "CatalogDigest",
+    "CatalogResponse",
+    "HandoffScan",
+    "HandoffRecords",
+    "HistReport",
+];
+const MSG_KINDS: usize = CONTROL.len() + ENVELOPES.len() * PAYLOADS.len();
+const OVERLAY_TIMERS: [&str; 4] = mind_overlay::overlay::TIMER_NAMES;
+const TIMER_KINDS: usize = OVERLAY_TIMERS.len() + crate::node::TIMER_NAMES.len();
+
+/// The slot of `name` in `names`; a name the table lacks fails the build
+/// (every caller runs it in a `const` block).
+const fn slot(names: &[&str], name: &str) -> usize {
+    let mut i = 0;
+    while i < names.len() {
+        let (a, b) = (names[i].as_bytes(), name.as_bytes());
+        let mut same = a.len() == b.len();
+        let mut j = 0;
+        while same && j < a.len() {
+            same = a[j] == b[j];
+            j += 1;
+        }
+        if same {
+            return i;
+        }
+        i += 1;
+    }
+    panic!("census kind missing from its table")
+}
+
+/// A message's census slot: the overlay's own messages first, then one
+/// block of payloads per envelope.
+fn message_slot(msg: &OverlayMsg<MindPayload>) -> usize {
+    let (envelope, payload) = match msg {
+        OverlayMsg::LookupJoinTarget { .. } => return const { slot(&CONTROL, "LookupJoinTarget") },
+        OverlayMsg::JoinCandidate { .. } => return const { slot(&CONTROL, "JoinCandidate") },
+        OverlayMsg::JoinRequest => return const { slot(&CONTROL, "JoinRequest") },
+        OverlayMsg::SplitAsk { .. } => return const { slot(&CONTROL, "SplitAsk") },
+        OverlayMsg::SplitAck { .. } => return const { slot(&CONTROL, "SplitAck") },
+        OverlayMsg::SplitCommit { .. } => return const { slot(&CONTROL, "SplitCommit") },
+        OverlayMsg::JoinCommit { .. } => return const { slot(&CONTROL, "JoinCommit") },
+        OverlayMsg::JoinReject => return const { slot(&CONTROL, "JoinReject") },
+        OverlayMsg::Heartbeat { .. } => return const { slot(&CONTROL, "Heartbeat") },
+        OverlayMsg::HeartbeatAck { .. } => return const { slot(&CONTROL, "HeartbeatAck") },
+        OverlayMsg::TakeoverAnnounce { .. } => return const { slot(&CONTROL, "TakeoverAnnounce") },
+        OverlayMsg::RingProbe { .. } => return const { slot(&CONTROL, "RingProbe") },
+        OverlayMsg::RingHit { .. } => return const { slot(&CONTROL, "RingHit") },
+        OverlayMsg::Route { payload, .. } => (const { slot(&ENVELOPES, "route") }, payload),
+        OverlayMsg::Flood { payload, .. } => (const { slot(&ENVELOPES, "flood") }, payload),
+        OverlayMsg::Direct { payload } => (const { slot(&ENVELOPES, "direct") }, payload),
+    };
+    let payload = match payload {
+        MindPayload::CreateIndex { .. } => const { slot(&PAYLOADS, "CreateIndex") },
+        MindPayload::NewVersion { .. } => const { slot(&PAYLOADS, "NewVersion") },
+        MindPayload::DropIndex { .. } => const { slot(&PAYLOADS, "DropIndex") },
+        MindPayload::Insert { .. } => const { slot(&PAYLOADS, "Insert") },
+        MindPayload::InsertBatch { .. } => const { slot(&PAYLOADS, "InsertBatch") },
+        MindPayload::Replica { .. } => const { slot(&PAYLOADS, "Replica") },
+        MindPayload::ReplicaBatch { .. } => const { slot(&PAYLOADS, "ReplicaBatch") },
+        MindPayload::Ack { .. } => const { slot(&PAYLOADS, "Ack") },
+        MindPayload::RootQuery { .. } => const { slot(&PAYLOADS, "RootQuery") },
+        MindPayload::SubQuery { .. } => const { slot(&PAYLOADS, "SubQuery") },
+        MindPayload::QueryPlan { .. } => const { slot(&PAYLOADS, "QueryPlan") },
+        MindPayload::QueryResponse { .. } => const { slot(&PAYLOADS, "QueryResponse") },
+        MindPayload::CreateTrigger { .. } => const { slot(&PAYLOADS, "CreateTrigger") },
+        MindPayload::DropTrigger { .. } => const { slot(&PAYLOADS, "DropTrigger") },
+        MindPayload::TriggerFired { .. } => const { slot(&PAYLOADS, "TriggerFired") },
+        MindPayload::CatalogRequest => const { slot(&PAYLOADS, "CatalogRequest") },
+        MindPayload::CatalogDigest { .. } => const { slot(&PAYLOADS, "CatalogDigest") },
+        MindPayload::CatalogResponse { .. } => const { slot(&PAYLOADS, "CatalogResponse") },
+        MindPayload::HandoffScan { .. } => const { slot(&PAYLOADS, "HandoffScan") },
+        MindPayload::HandoffRecords { .. } => const { slot(&PAYLOADS, "HandoffRecords") },
+        MindPayload::HistReport { .. } => const { slot(&PAYLOADS, "HistReport") },
+    };
+    CONTROL.len() + envelope * PAYLOADS.len() + payload
+}
+
+/// What one node handled, by kind: each message delivered to it and each
+/// of its timers that fired, one array slot per kind. A message is
+/// `ov.<message>` for the overlay's own, else `<envelope>.<payload>`
+/// (`route.InsertBatch`, `direct.Ack`, `flood.CreateIndex`); a timer is
+/// `timer.ov.<kind>` for the overlay's, else `timer.<kind>`.
+///
+/// A timer a pass arms with delay 0 fires inside that pass
+/// (`mind_types::host::HostCore::pass`): it is counted here but is no
+/// driver event, so the timer total can exceed the driver's count of
+/// fired timers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Census {
+    messages: [u64; MSG_KINDS],
+    timers: [u64; TIMER_KINDS],
+}
+
+impl Default for Census {
+    fn default() -> Self {
+        Census {
+            messages: [0; MSG_KINDS],
+            timers: [0; TIMER_KINDS],
+        }
+    }
+}
+
+impl Census {
+    /// Counts one delivered message.
+    pub(crate) fn count_message(&mut self, msg: &OverlayMsg<MindPayload>) {
+        self.messages[message_slot(msg)] += 1;
+    }
+
+    /// Counts one fired timer of token kind `kind`, the overlay's or
+    /// MIND's.
+    pub(crate) fn count_timer(&mut self, overlay: bool, kind: usize) {
+        let slot = if overlay {
+            kind
+        } else {
+            OVERLAY_TIMERS.len() + kind
+        };
+        if let Some(count) = self.timers.get_mut(slot) {
+            *count += 1;
+        }
+    }
+
+    /// Adds another census (another node's) into this one.
+    pub fn add(&mut self, other: &Census) {
+        for (a, b) in self.messages.iter_mut().zip(&other.messages) {
+            *a += b;
+        }
+        for (a, b) in self.timers.iter_mut().zip(&other.timers) {
+            *a += b;
+        }
+    }
+
+    /// Messages delivered, over every kind.
+    pub fn messages(&self) -> u64 {
+        self.messages.iter().sum()
+    }
+
+    /// Timers fired, over every kind.
+    pub fn timers(&self) -> u64 {
+        self.timers.iter().sum()
+    }
+
+    /// Every kind by name with its count, zeros included: messages, then
+    /// timers, each in a fixed order.
+    pub fn counts(&self) -> impl Iterator<Item = (String, u64)> + '_ {
+        let control = CONTROL.iter().map(|m| format!("ov.{m}"));
+        let carried = ENVELOPES
+            .iter()
+            .flat_map(|e| PAYLOADS.iter().map(move |p| format!("{e}.{p}")));
+        let overlay_timers = OVERLAY_TIMERS.iter().map(|t| format!("timer.ov.{t}"));
+        let mind_timers = crate::node::TIMER_NAMES
+            .iter()
+            .map(|t| format!("timer.{t}"));
+        control
+            .chain(carried)
+            .chain(overlay_timers)
+            .chain(mind_timers)
+            .zip(self.messages.iter().chain(&self.timers).copied())
+    }
 }
 
 /// Insert frames by flush cause (see [`NodeMetrics::insert_frames`]).

@@ -41,20 +41,33 @@ pub(crate) fn token(kind: u64, arg: u64) -> u64 {
     TOKEN_TAG | (kind << 48) | (arg & 0xFFFF_FFFF_FFFF)
 }
 
-/// Every MIND timer kind. `reliability` keeps its kinds private and hands
-/// over only the list.
-const TIMER_KINDS: [u64; 8] = {
+/// Every MIND timer kind, with the name its census line carries.
+/// `reliability` keeps its kinds private and hands over only the list.
+const TIMER_KINDS: [(u64, &str); 8] = {
     let [op_retry, anti_entropy, batch_flush] = crate::reliability::TIMER_KINDS;
     [
-        crate::dac_drive::KIND_DAC_TICK,
-        crate::dac_drive::KIND_BATCH,
-        crate::query_track::KIND_QUERY_DEADLINE,
-        crate::query_track::KIND_QUERY_RETRY,
-        crate::rollover::KIND_COLLECT,
-        op_retry,
-        anti_entropy,
-        batch_flush,
+        (crate::dac_drive::KIND_DAC_TICK, "DacTick"),
+        (crate::dac_drive::KIND_BATCH, "DacRelease"),
+        (crate::query_track::KIND_QUERY_DEADLINE, "QueryDeadline"),
+        (crate::query_track::KIND_QUERY_RETRY, "QueryRetry"),
+        (crate::rollover::KIND_COLLECT, "Collect"),
+        (op_retry, "OpRetry"),
+        (anti_entropy, "AntiEntropy"),
+        (batch_flush, "BatchFlush"),
     ]
+};
+
+/// MIND's timer kinds by name, indexed by the token's kind field. A kind
+/// past the end fails the build; with the collision check below, every
+/// slot has a name.
+pub(crate) const TIMER_NAMES: [&str; 8] = {
+    let mut names = [""; 8];
+    let mut i = 0;
+    while i < TIMER_KINDS.len() {
+        names[TIMER_KINDS[i].0 as usize] = TIMER_KINDS[i].1;
+        i += 1;
+    }
+    names
 };
 
 // The token layout, checked by the compiler: every kind fits the 8-bit
@@ -67,10 +80,16 @@ const _: () = {
     );
     let mut i = 0;
     while i < TIMER_KINDS.len() {
-        assert!(TIMER_KINDS[i] < 256, "timer kind overflows its 8-bit field");
+        assert!(
+            TIMER_KINDS[i].0 < 256,
+            "timer kind overflows its 8-bit field"
+        );
         let mut j = i + 1;
         while j < TIMER_KINDS.len() {
-            assert!(TIMER_KINDS[i] != TIMER_KINDS[j], "two timer kinds collide");
+            assert!(
+                TIMER_KINDS[i].0 != TIMER_KINDS[j].0,
+                "two timer kinds collide"
+            );
             j += 1;
         }
         i += 1;
@@ -919,12 +938,16 @@ impl NodeLogic for MindNode {
         msg: Self::Msg,
         out: &mut Outbox<Self::Msg>,
     ) {
+        self.metrics.census.count_message(&msg);
         let event = self.overlay.handle(now, from, msg, out);
         self.process_event(now, event, out);
     }
 
     fn on_timer(&mut self, now: SimTime, tok: u64, out: &mut Outbox<Self::Msg>) {
+        // The overlay packs its tokens as `token` does: tag ∥ kind ∥ arg.
+        let kind = (tok >> 48) & 0xFF;
         if self.overlay.owns_timer(tok) {
+            self.metrics.census.count_timer(true, kind as usize);
             let event = self.overlay.on_timer(now, tok, out);
             self.process_event(now, event, out);
             return;
@@ -932,7 +955,7 @@ impl NodeLogic for MindNode {
         if tok & (0xFF << 56) != TOKEN_TAG {
             return;
         }
-        let kind = (tok >> 48) & 0xFF;
+        self.metrics.census.count_timer(false, kind as usize);
         let arg = tok & 0xFFFF_FFFF_FFFF;
         // Each protocol concern claims its own timer kinds; the chain
         // stops at the first taker.

@@ -96,6 +96,45 @@ impl SimStats {
         )
     }
 
+    /// Every scalar field by name, in declaration order: what a replay
+    /// pin prints. The destructuring fails the build when a field is
+    /// added and not named here.
+    pub fn named(&self) -> [(&'static str, u64); 13] {
+        let SimStats {
+            delivered,
+            dropped_dead,
+            dropped_unknown,
+            dropped_fault,
+            duplicated,
+            partitioned,
+            timers_fired,
+            timers_cancelled,
+            requeued_busy,
+            pending_events_peak,
+            event_arena_peak,
+            msg_bytes_inflight,
+            msg_bytes_inflight_peak,
+            per_link: _,
+            traced_links: _,
+            traces: _,
+        } = *self;
+        [
+            ("delivered", delivered),
+            ("dropped_dead", dropped_dead),
+            ("dropped_unknown", dropped_unknown),
+            ("dropped_fault", dropped_fault),
+            ("duplicated", duplicated),
+            ("partitioned", partitioned),
+            ("timers_fired", timers_fired),
+            ("timers_cancelled", timers_cancelled),
+            ("requeued_busy", requeued_busy),
+            ("pending_events_peak", pending_events_peak),
+            ("event_arena_peak", event_arena_peak),
+            ("msg_bytes_inflight", msg_bytes_inflight),
+            ("msg_bytes_inflight_peak", msg_bytes_inflight_peak),
+        ]
+    }
+
     /// Enables delay tracing on the directed link `from → to`.
     pub fn trace_link(&mut self, from: NodeId, to: NodeId) {
         self.traced_links.insert((from, to));

@@ -17,6 +17,23 @@ const KIND_JOIN_RETRY: u64 = 1;
 const KIND_RING: u64 = 2;
 const KIND_JOIN_ABORT: u64 = 3;
 
+/// The overlay's timer kinds by name, indexed by the token's kind field
+/// (a node's census counts its firings). A kind past the end, or two
+/// kinds on one slot, fails the build.
+pub const TIMER_NAMES: [&str; 4] = {
+    let mut names = [""; 4];
+    names[KIND_HEARTBEAT as usize] = "Heartbeat";
+    names[KIND_JOIN_RETRY as usize] = "JoinRetry";
+    names[KIND_RING as usize] = "Ring";
+    names[KIND_JOIN_ABORT as usize] = "JoinAbort";
+    let mut i = 0;
+    while i < names.len() {
+        assert!(!names[i].is_empty(), "two timer kinds collide");
+        i += 1;
+    }
+    names
+};
+
 /// Extras are pinged every this many heartbeat rounds (and given a
 /// correspondingly longer expiry horizon).
 const EXTRAS_PING_STRIDE: u64 = 4;

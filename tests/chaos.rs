@@ -11,110 +11,15 @@ use mind::core::{ClusterConfig, MindCluster, Replication};
 use mind::histogram::CutTree;
 use mind::netsim::FaultPlan;
 use mind::types::node::{SimTime, SECONDS};
-use mind::types::{AttrDef, AttrKind, HyperRect, IndexSchema, NodeId, Record};
+use mind::types::{HyperRect, NodeId, Record};
+use mind_bench::worlds::{
+    assert_matches_oracle, batched_replay_run, build, chaos_worlds, metric_sum, observe,
+    random_record, replay_run, schema, sorted_values, spray, Fingerprint, PIN_SEED,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SEEDS: [u64; 3] = [3, 17, 42];
-
-fn schema() -> IndexSchema {
-    IndexSchema::new(
-        "chaos",
-        vec![
-            AttrDef::new("x", AttrKind::Generic, 0, 1 << 20),
-            AttrDef::new("timestamp", AttrKind::Timestamp, 0, 86_400 * 7),
-            AttrDef::new("y", AttrKind::Generic, 0, 1 << 20),
-        ],
-        3,
-    )
-}
-
-/// A cluster with the given fault plan active from t = 0. The heartbeat
-/// miss threshold is raised so a partition shorter than the failure
-/// horizon is ridden out instead of being misdiagnosed as node death.
-fn build(n: usize, seed: u64, fault: FaultPlan, replication: Replication) -> MindCluster {
-    build_batching(n, seed, fault, replication, 1)
-}
-
-/// [`build`] with the ingest fast path enabled: origin nodes coalesce
-/// same-destination inserts into `InsertBatch` frames of up to
-/// `batch_max` records (`1` = batching off, the default wire behavior).
-fn build_batching(
-    n: usize,
-    seed: u64,
-    fault: FaultPlan,
-    replication: Replication,
-    batch_max: usize,
-) -> MindCluster {
-    let mut cfg = ClusterConfig::planetlab(n, seed);
-    cfg.mind.insert_batch_max = batch_max;
-    cfg.sim.fault = fault;
-    cfg.overlay.hb_miss_threshold = 25; // horizon: 25 × 2s = 50s
-    let mut cluster = MindCluster::new(cfg);
-    let s = schema();
-    let cuts = CutTree::even(s.bounds(), 9);
-    cluster
-        .create_index(NodeId(0), s, cuts, replication)
-        .unwrap();
-    // Settle: the CreateIndex flood is itself subject to the fault plan;
-    // flood redundancy plus one anti-entropy round heal any gap.
-    cluster.run_for(50 * SECONDS);
-    cluster
-}
-
-fn random_record(rng: &mut StdRng, day: u64) -> Record {
-    Record::new(vec![
-        rng.random_range(0..1u64 << 20),
-        day * 86_400 + rng.random_range(0..86_400u64),
-        rng.random_range(0..1u64 << 20),
-    ])
-}
-
-fn spray(
-    cluster: &mut MindCluster,
-    rng: &mut StdRng,
-    n: usize,
-    count: usize,
-    day: u64,
-    oracle: &mut Vec<Record>,
-) {
-    for i in 0..count {
-        let r = random_record(rng, day);
-        oracle.push(r.clone());
-        cluster.insert(NodeId((i % n) as u32), "chaos", r).unwrap();
-        if i % 20 == 0 {
-            cluster.run_for(SECONDS);
-        }
-    }
-}
-
-fn sorted_values(records: &[Record]) -> Vec<Vec<u64>> {
-    let mut v: Vec<Vec<u64>> = records.iter().map(|r| r.values().to_vec()).collect();
-    v.sort();
-    v
-}
-
-/// Full-space query whose answer must equal the oracle exactly — no
-/// record lost to a fault, none double-stored by a retry or a network
-/// duplicate.
-fn assert_matches_oracle(cluster: &mut MindCluster, at: NodeId, oracle: &[Record], ctx: &str) {
-    let q = HyperRect::new(vec![0, 0, 0], vec![1 << 20, 86_400 * 7, 1 << 20]);
-    let outcome = cluster.query_and_wait(at, "chaos", q, vec![]).unwrap();
-    assert!(outcome.complete, "{ctx}: query incomplete");
-    assert_eq!(
-        sorted_values(&outcome.records),
-        sorted_values(oracle),
-        "{ctx}: answers diverge from the fault-free oracle"
-    );
-}
-
-/// Sums a retry-layer metric across live nodes.
-fn metric_sum(cluster: &MindCluster, f: impl Fn(&mind::core::NodeMetrics) -> u64) -> u64 {
-    (0..cluster.len() as u32)
-        .filter(|&k| cluster.world().is_alive(NodeId(k)))
-        .map(|k| f(&cluster.world().node(NodeId(k)).metrics))
-        .sum()
-}
 
 #[test]
 fn loss_and_duplication_match_oracle_across_version_rollover() {
@@ -316,178 +221,58 @@ fn sustained_churn_keeps_pending_events_and_seen_ops_bounded() {
     eprintln!("churn peaks: pending={pending_peak} seen_ops={seen_peak}");
 }
 
-/// Every externally observable output of one seeded replay run: the full
-/// NetStats counter tuple, the sorted query answer, the retry volume and
-/// the bytes carried over every simulated link.
-type ReplayObservables = (
-    (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64),
-    Vec<Vec<u64>>,
-    u64,
-    u64,
-);
-
-/// Asks `at` for the whole space (the answer must be complete) and
-/// collects the run's observables.
-fn observe(cluster: &mut MindCluster, at: NodeId) -> ReplayObservables {
-    let q = HyperRect::new(vec![0, 0, 0], vec![1 << 20, 86_400 * 7, 1 << 20]);
-    let outcome = cluster.query_and_wait(at, "chaos", q, vec![]).unwrap();
-    assert!(outcome.complete);
-    let stats = &cluster.world().stats;
-    (
-        stats.counters(),
-        sorted_values(&outcome.records),
-        metric_sum(cluster, |m| m.retries_sent),
-        stats.per_link.values().map(|l| l.bytes).sum(),
-    )
-}
-
-/// One seeded lossy/duplicating run, audited clean before returning its
-/// observables.
-fn replay_run(seed: u64) -> ReplayObservables {
-    let n = 8;
-    let fault = FaultPlan::lossy(0.05).with_duplication(0.02);
-    let mut cluster = build(n, seed, fault, Replication::None);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-    let mut oracle = Vec::new();
-    spray(&mut cluster, &mut rng, n, 100, 0, &mut oracle);
-    cluster.run_for(120 * SECONDS);
-    let observed = observe(&mut cluster, NodeId(2));
-    cluster
-        .audit_settled()
-        .assert_clean(&format!("seed {seed} replay"));
-    observed
-}
-
-/// One seeded run with the ingest fast path on (batches of up to 8
-/// records) under loss, duplication, *and* a 15-second two-node
-/// partition. A hot-spot burst of
-/// same-coordinate records guarantees multi-record frames actually form
-/// (random records spread across region codes mostly age out as
-/// singletons). Oracle-checked and audited clean before returning the
-/// observables plus the cluster-wide `InsertBatch` frame count.
-fn batched_replay_run(seed: u64) -> (ReplayObservables, u64) {
-    let n = 8;
-    let cut_at: SimTime = 60 * SECONDS;
-    let heal_at: SimTime = 75 * SECONDS;
-    let fault = FaultPlan::lossy(0.05)
-        .with_duplication(0.02)
-        .with_partition(vec![NodeId(0), NodeId(1)], cut_at, heal_at);
-    let mut cluster = build_batching(n, seed, fault, Replication::None, 8);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
-    let mut oracle = Vec::new();
-    spray(&mut cluster, &mut rng, n, 80, 0, &mut oracle);
-    // Hot-spot burst: identical coordinates share one region code, so
-    // node 2's batcher must coalesce them into full frames.
-    for _ in 0..30 {
-        let r = Record::new(vec![7, 1_234, 9]);
-        oracle.push(r.clone());
-        cluster.insert(NodeId(2), "chaos", r).unwrap();
+#[test]
+fn golden_replay_pins() {
+    // The same-seed tests compare a build with itself; this compares it
+    // with the build that wrote `results/replay_pins.txt`, which begins
+    // with these three worlds' blocks (the `replay_pins` figure writes
+    // it). A change that claims to leave the simulated bytes alone must
+    // leave them alone; a protocol change re-pins with `mind-figures all
+    // --write results`, and the diff names every counter and kind moved.
+    let mut rendered = Vec::new();
+    for (title, world) in chaos_worlds() {
+        world.render(&mut rendered, &title).unwrap();
     }
-    // Keep inserting across the partition window, from both sides of the
-    // cut: batches stranded on the island must survive via whole-frame
-    // retries once the partition heals.
-    cluster.run_until(cut_at + SECONDS);
-    for i in 0..20u32 {
-        let origin = if i % 2 == 0 { 0 } else { 2 + (i % 6) };
-        let r = random_record(&mut rng, 0);
-        oracle.push(r.clone());
-        cluster.insert(NodeId(origin), "chaos", r).unwrap();
-        if i % 10 == 0 {
-            cluster.run_for(SECONDS);
-        }
-    }
-    cluster.run_until(heal_at + 150 * SECONDS);
-
-    assert_matches_oracle(
-        &mut cluster,
-        NodeId(3),
-        &oracle,
-        &format!("seed {seed} batched"),
-    );
-    let exhausted = metric_sum(&cluster, |m| m.retries_exhausted);
-    assert_eq!(exhausted, 0, "seed {seed}: a batch op ran out of budget");
-    let batches = metric_sum(&cluster, |m| m.insert_batches_sent);
-    assert!(batches > 0, "seed {seed}: batching never engaged");
-    // Balanced overlay: a prefix of the sender's own depth is one node.
-    let forwarded = metric_sum(&cluster, |m| m.insert_rows_forwarded);
-    assert_eq!(forwarded, 0, "seed {seed}: a frame was re-split");
-    let s = cluster.world().stats.clone();
+    let rendered = String::from_utf8(rendered).unwrap();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/replay_pins.txt");
+    let committed = std::fs::read_to_string(path).unwrap();
+    let moved: Vec<String> = rendered
+        .lines()
+        .zip(committed.lines())
+        .filter(|(now, pinned)| now != pinned)
+        .map(|(now, pinned)| format!("  pinned {pinned:?}, now {now:?}"))
+        .collect();
     assert!(
-        s.partitioned > 0,
-        "seed {seed}: partition never severed a send"
+        committed.starts_with(&rendered),
+        "{path} does not begin with the chaos worlds:\n{}",
+        moved.join("\n")
     );
-
-    let observed = observe(&mut cluster, NodeId(2));
-    cluster
-        .audit_settled()
-        .assert_clean(&format!("seed {seed} batched replay"));
-    (observed, batches)
-}
-
-/// One seeded run on 8 nodes under `Replication::Level(1)` with frames
-/// of up to 8 rows: sprayed rows mostly leave alone (`Insert`, pushed on
-/// as `Replica`), a hot-spot burst leaves in full frames (`InsertBatch`,
-/// pushed on as `ReplicaBatch`). Oracle-checked and audited clean before
-/// returning the observables plus `(insert frames, of them InsertBatch)`.
-fn replicated_replay_run(seed: u64) -> (ReplayObservables, (u64, u64)) {
-    let n = 8;
-    let fault = FaultPlan::lossy(0.05).with_duplication(0.02);
-    let mut cluster = build_batching(n, seed, fault, Replication::Level(1), 8);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x2E91);
-    let mut oracle = Vec::new();
-    spray(&mut cluster, &mut rng, n, 80, 0, &mut oracle);
-    for _ in 0..30 {
-        let r = Record::new(vec![7, 1_234, 9]);
-        oracle.push(r.clone());
-        cluster.insert(NodeId(2), "chaos", r).unwrap();
-    }
-    cluster.run_for(120 * SECONDS);
-    assert_matches_oracle(
-        &mut cluster,
-        NodeId(3),
-        &oracle,
-        &format!("seed {seed} replicated"),
-    );
-    let frames = metric_sum(&cluster, |m| {
-        let f = m.insert_frames;
-        f.idle + f.ack + f.size + f.age
-    });
-    let batches = metric_sum(&cluster, |m| m.insert_batches_sent);
-    let observed = observe(&mut cluster, NodeId(2));
-    cluster
-        .audit_settled()
-        .assert_clean(&format!("seed {seed} replicated replay"));
-    (observed, (frames, batches))
 }
 
 #[test]
-fn golden_replay_pins() {
-    // The same-seed tests compare a build with itself; these constants
-    // compare it with the build that wrote them. A change that claims to
-    // leave the simulated bytes alone must leave them alone: one seed each
-    // of single-row frames without replication, frames of up to 8 through
-    // a partition, and both frame sizes under level-1 replication (all
-    // four insert payloads). Re-pin only with a stated protocol change.
-    let pin = |o: ReplayObservables| (o.0, o.2, o.3);
-    assert_eq!(
-        pin(replay_run(17)),
-        ((4557, 0, 0, 195, 108, 0, 967, 102, 268, 82), 8, 325_252),
-        "single-row frames, no replication"
-    );
-    assert_eq!(
-        pin(batched_replay_run(17).0),
-        ((5566, 0, 0, 252, 121, 84, 1226, 107, 305, 79), 25, 363_152),
-        "frames of up to 8 through a partition"
-    );
-    let (observed, (frames, batches)) = replicated_replay_run(17);
+fn census_accounts_for_every_delivery_and_timer() {
+    // Every delivery is counted under one kind at the node it reached.
+    // Without batching and under a modelled storage cost no timer is
+    // armed with delay 0, so every timer counted is a simulator event.
+    let plain = replay_run(PIN_SEED);
+    assert_eq!(plain.census.messages(), plain.stat("delivered"));
+    assert_eq!(plain.census.timers(), plain.stat("timers_fired"));
+    // With batching, a new group's flush is armed with delay 0 and fires
+    // at the end of the pass that armed it (`HostCore::pass`): the node
+    // counts it, the simulator never schedules it. Those flushes are the
+    // whole gap.
+    let (batched, _) = batched_replay_run(PIN_SEED);
+    assert_eq!(batched.census.messages(), batched.stat("delivered"));
+    let in_pass = batched.census.timers() - batched.stat("timers_fired");
+    let flushes = batched
+        .census
+        .counts()
+        .find(|(kind, _)| kind == "timer.BatchFlush")
+        .map(|(_, n)| n)
+        .unwrap();
     assert!(
-        0 < batches && batches < frames,
-        "level 1 saw {batches} InsertBatch of {frames} insert frames"
-    );
-    assert_eq!(
-        pin(observed),
-        ((4700, 0, 0, 202, 110, 0, 1128, 173, 291, 88), 13, 336_242),
-        "both frame sizes under level-1 replication"
+        0 < in_pass && in_pass <= flushes,
+        "{in_pass} timers fired in-pass, {flushes} batch flushes"
     );
 }
 
@@ -547,8 +332,8 @@ fn build_unbalanced(
 /// with sibling takeover (`Replication::Level(1)`), under background
 /// loss and duplication. Rows spread over all seven days so every node
 /// owns some. Oracle-checked and audited clean before returning the
-/// observables plus `(InsertBatch frames, rows re-split)`.
-fn unbalanced_batched_run(n: usize, seed: u64) -> (ReplayObservables, (u64, u64)) {
+/// fingerprint plus `(InsertBatch frames, rows re-split)`.
+fn unbalanced_batched_run(n: usize, seed: u64) -> (Fingerprint, (u64, u64)) {
     let (mut cluster, (overlay_cfg, mind_cfg), cuts, lens) = build_unbalanced(n, seed, 8);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0B1A5);
@@ -679,11 +464,11 @@ fn batched_ingest_on_unbalanced_overlay() {
 /// (`Replication::Level(1)`), under background loss and duplication, so
 /// query retries re-dispatch only the codes still missing. Every answer
 /// outside the failure window is oracle-exact and the cluster audited
-/// before returning the observables plus `(scan jobs, regions answered,
+/// before returning the fingerprint plus `(scan jobs, regions answered,
 /// query retry rounds)`. (The receiver that is *no deeper* than the
 /// prefix and answers part of it through a claim exists for a second per
 /// failure here; `tests/churn_and_recovery.rs` builds one that lasts.)
-fn unbalanced_query_run(n: usize, seed: u64) -> (ReplayObservables, (u64, u64, u64)) {
+fn unbalanced_query_run(n: usize, seed: u64) -> (Fingerprint, (u64, u64, u64)) {
     let (mut cluster, (overlay_cfg, mind_cfg), _, lens) = build_unbalanced(n, seed, 1);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E0);
@@ -849,9 +634,16 @@ fn same_seed_and_plan_replay_identically() {
     for seed in SEEDS {
         let a = replay_run(seed);
         let b = replay_run(seed);
-        assert_eq!(a.0, b.0, "seed {seed}: NetStats counters diverged");
-        assert_eq!(a.1, b.1, "seed {seed}: query answers diverged");
-        assert_eq!(a.2, b.2, "seed {seed}: retry volume diverged");
-        assert_eq!(a.3, b.3, "seed {seed}: wire bytes diverged");
+        assert_eq!(a.stats, b.stats, "seed {seed}: NetStats counters diverged");
+        assert_eq!(a.answer, b.answer, "seed {seed}: query answers diverged");
+        assert_eq!(
+            a.retries_sent, b.retries_sent,
+            "seed {seed}: retry volume diverged"
+        );
+        assert_eq!(
+            a.link_bytes, b.link_bytes,
+            "seed {seed}: wire bytes diverged"
+        );
+        assert_eq!(a.census, b.census, "seed {seed}: census diverged");
     }
 }
