@@ -261,8 +261,8 @@ impl MindNode {
         let seen_ops = SeenOps::new(op_lifetime(cfg.retry_timeout));
         MindNode {
             id,
+            overlay: overlay.with_boot(cfg.boot_id),
             cfg,
-            overlay,
             indexes: BTreeMap::new(),
             dac_queue: VecDeque::new(),
             dac_busy: false,

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Seeds cover the envelopes a `TcpHost` actually frames — a routed
-//! insert, a flooded index creation, a direct replica batch, and a bare
+//! insert, the three broadcasts (a flooded index creation, a takeover
+//! announcement and a ring probe), a direct replica batch, and a bare
 //! heartbeat — plus a truncated envelope and an out-of-range overlay
 //! variant tag, so the smoke run always replays both the accept and the
 //! reject paths.
@@ -14,7 +15,7 @@
 use mind_core::{MindPayload, Replication};
 use mind_histogram::CutTree;
 use mind_net::wire;
-use mind_overlay::OverlayMsg;
+use mind_overlay::{BroadcastId, OverlayMsg};
 use mind_types::{AttrDef, AttrKind, BitCode, HyperRect, IndexSchema, NodeId, Record};
 use std::fs;
 use std::path::Path;
@@ -55,15 +56,39 @@ fn main() {
         2,
     );
     let bounds = HyperRect::new(vec![0, 0], vec![1023, 86_399]);
+    // A process's boot epoch is its start time in wall-clock milliseconds.
+    let id = |origin, seq| BroadcastId {
+        origin: NodeId(origin),
+        boot: 1_760_000_000_000,
+        seq,
+    };
     let flooded_create = encode(&(
         NodeId(0),
         OverlayMsg::Flood {
-            flood_id: 5,
+            id: id(0, 5),
             payload: MindPayload::CreateIndex {
                 schema,
                 cuts: std::sync::Arc::new(CutTree::even(bounds, 4)),
                 replication: Replication::Level(1),
             },
+        },
+    ));
+
+    let takeover_announce = encode(&(
+        NodeId(4),
+        OverlayMsg::TakeoverAnnounce {
+            id: id(6, 2),
+            new_code: BitCode::parse("01").unwrap(),
+        },
+    ));
+
+    let ring_probe = encode(&(
+        NodeId(1),
+        OverlayMsg::RingProbe {
+            id: id(0, 9),
+            target: BitCode::parse("1101").unwrap(),
+            need_cpl: 1,
+            ttl: 2,
         },
     ));
 
@@ -96,6 +121,8 @@ fn main() {
     for (name, bytes) in [
         ("routed_insert.bin", &routed_insert),
         ("flooded_create.bin", &flooded_create),
+        ("takeover_announce.bin", &takeover_announce),
+        ("ring_probe.bin", &ring_probe),
         ("direct_replica_batch.bin", &direct_replicas),
         ("heartbeat.bin", &heartbeat),
         ("truncated_envelope.bin", &truncated),

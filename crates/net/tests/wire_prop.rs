@@ -5,12 +5,20 @@ use mind_core::wire_len::serialized_len;
 use mind_core::{CarriedFilter, MindPayload, Replication};
 use mind_histogram::{CutTree, GridHistogram};
 use mind_net::{from_bytes, to_bytes};
-use mind_overlay::OverlayMsg;
+use mind_overlay::{BroadcastId, OverlayMsg};
 use mind_types::{AttrDef, AttrKind, BitCode, HyperRect, IndexSchema, NodeId, Record};
 use proptest::prelude::*;
 
 fn arb_code() -> impl Strategy<Value = BitCode> {
     (any::<u64>(), 0u8..=64).prop_map(|(bits, len)| BitCode::from_raw(bits, len))
+}
+
+fn arb_id() -> impl Strategy<Value = BroadcastId> {
+    (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(origin, boot, seq)| BroadcastId {
+        origin: NodeId(origin),
+        boot,
+        seq,
+    })
 }
 
 fn arb_rect() -> impl Strategy<Value = HyperRect> {
@@ -142,26 +150,19 @@ fn arb_msg() -> impl Strategy<Value = OverlayMsg<MindPayload>> {
                 payload,
             }
         }),
-        (any::<u64>(), arb_payload())
-            .prop_map(|(flood_id, payload)| OverlayMsg::Flood { flood_id, payload }),
+        (arb_id(), arb_payload()).prop_map(|(id, payload)| OverlayMsg::Flood { id, payload }),
         arb_payload().prop_map(|payload| OverlayMsg::Direct { payload }),
         arb_code().prop_map(|code| OverlayMsg::Heartbeat { code }),
-        (
-            any::<u64>(),
-            arb_code(),
-            any::<u8>(),
-            any::<u32>(),
-            any::<u8>()
-        )
-            .prop_map(
-                |(probe_id, target, need_cpl, origin, ttl)| OverlayMsg::RingProbe {
-                    probe_id,
-                    target,
-                    need_cpl,
-                    origin: NodeId(origin),
-                    ttl,
-                }
-            ),
+        (arb_id(), arb_code())
+            .prop_map(|(id, new_code)| OverlayMsg::TakeoverAnnounce { id, new_code }),
+        (arb_id(), arb_code(), any::<u8>(), any::<u8>()).prop_map(|(id, target, need_cpl, ttl)| {
+            OverlayMsg::RingProbe {
+                id,
+                target,
+                need_cpl,
+                ttl,
+            }
+        }),
     ]
 }
 

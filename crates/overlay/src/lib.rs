@@ -44,6 +44,6 @@ pub mod overlay;
 pub mod table;
 
 pub use builder::{balanced_codes, StaticTopology};
-pub use messages::{OverlayEvent, OverlayMsg};
+pub use messages::{BroadcastId, OverlayEvent, OverlayMsg};
 pub use overlay::{Overlay, OverlayConfig};
 pub use table::{NeighborEntry, NeighborTable};

@@ -3,6 +3,20 @@
 use mind_types::{BitCode, NodeId, WireSize};
 use serde::{Deserialize, Serialize};
 
+/// Names one broadcast ([`OverlayMsg::Flood`], [`OverlayMsg::TakeoverAnnounce`]
+/// or [`OverlayMsg::RingProbe`]) by three parts, so that each node handles
+/// it once: the node that started it, that node's boot epoch (a restarted
+/// process counts from 0 again) and its unmasked sequence number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct BroadcastId {
+    /// The node that started the broadcast.
+    pub origin: NodeId,
+    /// The origin's boot epoch (`MindConfig::boot_id` in `mind-core`).
+    pub boot: u64,
+    /// The origin's count of broadcasts started before this one, this boot.
+    pub seq: u64,
+}
+
 /// Messages exchanged between overlay instances.
 ///
 /// `P` is the application payload type (`mind-core`'s index-management
@@ -71,18 +85,16 @@ pub enum OverlayMsg<P> {
         /// Sender's current code.
         code: BitCode,
     },
-    /// Overlay-wide announcement that `origin` took over a failed
-    /// sibling's region by shortening its code to `new_code`. Flooded
-    /// (with duplicate suppression) so that *all* nodes — the failed
-    /// node's former neighbors included, which the taker-over does not
-    /// know — learn the region's new owner and can dissolve their own
+    /// Overlay-wide announcement that the broadcast's origin took over a
+    /// failed sibling's region by shortening its code to `new_code`.
+    /// Flooded (with duplicate suppression) so that *all* nodes — the
+    /// failed node's former neighbors included, which the taker-over does
+    /// not know — learn the region's new owner and can dissolve their own
     /// provisional claims on it.
     TakeoverAnnounce {
-        /// Unique flood id (origin node + sequence).
-        flood_id: u64,
-        /// The node that took over.
-        origin: NodeId,
-        /// Its shortened code.
+        /// The broadcast id; its origin is the node that took over.
+        id: BroadcastId,
+        /// The origin's shortened code.
         new_code: BitCode,
     },
 
@@ -99,28 +111,27 @@ pub enum OverlayMsg<P> {
     /// Expanding-ring search for a node with code overlap ≥ `need_cpl`
     /// with `target` (recovery from greedy dead-ends).
     RingProbe {
-        /// Unique probe id for duplicate suppression.
-        probe_id: u64,
+        /// The broadcast id; its origin is the node waiting for the
+        /// probe result.
+        id: BroadcastId,
         /// The routing target that dead-ended.
         target: BitCode,
         /// Minimum common-prefix length a responder must improve on.
         need_cpl: u8,
-        /// Node waiting for the probe result.
-        origin: NodeId,
         /// Remaining broadcast scope.
         ttl: u8,
     },
     /// Positive answer to a ring probe.
     RingHit {
-        /// Echo of the probe id.
-        probe_id: u64,
+        /// Echo of the probe's id.
+        id: BroadcastId,
     },
 
     // ---- flooding (index create/drop) ----
     /// Flooded application payload with duplicate suppression.
     Flood {
-        /// Unique flood id (origin node + sequence).
-        flood_id: u64,
+        /// The broadcast id.
+        id: BroadcastId,
         /// Opaque application payload, delivered on every node.
         payload: P,
     },

@@ -1,12 +1,12 @@
 //! The overlay state machine: join, maintenance, routing, recovery.
 
-use crate::messages::{OverlayEvent, OverlayMsg};
+use crate::messages::{BroadcastId, OverlayEvent, OverlayMsg};
 use crate::table::{NeighborEntry, NeighborTable};
 use mind_types::node::{Outbox, SimTime, TimerId, MILLIS, SECONDS};
 use mind_types::{BitCode, DetHashMap, DetHashSet, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Tag marking timer tokens owned by the overlay (top byte). An embedder
 /// multiplexing its own timers onto the same node must tag them
@@ -48,9 +48,40 @@ const RING_TTL_MAX: u8 = 4;
 const RING_TIMEOUT: SimTime = SECONDS;
 /// Give up routing a message after this many overlay hops.
 const ROUTE_TTL: u32 = 64;
+/// How long a node remembers a broadcast id after it first heard it; a
+/// copy that arrives later is handled as a new broadcast. It exceeds every
+/// duplicate gap measured in the simulated worlds (DESIGN.md §10).
+const BROADCAST_MEMORY: SimTime = 30 * 60 * SECONDS;
 
 fn token(kind: u64, arg: u64) -> u64 {
     TOKEN_TAG | (kind << 48) | (arg & 0xFFFF_FFFF_FFFF)
+}
+
+/// The broadcast ids a node has heard, each forgotten
+/// [`BROADCAST_MEMORY`] after it was first heard: a set to look ids up
+/// and a queue in hearing order to expire them, amortised O(1) a call.
+#[derive(Debug, Default)]
+struct BroadcastMemory {
+    ids: DetHashSet<BroadcastId>,
+    by_age: VecDeque<(SimTime, BroadcastId)>,
+}
+
+impl BroadcastMemory {
+    /// Records `id` as heard at `now`: `false` if it is still remembered.
+    fn first_heard(&mut self, now: SimTime, id: BroadcastId) -> bool {
+        while let Some(&(at, old)) = self.by_age.front() {
+            if now.saturating_sub(at) < BROADCAST_MEMORY {
+                break;
+            }
+            self.ids.remove(&old);
+            self.by_age.pop_front();
+        }
+        let first = self.ids.insert(id);
+        if first {
+            self.by_age.push_back((now, id));
+        }
+        first
+    }
 }
 
 /// Failure-detection timing: the two overlay parameters a deployment
@@ -121,14 +152,16 @@ pub struct Overlay<P> {
     /// Extra regions claimed after recursive failure takeover.
     claimed: BTreeSet<BitCode>,
     pending_join: Option<PendingJoin>,
+    /// Keyed by the probe's sequence number.
     pending_rings: DetHashMap<u64, PendingRing<P>>,
     /// The pending join-retry watchdog, cancelled once membership commits.
     join_retry_timer: Option<TimerId>,
     /// `true` once `on_start` has run: a second call is a restart after a
     /// crash, and stale membership must not be resumed.
     started: bool,
-    seen_probes: DetHashSet<u64>,
-    seen_floods: DetHashSet<u64>,
+    heard: BroadcastMemory,
+    /// The boot epoch in the ids of the broadcasts this node starts.
+    boot: u64,
     seq: u64,
     hb_round: u64,
     join_epoch: u64,
@@ -192,13 +225,20 @@ impl<P: Clone> Overlay<P> {
             pending_rings: DetHashMap::default(),
             join_retry_timer: None,
             started: false,
-            seen_probes: DetHashSet::default(),
-            seen_floods: DetHashSet::default(),
+            heard: BroadcastMemory::default(),
+            boot: 0,
             seq: 0,
             hb_round: 0,
             join_epoch: 0,
             rng: SmallRng::seed_from_u64(0x5EED ^ id.0 as u64),
         }
+    }
+
+    /// Sets the boot epoch (0 by default) that the ids of this node's
+    /// broadcasts carry, so peers tell a restarted process from its last.
+    pub fn with_boot(mut self, boot: u64) -> Self {
+        self.boot = boot;
+        self
     }
 
     /// This node's transport address.
@@ -356,12 +396,29 @@ impl<P: Clone> Overlay<P> {
         self.join_retry_timer = Some(out.set_timer(backoff, token(KIND_JOIN_RETRY, 0)));
     }
 
-    /// A fresh flood or probe id: this node's id above a 24-bit sequence
-    /// number, so ids from different origins never collide.
-    fn next_id(&mut self) -> u64 {
-        let id = ((self.id.0 as u64) << 24) | (self.seq & 0xFF_FFFF);
+    /// A fresh broadcast id.
+    fn next_id(&mut self) -> BroadcastId {
+        let id = BroadcastId {
+            origin: self.id,
+            boot: self.boot,
+            seq: self.seq,
+        };
         self.seq += 1;
         id
+    }
+
+    /// Sends `msg` to every live contact not in `skip`, in node order: the
+    /// one fan-out of broadcasts (floods, takeover announcements, ring
+    /// probes) and split commits.
+    fn fan_out(&self, msg: OverlayMsg<P>, skip: &[NodeId], out: &mut Outbox<OverlayMsg<P>>) {
+        let mut to = self.table.alive_nodes();
+        to.retain(|n| !skip.contains(n));
+        if let Some((&last, rest)) = to.split_last() {
+            for &n in rest {
+                out.send(n, msg.clone());
+            }
+            out.send(last, msg);
+        }
     }
 
     fn jitter(&mut self, range: SimTime) -> SimTime {
@@ -383,17 +440,8 @@ impl<P: Clone> Overlay<P> {
     /// Floods `payload` to every other overlay node. The caller applies
     /// it locally: a flood raises no upcall at its origin.
     pub fn flood(&mut self, payload: &P, out: &mut Outbox<OverlayMsg<P>>) {
-        let flood_id = self.next_id();
-        self.seen_floods.insert(flood_id);
-        for n in self.table.alive_nodes() {
-            out.send(
-                n,
-                OverlayMsg::Flood {
-                    flood_id,
-                    payload: payload.clone(),
-                },
-            );
-        }
+        let (id, payload) = (self.next_id(), payload.clone());
+        self.fan_out(OverlayMsg::Flood { id, payload }, &[], out);
     }
 
     /// Handles an overlay message, returning its upcall, if any.
@@ -414,6 +462,16 @@ impl<P: Clone> Overlay<P> {
         if let Some(e) = self.table.find_by_node_mut(from) {
             if e.alive {
                 e.last_seen = now;
+            }
+        }
+        // A broadcast is handled the first time this node hears it. An
+        // echo of one this node started is dropped, never remembered.
+        if let OverlayMsg::Flood { id, .. }
+        | OverlayMsg::TakeoverAnnounce { id, .. }
+        | OverlayMsg::RingProbe { id, .. } = msg
+        {
+            if (id.origin, id.boot) == (self.id, self.boot) || !self.heard.first_heard(now, id) {
+                return None;
             }
         }
         match msg {
@@ -469,34 +527,16 @@ impl<P: Clone> Overlay<P> {
                 }
                 None
             }
-            OverlayMsg::TakeoverAnnounce {
-                flood_id,
-                origin,
-                new_code,
-            } => {
-                if !self.seen_floods.insert(flood_id) {
-                    return None;
-                }
-                if origin != self.id {
+            OverlayMsg::TakeoverAnnounce { id, new_code } => {
+                if id.origin != self.id {
                     if let Some(my) = self.code {
-                        self.table.observe(&my, origin, new_code, now);
+                        self.table.observe(&my, id.origin, new_code, now);
                     }
                     // The region has a proper owner now; drop provisional
                     // claims it covers.
                     self.claimed.retain(|r| !new_code.compatible(r));
                 }
-                for n in self.table.alive_nodes() {
-                    if n != from {
-                        out.send(
-                            n,
-                            OverlayMsg::TakeoverAnnounce {
-                                flood_id,
-                                origin,
-                                new_code,
-                            },
-                        );
-                    }
-                }
+                self.fan_out(OverlayMsg::TakeoverAnnounce { id, new_code }, &[from], out);
                 None
             }
             OverlayMsg::Route {
@@ -505,17 +545,16 @@ impl<P: Clone> Overlay<P> {
                 payload,
             } => self.forward_route(now, target, payload, hops, out),
             OverlayMsg::RingProbe {
-                probe_id,
+                id,
                 target,
                 need_cpl,
-                origin,
                 ttl,
             } => {
-                self.on_ring_probe(from, probe_id, target, need_cpl, origin, ttl, out);
+                self.on_ring_probe(from, id, target, need_cpl, ttl, out);
                 None
             }
-            OverlayMsg::RingHit { probe_id } => {
-                if let Some(p) = self.pending_rings.remove(&probe_id) {
+            OverlayMsg::RingHit { id } => {
+                if let Some(p) = self.pending_rings.remove(&id.seq) {
                     // Resolved: the escalation timeout must never fire.
                     out.cancel_timer(p.timer);
                     out.send(
@@ -530,21 +569,9 @@ impl<P: Clone> Overlay<P> {
                 None
             }
             OverlayMsg::Direct { payload } => Some(OverlayEvent::DirectDelivered { from, payload }),
-            OverlayMsg::Flood { flood_id, payload } => {
-                if !self.seen_floods.insert(flood_id) {
-                    return None;
-                }
-                for n in self.table.alive_nodes() {
-                    if n != from {
-                        out.send(
-                            n,
-                            OverlayMsg::Flood {
-                                flood_id,
-                                payload: payload.clone(),
-                            },
-                        );
-                    }
-                }
+            OverlayMsg::Flood { id, payload } => {
+                let copy = payload.clone();
+                self.fan_out(OverlayMsg::Flood { id, payload: copy }, &[from], out);
                 Some(OverlayEvent::FloodDelivered { payload })
             }
         }
@@ -579,7 +606,7 @@ impl<P: Clone> Overlay<P> {
                     self.start_join(now, out);
                 }
             }
-            KIND_RING => return self.on_ring_timeout(now, arg, out),
+            KIND_RING => return self.on_ring_timeout(arg, out),
             KIND_JOIN_ABORT => {
                 // The split never gathered all its acks (a SplitAck was
                 // lost, or a neighbor died mid-protocol). Abort so the
@@ -752,9 +779,7 @@ impl<P: Clone> Overlay<P> {
                 neighbors,
             },
         );
-        for n in self.table.alive_nodes() {
-            out.send(n, OverlayMsg::SplitCommit { new_code: my_new });
-        }
+        self.fan_out(OverlayMsg::SplitCommit { new_code: my_new }, &[], out);
         self.code = Some(my_new);
         self.table
             .push(NeighborEntry::new(joiner_code, pending.joiner, now));
@@ -812,23 +837,13 @@ impl<P: Clone> Overlay<P> {
         }
         // Representatives every round (the paper's ~log N maintenance
         // traffic); extras on a slower stride, just to stay warm.
-        for n in self.table.rep_nodes() {
-            out.send(
-                n,
-                OverlayMsg::Heartbeat {
-                    code: self.code.unwrap_or(my),
-                },
-            );
-        }
+        let code = self.code.unwrap_or(my);
+        let mut to = self.table.rep_nodes();
         if self.hb_round.is_multiple_of(EXTRAS_PING_STRIDE) {
-            for n in self.table.extra_nodes() {
-                out.send(
-                    n,
-                    OverlayMsg::Heartbeat {
-                        code: self.code.unwrap_or(my),
-                    },
-                );
-            }
+            to.extend(self.table.extra_nodes());
+        }
+        for n in to {
+            out.send(n, OverlayMsg::Heartbeat { code });
         }
     }
 
@@ -854,18 +869,8 @@ impl<P: Clone> Overlay<P> {
             // neighbors (whom we do not know) must learn the new owner,
             // or their provisional claims would swallow traffic for the
             // region.
-            let flood_id = self.next_id();
-            self.seen_floods.insert(flood_id);
-            for n in self.table.alive_nodes() {
-                out.send(
-                    n,
-                    OverlayMsg::TakeoverAnnounce {
-                        flood_id,
-                        origin: self.id,
-                        new_code,
-                    },
-                );
-            }
+            let id = self.next_id();
+            self.fan_out(OverlayMsg::TakeoverAnnounce { id, new_code }, &[], out);
         } else if !self.responsible_for(&x) {
             // Not the sibling: claim the dead region (the paper's
             // recursive takeover — "if both a node and its sibling fail,
@@ -936,12 +941,12 @@ impl<P: Clone> Overlay<P> {
         ttl: u8,
         out: &mut Outbox<OverlayMsg<P>>,
     ) {
-        let probe_id = self.next_id();
+        let id = self.next_id();
         let my = self.code.unwrap_or(BitCode::ROOT);
         let need_cpl = my.common_prefix_len(&target);
-        let timer = out.set_timer(RING_TIMEOUT, token(KIND_RING, probe_id));
+        let timer = out.set_timer(RING_TIMEOUT, token(KIND_RING, id.seq));
         self.pending_rings.insert(
-            probe_id,
+            id.seq,
             PendingRing {
                 target,
                 payload,
@@ -950,70 +955,49 @@ impl<P: Clone> Overlay<P> {
                 timer,
             },
         );
-        for n in self.table.alive_nodes() {
-            out.send(
-                n,
-                OverlayMsg::RingProbe {
-                    probe_id,
-                    target,
-                    need_cpl,
-                    origin: self.id,
-                    ttl,
-                },
-            );
-        }
+        let probe = OverlayMsg::RingProbe {
+            id,
+            target,
+            need_cpl,
+            ttl,
+        };
+        self.fan_out(probe, &[], out);
     }
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors the RingProbe wire fields"
-    )]
     fn on_ring_probe(
         &mut self,
         from: NodeId,
-        probe_id: u64,
+        id: BroadcastId,
         target: BitCode,
         need_cpl: u8,
-        origin: NodeId,
         ttl: u8,
         out: &mut Outbox<OverlayMsg<P>>,
     ) {
-        if !self.seen_probes.insert(probe_id) {
-            return;
-        }
         let my = self.code.unwrap_or(BitCode::ROOT);
         let my_cpl = my.common_prefix_len(&target);
         let can_resume = self.responsible_for(&target)
             || (my_cpl >= need_cpl && self.table.next_hop(&my, &target).is_some());
         if can_resume {
-            out.send(origin, OverlayMsg::RingHit { probe_id });
+            out.send(id.origin, OverlayMsg::RingHit { id });
             return;
         }
         if ttl > 1 {
-            for n in self.table.alive_nodes() {
-                if n != from && n != origin {
-                    out.send(
-                        n,
-                        OverlayMsg::RingProbe {
-                            probe_id,
-                            target,
-                            need_cpl,
-                            origin,
-                            ttl: ttl - 1,
-                        },
-                    );
-                }
-            }
+            let probe = OverlayMsg::RingProbe {
+                id,
+                target,
+                need_cpl,
+                ttl: ttl - 1,
+            };
+            self.fan_out(probe, &[from, id.origin], out);
         }
     }
 
     fn on_ring_timeout(
         &mut self,
-        _now: SimTime,
-        probe_id: u64,
+        seq: u64,
         out: &mut Outbox<OverlayMsg<P>>,
     ) -> Option<OverlayEvent<P>> {
-        let Some(p) = self.pending_rings.remove(&probe_id) else {
+        let Some(p) = self.pending_rings.remove(&seq) else {
             return None; // already resolved
         };
         if p.ttl >= RING_TTL_MAX {
@@ -1097,16 +1081,173 @@ mod tests {
         assert_eq!(o2.replica_targets(5).len(), 1);
     }
 
+    /// The nodes `out` sends to, in order.
+    fn recipients(out: &Out) -> Vec<u32> {
+        out.sends.iter().map(|(n, _)| n.0).collect()
+    }
+
+    fn id(origin: u32, seq: u64) -> BroadcastId {
+        BroadcastId {
+            origin: NodeId(origin),
+            boot: 0,
+            seq,
+        }
+    }
+
     #[test]
     fn flood_reaches_all_neighbors_once() {
+        // Node 000 of a 3-cube: its live contacts are nodes 1, 2 and 4.
         let mut o = static_overlay(8, 0);
         let mut out: Out = Outbox::new();
         o.flood(&Tag(9), &mut out);
-        assert_eq!(out.sends.len(), 3); // 3 neighbors in a 3-cube
-                                        // Re-receiving my own flood id is suppressed.
+        assert_eq!(recipients(&out), [1, 2, 4]);
+        // Re-receiving my own flood id is suppressed.
         let (_, msg) = out.sends[0].clone();
-        let ev = o.handle(1, NodeId(1), msg, &mut out);
-        assert!(ev.is_none());
+        out.sends.clear();
+        assert!(o.handle(1, NodeId(1), msg, &mut out).is_none());
+        assert!(out.sends.is_empty());
+        // A forward skips the sender.
+        let flood = OverlayMsg::Flood {
+            id: id(6, 0),
+            payload: Tag(3),
+        };
+        let ev = o.handle(2, NodeId(2), flood, &mut out);
+        assert_eq!(ev, Some(OverlayEvent::FloodDelivered { payload: Tag(3) }));
+        assert_eq!(recipients(&out), [1, 4]);
+        out.sends.clear();
+        // A takeover forward skips only the sender, not the origin.
+        let new_code = BitCode::parse("1").unwrap();
+        let announce = OverlayMsg::TakeoverAnnounce {
+            id: id(4, 1),
+            new_code,
+        };
+        assert!(o.handle(3, NodeId(2), announce, &mut out).is_none());
+        assert_eq!(recipients(&out), [1, 4]);
+        out.sends.clear();
+        // A ring-probe forward also skips the probe's origin.
+        let probe = OverlayMsg::RingProbe {
+            id: id(1, 0),
+            target: BitCode::parse("111").unwrap(),
+            need_cpl: 3,
+            ttl: 2,
+        };
+        assert!(o.handle(4, NodeId(2), probe, &mut out).is_none());
+        assert_eq!(recipients(&out), [4]);
+        out.sends.clear();
+        o.start_ring(BitCode::parse("111").unwrap(), Tag(4), 0, 1, &mut out);
+        assert_eq!(recipients(&out), [1, 2, 4]);
+        // A takeover's origin announces to the contacts its shorter code
+        // keeps: the dead sibling's entry is gone.
+        let mut o = static_overlay(8, 0);
+        let mut out: Out = Outbox::new();
+        let dead = NeighborEntry::new(BitCode::parse("001").unwrap(), NodeId(1), 0);
+        o.handle_neighbor_death(dead, &mut out);
+        assert_eq!(recipients(&out), [2, 4]);
+    }
+
+    #[test]
+    fn a_restarted_origin_is_not_taken_for_its_dead_incarnation() {
+        // Node 4 hears node 0's first flood and first ring probe; node 0
+        // restarts as a fresh process with a later boot and counts its
+        // broadcasts from 0 again.
+        let mut receiver = static_overlay(8, 4);
+        let target = BitCode::parse("100").unwrap(); // node 4 answers
+        for (boot, payload) in [(0, Tag(1)), (1, Tag(2))] {
+            let mut origin = static_overlay(8, 0).with_boot(boot);
+            let mut out: Out = Outbox::new();
+            origin.flood(&payload, &mut out);
+            origin.start_ring(target, Tag(0), 0, 1, &mut out);
+            let to_4: Vec<_> = out
+                .sends
+                .into_iter()
+                .filter(|(n, _)| *n == NodeId(4))
+                .collect();
+            let [(_, flood), (_, probe)] = <[_; 2]>::try_from(to_4).unwrap();
+            let mut out: Out = Outbox::new();
+            let ev = receiver.handle(10, NodeId(0), flood, &mut out);
+            assert_eq!(ev, Some(OverlayEvent::FloodDelivered { payload }));
+            assert!(receiver.handle(10, NodeId(0), probe, &mut out).is_none());
+            let hit = out.sends.iter().find_map(|(n, m)| match m {
+                OverlayMsg::RingHit { id } if *n == NodeId(0) => Some(*id),
+                _ => None,
+            });
+            assert_eq!(hit.map(|id| (id.boot, id.seq)), Some((boot, 1)));
+        }
+    }
+
+    #[test]
+    fn an_origins_two_to_the_24th_broadcast_is_not_its_first() {
+        let mut receiver = static_overlay(8, 4);
+        let mut origin = static_overlay(8, 0);
+        for (seq, payload) in [(0, Tag(1)), (1 << 24, Tag(2))] {
+            origin.seq = seq;
+            let mut out: Out = Outbox::new();
+            origin.flood(&payload, &mut out);
+            let (_, flood) = out
+                .sends
+                .into_iter()
+                .find(|(n, _)| *n == NodeId(4))
+                .unwrap();
+            let ev = receiver.handle(10, NodeId(0), flood, &mut Outbox::new());
+            assert_eq!(ev, Some(OverlayEvent::FloodDelivered { payload }));
+        }
+    }
+
+    #[test]
+    fn broadcast_memory_forgets_an_id_a_lifetime_after_first_hearing() {
+        let mut m = BroadcastMemory::default();
+        assert!(m.first_heard(10, id(3, 0)));
+        // A copy within the lifetime is a duplicate, and does not extend it.
+        assert!(!m.first_heard(10 + BROADCAST_MEMORY / 2, id(3, 0)));
+        assert!(!m.first_heard(10 + BROADCAST_MEMORY - 1, id(3, 0)));
+        assert!(m.first_heard(10 + BROADCAST_MEMORY, id(3, 0)));
+        // Ids heard every 1/64th of a lifetime, for two lifetimes: no more
+        // than the 64 heard within one lifetime are ever remembered.
+        let mut m = BroadcastMemory::default();
+        let period = BROADCAST_MEMORY / 64;
+        for k in 0..128u64 {
+            assert!(m.first_heard(k * period, id(5, k)));
+            assert_eq!(m.ids.len(), (k as usize + 1).min(64), "after id {k}");
+            assert_eq!(m.by_age.len(), m.ids.len());
+        }
+    }
+
+    #[test]
+    fn extras_are_pinged_every_fourth_round_and_kept_for_four_horizons() {
+        // Node 000 of a 3-cube learns node 9 (code 101) as an extra contact
+        // at time 0; its representatives answer every round, node 9 never.
+        let mut o = static_overlay(8, 0);
+        let mut out: Out = Outbox::new();
+        let code = BitCode::parse("101").unwrap();
+        let ack = OverlayMsg::HeartbeatAck { code };
+        assert!(o.handle(0, NodeId(9), ack, &mut out).is_none());
+        assert_eq!(o.table().extra_nodes(), [NodeId(9)]);
+        let cfg = OverlayConfig::default();
+        let (mut pinged, mut dropped) = (Vec::new(), None);
+        for round in 1..=20u64 {
+            let now = round * cfg.hb_interval;
+            for (n, code) in [(1, "001"), (2, "010"), (4, "100")] {
+                let ack = OverlayMsg::HeartbeatAck {
+                    code: BitCode::parse(code).unwrap(),
+                };
+                o.handle(now, NodeId(n), ack, &mut out);
+            }
+            out.sends.clear();
+            o.on_timer(now, token(KIND_HEARTBEAT, 0), &mut out);
+            if out
+                .sends
+                .iter()
+                .any(|(n, m)| *n == NodeId(9) && matches!(m, OverlayMsg::Heartbeat { .. }))
+            {
+                pinged.push(round);
+            }
+            if dropped.is_none() && o.table().extras().is_empty() {
+                dropped = Some(round);
+            }
+        }
+        // Rounds are 2 s apart; an extra lives 2 s × 3 misses × 4 = 24 s.
+        assert_eq!(pinged, [4, 8, 12]);
+        assert_eq!(dropped, Some(13));
     }
 
     #[test]
@@ -1247,21 +1388,11 @@ mod tests {
         // too... simulate a probe answered by a node responsible).
         let mut o = static_overlay(8, 6); // node 110
         let mut out: Out = Outbox::new();
-        o.on_ring_probe(
-            NodeId(0),
-            77,
-            BitCode::parse("110").unwrap(),
-            0,
-            NodeId(0),
-            1,
-            &mut out,
-        );
-        assert!(
-            out.sends
-                .iter()
-                .any(|(n, m)| *n == NodeId(0)
-                    && matches!(m, OverlayMsg::RingHit { probe_id: 77, .. }))
-        );
+        let target = BitCode::parse("110").unwrap();
+        o.on_ring_probe(NodeId(0), id(0, 77), target, 0, 1, &mut out);
+        assert!(out.sends.iter().any(
+            |(n, m)| *n == NodeId(0) && matches!(m, OverlayMsg::RingHit { id } if id.seq == 77)
+        ));
     }
 
     #[test]

@@ -107,39 +107,21 @@ impl NeighborTable {
     }
 
     /// Live contacts (representatives and extras), deduplicated — the
-    /// flood/probe fan-out set.
+    /// broadcast fan-out set.
     pub fn alive_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .alive()
-            .map(|e| e.node)
-            .chain(self.extras.iter().filter(|e| e.alive).map(|e| e.node))
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+        live_nodes(self.entries.iter().chain(&self.extras))
     }
 
     /// Live representatives only — the per-round heartbeat set (extras are
     /// pinged at a slower cadence to keep maintenance traffic at the
     /// paper's ~log N per node).
     pub fn rep_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.alive().map(|e| e.node).collect();
-        v.sort();
-        v.dedup();
-        v
+        live_nodes(self.entries.iter())
     }
 
     /// Live extra contacts.
     pub fn extra_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .extras
-            .iter()
-            .filter(|e| e.alive)
-            .map(|e| e.node)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+        live_nodes(self.extras.iter())
     }
 
     /// The auxiliary contacts.
@@ -237,6 +219,14 @@ impl NeighborTable {
         }
         best.map(|(e, _)| e)
     }
+}
+
+/// The live nodes among `entries`, sorted and deduplicated.
+fn live_nodes<'a>(entries: impl Iterator<Item = &'a NeighborEntry>) -> Vec<NodeId> {
+    let mut v: Vec<NodeId> = entries.filter(|e| e.alive).map(|e| e.node).collect();
+    v.sort_unstable();
+    v.dedup();
+    v
 }
 
 #[cfg(test)]
