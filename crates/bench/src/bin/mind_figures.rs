@@ -10,13 +10,15 @@
 //! Plain mode writes each figure's series to stdout and its verdict to
 //! stderr. `--check` runs the figures at the committed scale into a
 //! buffer and byte-diffs each against `<dir>/<name>.txt`, listing every
-//! differing line (up to 40 a file); `--write` regenerates those files.
+//! differing line (up to 40 a file, or a world of a pin file); `--write`
+//! regenerates those files.
 //! A shape check that does not reproduce, or a file that differs, exits
 //! 1; a bad command line exits 2.
 
 use mind_bench::figures::{Figure, Scale, FIGURES};
+use mind_bench::report::check_file;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Where the figures' bytes go.
@@ -89,52 +91,6 @@ fn parse<'t>(
     Ok((figures, scale, mode))
 }
 
-/// The most differing lines `--check` lists for one file.
-const DIFF_CAP: usize = 40;
-
-/// Every line at which two outputs differ, paired by line number:
-/// `(line number, committed line, current line)`; empty when they are
-/// byte-identical.
-fn differences(committed: &[u8], current: &[u8]) -> Vec<(usize, String, String)> {
-    let show = |line: Option<&[u8]>| match line {
-        Some(l) => String::from_utf8_lossy(l).into_owned(),
-        None => "<end of file>".to_string(),
-    };
-    let mut a = committed.split_inclusive(|&c| c == b'\n');
-    let mut b = current.split_inclusive(|&c| c == b'\n');
-    let mut diffs = Vec::new();
-    for line in 1.. {
-        match (a.next(), b.next()) {
-            (None, None) => break,
-            (x, y) if x != y => diffs.push((line, show(x), show(y))),
-            _ => {}
-        }
-    }
-    diffs
-}
-
-/// Diffs one figure's bytes against its committed file, reporting to
-/// `out` each differing line, up to [`DIFF_CAP`]. `true` when identical.
-fn check_file(path: &Path, current: &[u8], out: &mut dyn Write) -> std::io::Result<bool> {
-    let committed = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            writeln!(out, "MISSING {}: {e}", path.display())?;
-            return Ok(false);
-        }
-    };
-    let diffs = differences(&committed, current);
-    for (line, was, is) in diffs.iter().take(DIFF_CAP) {
-        writeln!(out, "DIFF {}:{line}", path.display())?;
-        writeln!(out, "  committed: {}", was.trim_end_matches('\n'))?;
-        writeln!(out, "  current:   {}", is.trim_end_matches('\n'))?;
-    }
-    if diffs.len() > DIFF_CAP {
-        writeln!(out, "… {} more", diffs.len() - DIFF_CAP)?;
-    }
-    Ok(diffs.is_empty())
-}
-
 /// Runs the figures into `out` or against `mode`'s directory, one
 /// verdict line each to `log`. `true`: every verdict reproduced and every
 /// checked file matched.
@@ -195,6 +151,8 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use mind_bench::figures::Verdict;
+    use mind_bench::report::DIFF_CAP;
+    use std::path::Path;
 
     fn toy(out: &mut dyn Write, _: &Scale) -> std::io::Result<Verdict> {
         writeln!(out, "line one\nline two")?;

@@ -1,10 +1,15 @@
-//! Output formatting for the figures.
+//! Output formatting for the figures, and the checker of committed
+//! output.
 //!
 //! Each figure writes: the experiment header, the paper's reported
 //! shape, and the measured series — aligned so a reader can compare
-//! shapes at a glance (matching `EXPERIMENTS.md`).
+//! shapes at a glance (matching `EXPERIMENTS.md`). [`check_file`] diffs
+//! what a run prints against its committed file, line by line:
+//! `mind-figures --check` for `results/`, `bench_sim --check` for
+//! `BENCH_sim.txt`.
 
 use std::io::{self, Write};
+use std::path::Path;
 
 use mind_types::node::SimTime;
 
@@ -46,61 +51,62 @@ pub fn fraction_leq(samples: &[u64], threshold: u64) -> f64 {
     samples.iter().filter(|&&s| s <= threshold).count() as f64 / samples.len() as f64
 }
 
-// ---- machine-readable benchmark reports ----
-//
-// The gate baseline (`BENCH_sim.json`) is a flat JSON object mapping
-// metric names to numbers. The workspace deliberately vendors no JSON
-// crate, so the emitter and the (correspondingly restricted) parser live
-// here: one level, string keys, finite numeric values — exactly what a
-// regression gate needs, and trivially diffable in review.
+// ---- checking committed output ----
 
-/// Serializes `(key, value)` pairs as a flat, stable-order JSON object.
-/// Keys must not contain `"` or `\` (bench metric names never do).
-pub fn json_numbers(pairs: &[(String, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        assert!(
-            !k.contains('"') && !k.contains('\\'),
-            "metric name needs no escaping: {k}"
-        );
-        assert!(v.is_finite(), "metric {k} is not finite");
-        out.push_str("  \"");
-        out.push_str(k);
-        out.push_str("\": ");
-        // Integers stay integral so committed baselines diff cleanly.
-        if v.fract() == 0.0 && v.abs() < 1e15 {
-            out.push_str(&format!("{}", *v as i64));
-        } else {
-            out.push_str(&format!("{v:.3}"));
+/// The most differing lines [`check_file`] lists for one block: a pin
+/// file's world, from its `world <title>` line to the next, or a whole
+/// file without titles. A change that moves several worlds is named in
+/// each of them.
+pub const DIFF_CAP: usize = 40;
+
+/// Every line at which two outputs differ, paired by line number:
+/// `(block, line number, committed line, current line)`, where `block`
+/// counts the `world ` titles of `current` up to that line; empty when
+/// they are byte-identical.
+fn differences(committed: &[u8], current: &[u8]) -> Vec<(usize, usize, String, String)> {
+    let show = |line: Option<&[u8]>| match line {
+        Some(l) => String::from_utf8_lossy(l).into_owned(),
+        None => "<end of file>".to_string(),
+    };
+    let mut a = committed.split_inclusive(|&c| c == b'\n');
+    let mut b = current.split_inclusive(|&c| c == b'\n');
+    let mut diffs = Vec::new();
+    let mut block = 0;
+    for line in 1.. {
+        let (x, y) = (a.next(), b.next());
+        block += usize::from(y.is_some_and(|l| l.starts_with(b"world ")));
+        match (x, y) {
+            (None, None) => break,
+            (x, y) if x != y => diffs.push((block, line, show(x), show(y))),
+            _ => {}
         }
-        out.push_str(if i + 1 == pairs.len() { "\n" } else { ",\n" });
     }
-    out.push_str("}\n");
-    out
+    diffs
 }
 
-/// Parses a flat JSON object of numbers (the output of [`json_numbers`]).
-/// Returns `None` on anything structurally unexpected — a gate must fail
-/// loudly on a malformed baseline rather than pass vacuously.
-pub fn parse_json_numbers(s: &str) -> Option<Vec<(String, f64)>> {
-    let body = s.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut out = Vec::new();
-    for entry in body.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
+/// Diffs freshly printed bytes against their committed file, reporting
+/// to `out` each differing line, up to [`DIFF_CAP`] a block, or
+/// `MISSING` for a file that cannot be read. `true` when identical.
+pub fn check_file(path: &Path, current: &[u8], out: &mut dyn Write) -> io::Result<bool> {
+    let committed = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) => {
+            writeln!(out, "MISSING {}: {e}", path.display())?;
+            return Ok(false);
         }
-        let (key, value) = entry.split_once(':')?;
-        let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-        let value: f64 = value.trim().parse().ok()?;
-        out.push((key.to_string(), value));
+    };
+    let diffs = differences(&committed, current);
+    for block in diffs.chunk_by(|x, y| x.0 == y.0) {
+        for (_, line, was, is) in block.iter().take(DIFF_CAP) {
+            writeln!(out, "DIFF {}:{line}", path.display())?;
+            writeln!(out, "  committed: {}", was.trim_end_matches('\n'))?;
+            writeln!(out, "  current:   {}", is.trim_end_matches('\n'))?;
+        }
+        if block.len() > DIFF_CAP {
+            writeln!(out, "… {} more", block.len() - DIFF_CAP)?;
+        }
     }
-    Some(out)
-}
-
-/// Looks up one metric in a parsed report.
-pub fn metric(report: &[(String, f64)], key: &str) -> Option<f64> {
-    report.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
+    Ok(diffs.is_empty())
 }
 
 #[cfg(test)]
@@ -129,33 +135,5 @@ mod tests {
     #[test]
     fn fmt_us_seconds() {
         assert_eq!(fmt_us(1_500_000), "1.500s");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let pairs = vec![
-            ("naive.range_ns".to_string(), 123456.0),
-            ("columnar.range_ns".to_string(), 7890.0),
-            ("range_speedup".to_string(), 15.647),
-        ];
-        let s = json_numbers(&pairs);
-        let back = parse_json_numbers(&s).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(metric(&back, "naive.range_ns"), Some(123456.0));
-        assert_eq!(metric(&back, "range_speedup"), Some(15.647));
-        assert_eq!(metric(&back, "missing"), None);
-    }
-
-    #[test]
-    fn json_integers_stay_integral() {
-        let s = json_numbers(&[("x".to_string(), 42.0)]);
-        assert!(s.contains("\"x\": 42\n"), "{s}");
-    }
-
-    #[test]
-    fn json_parse_rejects_garbage() {
-        assert!(parse_json_numbers("not json").is_none());
-        assert!(parse_json_numbers("{\"a\": }").is_none());
-        assert_eq!(parse_json_numbers("{}").map(|v| v.len()), Some(0));
     }
 }

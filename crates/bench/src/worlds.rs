@@ -1,10 +1,13 @@
 //! The seeded worlds whose fingerprint `results/replay_pins.txt` holds:
 //! three 8-node chaos worlds (loss, duplication, a partition, level-1
-//! replication; `tests/chaos.rs` replays them) and `bench_sim`'s churn
-//! world (crash/revive churn under a steady insert feed, at any
-//! population). Each returns a [`Fingerprint`]: what the world did, by
-//! name, down to every message and timer kind. The `replay_pins` figure
-//! prints it; a re-pin is `mind-figures all --write results`.
+//! replication; `tests/chaos.rs` replays them) and the churn world
+//! (crash/revive churn under a steady insert feed, at any population).
+//! Each returns a [`Fingerprint`]: what the world did, by name, down to
+//! every message and timer kind. The `replay_pins` figure prints the
+//! chaos worlds and the 1k churn world's first 120 s, and `bench_sim`
+//! the two churn worlds it gates into `BENCH_sim.txt`; a re-pin is
+//! `mind-figures all --write results` and `bench_sim --write
+//! BENCH_sim.txt`.
 
 use crate::harness::{paper_mind_config, random_query, synth_point, IndexKind};
 use mind_core::{Census, ClusterConfig, MindCluster, NodeMetrics, Replication};
@@ -355,8 +358,13 @@ pub fn replicated_replay_run(seed: u64) -> (Fingerprint, (u64, u64)) {
 /// RNG all derive from it, so every published number replays).
 pub const CHURN_SEED: u64 = 22;
 /// The smoke world: the churn world's population and simulated span
-/// (seconds) for the replay check and the pin file.
+/// (seconds) that `results/replay_pins.txt` pins.
 pub const SMOKE_WORLD: (usize, u64) = (1000, 120);
+
+/// A churn world's title in a pin file.
+pub fn churn_title(n: usize, span_secs: u64) -> String {
+    format!("run_world n={n} span={span_secs}s seed={CHURN_SEED}")
+}
 
 /// Seeded churn schedule: every 20 simulated seconds one node (never the
 /// query/index origin, node 0) crashes for 40–80 s and revives, capped so
