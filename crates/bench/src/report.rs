@@ -6,8 +6,10 @@
 //! shapes at a glance (matching `EXPERIMENTS.md`). [`check_file`] diffs
 //! what a run prints against its committed file, line by line:
 //! `mind-figures --check` for `results/`, `bench_sim --check` for
-//! `BENCH_sim.txt`.
+//! `BENCH_sim.txt`; [`check_bytes`] diffs bytes already read, as the
+//! replay-pin test does with the chaos worlds' blocks.
 
+use std::fmt::Display;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -53,17 +55,32 @@ pub fn fraction_leq(samples: &[u64], threshold: u64) -> f64 {
 
 // ---- checking committed output ----
 
-/// The most differing lines [`check_file`] lists for one block: a pin
+/// The most differing lines [`check_bytes`] lists for one block: a pin
 /// file's world, from its `world <title>` line to the next, or a whole
 /// file without titles. A change that moves several worlds is named in
 /// each of them.
 pub const DIFF_CAP: usize = 40;
 
-/// Every line at which two outputs differ, paired by line number:
-/// `(block, line number, committed line, current line)`, where `block`
-/// counts the `world ` titles of `current` up to that line; empty when
-/// they are byte-identical.
-fn differences(committed: &[u8], current: &[u8]) -> Vec<(usize, usize, String, String)> {
+/// Diffs freshly printed bytes against their committed file, reporting
+/// to `out` as [`check_bytes`] does, or `MISSING` for a file that cannot
+/// be read. `true` when identical.
+pub fn check_file(path: &Path, current: &[u8], out: &mut dyn Write) -> io::Result<bool> {
+    match std::fs::read(path) {
+        Ok(committed) => check_bytes(&path.display(), &committed, current, out),
+        Err(e) => writeln!(out, "MISSING {}: {e}", path.display()).map(|()| false),
+    }
+}
+
+/// Diffs freshly printed bytes against committed ones, pairing lines by
+/// number, and reports to `out` each line that differs as `DIFF
+/// <name>:<line>`, up to [`DIFF_CAP`] a block (a block counts the `world `
+/// titles of `current` up to its line). `true` when identical.
+pub fn check_bytes(
+    name: &dyn Display,
+    committed: &[u8],
+    current: &[u8],
+    out: &mut dyn Write,
+) -> io::Result<bool> {
     let show = |line: Option<&[u8]>| match line {
         Some(l) => String::from_utf8_lossy(l).into_owned(),
         None => "<end of file>".to_string(),
@@ -81,24 +98,9 @@ fn differences(committed: &[u8], current: &[u8]) -> Vec<(usize, usize, String, S
             _ => {}
         }
     }
-    diffs
-}
-
-/// Diffs freshly printed bytes against their committed file, reporting
-/// to `out` each differing line, up to [`DIFF_CAP`] a block, or
-/// `MISSING` for a file that cannot be read. `true` when identical.
-pub fn check_file(path: &Path, current: &[u8], out: &mut dyn Write) -> io::Result<bool> {
-    let committed = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            writeln!(out, "MISSING {}: {e}", path.display())?;
-            return Ok(false);
-        }
-    };
-    let diffs = differences(&committed, current);
     for block in diffs.chunk_by(|x, y| x.0 == y.0) {
         for (_, line, was, is) in block.iter().take(DIFF_CAP) {
-            writeln!(out, "DIFF {}:{line}", path.display())?;
+            writeln!(out, "DIFF {name}:{line}")?;
             writeln!(out, "  committed: {}", was.trim_end_matches('\n'))?;
             writeln!(out, "  current:   {}", is.trim_end_matches('\n'))?;
         }

@@ -270,12 +270,7 @@ impl<D: ClusterDriver<MindNode>> MindCluster<D> {
         self.wait_until(120 * mind_types::node::SECONDS, |c| {
             c.query_outcome(at, qid).is_some()
         });
-        Ok(self.query_outcome(at, qid).unwrap_or_else(|| QueryOutcome {
-            complete: false,
-            latency: None,
-            records: vec![],
-            cost_nodes: 0,
-        }))
+        Ok(self.query_outcome(at, qid).unwrap_or_default())
     }
 
     /// Installs a standing query from node `at`; returns the trigger id.

@@ -147,8 +147,8 @@ impl QueryTracker {
     }
 }
 
-/// The result of a finished (or failed) query.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The result of a finished (or failed) query; the default never finished.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct QueryOutcome {
     /// `true` when every planned region answered before the deadline.
     pub complete: bool,

@@ -85,11 +85,6 @@ where
         })
     }
 
-    /// The address node `id` listens on.
-    pub fn addr(&self, id: NodeId) -> SocketAddr {
-        self.peers[&id]
-    }
-
     /// Transport counters summed over all live hosts.
     pub fn total_traffic(&self) -> u64 {
         self.slots

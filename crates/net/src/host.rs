@@ -11,7 +11,8 @@
 //!   upstream of it,
 //! * applications call [`TcpHost::invoke`] to run a closure against the
 //!   logic (the `with_node` of the real world) on their own thread, under
-//!   the lock,
+//!   the lock, and [`HostHandle::wait_for`] to have each later pass re-run
+//!   a check of the logic, under the lock, until it hands them a value,
 //! * the **driver thread** keeps time: it parks until the wheel's next
 //!   deadline and fires the due timers. A pass that arms an earlier
 //!   deadline unparks it.
@@ -54,6 +55,7 @@ use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -137,12 +139,39 @@ where
 {
     /// Runs `f` against the node logic on this thread, under the core
     /// lock; `None` if the host has shut down or a pass panicked.
-    pub fn invoke<R, F>(&self, f: F) -> Option<R>
+    pub fn invoke<R>(
+        &self,
+        f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R,
+    ) -> Option<R> {
+        self.shared.invoke(f)
+    }
+
+    /// Waits until `check` gives a value. It runs under the core lock now,
+    /// then after each later pass on the thread that ran it. `None` after
+    /// `timeout`, once the host halts, or if a pass panicked.
+    pub fn wait_for<R, F>(&self, timeout: Duration, mut check: F) -> Option<R>
     where
         R: Send + 'static,
-        F: FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R + Send + 'static,
+        F: FnMut(&mut L) -> Option<R> + Send + 'static,
     {
-        self.shared.invoke(f)
+        let (tx, rx) = mpsc::sync_channel(1);
+        let mut guard = self.shared.lock()?;
+        let core = guard.as_mut()?;
+        if let Some(r) = check(core.host.logic_mut()) {
+            return Some(r);
+        }
+        core.waiter_seq += 1;
+        let id = core.waiter_seq;
+        let answered = move |l: &mut L| check(l).map(|r| tx.send(r)).is_some();
+        core.waiters.push((id, Box::new(answered)));
+        drop(guard);
+        rx.recv_timeout(timeout).ok().or_else(|| {
+            if let Some(Some(core)) = self.shared.lock().as_deref_mut() {
+                core.waiters.retain(|(w, _)| *w != id);
+            }
+            // A pass may have answered between the timeout and the lock.
+            rx.try_recv().ok()
+        })
     }
 
     /// A snapshot of the host's transport counters.
@@ -190,6 +219,8 @@ where
                 wheel: Scheduler::new(),
                 touched: Vec::new(),
                 wakes_at: 0,
+                waiters: Vec::new(),
+                waiter_seq: 0,
             })),
             links: peers
                 .into_iter()
@@ -244,11 +275,6 @@ where
         })
     }
 
-    /// This host's node id.
-    pub fn id(&self) -> NodeId {
-        self.shared.id
-    }
-
     /// The address peers dial.
     pub fn listen_addr(&self) -> SocketAddr {
         self.listen_addr
@@ -273,11 +299,7 @@ where
         clippy::expect_used,
         reason = "the host runs as long as `self`, so only a panicked pass refuses an invoke"
     )]
-    pub fn invoke<R, F>(&self, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R + Send + 'static,
-    {
+    pub fn invoke<R>(&self, f: impl FnOnce(&mut L, SimTime, &mut Outbox<L::Msg>) -> R) -> R {
         self.shared.invoke(f).expect("no pass panicked")
     }
 
@@ -350,7 +372,13 @@ struct Core<L: NodeLogic> {
     /// When the parked driver thread wakes on its own; 0 while it is
     /// awake. A pass that arms an earlier deadline unparks it.
     wakes_at: SimTime,
+    /// [`HostHandle::wait_for`] checks by id. Each pass runs them and drops
+    /// those that sent their caller a value (`true`).
+    waiters: Vec<(u64, Waiter<L>)>,
+    waiter_seq: u64,
 }
+
+type Waiter<L> = Box<dyn FnMut(&mut L) -> bool + Send>;
 
 /// What a host's threads share.
 struct Shared<L: NodeLogic> {
@@ -422,8 +450,8 @@ impl<L: NodeLogic> Shared<L>
 where
     L::Msg: Serialize,
 {
-    /// One pass on the held core: runs `f`, appends its frames to their
-    /// peers' queues, then arms and cancels its timers.
+    /// One pass on the held core: runs `f`, queues its frames to their
+    /// peers, arms and cancels its timers, then runs the waiting checks.
     fn pass<R>(
         &self,
         core: &mut Core<L>,
@@ -451,6 +479,8 @@ where
             core.wakes_at = d;
             self.unpark_driver();
         }
+        core.waiters
+            .retain_mut(|(_, answered)| !answered(core.host.logic_mut()));
         r
     }
 
@@ -699,7 +729,7 @@ mod tests {
     use super::*;
     use mind_types::WireSize;
     use serde::Deserialize;
-    use std::sync::mpsc;
+    use std::sync::atomic::AtomicUsize;
 
     #[derive(Debug, Clone, Serialize, Deserialize)]
     struct Ping(u64);
@@ -764,24 +794,27 @@ mod tests {
         let (a, b) = spawn_pair();
         a.invoke(|_logic, _now, out| out.send(NodeId(1), Ping(98)));
         // 98 -> b, 99 -> a, 100 -> b (no further reply).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let done = b.invoke(|l, _n, _o| l.got.iter().map(|&(_, v)| v).collect::<Vec<_>>());
-            if done == vec![98, 100] {
-                break;
-            }
-            assert!(Instant::now() < deadline, "timed out; b saw {done:?}");
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let seen = |l: &mut Echo| l.got.iter().map(|&(_, v)| v).collect::<Vec<_>>();
+        let done = b.handle().wait_for(Duration::from_secs(5), move |l| {
+            (seen(l) == [98, 100]).then_some(())
+        });
+        assert!(
+            done.is_some(),
+            "timed out; b saw {:?}",
+            b.invoke(move |l, _n, _o| seen(l))
+        );
         let a_stats = a.stats();
         assert!(a_stats.msgs_sent >= 1);
         assert!(a_stats.msgs_received >= 1);
+        let fired = a
+            .handle()
+            .wait_for(Duration::from_secs(5), |l| l.timer_fired.then_some(()));
+        assert!(fired.is_some(), "timers must fire on the real clock");
         let a_logic = a.shutdown();
         assert_eq!(
             a_logic.got.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
             vec![99]
         );
-        assert!(a_logic.timer_fired, "timers must fire on the real clock");
         drop(b);
     }
 
@@ -819,11 +852,10 @@ mod tests {
     fn first_contact_is_not_a_reconnect() {
         let (a, b) = spawn_pair();
         a.invoke(|_logic, _now, out| out.send(NodeId(1), Ping(98)));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while a.invoke(|l, _n, _o| l.got.is_empty()) {
-            assert!(Instant::now() < deadline, "no reply arrived");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let replied = a
+            .handle()
+            .wait_for(Duration::from_secs(5), |l| l.got.first().copied());
+        assert!(replied.is_some(), "no reply arrived");
         assert_eq!(a.stats().reconnects, 0);
         assert_eq!(b.stats().reconnects, 0);
         a.shutdown();
@@ -836,15 +868,11 @@ mod tests {
         let sent_before = a.stats().msgs_sent;
         // Values past Echo's reply range, so b sends nothing back.
         a.invoke(|_l, _n, out| (1000..1500).for_each(|v| out.send(NodeId(1), Ping(v))));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let got = loop {
-            let got = b.invoke(|l, _n, _o| l.got.iter().map(|&(_, v)| v).collect::<Vec<_>>());
-            if got.len() >= 500 {
-                break got;
-            }
-            assert!(Instant::now() < deadline, "b saw {} of 500", got.len());
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        let got = b.handle().wait_for(Duration::from_secs(5), |l| {
+            (l.got.len() >= 500).then(|| l.got.iter().map(|&(_, v)| v).collect::<Vec<_>>())
+        });
+        let got =
+            got.unwrap_or_else(|| panic!("b saw {} of 500", b.invoke(|l, _n, _o| l.got.len())));
         assert_eq!(got, (1000..1500).collect::<Vec<_>>());
         // The driver is single-threaded: this invoke runs after the pass
         // above has counted its write.
@@ -877,15 +905,11 @@ mod tests {
             Some(7),
             "the held invoke is answered"
         );
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let got = loop {
-            let got = b.invoke(|l, _n, _o| l.got.iter().map(|&(_, v)| v).collect::<Vec<_>>());
-            if got.len() as u64 >= end - 1000 {
-                break got;
-            }
-            assert!(Instant::now() < deadline, "b saw {} frames", got.len());
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        let got = b.handle().wait_for(Duration::from_secs(10), move |l| {
+            (l.got.len() as u64 >= end - 1000).then(|| l.got.iter().map(|&(_, v)| v).collect())
+        });
+        let got: Vec<u64> =
+            got.unwrap_or_else(|| panic!("b saw {} frames", b.invoke(|l, _n, _o| l.got.len())));
         assert_eq!(got, (1000..end).collect::<Vec<_>>());
         assert!(
             b.stats().inbound_throttled > 0,
@@ -907,34 +931,35 @@ mod tests {
         let a = TcpHost::spawn(NodeId(0), l0, peers.clone(), Fired(vec![])).unwrap();
         let b = TcpHost::spawn(NodeId(1), l1, peers, Fired(vec![])).unwrap();
         // a floods b from its own thread while b's application thread
-        // times how long each of its invokes waits for the core. A reader
-        // holds it for one pass at a time, so a wait is short unless the
-        // scheduler preempts the holder; on a busy two-core box that hits
-        // a few waits a second, so the p99 is taken over 1,000 waits,
-        // where a few stalls cannot set it.
+        // counts the frames b's reader decodes between each invoke's
+        // request and its pass. The reader decodes a frame only after it
+        // ran the one before, so a reader that kept the core across
+        // frames would make a typical invoke wait out a run of them. A
+        // busy box stretches the tail (a waiter slow to wake lets the
+        // reader barge), not the median.
         let done = AtomicBool::new(false);
-        let mut waits = std::thread::scope(|s| {
+        let mut frames = std::thread::scope(|s| {
             s.spawn(|| {
                 while !done.load(Ordering::Relaxed) {
                     a.invoke(|_l, _n, out| (0..500).for_each(|v| out.send(NodeId(1), Ping(v))));
                 }
             });
-            let waits: Vec<Duration> = (0..1000)
+            let frames: Vec<u64> = (0..1000)
                 .map(|_| {
                     std::thread::sleep(Duration::from_millis(2));
-                    let asked = Instant::now();
-                    b.invoke(move |_l, _n, _o| asked.elapsed())
+                    let (b_now, asked) = (b.handle(), b.stats().msgs_received);
+                    b.invoke(move |_l, _n, _o| b_now.stats().msgs_received - asked)
                 })
                 .collect();
             done.store(true, Ordering::Relaxed);
-            waits
+            frames
         });
-        waits.sort_unstable();
-        let (p50, p99, worst) = (waits[500], waits[989], waits[999]);
+        frames.sort_unstable();
+        let (p50, p99, worst) = (frames[500], frames[989], frames[999]);
         let flood = b.stats().msgs_received;
-        println!("invoke wait under {flood} frames: p50 {p50:?}, p99 {p99:?}, worst {worst:?}");
+        println!("frames before an invoke under {flood}: p50 {p50}, p99 {p99}, worst {worst}");
         assert!(flood > 0, "a never reached b");
-        assert!(p99 < Duration::from_millis(10), "p99 wait {p99:?}");
+        assert!(p50 <= 8, "a typical invoke waited out {p50} frames");
         a.shutdown();
         b.shutdown();
     }
@@ -969,11 +994,10 @@ mod tests {
 
         // Establish a's cached connection to b.
         a.invoke(|_l, _n, out| out.send(NodeId(1), Ping(200)));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b.invoke(|l, _n, _o| l.got.is_empty()) {
-            assert!(Instant::now() < deadline, "first send never arrived");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let arrived = b
+            .handle()
+            .wait_for(Duration::from_secs(5), |l| l.got.first().copied());
+        assert!(arrived.is_some(), "first send never arrived");
 
         // Kill b; its listener dies with it.
         let b_core = b.halt();
@@ -1033,6 +1057,83 @@ mod tests {
         fn on_timer(&mut self, _now: SimTime, token: u64, _out: &mut Outbox<Ping>) {
             self.0.push(token);
         }
+    }
+
+    /// A host alone with no timer armed, so only the test's invokes run
+    /// passes, and a counter for a check's runs.
+    fn lone_host_and_a_counted_check() -> (TcpHost<Fired>, Arc<AtomicUsize>) {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = [(NodeId(0), l0.local_addr().unwrap())].into();
+        let a = TcpHost::spawn(NodeId(0), l0, peers, Fired(vec![])).unwrap();
+        (a, Arc::new(AtomicUsize::new(0)))
+    }
+
+    #[test]
+    fn a_waiter_is_answered_by_the_pass_that_satisfies_its_check() {
+        let (a, runs) = lone_host_and_a_counted_check();
+        let (handle, counted) = (a.handle(), Arc::clone(&runs));
+        let waiter = std::thread::spawn(move || {
+            handle.wait_for(Duration::from_secs(60), move |l| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                (l.0.len() == 3).then(|| l.0.clone())
+            })
+        });
+        // The first run and the registration share one hold of the lock,
+        // so every pass after the first run runs the check.
+        while runs.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        for token in 1..=3 {
+            a.invoke(move |l, _n, _o| l.0.push(token));
+            assert_eq!(runs.load(Ordering::SeqCst), 1 + token as usize);
+        }
+        assert_eq!(waiter.join().unwrap(), Some(vec![1, 2, 3]));
+        a.invoke(|l, _n, _o| l.0.push(4));
+        assert_eq!(runs.load(Ordering::SeqCst), 4, "an answered check stays");
+        a.shutdown();
+    }
+
+    #[test]
+    fn a_waiter_that_times_out_leaves_no_check_behind() {
+        let (a, runs) = lone_host_and_a_counted_check();
+        let counted = Arc::clone(&runs);
+        let answer = a.handle().wait_for(Duration::from_millis(50), move |_l| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            None::<()>
+        });
+        assert_eq!(answer, None);
+        (0..3).for_each(|_| a.invoke(|_l, _n, _o| ()));
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "a timed-out check ran on");
+        a.shutdown();
+    }
+
+    #[test]
+    fn halt_answers_a_blocked_waiter_at_once() {
+        let (a, runs) = lone_host_and_a_counted_check();
+        let (handle, counted) = (a.handle(), Arc::clone(&runs));
+        let waiter = std::thread::spawn(move || {
+            let asked = Instant::now();
+            let answer = handle.wait_for(Duration::from_secs(60), move |_l| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                None::<()>
+            });
+            (answer, asked.elapsed())
+        });
+        while runs.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let handle = a.handle();
+        a.halt();
+        let (answer, waited) = waiter.join().unwrap();
+        assert_eq!(answer, None);
+        assert!(
+            waited < Duration::from_secs(30),
+            "the waiter sat out {waited:?}"
+        );
+        assert_eq!(
+            handle.wait_for(Duration::from_secs(60), |_l| Some(())),
+            None
+        );
     }
 
     #[test]
@@ -1133,17 +1234,16 @@ mod tests {
             }
         });
         // Nine rounds of 64 frames reach each host: its peer's rounds 0,
-        // 2, .., 8 and the answers 1, 3, .., 7 to its own.
+        // 2, .., 8 and the answers 1, 3, .., 7 to its own. Each count only
+        // grows, so waiting for one host and then the other is waiting
+        // for both.
         let deadline = Instant::now() + Duration::from_secs(20);
-        let got = loop {
-            let got = [&a, &b].map(|h| h.invoke(|l, _n, _o| l.0));
-            if got.iter().all(|&n| n >= 576) {
-                break got;
-            }
-            assert!(Instant::now() < deadline, "received {got:?} of 576 each");
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        assert_eq!(got, [576, 576]);
+        for h in [&a, &b] {
+            let left = deadline.saturating_duration_since(Instant::now());
+            h.handle().wait_for(left, |l| (l.0 >= 576).then_some(()));
+        }
+        let got = [&a, &b].map(|h| h.invoke(|l, _n, _o| l.0));
+        assert_eq!(got, [576, 576], "received {got:?} of 576 each");
         a.shutdown();
         b.shutdown();
     }
@@ -1191,14 +1291,10 @@ mod tests {
         // the 5 ms one in time.
         std::thread::sleep(Duration::from_millis(50));
         a.invoke(|_l, _n, out| out.send(NodeId(1), Ping(1)));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let (armed, fired) = loop {
-            if let (Some(armed), Some(fired)) = b.invoke(|l, _n, _o| (l.armed, l.fired)) {
-                break (armed, fired);
-            }
-            assert!(Instant::now() < deadline, "the 5 ms timer never fired");
-            std::thread::sleep(Duration::from_millis(20));
-        };
+        let (armed, fired) = b
+            .handle()
+            .wait_for(Duration::from_secs(5), |l| l.armed.zip(l.fired))
+            .expect("the 5 ms timer never fired");
         assert!(
             fired - armed < 200_000,
             "the 5 ms timer fired {} us after it was armed",

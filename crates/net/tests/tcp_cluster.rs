@@ -113,14 +113,10 @@ fn mind_cluster_over_real_tcp() {
     let rect = HyperRect::new(vec![0, 0, 0], vec![1023, 86_400, 1 << 20]);
     let qid =
         hosts[3].invoke(move |n, now, out| n.query(now, "tcp-flows", rect, vec![], out).unwrap());
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let outcome = loop {
-        if let Some(o) = hosts[3].invoke(move |n, _t, _o| n.query_outcome(qid)) {
-            break o;
-        }
-        assert!(Instant::now() < deadline, "query never completed");
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let outcome = hosts[3]
+        .handle()
+        .wait_for(Duration::from_secs(20), move |n| n.query_outcome(qid))
+        .expect("query never completed");
     assert!(outcome.complete, "query must complete over TCP");
     assert_eq!(outcome.records.len(), 60, "perfect recall over TCP");
     assert!(outcome.cost_nodes >= 2, "data must be distributed");

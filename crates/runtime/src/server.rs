@@ -2,8 +2,9 @@
 //! the hosted node, on the connection's thread under the node's core lock.
 //!
 //! One thread per control connection; each request becomes one
-//! [`HostHandle::invoke`] (or a short invoke-poll loop for distributed
-//! queries, which the node answers asynchronously). Shutdown is
+//! [`HostHandle::invoke`], and a distributed query, which the node answers
+//! asynchronously, one more [`HostHandle::wait_for`]: the pass that
+//! finishes it hands the outcome to the connection's thread. Shutdown is
 //! SIGTERM-free: a [`ControlRequest::Shutdown`] flips the shared stop
 //! flag, the accept loop unblocks itself, and the process's main thread
 //! proceeds to halt the host.
@@ -14,12 +15,12 @@ use mind_core::{MindNode, QueryOutcome};
 use mind_histogram::CutTree;
 use mind_net::frame::{read_frame, write_frame};
 use mind_net::{from_bytes, to_bytes, HostHandle};
-use mind_types::{HyperRect, NodeId};
+use mind_types::{HyperRect, MindError, NodeId};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a control-side query waits for the distributed answer.
 const QUERY_WAIT: Duration = Duration::from_secs(120);
@@ -45,12 +46,12 @@ pub fn serve(listener: TcpListener, id: NodeId, handle: HostHandle<MindNode>) {
                 let mut reader = BufReader::new(peer);
                 let mut writer = BufWriter::new(stream);
                 while let Ok(Some(bytes)) = read_frame(&mut reader) {
-                    let req: ControlRequest = match from_bytes(&bytes) {
-                        Ok(r) => r,
-                        Err(_) => break, // corrupted client
+                    let Ok(req) = from_bytes::<ControlRequest>(&bytes) else {
+                        break; // corrupted client
                     };
                     let is_shutdown = matches!(req, ControlRequest::Shutdown);
-                    let resp = answer(&handle, id, req);
+                    let resp = answer(&handle, id, req)
+                        .unwrap_or_else(|| ControlResponse::Err("host stopped".into()));
                     if let Ok(frame) = to_bytes(&resp) {
                         if write_frame(&mut writer, &frame)
                             .and_then(|()| writer.flush())
@@ -75,9 +76,18 @@ pub fn serve(listener: TcpListener, id: NodeId, handle: HostHandle<MindNode>) {
     }
 }
 
-/// Executes one request against the hosted node.
-fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> ControlResponse {
-    match req {
+/// Executes one request against the hosted node; `None` once the host
+/// has stopped.
+fn answer(
+    handle: &HostHandle<MindNode>,
+    id: NodeId,
+    req: ControlRequest,
+) -> Option<ControlResponse> {
+    let done = |r: Result<(), MindError>| match r {
+        Ok(()) => ControlResponse::Ok,
+        Err(e) => ControlResponse::Err(e.to_string()),
+    };
+    Some(match req {
         ControlRequest::Ping => ControlResponse::Pong,
         ControlRequest::HostStats => ControlResponse::HostStats(handle.stats()),
         ControlRequest::CreateIndex {
@@ -86,77 +96,42 @@ fn answer(handle: &HostHandle<MindNode>, id: NodeId, req: ControlRequest) -> Con
             replication,
         } => {
             let cuts = CutTree::even(schema.bounds(), depth);
-            match handle.invoke(move |n, _now, out| n.create_index(schema, cuts, replication, out))
-            {
-                Some(Ok(())) => ControlResponse::Ok,
-                Some(Err(e)) => ControlResponse::Err(e.to_string()),
-                None => ControlResponse::Err("host stopped".into()),
-            }
+            done(
+                handle
+                    .invoke(move |n, _now, out| n.create_index(schema, cuts, replication, out))?,
+            )
         }
-        ControlRequest::Insert { index, rows } => {
-            let r = handle.invoke(move |n, now, out| {
-                for rec in rows {
-                    n.insert(now, &index, rec, out)?;
-                }
-                Ok::<(), mind_types::MindError>(())
-            });
-            match r {
-                Some(Ok(())) => ControlResponse::Ok,
-                Some(Err(e)) => ControlResponse::Err(e.to_string()),
-                None => ControlResponse::Err("host stopped".into()),
-            }
-        }
+        ControlRequest::Insert { index, rows } => done(handle.invoke(move |n, now, out| {
+            rows.into_iter()
+                .try_for_each(|rec| n.insert(now, &index, rec, out))
+        })?),
         ControlRequest::Query { index, lo, hi } => {
             let rect = HyperRect::new(lo, hi);
-            let qid = handle.invoke(move |n, now, out| n.query(now, &index, rect, vec![], out));
-            let qid = match qid {
-                Some(Ok(q)) => q,
-                Some(Err(e)) => return ControlResponse::Err(e.to_string()),
-                None => return ControlResponse::Err("host stopped".into()),
-            };
-            // The distributed query completes asynchronously; poll the
-            // tracker until it does, then take it out so a long-lived node
-            // keeps no finished query's rows.
-            let deadline = Instant::now() + QUERY_WAIT;
-            loop {
-                match handle.invoke(move |n, _now, _out| n.take_query_outcome(qid)) {
-                    Some(Some(outcome)) => return ControlResponse::Query(outcome),
-                    Some(None) => {
-                        if Instant::now() >= deadline {
-                            return ControlResponse::Query(QueryOutcome {
-                                complete: false,
-                                latency: None,
-                                records: vec![],
-                                cost_nodes: 0,
-                            });
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    None => return ControlResponse::Err("host stopped".into()),
-                }
+            match handle.invoke(move |n, now, out| n.query(now, &index, rect, vec![], out))? {
+                // Taking the outcome keeps no finished query's rows. Past the
+                // deadline a live host (the invoke) answers incomplete.
+                Ok(qid) => ControlResponse::Query(
+                    handle
+                        .wait_for(QUERY_WAIT, move |n| n.take_query_outcome(qid))
+                        .or_else(|| handle.invoke(|_, _, _| QueryOutcome::default()))?,
+                ),
+                Err(e) => ControlResponse::Err(e.to_string()),
             }
         }
         ControlRequest::NodeStats => {
-            let stats = handle.invoke(|n, _now, _out| NodeStats {
+            ControlResponse::NodeStats(handle.invoke(|n, _now, _out| NodeStats {
                 rows_originated: n.metrics.inserts_originated,
                 frames: n.metrics.insert_frames,
                 rows_forwarded: n.metrics.insert_rows_forwarded,
                 subquery_scans: n.metrics.subqueries_answered,
                 query_regions: n.metrics.query_regions_answered,
-            });
-            match stats {
-                Some(stats) => ControlResponse::NodeStats(stats),
-                None => ControlResponse::Err("host stopped".into()),
-            }
+            })?)
         }
-        ControlRequest::Snapshot => {
-            match handle.invoke(move |n, _now, _out| snapshot_node(id, true, n)) {
-                Some(snap) => ControlResponse::Snapshot(snap),
-                None => ControlResponse::Err("host stopped".into()),
-            }
-        }
+        ControlRequest::Snapshot => ControlResponse::Snapshot(
+            handle.invoke(move |n, _now, _out| snapshot_node(id, true, n))?,
+        ),
         ControlRequest::Shutdown => ControlResponse::Ok,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -189,14 +164,14 @@ mod tests {
         };
         assert!(matches!(
             answer(&handle, NodeId(0), create),
-            ControlResponse::Ok
+            Some(ControlResponse::Ok)
         ));
         let query = ControlRequest::Query {
             index: "t".into(),
             lo: vec![0],
             hi: vec![100],
         };
-        let ControlResponse::Query(outcome) = answer(&handle, NodeId(0), query) else {
+        let Some(ControlResponse::Query(outcome)) = answer(&handle, NodeId(0), query) else {
             panic!("not a query answer");
         };
         assert!(outcome.complete);

@@ -98,6 +98,24 @@ fn has_index(c: &mut ControlClient, index: &str) -> bool {
     )
 }
 
+/// Creates `index` at depth 6, unreplicated, from node 0 and waits for
+/// the flood to land on every node.
+fn create_index(clients: &mut [ControlClient], index: &str) {
+    let resp = clients[0]
+        .call(&ControlRequest::CreateIndex {
+            schema: loadgen::load_schema(index),
+            depth: 6,
+            replication: Replication::None,
+        })
+        .expect("create_index");
+    assert!(matches!(resp, ControlResponse::Ok), "create: {resp:?}");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !clients.iter_mut().all(|c| has_index(c, index)) {
+        assert!(Instant::now() < deadline, "index flood never settled");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
 /// Waits up to `d` for the child to exit successfully.
 fn wait_timeout(child: &mut Child, d: Duration) -> bool {
     let deadline = Instant::now() + d;
@@ -163,20 +181,7 @@ fn killed_process_rejoins_fresh_and_cluster_keeps_serving() {
     let mut fleet = spawn_fleet(N, "restart", flags);
     let mut clients: Vec<ControlClient> = (0..N as u32).map(|k| client(&fleet, k)).collect();
 
-    // Create the index and wait for the flood to land on every node.
-    let resp = clients[0]
-        .call(&ControlRequest::CreateIndex {
-            schema: loadgen::load_schema(INDEX),
-            depth: 6,
-            replication: Replication::None,
-        })
-        .expect("create_index");
-    assert!(matches!(resp, ControlResponse::Ok), "create: {resp:?}");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while !clients.iter_mut().all(|c| has_index(c, INDEX)) {
-        assert!(Instant::now() < deadline, "index flood never settled");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    create_index(&mut clients, INDEX);
 
     // Burst 1: 800 rows round-robin, scattered over the full cube in
     // every dimension so each node's zone holds data; wait until fully
@@ -297,6 +302,74 @@ fn killed_process_rejoins_fresh_and_cluster_keeps_serving() {
         r => panic!("unexpected query response {r:?}"),
     }
 
+    shutdown_and_reap(&mut fleet);
+}
+
+#[test]
+fn control_queries_are_answered_complete_and_exact() {
+    const N: usize = 4;
+    const INDEX: &str = "proc-queries";
+    let mut fleet = spawn_fleet(N, "queries", &["--retry-ms", "300"]);
+    let mut clients: Vec<ControlClient> = (0..N as u32).map(|k| client(&fleet, k)).collect();
+    create_index(&mut clients, INDEX);
+    let rows: Vec<Record> = (0..400u64)
+        .map(|i| {
+            Record::new(vec![
+                (i * 2_654_435_761) % (1 << 20),
+                (i * 12_289) % 86_400,
+                (i * 793_517) % (1 << 20),
+            ])
+        })
+        .collect();
+    for (k, chunk) in rows.chunks(100).enumerate() {
+        let insert = ControlRequest::Insert {
+            index: INDEX.into(),
+            rows: chunk.to_vec(),
+        };
+        let resp = clients[k % N].call(&insert).expect("insert");
+        assert!(matches!(resp, ControlResponse::Ok), "insert: {resp:?}");
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while total_rows(&mut clients, INDEX) != 400 {
+        assert!(Instant::now() < deadline, "rows never fully stored");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    // 200 slabs of 1/16 to 1/2 of the first dimension, each asked at a
+    // node in turn; every answer must hold exactly the rows in its slab.
+    let mut overheads: Vec<i64> = (0..200u64)
+        .map(|q| {
+            let lo = (q * 5_243) % (1 << 20);
+            let hi = (lo + ((q % 8 + 1) << 16)).min((1 << 20) - 1);
+            let mut want: Vec<&[u64]> = rows
+                .iter()
+                .map(Record::values)
+                .filter(|v| (lo..=hi).contains(&v[0]))
+                .collect();
+            let query = ControlRequest::Query {
+                index: INDEX.into(),
+                lo: vec![lo, 0, 0],
+                hi: vec![hi, 86_399, (1 << 20) - 1],
+            };
+            let asked = Instant::now();
+            let resp = clients[q as usize % N].call(&query).expect("query");
+            let round_trip = asked.elapsed().as_micros() as i64;
+            let ControlResponse::Query(o) = resp else {
+                panic!("unexpected query response {resp:?}");
+            };
+            assert!(o.complete, "query {q} incomplete");
+            let mut got: Vec<&[u64]> = o.records.iter().map(Record::values).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "query {q} over [{lo}, {hi}]");
+            round_trip - o.latency.expect("a complete query has a latency") as i64
+        })
+        .collect();
+    overheads.sort_unstable();
+    println!(
+        "control query round trip minus tracker latency over 200 queries: median {} us",
+        overheads[100]
+    );
     shutdown_and_reap(&mut fleet);
 }
 

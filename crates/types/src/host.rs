@@ -38,6 +38,11 @@ impl<L: NodeLogic> HostCore<L> {
         &self.logic
     }
 
+    /// The hosted logic, to read or take from between passes.
+    pub fn logic_mut(&mut self) -> &mut L {
+        &mut self.logic
+    }
+
     /// The hosted logic, out of its core.
     pub fn into_logic(self) -> L {
         self.logic

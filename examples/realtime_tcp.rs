@@ -121,12 +121,10 @@ fn main() {
     let t0 = Instant::now();
     let qid =
         hosts[5].invoke(move |n, now, out| n.query(now, "live-flows", rect, vec![], out).unwrap());
-    let outcome = loop {
-        if let Some(o) = hosts[5].invoke(move |n, _t, _o| n.query_outcome(qid)) {
-            break o;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let outcome = hosts[5]
+        .handle()
+        .wait_for(Duration::from_secs(20), move |n| n.query_outcome(qid))
+        .expect("query never completed");
     println!(
         "query over TCP: complete={} matches={} nodes={} wall-time={:?}",
         outcome.complete,

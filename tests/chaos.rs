@@ -12,6 +12,7 @@ use mind::histogram::CutTree;
 use mind::netsim::FaultPlan;
 use mind::types::node::{SimTime, SECONDS};
 use mind::types::{HyperRect, NodeId, Record};
+use mind_bench::report::check_bytes;
 use mind_bench::worlds::{
     assert_matches_oracle, batched_replay_run, build, chaos_worlds, metric_sum, observe,
     random_record, replay_run, schema, sorted_values, spray, Fingerprint, PIN_SEED,
@@ -229,23 +230,24 @@ fn golden_replay_pins() {
     // it). A change that claims to leave the simulated bytes alone must
     // leave them alone; a protocol change re-pins with `mind-figures all
     // --write results`, and the diff names every counter and kind moved.
+    let worlds = chaos_worlds();
     let mut rendered = Vec::new();
-    for (title, world) in chaos_worlds() {
-        world.render(&mut rendered, &title).unwrap();
+    for (title, world) in &worlds {
+        world.render(&mut rendered, title).unwrap();
     }
-    let rendered = String::from_utf8(rendered).unwrap();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/replay_pins.txt");
     let committed = std::fs::read_to_string(path).unwrap();
-    let moved: Vec<String> = rendered
-        .lines()
-        .zip(committed.lines())
-        .filter(|(now, pinned)| now != pinned)
-        .map(|(now, pinned)| format!("  pinned {pinned:?}, now {now:?}"))
-        .collect();
+    // The committed blocks up to the title of the first that follows them.
+    let end = committed
+        .match_indices("\nworld ")
+        .nth(worlds.len() - 1)
+        .map_or(committed.len(), |(i, _)| i + 1);
+    let mut moved = Vec::new();
+    let same = check_bytes(&path, &committed.as_bytes()[..end], &rendered, &mut moved).unwrap();
+    let moved = String::from_utf8_lossy(&moved);
     assert!(
-        committed.starts_with(&rendered),
-        "{path} does not begin with the chaos worlds:\n{}",
-        moved.join("\n")
+        same,
+        "{path} does not begin with the chaos worlds:\n{moved}"
     );
 }
 
