@@ -1,14 +1,13 @@
-//! Recursive data-space cut trees (Sections 3.4 and 3.7) — the boxed
-//! reference implementation.
+//! Recursive data-space cut builders (Sections 3.4 and 3.7).
 //!
-//! A [`NaiveCutTree`] records the sequence of hyper-plane cuts MIND applies
-//! to an index's bounding hyper-rectangle. Each cut splits one axis of a
-//! region into a *low* half (code bit `0`) and a *high* half (code bit `1`);
-//! repeating the cuts to depth `L` yields up to `2^L` leaf hyper-rectangles,
-//! each named by an `L`-bit [`BitCode`]. Records are stored at the overlay
-//! node whose (shorter) code is a prefix of the record's leaf code, which is
-//! what makes records that are near each other in the attribute space land
-//! on the same node.
+//! A cut tree records the sequence of hyper-plane cuts MIND applies to an
+//! index's bounding hyper-rectangle. Each cut splits one axis of a region
+//! into a *low* half (code bit `0`) and a *high* half (code bit `1`);
+//! repeating the cuts to depth `L` yields up to `2^L` leaf
+//! hyper-rectangles, each named by an `L`-bit [`BitCode`](mind_types::BitCode).
+//! Records are stored at the overlay node whose (shorter) code is a prefix
+//! of the record's leaf code, which is what makes records that are near
+//! each other in the attribute space land on the same node.
 //!
 //! Two construction strategies correspond to Figure 5:
 //!
@@ -22,345 +21,116 @@
 //! The tree is independent of the overlay: `k` (data dimensions) and the
 //! hypercube dimensionality are decoupled, exactly as Section 3.4 requires.
 //!
-//! The `Box`-per-node layout here is the *oracle*: obviously correct,
-//! pointer-chasing, and allocating on every traversal. The hot routing
-//! paths use the flat arena [`CutTree`](crate::CutTree) instead (see
-//! [`crate::flat`]), which is built by flattening this tree and therefore
-//! emits bit-identical codes; `tests/flat_prop.rs` pins the agreement,
-//! mirroring the store's `NaiveKdTree` pattern.
+//! The builders here emit the preorder [`Columns`] — the form the wire
+//! carries — and [`CutTree`](crate::CutTree)'s constructors validate them
+//! through the same `from_columns` a decoded tree takes, so there is one
+//! build path.
 
+use crate::flat::LEAF_AXIS;
 use crate::grid::GridHistogram;
-use mind_types::{BitCode, HyperRect, Value};
-use serde::{Deserialize, Serialize};
+use mind_types::code::MAX_CODE_LEN;
+use mind_types::{HyperRect, Value};
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) enum Node {
-    Leaf,
-    Split {
-        dim: usize,
-        /// Low half is `value <= threshold`, high half is `value > threshold`.
-        threshold: Value,
-        low: Box<Node>,
-        high: Box<Node>,
-    },
+/// The preorder cut columns of one tree: an `axis` and a `threshold` per
+/// node, low subtree before high, with [`LEAF_AXIS`] (threshold 0)
+/// marking a leaf.
+#[derive(Debug, Default)]
+pub(crate) struct Columns {
+    pub(crate) axis: Vec<u16>,
+    pub(crate) threshold: Vec<Value>,
 }
 
-/// A complete set of recursive data-space cuts for one index version —
-/// boxed reference layout.
-///
-/// This is the traversal *oracle* behind the flat arena
-/// [`CutTree`](crate::CutTree): every builder of the flat tree delegates to
-/// the recursive builders here and flattens the result, so the two emit
-/// bit-identical codes by construction. Keep using [`crate::CutTree`] on
-/// production paths; this type remains as that builder and as the
-/// property-test oracle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NaiveCutTree {
-    bounds: HyperRect,
-    root: Node,
+impl Columns {
+    fn leaf(&mut self) {
+        self.axis.push(LEAF_AXIS);
+        self.threshold.push(0);
+    }
+
+    fn split(&mut self, dim: usize, threshold: Value) {
+        assert!(dim < LEAF_AXIS as usize, "axis collides with leaf sentinel");
+        self.axis.push(dim as u16);
+        self.threshold.push(threshold);
+    }
 }
 
-impl NaiveCutTree {
-    /// Builds an even (midpoint) cut tree of the given depth.
-    ///
-    /// Axes are cut round-robin; axes that can no longer be split (single
-    /// value) are skipped, and a region that is a single point becomes a
-    /// leaf early.
-    pub fn even(bounds: HyperRect, depth: u8) -> Self {
-        assert!(depth as usize <= mind_types::code::MAX_CODE_LEN as usize);
-        let root = build_even(&bounds, 0, depth);
-        NaiveCutTree { bounds, root }
-    }
+/// Even (midpoint) cuts of the given depth.
+pub(crate) fn even(bounds: &HyperRect, depth: u8) -> Columns {
+    assert!(depth <= MAX_CODE_LEN);
+    let mut out = Columns::default();
+    build_even(bounds, 0, depth, &mut out);
+    out
+}
 
-    /// Builds a balanced cut tree of the given depth from raw data points.
-    ///
-    /// Every threshold is the (approximate) median of the points inside the
-    /// region along the cut axis, so sibling regions receive near-equal
-    /// point counts. Regions containing no points fall back to midpoint
-    /// cuts so the tree still covers the whole domain.
-    pub fn balanced_from_points(bounds: HyperRect, depth: u8, points: &[&[Value]]) -> Self {
-        assert!(depth as usize <= mind_types::code::MAX_CODE_LEN as usize);
-        let mut owned: Vec<Vec<Value>> = points
-            .iter()
-            .map(|p| {
-                assert_eq!(p.len(), bounds.dims(), "point dimensionality mismatch");
-                let mut v = p.to_vec();
-                bounds.clamp_point(&mut v);
-                v
-            })
-            .collect();
-        let root = build_balanced_points(&bounds, 0, depth, &mut owned);
-        NaiveCutTree { bounds, root }
-    }
+/// Balanced cuts of the given depth over raw data points.
+pub(crate) fn balanced_from_points(bounds: &HyperRect, depth: u8, points: &[&[Value]]) -> Columns {
+    assert!(depth <= MAX_CODE_LEN);
+    let owned: Vec<Vec<Value>> = points
+        .iter()
+        .map(|p| {
+            assert_eq!(p.len(), bounds.dims(), "point dimensionality mismatch");
+            let mut v = p.to_vec();
+            bounds.clamp_point(&mut v);
+            v
+        })
+        .collect();
+    let mut out = Columns::default();
+    build_balanced_points(bounds, 0, depth, owned, &mut out);
+    out
+}
 
-    /// Builds a balanced cut tree from an aggregated [`GridHistogram`] — the
-    /// form used by the daily on-line collection protocol of Section 3.7.
-    ///
-    /// Thresholds snap to histogram bin boundaries; once a region shrinks to
-    /// a single bin on every axis, remaining cuts fall back to midpoints.
-    /// The balance quality therefore improves with histogram granularity,
-    /// as the paper observes.
-    ///
-    /// # Panics
-    /// Panics if the histogram bounds differ from `bounds`.
-    pub fn balanced_from_histogram(bounds: HyperRect, depth: u8, hist: &GridHistogram) -> Self {
-        assert!(depth as usize <= mind_types::code::MAX_CODE_LEN as usize);
-        assert_eq!(hist.bounds(), &bounds, "histogram bounds mismatch");
-        let bins: Vec<(Vec<u64>, u64)> = hist.raw_bins().collect();
-        let root = build_balanced_hist(&bounds, 0, depth, &bins, hist);
-        NaiveCutTree { bounds, root }
-    }
-
-    /// The bounding hyper-rectangle of the indexed data space.
-    pub fn bounds(&self) -> &HyperRect {
-        &self.bounds
-    }
-
-    /// The root node, for the flattening pass in [`crate::flat`].
-    pub(crate) fn root(&self) -> &Node {
-        &self.root
-    }
-
-    /// The code of the leaf region containing `point` (clamped to bounds).
-    pub fn code_for_point(&self, point: &[Value]) -> BitCode {
-        assert_eq!(
-            point.len(),
-            self.bounds.dims(),
-            "point dimensionality mismatch"
-        );
-        let mut p = point.to_vec();
-        self.bounds.clamp_point(&mut p);
-        let mut code = BitCode::ROOT;
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf => return code,
-                Node::Split {
-                    dim,
-                    threshold,
-                    low,
-                    high,
-                } => {
-                    if p[*dim] <= *threshold {
-                        code = code.child(false);
-                        node = low;
-                    } else {
-                        code = code.child(true);
-                        node = high;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The hyper-rectangle addressed by `code` (or by as much of `code` as
-    /// the tree is deep — extra trailing bits are ignored, mirroring how a
-    /// node with a short overlay code owns every longer data code it
-    /// prefixes).
-    pub fn rect_for_code(&self, code: &BitCode) -> HyperRect {
-        let mut rect = self.bounds.clone();
-        let mut node = &self.root;
-        for bit in code.iter_bits() {
-            match node {
-                Node::Leaf => break,
-                Node::Split {
-                    dim,
-                    threshold,
-                    low,
-                    high,
-                } => {
-                    let (lo_rect, hi_rect) = rect.split_at(*dim, *threshold);
-                    if bit {
-                        rect = hi_rect;
-                        node = high;
-                    } else {
-                        rect = lo_rect;
-                        node = low;
-                    }
-                }
-            }
-        }
-        rect
-    }
-
-    /// The minimal set of region codes that together cover
-    /// `query ∩ bounds`, with no code an ancestor of another.
-    ///
-    /// This is the query *split* of Section 3.6: the sub-queries a query is
-    /// divided into, each routed independently to the node owning that
-    /// region.
-    pub fn covering_codes(&self, query: &HyperRect) -> Vec<BitCode> {
-        self.covering_codes_at_least(query, 0)
-    }
-
-    /// Like [`Self::covering_codes`], but regions fully contained in the
-    /// query are still split until their codes are at least `min_len` bits
-    /// (or the tree bottoms out).
-    ///
-    /// Query splitting uses the splitting node's own code length as
-    /// `min_len` so that, on a balanced overlay, every emitted sub-query
-    /// maps to (at most) one node; deeper receivers refine the plan
-    /// further on arrival.
-    pub fn covering_codes_at_least(&self, query: &HyperRect, min_len: u8) -> Vec<BitCode> {
-        let mut out = Vec::new();
-        let Some(clipped) = self.bounds.intersection(query) else {
-            return out;
-        };
-        cover(
-            &self.root,
-            &self.bounds,
-            &clipped,
-            BitCode::ROOT,
-            min_len,
-            &mut out,
-        );
-        out
-    }
-
-    /// The longest single code whose region contains all of
-    /// `query ∩ bounds` — where a query is first routed before splitting.
-    ///
-    /// Returns `None` when the query misses the domain entirely.
-    pub fn query_prefix(&self, query: &HyperRect) -> Option<BitCode> {
-        let clipped = self.bounds.intersection(query)?;
-        let mut code = BitCode::ROOT;
-        let mut rect = self.bounds.clone();
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf => return Some(code),
-                Node::Split {
-                    dim,
-                    threshold,
-                    low,
-                    high,
-                } => {
-                    let (lo_rect, hi_rect) = rect.split_at(*dim, *threshold);
-                    let in_lo = lo_rect.intersects(&clipped);
-                    let in_hi = hi_rect.intersects(&clipped);
-                    match (in_lo, in_hi) {
-                        (true, false) => {
-                            code = code.child(false);
-                            rect = lo_rect;
-                            node = low;
-                        }
-                        (false, true) => {
-                            code = code.child(true);
-                            rect = hi_rect;
-                            node = high;
-                        }
-                        _ => return Some(code),
-                    }
-                }
-            }
-        }
-    }
-
-    /// All `(leaf code, leaf hyper-rectangle)` pairs, in code order.
-    pub fn leaves(&self) -> Vec<(BitCode, HyperRect)> {
-        let mut out = Vec::new();
-        collect_leaves(&self.root, &self.bounds, BitCode::ROOT, &mut out);
-        out
-    }
-
-    /// Maximum leaf depth (code length) of the tree.
-    pub fn depth(&self) -> u8 {
-        fn d(n: &Node) -> u8 {
-            match n {
-                Node::Leaf => 0,
-                Node::Split { low, high, .. } => 1 + d(low).max(d(high)),
-            }
-        }
-        d(&self.root)
-    }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        fn c(n: &Node) -> usize {
-            match n {
-                Node::Leaf => 1,
-                Node::Split { low, high, .. } => c(low) + c(high),
-            }
-        }
-        c(&self.root)
-    }
-
-    /// Distributes `points` over the leaves and returns the per-leaf counts
-    /// (in leaf order) — the storage-balance measurement behind Figure 13.
-    pub fn leaf_occupancy(&self, points: impl Iterator<Item = Vec<Value>>) -> Vec<u64> {
-        let leaves = self.leaves();
-        let index: mind_types::DetHashMap<BitCode, usize> = leaves
-            .iter()
-            .enumerate()
-            .map(|(i, (c, _))| (*c, i))
-            .collect();
-        let mut counts = vec![0u64; leaves.len()];
-        for p in points {
-            let code = self.code_for_point(&p);
-            counts[index[&code]] += 1;
-        }
-        counts
-    }
+/// Balanced cuts of the given depth over an aggregated histogram.
+pub(crate) fn balanced_from_histogram(
+    bounds: &HyperRect,
+    depth: u8,
+    hist: &GridHistogram,
+) -> Columns {
+    assert!(depth <= MAX_CODE_LEN);
+    assert_eq!(hist.bounds(), bounds, "histogram bounds mismatch");
+    let bins: Vec<(Vec<u64>, u64)> = hist.raw_bins().collect();
+    let mut out = Columns::default();
+    build_balanced_hist(bounds, 0, depth, &bins, hist, &mut out);
+    out
 }
 
 /// Picks the first splittable axis starting from `level % dims`, or `None`
-/// when the region is a single point.
-fn pick_axis(rect: &HyperRect, level: u8) -> Option<usize> {
+/// when the region is a leaf: `depth` is reached, or it is a single point.
+fn pick_axis(rect: &HyperRect, level: u8, depth: u8) -> Option<usize> {
+    if level >= depth {
+        return None;
+    }
     let dims = rect.dims();
     (0..dims)
         .map(|i| (level as usize + i) % dims)
         .find(|&d| rect.splittable(d))
 }
 
-fn build_even(rect: &HyperRect, level: u8, depth: u8) -> Node {
-    if level >= depth {
-        return Node::Leaf;
-    }
-    let Some(dim) = pick_axis(rect, level) else {
-        return Node::Leaf;
+fn build_even(rect: &HyperRect, level: u8, depth: u8, out: &mut Columns) {
+    let Some(dim) = pick_axis(rect, level, depth) else {
+        return out.leaf();
     };
     let t = rect.midpoint(dim);
+    out.split(dim, t);
     let (lo, hi) = rect.split_at(dim, t);
-    Node::Split {
-        dim,
-        threshold: t,
-        low: Box::new(build_even(&lo, level + 1, depth)),
-        high: Box::new(build_even(&hi, level + 1, depth)),
-    }
+    build_even(&lo, level + 1, depth, out);
+    build_even(&hi, level + 1, depth, out);
 }
 
 fn build_balanced_points(
     rect: &HyperRect,
     level: u8,
     depth: u8,
-    points: &mut Vec<Vec<Value>>,
-) -> Node {
-    if level >= depth {
-        return Node::Leaf;
-    }
-    let Some(dim) = pick_axis(rect, level) else {
-        return Node::Leaf;
+    points: Vec<Vec<Value>>,
+    out: &mut Columns,
+) {
+    let Some(dim) = pick_axis(rect, level, depth) else {
+        return out.leaf();
     };
-    let threshold = median_threshold(rect, dim, points).unwrap_or_else(|| rect.midpoint(dim));
+    let threshold = median_threshold(rect, dim, &points).unwrap_or_else(|| rect.midpoint(dim));
+    out.split(dim, threshold);
     let (lo_rect, hi_rect) = rect.split_at(dim, threshold);
-    let (mut lo_pts, mut hi_pts): (Vec<_>, Vec<_>) =
-        points.drain(..).partition(|p| p[dim] <= threshold);
-    Node::Split {
-        dim,
-        threshold,
-        low: Box::new(build_balanced_points(
-            &lo_rect,
-            level + 1,
-            depth,
-            &mut lo_pts,
-        )),
-        high: Box::new(build_balanced_points(
-            &hi_rect,
-            level + 1,
-            depth,
-            &mut hi_pts,
-        )),
-    }
+    let (lo_pts, hi_pts) = points.into_iter().partition(|p| p[dim] <= threshold);
+    build_balanced_points(&lo_rect, level + 1, depth, lo_pts, out);
+    build_balanced_points(&hi_rect, level + 1, depth, hi_pts, out);
 }
 
 /// The threshold `t ∈ [lo, hi)` along `dim` that best halves `points`, or
@@ -404,12 +174,10 @@ fn build_balanced_hist(
     depth: u8,
     bins: &[(Vec<u64>, u64)],
     hist: &GridHistogram,
-) -> Node {
-    if level >= depth {
-        return Node::Leaf;
-    }
-    let Some(dim) = pick_axis(rect, level) else {
-        return Node::Leaf;
+    out: &mut Columns,
+) {
+    let Some(dim) = pick_axis(rect, level, depth) else {
+        return out.leaf();
     };
     // Try the round-robin axis first, then the others, looking for a bin
     // boundary that splits the in-rect mass; otherwise cut at the midpoint.
@@ -426,29 +194,14 @@ fn build_balanced_hist(
         }
     }
     let (dim, threshold) = choice.unwrap_or((dim, rect.midpoint(dim)));
+    out.split(dim, threshold);
     let (lo_rect, hi_rect) = rect.split_at(dim, threshold);
     let (lo_bins, hi_bins): (Vec<_>, Vec<_>) = bins
         .iter()
         .cloned()
         .partition(|(coords, _)| hist.bin_rect(coords).lo(dim) <= threshold);
-    Node::Split {
-        dim,
-        threshold,
-        low: Box::new(build_balanced_hist(
-            &lo_rect,
-            level + 1,
-            depth,
-            &lo_bins,
-            hist,
-        )),
-        high: Box::new(build_balanced_hist(
-            &hi_rect,
-            level + 1,
-            depth,
-            &hi_bins,
-            hist,
-        )),
-    }
+    build_balanced_hist(&lo_rect, level + 1, depth, &lo_bins, hist, out);
+    build_balanced_hist(&hi_rect, level + 1, depth, &hi_bins, hist, out);
 }
 
 /// Finds the bin boundary along `dim` that best halves the mass of `bins`
@@ -491,61 +244,10 @@ fn histogram_median_boundary(
     best.map(|(_, t)| t.clamp(rect.lo(dim), rect.hi(dim) - 1))
 }
 
-fn cover(
-    node: &Node,
-    rect: &HyperRect,
-    query: &HyperRect,
-    code: BitCode,
-    min_len: u8,
-    out: &mut Vec<BitCode>,
-) {
-    if code.len() >= min_len && query.contains_rect(rect) {
-        out.push(code);
-        return;
-    }
-    match node {
-        Node::Leaf => out.push(code),
-        Node::Split {
-            dim,
-            threshold,
-            low,
-            high,
-        } => {
-            let (lo_rect, hi_rect) = rect.split_at(*dim, *threshold);
-            if lo_rect.intersects(query) {
-                cover(low, &lo_rect, query, code.child(false), min_len, out);
-            }
-            if hi_rect.intersects(query) {
-                cover(high, &hi_rect, query, code.child(true), min_len, out);
-            }
-        }
-    }
-}
-
-fn collect_leaves(
-    node: &Node,
-    rect: &HyperRect,
-    code: BitCode,
-    out: &mut Vec<(BitCode, HyperRect)>,
-) {
-    match node {
-        Node::Leaf => out.push((code, rect.clone())),
-        Node::Split {
-            dim,
-            threshold,
-            low,
-            high,
-        } => {
-            let (lo_rect, hi_rect) = rect.split_at(*dim, *threshold);
-            collect_leaves(low, &lo_rect, code.child(false), out);
-            collect_leaves(high, &hi_rect, code.child(true), out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{CutTree, GridHistogram};
+    use mind_types::{BitCode, HyperRect, Value};
     use proptest::prelude::*;
 
     fn bounds2() -> HyperRect {
@@ -554,7 +256,7 @@ mod tests {
 
     #[test]
     fn even_tree_shape() {
-        let t = NaiveCutTree::even(bounds2(), 4);
+        let t = CutTree::even(bounds2(), 4);
         assert_eq!(t.depth(), 4);
         assert_eq!(t.leaf_count(), 16);
         let leaves = t.leaves();
@@ -566,7 +268,7 @@ mod tests {
 
     #[test]
     fn code_for_point_descends_correctly() {
-        let t = NaiveCutTree::even(bounds2(), 2);
+        let t = CutTree::even(bounds2(), 2);
         // depth 2: first cut dim 0 at 511, then dim 1 at 511.
         assert_eq!(t.code_for_point(&[0, 0]).to_string(), "00");
         assert_eq!(t.code_for_point(&[0, 1023]).to_string(), "01");
@@ -576,23 +278,16 @@ mod tests {
 
     #[test]
     fn rect_for_code_ignores_extra_bits() {
-        let t = NaiveCutTree::even(bounds2(), 2);
+        let t = CutTree::even(bounds2(), 2);
         let full = t.rect_for_code(&BitCode::parse("00").unwrap());
         let extra = t.rect_for_code(&BitCode::parse("0010").unwrap());
         assert_eq!(full, extra);
     }
 
     #[test]
-    fn single_point_domain_becomes_leaf() {
-        let t = NaiveCutTree::even(HyperRect::new(vec![5, 5], vec![5, 5]), 8);
-        assert_eq!(t.depth(), 0);
-        assert_eq!(t.leaf_count(), 1);
-    }
-
-    #[test]
     fn narrow_axis_skipped() {
         // Axis 0 has a single value; all cuts must go to axis 1.
-        let t = NaiveCutTree::even(HyperRect::new(vec![7, 0], vec![7, 1023]), 3);
+        let t = CutTree::even(HyperRect::new(vec![7, 0], vec![7, 1023]), 3);
         assert_eq!(t.leaf_count(), 8);
         for (_, r) in t.leaves() {
             assert_eq!(r.lo(0), 7);
@@ -612,8 +307,8 @@ mod tests {
             pts.push(vec![100 + i * 9, 500 + (i * 37) % 500]);
         }
         let refs: Vec<&[Value]> = pts.iter().map(|p| p.as_slice()).collect();
-        let bal = NaiveCutTree::balanced_from_points(bounds2(), 3, &refs);
-        let even = NaiveCutTree::even(bounds2(), 3);
+        let bal = CutTree::balanced_from_points(bounds2(), 3, &refs);
+        let even = CutTree::even(bounds2(), 3);
         let bal_max = *bal
             .leaf_occupancy(pts.iter().cloned())
             .iter()
@@ -644,7 +339,7 @@ mod tests {
         for p in &pts {
             hist.add(p);
         }
-        let tree = NaiveCutTree::balanced_from_histogram(bounds2(), 4, &hist);
+        let tree = CutTree::balanced_from_histogram(bounds2(), 4, &hist);
         let occ = tree.leaf_occupancy(pts.iter().cloned());
         let max = *occ.iter().max().unwrap();
         // Perfect balance would be 1000/16 ≈ 63; histogram granularity
@@ -654,7 +349,7 @@ mod tests {
 
     #[test]
     fn covering_codes_small_and_large_queries() {
-        let t = NaiveCutTree::even(bounds2(), 4);
+        let t = CutTree::even(bounds2(), 4);
         // Tiny query inside one leaf -> exactly one 4-bit code.
         let tiny = HyperRect::new(vec![10, 10], vec![20, 20]);
         let codes = t.covering_codes(&tiny);
@@ -670,7 +365,7 @@ mod tests {
 
     #[test]
     fn query_prefix_contains_query() {
-        let t = NaiveCutTree::even(bounds2(), 6);
+        let t = CutTree::even(bounds2(), 6);
         let q = HyperRect::new(vec![100, 200], vec![150, 260]);
         let p = t.query_prefix(&q).unwrap();
         assert!(t.rect_for_code(&p).contains_rect(&q));
@@ -682,25 +377,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serde_roundtrip() {
-        // Cut trees ship to every node on version creation, so their
-        // serialized form must round-trip exactly.
-        let pts: Vec<Vec<Value>> = (0..100).map(|i| vec![i * 10, i * 7 % 1000]).collect();
-        let refs: Vec<&[Value]> = pts.iter().map(|p| p.as_slice()).collect();
-        let t = NaiveCutTree::balanced_from_points(bounds2(), 5, &refs);
-        let json = serde_json_like(&t);
-        assert!(!json.is_empty());
-    }
-
-    /// Serialization smoke test without pulling in serde_json: use the
-    /// `serde` `Serialize` impl through a counting serializer is overkill —
-    /// just verify `Clone`/`PartialEq` and a bincode-ish manual walk by
-    /// comparing debug strings.
-    fn serde_json_like(t: &NaiveCutTree) -> String {
-        format!("{t:?}")
-    }
-
     fn arb_points() -> impl Strategy<Value = Vec<Vec<Value>>> {
         prop::collection::vec(prop::collection::vec(0u64..=1023, 2), 1..200)
     }
@@ -709,7 +385,7 @@ mod tests {
         #[test]
         fn prop_leaves_partition_domain(depth in 0u8..7, pts in arb_points()) {
             let refs: Vec<&[Value]> = pts.iter().map(|p| p.as_slice()).collect();
-            let t = NaiveCutTree::balanced_from_points(bounds2(), depth, &refs);
+            let t = CutTree::balanced_from_points(bounds2(), depth, &refs);
             let leaves = t.leaves();
             // Disjoint...
             for i in 0..leaves.len() {
@@ -728,7 +404,7 @@ mod tests {
         #[test]
         fn prop_point_code_consistent(pts in arb_points(), x in 0u64..=1023, y in 0u64..=1023) {
             let refs: Vec<&[Value]> = pts.iter().map(|p| p.as_slice()).collect();
-            let t = NaiveCutTree::balanced_from_points(bounds2(), 5, &refs);
+            let t = CutTree::balanced_from_points(bounds2(), 5, &refs);
             let code = t.code_for_point(&[x, y]);
             prop_assert!(t.rect_for_code(&code).contains_point(&[x, y]));
         }
@@ -740,7 +416,7 @@ mod tests {
             w in 0u64..512, h in 0u64..512,
         ) {
             let refs: Vec<&[Value]> = pts.iter().map(|p| p.as_slice()).collect();
-            let t = NaiveCutTree::balanced_from_points(bounds2(), 6, &refs);
+            let t = CutTree::balanced_from_points(bounds2(), 6, &refs);
             let q = HyperRect::new(
                 vec![qx, qy],
                 vec![(qx + w).min(1023), (qy + h).min(1023)],
@@ -775,7 +451,7 @@ mod tests {
             qx in 0u64..=1000, qy in 0u64..=1000,
         ) {
             let refs: Vec<&[Value]> = pts.iter().map(|p| p.as_slice()).collect();
-            let t = NaiveCutTree::balanced_from_points(bounds2(), 5, &refs);
+            let t = CutTree::balanced_from_points(bounds2(), 5, &refs);
             let q = HyperRect::new(vec![qx, qy], vec![(qx + 23).min(1023), (qy + 23).min(1023)]);
             let prefix = t.query_prefix(&q).unwrap();
             for c in t.covering_codes(&q) {

@@ -1,6 +1,6 @@
 //! Flat-arena data-space cut trees: the production route-plane layout.
 //!
-//! [`CutTree`] stores the recursive cuts of [`NaiveCutTree`] as
+//! [`CutTree`] stores the recursive cuts of the `cuts` builders as
 //! structure-of-arrays columns over one breadth-first node arena:
 //!
 //! * `axis` — the split axis per node, with [`LEAF_AXIS`] marking leaves;
@@ -20,11 +20,12 @@
 //! (`no_allocating_calls_outside_tests` walls this file). Two observations
 //! make that possible:
 //!
-//! 1. **Clamp elision.** The boxed tree clamps the point onto the bounds
-//!    (a `Vec` copy) before descending. But every split threshold `t` on
-//!    axis `d` is interior to its node's region, which is contained in the
-//!    bounds — so `bounds.lo(d) <= t < bounds.hi(d)`. A raw coordinate
-//!    below the bounds compares `<= t` exactly like its clamped value
+//! 1. **Clamp elision.** A point's code is that of the point clamped onto
+//!    the bounds, which the test oracle computes on a clamped `Vec` copy.
+//!    But every split threshold `t` on axis `d` is interior to its node's
+//!    region, which is contained in the bounds — so
+//!    `bounds.lo(d) <= t < bounds.hi(d)`. A raw coordinate below the
+//!    bounds compares `<= t` exactly like its clamped value
 //!    (`bounds.lo(d)`), and one above compares `> t` likewise. Raw
 //!    comparisons therefore take bit-identical branches, and no clamped
 //!    copy is ever materialized.
@@ -36,12 +37,14 @@
 //!    against the threshold on the split axis alone, because intersection
 //!    on every other axis is inherited from the parent.
 //!
-//! Builders delegate to the recursive [`NaiveCutTree`] builders and
-//! flatten the result, so flat and boxed trees emit **bit-identical
-//! codes** by construction; `tests/flat_prop.rs` pins the agreement on
-//! every public traversal.
+//! There is one build path: the builders in `cuts.rs` emit the preorder
+//! `axis`/`threshold` columns the wire carries, and
+//! `CutTree::from_columns` validates them and lays out the arena for a
+//! built tree and a decoded one alike. A test-only boxed oracle
+//! (`NaiveCutTree`, in `naive.rs`) walks the same columns the obvious
+//! way, and its properties check every public traversal against it.
 
-use crate::cuts::{NaiveCutTree, Node};
+use crate::cuts::{self, Columns};
 use mind_types::code::MAX_CODE_LEN;
 use mind_types::{BitCode, HyperRect, Value};
 use serde::de::Error as _;
@@ -89,22 +92,33 @@ pub struct CutTree {
 impl CutTree {
     /// Builds an even (midpoint) cut tree of the given depth.
     ///
-    /// See [`NaiveCutTree::even`]; the result is its flattened form.
+    /// Axes are cut round-robin; axes that can no longer be split (single
+    /// value) are skipped, and a region that is a single point becomes a
+    /// leaf early.
     pub fn even(bounds: HyperRect, depth: u8) -> Self {
-        Self::from_naive(&NaiveCutTree::even(bounds, depth))
+        let cuts = cuts::even(&bounds, depth);
+        Self::build(bounds, cuts)
     }
 
     /// Builds a balanced cut tree of the given depth from raw data points.
     ///
-    /// See [`NaiveCutTree::balanced_from_points`].
+    /// Every threshold is the (approximate) median of the points inside the
+    /// region along the cut axis, so sibling regions receive near-equal
+    /// point counts. Regions containing no points fall back to midpoint
+    /// cuts so the tree still covers the whole domain.
     pub fn balanced_from_points(bounds: HyperRect, depth: u8, points: &[&[Value]]) -> Self {
-        Self::from_naive(&NaiveCutTree::balanced_from_points(bounds, depth, points))
+        let cuts = cuts::balanced_from_points(&bounds, depth, points);
+        Self::build(bounds, cuts)
     }
 
     /// Builds a balanced cut tree from an aggregated
-    /// [`GridHistogram`](crate::GridHistogram).
+    /// [`GridHistogram`](crate::GridHistogram) — the form used by the daily
+    /// on-line collection protocol of Section 3.7.
     ///
-    /// See [`NaiveCutTree::balanced_from_histogram`].
+    /// Thresholds snap to histogram bin boundaries; once a region shrinks to
+    /// a single bin on every axis, remaining cuts fall back to midpoints.
+    /// The balance quality therefore improves with histogram granularity,
+    /// as the paper observes.
     ///
     /// # Panics
     /// Panics if the histogram bounds differ from `bounds`.
@@ -113,23 +127,15 @@ impl CutTree {
         depth: u8,
         hist: &crate::GridHistogram,
     ) -> Self {
-        Self::from_naive(&NaiveCutTree::balanced_from_histogram(bounds, depth, hist))
+        let cuts = cuts::balanced_from_histogram(&bounds, depth, hist);
+        Self::build(bounds, cuts)
     }
 
-    /// Flattens a boxed tree into the arena layout.
-    ///
-    /// The preorder walk records exactly the cuts the boxed tree holds, so
-    /// the two trees map every point and rectangle to identical codes.
-    #[expect(
-        clippy::expect_used,
-        reason = "a well-formed boxed tree always flattens"
-    )]
-    pub fn from_naive(naive: &NaiveCutTree) -> Self {
-        let mut axis = Vec::with_capacity(64);
-        let mut threshold = Vec::with_capacity(64);
-        preorder_columns(naive.root(), &mut axis, &mut threshold);
-        let bounds = naive.bounds().span(naive.bounds());
-        Self::from_columns(bounds, axis, threshold).expect("flatten of a well-formed cut tree")
+    /// Validates a builder's preorder columns into the arena, through the
+    /// same [`Self::from_columns`] a decoded wire tree takes.
+    #[expect(clippy::expect_used, reason = "the builders emit only valid columns")]
+    pub(crate) fn build(bounds: HyperRect, cuts: Columns) -> Self {
+        Self::from_columns(bounds, cuts.axis, cuts.threshold).expect("a built cut tree validates")
     }
 
     /// Rebuilds the arena (child pointers, leaf memo, depth) from the
@@ -441,31 +447,6 @@ impl CutTree {
     }
 }
 
-/// Extracts the preorder `axis`/`threshold` columns from a boxed tree.
-fn preorder_columns(node: &Node, axis: &mut Vec<u16>, threshold: &mut Vec<Value>) {
-    match node {
-        Node::Leaf => {
-            axis.push(LEAF_AXIS);
-            threshold.push(0);
-        }
-        Node::Split {
-            dim,
-            threshold: t,
-            low,
-            high,
-        } => {
-            assert!(
-                (*dim as u64) < LEAF_AXIS as u64,
-                "axis collides with leaf sentinel"
-            );
-            axis.push(*dim as u16);
-            threshold.push(*t);
-            preorder_columns(low, axis, threshold);
-            preorder_columns(high, axis, threshold);
-        }
-    }
-}
-
 /// Recursively wires up preorder node `idx` (high-child pointer in
 /// `child`, leaf span, leaf memo) and returns the index one past its
 /// subtree; the caller then permutes the columns to level order. Errors
@@ -522,7 +503,7 @@ fn rebuild(
 impl Serialize for CutTree {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         // The arena is stored in level order; the wire format is the
-        // preorder walk (what the boxed builders emit), so re-derive it.
+        // preorder walk (what the builders emit), so re-derive it.
         let n = self.axis.len();
         let mut axis = Vec::with_capacity(n);
         let mut threshold = Vec::with_capacity(n);
@@ -567,18 +548,6 @@ mod tests {
 
     fn bounds2() -> HyperRect {
         HyperRect::new(vec![0, 0], vec![1023, 1023])
-    }
-
-    #[test]
-    fn flat_matches_naive_on_an_even_tree() {
-        let naive = NaiveCutTree::even(bounds2(), 4);
-        let flat = CutTree::from_naive(&naive);
-        assert_eq!(flat.depth(), naive.depth());
-        assert_eq!(flat.leaf_count(), naive.leaf_count());
-        assert_eq!(flat.leaves(), naive.leaves());
-        for p in [[0u64, 0], [511, 512], [1023, 1023], [5000, 3]] {
-            assert_eq!(flat.code_for_point(&p), naive.code_for_point(&p));
-        }
     }
 
     #[test]

@@ -18,19 +18,22 @@
 //!   of records (Figure 5, bottom right).
 //!
 //! [`CutTree`] is the flat-arena layout traversed on the routing hot paths
-//! (see [`flat`]); the boxed [`NaiveCutTree`] it is built from remains as
-//! the property-test oracle (see [`cuts`]).
+//! (see [`flat`]). Its builders emit the same preorder cut columns the
+//! wire carries, so a built tree and a decoded one take one validated
+//! path. A boxed `NaiveCutTree` exists only under `cfg(test)`, as the
+//! oracle the flat traversals are raced against.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod cuts;
+mod cuts;
 pub mod flat;
 pub mod fuzz;
 pub mod grid;
 pub mod mismatch;
+#[cfg(test)]
+mod naive;
 
-pub use cuts::NaiveCutTree;
 pub use flat::CutTree;
 pub use fuzz::fuzz_cut_columns;
 pub use grid::GridHistogram;

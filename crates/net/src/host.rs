@@ -936,24 +936,38 @@ mod tests {
         // ran the one before, so a reader that kept the core across
         // frames would make a typical invoke wait out a run of them. A
         // busy box stretches the tail (a waiter slow to wake lets the
-        // reader barge), not the median.
+        // reader barge), not the median. The invokes run on their own
+        // thread, so a reader that never yields fails the test at the
+        // deadline instead of hanging it.
         let done = AtomicBool::new(false);
-        let mut frames = std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel();
+        let b_handle = b.handle();
+        std::thread::spawn(move || {
+            for _ in 0..1000 {
+                std::thread::sleep(Duration::from_millis(2));
+                let (b_now, asked) = (b_handle.clone(), b_handle.stats().msgs_received);
+                let waited = b_handle.invoke(move |_l, _n, _o| b_now.stats().msgs_received - asked);
+                if waited.and_then(|w| tx.send(w).ok()).is_none() {
+                    return;
+                }
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(120);
+        let mut frames: Vec<u64> = std::thread::scope(|s| {
             s.spawn(|| {
                 while !done.load(Ordering::Relaxed) {
                     a.invoke(|_l, _n, out| (0..500).for_each(|v| out.send(NodeId(1), Ping(v))));
                 }
             });
-            let frames: Vec<u64> = (0..1000)
-                .map(|_| {
-                    std::thread::sleep(Duration::from_millis(2));
-                    let (b_now, asked) = (b.handle(), b.stats().msgs_received);
-                    b.invoke(move |_l, _n, _o| b_now.stats().msgs_received - asked)
-                })
+            let left = || deadline.saturating_duration_since(Instant::now());
+            let frames = std::iter::from_fn(|| rx.recv_timeout(left()).ok())
+                .take(1000)
                 .collect();
             done.store(true, Ordering::Relaxed);
             frames
         });
+        let n = frames.len();
+        assert!(n == 1000, "only {n} of 1000 invokes finished within 120 s");
         frames.sort_unstable();
         let (p50, p99, worst) = (frames[500], frames[989], frames[999]);
         let flood = b.stats().msgs_received;

@@ -504,15 +504,24 @@ mod tests {
 
     #[test]
     fn cut_tree_roundtrips() {
-        use mind_histogram::CutTree;
+        use mind_histogram::{CutTree, GridHistogram};
         use mind_types::HyperRect;
         let bounds = HyperRect::new(vec![0, 0], vec![1023, 1023]);
         let pts: Vec<Vec<u64>> = (0..50).map(|i| vec![i * 7 % 1024, i * 13 % 1024]).collect();
         let refs: Vec<&[u64]> = pts.iter().map(|p| p.as_slice()).collect();
-        let tree = CutTree::balanced_from_points(bounds, 6, &refs);
-        let bytes = to_bytes(&tree).unwrap();
-        let back: CutTree = from_bytes(&bytes).unwrap();
-        assert_eq!(back, tree);
+        let mut hist = GridHistogram::new(bounds.clone(), 16);
+        for p in &pts {
+            hist.add(p);
+        }
+        for tree in [
+            CutTree::even(bounds.clone(), 6),
+            CutTree::balanced_from_points(bounds.clone(), 6, &refs),
+            CutTree::balanced_from_histogram(bounds, 6, &hist),
+        ] {
+            let bytes = to_bytes(&tree).unwrap();
+            let back: CutTree = from_bytes(&bytes).unwrap();
+            assert_eq!(back, tree);
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * [`KdTree`] — a columnar (structure-of-arrays) k-d tree over the
 //!   indexed attribute values with bounding-box subtree pruning, answering
 //!   the multi-dimensional range scans that MySQL's B-trees served in the
-//!   prototype ([`NaiveKdTree`] is the pre-columnar tree, kept as the
-//!   differential-testing oracle),
+//!   prototype,
 //! * [`MemStore`] — the per-(index, version) record store: append-only
 //!   rows held once, indexed values in levelled [`KdTree`] runs (merged
 //!   four at a time) plus a columnar tail of under 1,024 rows, carried
@@ -21,9 +20,9 @@
 //!   itself is `mind-core`'s `dac_drive`).
 //!
 //! [`MemStore`] sits behind the dyn-safe [`Store`] trait: `mind-core` and
-//! the baselines hold `Box<dyn Store>` built by [`StoreKind`]. It is raced
-//! differentially against [`NaiveKdTree`] and brute force by proptests and
-//! the `store_range` fuzz target.
+//! the baselines hold `Box<dyn Store>` built by [`StoreKind`]. Its oracle
+//! is a brute-force scan: proptests and the `store_range` fuzz target race
+//! the store against it.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -31,11 +30,9 @@
 pub mod dac;
 pub mod kdtree;
 pub mod mem;
-pub mod naive;
 pub mod store;
 
 pub use dac::DacCostModel;
 pub use kdtree::KdTree;
 pub use mem::MemStore;
-pub use naive::NaiveKdTree;
 pub use store::{fuzz_store_range, Store, StoreKind};

@@ -9,7 +9,6 @@
 //! nothing reads it from the environment.
 
 use crate::mem::{MemStore, FANOUT, TAIL};
-use crate::naive::NaiveKdTree;
 use mind_types::{HyperRect, Record, RecordId};
 
 /// The per-(index, version) record store interface.
@@ -76,10 +75,10 @@ impl StoreKind {
 
 /// Differential fuzz driver shared by the `store_range` fuzz target and its
 /// unit tests: parses arbitrary bytes into a record set plus a query
-/// rectangle and asserts that the k-d store filled one `insert` at a time,
-/// the k-d store filled by `insert_batch` (cut in two where the input
-/// says), the [`NaiveKdTree`] oracle and a brute-force scan agree exactly
-/// on ids, and that both k-d stores return exactly the matching rows, whole.
+/// rectangle and asserts that the k-d store filled one `insert` at a time
+/// and the k-d store filled by `insert_batch` (cut in two where the input
+/// says) each agree exactly with a brute-force scan on ids, and that both
+/// return exactly the matching rows, whole.
 ///
 /// Input layout (frozen: the committed `fuzz/corpus/store_range` inputs
 /// replay against it): `data[0]` packs the dimensionality
@@ -149,13 +148,6 @@ pub fn fuzz_store_range(data: &[u8]) {
     let mut kd_batched = MemStore::new(dims);
     kd_batched.insert_batch(records(&rows[..cut]));
     kd_batched.insert_batch(records(&rows[cut..]));
-    let naive = NaiveKdTree::build(
-        dims,
-        rows.iter()
-            .zip(0u64..)
-            .map(|(r, i)| (r[..dims].to_vec(), RecordId(i)))
-            .collect(),
-    );
 
     let brute: Vec<RecordId> = rows
         .iter()
@@ -176,11 +168,6 @@ pub fn fuzz_store_range(data: &[u8]) {
         sorted(kd_batched.range_ids(&rect)),
         brute,
         "batched kdtree ids diverge from brute force"
-    );
-    assert_eq!(
-        sorted(naive.range_vec(&rect)),
-        brute,
-        "naive ids diverge from brute force"
     );
     // Each row carries its row number last, so rows sort into id order.
     let whole: Vec<&[u64]> = brute.iter().map(|id| &rows[id.0 as usize][..]).collect();

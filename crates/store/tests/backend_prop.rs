@@ -1,9 +1,8 @@
-//! Differential suite for the store backend: the columnar [`MemStore`], the
-//! pre-columnar [`NaiveKdTree`] oracle, and a brute-force scan must agree
-//! *exactly* on `range_ids` — an independent implementation
-//! is the strongest correctness oracle the backend can get (mirrors
-//! `columnar_prop.rs`, which races the columnar tree alone) — and the
-//! store's `range_records` must rebuild every matching row whole.
+//! Differential suite for the store backend: the columnar [`MemStore`] and
+//! a brute-force scan must agree *exactly* on `range_ids` — the scan is
+//! the backend's oracle (mirrors `columnar_prop.rs`, which races the
+//! columnar tree alone) — and the store's `range_records` must rebuild
+//! every matching row whole.
 //!
 //! Coverage the strategies force: duplicate-heavy inputs (tiny coordinate
 //! domains), empty and singleton stores, full-domain wildcard rectangles,
@@ -12,7 +11,7 @@
 //! either side of the sizes where `MemStore` seals its 1,024-row tail and
 //! merges runs four at a time.
 
-use mind_store::{MemStore, NaiveKdTree, Store};
+use mind_store::{MemStore, Store};
 use mind_types::{HyperRect, Record, RecordId};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -32,31 +31,20 @@ fn sorted(mut ids: Vec<RecordId>) -> Vec<RecordId> {
     ids
 }
 
-/// Builds the store and the naive tree from the same points.
-fn build_all(points: &[Vec<u64>]) -> (MemStore, NaiveKdTree) {
+/// Builds the store from `points`, one insert each.
+fn build(points: &[Vec<u64>]) -> MemStore {
     let mut mem = MemStore::new(3);
     for p in points {
         mem.insert(Record::new(p.clone()));
     }
-    let entries = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.clone(), RecordId(i as u64)))
-        .collect();
-    (mem, NaiveKdTree::build(3, entries))
+    mem
 }
 
-/// Asserts all three implementations agree on `rect`, returning how many
+/// Asserts the store agrees with brute force on `rect`, returning how many
 /// ids they found.
-fn assert_agree(
-    points: &[Vec<u64>],
-    mem: &MemStore,
-    naive: &NaiveKdTree,
-    rect: &HyperRect,
-) -> usize {
+fn assert_agree(points: &[Vec<u64>], mem: &MemStore, rect: &HyperRect) -> usize {
     let oracle = brute(points, rect);
     assert_eq!(sorted(mem.range_ids(rect)), oracle, "columnar vs brute");
-    assert_eq!(sorted(naive.range_vec(rect)), oracle, "naive vs brute");
     oracle.len()
 }
 
@@ -91,17 +79,17 @@ fn rect_from(a: Vec<u64>, b: Vec<u64>) -> HyperRect {
 }
 
 proptest! {
-    /// Duplicate-heavy small domains: store and oracle agree with brute
-    /// force on ids.
+    /// Duplicate-heavy small domains: the store agrees with brute force on
+    /// ids.
     #[test]
     fn backends_agree_on_duplicate_heavy_inputs(
         points in dup_points(6, 300),
         a in prop::collection::vec(0u64..=7, 3),
         b in prop::collection::vec(0u64..=7, 3),
     ) {
-        let (mem, naive) = build_all(&points);
+        let mem = build(&points);
         let rect = rect_from(a, b);
-        assert_agree(&points, &mem, &naive, &rect);
+        assert_agree(&points, &mem, &rect);
     }
 
     /// u64-domain edges: max coordinates, arbitrary bit patterns, and
@@ -112,17 +100,17 @@ proptest! {
         a in prop::collection::vec(edge_coord(), 3),
         b in prop::collection::vec(edge_coord(), 3),
     ) {
-        let (mem, naive) = build_all(&points);
+        let mem = build(&points);
         let rect = rect_from(a, b);
-        assert_agree(&points, &mem, &naive, &rect);
+        assert_agree(&points, &mem, &rect);
     }
 
     /// The full-domain wildcard rectangle returns every id exactly once,
     /// whatever the input.
     #[test]
     fn full_domain_wildcard_returns_each_id_once(points in edge_points(128)) {
-        let (mem, naive) = build_all(&points);
-        let n = assert_agree(&points, &mem, &naive, &HyperRect::full(3));
+        let mem = build(&points);
+        let n = assert_agree(&points, &mem, &HyperRect::full(3));
         prop_assert_eq!(n, points.len());
     }
 }
@@ -215,7 +203,7 @@ proptest! {
 /// Either side of every merge cascade up to ~65k rows, at sizes
 /// `1024 × 4^k ± 1`: just before, the store holds three runs of every
 /// smaller size and a full tail but one; just after, one run and one tail
-/// row. It agrees with the oracle on every query shape at each size.
+/// row. It agrees with brute force on every query shape at each size.
 #[test]
 fn store_agrees_with_naive_tree_either_side_of_every_merge() {
     let mut rng = StdRng::seed_from_u64(27);
@@ -239,14 +227,8 @@ fn store_agrees_with_naive_tree_either_side_of_every_merge() {
                 mem.insert(Record::new(p.clone()));
                 points.push(p);
             }
-            let entries = points
-                .iter()
-                .zip(0u64..)
-                .map(|(p, i)| (p.clone(), RecordId(i)))
-                .collect();
-            let naive = NaiveKdTree::build(3, entries);
             for rect in &rects {
-                assert_agree(&points, &mem, &naive, rect);
+                assert_agree(&points, &mem, rect);
             }
         }
     }
@@ -254,24 +236,24 @@ fn store_agrees_with_naive_tree_either_side_of_every_merge() {
 
 #[test]
 fn empty_and_singleton_stores_agree() {
-    let (mem, naive) = build_all(&[]);
+    let mem = build(&[]);
     for rect in [
         HyperRect::full(3),
         HyperRect::new(vec![0, 0, 0], vec![0, 0, 0]),
         HyperRect::new(vec![u64::MAX; 3], vec![u64::MAX; 3]),
     ] {
-        assert_agree(&[], &mem, &naive, &rect);
+        assert_agree(&[], &mem, &rect);
     }
 
     let points = vec![vec![5, u64::MAX, 0]];
-    let (mem, naive) = build_all(&points);
+    let mem = build(&points);
     for rect in [
         HyperRect::full(3),
         HyperRect::new(vec![5, u64::MAX, 0], vec![5, u64::MAX, 0]),
         HyperRect::new(vec![6, 0, 0], vec![u64::MAX, u64::MAX, u64::MAX]),
         HyperRect::new(vec![0, 0, 1], vec![u64::MAX, u64::MAX, u64::MAX]),
     ] {
-        assert_agree(&points, &mem, &naive, &rect);
+        assert_agree(&points, &mem, &rect);
     }
 }
 
@@ -280,9 +262,9 @@ fn all_points_identical_max_coordinate() {
     // Every record at the very top of the domain: inclusive bounds must
     // still hit.
     let points: Vec<Vec<u64>> = (0..150).map(|_| vec![u64::MAX; 3]).collect();
-    let (mem, naive) = build_all(&points);
+    let mem = build(&points);
     let exact = HyperRect::new(vec![u64::MAX; 3], vec![u64::MAX; 3]);
-    assert_eq!(assert_agree(&points, &mem, &naive, &exact), 150);
+    assert_eq!(assert_agree(&points, &mem, &exact), 150);
     let below = HyperRect::new(vec![0; 3], vec![u64::MAX - 1, u64::MAX, u64::MAX]);
-    assert_eq!(assert_agree(&points, &mem, &naive, &below), 0);
+    assert_eq!(assert_agree(&points, &mem, &below), 0);
 }

@@ -1,14 +1,12 @@
 //! Differential properties: the columnar [`KdTree`] must answer every
-//! query exactly like brute force *and* exactly like the pre-columnar
-//! [`NaiveKdTree`] it replaced.
+//! query exactly like brute force.
 //!
-//! The columnar tree changes three things that could silently corrupt
+//! The columnar tree has three things that could silently corrupt
 //! answers — the permutation-based layout, the bounding-box containment
 //! fast path (wholesale slice emission), and the leaf buckets — so every
-//! property here compares sorted id multisets across all three
-//! implementations.
+//! property here compares sorted id multisets against a brute-force scan.
 
-use mind_store::{KdTree, MemStore, NaiveKdTree};
+use mind_store::{KdTree, MemStore};
 use mind_types::{HyperRect, Record, RecordId, Value};
 use proptest::prelude::*;
 
@@ -66,17 +64,14 @@ fn rect3(max: u64) -> impl Strategy<Value = HyperRect> {
 }
 
 proptest! {
-    /// Columnar == brute force == naive, under duplicate-heavy data.
+    /// Columnar == brute force, under duplicate-heavy data.
     #[test]
     fn columnar_matches_naive_and_brute(
         points in dup_points(12, 400),
         rect in rect3(12),
     ) {
         let tree = columnar(3, &points);
-        let naive = NaiveKdTree::build(3, points.clone());
-        let want = brute(&points, &rect);
-        prop_assert_eq!(&ids(&tree, &rect), &want);
-        prop_assert_eq!(&sorted(naive.range_vec(&rect)), &want);
+        prop_assert_eq!(ids(&tree, &rect), brute(&points, &rect));
     }
 
     /// The full-containment fast path: query rectangles that swallow the
@@ -127,10 +122,8 @@ proptest! {
 #[test]
 fn empty_and_singleton_trees() {
     let empty = columnar(2, &[]);
-    let naive_empty = NaiveKdTree::build(2, vec![]);
     let q = HyperRect::new(vec![0, 0], vec![100, 100]);
     assert!(ids(&empty, &q).is_empty());
-    assert!(naive_empty.range_vec(&q).is_empty());
 
     let single = columnar(2, &[(vec![50, 50], RecordId(9))]);
     assert_eq!(ids(&single, &q), vec![RecordId(9)]);

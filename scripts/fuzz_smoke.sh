@@ -7,11 +7,11 @@
 #
 # Targets:
 #   frame_decode — TCP frame codec round-trip invariant
-#   store_range  — the k-d store differentially (single inserts vs
-#                  insert_batch vs the naive k-d oracle vs brute force) on
-#                  arbitrary records + rects, each input cycled to 4,097
-#                  rows so it crosses the store's seals and a merge; at
-#                  ~1 ms an input it runs a tenth of the iterations
+#   store_range  — the k-d store differentially (single inserts and
+#                  insert_batch, each vs brute force) on arbitrary
+#                  records + rects, each input cycled to 4,097 rows so
+#                  it crosses the store's seals and a merge; at ~1 ms an
+#                  input it runs a tenth of the iterations
 #   batch_decode — MindPayload codec: arbitrary bytes reject cleanly or
 #                  decode to a payload whose re-encoding is a canonical
 #                  fixed point with an exact wire_size (batched insert
