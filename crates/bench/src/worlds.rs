@@ -409,8 +409,9 @@ pub fn run_world(n: usize, span_secs: u64, seed: u64) -> (Fingerprint, u64) {
     // *below* the steady-state arrival rate: their backlogs grow for
     // the whole span, acks outlive the retry timeout, and the resend
     // storm feeds the backlog — the world then measures queue growth,
-    // not population scaling (DESIGN.md §16). The real TCP node plane
-    // sustains ~600k inserts/s, so 1 ms is still conservative.
+    // not population scaling (DESIGN.md §16). A real node stores a row
+    // in microseconds of CPU (the benchmark's `tcp_ingest` workload
+    // measures its `rows_per_s`), so 1 ms is still conservative.
     cfg.sim.node_service = 1_000;
     cfg.sim.link_bytes_per_sec = 1_000_000;
     // Per-link counters are per-message BTreeMap upserts into an

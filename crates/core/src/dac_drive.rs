@@ -250,8 +250,19 @@ impl MindNode {
                     // at the acceptor (Section 3.4). Merge its answer with
                     // ours before responding — one exchange per region; the
                     // pointer is short-lived and not worth a batched message.
+                    // While the acceptor is not a live contact, it answers
+                    // no `HandoffScan`: the handoffs waiting on it are
+                    // dropped (the originator's retry asks again) and the
+                    // regions answer from here. The pointer itself lasts
+                    // its TTL, so an acceptor heard from again, after a
+                    // false death, is asked again.
                     if let Some((sibling, joined_at)) = self.handoff {
-                        if now.saturating_sub(joined_at) < HANDOFF_TTL {
+                        let table = self.overlay.table();
+                        if now.saturating_sub(joined_at) >= HANDOFF_TTL {
+                            self.handoff = None; // aged out
+                        } else if !table.find_by_node(sibling).is_some_and(|e| e.alive) {
+                            self.pending_handoffs.clear();
+                        } else {
                             for (code, local) in answers {
                                 let handoff_id = self.handoff_seq;
                                 self.handoff_seq += 1;
@@ -279,7 +290,6 @@ impl MindNode {
                             }
                             continue;
                         }
-                        self.handoff = None; // aged out
                     }
                     result.responses.push((
                         origin,

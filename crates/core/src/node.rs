@@ -18,7 +18,6 @@ use crate::index::IndexState;
 use crate::messages::{CarriedFilter, IndexDef, MindPayload};
 use crate::metrics::NodeMetrics;
 use crate::query::QueryTracker;
-use crate::query_track::QueryRetryMeta;
 use crate::reliability::{op_lifetime, GroupKey, PendingOp, SeenOps, WireBatch};
 use crate::trigger::{Trigger, TriggerSet};
 use mind_histogram::{CutTree, GridHistogram};
@@ -207,11 +206,15 @@ pub struct MindNode {
     pub(crate) cover_scratch: Vec<BitCode>,
     /// In-flight and finished query trackers, by query id.
     pub queries: DetHashMap<u64, QueryTracker>,
-    pub(crate) query_meta: DetHashMap<u64, QueryRetryMeta>,
     // join-time data handoff (Section 3.4)
     pub(crate) handoff: Option<(NodeId, SimTime)>,
     pub(crate) handoff_seq: u64,
     pub(crate) pending_handoffs: DetHashMap<u64, PendingHandoff>,
+    /// Set by a restart, cleared by the next catalog transfer: the catalog
+    /// kept across the crash may hold drops this node missed while down,
+    /// so that transfer replaces it instead of merging into it, and until
+    /// then this node answers no `CatalogDigest` with it.
+    catalog_stale: bool,
     // standing queries
     pub(crate) triggers: TriggerSet,
     trigger_seq: u64,
@@ -279,10 +282,10 @@ impl MindNode {
             query_seq: 0,
             cover_scratch: Vec::new(),
             queries: DetHashMap::default(),
-            query_meta: DetHashMap::default(),
             handoff: None,
             handoff_seq: 0,
             pending_handoffs: DetHashMap::default(),
+            catalog_stale: false,
             triggers: TriggerSet::new(),
             trigger_seq: 0,
             trigger_log: Vec::new(),
@@ -297,8 +300,9 @@ impl MindNode {
     /// query trackers (their deadline timers died with the old
     /// incarnation), handoff and collection protocols, and every in-memory
     /// row store. The index *catalog* (schemas, cut trees, version
-    /// numbering) is kept — it is re-validated against the acceptor's
-    /// catalog when the rejoin completes.
+    /// numbering) is kept, marked stale: the first catalog transfer after
+    /// the restart (the acceptor's answer when the rejoin completes)
+    /// replaces it.
     fn reset_after_restart(&mut self) {
         self.dac_queue.clear();
         self.dac_busy = false;
@@ -318,9 +322,9 @@ impl MindNode {
         // retried op must be stored again, not deduped into data loss.
         self.seen_ops.clear();
         self.queries.clear();
-        self.query_meta.clear();
         self.handoff = None;
         self.pending_handoffs.clear();
+        self.catalog_stale = true;
         self.collecting.clear();
         self.collect_keys.clear();
         for state in self.indexes.values_mut() {
@@ -802,19 +806,30 @@ impl MindNode {
             }
             MindPayload::CatalogDigest { digest } => {
                 // The anti-entropy steady state: digests agree, nothing
-                // moves. Only a disagreeing peer costs a full transfer.
+                // moves. Only a disagreeing peer costs a full transfer, and
+                // a stale catalog is not one to hand out.
                 if digest != self.catalog_digest() {
                     self.metrics.catalog_digest_mismatches += 1;
-                    out.send(
-                        from,
-                        OverlayMsg::Direct {
-                            payload: self.catalog_response(),
-                        },
-                    );
+                    if !self.catalog_stale {
+                        out.send(
+                            from,
+                            OverlayMsg::Direct {
+                                payload: self.catalog_response(),
+                            },
+                        );
+                    }
                 }
             }
             MindPayload::CatalogResponse { indexes, triggers } => {
                 self.invalidate_catalog_digest();
+                // A transfer only adds, except the first after a restart:
+                // what the sender lacks was dropped while this node was
+                // down, so it goes, with its triggers.
+                if std::mem::take(&mut self.catalog_stale) {
+                    self.indexes
+                        .retain(|tag, _| indexes.iter().any(|d| d.schema.tag == *tag));
+                    self.triggers = TriggerSet::new();
+                }
                 for def in indexes {
                     let tag = def.schema.tag.clone();
                     let state = self.indexes.entry(tag).or_insert_with(|| {

@@ -6,16 +6,28 @@
 //! originator can then determine, by examining which nodes responded, when
 //! the query response is complete."
 
-use mind_types::node::SimTime;
-use mind_types::{BitCode, NodeId, Record};
+use crate::messages::CarriedFilter;
+use mind_types::node::{SimTime, TimerId};
+use mind_types::{BitCode, HyperRect, NodeId, Record};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// The in-flight state of one query at its originator.
+/// The in-flight state of one query at its originator, and all it needs
+/// to re-dispatch unanswered work (`crate::query_track`).
 #[derive(Debug)]
 pub struct QueryTracker {
     /// Index queried.
     pub index: String,
+    /// The query's range and carried filters, re-sent by every retry round.
+    pub(crate) rect: HyperRect,
+    pub(crate) filters: Vec<CarriedFilter>,
+    /// Retry rounds run so far.
+    pub(crate) retry_rounds: u32,
+    /// The pending retry-round and deadline timers: each handle is taken
+    /// when its timer fires or is cancelled, so a finished tracker holds
+    /// none.
+    pub(crate) retry_timer: Option<TimerId>,
+    pub(crate) deadline_timer: Option<TimerId>,
     /// When the query was issued.
     pub issued_at: SimTime,
     /// Versions whose plan has not arrived yet.
@@ -42,10 +54,22 @@ pub struct QueryTracker {
 }
 
 impl QueryTracker {
-    /// Starts tracking a query that expects plans for `versions`.
-    pub fn new(index: String, issued_at: SimTime, versions: &[u32]) -> Self {
+    /// Starts tracking a query over `rect` that expects plans for
+    /// `versions`.
+    pub fn new(
+        index: String,
+        rect: HyperRect,
+        filters: Vec<CarriedFilter>,
+        issued_at: SimTime,
+        versions: &[u32],
+    ) -> Self {
         QueryTracker {
             index,
+            rect,
+            filters,
+            retry_rounds: 0,
+            retry_timer: None,
+            deadline_timer: None,
             issued_at,
             plans_pending: versions.iter().copied().collect(),
             expected: BTreeSet::new(),
@@ -169,9 +193,13 @@ mod tests {
         BitCode::parse(s).unwrap()
     }
 
+    fn tracker(issued_at: SimTime, versions: &[u32]) -> QueryTracker {
+        QueryTracker::new("i".into(), HyperRect::full(1), vec![], issued_at, versions)
+    }
+
     #[test]
     fn completes_when_all_regions_answer() {
-        let mut t = QueryTracker::new("i".into(), 100, &[0]);
+        let mut t = tracker(100, &[0]);
         t.on_plan(110, 0, vec![code("00"), code("01")], None);
         assert!(!t.done());
         t.on_response(120, 0, code("00"), NodeId(1), vec![Record::new(vec![1])]);
@@ -187,7 +215,7 @@ mod tests {
 
     #[test]
     fn response_before_plan_counts() {
-        let mut t = QueryTracker::new("i".into(), 0, &[0]);
+        let mut t = tracker(0, &[0]);
         t.on_response(5, 0, code("1"), NodeId(3), vec![]);
         t.on_plan(10, 0, vec![code("1")], None);
         assert!(t.done());
@@ -199,7 +227,7 @@ mod tests {
         // Both halves of a refined region answer, then the refinement,
         // then the root plan that first names the coarse region: nothing
         // is outstanding at any point, and only the root plan completes.
-        let mut t = QueryTracker::new("i".into(), 0, &[0]);
+        let mut t = tracker(0, &[0]);
         t.on_response(1, 0, code("10"), NodeId(1), vec![]);
         t.on_response(2, 0, code("11"), NodeId(2), vec![]);
         t.on_plan(3, 0, vec![code("10"), code("11")], Some(code("1")));
@@ -211,7 +239,7 @@ mod tests {
         assert_eq!(t.outcome().latency, Some(5));
         // The same arrivals with the refinement last: the coarse region is
         // outstanding until it is replaced.
-        let mut t = QueryTracker::new("i".into(), 0, &[0]);
+        let mut t = tracker(0, &[0]);
         t.on_plan(1, 0, vec![code("0"), code("1")], None);
         t.on_response(2, 0, code("0"), NodeId(3), vec![]);
         t.on_response(3, 0, code("10"), NodeId(1), vec![]);
@@ -223,7 +251,7 @@ mod tests {
 
     #[test]
     fn multi_version_waits_for_all_plans() {
-        let mut t = QueryTracker::new("i".into(), 0, &[0, 1]);
+        let mut t = tracker(0, &[0, 1]);
         t.on_plan(1, 0, vec![code("0")], None);
         t.on_response(2, 0, code("0"), NodeId(1), vec![]);
         assert!(!t.done(), "version 1's plan still outstanding");
@@ -233,7 +261,7 @@ mod tests {
 
     #[test]
     fn duplicate_responses_ignored() {
-        let mut t = QueryTracker::new("i".into(), 0, &[0]);
+        let mut t = tracker(0, &[0]);
         t.on_plan(1, 0, vec![code("0"), code("1")], None);
         t.on_response(2, 0, code("0"), NodeId(1), vec![Record::new(vec![1])]);
         t.on_response(3, 0, code("0"), NodeId(1), vec![Record::new(vec![1])]);
@@ -247,7 +275,7 @@ mod tests {
 
     #[test]
     fn timeout_freezes_incomplete() {
-        let mut t = QueryTracker::new("i".into(), 0, &[0]);
+        let mut t = tracker(0, &[0]);
         t.on_plan(1, 0, vec![code("0"), code("1")], None);
         t.on_response(2, 0, code("0"), NodeId(1), vec![]);
         t.on_deadline();
@@ -263,7 +291,7 @@ mod tests {
     #[test]
     fn empty_plan_completes_immediately() {
         // A query missing the data space entirely.
-        let mut t = QueryTracker::new("i".into(), 7, &[0]);
+        let mut t = tracker(7, &[0]);
         t.on_plan(9, 0, vec![], None);
         assert!(t.done());
         assert!(t.outcome().complete);

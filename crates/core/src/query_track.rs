@@ -1,7 +1,9 @@
 //! Query issue, split, retry, and completion tracking (Section 3.6).
 //!
-//! The originator arms a deadline and a retry cadence when the query is
-//! issued; both timers are *cancelled the moment the tracker completes*,
+//! The originator keeps one [`QueryTracker`] per query: its plans and
+//! answers, and what a retry round re-sends. It arms a deadline and a
+//! retry cadence when the query is issued, and the tracker holds both
+//! handles; both timers are *cancelled the moment the tracker completes*,
 //! so finished queries leave no stale timer events in the event plane —
 //! under sustained query load this is the difference between
 //! O(in-flight) and O(ever-issued) pending timers.
@@ -12,7 +14,7 @@ use crate::node::{token, MindNode, Out};
 use crate::query::QueryTracker;
 use crate::reliability::MAX_RETRIES;
 use mind_overlay::OverlayMsg;
-use mind_types::node::{SimTime, TimerId, SECONDS};
+use mind_types::node::{SimTime, SECONDS};
 use mind_types::{BitCode, HyperRect, MindError, NodeId};
 use std::collections::BTreeMap;
 
@@ -22,20 +24,6 @@ pub(crate) const KIND_QUERY_RETRY: u64 = 5;
 /// Interval between re-dispatch rounds for a query's unanswered plans
 /// and sub-queries.
 const QUERY_RETRY_INTERVAL: SimTime = 8 * SECONDS;
-
-/// What a query originator needs beside its tracker (which names the
-/// index) to re-dispatch unanswered work, plus the live timer handles
-/// retired at completion.
-#[derive(Debug)]
-pub(crate) struct QueryRetryMeta {
-    rect: HyperRect,
-    filters: Vec<CarriedFilter>,
-    attempts: u32,
-    /// The pending retry-round timer (None once the budget is spent).
-    retry_timer: Option<TimerId>,
-    /// The query's deadline timer.
-    deadline_timer: TimerId,
-}
 
 impl MindNode {
     /// `query_index`: issues a multi-dimensional range query with optional
@@ -66,84 +54,88 @@ impl MindNode {
         let versions = state.versions_for_range(time_range);
         let query_id = ((self.id().0 as u64) << 20) | (self.query_seq & 0xF_FFFF);
         self.query_seq += 1;
-        let mut tracker = QueryTracker::new(index.to_string(), now, &versions);
-        // Route one root query per overlapping version.
-        let mut routed = Vec::new();
-        for v in versions {
-            #[expect(
-                clippy::unwrap_used,
-                reason = "versions_for_range returns installed versions"
-            )]
-            match state.version(v).unwrap().cuts.query_prefix(&rect) {
-                None => tracker.on_plan(now, v, vec![], None), // misses the domain
-                Some(prefix) => routed.push((v, prefix)),
-            }
-        }
-        self.queries.insert(query_id, tracker);
+        let mut tracker = QueryTracker::new(index.to_string(), rect, filters, now, &versions);
         // Arm the timers *before* routing: a root that answers locally can
         // complete the tracker synchronously, and completion must find the
         // handles to cancel.
-        let retry_timer = out.set_timer(QUERY_RETRY_INTERVAL, token(KIND_QUERY_RETRY, query_id));
-        let deadline_timer = out.set_timer(
+        tracker.retry_timer =
+            Some(out.set_timer(QUERY_RETRY_INTERVAL, token(KIND_QUERY_RETRY, query_id)));
+        tracker.deadline_timer = Some(out.set_timer(
             self.cfg.query_deadline,
             token(KIND_QUERY_DEADLINE, query_id),
-        );
-        self.query_meta.insert(
-            query_id,
-            QueryRetryMeta {
-                rect: rect.clone(),
-                filters: filters.clone(),
-                attempts: 0,
-                retry_timer: Some(retry_timer),
-                deadline_timer,
-            },
-        );
-        for (v, prefix) in routed {
-            let payload = MindPayload::RootQuery {
-                query_id,
-                index: index.to_string(),
-                version: v,
-                rect: rect.clone(),
-                filters: filters.clone(),
-                origin: self.id(),
-            };
-            self.route(now, prefix, payload, out);
-        }
+        ));
+        self.queries.insert(query_id, tracker);
+        self.route_root_queries(now, query_id, out);
         // All versions may have missed the domain: the tracker is already
         // done and the timers just armed must be retired again.
         self.settle_query_timers(query_id, out);
         Ok(query_id)
     }
 
-    /// If the query is finished (or gone), cancels its outstanding
-    /// deadline/retry timers and drops its retry metadata. Called wherever
-    /// a tracker can transition to done.
+    /// Routes one `RootQuery` per version whose plan has not arrived
+    /// toward the version's query prefix, or records an empty plan for a
+    /// version the query misses (its domain, or a version gone here).
+    fn route_root_queries(&mut self, now: SimTime, query_id: u64, out: &mut Out) {
+        let Some(t) = self.queries.get(&query_id) else {
+            return;
+        };
+        let Some(state) = self.indexes.get(&t.index) else {
+            return;
+        };
+        let prefixes: Vec<(u32, Option<BitCode>)> = t
+            .plans_pending
+            .iter()
+            .map(|&v| {
+                (
+                    v,
+                    state
+                        .version(v)
+                        .and_then(|ver| ver.cuts.query_prefix(&t.rect)),
+                )
+            })
+            .collect();
+        let origin = self.id();
+        for (version, prefix) in prefixes {
+            let Some(t) = self.queries.get_mut(&query_id) else {
+                return;
+            };
+            let Some(prefix) = prefix else {
+                t.on_plan(now, version, vec![], None);
+                continue;
+            };
+            let payload = MindPayload::RootQuery {
+                query_id,
+                index: t.index.clone(),
+                version,
+                rect: t.rect.clone(),
+                filters: t.filters.clone(),
+                origin,
+            };
+            self.route(now, prefix, payload, out);
+        }
+    }
+
+    /// If the query is finished, cancels the deadline/retry timers its
+    /// tracker still holds. Called wherever a tracker can transition to
+    /// done.
     pub(crate) fn settle_query_timers(&mut self, query_id: u64, out: &mut Out) {
-        let finished = self
-            .queries
-            .get(&query_id)
-            .map(|t| t.done())
-            .unwrap_or(true);
-        if finished {
-            if let Some(meta) = self.query_meta.remove(&query_id) {
-                if let Some(t) = meta.retry_timer {
-                    out.cancel_timer(t);
-                }
-                out.cancel_timer(meta.deadline_timer);
+        if let Some(t) = self.queries.get_mut(&query_id).filter(|t| t.done()) {
+            for timer in [t.retry_timer.take(), t.deadline_timer.take()]
+                .into_iter()
+                .flatten()
+            {
+                out.cancel_timer(timer);
             }
         }
     }
 
     /// The deadline fired: close the tracker and retire the retry timer.
     fn on_query_deadline(&mut self, query_id: u64, out: &mut Out) {
-        if let Some(meta) = self.query_meta.remove(&query_id) {
-            if let Some(t) = meta.retry_timer {
-                out.cancel_timer(t);
-            }
-        }
         if let Some(t) = self.queries.get_mut(&query_id) {
+            t.deadline_timer = None;
             t.on_deadline();
         }
+        self.settle_query_timers(query_id, out);
     }
 
     /// Re-drives a query's unanswered work: re-routes `RootQuery`s for
@@ -151,69 +143,31 @@ impl MindNode {
     /// sub-queries still missing answers. The tracker dedups whatever
     /// duplicate plans/responses this produces.
     fn retry_query(&mut self, now: SimTime, query_id: u64, out: &mut Out) {
-        let Some((index, pending_versions, missing)) = self.queries.get(&query_id).and_then(|t| {
-            if t.done() {
-                None
-            } else {
-                let pending: Vec<u32> = t.plans_pending.iter().copied().collect();
-                let missing: Vec<(u32, BitCode)> = t
-                    .expected
-                    .iter()
-                    .filter(|k| !t.answered.contains(k))
-                    .cloned()
-                    .collect();
-                Some((t.index.clone(), pending, missing))
-            }
-        }) else {
-            // Finished (or never existed): retire the remaining timers.
+        let Some(t) = self.queries.get_mut(&query_id) else {
+            return;
+        };
+        t.retry_timer = None;
+        if t.done() {
+            // Finished: retire the deadline timer.
             self.settle_query_timers(query_id, out);
             return;
-        };
-        let Some(meta) = self.query_meta.get_mut(&query_id) else {
-            return;
-        };
-        if meta.attempts >= MAX_RETRIES {
-            meta.retry_timer = None;
+        }
+        if t.retry_rounds >= MAX_RETRIES {
             return; // budget spent; the deadline timer will close the query
         }
-        meta.attempts += 1;
-        let rect = meta.rect.clone();
-        let filters = meta.filters.clone();
-        if !pending_versions.is_empty() || !missing.is_empty() {
+        t.retry_rounds += 1;
+        let missing: Vec<(u32, BitCode)> = t
+            .expected
+            .iter()
+            .filter(|k| !t.answered.contains(k))
+            .cloned()
+            .collect();
+        if !t.plans_pending.is_empty() || !missing.is_empty() {
             self.metrics.query_retries += 1;
         }
+        let (index, rect, filters) = (t.index.clone(), t.rect.clone(), t.filters.clone());
         // Versions still missing their plan: re-route the root query.
-        let mut reroutes = Vec::new();
-        if let Some(state) = self.indexes.get(&index) {
-            for v in pending_versions {
-                reroutes.push((
-                    v,
-                    state
-                        .version(v)
-                        .and_then(|ver| ver.cuts.query_prefix(&rect)),
-                ));
-            }
-        }
-        for (v, prefix) in reroutes {
-            match prefix {
-                None => {
-                    if let Some(t) = self.queries.get_mut(&query_id) {
-                        t.on_plan(now, v, vec![], None);
-                    }
-                }
-                Some(prefix) => {
-                    let payload = MindPayload::RootQuery {
-                        query_id,
-                        index: index.clone(),
-                        version: v,
-                        rect: rect.clone(),
-                        filters: filters.clone(),
-                        origin: self.id(),
-                    };
-                    self.route(now, prefix, payload, out);
-                }
-            }
-        }
+        self.route_root_queries(now, query_id, out);
         // Announced but unanswered regions: re-dispatch their sub-queries,
         // grouped by owner like the first round (`missing` is in
         // `(version, code)` order, so a version's codes are one run).
@@ -234,14 +188,12 @@ impl MindNode {
         }
         // Re-dispatch can complete the tracker synchronously (local
         // answers): only schedule the next round for a live query.
-        let still_open = self.queries.get(&query_id).is_some_and(|t| !t.done());
-        if still_open {
-            let t = out.set_timer(QUERY_RETRY_INTERVAL, token(KIND_QUERY_RETRY, query_id));
-            if let Some(meta) = self.query_meta.get_mut(&query_id) {
-                meta.retry_timer = Some(t);
+        match self.queries.get_mut(&query_id) {
+            Some(t) if !t.done() => {
+                t.retry_timer =
+                    Some(out.set_timer(QUERY_RETRY_INTERVAL, token(KIND_QUERY_RETRY, query_id)));
             }
-        } else {
-            self.settle_query_timers(query_id, out);
+            _ => self.settle_query_timers(query_id, out),
         }
     }
 

@@ -205,7 +205,7 @@ proptest! {
 /// smaller size and a full tail but one; just after, one run and one tail
 /// row. It agrees with brute force on every query shape at each size.
 #[test]
-fn store_agrees_with_naive_tree_either_side_of_every_merge() {
+fn store_agrees_with_brute_force_either_side_of_every_merge() {
     let mut rng = StdRng::seed_from_u64(27);
     let mut points: Vec<Vec<u64>> = Vec::new();
     let mut mem = MemStore::new(3);

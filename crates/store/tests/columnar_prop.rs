@@ -66,7 +66,7 @@ fn rect3(max: u64) -> impl Strategy<Value = HyperRect> {
 proptest! {
     /// Columnar == brute force, under duplicate-heavy data.
     #[test]
-    fn columnar_matches_naive_and_brute(
+    fn columnar_matches_brute_force(
         points in dup_points(12, 400),
         rect in rect3(12),
     ) {

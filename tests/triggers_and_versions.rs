@@ -4,6 +4,7 @@
 
 use mind::core::{CarriedFilter, ClusterConfig, MindCluster, Replication};
 use mind::histogram::CutTree;
+use mind::netsim::Partition;
 use mind::types::node::SECONDS;
 use mind::types::{AttrDef, AttrKind, HyperRect, IndexSchema, NodeId, Record};
 
@@ -247,4 +248,154 @@ fn version_gc_drops_aged_data_only() {
     assert_eq!(o.records.len(), 20);
     // GC is idempotent.
     assert_eq!(cluster.gc_versions("watched", 90_000), 0);
+}
+
+#[test]
+fn a_dropped_index_stays_dropped_after_a_node_that_missed_the_drop_returns() {
+    let mut cluster = build(8, 5);
+    cluster.crash(NodeId(3));
+    cluster.run_for(20 * SECONDS);
+    cluster
+        .world_mut()
+        .with_node(NodeId(0), |n, _t, out| n.drop_index("watched", out))
+        .unwrap();
+    cluster.run_for(20 * SECONDS);
+    // Node 3 comes back with the index in its kept catalog; anti-entropy
+    // must retire it there instead of handing it back to everyone.
+    cluster.revive(NodeId(3));
+    cluster.run_for(300 * SECONDS);
+    for k in 0..8u32 {
+        assert!(
+            cluster.world().node(NodeId(k)).index_tags().is_empty(),
+            "node {k} has the dropped index again"
+        );
+    }
+}
+
+#[test]
+fn a_dropped_trigger_stays_dropped_after_a_node_that_missed_the_drop_returns() {
+    let mut cluster = build(8, 5);
+    let rect = HyperRect::new(vec![0, 0, 0], vec![10_000, 86_400 * 7, 1 << 20]);
+    let tid = cluster
+        .create_trigger(NodeId(1), "watched", rect, vec![])
+        .unwrap();
+    cluster.run_for(20 * SECONDS);
+    cluster.crash(NodeId(3));
+    cluster.run_for(20 * SECONDS);
+    cluster.drop_trigger(NodeId(0), tid);
+    cluster.run_for(20 * SECONDS);
+    cluster.revive(NodeId(3));
+    cluster.run_for(300 * SECONDS);
+    for k in 0..8u32 {
+        cluster
+            .insert(NodeId(k), "watched", Record::new(vec![k as u64, 1, 1, 80]))
+            .unwrap();
+    }
+    cluster.run_for(60 * SECONDS);
+    assert!(
+        cluster.trigger_log(NodeId(1)).is_empty(),
+        "the dropped trigger fired again: {:?}",
+        cluster.trigger_log(NodeId(1))
+    );
+}
+
+#[test]
+fn a_tag_recreated_while_a_node_was_down_reaches_it() {
+    // Node 3 sees the drop, misses the re-create, and must not hand its
+    // stale drop back to the nodes that saw the re-create.
+    let mut cluster = build(8, 5);
+    cluster
+        .world_mut()
+        .with_node(NodeId(0), |n, _t, out| n.drop_index("watched", out))
+        .unwrap();
+    cluster.run_for(20 * SECONDS);
+    cluster.crash(NodeId(3));
+    cluster.run_for(20 * SECONDS);
+    let s = schema();
+    let cuts = CutTree::even(s.bounds(), 9);
+    cluster
+        .create_index(NodeId(0), s, cuts, Replication::Level(1))
+        .unwrap();
+    cluster.run_for(20 * SECONDS);
+    cluster.revive(NodeId(3));
+    cluster.run_for(300 * SECONDS);
+    for k in 0..8u32 {
+        assert_eq!(
+            cluster.world().node(NodeId(k)).index_tags(),
+            vec!["watched".to_string()],
+            "node {k} lacks the re-created index"
+        );
+    }
+}
+
+#[test]
+fn a_trigger_created_after_a_drop_and_a_restart_fires() {
+    // The origin drops a trigger, restarts, and subscribes again: the
+    // drop must not shadow the new subscription anywhere.
+    let mut cluster = build(8, 5);
+    let rect = HyperRect::new(vec![0, 0, 0], vec![10_000, 86_400 * 7, 1 << 20]);
+    let old = cluster
+        .create_trigger(NodeId(1), "watched", rect.clone(), vec![])
+        .unwrap();
+    cluster.run_for(20 * SECONDS);
+    cluster.drop_trigger(NodeId(1), old);
+    cluster.run_for(20 * SECONDS);
+    cluster.crash(NodeId(1));
+    cluster.run_for(20 * SECONDS);
+    cluster.revive(NodeId(1));
+    cluster.run_for(60 * SECONDS);
+    let new = cluster
+        .create_trigger(NodeId(1), "watched", rect, vec![])
+        .unwrap();
+    cluster.run_for(60 * SECONDS);
+    for k in 0..8u32 {
+        cluster
+            .insert(NodeId(k), "watched", Record::new(vec![k as u64, 1, 1, 80]))
+            .unwrap();
+    }
+    cluster.run_for(60 * SECONDS);
+    let log = cluster.trigger_log(NodeId(1));
+    assert_eq!(log.len(), 8, "one notification per insert: {log:?}");
+    assert!(log.iter().all(|(id, _, _)| *id == new));
+}
+
+#[test]
+fn a_live_node_that_loses_a_recreate_flood_learns_it_from_its_peers() {
+    // Node 3 stays up and sees the drop, but its links are down while the
+    // tag is created again: anti-entropy must bring the new index to it,
+    // and must not take it from anyone else.
+    let mut cluster = build(8, 5);
+    cluster
+        .world_mut()
+        .with_node(NodeId(0), |n, _t, out| n.drop_index("watched", out))
+        .unwrap();
+    cluster.run_for(20 * SECONDS);
+    let now = cluster.now();
+    cluster
+        .world_mut()
+        .fault_plan_mut()
+        .partitions
+        .push(Partition {
+            island: vec![NodeId(3)],
+            cut_at: now,
+            heal_at: now + 2 * SECONDS,
+        });
+    let s = schema();
+    let cuts = CutTree::even(s.bounds(), 9);
+    cluster
+        .create_index(NodeId(0), s, cuts, Replication::Level(1))
+        .unwrap();
+    cluster.run_for(2 * SECONDS);
+    assert!(
+        cluster.world().node(NodeId(3)).index_tags().is_empty(),
+        "node 3 must miss the flood"
+    );
+    cluster.run_for(300 * SECONDS);
+    for k in 0..8u32 {
+        assert_eq!(
+            cluster.world().node(NodeId(k)).index_tags(),
+            vec!["watched".to_string()],
+            "node {k} lacks the re-created index"
+        );
+    }
 }
